@@ -1,6 +1,5 @@
 //! Real-threads null-call latency: the user-level analogue of Figure 2's
-//! single-client round trip, across the no-CD / hold-CD axis, plus the
-//! locked-queue baseline for contrast.
+//! single-client round trip, plus the locked-queue baseline for contrast.
 
 use std::sync::Arc;
 
@@ -16,19 +15,6 @@ fn bench_null_call(c: &mut Criterion) {
     let client = rt.client(0, 1);
     g.bench_function("null_call_no_cd", |b| {
         b.iter(|| std::hint::black_box(client.call(ep, std::hint::black_box([7; 8])).unwrap()))
-    });
-
-    let rt2 = Runtime::new(1);
-    let held = rt2
-        .bind(
-            "null-held",
-            EntryOptions { hold_cd: true, ..Default::default() },
-            Arc::new(|ctx| ctx.args),
-        )
-        .unwrap();
-    let client2 = rt2.client(0, 1);
-    g.bench_function("null_call_hold_cd", |b| {
-        b.iter(|| std::hint::black_box(client2.call(held, std::hint::black_box([7; 8])).unwrap()))
     });
 
     let server = LockedServer::start(1, Arc::new(|a| a));

@@ -295,18 +295,13 @@ fn main() -> ExitCode {
     let calls: u64 = if smoke { 8_000 } else { 40_000 };
     match gate::load_baseline(&baseline_dir, "BENCH_RTMODES.json") {
         Some(base) => {
-            let rt_modes: [(&str, EntryOptions, SpinPolicy); 4] = [
+            let rt_modes: [(&str, EntryOptions, SpinPolicy); 3] = [
                 (
                     "null/inline",
                     EntryOptions { inline_ok: true, ..Default::default() },
                     SpinPolicy::Adaptive,
                 ),
                 ("null/spin", EntryOptions::default(), SpinPolicy::Adaptive),
-                (
-                    "null/hold",
-                    EntryOptions { hold_cd: true, ..Default::default() },
-                    SpinPolicy::Adaptive,
-                ),
                 ("null/park", EntryOptions::default(), SpinPolicy::ParkOnly),
             ];
             for (mode, opts, policy) in rt_modes {

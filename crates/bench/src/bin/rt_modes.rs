@@ -120,7 +120,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("Dispatch-mode latency matrix ({cores} host core(s)); ns/call");
     println!();
-    let widths = [12, 10, 10, 10, 10, 10];
+    let widths = [12, 10, 10, 10, 10];
     println!(
         "{}",
         report::row(
@@ -128,7 +128,6 @@ fn main() {
                 "handler".into(),
                 "inline".into(),
                 "spin".into(),
-                "hold".into(),
                 "park".into(),
                 "locked".into(),
             ],
@@ -146,13 +145,6 @@ fn main() {
         );
         let (spin_ns, spin_d, spin_j) =
             ppc_mode(handler_ns, EntryOptions::default(), SpinPolicy::Adaptive);
-        // The paper's hold-CD mode: the worker pins its CD + scratch
-        // page across calls, skipping the per-call pool borrow/return.
-        let (hold_ns, hold_d, hold_j) = ppc_mode(
-            handler_ns,
-            EntryOptions { hold_cd: true, ..Default::default() },
-            SpinPolicy::Adaptive,
-        );
         let (park_ns, park_d, park_j) =
             ppc_mode(handler_ns, EntryOptions::default(), SpinPolicy::ParkOnly);
         let (locked_ns, locked_j) = locked_mode(handler_ns);
@@ -164,7 +156,6 @@ fn main() {
         for (mode, j) in [
             ("inline", inline_j),
             ("spin", spin_j),
-            ("hold", hold_j),
             ("park", park_j),
             ("locked", locked_j),
         ] {
@@ -178,7 +169,6 @@ fn main() {
                     label.clone(),
                     format!("{inline_ns:.0}"),
                     format!("{spin_ns:.0}"),
-                    format!("{hold_ns:.0}"),
                     format!("{park_ns:.0}"),
                     format!("{locked_ns:.0}"),
                 ],
@@ -187,7 +177,6 @@ fn main() {
         );
         details.push(format!("[{label}] inline: {inline_d}"));
         details.push(format!("[{label}] spin:   {spin_d}"));
-        details.push(format!("[{label}] hold:   {hold_d}"));
         details.push(format!("[{label}] park:   {park_d}"));
     }
 

@@ -79,5 +79,4 @@ fn main() {
     host_floor(calls);
     policy("adaptive", SpinPolicy::Adaptive, calls);
     policy("park", SpinPolicy::ParkOnly, calls);
-    policy("fixed0", SpinPolicy::Fixed(0), calls);
 }

@@ -3,74 +3,65 @@
 //! A synchronous call performs, in order: one pinned load of the calling
 //! vCPU's own service-table replica plus a lifecycle claim on its own
 //! shard (see [`crate::frank`]), one lock-free worker-pool pop, one
-//! lock-free CD-pool pop (or the worker's held CD in hold-CD mode), the
-//! slot fill, one atomic mailbox publish + unpark (the hand-off), an
-//! adaptive spin-then-park wait for `DONE`, and two lock-free pushes to
-//! recycle. **Zero lock acquisitions, zero writes to a cache line any
-//! other vCPU's fast path writes** — the user-level restatement of the
-//! paper's common case. (The epoch protocol's `SeqCst` operations are
-//! vCPU-local RMWs plus loads of read-mostly era/table words.)
+//! lock-free CD-pool pop, the slot fill, one atomic mailbox publish +
+//! unpark (the hand-off), an adaptive spin-then-park wait for `DONE`, and
+//! two lock-free pushes to recycle. **Zero lock acquisitions, zero writes
+//! to a cache line any other vCPU's fast path writes** — the user-level
+//! restatement of the paper's common case. (The epoch protocol's `SeqCst`
+//! operations are vCPU-local RMWs plus loads of read-mostly era/table
+//! words.)
 //!
 //! Entries bound with [`crate::EntryOptions::inline_ok`] skip even the
 //! hand-off: the handler runs on the caller's own thread in a borrowed
 //! CD, which is hand-off scheduling taken to its limit — the "switch" to
 //! the worker costs nothing because the caller *is* the worker.
+//!
+//! Everything here is built from two primitives, as the paper builds its
+//! async, interrupt and upcall variants from the one PPC mechanism:
+//! `EntryShared::run_handler` is the only place a handler runs (worker
+//! loop, inline path, ring workers) and `Runtime::post` the only place a
+//! call is handed to a worker (sync and async).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::Instant;
 
 use crate::entry::{EntryShared, EntryState};
 use crate::flight::FlightKind;
 use crate::frank::Claim;
 use crate::obs::LatencyKind;
-use crate::slot::CallSlot;
+use crate::slot::{CallSlot, SCRATCH_BYTES};
 use crate::span::SpanPhase;
+use crate::stats::TimeState;
 use crate::worker::WorkerHandle;
-use crate::{AsyncCall, CallCtx, EntryId, ProgramId, RtError, Runtime, SpinPolicy, VcpuState};
+use crate::{AsyncCall, EntryId, ProgramId, RtError, Runtime, ScratchRef, SpinPolicy, VcpuState};
 
 impl Runtime {
-    /// Core dispatch. With `sync`, blocks and returns `Some(rets)`;
-    /// otherwise the call is fire-and-forget (the worker releases the
-    /// claim and recycles nothing — see `dispatch_async` for the managed
-    /// variant).
+    /// Synchronous dispatch: blocks and returns the result words.
+    ///
+    /// With `payload`, the call carries bulk data through the scratch
+    /// page — the runtime analogue of §4.2: the 8 register words carry
+    /// the opcode/lengths, the page carries the data. The handler reads
+    /// and rewrites the payload in place via `CallCtx::scratch`; the
+    /// response payload of `rets[7]` bytes (by convention) is copied back
+    /// out and returned beside the result words (`None` without a
+    /// request payload).
     pub(crate) fn dispatch(
         &self,
         vcpu: usize,
         ep: EntryId,
         args: [u64; 8],
         program: ProgramId,
-        sync: bool,
-    ) -> Result<Option<[u64; 8]>, RtError> {
-        if !sync {
-            let claim = self.claim(vcpu, ep)?;
-            let qos = claim.opts.qos;
-            let (worker, slot, held) = self.acquire(vcpu, &claim, program)?; // `?` releases the claim
-            slot.fill(args, program, None);
-            slot.set_parity(claim.parity());
-            // The worker owns the release from here (the parity rides
-            // the slot); the shutdown race below takes it back.
-            let (entry, parity) = claim.transfer();
-            worker.post(Arc::clone(&slot));
-            if worker.is_shutdown() {
-                if let Some(reclaimed) = worker.take_mail() {
-                    entry.finish_call(vcpu, parity); // the worker never ran it
-                    drop(reclaimed);
-                    if !held {
-                        self.vcpu(vcpu)?.put_slot(qos, slot);
-                    } else {
-                        slot.reset();
-                    }
-                    return Err(RtError::Aborted(ep));
-                }
-            }
-            return Ok(None);
-        }
+        payload: Option<&[u8]>,
+    ) -> Result<([u64; 8], Option<Vec<u8>>), RtError> {
+        assert!(
+            payload.map_or(0, <[u8]>::len) <= SCRATCH_BYTES,
+            "payload exceeds the {SCRATCH_BYTES}-byte scratch page",
+        );
         let claim = self.claim(vcpu, ep)?;
         if claim.opts.inline_ok {
-            return self
-                .dispatch_inline(vcpu, ep, args, program, None, claim)
-                .map(|(r, _)| Some(r));
+            return self.dispatch_inline(args, program, payload, claim);
         }
         // The claim guards the rest of the call: every early `?`/`return
         // Err` below releases it, and at the happy-path exit it drops
@@ -86,52 +77,25 @@ impl Runtime {
         let sampled = self.obs().try_sample();
         let t0 = self.obs().enabled().then(Instant::now);
         // The call span opens before resource acquisition so Frank grow
-        // events during `acquire` parent under it; the drop guard closes
-        // it (and runs the root's tail-exemplar check) on every exit.
+        // events during `post` parent under it; the drop guard closes it
+        // (and runs the root's tail-exemplar check) on every exit.
         let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&claim.trace_ewma_ns));
-        let (worker, slot, held) = self.acquire(vcpu, &claim, program)?;
-        slot.fill(args, program, Some(std::thread::current()));
-        slot.set_parity(claim.parity());
-        if scope.active() {
-            // The mailbox publish below orders this for the worker.
-            slot.set_trace(scope.ctx_word());
-        }
-        worker.post(Arc::clone(&slot));
-        // Racing a kill: if the worker was told to shut down, it may have
-        // exited after its final mailbox drain without seeing our post.
-        // Reclaim the slot if it is still in the mailbox; the mailbox
-        // atomics order this against the worker's drain, so exactly one
-        // side gets the slot.
-        if worker.is_shutdown() {
-            if let Some(reclaimed) = worker.take_mail() {
-                drop(reclaimed);
-                if !held {
-                    self.vcpu(vcpu)?.put_slot(claim.opts.qos, slot);
-                } else {
-                    slot.reset();
-                }
-                return Err(RtError::Aborted(ep));
-            }
-        }
-        self.rendezvous(self.vcpu(vcpu)?, &slot, &worker, ep, sampled);
+        let client = Some(std::thread::current());
+        let (worker, slot) = self.post(&claim, args, program, payload, client, scope.ctx_word())?;
+        let vc = self.vcpu(vcpu)?;
+        self.rendezvous(vc, &slot, &worker, ep, sampled);
         let rets = slot.read_rets();
         let faulted = slot.is_faulted();
         // A hard kill that landed while we ran aborts the call. (The
         // claim is still held, so the entry memory is safe.)
-        if claim.entry_state() == EntryState::Dead {
-            return Err(RtError::Aborted(ep));
-        }
-        if !held {
-            self.vcpu(vcpu)?.put_slot(claim.opts.qos, slot);
-        } else {
-            slot.reset();
-        }
-        let cell = self.stats.cell(vcpu);
-        if faulted {
-            cell.server_faults.fetch_add(1, Ordering::Relaxed);
-            return Err(RtError::ServerFault(ep));
-        }
-        cell.handoff_calls.fetch_add(1, Ordering::Relaxed);
+        let killed = claim.entry_state() == EntryState::Dead;
+        // An aborted or faulted completion carries `ABORT_RETS`, not a
+        // response length.
+        let response = (payload.is_some() && !killed && !faulted)
+            .then(|| slot.read_payload(rets[7] as usize));
+        vc.put_slot(claim.opts.qos, slot);
+        self.settle(vcpu, ep, killed, faulted)?;
+        self.stats.cell(vcpu).handoff_calls.fetch_add(1, Ordering::Relaxed);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.obs().record_max(LatencyKind::Call, vcpu, ns);
@@ -142,236 +106,105 @@ impl Runtime {
         }
         // `scope` drops first (it borrows `claim`), then the claim
         // releases — the order the reclaim protocol requires.
-        Ok(Some(rets))
-    }
-
-    /// Synchronous call carrying a bulk payload through the scratch page —
-    /// the runtime analogue of §4.2: the 8 register words carry the
-    /// opcode/lengths, the page carries the data. The handler reads and
-    /// rewrites the payload in place via `CallCtx::scratch`; the response
-    /// payload of `rets[7]` bytes (by convention) is copied back out.
-    ///
-    /// Returns the result words and the response payload.
-    pub(crate) fn dispatch_payload(
-        &self,
-        vcpu: usize,
-        ep: EntryId,
-        args: [u64; 8],
-        program: ProgramId,
-        payload: &[u8],
-    ) -> Result<([u64; 8], Vec<u8>), RtError> {
-        assert!(
-            payload.len() <= crate::slot::SCRATCH_BYTES,
-            "payload exceeds the {}-byte scratch page",
-            crate::slot::SCRATCH_BYTES
-        );
-        let claim = self.claim(vcpu, ep)?;
-        if claim.opts.inline_ok {
-            let (rets, resp) =
-                self.dispatch_inline(vcpu, ep, args, program, Some(payload), claim)?;
-            return Ok((rets, resp.expect("payload dispatch returns a response")));
-        }
-        let sampled = self.obs().try_sample();
-        let t0 = self.obs().enabled().then(Instant::now);
-        // `scope` borrows the entry through `claim`, so the claim cannot
-        // release before the scope's EWMA read (see `dispatch`).
-        let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&claim.trace_ewma_ns));
-        let (worker, slot, held) = self.acquire(vcpu, &claim, program)?;
-        // The payload is written before the fill publishes the slot.
-        slot.write_payload(payload);
-        slot.fill(args, program, Some(std::thread::current()));
-        slot.set_parity(claim.parity());
-        if scope.active() {
-            slot.set_trace(scope.ctx_word());
-        }
-        worker.post(Arc::clone(&slot));
-        if worker.is_shutdown() {
-            if let Some(reclaimed) = worker.take_mail() {
-                drop(reclaimed);
-                if !held {
-                    self.vcpu(vcpu)?.put_slot(claim.opts.qos, slot);
-                } else {
-                    slot.reset();
-                }
-                return Err(RtError::Aborted(ep));
-            }
-        }
-        self.rendezvous(self.vcpu(vcpu)?, &slot, &worker, ep, sampled);
-        let rets = slot.read_rets();
-        if claim.entry_state() == EntryState::Dead {
-            return Err(RtError::Aborted(ep));
-        }
-        let cell = self.stats.cell(vcpu);
-        if slot.is_faulted() {
-            if !held {
-                self.vcpu(vcpu)?.put_slot(claim.opts.qos, slot);
-            } else {
-                slot.reset();
-            }
-            cell.server_faults.fetch_add(1, Ordering::Relaxed);
-            return Err(RtError::ServerFault(ep));
-        }
-        let response = slot.read_payload(rets[7] as usize);
-        if !held {
-            self.vcpu(vcpu)?.put_slot(claim.opts.qos, slot);
-        } else {
-            slot.reset();
-        }
-        cell.handoff_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.obs().record_max(LatencyKind::Call, vcpu, ns);
-            if sampled {
-                self.obs().record(LatencyKind::Call, vcpu, ns);
-                self.flight().record(vcpu, FlightKind::Handoff, ep, program);
-            }
-        }
-        // `scope` drops first (it borrows `claim`), then the claim
-        // releases.
         Ok((rets, response))
     }
 
+    /// The error a finished handler run maps to, on every transport: a
+    /// hard kill that landed while it ran aborts the call, and a
+    /// contained panic is a counted server fault.
+    fn settle(&self, vcpu: usize, ep: EntryId, killed: bool, faulted: bool) -> Result<(), RtError> {
+        if killed {
+            return Err(RtError::Aborted(ep));
+        }
+        if faulted {
+            self.stats.cell(vcpu).server_faults.fetch_add(1, Ordering::Relaxed);
+            return Err(RtError::ServerFault(ep));
+        }
+        Ok(())
+    }
+
     /// Caller-thread inline dispatch ([`crate::EntryOptions::inline_ok`]):
-    /// the caller already claimed the entry; borrow a CD from
-    /// the vCPU pool for its scratch page and run the handler right here —
-    /// no worker, no mailbox, no park/unpark. With `payload`, the scratch
-    /// page carries the request in and the first `rets[7]` bytes back
-    /// out, as in the hand-off variant.
+    /// the caller already claimed the entry; run the handler right here —
+    /// no worker, no mailbox, no park/unpark. With `payload`, a CD's
+    /// scratch page carries the request in and the first `rets[7]` bytes
+    /// back out, as in the hand-off variant.
     fn dispatch_inline(
         &self,
-        vcpu: usize,
-        ep: EntryId,
         args: [u64; 8],
         program: ProgramId,
         payload: Option<&[u8]>,
         claim: Claim<'_>,
     ) -> Result<([u64; 8], Option<Vec<u8>>), RtError> {
         // The claim (a parameter, so dropped after every local) releases
-        // on exit; the trace scope and `CallCtx` below borrow the entry
-        // through it, so no use can outlive the release.
+        // on exit; the trace scope and the handler's `CallCtx` borrow the
+        // entry through it, so no use can outlive the release.
         let entry: &EntryShared = &claim;
+        let (vcpu, ep, qos) = (claim.vcpu(), entry.id, entry.opts.qos);
         let vc = self.vcpu(vcpu)?;
         let cell = self.stats.cell(vcpu);
+        // One sample decides the call *and* handler records: the
+        // unsampled null inline call reads no clock at all.
         let sampled = self.obs().try_sample();
         let t0 = sampled.then(Instant::now);
         // The inline call span; the drop guard closes it on the early
         // kill/fault returns too, restoring the caller's trace context.
         let call_scope = self.spans().call_scope(sampled, vcpu, ep, Some(&entry.trace_ewma_ns));
-        let handler = entry.handler();
         // A payload call owns a CD up front (the scratch page carries the
         // bytes both ways); a plain call borrows one lazily, only if the
         // handler asks — descriptor-only bulk calls skip the CD pool.
         let slot = payload.map(|p| {
-            let s = vc.take_slot(entry.opts.qos, cell, self.flight(), self.spans());
+            let s = vc.take_slot(qos, cell, self.flight(), self.spans());
             s.write_payload(p);
             s
         });
-        // Fault containment matches the worker loop: a panicking handler
-        // unwinds to here, not through the caller's frames. The handler
-        // span nests under the call span (no slot hop inline — the
-        // context word passes directly), so nested calls the handler
-        // makes parent under it.
-        let th0 = sampled.then(Instant::now);
-        let h_scope = self.spans().handler_scope(call_scope.ctx_word(), vcpu, ep);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &slot {
-            Some(s) => s.with_scratch(|scratch| {
-                let mut ctx = CallCtx {
-                    args,
-                    caller_program: program,
-                    vcpu,
-                    ep,
-                    scratch: crate::ScratchRef::Ready(scratch),
-                    worker: None,
-                    entry,
-                };
-                (handler(&mut ctx), None)
-            }),
-            None => {
-                let mut ctx = CallCtx {
-                    args,
-                    caller_program: program,
-                    vcpu,
-                    ep,
-                    scratch: crate::ScratchRef::Lazy { vc, cell, slot: None },
-                    worker: None,
-                    entry,
-                };
-                let rets = handler(&mut ctx);
-                (rets, ctx.take_lazy_slot())
-            }
-        }));
-        drop(h_scope); // handler span ends here, even on a panic
-        if let Some(th0) = th0 {
-            let hns = th0.elapsed().as_nanos() as u64;
-            self.obs().record(LatencyKind::Handler, vcpu, hns);
+        // The handler span nests under the call span (no slot hop inline
+        // — the context word passes directly), so nested calls the
+        // handler makes parent under it.
+        let scratch = ScratchRef::Lazy { vc, cell, slot };
+        let run =
+            entry.run_handler(vcpu, args, program, call_scope.ctx_word(), scratch, None, sampled);
+        if let Some(hns) = run.ns {
             // Inline handler time is charged as a sampled estimate: the
             // observed run scaled by the sample period. The unsampled
             // null inline call thus gains *zero* clock reads — the
             // `obs_overhead` gate's 25ns budget stays intact — while
             // the accumulator converges on the true inline handler
             // occupancy over any telemetry window.
-            self.stats.cell(vcpu).add_time(
-                crate::stats::TimeState::Handler,
-                hns << self.obs().sample_shift(),
-            );
+            cell.add_time(TimeState::Handler, hns << self.obs().sample_shift());
         }
         let killed = entry.entry_state() == EntryState::Dead;
-        match result {
-            Ok((rets, lazy)) => {
-                // The slot never left IDLE, so the response is read
-                // straight off the scratch page before recycling.
-                let response = slot.map(|s| {
-                    let r = s.with_scratch(|sc| {
-                        sc[..(rets[7] as usize).min(crate::slot::SCRATCH_BYTES)].to_vec()
-                    });
-                    vc.put_slot(entry.opts.qos, s);
-                    r
-                });
-                if let Some(s) = lazy {
-                    vc.put_slot(entry.opts.qos, s);
-                }
-                if killed {
-                    return Err(RtError::Aborted(ep));
-                }
-                entry.record_completion(vcpu);
-                // `inline_calls` alone records the completion: the
-                // aggregate `calls` getter derives hand-off + inline, so
-                // the fast path pays one counter increment, not two.
-                cell.inline_calls.fetch_add(1, Ordering::Relaxed);
-                if let Some(t0) = t0 {
-                    self.obs().record(LatencyKind::Call, vcpu, t0.elapsed().as_nanos() as u64);
-                    self.flight().record(vcpu, FlightKind::Inline, ep, program);
-                }
-                Ok((rets, response))
-            }
-            Err(_) => {
-                // A lazily-borrowed CD unwound with the context (freed,
-                // not repooled) — faults are cold; the pool regrows.
-                if let Some(s) = slot {
-                    vc.put_slot(entry.opts.qos, s);
-                }
-                if killed {
-                    return Err(RtError::Aborted(ep));
-                }
-                cell.server_faults.fetch_add(1, Ordering::Relaxed);
-                // Contained faults are rare: record unconditionally so
-                // the ring always has them, and dump the context.
-                self.flight().record(vcpu, FlightKind::Fault, ep, program);
-                entry.dump_fault(vcpu);
-                Err(RtError::ServerFault(ep))
-            }
+        // The slot never left IDLE, so the response is read straight off
+        // the scratch page before recycling.
+        let response = match (payload, &run.lazy) {
+            (Some(_), Some(s)) if !killed && !run.faulted => Some(s.with_scratch(|page| {
+                page[..(run.rets[7] as usize).min(SCRATCH_BYTES)].to_vec()
+            })),
+            _ => None,
+        };
+        if let Some(s) = run.lazy {
+            vc.put_slot(qos, s);
         }
+        self.settle(vcpu, ep, killed, run.faulted)?;
+        entry.record_completion(vcpu);
+        // `inline_calls` alone records the completion: the aggregate
+        // `calls` getter derives hand-off + inline, so the fast path
+        // pays one counter increment, not two.
+        cell.inline_calls.fetch_add(1, Ordering::Relaxed);
+        if let Some(t0) = t0 {
+            self.obs().record(LatencyKind::Call, vcpu, t0.elapsed().as_nanos() as u64);
+            self.flight().record(vcpu, FlightKind::Inline, ep, program);
+        }
+        Ok((run.rets, response))
     }
 
     /// Ring-worker-side execution of one accepted SQE
-    /// ([`crate::ring::ClientRing`]): claim the entry *at execution
-    /// time* — never while the SQE sits queued, so kill/exchange/
-    /// reclaim drain with the queue instead of deadlocking against
-    /// claims parked inside it — run the handler on the ring worker's
-    /// thread under the SQE's propagated trace word, and contain
-    /// faults exactly like the worker loop. `scratch` is the page the
-    /// handler sees ([`crate::ScratchRef::Ready`]); the ring worker
-    /// passes its persistent page, or the SQE's staged payload buffer.
+    /// ([`crate::ring::ClientRing`] and the cross-process ring): claim
+    /// the entry *at execution time* — never while the SQE sits queued,
+    /// so kill/exchange/reclaim drain with the queue instead of
+    /// deadlocking against claims parked inside it — and run the handler
+    /// on the ring worker's thread under the SQE's propagated trace
+    /// word. `scratch` is the page the handler sees: the ring worker's
+    /// persistent page, or the SQE's staged payload buffer.
     pub(crate) fn ring_execute(
         &self,
         vcpu: usize,
@@ -381,50 +214,16 @@ impl Runtime {
         trace_word: u64,
         scratch: &mut [u8],
     ) -> Result<[u64; 8], RtError> {
+        // The claim releases on exit; the handler's borrows go through it.
         let claim = self.claim(vcpu, ep)?;
-        // The claim (a parameter-position binding dropped after every
-        // local) releases on exit; handler borrows go through it.
-        let entry: &EntryShared = &claim;
-        let cell = self.stats.cell(vcpu);
-        let th0 = self.obs().try_sample().then(Instant::now);
-        let h_scope = self.spans().handler_scope(trace_word, vcpu, ep);
-        let handler = entry.handler();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut ctx = CallCtx {
-                args,
-                caller_program: program,
-                vcpu,
-                ep,
-                scratch: crate::ScratchRef::Ready(scratch),
-                worker: None,
-                entry,
-            };
-            handler(&mut ctx)
-        }));
-        drop(h_scope); // handler span ends here, even on a panic
-        if let Some(th0) = th0 {
-            self.obs().record(LatencyKind::Handler, vcpu, th0.elapsed().as_nanos() as u64);
-        }
-        let killed = entry.entry_state() == EntryState::Dead;
-        match result {
-            Ok(rets) => {
-                if killed {
-                    return Err(RtError::Aborted(ep));
-                }
-                entry.record_completion(vcpu);
-                cell.ring_calls.fetch_add(1, Ordering::Relaxed);
-                Ok(rets)
-            }
-            Err(_) => {
-                if killed {
-                    return Err(RtError::Aborted(ep));
-                }
-                cell.server_faults.fetch_add(1, Ordering::Relaxed);
-                self.flight().record(vcpu, FlightKind::Fault, ep, program);
-                entry.dump_fault(vcpu);
-                Err(RtError::ServerFault(ep))
-            }
-        }
+        let sampled = self.obs().try_sample();
+        let scratch = ScratchRef::Ready(scratch);
+        let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, sampled);
+        let killed = claim.entry_state() == EntryState::Dead;
+        self.settle(vcpu, ep, killed, run.faulted)?;
+        claim.record_completion(vcpu);
+        self.stats.cell(vcpu).ring_calls.fetch_add(1, Ordering::Relaxed);
+        Ok(run.rets)
     }
 
     /// Wait for the posted call to complete, per the runtime's
@@ -437,8 +236,7 @@ impl Runtime {
     /// sleep/wake round trip on top of the context switch the worker
     /// needs anyway, and that convoy is precisely the 50–80µs p999/max
     /// outlier the tail histograms showed. `ParkOnly` skips the spin but
-    /// keeps the escalation (its tail had the same convoy shape);
-    /// `Fixed(0)` remains the pure park/unpark escape hatch.
+    /// keeps the escalation (its tail had the same convoy shape).
     ///
     /// Under `Adaptive`, the observed wall-clock latency feeds the
     /// calling vCPU's EWMA so the next budget fits the workload. With
@@ -459,35 +257,25 @@ impl Runtime {
         // tail exemplar's phase breakdown.
         let _span = self.spans().leaf_scope(vc.id, ep, SpanPhase::Rendezvous);
         let cell = self.stats.cell(vc.id);
-        let policy = self.spin_policy();
-        let adaptive = matches!(policy, SpinPolicy::Adaptive);
+        let adaptive = self.spin_policy() == SpinPolicy::Adaptive;
         // Unconditional timestamp pair: the wait below is µs-scale
         // (spin, donation, or futex), so the attribution plane's charge
         // of this interval to `time_spin_ns`/`time_park_ns` costs noise
         // relative to what it measures — unlike the inline path, which
         // stays sampled.
         let t0 = Instant::now();
-        let (resolved, escalated) = match policy {
-            SpinPolicy::ParkOnly => slot.wait_done_donate(0, worker.thread()),
-            SpinPolicy::Fixed(budget) => {
-                if budget == 0 {
+        let (resolved, escalated) = if !adaptive {
+            slot.wait_done_donate(0, worker.thread())
+        } else {
+            match vc.spin_budget() {
+                // The EWMA passed `PARK_THRESHOLD_NS`: handlers run
+                // ≥100µs and donation rounds would burn the client's
+                // slice for nothing — park flat out.
+                0 => {
                     slot.wait_done();
                     (false, false)
-                } else {
-                    slot.wait_done_donate(budget, worker.thread())
                 }
-            }
-            SpinPolicy::Adaptive => {
-                let budget = vc.spin_budget();
-                if budget == 0 {
-                    // The EWMA passed `PARK_THRESHOLD_NS`: handlers run
-                    // ≥100µs and donation rounds would burn the client's
-                    // slice for nothing — park flat out.
-                    slot.wait_done();
-                    (false, false)
-                } else {
-                    slot.wait_done_donate(budget, worker.thread())
-                }
+                budget => slot.wait_done_donate(budget, worker.thread()),
             }
         };
         let wait_ns = t0.elapsed().as_nanos() as u64;
@@ -501,10 +289,10 @@ impl Runtime {
         // wait was spent spinning (userspace), an unresolved one parked.
         if resolved {
             cell.spin_waits.fetch_add(1, Ordering::Relaxed);
-            cell.add_time(crate::stats::TimeState::Spin, wait_ns);
+            cell.add_time(TimeState::Spin, wait_ns);
         } else {
             cell.park_waits.fetch_add(1, Ordering::Relaxed);
-            cell.add_time(crate::stats::TimeState::Park, wait_ns);
+            cell.add_time(TimeState::Park, wait_ns);
         }
         if escalated {
             cell.spin_escalations.fetch_add(1, Ordering::Relaxed);
@@ -532,40 +320,27 @@ impl Runtime {
         let sampled = self.obs().try_sample();
         let claim = self.claim(vcpu, ep)?;
         let qos = claim.opts.qos;
-        let (worker, slot, held) = self.acquire(vcpu, &claim, program)?; // `?` releases the claim
-        slot.fill(args, program, None);
-        slot.set_parity(claim.parity());
         // The async span is not installed (the caller continues past the
         // dispatch); it closes when the completion is observed. The
         // context word rides the slot so the worker's handler span — and
         // anything nested under it — parents here.
         let trace = self.spans().begin_async(sampled, vcpu, ep);
-        if let Some(tok) = &trace {
-            slot.set_trace(tok.ctx.pack());
-        }
-        // The worker owns the release from here (the parity rides the
-        // slot); the shutdown race below takes it back.
-        let (entry, parity) = claim.transfer();
-        worker.post(Arc::clone(&slot));
-        // Racing a kill, as in the sync path — but here nobody would
-        // ever rendezvous with the orphaned slot, so reclaiming it (and
-        // the claim) is the only thing standing between a shutdown race
-        // and a leak that wedges `wait_drained`.
-        if worker.is_shutdown() {
-            if let Some(reclaimed) = worker.take_mail() {
-                entry.finish_call(vcpu, parity);
-                drop(reclaimed);
+        let word = trace.as_ref().map_or(0, |tok| tok.ctx.pack());
+        let slot = match self.post(&claim, args, program, None, None, word) {
+            Ok((_, slot)) => slot,
+            Err(e) => {
+                // Not posted (or posted and taken back): the claim is
+                // still ours and its drop releases it — without that, a
+                // shutdown race would leak a claim and wedge
+                // `wait_drained`.
                 if let Some(tok) = trace {
                     self.spans().end_token(tok, None);
                 }
-                if !held {
-                    self.vcpu(vcpu)?.put_slot(qos, slot);
-                } else {
-                    slot.reset();
-                }
-                return Err(RtError::Aborted(ep));
+                return Err(e);
             }
-        }
+        };
+        // The worker owns the release from here.
+        claim.transfer();
         self.stats.cell(vcpu).async_calls.fetch_add(1, Ordering::Relaxed);
         if sampled {
             self.flight().record(vcpu, FlightKind::Async, ep, program);
@@ -574,7 +349,6 @@ impl Runtime {
             slot,
             vcpu: Arc::clone(self.vcpu(vcpu)?),
             ep,
-            held,
             qos,
             trace: std::cell::Cell::new(trace),
             spans: Arc::clone(self.spans()),
@@ -589,30 +363,39 @@ impl Runtime {
         ep: EntryId,
         args: [u64; 8],
     ) -> Result<AsyncCall, RtError> {
-        let r = self.dispatch_async(vcpu, ep, args, 0);
-        if r.is_ok() {
-            self.stats.cell(vcpu).upcalls.fetch_add(1, Ordering::Relaxed);
-        }
-        r
+        let r = self.dispatch_async(vcpu, ep, args, 0)?;
+        self.stats.cell(vcpu).upcalls.fetch_add(1, Ordering::Relaxed);
+        Ok(r)
     }
 
-    /// Acquire the call's transport resources — worker and CD — for an
-    /// entry the caller has already claimed. Does **not** release the
-    /// claim on failure; the caller's [`Claim`] owns that (callers pass
-    /// `&claim` here), so the release happens exactly once. `program` is
-    /// the caller's identity, consulted only for hold-CD entries that
-    /// restrict the pinned CD to a trust group.
-    #[allow(clippy::type_complexity)]
-    fn acquire(
+    /// The one place a call is handed to a worker: acquire the transport
+    /// resources — a worker from the entry's pool on the claim's vCPU, a
+    /// CD from that vCPU's per-QoS-class pool (so bulk bursts can't
+    /// starve latency callers of warm CDs) — write the payload, fill the
+    /// slot, and publish it to the worker's mailbox. `client` is the
+    /// thread that will wait on the slot (`None`: nobody blocks, and the
+    /// worker releases the claim); a non-zero `trace_word` rides the slot
+    /// so the handler span parents under the caller's.
+    ///
+    /// Never releases the claim: on `Err` the call was not posted, or was
+    /// posted and taken back, and the caller's [`Claim`] still owns the
+    /// release. After an `Ok` from a `client`-less post the worker may
+    /// release the claim at any moment, so nothing past the mailbox
+    /// publish touches the entry unless the slot was taken back.
+    fn post(
         &self,
-        vcpu: usize,
-        entry: &EntryShared,
+        claim: &Claim<'_>,
+        args: [u64; 8],
         program: ProgramId,
-    ) -> Result<(Arc<WorkerHandle>, Arc<CallSlot>, bool), RtError> {
+        payload: Option<&[u8]>,
+        client: Option<Thread>,
+        trace_word: u64,
+    ) -> Result<(Arc<WorkerHandle>, Arc<CallSlot>), RtError> {
+        let (vcpu, ep, qos) = (claim.vcpu(), claim.id, claim.opts.qos);
         let vc = self.vcpu(vcpu)?;
         let cell = self.stats.cell(vcpu);
         // Worker: lock-free pool pop, or the Frank grow path.
-        let worker = match entry.pool(vcpu).pop() {
+        let worker = match claim.pool(vcpu).pop() {
             Some(w) => w,
             None => {
                 let tf0 = Instant::now();
@@ -620,45 +403,41 @@ impl Runtime {
                 cell.workers_created.fetch_add(1, Ordering::Relaxed);
                 // Frank redirects are the slow path by definition:
                 // record unconditionally (data 0 = worker pool).
-                self.flight().record(vcpu, FlightKind::Frank, entry.id, 0);
-                self.spans().record_instant(vcpu, entry.id, SpanPhase::Frank);
+                self.flight().record(vcpu, FlightKind::Frank, ep, 0);
+                self.spans().record_instant(vcpu, ep, SpanPhase::Frank);
                 // The self-weak upgrade cannot fail while our claim is
                 // held — reclamation drains claims first.
-                let arc = entry.strong().ok_or(RtError::UnknownEntry(entry.id))?;
-                let w = entry.pool(vcpu).grow(&arc, vcpu, self.pinned(), false);
+                let arc = claim.strong().ok_or(RtError::UnknownEntry(ep))?;
+                let w = claim.pool(vcpu).grow(&arc, vcpu, self.pinned(), false);
                 // Cold by construction: charge the grow (thread spawn
                 // and all) to the caller's Frank time.
-                cell.add_time(
-                    crate::stats::TimeState::Frank,
-                    tf0.elapsed().as_nanos() as u64,
-                );
+                cell.add_time(TimeState::Frank, tf0.elapsed().as_nanos() as u64);
                 w
             }
         };
-
-        // CD: the worker's held slot in hold-CD mode, else the vCPU
-        // pool (per-QoS-class, so bulk bursts can't starve latency
-        // callers of warm CDs). A hold-CD entry with a non-zero trust
-        // group extends the pinned CD only to callers registered under
-        // that group — the trust lookup is paid solely by trust-gated
-        // entries, and an untrusted caller routes through the pool, so
-        // it never reads (or leaves bytes in) the trusted scratch page.
-        let qos = entry.opts.qos;
-        let hold = entry.opts.hold_cd
-            && (entry.opts.trust_group == 0
-                || self.program_trust(program) == entry.opts.trust_group);
-        let (slot, held) = if hold {
-            match worker.held_slot() {
-                Some(s) => (s, true),
-                None => {
-                    let s = vc.take_slot(qos, cell, self.flight(), self.spans());
-                    worker.pin_slot(Arc::clone(&s));
-                    (s, true)
-                }
-            }
-        } else {
-            (vc.take_slot(qos, cell, self.flight(), self.spans()), false)
-        };
-        Ok((worker, slot, held))
+        let slot = vc.take_slot(qos, cell, self.flight(), self.spans());
+        // The payload is written before the fill publishes the slot.
+        if let Some(p) = payload {
+            slot.write_payload(p);
+        }
+        slot.fill(args, program, client);
+        slot.set_parity(claim.parity());
+        if trace_word != 0 {
+            // The mailbox publish below orders this for the worker.
+            slot.set_trace(trace_word);
+        }
+        worker.post(Arc::clone(&slot));
+        // Racing a kill: if the worker was told to shut down, it may have
+        // exited after its final mailbox drain without seeing our post.
+        // Reclaim the slot if it is still in the mailbox; the mailbox
+        // atomics order this against the worker's drain, so exactly one
+        // side gets the slot — and if it is us, the worker never ran the
+        // call, so nobody would ever rendezvous with (or, for an async
+        // call, release the claim of) the orphaned slot.
+        if worker.is_shutdown() && worker.take_mail().is_some() {
+            vc.put_slot(qos, slot);
+            return Err(RtError::Aborted(ep));
+        }
+        Ok((worker, slot))
     }
 }

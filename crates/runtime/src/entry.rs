@@ -24,11 +24,15 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::worker::WorkerPool;
-use crate::{EntryId, Handler, ProgramId};
+use crate::flight::FlightKind;
+use crate::obs::LatencyKind;
+use crate::slot::CallSlot;
+use crate::worker::{WorkerHandle, WorkerPool};
+use crate::{CallCtx, EntryId, Handler, ProgramId, ScratchRef};
 
 /// Entry lifecycle states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,18 +89,6 @@ impl QosClass {
 /// Options for a bound entry point.
 #[derive(Clone, Copy, Debug)]
 pub struct EntryOptions {
-    /// Workers permanently hold a CD + scratch page (2–3 µs faster per
-    /// call in the paper; defeats stack sharing).
-    pub hold_cd: bool,
-    /// Restrict [`EntryOptions::hold_cd`]'s pinned-CD fast path to
-    /// callers in this trust group (0 = every caller trusted — the
-    /// paper's hold-CD mode shares the worker's scratch page across
-    /// *all* callers). With a non-zero group, only programs registered
-    /// under the same group via [`crate::Runtime::set_trust_group`] ride
-    /// the pinned CD; everyone else falls back to the per-call CD pool,
-    /// so an untrusted caller never shares a scratch page with the
-    /// trusted set. Ignored when `hold_cd` is off.
-    pub trust_group: u32,
     /// Dispatch QoS class (see [`QosClass`]). `Latency` by default.
     pub qos: QosClass,
     /// Synchronous calls may run the handler *inline on the caller's
@@ -121,8 +113,6 @@ pub struct EntryOptions {
 impl Default for EntryOptions {
     fn default() -> Self {
         EntryOptions {
-            hold_cd: false,
-            trust_group: 0,
             qos: QosClass::Latency,
             inline_ok: false,
             initial_workers: 1,
@@ -130,6 +120,21 @@ impl Default for EntryOptions {
             want_ep: None,
         }
     }
+}
+
+/// What [`EntryShared::run_handler`] hands back to its transport.
+pub(crate) struct HandlerRun {
+    /// The handler's result words ([`crate::slot::ABORT_RETS`] when it
+    /// panicked).
+    pub(crate) rets: [u64; 8],
+    /// The handler panicked; the fault was contained.
+    pub(crate) faulted: bool,
+    /// The CD behind a [`ScratchRef::Lazy`] scratch page — the inline
+    /// path's payload CD, or one the handler borrowed on first use — for
+    /// the caller to repool.
+    pub(crate) lazy: Option<Arc<CallSlot>>,
+    /// The handler's run time, when `sampled`.
+    pub(crate) ns: Option<u64>,
 }
 
 /// One vCPU's lifecycle shard for one entry: in-flight claims split by
@@ -279,6 +284,66 @@ impl EntryShared {
         }
         let _ = writeln!(out, "=== end fault dump ===");
         eprint!("{out}");
+    }
+
+    /// The one place a handler runs: hand-off workers, the inline path
+    /// and both rings' workers all enter here, so the handler span, the
+    /// sampled [`LatencyKind::Handler`] record and fault containment are
+    /// identical on every transport. The caller holds a claim on this
+    /// entry; `scratch` is the page the handler sees (a ready page, or
+    /// the inline path's lazy CD borrow), `worker` the hand-off worker
+    /// whose initialization override — if installed — replaces the
+    /// entry's handler, and `trace_word` the propagated context the
+    /// handler span (and anything the handler calls) parents under.
+    ///
+    /// A panicking handler unwinds to here, not through the caller's
+    /// frames. Contained faults are rare: always in the flight ring,
+    /// always dumped — a panic that something upstream swallows still
+    /// leaves its context on stderr — and frozen into a black-box
+    /// artifact (rate-limited; a no-op without a capture directory).
+    ///
+    /// Forced inline: each run site then hands the result frame straight
+    /// to its completion; called out of line, the `HandlerRun` round trip
+    /// through memory measured 4–9 % off `ring_d16` `ops_per_s`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // the call frame, field by field
+    pub(crate) fn run_handler<'a>(
+        &'a self,
+        vcpu: usize,
+        args: [u64; 8],
+        program: ProgramId,
+        trace_word: u64,
+        scratch: ScratchRef<'a>,
+        worker: Option<&'a WorkerHandle>,
+        sampled: bool,
+    ) -> HandlerRun {
+        let handler =
+            worker.and_then(WorkerHandle::override_handler).unwrap_or_else(|| self.handler());
+        let t0 = sampled.then(Instant::now);
+        let span = self.spans.handler_scope(trace_word, vcpu, self.id);
+        let mut ctx = CallCtx {
+            args,
+            caller_program: program,
+            vcpu,
+            ep: self.id,
+            scratch,
+            worker,
+            entry: self,
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&mut ctx)));
+        drop(span); // the handler span ends here, even on a panic
+        let ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
+        if let Some(ns) = ns {
+            self.obs.record(LatencyKind::Handler, vcpu, ns);
+        }
+        let faulted = result.is_err();
+        if faulted {
+            self.flight.record(vcpu, FlightKind::Fault, self.id, program);
+            self.dump_fault(vcpu);
+            self.blackbox.event("handler-panic");
+        }
+        let rets = result.unwrap_or(crate::slot::ABORT_RETS);
+        HandlerRun { rets, faulted, lazy: ctx.take_lazy_slot(), ns }
     }
 
     /// Current lifecycle state.
@@ -446,16 +511,10 @@ impl EntryShared {
     }
 
     /// Shut down and join every worker (called off the worker threads).
-    /// Returns the `(vcpu, slot)` pairs of every CD the workers had
-    /// pinned (hold-CD mode); callers with a live runtime recycle them
-    /// into the vCPU CD pools via [`crate::Runtime`]'s kill/reclaim
-    /// paths so entry churn doesn't bleed the warm-CD reservoir.
-    pub fn reap_workers(&self) -> Vec<(usize, Arc<crate::slot::CallSlot>)> {
-        let mut freed = Vec::new();
-        for (v, p) in self.pools.iter().enumerate() {
-            freed.extend(p.reap().into_iter().map(|s| (v, s)));
+    pub fn reap_workers(&self) {
+        for p in &self.pools {
+            p.reap();
         }
-        freed
     }
 }
 

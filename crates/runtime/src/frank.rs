@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -36,7 +36,6 @@ use parking_lot::Mutex;
 use crate::entry::{EntryOptions, EntryShared, EntryState};
 use crate::flight::FlightKind;
 use crate::span::SpanPhase;
-use crate::worker::MAX_POOLED;
 use crate::{EntryId, Handler, ProgramId, RtError, Runtime, VcpuState, MAX_ENTRIES};
 
 /// A counted lifecycle claim on an entry, returned by [`Runtime::claim`].
@@ -50,8 +49,8 @@ use crate::{EntryId, Handler, ProgramId, RtError, Runtime, VcpuState, MAX_ENTRIE
 /// type, that invariant lived only in comments and was broken twice.
 ///
 /// Async dispatch transfers the release obligation to the worker (the
-/// parity rides the slot) via [`Claim::transfer`], which is the one
-/// deliberate escape hatch back to an unguarded reference.
+/// parity rides the slot) via [`Claim::transfer`], the one deliberate
+/// escape hatch from the guard.
 pub(crate) struct Claim<'rt> {
     entry: &'rt EntryShared,
     vcpu: usize,
@@ -59,6 +58,11 @@ pub(crate) struct Claim<'rt> {
 }
 
 impl<'rt> Claim<'rt> {
+    /// The vCPU whose lifecycle shard counts this claim.
+    pub(crate) fn vcpu(&self) -> usize {
+        self.vcpu
+    }
+
     /// The era parity the claim was counted under (rides the slot so the
     /// releasing side passes it back to [`EntryShared::finish_call`]).
     pub(crate) fn parity(&self) -> u8 {
@@ -66,13 +70,11 @@ impl<'rt> Claim<'rt> {
     }
 
     /// Hand the release obligation to another owner (the worker, for
-    /// async calls): suppresses the drop and returns the raw parts. The
-    /// caller takes back responsibility for the entry staying alive —
-    /// valid only while some side still holds the counted claim.
-    pub(crate) fn transfer(self) -> (&'rt EntryShared, u8) {
-        let (entry, parity) = (self.entry, self.parity);
+    /// async calls — it finds the parity on the slot): suppresses the
+    /// drop. From here the entry stays alive only while that owner still
+    /// holds the counted claim.
+    pub(crate) fn transfer(self) {
         std::mem::forget(self);
-        (entry, parity)
     }
 }
 
@@ -122,9 +124,6 @@ pub(crate) struct Frank {
     /// Serializes grace periods: the parity scheme admits at most two
     /// live eras, so era flips must not overlap.
     reclaim_lock: Mutex<()>,
-    /// Idle-worker high watermark for [`Runtime::frank_maintain`]'s
-    /// shrink policy. Defaults to the pool capacity (no shrinking).
-    idle_watermark: AtomicUsize,
 }
 
 impl Frank {
@@ -137,7 +136,6 @@ impl Frank {
             }),
             pin_era: AtomicU64::new(0),
             reclaim_lock: Mutex::new(()),
-            idle_watermark: AtomicUsize::new(MAX_POOLED),
         }
     }
 
@@ -321,7 +319,7 @@ impl Runtime {
             std::thread::yield_now();
         }
         e.state.store(EntryState::Dead as u8, Ordering::Release);
-        self.reap_and_recycle(&e);
+        e.reap_workers();
         Ok(())
     }
 
@@ -336,7 +334,7 @@ impl Runtime {
         }
         e.state.store(EntryState::Dead as u8, Ordering::SeqCst);
         e.flight.record(0, FlightKind::HardKill, ep, by);
-        self.reap_and_recycle(&e);
+        e.reap_workers();
         Ok(())
     }
 
@@ -399,7 +397,7 @@ impl Runtime {
         // pool after the kill's reap; with zero claims left no more can
         // appear, so this second reap is final — no pooled worker
         // outlives the reclaim holding the entry `Arc`.
-        self.reap_and_recycle(&e);
+        e.reap_workers();
         // Fully drained: every parity is zero, so all limbo handlers free.
         e.try_drain_limbo();
         let mut inner = self.frank.inner.lock();
@@ -438,21 +436,7 @@ impl Runtime {
         if vcpu >= self.n_vcpus() {
             return Err(RtError::BadVcpu(vcpu));
         }
-        let (reaped, held) = e.pool(vcpu).shrink_to(keep);
-        for s in held {
-            self.vcpus[vcpu].put_slot(e.opts.qos, s);
-        }
-        Ok(reaped)
-    }
-
-    /// Reap an entry's workers and recycle any CDs they had pinned
-    /// (hold-CD mode) back into the owning vCPU's CD pool — the pool is
-    /// a fixed reservoir, so dropping a pinned slot on every kill would
-    /// let hold-CD entry churn bleed the warm-CD supply dry.
-    pub(crate) fn reap_and_recycle(&self, e: &EntryShared) {
-        for (v, s) in e.reap_workers() {
-            self.vcpus[v].put_slot(e.opts.qos, s);
-        }
+        Ok(e.pool(vcpu).shrink_to(keep))
     }
 
     /// Idle pooled workers of `ep`, summed across vCPUs (diagnostics;
@@ -462,33 +446,21 @@ impl Runtime {
         Ok((0..self.n_vcpus()).map(|v| e.pool(v).idle_len()).sum())
     }
 
-    /// Set the idle-worker high watermark [`Runtime::frank_maintain`]
-    /// shrinks pools down to. Defaults to the pool capacity, i.e. no
-    /// shrinking until a policy is chosen.
-    pub fn set_idle_watermark(&self, keep: usize) {
-        self.frank.idle_watermark.store(keep, Ordering::Relaxed);
-    }
-
     /// One Frank maintenance pass (cold; call it from a housekeeping
-    /// thread or after load spikes): shrink every pool whose idle count
-    /// exceeds the watermark — the paper's pools "shrink dynamically as
-    /// needed" — and free retired handlers whose era has quiesced.
-    /// Returns `(workers_reaped, handlers_freed)`.
+    /// thread or after load spikes): shrink every pool back to the size
+    /// it was bound with — `max(1, initial_workers)`, the paper's pools
+    /// "most commonly contain only a single worker" and "shrink
+    /// dynamically as needed" — and free retired handlers whose era has
+    /// quiesced. Returns `(workers_reaped, handlers_freed)`.
     pub fn frank_maintain(&self) -> (usize, u64) {
         let entries: Vec<Arc<EntryShared>> =
             self.frank.inner.lock().entries.iter().flatten().cloned().collect();
-        let keep = self.frank.idle_watermark.load(Ordering::Relaxed);
         let mut reaped = 0;
         let mut freed = 0;
         for e in entries {
+            let keep = e.opts.initial_workers.max(1);
             for v in 0..self.n_vcpus() {
-                if e.pool(v).idle_len() > keep {
-                    let (n, held) = e.pool(v).shrink_to(keep);
-                    reaped += n;
-                    for s in held {
-                        self.vcpus[v].put_slot(e.opts.qos, s);
-                    }
-                }
+                reaped += e.pool(v).shrink_to(keep);
             }
             freed += e.try_drain_limbo();
         }

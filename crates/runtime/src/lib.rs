@@ -84,8 +84,7 @@ pub mod telemetry;
 pub mod worker;
 pub mod xproc;
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -207,9 +206,9 @@ impl std::error::Error for RtError {}
 /// with a `Relaxed` load.
 ///
 /// The policy is paired: it also sets the *worker-side* idle-mailbox spin
-/// budget, so under `Adaptive`/`Fixed` a stream of back-to-back calls
-/// resolves both waits in user space without either thread reaching a
-/// futex, while `ParkOnly` keeps both sides on the pure park/unpark pair.
+/// budget, so under `Adaptive` a stream of back-to-back calls resolves
+/// both waits in user space without either thread reaching a futex,
+/// while under `ParkOnly` an idle worker parks at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpinPolicy {
     /// Spin on the slot-state word with a per-vCPU budget tuned from an
@@ -218,10 +217,6 @@ pub enum SpinPolicy {
     /// EWMA past [`spin::PARK_THRESHOLD_NS`] and the vCPU stops spinning
     /// altogether. The default.
     Adaptive,
-    /// Spin a fixed number of iterations before parking. `Fixed(0)` is
-    /// the pure park/unpark rendezvous with no spin and no escalation —
-    /// the measurement baseline for the pre-optimization behavior.
-    Fixed(u32),
     /// Skip the spin budget: go straight to the bounded escalation
     /// (donate the timeslice to the worker for up to
     /// [`spin::ESCALATE_YIELDS`] yields, see [`slot::CallSlot`]), then
@@ -230,8 +225,7 @@ pub enum SpinPolicy {
     /// worker finishes, futex wake straggles — produced the exact same
     /// 50–80µs tail here as in the spun-out adaptive case, and a yield
     /// to the worker costs strictly less than a futex sleep/wake when
-    /// the handler is already done or about to be. Use `Fixed(0)` for
-    /// the un-escalated baseline.
+    /// the handler is already done or about to be.
     ParkOnly,
 }
 
@@ -270,15 +264,17 @@ pub mod spin {
 
 /// Where a handler's scratch page comes from.
 pub(crate) enum ScratchRef<'a> {
-    /// Materialized by the dispatcher: hand-off workers and payload calls
-    /// own a CD before the handler runs.
+    /// Materialized by the dispatcher: hand-off and ring workers own
+    /// their page before the handler runs.
     Ready(&'a mut [u8]),
-    /// Inline dispatch without a payload: no CD is borrowed unless the
-    /// handler actually asks for [`CallCtx::scratch`]. Descriptor-only
-    /// bulk calls never touch the CD pool at all — their payload lives in
-    /// the granted region, so charging them two pool operations for a
-    /// page they never read would violate the fast path's "touch nothing
-    /// you don't need" discipline.
+    /// Inline dispatch: `slot` starts out as the CD that carries the
+    /// payload, or — without a payload — empty, and then no CD is
+    /// borrowed unless the handler actually asks for
+    /// [`CallCtx::scratch`]. Descriptor-only bulk calls never touch the
+    /// CD pool at all — their payload lives in the granted region, so
+    /// charging them two pool operations for a page they never read
+    /// would violate the fast path's "touch nothing you don't need"
+    /// discipline.
     Lazy {
         vc: &'a VcpuState,
         cell: &'a stats::StatsCell,
@@ -307,7 +303,7 @@ impl<'a> CallCtx<'a> {
     /// The 4 KB per-call scratch page (the CD's "stack page"). Recycled
     /// across calls and, by default, across services — exactly the paper's
     /// serially-shared stacks, with the same caveat that secrets should
-    /// not be left behind (use trust groups or hold-CD mode for that).
+    /// not be left behind.
     ///
     /// Inline calls without a payload borrow the page lazily on first
     /// use; handlers that never ask for it cost the CD pool nothing.
@@ -329,7 +325,8 @@ impl<'a> CallCtx<'a> {
         }
     }
 
-    /// Reclaim a lazily-borrowed CD so the dispatcher can repool it.
+    /// Reclaim the CD behind a lazy scratch page so the dispatcher can
+    /// repool it.
     pub(crate) fn take_lazy_slot(&mut self) -> Option<Arc<slot::CallSlot>> {
         match &mut self.scratch {
             ScratchRef::Lazy { slot, .. } => slot.take(),
@@ -382,114 +379,96 @@ impl<'a> CallCtx<'a> {
         BulkDesc::decode(self.args[7])
     }
 
-    /// Begin an authorized access to `desc`'s span on behalf of this
-    /// entry, counting denials.
-    fn bulk_access(&self, desc: BulkDesc, write: bool) -> Result<region::Access<'_>, RtError> {
-        let r = self.entry.bulk.registry(self.vcpu).begin(
+    /// The one shape every accessor below has: begin an authorized access
+    /// to `desc`'s span on behalf of this entry (counting a denial), run
+    /// `f` over `(ptr, n)`, settle. `cap` is `Some(limit)` for a copying
+    /// operation — `n` is then the span length clamped to `limit`, the
+    /// copy gets its span and latency sample, and the moved bytes are
+    /// counted on success — and `None` for in-place access over the whole
+    /// span, where no bytes move (`bulk_bytes += 0` would cost a locked
+    /// add on the warm path). Returns `f`'s result and `n`; if the
+    /// authorization lapsed mid-transfer the result is discarded and a
+    /// denial counted, so a revoked access is never acknowledged.
+    fn bulk_op<R>(
+        &self,
+        desc: BulkDesc,
+        write: bool,
+        cap: Option<usize>,
+        f: impl FnOnce(*mut u8, usize) -> R,
+    ) -> Result<(R, usize), RtError> {
+        let entry = self.entry;
+        let _span = cap.map(|_| entry.spans.leaf_scope(self.vcpu, self.ep, SpanPhase::BulkCopy));
+        let t0 = (cap.is_some() && entry.obs.try_sample()).then(std::time::Instant::now);
+        let cell = entry.bulk.stats.cell(self.vcpu);
+        let begun = entry.bulk.registry(self.vcpu).begin(
             desc,
             self.ep,
-            self.entry.opts.owner,
+            entry.opts.owner,
             self.caller_program,
             write,
             false,
         );
-        if r.is_err() {
-            self.entry.bulk.stats.cell(self.vcpu).bulk_denied.fetch_add(1, Ordering::Relaxed);
-            self.entry.flight.record(
-                self.vcpu,
-                flight::FlightKind::BulkDenied,
-                self.ep,
-                desc.region as u32,
-            );
+        let acc = begun.inspect_err(|_| {
+            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
+            let region = desc.region as u32;
+            entry.flight.record(self.vcpu, flight::FlightKind::BulkDenied, self.ep, region);
+        })?;
+        let n = cap.map_or(acc.len, |cap| acc.len.min(cap));
+        let r = f(acc.ptr, n);
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            entry.obs.record(obs::LatencyKind::BulkCopy, self.vcpu, ns);
         }
-        r
-    }
-
-    /// Settle a finished access: count the moved bytes on success, a
-    /// denial when the authorization lapsed mid-transfer.
-    fn bulk_settle(&self, acc: region::Access<'_>, n: usize) -> Result<usize, RtError> {
-        let cell = self.entry.bulk.stats.cell(self.vcpu);
-        match acc.finish() {
-            Ok(()) => {
-                cell.bulk_bytes.fetch_add(n as u64, Ordering::Relaxed);
-                Ok(n)
+        acc.finish().inspect_err(|e| {
+            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
+            // The revoke race is exactly what a post-mortem needs to
+            // see: always in the flight ring.
+            if let RtError::BulkRevoked(r) = e {
+                let region = *r as u32;
+                entry.flight.record(self.vcpu, flight::FlightKind::BulkRevoked, self.ep, region);
             }
-            Err(e) => {
-                cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
-                // The revoke race is exactly what a post-mortem needs to
-                // see: always in the flight ring.
-                if let RtError::BulkRevoked(r) = &e {
-                    self.entry.flight.record(
-                        self.vcpu,
-                        flight::FlightKind::BulkRevoked,
-                        self.ep,
-                        *r as u32,
-                    );
-                }
-                Err(e)
-            }
+        })?;
+        if cap.is_some() {
+            cell.bulk_bytes.fetch_add(n as u64, Ordering::Relaxed);
         }
+        Ok((r, n))
     }
 
     /// CopyFrom (§4.2): copy up to `dst.len()` bytes of the granted span
     /// into server memory. Returns the bytes copied. Requires a read
     /// grant.
     pub fn copy_from(&self, desc: BulkDesc, dst: &mut [u8]) -> Result<usize, RtError> {
-        let _span = self.entry.spans.leaf_scope(self.vcpu, self.ep, SpanPhase::BulkCopy);
-        let t0 = self.entry.obs.try_sample().then(std::time::Instant::now);
-        let acc = self.bulk_access(desc, false)?;
-        let n = acc.len.min(dst.len());
-        // Safety: `acc` authorizes [ptr, ptr+n); `dst` is a live unique
-        // borrow and cannot alias registry memory.
-        unsafe { bulk::copy_span(dst.as_mut_ptr(), acc.ptr, n) };
-        if let Some(t0) = t0 {
-            self.entry.obs.record(
-                obs::LatencyKind::BulkCopy,
-                self.vcpu,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        self.bulk_settle(acc, n)
+        let dst_ptr = dst.as_mut_ptr();
+        // Safety: the access authorizes [ptr, ptr+n); `dst` is a live
+        // unique borrow of at least `n` bytes and cannot alias registry
+        // memory.
+        self.bulk_op(desc, false, Some(dst.len()), |ptr, n| unsafe {
+            bulk::copy_span(dst_ptr, ptr, n)
+        })
+        .map(|((), n)| n)
     }
 
     /// CopyTo (§4.2): copy up to the span length from server memory into
     /// the granted span. Returns the bytes copied. Requires a write grant
     /// and a writable descriptor.
     pub fn copy_to(&self, desc: BulkDesc, src: &[u8]) -> Result<usize, RtError> {
-        let _span = self.entry.spans.leaf_scope(self.vcpu, self.ep, SpanPhase::BulkCopy);
-        let t0 = self.entry.obs.try_sample().then(std::time::Instant::now);
-        let acc = self.bulk_access(desc, true)?;
-        let n = acc.len.min(src.len());
         // Safety: as in `copy_from`, directions reversed.
-        unsafe { bulk::copy_span(acc.ptr, src.as_ptr(), n) };
-        if let Some(t0) = t0 {
-            self.entry.obs.record(
-                obs::LatencyKind::BulkCopy,
-                self.vcpu,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        self.bulk_settle(acc, n)
+        self.bulk_op(desc, true, Some(src.len()), |ptr, n| unsafe {
+            bulk::copy_span(ptr, src.as_ptr(), n)
+        })
+        .map(|((), n)| n)
     }
 
     /// Exchange for payloads: swap bytes between the granted span and
     /// `buf` (both directions in one pass, no allocation). Returns the
     /// bytes swapped. Requires a write grant.
     pub fn exchange_bulk(&self, desc: BulkDesc, buf: &mut [u8]) -> Result<usize, RtError> {
-        let _span = self.entry.spans.leaf_scope(self.vcpu, self.ep, SpanPhase::BulkCopy);
-        let t0 = self.entry.obs.try_sample().then(std::time::Instant::now);
-        let acc = self.bulk_access(desc, true)?;
-        let n = acc.len.min(buf.len());
+        let buf_ptr = buf.as_mut_ptr();
         // Safety: as in `copy_to`; `exchange_span` reads and writes both.
-        unsafe { bulk::exchange_span(acc.ptr, buf.as_mut_ptr(), n) };
-        if let Some(t0) = t0 {
-            self.entry.obs.record(
-                obs::LatencyKind::BulkCopy,
-                self.vcpu,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        self.bulk_settle(acc, n)
+        self.bulk_op(desc, true, Some(buf.len()), |ptr, n| unsafe {
+            bulk::exchange_span(ptr, buf_ptr, n)
+        })
+        .map(|((), n)| n)
     }
 
     /// Zero-copy read: run `f` over the granted span **in place** — no
@@ -503,27 +482,10 @@ impl<'a> CallCtx<'a> {
     /// not revoke or unregister the region from inside `f` (that returns
     /// [`RtError::BulkReentrant`]).
     pub fn with_bulk<R>(&self, desc: BulkDesc, f: impl FnOnce(&[u8]) -> R) -> Result<R, RtError> {
-        let acc = self.bulk_access(desc, false)?;
         // Safety: span authorized; shared read view for the closure's
         // duration, protected from unmapping by the reader announcement.
-        let r = f(unsafe { std::slice::from_raw_parts(acc.ptr, acc.len) });
-        // No bytes moved: settle directly, skipping the byte-counter RMW
-        // (`bulk_bytes += 0` would cost a locked add on the warm path).
-        match acc.finish() {
-            Ok(()) => Ok(r),
-            Err(e) => {
-                self.entry.bulk.stats.cell(self.vcpu).bulk_denied.fetch_add(1, Ordering::Relaxed);
-                if let RtError::BulkRevoked(rid) = &e {
-                    self.entry.flight.record(
-                        self.vcpu,
-                        flight::FlightKind::BulkRevoked,
-                        self.ep,
-                        *rid as u32,
-                    );
-                }
-                Err(e)
-            }
-        }
+        self.bulk_op(desc, false, None, |ptr, n| f(unsafe { std::slice::from_raw_parts(ptr, n) }))
+            .map(|(r, _)| r)
     }
 
     /// Zero-copy write: run `f` over the granted span in place with
@@ -540,26 +502,12 @@ impl<'a> CallCtx<'a> {
         desc: BulkDesc,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, RtError> {
-        let acc = self.bulk_access(desc, true)?;
         // Safety: span authorized for write; the registry protocol keeps
         // the memory mapped while the reader announcement is held.
-        let r = f(unsafe { std::slice::from_raw_parts_mut(acc.ptr, acc.len) });
-        // As in `with_bulk`: no byte counter to bump for in-place access.
-        match acc.finish() {
-            Ok(()) => Ok(r),
-            Err(e) => {
-                self.entry.bulk.stats.cell(self.vcpu).bulk_denied.fetch_add(1, Ordering::Relaxed);
-                if let RtError::BulkRevoked(rid) = &e {
-                    self.entry.flight.record(
-                        self.vcpu,
-                        flight::FlightKind::BulkRevoked,
-                        self.ep,
-                        *rid as u32,
-                    );
-                }
-                Err(e)
-            }
-        }
+        self.bulk_op(desc, true, None, |ptr, n| {
+            f(unsafe { std::slice::from_raw_parts_mut(ptr, n) })
+        })
+        .map(|(r, _)| r)
     }
 }
 
@@ -706,15 +654,8 @@ pub struct Runtime {
     spans: Arc<SpanPlane>,
     /// Pin worker threads to cores.
     pin: bool,
-    /// Encoded [`SpinPolicy`] discriminant (see `SPIN_*` constants).
-    spin_mode: AtomicU8,
-    /// Budget operand for [`SpinPolicy::Fixed`].
-    spin_fixed: AtomicU32,
-    /// Trust-group registry for hold-CD gating: program → group (absent
-    /// = group 0 = untrusted-by-default). Writes are cold
-    /// ([`Runtime::set_trust_group`]); the dispatch path reads it only
-    /// for entries that set a non-zero [`EntryOptions::trust_group`].
-    trust: parking_lot::RwLock<HashMap<ProgramId, u32>>,
+    /// Whether the [`SpinPolicy`] is `ParkOnly` (else `Adaptive`).
+    park_only: AtomicBool,
     /// The telemetry plane (windowed sampler + SLO watchdog), present
     /// once started via [`RuntimeOptions::telemetry_tick`] or
     /// [`Runtime::start_telemetry`]. Cold-path mutex: touched only at
@@ -731,20 +672,15 @@ pub struct Runtime {
     shutdown: AtomicU8,
 }
 
-const SPIN_ADAPTIVE: u8 = 0;
-const SPIN_FIXED: u8 = 1;
-const SPIN_PARK_ONLY: u8 = 2;
-
 /// Worker-side idle-mailbox spin budget implied by a client wait policy.
 /// The rendezvous is spin-paired: when clients spin out the hand-off, the
 /// worker also spins briefly on its mailbox between calls, so a stream of
 /// back-to-back calls never reaches a futex on either side (the client's
 /// post finds the worker unparked and its `unpark` stays token-only).
-/// `ParkOnly` maps to 0 so that baseline stays a pure park/unpark pair.
+/// `ParkOnly` maps to 0 so that baseline's idle worker parks at once.
 pub(crate) fn worker_idle_budget(p: SpinPolicy) -> u32 {
     match p {
         SpinPolicy::Adaptive => spin::DEFAULT_BUDGET,
-        SpinPolicy::Fixed(n) => n,
         SpinPolicy::ParkOnly => 0,
     }
 }
@@ -827,9 +763,7 @@ impl Runtime {
             spans: Arc::new(SpanPlane::new(n_vcpus, opts.trace_capacity)),
             stats,
             pin: opts.pin,
-            spin_mode: AtomicU8::new(SPIN_ADAPTIVE),
-            spin_fixed: AtomicU32::new(spin::DEFAULT_BUDGET),
-            trust: parking_lot::RwLock::new(HashMap::new()),
+            park_only: AtomicBool::new(false),
             telemetry: parking_lot::Mutex::new(None),
             blackbox: Arc::new(blackbox::Sink::new()),
             xproc_seg: parking_lot::Mutex::new(None),
@@ -906,14 +840,7 @@ impl Runtime {
     /// subsequent calls; safe to call concurrently with dispatch (the
     /// fast path reads it with one `Relaxed` load).
     pub fn set_spin_policy(&self, p: SpinPolicy) {
-        match p {
-            SpinPolicy::Adaptive => self.spin_mode.store(SPIN_ADAPTIVE, Ordering::Relaxed),
-            SpinPolicy::ParkOnly => self.spin_mode.store(SPIN_PARK_ONLY, Ordering::Relaxed),
-            SpinPolicy::Fixed(n) => {
-                self.spin_fixed.store(n, Ordering::Relaxed);
-                self.spin_mode.store(SPIN_FIXED, Ordering::Relaxed);
-            }
-        }
+        self.park_only.store(p == SpinPolicy::ParkOnly, Ordering::Relaxed);
         // Propagate the paired worker-side idle spin budget to every bound
         // entry and live client ring (cold path; new binds and rings pick
         // it up from the policy directly).
@@ -927,26 +854,6 @@ impl Runtime {
         }
     }
 
-    /// Register `program` in hold-CD trust group `group` (0 removes it
-    /// from every group). An entry bound with [`EntryOptions::hold_cd`]
-    /// and a non-zero [`EntryOptions::trust_group`] extends its pinned
-    /// CD/scratch fast path only to programs registered under the same
-    /// group; calls from any other program borrow from the per-call CD
-    /// pool instead, so they never touch the trusted callers' scratch
-    /// page. Cold path (write lock); safe concurrently with dispatch.
-    pub fn set_trust_group(&self, program: ProgramId, group: u32) {
-        if group == 0 {
-            self.trust.write().remove(&program);
-        } else {
-            self.trust.write().insert(program, group);
-        }
-    }
-
-    /// The trust group `program` is registered under (0 if none).
-    pub fn program_trust(&self, program: ProgramId) -> u32 {
-        self.trust.read().get(&program).copied().unwrap_or(0)
-    }
-
     /// The QoS class of entry `ep` as seen from `vcpu`'s table replica
     /// (`None` if unbound or dead). Used by rings to pick a lane at
     /// submit time; a dead entry's class is irrelevant — its SQE
@@ -957,10 +864,10 @@ impl Runtime {
 
     /// The current synchronous-rendezvous wait policy.
     pub fn spin_policy(&self) -> SpinPolicy {
-        match self.spin_mode.load(Ordering::Relaxed) {
-            SPIN_PARK_ONLY => SpinPolicy::ParkOnly,
-            SPIN_FIXED => SpinPolicy::Fixed(self.spin_fixed.load(Ordering::Relaxed)),
-            _ => SpinPolicy::Adaptive,
+        if self.park_only.load(Ordering::Relaxed) {
+            SpinPolicy::ParkOnly
+        } else {
+            SpinPolicy::Adaptive
         }
     }
 
@@ -1207,7 +1114,7 @@ impl Client {
     /// Synchronous PPC: 8 words in, 8 words out, hand-off to a worker on
     /// this client's vCPU. No locks, no shared queues.
     pub fn call(&self, ep: EntryId, args: [u64; 8]) -> Result<[u64; 8], RtError> {
-        self.rt.dispatch(self.vcpu, ep, args, self.program, true).map(|r| r.expect("sync result"))
+        self.rt.dispatch(self.vcpu, ep, args, self.program, None).map(|(rets, _)| rets)
     }
 
     /// Asynchronous PPC (§4.4): the caller continues immediately; the
@@ -1232,7 +1139,9 @@ impl Client {
         args: [u64; 8],
         payload: &[u8],
     ) -> Result<([u64; 8], Vec<u8>), RtError> {
-        self.rt.dispatch_payload(self.vcpu, ep, args, self.program, payload)
+        self.rt
+            .dispatch(self.vcpu, ep, args, self.program, Some(payload))
+            .map(|(rets, response)| (rets, response.unwrap_or_default()))
     }
 
     /// Synchronous PPC carrying a bulk-region descriptor: `desc` is
@@ -1444,10 +1353,6 @@ pub struct AsyncCall {
     pub(crate) slot: Arc<CallSlot>,
     pub(crate) vcpu: Arc<VcpuState>,
     pub(crate) ep: EntryId,
-    /// The slot is a worker's pinned CD (hold-CD mode): it must be reset
-    /// but never returned to the vCPU pool — it already has an owner, and
-    /// pooling it would let two calls fill the same slot concurrently.
-    pub(crate) held: bool,
     /// QoS class the slot was borrowed under — a pooled slot must return
     /// to the same class's pool.
     pub(crate) qos: QosClass,
@@ -1486,15 +1391,10 @@ impl AsyncCall {
 
 impl Drop for AsyncCall {
     fn drop(&mut self) {
-        // Recycle the slot only once the worker is finished with it. A
-        // held CD stays pinned to its worker: reset it in place.
+        // Recycle the slot only once the worker is finished with it.
         self.slot.wait_done();
         self.finish_trace();
-        if self.held {
-            self.slot.reset();
-        } else {
-            self.vcpu.put_slot(self.qos, Arc::clone(&self.slot));
-        }
+        self.vcpu.put_slot(self.qos, Arc::clone(&self.slot));
     }
 }
 
@@ -1513,8 +1413,7 @@ impl Drop for Runtime {
             self.frank.inner.lock().entries.iter().flatten().cloned().collect();
         for e in &entries {
             e.state.store(EntryState::Dead as u8, Ordering::SeqCst);
-            // Final teardown: pinned CDs drop with everything else.
-            let _ = e.reap_workers();
+            e.reap_workers();
         }
     }
 }

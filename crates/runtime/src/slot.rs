@@ -170,8 +170,10 @@ impl SlotCore {
     }
 
     /// Client side: fill the frame prior to posting. Caller must own the
-    /// slot. Spins out the benign held-CD reset window (see
-    /// [`CallSlot::fill`]).
+    /// slot. Spins out the window in which the slot's previous user is
+    /// still between observing `DONE` and calling [`SlotCore::reset`] —
+    /// pooled in-process slots are reset before they are pooled, so only
+    /// the cross-process transport's fixed per-client slot can show it.
     pub fn fill(&self, args: [u64; 8], program: u32, wait_mode: u32) {
         let mut spins = 0u32;
         while self.st.load(Ordering::Acquire) != state::IDLE {
@@ -299,17 +301,11 @@ impl CallSlot {
     }
 
     /// Client side: fill the slot prior to posting. Caller must own the
-    /// slot (popped from a pool, or the held CD of a worker it popped).
-    ///
-    /// Held CDs have one benign window: the *previous* caller may still be
-    /// between observing `DONE` and calling [`CallSlot::reset`] when the
-    /// next caller (which already owns the worker) arrives, so we spin the
-    /// few instructions until the slot returns to `IDLE` (inside
-    /// [`SlotCore::fill`]).
+    /// slot (popped from a pool).
     pub fn fill(&self, args: [u64; 8], program: u32, client: Option<Thread>) {
         let mode = if client.is_some() { waiter::THREAD } else { waiter::NONE };
         self.core.fill(args, program, mode);
-        // Safety: exclusive ownership in IDLE state (fill spun it in).
+        // Safety: exclusive ownership in IDLE state.
         unsafe {
             *self.client.get() = client;
         }
@@ -427,43 +423,9 @@ impl CallSlot {
         }
     }
 
-    /// Client side: spin on the state word for up to `budget` iterations,
-    /// then fall back to parking — the adaptive rendezvous for sync
-    /// calls. Returns `true` if the wait resolved without parking.
-    ///
-    /// The spin reads only the (padded) state word with `Acquire` plus
-    /// `spin_loop` hints; it yields the processor immediately and then
-    /// every 64 iterations, so that on an oversubscribed (or single-core)
-    /// host the just-unparked worker actually runs — pure spinning there
-    /// would burn the client's timeslice while the worker starves behind
-    /// it, and the handler cannot start until the worker is scheduled.
-    pub fn wait_done_spin(&self, budget: u32) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        let mut spins = 0u32;
-        while spins < budget {
-            if spins & 63 == 0 {
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-            if self.is_done() {
-                return true;
-            }
-            spins += 1;
-        }
-        // Budget exhausted: park. The worker's completion unpark makes
-        // this safe even if DONE lands between the check and the park —
-        // the token is consumed by the next park, and the loop re-checks.
-        while !self.is_done() {
-            std::thread::park();
-        }
-        false
-    }
-
-    /// Client side: the bounded-spin rendezvous with escalation. Spin
-    /// like [`CallSlot::wait_done_spin`] for up to `budget` iterations,
-    /// then — instead of parking straight away — run up to
+    /// Client side: the bounded-spin rendezvous with escalation. Spin on
+    /// the state word for up to `budget` iterations, then — instead of
+    /// parking straight away — run up to
     /// [`crate::spin::ESCALATE_YIELDS`] *donation* rounds: priority-unpark
     /// the worker (a redundant token on a running worker is harmless — the
     /// idle wait tolerates spurious tokens) and `yield_now`, explicitly
@@ -487,7 +449,7 @@ impl CallSlot {
         // The EWMA budget decides whether spinning is worth it at all;
         // the hard cap decides how long to spin before donating beats
         // hoping (see `spin::SPIN_HARD_CAP`).
-        if self.wait_done_spin_phase(budget.min(crate::spin::SPIN_HARD_CAP)) {
+        if self.spin_until_done(budget.min(crate::spin::SPIN_HARD_CAP)) {
             return (true, false);
         }
         let Some(worker) = worker else {
@@ -513,9 +475,16 @@ impl CallSlot {
         (false, true)
     }
 
-    /// The spin phase of [`CallSlot::wait_done_spin`], without the park
-    /// fallback: `true` if DONE landed within `budget`.
-    fn wait_done_spin_phase(&self, budget: u32) -> bool {
+    /// The spin phase of the rendezvous: `true` if DONE landed within
+    /// `budget`.
+    ///
+    /// The spin reads only the (padded) state word with `Acquire` plus
+    /// `spin_loop` hints; it yields the processor immediately and then
+    /// every 64 iterations, so that on an oversubscribed (or single-core)
+    /// host the just-unparked worker actually runs — pure spinning there
+    /// would burn the client's timeslice while the worker starves behind
+    /// it, and the handler cannot start until the worker is scheduled.
+    fn spin_until_done(&self, budget: u32) -> bool {
         if self.is_done() {
             return true;
         }

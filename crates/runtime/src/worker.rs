@@ -15,7 +15,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::slot::CallSlot;
-use crate::{CallCtx, Handler};
+use crate::Handler;
 
 /// Maximum pooled workers per (entry, vCPU).
 pub const MAX_POOLED: usize = 64;
@@ -36,9 +36,6 @@ pub struct WorkerHandle {
     /// Padded: the mailbox ping-pongs between client and worker every
     /// call and must not share a line with the cold fields below.
     mailbox: CachePadded<AtomicPtr<CallSlot>>,
-    /// Held CD in hold-CD mode (`Arc::into_raw`, owned by the worker until
-    /// shutdown).
-    held: AtomicPtr<CallSlot>,
     /// Per-worker handler override (worker initialization, §4.5.3).
     override_handler: Mutex<Option<Handler>>,
     /// Whether an override is installed — the fast-path gate that keeps
@@ -55,7 +52,6 @@ impl WorkerHandle {
         Arc::new(WorkerHandle {
             thread: OnceLock::new(),
             mailbox: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
-            held: AtomicPtr::new(std::ptr::null_mut()),
             override_handler: Mutex::new(None),
             has_override: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -91,46 +87,6 @@ impl WorkerHandle {
         }
     }
 
-    /// The worker's held CD, if pinned (hold-CD mode).
-    pub fn held_slot(&self) -> Option<Arc<CallSlot>> {
-        let raw = self.held.load(Ordering::Acquire);
-        if raw.is_null() {
-            None
-        } else {
-            // Safety: `pin_slot` leaked one strong reference that stays in
-            // the `held` field until `release_held`; we clone from it.
-            unsafe {
-                Arc::increment_strong_count(raw);
-                Some(Arc::from_raw(raw))
-            }
-        }
-    }
-
-    /// Pin `slot` as this worker's permanent CD.
-    pub fn pin_slot(&self, slot: Arc<CallSlot>) {
-        let raw = Arc::into_raw(slot) as *mut CallSlot;
-        let prev = self.held.swap(raw, Ordering::AcqRel);
-        if !prev.is_null() {
-            // Safety: we owned the previous pinned reference.
-            unsafe { drop(Arc::from_raw(prev)) };
-        }
-    }
-
-    /// Unpin the held CD, surrendering it to the caller. Teardown paths
-    /// hand the slot back to a vCPU CD pool rather than dropping it:
-    /// each pool is a fixed-capacity reservoir, so a slot dropped here
-    /// would shrink the warm-CD supply by one for the rest of the
-    /// process — hold-CD entry churn would bleed the pool dry.
-    fn release_held(&self) -> Option<Arc<CallSlot>> {
-        let raw = self.held.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if raw.is_null() {
-            None
-        } else {
-            // Safety: symmetric with pin_slot.
-            Some(unsafe { Arc::from_raw(raw) })
-        }
-    }
-
     /// Install a per-worker handler override. The content is published
     /// before the gate flips, so a worker that observes the gate with
     /// `Acquire` always finds the override behind the lock.
@@ -143,6 +99,14 @@ impl WorkerHandle {
     pub fn clear_override(&self) {
         self.has_override.store(false, Ordering::Release);
         *self.override_handler.lock() = None;
+    }
+
+    /// The installed override, if any. The mutex is only ever taken when
+    /// the gate says an override exists — workers with no initialization
+    /// routine never touch a lock here.
+    pub(crate) fn override_handler(&self) -> Option<Handler> {
+        let installed = self.has_override.load(Ordering::Acquire);
+        installed.then(|| self.override_handler.lock().clone()).flatten()
     }
 
     /// Has this worker been asked to shut down? `Acquire` pairs with the
@@ -241,31 +205,23 @@ impl WorkerPool {
         }
     }
 
-    /// Shut down every worker and join the threads. Returns the CDs the
-    /// workers had pinned (hold-CD mode) so the caller can recycle them
-    /// into a vCPU pool.
-    pub fn reap(&self) -> Vec<Arc<CallSlot>> {
-        let mut freed = Vec::new();
+    /// Shut down every worker and join the threads.
+    pub fn reap(&self) {
         let mut all = self.all.lock();
         for (w, _) in all.iter() {
             w.request_shutdown();
         }
-        for (w, jh) in all.iter_mut() {
+        for (_, jh) in all.iter_mut() {
             if let Some(jh) = jh.take() {
                 let _ = jh.join();
             }
-            freed.extend(w.release_held());
         }
         while self.idle.pop().is_some() {}
-        freed
     }
 
     /// Shut down surplus idle workers beyond `keep` ("pools can grow and
-    /// shrink dynamically"). Returns how many were reaped, plus the CDs
-    /// they had pinned (hold-CD mode) for the caller to recycle — a
-    /// shrunk worker never runs again, so a slot left in its `held`
-    /// field would leak and stay invisible to the vCPU pool forever.
-    pub fn shrink_to(&self, keep: usize) -> (usize, Vec<Arc<CallSlot>>) {
+    /// shrink dynamically"). Returns how many were reaped.
+    pub fn shrink_to(&self, keep: usize) -> usize {
         let mut reaped = 0;
         while self.idle.len() > keep {
             match self.idle.pop() {
@@ -276,18 +232,16 @@ impl WorkerPool {
                 None => break,
             }
         }
-        // Join the reaped threads and collect any pinned CDs.
-        let mut freed = Vec::new();
+        // Join the reaped threads.
         let mut all = self.all.lock();
         for (w, jh) in all.iter_mut() {
             if w.shutdown.load(Ordering::Acquire) {
                 if let Some(jh) = jh.take() {
                     let _ = jh.join();
                 }
-                freed.extend(w.release_held());
             }
         }
-        (reaped, freed)
+        reaped
     }
 }
 
@@ -311,7 +265,7 @@ pub(crate) fn pin_to_vcpu_core(vcpu: usize) {
 }
 
 /// Idle rendezvous, worker side: bounded spin on the mailbox before
-/// parking — the mirror of the client's `CallSlot::wait_done_spin`. In a
+/// parking — the mirror of the client's `CallSlot::wait_done_donate`. In a
 /// stream of back-to-back calls neither side ever reaches a futex: the
 /// client posts while we are still spinning (its `unpark` then only sets
 /// the token, no syscall), and we pick the call up at the next mailbox
@@ -379,66 +333,29 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         };
         timer.transition(crate::stats::TimeState::Handler);
 
-        let args = slot.read_args();
-        let program = slot.caller_program();
-        // The override mutex is only ever taken when the gate says an
-        // override exists — workers with no initialization routine never
-        // touch a lock here.
-        let handler = if me.has_override.load(Ordering::Acquire) {
-            me.override_handler.lock().clone().unwrap_or_else(|| entry.handler())
-        } else {
-            entry.handler()
-        };
         // A faulting (panicking) handler must not take the worker — or the
         // parked client — down with it: the paper chose worker processes
         // precisely so failure modes "more closely follow those of a
-        // message exchange" (§2).
-        // Handler-run timing samples on *this* worker thread's tick —
-        // per-thread sampling needs no coordination with the client side.
-        let th0 = entry.obs.try_sample().then(std::time::Instant::now);
-        // Handler span under the context that rode the slot across the
-        // hand-off (active only when the client traced this call). The
-        // scope installs it, so nested calls the handler makes from this
-        // thread parent here; the drop below — before `complete` — ends
-        // it, and the DONE Release/Acquire edge orders our ring write
-        // before any client-side scan of the trace.
-        let h_scope = entry.spans.handler_scope(slot.trace_word(), vcpu, entry.id);
-        let rets = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slot.with_scratch(|scratch| {
-                let mut ctx = CallCtx {
-                    args,
-                    caller_program: program,
-                    vcpu,
-                    ep: entry.id,
-                    scratch: crate::ScratchRef::Ready(scratch),
-                    worker: Some(&me),
-                    entry: &entry,
-                };
-                handler(&mut ctx)
-            })
-        })) {
-            Ok(rets) => rets,
-            Err(_) => {
-                slot.mark_faulted();
-                // Contained faults are rare: always in the flight ring,
-                // and always dumped — a panic that something upstream
-                // swallows still leaves its context on stderr.
-                entry.flight.record(vcpu, crate::flight::FlightKind::Fault, entry.id, program);
-                entry.dump_fault(vcpu);
-                // Postmortem hook: freeze the whole facility state, not
-                // just this entry's stderr dump (rate-limited; a no-op
-                // without a capture directory).
-                entry.blackbox.event("handler-panic");
-                [u64::MAX; 8]
-            }
-        };
-        drop(h_scope);
-        if let Some(th0) = th0 {
-            entry.obs.record(
-                crate::obs::LatencyKind::Handler,
+        // message exchange" (§2). The handler span opens under the context
+        // that rode the slot across the hand-off and ends inside
+        // `run_handler` — before `complete` — so the DONE Release/Acquire
+        // edge orders our ring write before any client-side scan of the
+        // trace. Handler-run timing samples on *this* worker thread's
+        // tick — per-thread sampling needs no coordination with the
+        // client side.
+        let run = slot.with_scratch(|scratch| {
+            entry.run_handler(
                 vcpu,
-                th0.elapsed().as_nanos() as u64,
-            );
+                slot.read_args(),
+                slot.caller_program(),
+                slot.trace_word(),
+                crate::ScratchRef::Ready(scratch),
+                Some(&me),
+                entry.obs.try_sample(),
+            )
+        });
+        if run.faulted {
+            slot.mark_faulted();
         }
         timer.transition(crate::stats::TimeState::Idle);
         me.calls.fetch_add(1, Ordering::Relaxed);
@@ -458,7 +375,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         // pool (the paper's single pooled worker handles back-to-back
         // calls).
         entry.pool(vcpu).push(Arc::clone(&me));
-        slot.complete(rets);
+        slot.complete(run.rets);
         drop(slot);
     }
 }

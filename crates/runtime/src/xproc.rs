@@ -905,15 +905,16 @@ fn service_slot(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &Clie
     let cell = rt.stats.cell(vcpu);
     let mut rets = [0u64; 8];
     let result: Result<[u64; 8], RtError> = match xop {
-        op::CALL => rt.dispatch(vcpu, ep, args, c.program, true).map(|r| r.unwrap_or([0; 8])),
+        op::CALL => rt.dispatch(vcpu, ep, args, c.program, None).map(|(r, _)| r),
         op::PAYLOAD => {
             let len = (slot.core.payload_len() as usize).min(SCRATCH_BYTES);
             // Safety: the client owns the payload page only while the
             // slot is IDLE/DONE; during POSTED the server has exclusive
             // use (the rendezvous protocol, same as in-process scratch).
             let req = unsafe { std::slice::from_raw_parts(map.payload_ptr(i), len) };
-            match rt.dispatch_payload(vcpu, ep, args, c.program, req) {
+            match rt.dispatch(vcpu, ep, args, c.program, Some(req)) {
                 Ok((r, resp)) => {
+                    let resp = resp.unwrap_or_default();
                     let n = resp.len().min(SCRATCH_BYTES);
                     // Safety: as above; exclusive during POSTED.
                     unsafe {
@@ -1289,7 +1290,7 @@ impl XClient {
 
     /// Wait out the slot rendezvous: brief spin, then futex chunks with
     /// liveness checks — the cross-process analogue of
-    /// [`crate::slot::CallSlot::wait_done_spin`].
+    /// [`crate::slot::CallSlot::wait_done_donate`].
     fn wait_done(&mut self) -> Result<(), RtError> {
         let core = &self.map.slot(self.idx).core;
         let w = core.state_word();

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use ppc_rt::export::{self, load_chrome_trace};
 use ppc_rt::stats::TIME_STATES;
-use ppc_rt::{EntryOptions, Runtime, RuntimeOptions, SpanPhase};
+use ppc_rt::{EntryOptions, RtError, Runtime, RuntimeOptions, SpanPhase};
 
 /// Σ of all attributed time-state counters in a snapshot (ns).
 fn attributed_ns(snap: &ppc_rt::Snapshot) -> u64 {
@@ -185,7 +185,10 @@ fn blackbox_round_trips_and_rate_limits() {
     let ep = rt
         .bind(
             "attr-bb",
-            EntryOptions { inline_ok: true, ..Default::default() },
+            // No pooled workers: an idle worker would charge its
+            // Idle→Park transition between the capture and the
+            // comparing snapshot below.
+            EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() },
             Arc::new(|c| c.args),
         )
         .unwrap();
@@ -243,4 +246,46 @@ fn blackbox_round_trips_and_rate_limits() {
         "second capture inside the rate-limit window is suppressed"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A contained handler panic freezes the facility state into a
+/// black-box artifact whichever transport ran the handler: the worker
+/// loop, the caller's own thread, and the ring worker share one fault
+/// arm. (One runtime per transport — `MIN_CAPTURE_INTERVAL` rate-limits
+/// captures within one.)
+#[test]
+fn handler_panic_captures_a_blackbox_on_every_transport() {
+    for transport in ["hand-off", "inline", "ring"] {
+        let dir = std::env::temp_dir()
+            .join(format!("ppc-bb-panic-{}-{transport}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rt = Runtime::with_runtime_options(
+            1,
+            RuntimeOptions { blackbox_dir: Some(dir.clone()), ..Default::default() },
+        );
+        let ep = rt
+            .bind(
+                "attr-boom",
+                EntryOptions { inline_ok: transport == "inline", ..Default::default() },
+                Arc::new(|_| panic!("injected handler fault")),
+            )
+            .unwrap();
+        let client = rt.client(0, 1);
+        let result = if transport == "ring" {
+            let mut ring = client.ring();
+            ring.submit(ep, [0; 8], 7).unwrap();
+            let mut out = Vec::new();
+            ring.drain(&mut out);
+            out.pop().expect("one completion").result
+        } else {
+            client.call(ep, [0; 8])
+        };
+        assert_eq!(result, Err(RtError::ServerFault(ep)), "{transport}: fault contained");
+        let captured = std::fs::read_dir(&dir).unwrap().any(|f| {
+            let name = f.unwrap().file_name().into_string().unwrap();
+            name.starts_with("blackbox-") && name.ends_with("-handler-panic.json")
+        });
+        assert!(captured, "{transport}: no blackbox-*-handler-panic.json in {}", dir.display());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -390,7 +390,6 @@ fn call_bulk_works_across_dispatch_modes() {
         (true, SpinPolicy::Adaptive),
         (false, SpinPolicy::Adaptive),
         (false, SpinPolicy::ParkOnly),
-        (false, SpinPolicy::Fixed(1 << 10)),
     ] {
         let rt = Runtime::new(1);
         rt.set_spin_policy(policy);
@@ -482,8 +481,12 @@ fn revoke_vs_streaming_copies_race() {
             })
             .collect();
 
-        // Let copies flow, then revoke mid-stream.
-        std::thread::sleep(Duration::from_millis(2));
+        // Let copies flow — wait (under the watchdog) until a streamer
+        // has actually been scheduled and copied — then revoke
+        // mid-stream.
+        while successes.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
         region.revoke(ep).unwrap();
         revoked.store(true, Ordering::SeqCst);
         // Keep streaming a moment against the revoked grant.

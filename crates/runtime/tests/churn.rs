@@ -150,9 +150,9 @@ fn rebind_at_same_id_frees_old_entry() {
     assert_eq!(rt.ns_lookup("second"), Some(37));
 }
 
-/// Satellite (b): worker pools grown by a burst decay back to the idle
-/// high-watermark on a Frank maintenance pass, and the shrunken entry
-/// still serves.
+/// Satellite (b): worker pools grown by a burst decay back to their
+/// bind-time size (`initial_workers`) on a Frank maintenance pass, and
+/// the shrunken entry still serves.
 #[test]
 fn pools_decay_after_burst() {
     let rt = Runtime::new(1);
@@ -183,10 +183,9 @@ fn pools_decay_after_burst() {
     let grown = rt.idle_workers(ep).unwrap();
     assert!(grown >= 4, "burst grew the pool (idle={grown})");
 
-    rt.set_idle_watermark(2);
     let (reaped, _) = rt.frank_maintain();
-    assert!(reaped >= grown - 2, "maintenance reaped the surplus (reaped={reaped})");
-    assert!(rt.idle_workers(ep).unwrap() <= 2, "idle pool decayed to the watermark");
+    assert_eq!(reaped, grown - 1, "maintenance reaped the surplus");
+    assert_eq!(rt.idle_workers(ep).unwrap(), 1, "idle pool decayed to `initial_workers`");
 
     // The decayed entry still serves, growing back on demand.
     let c = rt.client(0, 99);

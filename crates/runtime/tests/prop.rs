@@ -101,13 +101,7 @@ proptest! {
 fn stress_many_clients_two_services() {
     let rt = Runtime::new(2);
     let double = rt.bind("double", EntryOptions::default(), Arc::new(|c| [c.args[0] * 2; 8])).unwrap();
-    let add7 = rt
-        .bind(
-            "add7",
-            EntryOptions { hold_cd: true, ..Default::default() },
-            Arc::new(|c| [c.args[0] + 7; 8]),
-        )
-        .unwrap();
+    let add7 = rt.bind("add7", EntryOptions::default(), Arc::new(|c| [c.args[0] + 7; 8])).unwrap();
     let mut handles = Vec::new();
     for t in 0..6u64 {
         let client = rt.client((t % 2) as usize, t as u32 + 1);

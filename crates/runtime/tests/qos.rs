@@ -1,14 +1,10 @@
-//! QoS-class isolation and hold-CD lifecycle: the tail-latency
-//! campaign's correctness surface.
+//! QoS-class isolation: the tail-latency campaign's correctness
+//! surface.
 //!
 //! - Latency-lane SQEs overtake a queued Bulk backlog (at most one bulk
 //!   handler ahead, the documented bound).
 //! - A flooded Bulk entry cannot push a Latency entry's ring sojourn
 //!   anywhere near the FIFO bound.
-//! - Hold-CD pinned slots are recycled into the vCPU CD pool on entry
-//!   retire, exchange churn, and worker-pool shrink — never leaked.
-//! - Trust-group gating keeps the pinned scratch page private to the
-//!   trusted caller.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -128,106 +124,6 @@ fn bulk_flood_cannot_head_of_line_block_latency() {
         "latency sojourn stayed near one bulk slice under flood, worst {worst:?} \
          (FIFO bound would be ~96 ms)"
     );
-}
-
-/// Hold-CD lifecycle under kill/exchange churn: the pinned CD is
-/// recycled into the vCPU pool when the entry retires, so fifty
-/// generations of bind → pin → kill → reclaim never create a single
-/// new CD (the default pool holds exactly one warm slot — one leak per
-/// generation would show up immediately). Exchanges mid-generation keep
-/// the pin alive and the new handler visible.
-#[test]
-fn hold_cd_recycled_across_kill_and_exchange_churn() {
-    watchdog(120);
-    let rt = Runtime::new(1);
-    let client = rt.client(0, 1);
-    let before = rt.stats.snapshot();
-    for generation in 0..50u64 {
-        let ep = rt
-            .bind(
-                "churn-hold",
-                EntryOptions { hold_cd: true, ..Default::default() },
-                Arc::new(move |_| [generation; 8]),
-            )
-            .unwrap();
-        assert_eq!(client.call(ep, [0; 8]).unwrap(), [generation; 8]);
-        // Exchange keeps the worker (and its pinned CD) alive.
-        rt.exchange(ep, Arc::new(move |_| [generation + 1000; 8]), 0).unwrap();
-        assert_eq!(client.call(ep, [0; 8]).unwrap(), [generation + 1000; 8]);
-        rt.hard_kill(ep, 0).unwrap();
-        rt.reclaim_slot(ep, 0).unwrap();
-    }
-    let delta = rt.stats.snapshot().since(&before);
-    assert_eq!(delta.cds_created, 0, "every pinned CD returned to the pool: {delta:?}");
-    assert_eq!(delta.calls, 100);
-}
-
-/// Shrinking a hold-CD entry's worker pool recycles the pinned CD too:
-/// the next call re-grows a worker and re-pins from the pool without
-/// ever allocating a new slot.
-#[test]
-fn shrink_recycles_the_pinned_cd() {
-    watchdog(60);
-    let rt = Runtime::new(1);
-    let ep = rt
-        .bind("shrink-hold", EntryOptions { hold_cd: true, ..Default::default() }, Arc::new(|c| c.args))
-        .unwrap();
-    let client = rt.client(0, 1);
-    let before = rt.stats.snapshot();
-    client.call(ep, [1; 8]).unwrap(); // grows a worker, pins the pool's slot
-    // The worker re-pools itself *after* posting DONE; wait for it.
-    while rt.idle_workers(ep).unwrap() == 0 {
-        std::thread::yield_now();
-    }
-    assert_eq!(rt.shrink_workers(ep, 0, 0).unwrap(), 1, "the idle worker was reaped");
-    client.call(ep, [2; 8]).unwrap(); // re-grows, re-pins the recycled slot
-    let delta = rt.stats.snapshot().since(&before);
-    assert_eq!(delta.cds_created, 0, "the shrunk worker's CD came back: {delta:?}");
-    // Bind pre-grew the first worker; only the post-shrink re-grow
-    // goes through Frank.
-    assert_eq!(delta.workers_created, 1);
-}
-
-/// Trust-group gating: a caller outside the entry's trust group routes
-/// through the CD pool and never touches the pinned scratch page. The
-/// handler keeps a counter in scratch — the trusted caller's stream
-/// accumulates across calls (the pin is real), the untrusted caller's
-/// stream never intersects it (the isolation is real), and the trusted
-/// stream continues unperturbed after the untrusted calls.
-#[test]
-fn trust_group_keeps_pinned_scratch_private() {
-    watchdog(60);
-    let rt = Runtime::new(1);
-    rt.set_trust_group(1, 7);
-    let ep = rt
-        .bind(
-            "vault",
-            EntryOptions { hold_cd: true, trust_group: 7, ..Default::default() },
-            Arc::new(|ctx| {
-                let s = ctx.scratch();
-                let v = u64::from_le_bytes(s[..8].try_into().unwrap());
-                s[..8].copy_from_slice(&(v + 1).to_le_bytes());
-                [v; 8]
-            }),
-        )
-        .unwrap();
-    let trusted = rt.client(0, 1);
-    let untrusted = rt.client(0, 2);
-
-    for i in 0..5 {
-        assert_eq!(trusted.call(ep, [0; 8]).unwrap()[0], i, "pinned counter accumulates");
-    }
-    for _ in 0..3 {
-        let v = untrusted.call(ep, [0; 8]).unwrap()[0];
-        assert!(v < 5, "untrusted caller never reads the pinned page (saw {v})");
-    }
-    for i in 5..8 {
-        assert_eq!(
-            trusted.call(ep, [0; 8]).unwrap()[0],
-            i,
-            "untrusted calls left the pinned page untouched"
-        );
-    }
 }
 
 /// The default class is Latency: an entry that never opts in pays no

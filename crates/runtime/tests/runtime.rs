@@ -77,30 +77,6 @@ fn scratch_page_is_usable_and_recycled() {
 }
 
 #[test]
-fn hold_cd_pins_scratch_to_worker() {
-    let rt = Runtime::new(1);
-    let opts = EntryOptions { hold_cd: true, ..Default::default() };
-    let ep = rt
-        .bind(
-            "held",
-            opts,
-            Arc::new(|ctx| {
-                let args = ctx.args;
-                let s = ctx.scratch();
-                let prev = u64::from_le_bytes(s[..8].try_into().unwrap());
-                s[..8].copy_from_slice(&args[0].to_le_bytes());
-                [prev; 8]
-            }),
-        )
-        .unwrap();
-    let c = rt.client(0, 1);
-    c.call(ep, [111; 8]).unwrap();
-    // Same worker, same held CD: the marker must persist.
-    assert_eq!(c.call(ep, [222; 8]).unwrap()[0], 111);
-    assert_eq!(c.call(ep, [0; 8]).unwrap()[0], 222);
-}
-
-#[test]
 fn async_call_completes_and_caller_continues() {
     let rt = Runtime::new(1);
     let ep = rt
@@ -547,7 +523,7 @@ fn spin_policy_roundtrip_and_modes_complete() {
     let (rt, ep) = echo_rt(1);
     assert_eq!(rt.spin_policy(), SpinPolicy::Adaptive);
     let c = rt.client(0, 1);
-    for policy in [SpinPolicy::ParkOnly, SpinPolicy::Fixed(1 << 12), SpinPolicy::Adaptive] {
+    for policy in [SpinPolicy::ParkOnly, SpinPolicy::Adaptive] {
         rt.set_spin_policy(policy);
         assert_eq!(rt.spin_policy(), policy);
         for i in 0..50u64 {
@@ -561,6 +537,6 @@ fn spin_policy_roundtrip_and_modes_complete() {
     // must have escalated; warm calls may find DONE immediately.
     assert!(rt.stats.spin_escalations() >= 1);
     // Every hand-off rendezvous still accounts as exactly one of the two.
-    assert_eq!(rt.stats.spin_waits() + rt.stats.park_waits(), 150);
-    assert_eq!(rt.stats.calls(), 150);
+    assert_eq!(rt.stats.spin_waits() + rt.stats.park_waits(), 100);
+    assert_eq!(rt.stats.calls(), 100);
 }

@@ -54,16 +54,11 @@ fn cross_vcpu_mixed_traffic_conserves_stats() {
     const ITERS: usize = 250;
 
     let rt = Runtime::new(VCPUS);
-    // M entries covering the option matrix: plain, hold-CD, inline, and
+    // M entries covering the option matrix: plain (twice), inline, and
     // a multi-worker one.
     let eps = [
         rt.bind("plain", EntryOptions::default(), Arc::new(|c| c.args)).unwrap(),
-        rt.bind(
-            "held",
-            EntryOptions { hold_cd: true, ..Default::default() },
-            Arc::new(|c| c.args),
-        )
-        .unwrap(),
+        rt.bind("plain2", EntryOptions::default(), Arc::new(|c| c.args)).unwrap(),
         rt.bind(
             "inline",
             EntryOptions { inline_ok: true, ..Default::default() },

@@ -320,8 +320,9 @@ fn slo_watchdog_fires_alert_and_flight_event() {
     assert_eq!(tel.firing(), 0, "rule cleared after the burst: {:?}", tel.alerts());
 }
 
-/// A firing rule with `nudge_frank` invokes Frank maintenance: idle
-/// workers above the watermark get reaped while the burn lasts.
+/// A firing rule with `nudge_frank` invokes Frank maintenance: a pool
+/// grown past its bind-time size decays back to `initial_workers` while
+/// the burn lasts.
 #[test]
 fn sustained_burn_nudges_frank() {
     let rules = vec![SloRule {
@@ -334,26 +335,46 @@ fn sustained_burn_nudges_frank() {
     }];
     let rt = telemetry_rt(1, rules);
     let tel = rt.telemetry().expect("sampler running");
-    // Hand-off entry (no inline): calls create pool workers that then
-    // sit idle.
-    let ep = rt.bind("svc", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
-    let client = rt.client(0, 1);
-    for i in 0..5u64 {
-        client.call(ep, [i; 8]).unwrap();
+    // Hand-off entry (no inline), bound with the default single worker.
+    // A `u64::MAX` call waits in the handler for a second one, so the
+    // pair below must overlap and the pool must grow to serve it.
+    let pair = Arc::new(std::sync::Barrier::new(2));
+    let gate = Arc::clone(&pair);
+    let ep = rt
+        .bind(
+            "svc",
+            EntryOptions::default(),
+            Arc::new(move |c| {
+                if c.args[0] == u64::MAX {
+                    gate.wait();
+                }
+                c.args
+            }),
+        )
+        .unwrap();
+    let overlapped: Vec<_> = (0..2u32)
+        .map(|i| {
+            let c = rt.client(0, 2 + i);
+            std::thread::spawn(move || c.call(ep, [u64::MAX; 8]).unwrap())
+        })
+        .collect();
+    for t in overlapped {
+        t.join().unwrap();
     }
-    assert!(rt.idle_workers(ep).unwrap() >= 1, "warm pool before the nudge");
-    rt.set_idle_watermark(0);
+    assert!(rt.stats.snapshot().workers_created >= 1, "the overlapping pair grew the pool");
 
-    // Keep burning until the watchdog's maintenance pass empties the
-    // idle pool (bounded by wait_ticks' own 10 s timeout).
+    // Keep burning until the watchdog's maintenance pass has reaped the
+    // surplus worker (bounded by wait_ticks' own 10 s timeout).
+    let client = rt.client(0, 1);
     let t0 = tel.ticks();
-    while rt.idle_workers(ep).unwrap() > 0 {
+    while rt.idle_workers(ep).unwrap() > 1 {
         for i in 0..50u64 {
             client.call(ep, [i; 8]).unwrap();
         }
         assert!(tel.wait_ticks(tel.ticks() + 1), "sampler stalled");
-        assert!(tel.ticks() < t0 + 500, "nudge never reaped the idle pool");
+        assert!(tel.ticks() < t0 + 500, "nudge never reaped the surplus worker");
     }
+    assert_eq!(rt.idle_workers(ep).unwrap(), 1, "idle pool decayed to `initial_workers`");
     assert!(tel.alerts()[0].fired >= 1);
 }
 
