@@ -81,6 +81,7 @@ pub mod slot;
 pub mod span;
 pub mod stats;
 pub mod telemetry;
+mod wait;
 pub mod worker;
 pub mod xproc;
 
@@ -208,7 +209,12 @@ impl std::error::Error for RtError {}
 /// The policy is paired: it also sets the *worker-side* idle-mailbox spin
 /// budget, so under `Adaptive` a stream of back-to-back calls resolves
 /// both waits in user space without either thread reaching a futex,
-/// while under `ParkOnly` an idle worker parks at once.
+/// while under `ParkOnly` an idle worker parks at once. A runtime that
+/// serves a cross-process segment ([`Runtime::serve_xproc`]) applies it
+/// to the serve loop the same way: `Adaptive` polls for remote calls
+/// with a learned budget before sleeping on the doorbell, `ParkOnly`
+/// sleeps as soon as a pass finds nothing. Every one of these waits is
+/// the same primitive (`wait.rs`) with different budgets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpinPolicy {
     /// Spin on the slot-state word with a per-vCPU budget tuned from an
@@ -260,6 +266,14 @@ pub mod spin {
     /// full range for deciding *whether* to spin at all
     /// ([`PARK_THRESHOLD_NS`]).
     pub const SPIN_HARD_CAP: u32 = 2_048;
+    /// Ceiling of the *learned poll* the cross-process segment's two
+    /// ends run before anything else (see `wait.rs`), in passes of a
+    /// pure spin: ≈ 25 µs for the client's one-word poll and ≈ 50 µs for
+    /// the server's scan on the 2.1 GHz reference host (12 ns per
+    /// `spin_loop` pass) — the order of one cross-CPU futex sleep/wake
+    /// there (`shm.futex_pingpong_ns` ≈ 40 µs). Polling longer than the
+    /// sleep it avoids cannot pay; the budget below the cap is learned.
+    pub const POLL_CAP: u32 = 2_048;
 }
 
 /// Where a handler's scratch page comes from.

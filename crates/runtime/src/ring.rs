@@ -23,12 +23,12 @@
 //!   optionally a staged payload buffer from the PR-2 pools.
 //! * **Doorbell batching**: [`ClientRing::submit`] only writes the SQE
 //!   and publishes the tail. [`ClientRing::doorbell`] — once per batch
-//!   — re-publishes the tail `SeqCst` and wakes the worker only if it
-//!   actually went to sleep, Dekker-style: the worker announces
-//!   `sleeping` with `SeqCst`, re-checks the tail in the same total
-//!   order, then parks; the doorbell's `SeqCst` tail store + sleep-flag
-//!   swap make a lost wakeup impossible. In the spin modes the worker
-//!   picks submissions up mid-spin and the doorbell is a no-op.
+//!   — wakes the worker only if it actually went to sleep: the worker's
+//!   idle wait and the doorbell are the `wait`/`notify` pair of
+//!   `wait.rs` (announce `sleeping`, fence, re-check the tails, park /
+//!   fence, read `sleeping`, unpark), which is where the lost-wakeup
+//!   argument lives. In the spin modes the worker picks submissions up
+//!   mid-spin and the doorbell is a fence and a load.
 //! * **Admission control**: the client holds a fixed credit budget,
 //!   clamped to the CQ capacity. `submitted - reaped >= credits` (or a
 //!   full SQ) refuses the submission with [`RtError::RingFull`] — the
@@ -88,6 +88,7 @@ use crate::flight::FlightKind;
 use crate::obs::LatencyKind;
 use crate::region::BulkDesc;
 use crate::span::SpanToken;
+use crate::wait::{notify, wait, Sleeper, Spin};
 use crate::{bulk, Client, EntryId, ProgramId, RtError, Runtime};
 
 /// Number of QoS lanes per ring — one per [`crate::QosClass`] variant.
@@ -249,9 +250,9 @@ pub(crate) struct RingShared {
     /// SQ/CQ pairs indexed by [`crate::QosClass::index`]: `Latency` in lane 0,
     /// `Bulk` in lane 1.
     lanes: [Lane; LANES],
-    /// Worker's sleep announcement (the Dekker flag the doorbell pairs
-    /// with).
-    sleeping: AtomicBool,
+    /// Worker's sleep announcement (the sleeper flag the doorbell
+    /// reads): 1 while it is about to park or parked.
+    sleeping: AtomicU32,
     /// Worker thread handle, installed by the spawner before the ring
     /// is usable — a doorbell can never miss its unpark target.
     worker: OnceLock<Thread>,
@@ -264,6 +265,10 @@ pub(crate) struct RingShared {
 impl RingShared {
     pub(crate) fn set_idle_spin(&self, budget: u32) {
         self.idle_spin.store(budget, Ordering::Relaxed);
+    }
+
+    fn sleeper(&self) -> Sleeper<'_> {
+        Sleeper { word: &self.sleeping, asleep: 1, awake: 0 }
     }
 }
 
@@ -326,7 +331,7 @@ impl ClientRing {
                 sq: Spsc::new(sq_cap),
                 cq: Spsc::new(cq_cap),
             }),
-            sleeping: AtomicBool::new(false),
+            sleeping: AtomicU32::new(0),
             worker: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             idle_spin: AtomicU32::new(crate::worker_idle_budget(rt.spin_policy())),
@@ -503,23 +508,14 @@ impl ClientRing {
         Ok(())
     }
 
-    /// Ring the doorbell: make the batch visible in the `SeqCst` order
-    /// and wake the worker iff it actually went to sleep. One
+    /// Ring the doorbell: wake the worker iff it actually went to sleep
+    /// (`notify` in `wait.rs`; the tails were published by `push`). One
     /// park/unpark pair per *batch*, not per call — the amortization
     /// that pays for the ring in the park modes. Idempotent and cheap
-    /// when the worker is awake (spin modes): one store and one swap.
+    /// when the worker is awake (spin modes): one fence and one load.
     pub fn doorbell(&self) {
         let s = &self.shared;
-        // The SeqCst re-publish pairs with the worker's sleep protocol:
-        // worker stores `sleeping = true` (SeqCst), re-loads both lane
-        // tails (SeqCst), parks. Whichever lands first in the total
-        // order, either the worker sees these tails, or this swap sees
-        // the worker's announcement — a lost wakeup would need both
-        // loads to miss both stores, which SeqCst forbids.
-        for lane in 0..LANES {
-            s.lanes[lane].sq.tail.store(self.local_tail[lane], Ordering::SeqCst);
-        }
-        if s.sleeping.swap(false, Ordering::SeqCst) {
+        notify(s.sleeper(), || {
             if let Some(t) = s.worker.get() {
                 let cell = self.rt.stats.cell(s.vcpu);
                 cell.ring_doorbells.fetch_add(1, Ordering::Relaxed);
@@ -532,7 +528,7 @@ impl ClientRing {
                 self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, depth as u32);
                 t.unpark();
             }
-        }
+        });
     }
 
     /// Harvest completions from one lane's CQ (per-lane submission
@@ -627,41 +623,29 @@ impl Client {
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Idle rendezvous, ring-worker side: bounded spin on both lanes' SQ
-/// tails (the mirror of the entry workers' mailbox spin), then the
-/// Dekker sleep protocol the doorbell pairs with.
+/// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with a
+/// yielding spin of `idle_spin` passes on both lanes' SQ tails (the
+/// mirror of the entry workers' mailbox spin), then the announced park
+/// the doorbell pairs with. One park per call: the worker loop re-reads
+/// the tails and the shutdown flag itself.
 fn idle_wait(
     ring: &RingShared,
     head: &[u64; LANES],
     timer: &mut crate::stats::StateTimer<'_>,
 ) {
-    let pending = |ord: Ordering| {
-        (0..LANES).any(|l| ring.lanes[l].sq.tail.load(ord) != head[l])
+    let spin = Spin { budget: ring.idle_spin.load(Ordering::Relaxed), ..Spin::default() };
+    let ready = || {
+        (0..LANES).any(|l| ring.lanes[l].sq.tail.load(Ordering::Acquire) != head[l])
+            || ring.shutdown.load(Ordering::Acquire)
     };
-    let budget = ring.idle_spin.load(Ordering::Relaxed);
-    let mut spins = 0u32;
-    while spins < budget {
-        if spins & 63 == 0 {
-            std::thread::yield_now();
-        }
-        std::hint::spin_loop();
-        if pending(Ordering::Relaxed) || ring.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        spins += 1;
-    }
-    // Announce, re-check in the SeqCst order, then sleep. See
-    // `ClientRing::doorbell` for why this cannot lose a wakeup.
-    ring.sleeping.store(true, Ordering::SeqCst);
-    if pending(Ordering::SeqCst) || ring.shutdown.load(Ordering::SeqCst) {
-        ring.sleeping.store(false, Ordering::Relaxed);
-        return;
-    }
-    // The spin above was Idle time; the sleep is Park time.
-    timer.transition(crate::stats::TimeState::Park);
-    std::thread::park();
-    timer.transition(crate::stats::TimeState::Idle);
-    ring.sleeping.store(false, Ordering::Relaxed);
+    let park = || {
+        // The spin was Idle time; the sleep is Park time.
+        timer.transition(crate::stats::TimeState::Park);
+        std::thread::park();
+        timer.transition(crate::stats::TimeState::Idle);
+        false
+    };
+    wait(spin, Some(ring.sleeper()), ready, || (), park);
 }
 
 /// Consume one SQE from `lane` and post its CQE: the per-SQE body of

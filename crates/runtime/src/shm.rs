@@ -238,7 +238,7 @@ pub fn futex_wake(word: &AtomicU32, n: u32) -> u32 {
 
 /// Whether a process with this PID currently exists (`kill(pid, 0)`).
 /// Used for peer-death detection; PID reuse makes it a heuristic, which
-/// the transport pairs with a heartbeat word in the segment.
+/// the transport pairs with the segment's `server_state` word.
 pub fn pid_alive(pid: u32) -> bool {
     sys::pid_alive(pid)
 }

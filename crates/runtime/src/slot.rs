@@ -42,6 +42,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
+use crate::wait::{wait, Sleeper, Spin, Waited};
+
 /// Size of the per-call scratch page ("one-page stacks", §4.5.4).
 pub const SCRATCH_BYTES: usize = 4096;
 
@@ -66,8 +68,13 @@ pub mod waiter {
     pub const NONE: u32 = 0;
     /// A process-local thread parks on its `Thread` handle.
     pub const THREAD: u32 = 1;
-    /// A remote process sleeps on the state word via futex.
+    /// A remote process polls the state word and will sleep on it via
+    /// futex if the completion takes long.
     pub const FUTEX: u32 = 2;
+    /// That remote process has announced its futex sleep: completion
+    /// must `FUTEX_WAKE` the state word (the client half of the segment's
+    /// sleeper protocol, see `wait.rs`). Only the waiter stores it.
+    pub const ASLEEP: u32 = 3;
 }
 
 /// The position-independent core of a call descriptor: the rendezvous
@@ -84,11 +91,14 @@ pub mod waiter {
 /// line 2   rets[0..8]
 /// ```
 ///
-/// The state word shares line 0 only with words that are **quiescent
-/// during the wait**: `waiter`/`caller_program`/`parity`/`trace` are
+/// The state word shares line 0 only with words the **server does not
+/// write during the wait**: `caller_program`/`parity`/`trace` are
 /// written by the client before POSTED, `status`/`aux`/`faulted` by the
 /// server at completion (right before the `DONE` store that ends the
-/// spin). `args` and `rets` get their own lines, so a spinning client
+/// spin). `waiter` is the waiter's own: written before POSTED, and by a
+/// cross-process waiter again when it announces its futex sleep
+/// ([`waiter::ASLEEP`]) and when that sleep ends; the server only reads
+/// it. `args` and `rets` get their own lines, so a spinning client
 /// re-reads only line 0 — the worker's stores to `rets` mid-completion
 /// never bounce the spinner's cached line until `DONE` lands.
 #[repr(C, align(64))]
@@ -208,6 +218,13 @@ impl SlotCore {
     #[inline]
     pub fn state_word(&self) -> &AtomicU32 {
         &self.st
+    }
+
+    /// The remote waiter's sleeper flag: the waiter word, announcing
+    /// [`waiter::ASLEEP`] over the [`waiter::FUTEX`] that `fill` wrote.
+    #[inline]
+    pub(crate) fn sleeper(&self) -> Sleeper<'_> {
+        Sleeper { word: &self.waiter, asleep: waiter::ASLEEP, awake: waiter::FUTEX }
     }
 
     /// Server side: read the arguments (slot must be POSTED and owned).
@@ -414,31 +431,27 @@ impl CallSlot {
     /// Client side: park until DONE (sync calls: the worker unparks us;
     /// async waiters: bounded park so a missed token cannot wedge us).
     pub fn wait_done(&self) {
-        while !self.is_done() {
+        let park = || {
             if self.has_client() {
                 std::thread::park();
             } else {
                 std::thread::park_timeout(std::time::Duration::from_micros(50));
             }
-        }
+            true
+        };
+        wait(Spin::default(), None, || self.is_done(), || (), park);
     }
 
-    /// Client side: the bounded-spin rendezvous with escalation. Spin on
-    /// the state word for up to `budget` iterations, then — instead of
-    /// parking straight away — run up to
-    /// [`crate::spin::ESCALATE_YIELDS`] *donation* rounds: priority-unpark
-    /// the worker (a redundant token on a running worker is harmless — the
-    /// idle wait tolerates spurious tokens) and `yield_now`, explicitly
-    /// handing the processor to the thread we are waiting on. Only when
-    /// donation also fails does the client park.
-    ///
-    /// Spinning out the budget means the worker lost the processor
-    /// mid-handler (or never got it); a plain park adds a futex
-    /// sleep/wake round trip on top of the context switch the worker
-    /// needs anyway, and under scheduler contention that wake is exactly
-    /// the multi-10µs convoy the tail histograms show. Donating the
-    /// timeslice gets the worker running for the price of the context
-    /// switch alone.
+    /// Client side: the bounded-spin rendezvous with escalation — the
+    /// in-process client's use of the one wait primitive (`wait.rs`).
+    /// The EWMA `budget` decides whether spinning is worth it at all and
+    /// [`crate::spin::SPIN_HARD_CAP`] how long to spin before donating
+    /// beats hoping; the donation rounds priority-unpark `worker` (a
+    /// redundant token on a running worker is harmless — its idle wait
+    /// tolerates spurious tokens) for up to
+    /// [`crate::spin::ESCALATE_YIELDS`] yields; only then does the client
+    /// park. No sleeper flag: [`CallSlot::complete`] unparks
+    /// unconditionally and the park token is sticky.
     ///
     /// Returns `(resolved_without_park, escalated)`.
     pub(crate) fn wait_done_donate(
@@ -446,60 +459,27 @@ impl CallSlot {
         budget: u32,
         worker: Option<&Thread>,
     ) -> (bool, bool) {
-        // The EWMA budget decides whether spinning is worth it at all;
-        // the hard cap decides how long to spin before donating beats
-        // hoping (see `spin::SPIN_HARD_CAP`).
-        if self.spin_until_done(budget.min(crate::spin::SPIN_HARD_CAP)) {
-            return (true, false);
-        }
-        let Some(worker) = worker else {
+        let spin = Spin {
+            poll: None,
+            budget: budget.min(crate::spin::SPIN_HARD_CAP),
             // No worker thread to donate to (not yet spawned its first
-            // call); fall back to the plain park.
-            while !self.is_done() {
-                std::thread::park();
-            }
-            return (false, true);
+            // call): fall straight through to the park.
+            rounds: if worker.is_some() { crate::spin::ESCALATE_YIELDS } else { 0 },
         };
-        let mut rounds = 0u32;
-        while rounds < crate::spin::ESCALATE_YIELDS {
-            worker.unpark();
-            std::thread::yield_now();
-            if self.is_done() {
-                return (true, true);
+        let donate = || {
+            if let Some(w) = worker {
+                w.unpark();
             }
-            rounds += 1;
-        }
-        while !self.is_done() {
+        };
+        let park = || {
             std::thread::park();
+            true
+        };
+        match wait(spin, None, || self.is_done(), donate, park) {
+            Waited::Spun => (true, false),
+            Waited::Donated => (true, true),
+            Waited::Blocked => (false, true),
         }
-        (false, true)
-    }
-
-    /// The spin phase of the rendezvous: `true` if DONE landed within
-    /// `budget`.
-    ///
-    /// The spin reads only the (padded) state word with `Acquire` plus
-    /// `spin_loop` hints; it yields the processor immediately and then
-    /// every 64 iterations, so that on an oversubscribed (or single-core)
-    /// host the just-unparked worker actually runs — pure spinning there
-    /// would burn the client's timeslice while the worker starves behind
-    /// it, and the handler cannot start until the worker is scheduled.
-    fn spin_until_done(&self, budget: u32) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        let mut spins = 0u32;
-        while spins < budget {
-            if spins & 63 == 0 {
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-            if self.is_done() {
-                return true;
-            }
-            spins += 1;
-        }
-        false
     }
 
     /// Client side: read the results (slot must be DONE).

@@ -272,9 +272,13 @@ counters! {
     /// remote clients). Counted on the serving vCPU's cell by the
     /// segment server loop ([`crate::xproc`]).
     xproc_calls,
-    /// Cross-process transport: futex wakes issued or absorbed by the
-    /// transport — completion wakes to remote clients plus doorbell
-    /// wakes that roused a sleeping segment server.
+    /// Cross-process transport: wake syscalls issued plus sleeps ended
+    /// by a wake, on this side of the segment — for a serving runtime,
+    /// `FUTEX_WAKE`s to clients that announced their sleep (and the
+    /// unconditional attach/DETACH acks) plus doorbell sleeps a client's
+    /// wake or bump cut short; for a client's obs home, doorbell wakes it
+    /// issued. A timeout wake counts nothing. Near zero per call while
+    /// both ends poll; one or two per call once they sleep.
     xproc_wakes,
 }
 

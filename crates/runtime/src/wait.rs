@@ -1,0 +1,329 @@
+//! The one wait primitive. Every rendezvous in the runtime — a client
+//! waiting for `DONE`, an idle worker for mail, a ring worker for
+//! submissions, both ends of the cross-process segment — waits through
+//! [`wait`] and is woken through [`notify`] (or, where the wake leaves a
+//! token, a plain `unpark`).
+//!
+//! [`wait`] escalates through four phases; a zero budget skips one:
+//!
+//! 1. **Learned poll** ([`Spin::poll`], the segment sites): a pure spin —
+//!    no yields — whose budget follows whether polling pays. Work that
+//!    arrives *during* the spin doubles it (up to
+//!    [`crate::spin::POLL_CAP`], about one futex sleep/wake); a spin that
+//!    runs dry halves it, to zero. From then on one wait in [`PROBE`]
+//!    runs a [`PROBE`]-pass *probe* — one pass per wait on average — and
+//!    a probe that is answered restores a budget. A peer on its own CPU
+//!    answers within the spin, the budget grows, and neither side reaches
+//!    a futex. A peer sharing this CPU *cannot* answer while we spin
+//!    without yielding, so the budget collapses and the wait blocks at
+//!    once — which is what lets the wake-up preemption of a blocking
+//!    wait run the peer immediately (a yielding spin would mistake the
+//!    shared CPU for a responsive peer). A caller that had to *wake* its
+//!    peer passes `None`: on a shared CPU the woken peer preempts it and
+//!    the answer appears "during the spin" without polling having paid.
+//! 2. **Yielding spin** ([`Spin::budget`]): the site's own budget (EWMA,
+//!    `idle_spin`), yielding the processor first and then every 64
+//!    passes, so that on an oversubscribed host the thread being waited
+//!    on actually runs.
+//! 3. **Donation rounds** ([`Spin::rounds`]): `donate()` (priority-unpark
+//!    the worker), `yield_now`, re-check — see
+//!    [`crate::spin::ESCALATE_YIELDS`] for why that beats parking.
+//! 4. **Block**: announce the [`Sleeper`] flag, full fence, re-check,
+//!    `block()` — `thread::park`, or a futex wait with the site's
+//!    liveness timeout. `block` returns whether to keep waiting should
+//!    it wake with the predicate still false; `false` hands control
+//!    back (the idle loops re-run their own checks, the segment client
+//!    gives up on a dead server).
+//!
+//! # Lost-wake freedom
+//!
+//! Announce/re-check in [`wait`] and publish/check in [`notify`] are the
+//! two halves of a Dekker pair: the waiter stores its flag, fences
+//! (`SeqCst`), loads the data; the notifier stores the data, fences,
+//! loads the flag. The fences are totally ordered, so one side sees the
+//! other's store: the waiter finds the work at the re-check and never
+//! blocks, or the notifier finds the flag and wakes. The wake must be
+//! *sticky* against a waiter that has announced but not yet blocked:
+//! `unpark` leaves a token, and a futex wake follows a change of the
+//! very word the waiter's `FUTEX_WAIT` compares (the slot state, the
+//! bumped doorbell). [`notify`] only *reads* the flag — the waiter alone
+//! writes it — so a notifier delayed past the end of the wait can issue
+//! a spurious wake, never erase a later announcement.
+//!
+//! Sites woken by an unconditional `unpark` (call slot, worker mailbox)
+//! pass no [`Sleeper`]: the park token already is the flag, and `unpark`
+//! on a running thread is a user-space swap.
+
+use std::sync::atomic::{fence, AtomicU32, Ordering};
+
+/// Passes of the probe a zero-budget [`Poll`] runs, how many waits lie
+/// between two probes, and the smallest budget worth keeping.
+const PROBE: u32 = 64;
+
+/// The learned-poll state of one waiting site (see the module docs).
+/// Zeroed is valid: no budget, a probe on the first wait.
+#[derive(Default)]
+pub(crate) struct Poll {
+    budget: u32,
+    /// Zero-budget waits since the last probe, modulo [`PROBE`].
+    dry: u32,
+}
+
+/// How long [`wait`] spins before it blocks.
+#[derive(Default)]
+pub(crate) struct Spin<'a> {
+    /// Phase 1; `None` skips it and leaves the budget untouched.
+    pub poll: Option<&'a mut Poll>,
+    /// Phase 2 passes.
+    pub budget: u32,
+    /// Phase 3 rounds.
+    pub rounds: u32,
+}
+
+/// The word a waiter announces its sleep in. Only the waiter writes it.
+#[derive(Clone, Copy)]
+pub(crate) struct Sleeper<'a> {
+    pub word: &'a AtomicU32,
+    /// Value meaning "about to block, or blocked".
+    pub asleep: u32,
+    /// Value restored when the wait ends.
+    pub awake: u32,
+}
+
+/// How a [`wait`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Waited {
+    /// Ready within the spin phases.
+    Spun,
+    /// Ready within the donation rounds.
+    Donated,
+    /// `block()` ran at least once.
+    Blocked,
+}
+
+/// Wait until `ready()` holds (or `block()` says stop): spin per `spin`,
+/// then announce `sleeper`, re-check and block. See the module docs.
+pub(crate) fn wait(
+    spin: Spin<'_>,
+    sleeper: Option<Sleeper<'_>>,
+    mut ready: impl FnMut() -> bool,
+    mut donate: impl FnMut(),
+    mut block: impl FnMut() -> bool,
+) -> Waited {
+    if ready() {
+        return Waited::Spun;
+    }
+    if let Some(p) = spin.poll {
+        let n = if p.budget > 0 {
+            p.budget
+        } else {
+            p.dry = (p.dry + 1) % PROBE;
+            if p.dry == 1 { PROBE } else { 0 }
+        };
+        for _ in 0..n {
+            std::hint::spin_loop();
+            if ready() {
+                p.budget = (n * 2).min(crate::spin::POLL_CAP);
+                return Waited::Spun;
+            }
+        }
+        p.budget = if p.budget / 2 >= PROBE { p.budget / 2 } else { 0 };
+    }
+    for pass in 0..spin.budget {
+        if pass & 63 == 0 {
+            std::thread::yield_now();
+        }
+        std::hint::spin_loop();
+        if ready() {
+            return Waited::Spun;
+        }
+    }
+    for _ in 0..spin.rounds {
+        donate();
+        std::thread::yield_now();
+        if ready() {
+            return Waited::Donated;
+        }
+    }
+    loop {
+        if let Some(s) = sleeper {
+            // Relaxed throughout: the flag publishes no data, and its
+            // order against `ready()`'s loads is the fences' job.
+            s.word.store(s.asleep, Ordering::Relaxed);
+            fence(Ordering::SeqCst);
+            if ready() {
+                s.word.store(s.awake, Ordering::Relaxed);
+                return Waited::Spun;
+            }
+        }
+        let keep = block();
+        if let Some(s) = sleeper {
+            s.word.store(s.awake, Ordering::Relaxed);
+        }
+        if !keep || ready() {
+            return Waited::Blocked;
+        }
+    }
+}
+
+/// Wake a [`wait`]er — iff it announced. Call *after* publishing what
+/// the waiter's `ready()` reads; `wake` must be sticky (see the module
+/// docs). Returns whether `wake` ran.
+pub(crate) fn notify(sleeper: Sleeper<'_>, wake: impl FnOnce()) -> bool {
+    fence(Ordering::SeqCst);
+    let asleep = sleeper.word.load(Ordering::Relaxed) == sleeper.asleep;
+    if asleep {
+        wake();
+    }
+    asleep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shm;
+    use std::sync::OnceLock;
+    use std::thread::Thread;
+
+    /// One direction of a ping-pong: a sequence word, the receiver's
+    /// sleeper flag, and the receiver's thread (for the park blocker).
+    #[derive(Default)]
+    struct Chan {
+        seq: AtomicU32,
+        flag: AtomicU32,
+        rx: OnceLock<Thread>,
+    }
+
+    impl Chan {
+        fn sleeper(&self) -> Sleeper<'_> {
+            Sleeper { word: &self.flag, asleep: 1, awake: 0 }
+        }
+
+        fn send(&self, futex: bool) {
+            self.seq.fetch_add(1, Ordering::Release);
+            notify(self.sleeper(), || {
+                if futex {
+                    shm::futex_wake(&self.seq, 1);
+                } else {
+                    self.rx.get().expect("receiver registered").unpark();
+                }
+            });
+        }
+
+        /// Wait for message `last + 1`. Neither blocker has a timeout:
+        /// a lost wake hangs here, and the watchdog fails the test.
+        fn recv(&self, last: u32, spin: Spin<'_>, futex: bool, blocks: &mut u32) -> Waited {
+            let block = || {
+                *blocks += 1;
+                if futex {
+                    shm::futex_wait(&self.seq, last, None);
+                } else {
+                    std::thread::park();
+                }
+                true
+            };
+            wait(spin, Some(self.sleeper()), || self.seq.load(Ordering::Acquire) != last, || (), block)
+        }
+    }
+
+    /// `n` ping-pongs between two threads through [`wait`]/[`notify`].
+    /// One ping in 128 is preceded by a random pause of up to 1023
+    /// yields (≈ 250 µs), which straddles the consumer's whole spin — a
+    /// learned poll at its cap included — on one CPU and on two.
+    /// Returns how many of the consumer's waits (polled, blocked).
+    fn ping_pong(n: u32, budget: u32, futex: bool) -> (u32, u32) {
+        // Watchdog: `_finished` drops when this function returns, which
+        // ends the `recv` with `Disconnected`; only a timeout aborts.
+        let (_finished, watch) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let hung = std::sync::mpsc::RecvTimeoutError::Timeout;
+            if watch.recv_timeout(std::time::Duration::from_secs(120)) == Err(hung) {
+                eprintln!("wait.rs hand-off test hung: a wake was lost");
+                std::process::abort();
+            }
+        });
+        let (ping, pong) = (Chan::default(), Chan::default());
+        pong.rx.set(std::thread::current()).unwrap();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let (mut polled, mut blocks, mut poll) = (0, 0, Poll::default());
+                for i in 0..n {
+                    // All four phases when budgeted, block-only at 0.
+                    let spin = match budget {
+                        0 => Spin::default(),
+                        _ => Spin { poll: Some(&mut poll), budget, rounds: 2 },
+                    };
+                    let before = blocks;
+                    ping.recv(i, spin, futex, &mut blocks);
+                    polled += u32::from(blocks == before);
+                    pong.send(futex);
+                }
+                (polled, blocks)
+            });
+            ping.rx.set(consumer.thread().clone()).unwrap();
+            let (mut rng, mut blocks) = (0x9E37_79B9_7F4A_7C15u64, 0);
+            for i in 0..n {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                if rng % 128 == 0 {
+                    (0..(rng >> 32) % 1024).for_each(|_| std::thread::yield_now());
+                }
+                ping.send(futex);
+                pong.recv(i, Spin { budget, ..Spin::default() }, futex, &mut blocks);
+            }
+            consumer.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn no_wake_is_lost_over_a_million_handoffs() {
+        for futex in [false, true] {
+            let (polled, blocked) = ping_pong(1_000_000, 256, futex);
+            assert!(polled >= 1_000 && blocked >= 1_000, "both paths taken: {polled} / {blocked}");
+        }
+    }
+
+    /// Budget 0 — `SpinPolicy::ParkOnly`: every wait that is not ready
+    /// on arrival announces and blocks.
+    #[test]
+    fn no_wake_is_lost_without_a_spin() {
+        for futex in [false, true] {
+            let (_, blocked) = ping_pong(100_000, 0, futex);
+            assert!(blocked >= 1_000, "blocked path taken: {blocked}");
+        }
+    }
+
+    #[test]
+    fn poll_budget_follows_whether_polling_pays() {
+        // Passes of the learned poll one wait runs, against a peer that
+        // answers on the first pass (`pays`) or never.
+        let spins = |p: &mut Poll, pays: bool| {
+            let mut calls = 0u32;
+            let ready = || {
+                calls += 1;
+                pays && calls > 1
+            };
+            wait(Spin { poll: Some(p), ..Spin::default() }, None, ready, || (), || false);
+            calls - 1
+        };
+        let cap = crate::spin::POLL_CAP;
+        let mut p = Poll::default();
+        // The first wait probes; answers within the spin double the
+        // budget, up to the cap.
+        assert_eq!((spins(&mut p, true), p.budget), (1, 2 * PROBE));
+        for _ in 0..16 {
+            spins(&mut p, true);
+        }
+        assert_eq!(p.budget, cap);
+        // Spins that run dry halve it, to zero …
+        let steps = (cap / PROBE).ilog2() + 1;
+        (0..steps).for_each(|k| assert_eq!(spins(&mut p, false), cap >> k));
+        // … then one PROBE-pass probe per PROBE waits, until one is
+        // answered.
+        let dry: u32 = (0..4 * PROBE).map(|_| spins(&mut p, false)).sum();
+        assert_eq!((dry, p.budget), (4 * PROBE, 0));
+        (1..PROBE).for_each(|_| assert_eq!(spins(&mut p, true), 0));
+        assert_eq!((spins(&mut p, true), p.budget), (1, 2 * PROBE));
+    }
+}

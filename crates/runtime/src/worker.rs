@@ -15,6 +15,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::slot::CallSlot;
+use crate::wait::{wait, Spin};
 use crate::Handler;
 
 /// Maximum pooled workers per (entry, vCPU).
@@ -264,40 +265,34 @@ pub(crate) fn pin_to_vcpu_core(vcpu: usize) {
     }
 }
 
-/// Idle rendezvous, worker side: bounded spin on the mailbox before
-/// parking — the mirror of the client's `CallSlot::wait_done_donate`. In a
-/// stream of back-to-back calls neither side ever reaches a futex: the
+/// Idle rendezvous, worker side — the mirror of the client's
+/// `CallSlot::wait_done_donate`, on the same primitive (`wait.rs`): a
+/// yielding spin of `idle_spin` passes on the mailbox, then one park. In
+/// a stream of back-to-back calls neither side ever reaches a futex: the
 /// client posts while we are still spinning (its `unpark` then only sets
-/// the token, no syscall), and we pick the call up at the next mailbox
-/// check. Budget 0 (`SpinPolicy::ParkOnly`) parks immediately, keeping
-/// that baseline a pure park/unpark pair. The spin yields up front and
-/// every 64 iterations so the client (or anyone else) can run on an
-/// oversubscribed host.
+/// the token, no syscall). Budget 0 (`SpinPolicy::ParkOnly`) parks
+/// immediately, keeping that baseline a pure park/unpark pair. No
+/// sleeper flag: `post` and `request_shutdown` unpark unconditionally,
+/// and a token set during the spin makes the park return at once. One
+/// park per call — the worker loop re-runs its shutdown and mailbox
+/// checks itself, so a spurious token costs another spin, not a hang.
 fn idle_wait(
     entry: &crate::entry::EntryShared,
     me: &WorkerHandle,
     timer: &mut crate::stats::StateTimer<'_>,
 ) {
-    let budget = entry.idle_spin.load(Ordering::Relaxed);
-    let mut spins = 0u32;
-    while spins < budget {
-        if spins & 63 == 0 {
-            std::thread::yield_now();
-        }
-        std::hint::spin_loop();
-        if !me.mailbox.load(Ordering::Relaxed).is_null()
-            || me.shutdown.load(Ordering::Relaxed)
-        {
-            return;
-        }
-        spins += 1;
-    }
-    // Budget exhausted (or zero): park. A post or shutdown request that
-    // raced the spin already set our park token, so this cannot hang.
-    // The spin above was Idle time; the park interval is Park time.
-    timer.transition(crate::stats::TimeState::Park);
-    std::thread::park();
-    timer.transition(crate::stats::TimeState::Idle);
+    let spin = Spin { budget: entry.idle_spin.load(Ordering::Relaxed), ..Spin::default() };
+    let ready = || {
+        !me.mailbox.load(Ordering::Relaxed).is_null() || me.shutdown.load(Ordering::Relaxed)
+    };
+    let park = || {
+        // The spin was Idle time; the park interval is Park time.
+        timer.transition(crate::stats::TimeState::Park);
+        std::thread::park();
+        timer.transition(crate::stats::TimeState::Idle);
+        false
+    };
+    wait(spin, None, ready, || (), park);
 }
 
 /// The worker thread body: park → take call → run handler → complete →

@@ -20,7 +20,8 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
 //! │ XSegHeader     magic, layout version, geometry, server pid/state │
-//! │                doorbell (futex), claim mask, high-water          │
+//! │                doorbell (futex) + sleeper flag, claim mask,      │
+//! │                high-water                                        │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ XClientSlot×N  SlotCore (call rendezvous) + control words        │
 //! │                + 4 KiB payload page                              │
@@ -55,20 +56,47 @@
 //!
 //! # Futex protocol
 //!
-//! Two shared words sleep, everything else polls:
+//! Both ends **poll first and sleep as a fallback**, through the one
+//! wait primitive of `wait.rs` (learned poll → yielding spin → announce →
+//! re-check → block) and its `notify` (publish → full fence → wake only
+//! if the peer announced). A busy segment therefore issues no syscalls
+//! at all — the server runs the call the moment it is posted, which is
+//! the paper's hand-off — and an idle one costs nothing: a serve loop
+//! that finds no work within its poll sleeps, and a timeout wake with
+//! nothing to do sleeps again without polling. Two words sleep, each
+//! guarded by an advisory *sleeper flag* its owner alone writes:
 //!
-//! * **Doorbell** (header): clients bump + `FUTEX_WAKE` after posting a
-//!   slot call or ringing a ring doorbell; the server loop re-checks all
-//!   work sources, then `FUTEX_WAIT`s on the doorbell value it last
-//!   saw with a short timeout (the timeout doubles as the peer-liveness
-//!   sweep tick). A bump between the server's read and its wait makes
-//!   the wait return immediately — no lost wakeups.
-//! * **Slot state word** ([`crate::slot::SlotCore`]): a synchronous
-//!   caller spins briefly, then `FUTEX_WAIT`s on `POSTED`; the server
-//!   completes with a `Release` store of `DONE` + `FUTEX_WAKE`. Waits
-//!   are chunked (~25 ms) and each timeout re-checks server liveness
-//!   (state word + `pid_alive` + heartbeat), so a dead server yields
-//!   [`RtError::PeerGone`] in tens of milliseconds instead of a hang.
+//! * **Doorbell** (header) — the serve loop's sleep. Announce: the
+//!   header's `server_sleeping` flag, then a re-run of the service pass,
+//!   then `FUTEX_WAIT` on the doorbell value read *before* the announce,
+//!   with a 5 ms timeout that doubles as the liveness-sweep tick. A
+//!   client, after publishing work (`POSTED` in its slot, or `sq_tail`),
+//!   fences and reads the flag; only if it is set does it bump the
+//!   doorbell and `FUTEX_WAKE`. *Dekker pair 1 — server flag vs slot/SQ
+//!   publication:* the server stores the flag, fences, loads the work
+//!   words; the client stores a work word, fences, loads the flag — one
+//!   of them sees the other, and the bump makes the wake stick to a
+//!   server that has announced but not yet slept. Cold ringers
+//!   (`connect`, both shutdowns) skip the flag and always wake.
+//! * **Slot state word** ([`crate::slot::SlotCore`]) — the synchronous
+//!   caller's sleep. Announce: [`waiter::ASLEEP`] in the slot's waiter
+//!   word, re-check `DONE`, then `FUTEX_WAIT` on `POSTED` in ~25 ms
+//!   chunks, each preceded by a server-liveness check (`server_state` +
+//!   `pid_alive`), so a dead server yields [`RtError::PeerGone`] in tens
+//!   of milliseconds instead of a hang. The server completes with a
+//!   `Release` store of `DONE`, fences, and `FUTEX_WAKE`s only if it
+//!   reads `ASLEEP`. *Dekker pair 2 — client flag vs `DONE`:* symmetric
+//!   to pair 1, and here the state word itself changes before the wake,
+//!   so a caller that has not slept yet fails the kernel's compare. The
+//!   attach ack and the DETACH completion are cold and always wake.
+//!
+//! The flags are hints to skip a syscall, never the only road to
+//! progress: a client that scribbles either one buys at worst a needless
+//! wake or one timeout of latency, for itself or (the header flag) its
+//! neighbours — the timeouts, the attach gate, the cursor bound, the
+//! staging-offset validation and the peer-death sweep are where they
+//! were. `SpinPolicy::ParkOnly` on the serving runtime drops the poll:
+//! the serve loop then blocks as soon as a pass finds nothing.
 //!
 //! # Trust model at the boundary
 //!
@@ -98,7 +126,8 @@ use crate::region::BulkDesc;
 use crate::ring::Completion;
 use crate::shm::{self, SegOffset, SegRef, Segment};
 use crate::slot::{state, waiter, SlotCore, SCRATCH_BYTES};
-use crate::{EntryId, EntryState, ProgramId, RegionId, RtError, Runtime};
+use crate::wait::{notify, wait, Poll, Sleeper, Spin, Waited};
+use crate::{EntryId, EntryState, ProgramId, RegionId, RtError, Runtime, SpinPolicy};
 
 /// Magic word at segment offset 0 (`"PPC_SEG1"`).
 pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
@@ -106,10 +135,15 @@ pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
 /// Version of the segment layout described in the module docs. Bump on
 /// any layout change; openers refuse other versions with
 /// [`RtError::BadSegment`].
-pub const XPROC_LAYOUT_VERSION: u32 = 1;
+pub const XPROC_LAYOUT_VERSION: u32 = 2;
 
 /// Hard cap on clients per segment (the claim mask is one `u64`).
 pub const MAX_XCLIENTS: usize = 64;
+
+/// Yielding-spin passes of the client's slot wait between its learned
+/// poll and the futex (≈ 60 µs here; on a shared CPU the yields are what
+/// let the server run).
+const SLOT_SPIN: u32 = 4096;
 
 /// Server lifecycle values in [`XSegHeader`]'s state word.
 mod srv {
@@ -215,9 +249,16 @@ pub struct XSegHeader {
     server_state: AtomicU32,
     /// The shared doorbell futex word.
     doorbell: AtomicU32,
-    /// Server loop heartbeat (monotone while serving).
+    /// Server loop heartbeat: stored once per sweep tick / blocking
+    /// wake, never on the polled path. A diagnostic — nothing reads it
+    /// for liveness (`server_state` + `pid_alive` decide that).
     server_beat: AtomicU32,
-    _pad1: u32,
+    /// The serve loop's sleeper flag (`wait.rs`): 1 while it is about
+    /// to block, or blocked, on the doorbell. Posting clients read it to
+    /// decide whether a wake syscall is needed. Advisory: scribbling it
+    /// costs a needless wake or a doorbell-timeout of latency, never
+    /// liveness.
+    server_sleeping: AtomicU32,
     /// One bit per claimed client slot.
     claim_mask: AtomicU64,
     /// Highest segment byte offset any bulk descriptor or staged
@@ -245,6 +286,7 @@ crate::assert_segment_layout!(XSegHeader {
     server_state: 56,
     doorbell: 60,
     server_beat: 64,
+    server_sleeping: 68,
     claim_mask: 72,
     high_water: 80,
 });
@@ -504,7 +546,7 @@ impl SegMap {
                     server_state: AtomicU32::new(srv::STARTING),
                     doorbell: AtomicU32::new(0),
                     server_beat: AtomicU32::new(0),
-                    _pad1: 0,
+                    server_sleeping: AtomicU32::new(0),
                     claim_mask: AtomicU64::new(0),
                     high_water: AtomicU64::new(0),
                     _pad_end: [0; 40],
@@ -565,6 +607,11 @@ impl SegMap {
         // Safety: validated geometry; header fields are atomics or
         // creator-written plain words.
         unsafe { SegRef::new(SegOffset(0)).resolve(&self.seg) }
+    }
+
+    /// The serve loop's sleeper flag (see [`XSegHeader`]).
+    fn server_sleeper(&self) -> Sleeper<'_> {
+        Sleeper { word: &self.header().server_sleeping, asleep: 1, awake: 0 }
     }
 
     fn slot(&self, i: usize) -> &XClientSlot {
@@ -740,6 +787,11 @@ impl ClientCtx {
     }
 }
 
+/// How often the serve loop looks at the clock without having slept:
+/// once in this many waits (each at most one service pass or one
+/// [`crate::spin::POLL_CAP`] poll), so the polled path pays no clock read.
+const TICK_EVERY: u32 = 256;
+
 fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
     let h = map.header();
     h.server_pid.store(std::process::id(), Ordering::Relaxed);
@@ -748,45 +800,82 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
     let mut ctx: Vec<ClientCtx> = (0..n).map(|_| ClientCtx::empty()).collect();
     let mut local_scratch = vec![0u8; SCRATCH_BYTES];
     let mut last_sweep = Instant::now();
+    let mut poll = Poll::default();
+    // Poll before blocking only when the last wait ended in work — a
+    // timeout wake with nothing to do re-blocks, so an idle server
+    // sleeps — and that work woke no client: a client that slept tells
+    // us nothing arrives within a poll (and on a shared CPU its answer
+    // "during the spin" would be wake-up preemption, see `wait.rs`).
+    let mut may_poll = false;
+    let mut waits = 0u32;
     loop {
-        h.server_beat.fetch_add(1, Ordering::Relaxed);
+        // Read before the wait announces: a doorbell bump after this
+        // load makes the futex wait below return at once.
         let seen = h.doorbell.load(Ordering::Acquire);
-        let mut progress = false;
-        let mask = h.claim_mask.load(Ordering::Acquire);
-        for (i, c) in ctx.iter_mut().enumerate() {
-            if mask & (1 << i) != 0 {
-                // Attach only once the claimer has published its slot
-                // words (attach_req = 1) — a claimed bit alone says
-                // nothing about the words — and never re-attempt a
-                // refused slot (that would busy-spin until the client
-                // noticed and released).
-                if !c.attached
-                    && !c.refused
-                    && map.slot(i).attach_req.load(Ordering::Acquire) == 1
-                {
-                    attach_client(&rt, &map, vcpu, i, c);
-                    progress = true;
+        let (mut woke, mut slept) = (false, false);
+        // The readiness predicate *is* the service pass: whatever a
+        // client published is served where it is found, including at the
+        // re-check under the announced flag. Returns whether anything
+        // was done — or shutdown was requested, which must end the wait
+        // just the same.
+        let pass = || {
+            let mut progress = false;
+            let mask = h.claim_mask.load(Ordering::Acquire);
+            for (i, c) in ctx.iter_mut().enumerate() {
+                if mask & (1 << i) != 0 {
+                    // Attach only once the claimer has published its slot
+                    // words (attach_req = 1) — a claimed bit alone says
+                    // nothing about the words — and never re-attempt a
+                    // refused slot (that would busy-spin until the client
+                    // noticed and released).
+                    if !c.attached
+                        && !c.refused
+                        && map.slot(i).attach_req.load(Ordering::Acquire) == 1
+                    {
+                        attach_client(&rt, &map, vcpu, i, c);
+                        progress = true;
+                    }
+                    if c.attached {
+                        progress |= service_slot(&rt, &map, vcpu, i, c, &mut woke);
+                        progress |= service_ring(&rt, &map, vcpu, i, c, &mut local_scratch);
+                    }
+                } else if c.attached || c.refused {
+                    // The claimer released its bit (clean DETACH, a refused
+                    // connect, or an abandoned handshake). The slot may
+                    // already belong to a new claimer, so touch only
+                    // process-local state — but if the release raced our
+                    // attach, the region is still registered and must not
+                    // leak.
+                    if let Some(region) = c.region.take() {
+                        let _ = rt.bulk().registry(vcpu).unregister(region, c.program);
+                    }
+                    *c = ClientCtx::empty();
                 }
-                if c.attached {
-                    progress |= service_slot(&rt, &map, vcpu, i, c);
-                    progress |= service_ring(&rt, &map, vcpu, i, c, &mut local_scratch);
-                }
-            } else if c.attached || c.refused {
-                // The claimer released its bit (clean DETACH, a refused
-                // connect, or an abandoned handshake). The slot may
-                // already belong to a new claimer, so touch only
-                // process-local state — but if the release raced our
-                // attach, the region is still registered and must not
-                // leak.
-                if let Some(region) = c.region.take() {
-                    let _ = rt.bulk().registry(vcpu).unregister(region, c.program);
-                }
-                *c = ClientCtx::empty();
             }
-        }
+            progress || h.server_state.load(Ordering::Acquire) == srv::SHUTDOWN
+        };
+        // Doorbell sleep (see module docs). The short timeout bounds the
+        // liveness sweep latency; `false` hands control back to this
+        // loop whatever the wake found.
+        let doze = || {
+            if shm::futex_wait(&h.doorbell, seen, Some(Duration::from_millis(5))) {
+                rt.stats.cell(vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
+            }
+            slept = true;
+            false
+        };
+        let learn = may_poll && rt.spin_policy() == SpinPolicy::Adaptive;
+        let spin = Spin { poll: learn.then_some(&mut poll), ..Spin::default() };
+        let how = wait(spin, Some(map.server_sleeper()), pass, || (), doze);
         if h.server_state.load(Ordering::Acquire) == srv::SHUTDOWN {
             break;
         }
+        may_poll = how != Waited::Blocked && !woke;
+        waits = waits.wrapping_add(1);
+        if !slept && !waits.is_multiple_of(TICK_EVERY) {
+            continue;
+        }
+        h.server_beat.store(waits, Ordering::Relaxed);
         // Peer-death sweep: a killed client never sends DETACH, so its
         // claim bit, region, and any posted-but-unserviced call would
         // leak. The sweep reclaims all three and leaves a flight-plane
@@ -802,7 +891,6 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
                         let pid = c.pid;
                         detach_client(&rt, &map, vcpu, i, c);
                         rt.flight().record(vcpu, FlightKind::PeerLost, i, pid);
-                        progress = true;
                     }
                 } else if h.claim_mask.load(Ordering::Acquire) & (1 << i) != 0
                     && map.slot(i).attach_req.load(Ordering::Acquire) == 1
@@ -811,17 +899,8 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
                     if pid != 0 && !shm::pid_alive(pid) {
                         detach_client(&rt, &map, vcpu, i, c);
                         rt.flight().record(vcpu, FlightKind::PeerLost, i, pid);
-                        progress = true;
                     }
                 }
-            }
-        }
-        if !progress {
-            // Doorbell sleep (see module docs): a bump after `seen` was
-            // read makes this return immediately. The short timeout
-            // bounds the liveness sweep latency.
-            if shm::futex_wait(&h.doorbell, seen, Some(Duration::from_millis(5))) {
-                rt.stats.cell(vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -893,8 +972,16 @@ fn detach_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut
     *c = ClientCtx::empty();
 }
 
-/// Service a posted slot call. Returns whether work was done.
-fn service_slot(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &ClientCtx) -> bool {
+/// Service a posted slot call. Returns whether work was done; sets
+/// `woke` when the completion had to futex-wake its client.
+fn service_slot(
+    rt: &Arc<Runtime>,
+    map: &SegMap,
+    vcpu: usize,
+    i: usize,
+    c: &ClientCtx,
+    woke: &mut bool,
+) -> bool {
     let slot = map.slot(i);
     if slot.core.state_word().load(Ordering::Acquire) != state::POSTED {
         return false;
@@ -941,7 +1028,8 @@ fn service_slot(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &Clie
         },
         op::DETACH => {
             // Completion must precede the claim release: ack first so
-            // the waking client sees DONE, then reclaim.
+            // the waking client sees DONE, then reclaim. Unconditional
+            // wake: the detaching client sleeps without announcing.
             slot.core.complete_frame([0; 8], 0, 0);
             shm::futex_wake(slot.core.state_word(), u32::MAX);
             let mut cc = ClientCtx {
@@ -965,9 +1053,12 @@ fn service_slot(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &Clie
         Err(e) => err_to_wire(e),
     };
     slot.core.complete_frame(rets, status, aux);
-    shm::futex_wake(slot.core.state_word(), u32::MAX);
+    // DONE is published; wake the caller only if it announced its sleep.
+    *woke |= notify(slot.core.sleeper(), || {
+        shm::futex_wake(slot.core.state_word(), u32::MAX);
+        cell.xproc_wakes.fetch_add(1, Ordering::Relaxed);
+    });
     cell.xproc_calls.fetch_add(1, Ordering::Relaxed);
-    cell.xproc_wakes.fetch_add(1, Ordering::Relaxed);
     true
 }
 
@@ -1107,6 +1198,11 @@ pub struct XClient {
     /// The transport observed peer death: everything fails fast with
     /// [`RtError::PeerGone`] from here on.
     dead: bool,
+    /// Learned poll budget of the slot rendezvous (`wait.rs`).
+    poll: Poll,
+    /// The last post found the server asleep and woke it: the wait for
+    /// that call skips the learned poll.
+    woke_server: bool,
     /// Optional local observability home: peer-loss flight events and
     /// client-side xproc counters land here (vCPU index second).
     obs: Option<(Arc<Runtime>, usize)>,
@@ -1196,6 +1292,8 @@ impl XClient {
             sq_head_cache: 0,
             in_flight: 0,
             dead: false,
+            poll: Poll::default(),
+            woke_server: false,
             obs: None,
         })
     }
@@ -1279,59 +1377,51 @@ impl XClient {
         }
     }
 
-    fn bump_doorbell(&self) {
+    /// Tell the server there is work — after publishing it (`POSTED`,
+    /// `sq_tail`). A polling server needs nothing; one that announced
+    /// its sleep gets the doorbell bumped (so a wait it has not entered
+    /// yet returns at once) and a `FUTEX_WAKE`. Returns whether it woke.
+    fn bump_doorbell(&self) -> bool {
         let h = self.map.header();
-        h.doorbell.fetch_add(1, Ordering::Release);
-        shm::futex_wake(&h.doorbell, u32::MAX);
-        if let Some((rt, vcpu)) = &self.obs {
+        let woke = notify(self.map.server_sleeper(), || {
+            h.doorbell.fetch_add(1, Ordering::Release);
+            shm::futex_wake(&h.doorbell, u32::MAX);
+        });
+        if let (true, Some((rt, vcpu))) = (woke, &self.obs) {
             rt.stats.cell(*vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
         }
+        woke
     }
 
-    /// Wait out the slot rendezvous: brief spin, then futex chunks with
-    /// liveness checks — the cross-process analogue of
-    /// [`crate::slot::CallSlot::wait_done_donate`].
+    /// Wait out the slot rendezvous — the cross-process analogue of
+    /// [`crate::slot::CallSlot::wait_done_donate`] on the same primitive
+    /// (`wait.rs`): learned poll (unless this call had to wake the
+    /// server), the yielding spin, then the announced futex sleep in
+    /// ~25 ms chunks, each preceded by a server-liveness check
+    /// (`server_state` + `pid_alive`).
     fn wait_done(&mut self) -> Result<(), RtError> {
         let core = &self.map.slot(self.idx).core;
-        let w = core.state_word();
-        let mut spins = 0u32;
-        while spins < 4096 {
-            if w.load(Ordering::Acquire) == state::DONE {
-                return Ok(());
+        let (w, h, server_pid) = (core.state_word(), self.map.header(), self.server_pid);
+        let done = || w.load(Ordering::Acquire) == state::DONE;
+        let spin = Spin {
+            poll: (!self.woke_server).then_some(&mut self.poll),
+            budget: SLOT_SPIN,
+            rounds: 0,
+        };
+        let sleep = || {
+            let alive = h.server_state.load(Ordering::Acquire) == srv::SERVING
+                && shm::pid_alive(server_pid);
+            if alive {
+                shm::futex_wait(w, state::POSTED, Some(Duration::from_millis(25)));
             }
-            if spins & 63 == 0 {
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-            spins += 1;
+            alive
+        };
+        wait(spin, Some(core.sleeper()), done, || (), sleep);
+        if done() {
+            return Ok(());
         }
-        let mut beat = self.map.header().server_beat.load(Ordering::Relaxed);
-        let mut stalled = 0u32;
-        loop {
-            if w.load(Ordering::Acquire) == state::DONE {
-                return Ok(());
-            }
-            let h = self.map.header();
-            if h.server_state.load(Ordering::Acquire) != srv::SERVING
-                || !shm::pid_alive(self.server_pid)
-            {
-                self.note_peer_lost();
-                return Err(RtError::PeerGone);
-            }
-            // A live PID with a frozen heartbeat for many chunks is a
-            // wedged server (e.g. SIGSTOP): keep waiting — it may
-            // resume — but the PID check above is the authority on
-            // death. Heartbeat is only used to reset `stalled`.
-            let nb = h.server_beat.load(Ordering::Relaxed);
-            if nb != beat {
-                beat = nb;
-                stalled = 0;
-            } else {
-                stalled += 1;
-            }
-            let _ = stalled;
-            shm::futex_wait(w, state::POSTED, Some(Duration::from_millis(25)));
-        }
+        self.note_peer_lost();
+        Err(RtError::PeerGone)
     }
 
     fn post_slot_op(&mut self, xop: u32, ep: EntryId, args: [u64; 8]) -> Result<(), RtError> {
@@ -1341,7 +1431,7 @@ impl XClient {
         slot.xop.store(xop, Ordering::Relaxed);
         slot.core.fill(args, self.program, waiter::FUTEX);
         slot.core.post();
-        self.bump_doorbell();
+        self.woke_server = self.bump_doorbell();
         Ok(())
     }
 
@@ -1596,7 +1686,8 @@ impl XClient {
     }
 
     /// Ring the doorbell for a submitted batch (the remote
-    /// [`crate::ClientRing::doorbell`]): one futex wake per batch.
+    /// [`crate::ClientRing::doorbell`]): at most one futex wake per
+    /// batch, and none while the server polls.
     pub fn ring_doorbell(&mut self) {
         self.bump_doorbell();
     }
@@ -2013,13 +2104,14 @@ mod tests {
         // Re-open by path: full validation passes.
         let re = SegMap::open(&path).unwrap();
         assert_eq!(re.geo, map.geo);
-        // Corrupt the version: clean BadSegment, not UB.
-        // Safety: single-process test, no concurrent reader.
-        unsafe {
-            let h = map.seg.base().add(8) as *mut u32;
-            *h = XPROC_LAYOUT_VERSION + 1;
+        // Any other version — the pre-sleeper-flag layout 1 included —
+        // is a clean BadSegment, not UB.
+        assert_eq!(XPROC_LAYOUT_VERSION, 2);
+        for version in [1, XPROC_LAYOUT_VERSION + 1] {
+            // Safety: single-process test, no concurrent reader.
+            unsafe { *(map.seg.base().add(8) as *mut u32) = version };
+            assert_eq!(SegMap::open(&path).err(), Some(RtError::BadSegment));
         }
-        assert_eq!(SegMap::open(&path).err(), Some(RtError::BadSegment));
         drop(re);
         drop(map);
         assert!(!path.exists());
