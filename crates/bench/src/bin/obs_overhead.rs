@@ -1,25 +1,27 @@
-//! OBS-OVERHEAD gate: the cost of the always-on observability plane on
-//! the null inline call, measured as enabled-vs-compiled-out.
+//! OBS-OVERHEAD: the cost of the always-on observability plane on the
+//! null inline call, measured as enabled-vs-compiled-out.
 //!
-//! Two-step protocol (CI builds the binary twice):
+//! Two-step protocol (CI builds the binary twice, so a broken
+//! `--no-default-features` build fails there):
 //!
 //! ```text
 //! cargo run -p ppc-bench --release --no-default-features --bin obs_overhead -- --write base.json
-//! cargo run -p ppc-bench --release --bin obs_overhead -- --check base.json --budget 1.05
+//! cargo run -p ppc-bench --release --bin obs_overhead -- --check base.json
 //! ```
 //!
 //! The compiled-out run records the baseline ns/call; the enabled run
-//! re-measures and fails (exit 1) if it exceeds `baseline × budget`.
-//! Shared CI runners jitter by more than 5% on a ~70 ns number, so an
-//! absolute grace floor (default 25 ns, `--floor-ns`) also passes the
-//! check — the budget is the real gate on quiet machines, the floor
-//! keeps noisy ones from flaking. Histograms stay affordable because the
-//! per-call cost is one `Relaxed` config load plus a thread-local tick;
-//! timestamps are only taken on sampled calls (1 in 128 by default).
+//! re-measures and prints the difference. It reports and does not
+//! judge: two runs minutes apart on a shared host differ by more than
+//! the plane costs (a 25 ns floor failed by 0.1 ns one run in four on
+//! untouched code), so the figure to track over time is `ppcbench`'s
+//! `obs.enabled_extra_ns`, taken inside one process. Histograms stay
+//! affordable because the per-call cost is one `Relaxed` config load
+//! plus a thread-local tick; timestamps are only taken on sampled calls
+//! (1 in 128 by default).
 //!
 //! The enabled run measures with the causal-tracing plane in its
 //! default (enabled) state **and the telemetry sampler running at its
-//! default tick**, so the gate covers span minting and the background
+//! default tick**, so the figure covers span minting and the background
 //! snapshot/delta work too. `--no-trace` disables the span plane and
 //! `--no-sampler` the telemetry thread, for attribution runs that
 //! isolate histogram cost from tracing cost from sampler cost.
@@ -31,15 +33,15 @@ use ppc_bench::report::{self, Json};
 use ppc_rt::{EntryOptions, Runtime};
 
 /// Null inline call ns/call: minimum over trials (interference only ever
-/// adds time), same estimator as `rt_modes`. `trace_on` leaves the span
-/// plane in its default enabled state; `--no-trace` switches it off so
-/// the gate can attribute a regression to tracing vs the histograms.
+/// adds time). `trace_on` leaves the span plane in its default enabled
+/// state; `--no-trace` switches it off so a difference can be attributed
+/// to tracing vs the histograms.
 ///
 /// On the enabled (`obs`) side the telemetry sampler runs at its default
-/// tick for the whole measurement, so the budget also covers the
+/// tick for the whole measurement, so the figure also covers the
 /// background snapshot/delta work the sampler's shared-nothing reads
 /// cause. The compiled-out baseline stays sampler-free: it defines the
-/// zero-observability floor the budget is measured against.
+/// zero-observability floor the difference is measured against.
 fn measure_null_inline(trace_on: bool, sampler_on: bool) -> f64 {
     const TRIALS: usize = 8;
     const BUDGET: Duration = Duration::from_millis(60);
@@ -93,8 +95,6 @@ fn main() {
     let flag_value = |name: &str| -> Option<String> {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
     };
-    let budget: f64 = flag_value("--budget").map(|s| s.parse().unwrap()).unwrap_or(1.05);
-    let floor_ns: f64 = flag_value("--floor-ns").map(|s| s.parse().unwrap()).unwrap_or(25.0);
     let trace_on = !args.iter().any(|a| a == "--no-trace");
     let sampler_on = !args.iter().any(|a| a == "--no-sampler");
 
@@ -128,21 +128,11 @@ fn main() {
             .get("ns_per_call")
             .and_then(|v| v.as_f64())
             .expect("baseline has ns_per_call");
-        let ratio = ns / base;
-        let within_budget = ratio <= budget;
-        let within_floor = ns - base <= floor_ns;
         println!(
-            "baseline {base:.1} ns/call -> {ns:.1} ns/call ({:+.1}%, budget {:.0}%, \
-             grace floor {floor_ns:.0} ns)",
-            (ratio - 1.0) * 100.0,
-            (budget - 1.0) * 100.0,
+            "baseline {base:.1} ns/call -> {ns:.1} ns/call ({:+.1} ns, {:+.1}%)",
+            ns - base,
+            (ns / base - 1.0) * 100.0,
         );
-        if within_budget || within_floor {
-            println!("obs overhead: OK");
-        } else {
-            println!("obs overhead: FAIL — regression exceeds budget and grace floor");
-            std::process::exit(1);
-        }
     }
 
     // Consistency with the other bins: `--json` emits the same document.

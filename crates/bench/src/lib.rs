@@ -1,6 +1,9 @@
 //! # ppc-bench — the benchmark harness
 //!
-//! Regenerates every table and figure of the paper's evaluation:
+//! Regenerates every table and figure of the paper's evaluation from the
+//! deterministic simulators, and hosts the operator tools. `ppc-rt` is
+//! measured elsewhere: its numbers come from `ppcbench/` (the repo
+//! benchmark, `BENCHMARK.json`) and accumulate in `BENCH_HISTORY.jsonl`.
 //!
 //! | binary | paper artefact |
 //! |---|---|
@@ -9,11 +12,10 @@
 //! | `table_uniprocessor` | §1 uniprocessor IPC comparison table |
 //! | `fastpath_footprint` | §5 "200 instructions and 6 cache lines" |
 //! | `ablation_locks` | lock-free PPC vs locked-pool / LRPC / message RPC |
-//! | `rt_scaling` | real-threads port scalability |
-//!
-//! Criterion benches of the same harnesses live under `benches/`.
+//! | `ablation_stack_policy`, `ablation_stack_sharing` | §4.5.4 multi-page stack policy, §2 serial stack sharing |
+//! | `obs_overhead` | null inline call, observability compiled out vs enabled (two builds) |
+//! | `ppc_top`, `ppc_profile`, `ppc_blackbox` | operator tools: live telemetry, critical-path profile, postmortem analysis |
 
 pub mod ablation;
 pub mod fig3;
-pub mod gate;
 pub mod report;

@@ -1,17 +1,16 @@
 //! Small fixed-width table formatting for the figure/table binaries,
 //! plus the shared `--json <path>` machine-readable artifact writer.
 //!
-//! Every bench binary accepts `--json <path>` (or `--json=<path>`) and
-//! writes a `BENCH_*.json`-style document next to its ASCII table:
-//! `{"bench": ..., <metadata>, "modes": {<label>: {...}}}`. Latency
-//! distributions ride along as the runtime exporter's histogram objects
-//! (`count`/`p50`/`p90`/`p99`/`p999`/`max`/`buckets`), so the repo accumulates
-//! a queryable perf trajectory instead of screen-scraped tables.
+//! Every figure/table binary accepts `--json <path>` (or `--json=<path>`)
+//! and writes `{"bench": ..., <metadata>, "modes": {<label>: {...}}}`
+//! next to its ASCII table. These are simulator outputs and operator
+//! documents; measured `ppc-rt` numbers come from `ppcbench` and live in
+//! `BENCH_HISTORY.jsonl`.
 
 use std::path::{Path, PathBuf};
 
-pub use ppc_rt::export::{histogram_json, Json};
-pub use ppc_rt::{Histogram, LatencyKind};
+pub use ppc_rt::export::Json;
+pub use ppc_rt::Histogram;
 
 /// Split the shared `--json <path>` / `--json=<path>` flag out of an
 /// argument stream; returns the remaining args and the path, if given.
@@ -56,26 +55,14 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// How many CPUs this process may actually be scheduled on (the
-/// affinity mask, e.g. `Cpus_allowed_list: 0-3,8`), so the artifact
-/// records thread placement next to the raw core count. Falls back to
-/// [`host_cores`] when `/proc/self/status` is unavailable.
+/// How many CPUs this thread may be scheduled on (the affinity mask),
+/// so the artifact records placement next to the raw core count. Falls
+/// back to [`host_cores`] when the kernel refuses the query.
 pub fn cpus_allowed() -> usize {
-    let parsed = std::fs::read_to_string("/proc/self/status").ok().and_then(|s| {
-        let list = s.lines().find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
-        let mut n = 0usize;
-        for range in list.trim().split(',') {
-            let mut ends = range.splitn(2, '-');
-            let lo: usize = ends.next()?.trim().parse().ok()?;
-            let hi: usize = match ends.next() {
-                Some(h) => h.trim().parse().ok()?,
-                None => lo,
-            };
-            n += hi.saturating_sub(lo) + 1;
-        }
-        (n > 0).then_some(n)
-    });
-    parsed.unwrap_or_else(host_cores)
+    match ppc_rt::affinity::allowed_cpus().len() {
+        0 => host_cores(),
+        n => n,
+    }
 }
 
 impl JsonReport {

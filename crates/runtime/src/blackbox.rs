@@ -2,7 +2,7 @@
 //! the facility's last seconds.
 //!
 //! When something goes wrong — a handler panic, an SLO rule starting to
-//! fire, a latency-gate violation — the counters and the flight ring
+//! fire — the counters and the flight ring
 //! still know what happened, but only until the process exits or the
 //! rings wrap. The black box freezes all of it into a single
 //! self-describing document:

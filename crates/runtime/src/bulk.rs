@@ -163,7 +163,7 @@ impl PoolBuf {
     }
 
     /// The whole buffer as a mutable slice (servers using pooled buffers
-    /// as private scratch — the bulk-copy pattern in `bulk_modes`).
+    /// as private scratch).
     /// Marks the contents unknown: if the buffer later backs a region,
     /// `PoolBuf::bind_owner` scrubs it first.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {

@@ -408,7 +408,7 @@ impl Runtime {
                 // The self-weak upgrade cannot fail while our claim is
                 // held — reclamation drains claims first.
                 let arc = claim.strong().ok_or(RtError::UnknownEntry(ep))?;
-                let w = claim.pool(vcpu).grow(&arc, vcpu, self.pinned(), false);
+                let w = claim.pool(vcpu).grow(&arc, vcpu, self.cpu_of(vcpu), false);
                 // Cold by construction: charge the grow (thread spawn
                 // and all) to the caller's Frank time.
                 cell.add_time(TimeState::Frank, tf0.elapsed().as_nanos() as u64);

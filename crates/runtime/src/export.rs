@@ -16,8 +16,8 @@
 //!   `ppc_latency_ns` histogram per [`LatencyKind`] (cumulative
 //!   `_bucket{kind,le}` series plus `_count`/`_sum`).
 //! * [`json_snapshot`] — the same data as a [`Json`] object tree with
-//!   per-kind percentiles precomputed, the shape the bench bins write
-//!   to `BENCH_*.json`.
+//!   per-kind percentiles precomputed, the shape `/json`, the black box
+//!   and the `ppc-bench` reports share.
 
 use std::fmt::Write as _;
 
@@ -29,8 +29,7 @@ use crate::telemetry::{Telemetry, TickDelta, WINDOWS};
 /// Version stamp carried by every JSON artifact this module (and the
 /// bench reports built on it) emits. Bump it when a field is renamed,
 /// re-unitted, or re-shaped; loaders compare it and **warn** on
-/// mismatch instead of silently mis-parsing an old committed
-/// `BENCH_*.json`.
+/// mismatch instead of silently mis-parsing an old capture.
 ///
 /// v2: the attribution plane — `time_*_ns` / `interference_*` counters
 /// (and their windowed rates), per-alert `interference_ratio`, and the
@@ -968,7 +967,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_structure() {
         let doc = Json::obj([
-            ("name", Json::Str("rt_modes \"smoke\"\n".into())),
+            ("name", Json::Str("figure2 \"smoke\"\n".into())),
             ("n", Json::Num(12345.0)),
             ("frac", Json::Num(0.125)),
             ("flag", Json::Bool(true)),

@@ -274,7 +274,7 @@ impl Runtime {
         );
         for v in 0..self.n_vcpus() {
             for _ in 0..opts.initial_workers {
-                entry.pool(v).grow(&entry, v, self.pinned(), true);
+                entry.pool(v).grow(&entry, v, self.cpu_of(v), true);
             }
         }
         let raw = Arc::as_ptr(&entry) as *mut EntryShared;

@@ -6,7 +6,7 @@
 //!
 //! | paper (Hurricane kernel) | this crate |
 //! |---|---|
-//! | processor | [`Runtime`] virtual processor (optionally pinned via `core_affinity`) |
+//! | processor | [`Runtime`] virtual processor (optionally pinned to a CPU, [`affinity`]) |
 //! | worker process | worker OS thread, parked in a per-vCPU lock-free pool |
 //! | call descriptor + stack page | [`slot::CallSlot`] with a 4 KB scratch page, per-vCPU lock-free pool |
 //! | hand-off scheduling | `thread::park` / `Thread::unpark` direct switch |
@@ -37,8 +37,9 @@
 //! them. Locks appear only on cold paths (registration, kill, exchange,
 //! worker-override installation) — exactly the paper's discipline.
 //!
-//! Three dispatch modes cover the latency spectrum (measured by the
-//! `rt_modes` bench; see `EXPERIMENTS.md`):
+//! Three dispatch modes cover the latency spectrum (`ppcbench`'s
+//! `inline_null`, `handoff_null` and `worker.park_rtt_ns`; see
+//! `EXPERIMENTS.md`):
 //!
 //! 1. **inline** ([`EntryOptions::inline_ok`]) — the handler runs on the
 //!    caller's thread in a borrowed CD; nothing parks, nothing wakes.
@@ -61,6 +62,7 @@
 //! assert_eq!(client.call(ep, [1, 2, 3, 4, 5, 6, 7, 8]).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
 //! ```
 
+pub mod affinity;
 pub mod auth;
 pub mod baseline;
 pub mod blackbox;
@@ -666,8 +668,10 @@ pub struct Runtime {
     flight: Arc<FlightPlane>,
     /// Causal-tracing plane: per-vCPU span rings + tail exemplars.
     spans: Arc<SpanPlane>,
-    /// Pin worker threads to cores.
-    pin: bool,
+    /// The CPUs vCPUs are pinned to (vCPU *i* on the *i*-th, modulo the
+    /// count): what the constructing thread was allowed when
+    /// [`RuntimeOptions::pin`] was set, else empty — nothing is pinned.
+    pin_cpus: Vec<usize>,
     /// Whether the [`SpinPolicy`] is `ParkOnly` (else `Adaptive`).
     park_only: AtomicBool,
     /// The telemetry plane (windowed sampler + SLO watchdog), present
@@ -703,8 +707,10 @@ pub(crate) fn worker_idle_budget(p: SpinPolicy) -> u32 {
 /// (`Clone` but no longer `Copy`: the SLO rule list is heap-backed.)
 #[derive(Clone, Debug)]
 pub struct RuntimeOptions {
-    /// Pin worker threads with `core_affinity` (vCPU *i* to core
-    /// *i mod n_cores*; silently unpinned where pinning fails).
+    /// Pin every thread the runtime spawns for vCPU *i* — entry workers,
+    /// ring worker, `serve_xproc` thread — to the *i*-th CPU (modulo the
+    /// count) the constructing thread is allowed ([`affinity`]); unpinned
+    /// where the kernel refuses.
     pub pin: bool,
     /// CDs pre-pooled per vCPU.
     pub initial_cds: usize,
@@ -776,7 +782,7 @@ impl Runtime {
             flight: Arc::new(FlightPlane::new(n_vcpus, opts.flight_capacity)),
             spans: Arc::new(SpanPlane::new(n_vcpus, opts.trace_capacity)),
             stats,
-            pin: opts.pin,
+            pin_cpus: if opts.pin { affinity::allowed_cpus() } else { Vec::new() },
             park_only: AtomicBool::new(false),
             telemetry: parking_lot::Mutex::new(None),
             blackbox: Arc::new(blackbox::Sink::new()),
@@ -894,9 +900,14 @@ impl Runtime {
         self.vcpus.get(v).ok_or(RtError::BadVcpu(v))
     }
 
-    /// Whether worker pinning was requested.
+    /// Whether this runtime's threads are pinned.
     pub fn pinned(&self) -> bool {
-        self.pin
+        !self.pin_cpus.is_empty()
+    }
+
+    /// The CPU `vcpu`'s threads are pinned to; `None` when unpinned.
+    pub(crate) fn cpu_of(&self, vcpu: usize) -> Option<usize> {
+        self.pin_cpus.get(vcpu % self.pin_cpus.len().max(1)).copied()
     }
 
     /// The bulk-data state (per-vCPU region registries and buffer pools).

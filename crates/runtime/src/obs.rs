@@ -438,8 +438,8 @@ impl ObsState {
     /// `fetch_max` on the calling vCPU's cell, no bucket or sum traffic.
     /// The hand-off dispatch path calls this for *every* timed call (not
     /// just the 1/128 sampled ones): a sampled max under-reports the
-    /// worst call by construction — precisely the tail the latency gate
-    /// and the flight-ring exemplars exist to catch — while an
+    /// worst call by construction — precisely the tail the flight-ring
+    /// exemplars exist to catch — while an
     /// unconditional `fetch_max` on an almost-always-unchanged
     /// vCPU-local line costs next to nothing next to a hand-off. No-op
     /// when the plane is disabled or compiled out.

@@ -339,12 +339,12 @@ impl ClientRing {
         rt.register_ring(&shared);
         let rt2 = Arc::clone(&rt);
         let sh2 = Arc::clone(&shared);
-        let pin = rt.pinned();
+        let cpu = rt.cpu_of(client.vcpu);
         let jh = std::thread::Builder::new()
             .name(format!("ppc-ring-v{}", client.vcpu))
             .spawn(move || {
-                if pin {
-                    crate::worker::pin_to_vcpu_core(sh2.vcpu);
+                if let Some(cpu) = cpu {
+                    crate::affinity::pin_current(cpu);
                 }
                 ring_worker(rt2, sh2);
             })

@@ -112,8 +112,7 @@ impl InterferenceSample {
 /// telemetry sampler runs this every tick on a small budget (~0.2% of a
 /// tick), turning "host jitter dominates p999" from a hand diagnosis
 /// into a continuously exported ratio. Callers off the sampler thread
-/// (e.g. `latency_gate` on a violation) may run it directly with a
-/// bigger budget for a sharper estimate.
+/// may run it directly with a bigger budget for a sharper estimate.
 pub fn interference_probe(budget: Duration) -> InterferenceSample {
     let budget_ns = budget.as_nanos() as u64;
     let mut out = InterferenceSample::default();

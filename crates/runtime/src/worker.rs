@@ -164,7 +164,7 @@ impl WorkerPool {
     }
 
     /// Create a worker thread bound to `entry`'s dispatch loop on `vcpu`.
-    /// `pin_core` optionally pins the thread; `pool_it` leaves the worker
+    /// `cpu` pins the thread there when set; `pool_it` leaves the worker
     /// idle in the pool (bind-time pre-spawn), otherwise it is handed
     /// directly to the caller (the Frank grow-on-demand path).
     ///
@@ -174,7 +174,7 @@ impl WorkerPool {
         &self,
         entry: &Arc<crate::entry::EntryShared>,
         vcpu: usize,
-        pin_core: bool,
+        cpu: Option<usize>,
         pool_it: bool,
     ) -> Arc<WorkerHandle> {
         let w = WorkerHandle::new();
@@ -184,8 +184,8 @@ impl WorkerPool {
         let jh = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
-                if pin_core {
-                    pin_to_vcpu_core(vcpu);
+                if let Some(cpu) = cpu {
+                    crate::affinity::pin_current(cpu);
                 }
                 worker_loop(entry2, w2, vcpu);
             })
@@ -249,19 +249,6 @@ impl WorkerPool {
 impl Default for WorkerPool {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Pin the calling thread to `vcpu`'s core (modulo the host's core
-/// count) — the placement discipline every facility thread follows, so
-/// a vCPU's entry workers and its ring worker land on the same core as
-/// the clients they serve.
-pub(crate) fn pin_to_vcpu_core(vcpu: usize) {
-    if let Some(cores) = core_affinity::get_core_ids() {
-        if !cores.is_empty() {
-            let core = cores[vcpu % cores.len()];
-            let _ = core_affinity::set_for_current(core);
-        }
     }
 }
 

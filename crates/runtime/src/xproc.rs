@@ -719,9 +719,15 @@ impl Runtime {
         let rt = Arc::clone(self);
         let tmap = Arc::clone(&map);
         let vcpu = opts.vcpu;
+        let cpu = self.cpu_of(vcpu);
         let thread = std::thread::Builder::new()
             .name("ppc-xproc".into())
-            .spawn(move || serve_loop(rt, tmap, vcpu))
+            .spawn(move || {
+                if let Some(cpu) = cpu {
+                    crate::affinity::pin_current(cpu);
+                }
+                serve_loop(rt, tmap, vcpu)
+            })
             .map_err(|_| RtError::TableFull)?;
         Ok(XServer {
             rt: Arc::clone(self),

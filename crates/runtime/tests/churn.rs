@@ -126,7 +126,7 @@ fn weak_upgrade_fails_after_reclaim() {
     assert_eq!(rt.stats.entries_reclaimed(), 1);
 }
 
-/// Acceptance criterion 3: bind → kill → reclaim → rebind at the same
+/// Lifecycle acceptance check 3: bind → kill → reclaim → rebind at the same
 /// `EntryId` frees the old `EntryShared` while the new binding serves.
 #[test]
 fn rebind_at_same_id_frees_old_entry() {
@@ -396,7 +396,7 @@ fn exchange_with_queued_sqes_serves_some_era() {
     dog.join().unwrap();
 }
 
-/// Acceptance criterion 2: the per-vCPU lifecycle shards are exact —
+/// Lifecycle acceptance check 2: the per-vCPU lifecycle shards are exact —
 /// per-vCPU completion counts sum to the entry total, and the total
 /// matches the calls actually made. (If the hot path wrote any shared
 /// line, the cheap way to implement it would be one counter; this pins

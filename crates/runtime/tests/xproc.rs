@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use ppc_rt::xproc::validate_segment;
 use ppc_rt::{
-    Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime, SpinPolicy, XClient,
+    affinity, Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime, SpinPolicy, XClient,
     XSegOptions,
 };
 
@@ -651,41 +651,18 @@ fn idle_server_blocks_after_a_burst() {
     let _ = srv.child.wait();
 }
 
-/// The CPUs this thread may run on, and a way to narrow them — the
-/// vendored `core_affinity` is a no-op, so the two calls are declared
-/// here (std already links libc).
-mod affinity {
-    extern "C" {
-        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
-        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
-    }
-
-    pub fn allowed() -> Vec<usize> {
-        let mut mask = [0u64; 16];
-        // Safety: the mask is 128 writable bytes, as `size` says.
-        let rc = unsafe { sched_getaffinity(0, 128, mask.as_mut_ptr()) };
-        assert_eq!(rc, 0, "sched_getaffinity");
-        (0..1024).filter(|c| mask[c / 64] >> (c % 64) & 1 == 1).collect()
-    }
-
-    pub fn pin(cpus: &[usize]) {
-        let mut mask = [0u64; 16];
-        cpus.iter().for_each(|c| mask[c / 64] |= 1 << (c % 64));
-        // Safety: the mask is 128 readable bytes, as `size` says.
-        assert_eq!(unsafe { sched_setaffinity(0, 128, mask.as_ptr()) }, 0, "sched_setaffinity");
-    }
-}
-
 /// A server child and a client, each on a CPU of its own when the host
 /// allows two — which has to be arranged: left alone, the scheduler's
 /// wake-affinity stacks a futex ping-pong pair on one CPU, where the
 /// server rightly sleeps. Returns whether they are apart.
 fn spawn_apart(tag: &str, park_only: bool) -> (ChildServer, XClient, bool) {
-    let cpus = affinity::allowed();
+    let cpus = affinity::allowed_cpus();
     // The child inherits the pin of the thread that spawns it.
-    cpus.get(1).into_iter().for_each(|c| affinity::pin(&[*c]));
+    if let Some(c) = cpus.get(1) {
+        assert!(affinity::pin_current(*c), "sched_setaffinity");
+    }
     let srv = ChildServer::spawn_with(tag, park_only);
-    affinity::pin(&cpus[..1]);
+    assert!(affinity::pin_current(cpus[0]), "sched_setaffinity");
     let xc = srv.connect(7);
     (srv, xc, cpus.len() >= 2)
 }

@@ -185,3 +185,107 @@ fn whole_scenario_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// The documents that tell a reader what to run, relative to the
+/// repository root.
+const DOCS: [&str; 6] = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    "CONTRIBUTING.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+];
+
+fn repo(path: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path)
+}
+
+/// Whether `<dir>/<name>.rs` exists at the root or in a workspace crate.
+fn target_exists(dir: &str, name: &str) -> bool {
+    let mut roots = vec![repo("")];
+    roots.extend(std::fs::read_dir(repo("crates")).unwrap().map(|e| e.unwrap().path()));
+    roots.iter().any(|r| r.join(dir).join(format!("{name}.rs")).exists())
+}
+
+/// Docs against the tree: every `--bin`, `--bench` and `--example` a
+/// document names is a target that exists, and every `BENCH_*.json[l]`
+/// it names is a file at the root (a `*` in the name matches anything).
+#[test]
+fn docs_name_only_targets_and_artifacts_that_exist() {
+    let root_files: Vec<String> = std::fs::read_dir(repo(""))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(repo(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let dir = match pair[0].trim_start_matches('`') {
+                "--bin" => "src/bin",
+                "--bench" => "benches",
+                "--example" => "examples",
+                _ => continue,
+            };
+            let name: String =
+                pair[1].chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            if !target_exists(dir, &name) {
+                missing.push(format!("{doc}: {} {name}", pair[0]));
+            }
+        }
+        for (at, _) in text.match_indices("BENCH_") {
+            let is_name = |c: &char| c.is_ascii_uppercase() || matches!(c, '_' | '*' | '.');
+            let stem: String = text[at..].chars().take_while(is_name).collect();
+            let rest = &text[at + stem.len()..];
+            let ext = ["jsonl", "json"].into_iter().find(|e| rest.starts_with(e));
+            let (Some(ext), true) = (ext, stem.ends_with('.')) else { continue };
+            let name = format!("{stem}{ext}");
+            let (head, tail) = name.split_once('*').unwrap_or((&name, ""));
+            let found = root_files.iter().any(|f| {
+                f.len() >= head.len() + tail.len() && f.starts_with(head) && f.ends_with(tail)
+            });
+            if !found {
+                missing.push(format!("{doc}: {name}"));
+            }
+        }
+    }
+    assert!(missing.is_empty(), "documents name things the tree does not have:\n{missing:#?}");
+}
+
+/// Every line of the benchmark history parses and carries its stamp and
+/// all end-to-end metrics of all workloads `BENCHMARK.json` declares.
+#[test]
+fn bench_history_lines_are_complete() {
+    use ppc_ipc::rt::export::Json;
+    let names = |doc: &Json, list: &str| -> Vec<String> {
+        let items = doc.get(list).and_then(Json::as_arr).expect(list);
+        items.iter().map(|i| i.get("name").and_then(Json::as_str).unwrap().to_string()).collect()
+    };
+    let bench = Json::parse(&std::fs::read_to_string(repo("BENCHMARK.json")).unwrap()).unwrap();
+    let (workloads, metrics) = (names(&bench, "workloads"), names(&bench, "end_to_end"));
+    assert_eq!(workloads.len() * metrics.len(), 42);
+
+    let history = std::fs::read_to_string(repo("BENCH_HISTORY.jsonl")).unwrap();
+    assert!(history.lines().count() >= 1, "the history is seeded");
+    for (n, line) in history.lines().enumerate() {
+        let n = n + 1;
+        let doc = Json::parse(line).unwrap_or_else(|e| panic!("line {n} does not parse: {e}"));
+        for key in ["commit", "date"] {
+            assert!(doc.get(key).and_then(Json::as_str).is_some(), "line {n}: no {key}");
+        }
+        assert!(doc.get("benchmark_revision").and_then(Json::as_u64).is_some(), "line {n}");
+        let host = doc.get("host").unwrap_or_else(|| panic!("line {n}: no host stamp"));
+        assert!(host.get("cpus_allowed").and_then(Json::as_arr).is_some(), "line {n}");
+        assert!(host.get("interference_ratio").and_then(Json::as_f64).is_some(), "line {n}");
+        for w in &workloads {
+            for m in &metrics {
+                let value = doc.get("workloads").and_then(|ws| ws.get(w)).and_then(|w| w.get(m));
+                assert!(
+                    value.and_then(Json::as_f64).is_some_and(f64::is_finite),
+                    "line {n}: no {m} for {w}"
+                );
+            }
+        }
+    }
+}
