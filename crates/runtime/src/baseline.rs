@@ -65,14 +65,14 @@ impl LockedServer {
     /// woken server never stalls on a still-held mutex.
     pub fn call(&self, args: [u64; 8]) -> [u64; 8] {
         let slot = CallSlot::new();
-        slot.fill(args, 0, Some(std::thread::current()));
+        slot.fill(args, 0, true);
         let posted = Arc::clone(&slot);
         {
             let mut q = self.inner.queue.lock();
             q.items.push_back(posted);
         }
         self.inner.cv.notify_one();
-        slot.wait_done();
+        slot.wait_done(crate::wait::Spin::default(), || ());
         slot.read_rets()
     }
 

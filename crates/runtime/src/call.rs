@@ -3,9 +3,10 @@
 //! A synchronous call performs, in order: one pinned load of the calling
 //! vCPU's own service-table replica plus a lifecycle claim on its own
 //! shard (see [`crate::frank`]), one lock-free worker-pool pop, one
-//! lock-free CD-pool pop, the slot fill, one atomic mailbox publish +
-//! unpark (the hand-off), an adaptive spin-then-park wait for `DONE`, and
-//! two lock-free pushes to recycle. **Zero lock acquisitions, zero writes
+//! lock-free CD-pool pop, the slot fill, one atomic mailbox publish (the
+//! hand-off; a sleeping worker is woken), an adaptive poll-spin-block
+//! wait for `DONE`, and two lock-free pushes to recycle what the caller
+//! popped, worker and CD. **Zero lock acquisitions, zero writes
 //! to a cache line any other vCPU's fast path writes** — the user-level
 //! restatement of the paper's common case. (The epoch protocol's `SeqCst`
 //! operations are vCPU-local RMWs plus loads of read-mostly era/table
@@ -24,7 +25,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::Thread;
 use std::time::Instant;
 
 use crate::entry::{EntryShared, EntryState};
@@ -33,7 +33,7 @@ use crate::frank::Claim;
 use crate::obs::LatencyKind;
 use crate::slot::{CallSlot, SCRATCH_BYTES};
 use crate::span::SpanPhase;
-use crate::stats::TimeState;
+use crate::stats::{StatsCell, TimeState};
 use crate::worker::WorkerHandle;
 use crate::{AsyncCall, EntryId, ProgramId, RtError, Runtime, ScratchRef, SpinPolicy, VcpuState};
 
@@ -80,10 +80,15 @@ impl Runtime {
         // events during `post` parent under it; the drop guard closes it
         // (and runs the root's tail-exemplar check) on every exit.
         let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&claim.trace_ewma_ns));
-        let client = Some(std::thread::current());
-        let (worker, slot) = self.post(&claim, args, program, payload, client, scope.ctx_word())?;
+        let (worker, slot, woke) =
+            self.post(&claim, args, program, payload, true, scope.ctx_word())?;
         let vc = self.vcpu(vcpu)?;
-        self.rendezvous(vc, &slot, &worker, ep, sampled);
+        let done_at = self.rendezvous(vc, &slot, &worker, woke, ep, sampled);
+        // `DONE`: the worker is finished with the call. We popped it and
+        // hold the claim — pool it and count the completion here, on
+        // lines only this vCPU's callers write.
+        claim.pool(vcpu).push(worker);
+        claim.record_completion(vcpu);
         let rets = slot.read_rets();
         let faulted = slot.is_faulted();
         // A hard kill that landed while we ran aborts the call. (The
@@ -94,10 +99,12 @@ impl Runtime {
         let response = (payload.is_some() && !killed && !faulted)
             .then(|| slot.read_payload(rets[7] as usize));
         vc.put_slot(claim.opts.qos, slot);
-        self.settle(vcpu, ep, killed, faulted)?;
-        self.stats.cell(vcpu).handoff_calls.fetch_add(1, Ordering::Relaxed);
+        let cell = self.stats.cell(vcpu);
+        Self::settle(cell, ep, killed, faulted)?;
+        cell.handoff_calls.fetch_add(1, Ordering::Relaxed);
         if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
+            // The instant the wait ended closes the call record too.
+            let ns = done_at.duration_since(t0).as_nanos() as u64;
             self.obs().record_max(LatencyKind::Call, vcpu, ns);
             if sampled {
                 self.obs().record(LatencyKind::Call, vcpu, ns);
@@ -111,13 +118,14 @@ impl Runtime {
 
     /// The error a finished handler run maps to, on every transport: a
     /// hard kill that landed while it ran aborts the call, and a
-    /// contained panic is a counted server fault.
-    fn settle(&self, vcpu: usize, ep: EntryId, killed: bool, faulted: bool) -> Result<(), RtError> {
+    /// contained panic is a counted server fault, on `cell` — the
+    /// settling thread's side of the vCPU's counters.
+    fn settle(cell: &StatsCell, ep: EntryId, killed: bool, faulted: bool) -> Result<(), RtError> {
         if killed {
             return Err(RtError::Aborted(ep));
         }
         if faulted {
-            self.stats.cell(vcpu).server_faults.fetch_add(1, Ordering::Relaxed);
+            cell.server_faults.fetch_add(1, Ordering::Relaxed);
             return Err(RtError::ServerFault(ep));
         }
         Ok(())
@@ -184,7 +192,7 @@ impl Runtime {
         if let Some(s) = run.lazy {
             vc.put_slot(qos, s);
         }
-        self.settle(vcpu, ep, killed, run.faulted)?;
+        Self::settle(cell, ep, killed, run.faulted)?;
         entry.record_completion(vcpu);
         // `inline_calls` alone records the completion: the aggregate
         // `calls` getter derives hand-off + inline, so the fast path
@@ -220,38 +228,41 @@ impl Runtime {
         let scratch = ScratchRef::Ready(scratch);
         let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, sampled);
         let killed = claim.entry_state() == EntryState::Dead;
-        self.settle(vcpu, ep, killed, run.faulted)?;
+        // The ring worker serves this vCPU: off the submitter's lines.
+        let cell = self.stats.served_cell(vcpu);
+        Self::settle(cell, ep, killed, run.faulted)?;
         claim.record_completion(vcpu);
-        self.stats.cell(vcpu).ring_calls.fetch_add(1, Ordering::Relaxed);
+        cell.ring_calls.fetch_add(1, Ordering::Relaxed);
         Ok(run.rets)
     }
 
     /// Wait for the posted call to complete, per the runtime's
-    /// [`SpinPolicy`]. Every budgeted wait is *bounded with escalation*
-    /// ([`CallSlot::wait_done_donate`]): when the spin budget runs dry
-    /// the client donates its timeslice to `worker` — priority-unpark
-    /// plus `yield_now`, up to [`crate::spin::ESCALATE_YIELDS`] rounds —
-    /// before finally parking. A spun-out budget means the worker lost
-    /// the processor mid-handler; parking straight away stacks a futex
+    /// [`SpinPolicy`] ([`VcpuState::wait_done`]). Every budgeted wait is
+    /// *bounded with escalation*: when the spin budget runs dry the
+    /// client donates its timeslice to `worker` — priority-unpark plus
+    /// `yield_now`, up to [`crate::spin::ESCALATE_YIELDS`] rounds —
+    /// before finally blocking. A spun-out budget means the worker lost
+    /// the processor mid-handler; blocking straight away stacks a futex
     /// sleep/wake round trip on top of the context switch the worker
     /// needs anyway, and that convoy is precisely the 50–80µs p999/max
-    /// outlier the tail histograms showed. `ParkOnly` skips the spin but
-    /// keeps the escalation (its tail had the same convoy shape).
+    /// outlier the tail histograms showed. `ParkOnly` skips poll and spin
+    /// but keeps the escalation (its tail had the same convoy shape).
     ///
     /// Under `Adaptive`, the observed wall-clock latency feeds the
     /// calling vCPU's EWMA so the next budget fits the workload. With
     /// the obs plane enabled the wait is always timed and feeds the
     /// exact [`LatencyKind::Rendezvous`] max; a `sampled` rendezvous
     /// additionally records the full histogram entry and its
-    /// spin-vs-park outcome into the flight ring.
+    /// spin-vs-park outcome into the flight ring. Returns when it ended.
     fn rendezvous(
         &self,
         vc: &VcpuState,
         slot: &CallSlot,
         worker: &WorkerHandle,
+        woke: bool,
         ep: EntryId,
         sampled: bool,
-    ) {
+    ) -> Instant {
         // The client-side wait as a leaf span under the live call span
         // (no-op otherwise) — this is the "rendezvous wait" slice of a
         // tail exemplar's phase breakdown.
@@ -264,21 +275,9 @@ impl Runtime {
         // relative to what it measures — unlike the inline path, which
         // stays sampled.
         let t0 = Instant::now();
-        let (resolved, escalated) = if !adaptive {
-            slot.wait_done_donate(0, worker.thread())
-        } else {
-            match vc.spin_budget() {
-                // The EWMA passed `PARK_THRESHOLD_NS`: handlers run
-                // ≥100µs and donation rounds would burn the client's
-                // slice for nothing — park flat out.
-                0 => {
-                    slot.wait_done();
-                    (false, false)
-                }
-                budget => slot.wait_done_donate(budget, worker.thread()),
-            }
-        };
-        let wait_ns = t0.elapsed().as_nanos() as u64;
+        let (resolved, escalated) = vc.wait_done(slot, adaptive, Some(worker), woke);
+        let done_at = Instant::now();
+        let wait_ns = done_at.duration_since(t0).as_nanos() as u64;
         if self.obs().enabled() {
             self.obs().record_max(LatencyKind::Rendezvous, vc.id, wait_ns);
         }
@@ -302,6 +301,7 @@ impl Runtime {
             let kind = if resolved { FlightKind::SpinResolved } else { FlightKind::Parked };
             self.flight().record(vc.id, kind, ep, wait_ns.min(u32::MAX as u64) as u32);
         }
+        done_at
     }
 
     /// Asynchronous dispatch: returns a handle; the caller continues
@@ -326,8 +326,8 @@ impl Runtime {
         // anything nested under it — parents here.
         let trace = self.spans().begin_async(sampled, vcpu, ep);
         let word = trace.as_ref().map_or(0, |tok| tok.ctx.pack());
-        let slot = match self.post(&claim, args, program, None, None, word) {
-            Ok((_, slot)) => slot,
+        let slot = match self.post(&claim, args, program, None, false, word) {
+            Ok((_, slot, _)) => slot,
             Err(e) => {
                 // Not posted (or posted and taken back): the claim is
                 // still ours and its drop releases it — without that, a
@@ -350,6 +350,7 @@ impl Runtime {
             vcpu: Arc::clone(self.vcpu(vcpu)?),
             ep,
             qos,
+            adaptive: self.spin_policy() == SpinPolicy::Adaptive,
             trace: std::cell::Cell::new(trace),
             spans: Arc::clone(self.spans()),
         })
@@ -372,14 +373,15 @@ impl Runtime {
     /// resources — a worker from the entry's pool on the claim's vCPU, a
     /// CD from that vCPU's per-QoS-class pool (so bulk bursts can't
     /// starve latency callers of warm CDs) — write the payload, fill the
-    /// slot, and publish it to the worker's mailbox. `client` is the
-    /// thread that will wait on the slot (`None`: nobody blocks, and the
-    /// worker releases the claim); a non-zero `trace_word` rides the slot
-    /// so the handler span parents under the caller's.
+    /// slot, and publish it to the worker's mailbox. `sync`: the caller
+    /// will wait on the slot and re-pool the worker (else nobody waits
+    /// yet, and the worker releases the claim and pools itself); a
+    /// non-zero `trace_word` rides the slot so the handler span parents
+    /// under the caller's. Also returns whether the worker had to be woken.
     ///
     /// Never releases the claim: on `Err` the call was not posted, or was
     /// posted and taken back, and the caller's [`Claim`] still owns the
-    /// release. After an `Ok` from a `client`-less post the worker may
+    /// release. After an `Ok` from a non-`sync` post the worker may
     /// release the claim at any moment, so nothing past the mailbox
     /// publish touches the entry unless the slot was taken back.
     fn post(
@@ -388,9 +390,9 @@ impl Runtime {
         args: [u64; 8],
         program: ProgramId,
         payload: Option<&[u8]>,
-        client: Option<Thread>,
+        sync: bool,
         trace_word: u64,
-    ) -> Result<(Arc<WorkerHandle>, Arc<CallSlot>), RtError> {
+    ) -> Result<(Arc<WorkerHandle>, Arc<CallSlot>, bool), RtError> {
         let (vcpu, ep, qos) = (claim.vcpu(), claim.id, claim.opts.qos);
         let vc = self.vcpu(vcpu)?;
         let cell = self.stats.cell(vcpu);
@@ -420,13 +422,13 @@ impl Runtime {
         if let Some(p) = payload {
             slot.write_payload(p);
         }
-        slot.fill(args, program, client);
+        slot.fill(args, program, sync);
         slot.set_parity(claim.parity());
         if trace_word != 0 {
             // The mailbox publish below orders this for the worker.
             slot.set_trace(trace_word);
         }
-        worker.post(Arc::clone(&slot));
+        let woke = worker.post(Arc::clone(&slot));
         // Racing a kill: if the worker was told to shut down, it may have
         // exited after its final mailbox drain without seeing our post.
         // Reclaim the slot if it is still in the mailbox; the mailbox
@@ -438,6 +440,6 @@ impl Runtime {
             vc.put_slot(qos, slot);
             return Err(RtError::Aborted(ep));
         }
-        Ok((worker, slot))
+        Ok((worker, slot, woke))
     }
 }

@@ -553,6 +553,9 @@ pub struct VcpuState {
     /// nanoseconds. Written only by callers on this vCPU (`Relaxed`);
     /// feeds [`VcpuState::spin_budget`].
     pub(crate) ewma_ns: AtomicU64,
+    /// The learned poll of this vCPU's callers ([`wait::Poll::bits`]),
+    /// written like the EWMA beside it.
+    poll: AtomicU64,
     /// Index of this vCPU.
     pub id: usize,
 }
@@ -568,6 +571,7 @@ impl VcpuState {
             ],
             cds_created: AtomicU64::new(0),
             ewma_ns: AtomicU64::new(0),
+            poll: AtomicU64::new(0),
             id,
         });
         // Pre-pooled CDs go to the Latency class — it is the default
@@ -604,6 +608,34 @@ impl VcpuState {
             return 0;
         }
         (ewma as u32).clamp(spin::MIN_BUDGET, spin::MAX_BUDGET)
+    }
+
+    /// The client side of every hand-off rendezvous, a synchronous
+    /// caller's (`worker` is whom it posted to, `woke` whether that took a
+    /// wake) and an async call's late waiter alike: this vCPU's learned
+    /// poll unless the peer had to be woken, the EWMA's yielding spin
+    /// capped at [`spin::SPIN_HARD_CAP`], donation rounds to `worker`,
+    /// then the announced futex sleep. `ParkOnly` (not `adaptive`) keeps
+    /// the rounds only, an EWMA past [`spin::PARK_THRESHOLD_NS`] nothing.
+    /// Returns `(resolved_without_blocking, escalated)`.
+    pub(crate) fn wait_done(
+        &self,
+        slot: &CallSlot,
+        adaptive: bool,
+        worker: Option<&worker::WorkerHandle>,
+        woke: bool,
+    ) -> (bool, bool) {
+        let budget = if adaptive { self.spin_budget() } else { 0 };
+        let donates = worker.is_some() && !(adaptive && budget == 0);
+        let mut poll = wait::Poll::from_bits(self.poll.load(Ordering::Relaxed));
+        let spin = wait::Spin {
+            poll: (budget > 0 && !woke).then_some(&mut poll),
+            budget: budget.min(spin::SPIN_HARD_CAP),
+            rounds: if donates { spin::ESCALATE_YIELDS } else { 0 },
+        };
+        let how = slot.wait_done(spin, || worker.into_iter().for_each(|w| w.unpark()));
+        self.poll.store(poll.bits(), Ordering::Relaxed);
+        (how != wait::Waited::Blocked, donates && how != wait::Waited::Spun)
     }
 
     /// Take a slot from `class`'s pool, growing it if dry (the Frank
@@ -1381,6 +1413,8 @@ pub struct AsyncCall {
     /// QoS class the slot was borrowed under — a pooled slot must return
     /// to the same class's pool.
     pub(crate) qos: QosClass,
+    /// Whether the spin policy at dispatch let a waiter spin.
+    pub(crate) adaptive: bool,
     /// The async span, if the dispatch was traced; closed when the
     /// completion is observed (first of [`AsyncCall::wait`] / drop) —
     /// the span covers dispatch → completion-observed, the async
@@ -1396,9 +1430,10 @@ impl AsyncCall {
         }
     }
 
-    /// Block until the worker completes and return the result words.
+    /// Block until the worker completes and return the result words: the
+    /// sync caller's wait arriving late, minus a worker to donate to.
     pub fn wait(&self) -> [u64; 8] {
-        self.slot.wait_done();
+        self.vcpu.wait_done(&self.slot, self.adaptive, None, false);
         self.finish_trace();
         self.slot.read_rets()
     }
@@ -1417,7 +1452,7 @@ impl AsyncCall {
 impl Drop for AsyncCall {
     fn drop(&mut self) {
         // Recycle the slot only once the worker is finished with it.
-        self.slot.wait_done();
+        self.vcpu.wait_done(&self.slot, self.adaptive, None, false);
         self.finish_trace();
         self.vcpu.put_slot(self.qos, Arc::clone(&self.slot));
     }

@@ -699,7 +699,7 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>) {
     // handler bodies and staged bulk copies subdivided out to Handler/
     // Copy inside `execute_sqe`.
     let mut timer = crate::stats::StateTimer::new(
-        rt.stats.cell(ring.vcpu),
+        rt.stats.served_cell(ring.vcpu),
         crate::stats::TimeState::Idle,
     );
     loop {
@@ -789,7 +789,7 @@ fn bulk_copy_in(
     len: usize,
     desc: BulkDesc,
 ) -> Result<(), RtError> {
-    let cell = rt.stats.cell(ring.vcpu);
+    let cell = rt.stats.served_cell(ring.vcpu);
     let t0 = rt.obs().try_sample().then(Instant::now);
     let acc = rt
         .bulk()

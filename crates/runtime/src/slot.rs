@@ -2,7 +2,7 @@
 //!
 //! A [`CallSlot`] plays the CD's double role from §2 of the paper: it
 //! carries the call's linkage (here: argument/result frames and the
-//! caller's thread handle for the hand-off unpark) and it owns the 4 KB
+//! waiter word the completion wake goes by) and it owns the 4 KB
 //! scratch page that stands in for the worker's stack. Slots live in
 //! per-vCPU lock-free pools and are recycled across services, giving the
 //! same serial-sharing cache benefits the paper describes.
@@ -11,38 +11,46 @@
 //! `#[repr(C)]`, **pointer-free, position-independent** structure so the
 //! identical protocol runs in two homes:
 //!
-//! * embedded in a heap [`CallSlot`] for the in-process path, where the
-//!   completion wake is `Thread::unpark` on the caller's handle; and
+//! * embedded in a heap [`CallSlot`] for the in-process path; and
 //! * resident in a shared segment ([`crate::shm::Segment`]) for the
-//!   cross-process transport ([`crate::xproc`]), where the wake is a
-//!   futex on the state word — which is why the state word is an
-//!   `AtomicU32` (the futex granule), not a byte.
+//!   cross-process transport ([`crate::xproc`]).
+//!
+//! Both homes complete the same way: the waiter announces its sleep on
+//! the waiter word and futex-waits on the **state word** — which is why
+//! that word is an `AtomicU32` (the futex granule), not a byte — and the
+//! completing side wakes it only if it announced
+//! (`SlotCore::wake_done`). No thread handle rides the slot.
 //!
 //! The layout is locked down with compile-time assertions
 //! ([`assert_segment_layout!`](crate::assert_segment_layout)): both sides
 //! of a process boundary must agree on every offset, and drift is a build
-//! error, not UB. Process-local linkage (the parked `Thread` handle, the
-//! boxed scratch page) stays **outside** the core in `CallSlot`.
+//! error, not UB. Process-local linkage (the boxed scratch page) stays
+//! **outside** the core in `CallSlot`.
 //!
 //! The hand-off protocol is a two-party atomic rendezvous:
 //!
 //! 1. the client owns the slot exclusively (it popped it), fills `args`,
-//!    `caller_program`, and its own `Thread` handle, then publishes the
-//!    slot to the worker's mailbox with `Release` and unparks the worker;
+//!    `caller_program` and the waiter word (does a synchronous caller
+//!    wait, or nobody yet), then publishes the slot to the worker's
+//!    mailbox with `Release` and wakes the worker if it sleeps;
 //! 2. the worker acquires the mailbox pointer, runs the handler on the
 //!    slot's scratch page, writes `rets`, stores `DONE` with `Release`,
-//!    and unparks the client;
-//! 3. the client observes `DONE` with `Acquire` and reclaims the slot.
+//!    and futex-wakes the state word if the waiter word says a waiter
+//!    sleeps there;
+//! 3. the client observes `DONE` with `Acquire` and reclaims the slot —
+//!    and, for a synchronous call, the worker it popped. An asynchronous
+//!    call's waiter is the same machine arriving late: it announces on
+//!    the waiter word when (and if) it has to sleep.
 //!
-//! No step locks; the only blocking is `thread::park`, the user-level
-//! analogue of the paper's hand-off scheduling.
+//! No step locks; the only blocking is a futex wait on the state word
+//! (client) and `thread::park` (idle worker), the user-level analogue of
+//! the paper's hand-off scheduling.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
 
-use crate::wait::{wait, Sleeper, Spin, Waited};
+use crate::wait::{notify, wait, Sleeper, Spin, Waited};
 
 /// Size of the per-call scratch page ("one-page stacks", §4.5.4).
 pub const SCRATCH_BYTES: usize = 4096;
@@ -62,18 +70,23 @@ pub mod state {
 }
 
 /// Who waits on the slot's completion — the value of
-/// [`SlotCore`]'s waiter word.
+/// [`SlotCore`]'s waiter word. Bit 1 says a synchronous caller waits
+/// (and, in-process, owns the claim release); bit 0 that the waiter has
+/// announced a futex sleep on the state word, which completion must
+/// `FUTEX_WAKE` (the waiter's half of the sleeper protocol, see
+/// `wait.rs`). Only the waiter stores the announced values.
 pub mod waiter {
-    /// Nobody blocks (async call; completion is polled).
+    /// Nobody waits yet (async call; a waiter may arrive late).
     pub const NONE: u32 = 0;
-    /// A process-local thread parks on its `Thread` handle.
-    pub const THREAD: u32 = 1;
-    /// A remote process polls the state word and will sleep on it via
-    /// futex if the completion takes long.
+    /// An async call's late waiter sleeps; not [`ASLEEP`], so that it
+    /// cannot change which side releases the claim. Only `CallSlot`'s
+    /// wait stores it: never in a segment, where every call is [`FUTEX`].
+    pub const LATE: u32 = 1;
+    /// A synchronous caller — a thread of this process or a remote
+    /// process — polls the state word and will sleep on it if the
+    /// completion takes long.
     pub const FUTEX: u32 = 2;
-    /// That remote process has announced its futex sleep: completion
-    /// must `FUTEX_WAKE` the state word (the client half of the segment's
-    /// sleeper protocol, see `wait.rs`). Only the waiter stores it.
+    /// That caller sleeps.
     pub const ASLEEP: u32 = 3;
 }
 
@@ -220,11 +233,24 @@ impl SlotCore {
         &self.st
     }
 
-    /// The remote waiter's sleeper flag: the waiter word, announcing
-    /// [`waiter::ASLEEP`] over the [`waiter::FUTEX`] that `fill` wrote.
+    /// The waiter's sleeper flag: the waiter word, announcing over what
+    /// `fill` wrote — [`waiter::ASLEEP`] over a synchronous caller's
+    /// [`waiter::FUTEX`], [`waiter::LATE`] over [`waiter::NONE`].
     #[inline]
-    pub(crate) fn sleeper(&self) -> Sleeper<'_> {
-        Sleeper { word: &self.waiter, asleep: waiter::ASLEEP, awake: waiter::FUTEX }
+    pub(crate) fn sleeper(&self, sync: bool) -> Sleeper<'_> {
+        let awake = if sync { waiter::FUTEX } else { waiter::NONE };
+        Sleeper { word: &self.waiter, asleep: awake | waiter::LATE, awake }
+    }
+
+    /// Server side, after [`SlotCore::complete_frame`]: wake the waiter
+    /// iff it announced its sleep — the one completion wake, in-process
+    /// and across the segment. `sync` as read from the waiter word before
+    /// `DONE` (after it the slot may carry its next call). Says if it woke.
+    #[inline]
+    pub(crate) fn wake_done(&self, sync: bool) -> bool {
+        notify(self.sleeper(sync), || {
+            crate::shm::futex_wake(&self.st, u32::MAX);
+        })
     }
 
     /// Server side: read the arguments (slot must be POSTED and owned).
@@ -236,9 +262,9 @@ impl SlotCore {
     }
 
     /// Server side: publish results + status, transition to DONE
-    /// (`Release`). The *wake* is the caller's job — in-process unpark
-    /// or cross-process futex — because the wake mechanism is the one
-    /// thing the core cannot carry position-independently.
+    /// (`Release`). The wake (`SlotCore::wake_done`) is a separate
+    /// step: a driver that only polls (the benchmark's bare state
+    /// machine) never pays its fence.
     pub fn complete_frame(&self, rets: [u64; 8], status: u32, aux: u32) {
         // Safety: server owns the slot while POSTED.
         unsafe {
@@ -297,13 +323,11 @@ impl Default for SlotCore {
 /// exactly once per call (at `DONE`).
 pub struct CallSlot {
     core: SlotCore,
-    client: UnsafeCell<Option<Thread>>,
     scratch: UnsafeCell<Box<[u8; SCRATCH_BYTES]>>,
 }
 
-// Safety: see `SlotCore`; the `client` cell is written by the filling
-// client and taken by the completing worker under the same protocol, and
-// `scratch` is owned by whichever party owns the slot.
+// Safety: see `SlotCore`; `scratch` is owned by whichever party owns the
+// slot.
 unsafe impl Sync for CallSlot {}
 unsafe impl Send for CallSlot {}
 
@@ -312,20 +336,16 @@ impl CallSlot {
     pub fn new() -> Arc<Self> {
         Arc::new(CallSlot {
             core: SlotCore::new(),
-            client: UnsafeCell::new(None),
             scratch: UnsafeCell::new(Box::new([0; SCRATCH_BYTES])),
         })
     }
 
     /// Client side: fill the slot prior to posting. Caller must own the
-    /// slot (popped from a pool).
-    pub fn fill(&self, args: [u64; 8], program: u32, client: Option<Thread>) {
-        let mode = if client.is_some() { waiter::THREAD } else { waiter::NONE };
-        self.core.fill(args, program, mode);
-        // Safety: exclusive ownership in IDLE state.
-        unsafe {
-            *self.client.get() = client;
-        }
+    /// slot (popped from a pool). `sync`: the caller will wait for the
+    /// completion (and owns the claim release); otherwise nobody waits
+    /// until a late waiter says so.
+    pub fn fill(&self, args: [u64; 8], program: u32, sync: bool) {
+        self.core.fill(args, program, if sync { waiter::FUTEX } else { waiter::NONE });
         self.core.post();
     }
 
@@ -378,10 +398,12 @@ impl CallSlot {
     }
 
     /// Whether a client thread waits synchronously on this call — which
-    /// side owns the claim release (see `worker_loop`).
+    /// side owns the claim release (see `worker_loop`). The waiter's
+    /// sleep announcements flip bit 0 only, so the answer holds for the
+    /// whole call.
     #[inline]
     pub(crate) fn has_client(&self) -> bool {
-        self.core.waiter.load(Ordering::Relaxed) == waiter::THREAD
+        self.core.waiter.load(Ordering::Relaxed) & waiter::FUTEX != 0
     }
 
     /// Worker side: run `f` with exclusive access to the scratch page.
@@ -399,17 +421,12 @@ impl CallSlot {
         unsafe { (*self.scratch.get()).as_mut_ptr() }
     }
 
-    /// Worker side: publish the results and wake the client if one waits.
-    pub fn complete(&self, rets: [u64; 8]) {
-        // Safety: worker still owns the slot.
-        let client = unsafe { (*self.client.get()).take() };
-        let had_client = self.has_client();
+    /// Worker side: publish the results and wake the waiter if one
+    /// sleeps. Returns whether it had to.
+    pub fn complete(&self, rets: [u64; 8]) -> bool {
+        let sync = self.has_client();
         self.core.complete_frame(rets, 0, 0);
-        if had_client {
-            if let Some(t) = client {
-                t.unpark();
-            }
-        }
+        self.core.wake_done(sync)
     }
 
     /// Worker side: mark the call as faulted before completing (the
@@ -428,58 +445,19 @@ impl CallSlot {
         self.core.st.load(Ordering::Acquire) == state::DONE
     }
 
-    /// Client side: park until DONE (sync calls: the worker unparks us;
-    /// async waiters: bounded park so a missed token cannot wedge us).
-    pub fn wait_done(&self) {
-        let park = || {
-            if self.has_client() {
-                std::thread::park();
-            } else {
-                std::thread::park_timeout(std::time::Duration::from_micros(50));
-            }
+    /// Client side: wait for `DONE` — the one wait primitive (`wait.rs`)
+    /// as the segment client uses it: spin per `spin`, `donate` once per
+    /// donation round (the caller priority-unparks its worker), then
+    /// announce on the waiter word and futex-wait on the state word. No
+    /// timeout: [`CallSlot::complete`] changes that word before it reads
+    /// the announcement. A synchronous caller and an async call's late
+    /// waiter differ only in the value announced.
+    pub(crate) fn wait_done(&self, spin: Spin<'_>, donate: impl FnMut()) -> Waited {
+        let sleep = || {
+            crate::shm::futex_wait(&self.core.st, state::POSTED, None);
             true
         };
-        wait(Spin::default(), None, || self.is_done(), || (), park);
-    }
-
-    /// Client side: the bounded-spin rendezvous with escalation — the
-    /// in-process client's use of the one wait primitive (`wait.rs`).
-    /// The EWMA `budget` decides whether spinning is worth it at all and
-    /// [`crate::spin::SPIN_HARD_CAP`] how long to spin before donating
-    /// beats hoping; the donation rounds priority-unpark `worker` (a
-    /// redundant token on a running worker is harmless — its idle wait
-    /// tolerates spurious tokens) for up to
-    /// [`crate::spin::ESCALATE_YIELDS`] yields; only then does the client
-    /// park. No sleeper flag: [`CallSlot::complete`] unparks
-    /// unconditionally and the park token is sticky.
-    ///
-    /// Returns `(resolved_without_park, escalated)`.
-    pub(crate) fn wait_done_donate(
-        &self,
-        budget: u32,
-        worker: Option<&Thread>,
-    ) -> (bool, bool) {
-        let spin = Spin {
-            poll: None,
-            budget: budget.min(crate::spin::SPIN_HARD_CAP),
-            // No worker thread to donate to (not yet spawned its first
-            // call): fall straight through to the park.
-            rounds: if worker.is_some() { crate::spin::ESCALATE_YIELDS } else { 0 },
-        };
-        let donate = || {
-            if let Some(w) = worker {
-                w.unpark();
-            }
-        };
-        let park = || {
-            std::thread::park();
-            true
-        };
-        match wait(spin, None, || self.is_done(), donate, park) {
-            Waited::Spun => (true, false),
-            Waited::Donated => (true, true),
-            Waited::Blocked => (false, true),
-        }
+        wait(spin, Some(self.core.sleeper(self.has_client())), || self.is_done(), donate, sleep)
     }
 
     /// Client side: read the results (slot must be DONE).
@@ -522,7 +500,7 @@ mod tests {
     #[test]
     fn fill_complete_roundtrip() {
         let s = CallSlot::new();
-        s.fill([1, 2, 3, 4, 5, 6, 7, 8], 42, None);
+        s.fill([1, 2, 3, 4, 5, 6, 7, 8], 42, false);
         assert_eq!(s.read_args(), [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(s.caller_program(), 42);
         assert!(!s.is_done());
@@ -536,7 +514,7 @@ mod tests {
     #[test]
     fn scratch_is_page_sized_and_writable() {
         let s = CallSlot::new();
-        s.fill([0; 8], 0, None);
+        s.fill([0; 8], 0, false);
         s.with_scratch(|buf| {
             assert_eq!(buf.len(), SCRATCH_BYTES);
             buf[0] = 0xAB;
@@ -553,13 +531,13 @@ mod tests {
     #[test]
     fn trace_word_rides_the_slot_and_clears_on_refill() {
         let s = CallSlot::new();
-        s.fill([0; 8], 0, None);
+        s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0);
         s.set_trace(0xAB_CD);
         assert_eq!(s.trace_word(), 0xAB_CD);
         s.complete([0; 8]);
         s.reset();
-        s.fill([0; 8], 0, None);
+        s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0, "stale context never leaks into the next call");
     }
 
@@ -567,14 +545,80 @@ mod tests {
     fn cross_thread_handoff() {
         let s = CallSlot::new();
         let s2 = Arc::clone(&s);
-        s.fill([5; 8], 1, Some(std::thread::current()));
+        s.fill([5; 8], 1, true);
         let h = std::thread::spawn(move || {
             let args = s2.read_args();
             s2.complete([args[0] + 1; 8]);
         });
-        s.wait_done();
+        s.wait_done(Spin::default(), || ());
         assert_eq!(s.read_rets(), [6; 8]);
         h.join().unwrap();
+    }
+
+    /// `n` hand-offs of one slot to a completing thread, the waiter going
+    /// straight to its futex wait — which has no timeout, so a lost wake
+    /// hangs and the watchdog aborts. `sync`: the caller's wait, else an
+    /// async call's late waiter; `after_done`: that waiter shows up only
+    /// once the call is `DONE`, when nobody is left to wake it. Returns
+    /// how many waits blocked.
+    fn handoffs(n: u64, sync: bool, after_done: bool) -> u32 {
+        let _watchdog = crate::wait::abort_if_hung("slot.rs hand-off test");
+        let s = CallSlot::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+                for _ in 0..n {
+                    while s.core.st.load(Ordering::Acquire) != state::POSTED {
+                        std::thread::yield_now();
+                    }
+                    // Now and then, long enough for the waiter to block.
+                    if crate::wait::xorshift(&mut rng).is_multiple_of(8) {
+                        (0..rng >> 58).for_each(|_| std::thread::yield_now());
+                    }
+                    s.complete([s.read_args()[0] + 1; 8]);
+                }
+            });
+            let mut blocked = 0;
+            for i in 0..n {
+                s.fill([i; 8], 7, sync);
+                while after_done && !s.is_done() {
+                    std::thread::yield_now();
+                }
+                let how = s.wait_done(Spin::default(), || ());
+                assert!(!after_done || how == Waited::Spun, "nobody is left to wake this wait");
+                blocked += u32::from(how == Waited::Blocked);
+                assert_eq!(s.read_rets(), [i + 1; 8]);
+                assert_eq!(s.has_client(), sync, "an announcement changed who releases the claim");
+                s.reset();
+            }
+            blocked
+        })
+    }
+
+    #[test]
+    fn no_completion_wake_is_lost() {
+        assert!(handoffs(100_000, true, false) >= 100, "sync waits blocked");
+        assert!(handoffs(100_000, false, false) >= 100, "late waits blocked");
+        assert_eq!(handoffs(100_000, false, true), 0);
+    }
+
+    /// An async call nobody waits for: the handle's drop is the late
+    /// waiter. Under `ParkOnly` it blocks at once, on both policies the
+    /// slot comes back to its pool with the call completed.
+    #[test]
+    fn async_calls_dropped_unwaited_complete() {
+        let _watchdog = crate::wait::abort_if_hung("slot.rs drop-without-wait test");
+        let rt = crate::Runtime::new(1);
+        let ep = rt.bind("null", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let client = rt.client(0, 1);
+        for policy in [crate::SpinPolicy::ParkOnly, crate::SpinPolicy::Adaptive] {
+            rt.set_spin_policy(policy);
+            for i in 0..50_000 {
+                drop(client.call_async(ep, [i; 8]).unwrap());
+            }
+        }
+        assert_eq!(rt.entry_completions(ep).unwrap(), 100_000);
+        assert_eq!(rt.stats.cds_created(), 0, "every slot was recycled");
     }
 
     /// A zeroed `SlotCore` is a valid idle core: segment-resident cores

@@ -3,10 +3,14 @@
 //! The paper's central claim is that a PPC "accesses no shared data" in
 //! the common case — a single global statistics block would violate that
 //! from inside the facility itself: every call on every vCPU would bounce
-//! the same counter cache lines. Counters therefore live in one
-//! [`StatsCell`] per vCPU, each `#[repr(align(64))]` so two vCPUs never
-//! share a line, updated with `Relaxed` stores on the fast path and
-//! aggregated only when someone asks (a cold read path).
+//! the same counter cache lines. Counters therefore live in
+//! [`StatsCell`]s, each `#[repr(align(128))]` (the line *pair* the
+//! adjacent-line prefetcher moves, as `CachePadded` pads), updated with
+//! `Relaxed` stores on the fast path and aggregated only when someone
+//! asks (a cold read path). Each vCPU has two: [`RuntimeStats::cell`] for
+//! the threads that *call* on it, [`RuntimeStats::served_cell`] for those
+//! that *serve* it (entry workers, the ring worker) from another CPU.
+//! Every reader sums the halves: the split shows in no exported number.
 //!
 //! The whole counter surface — the cell fields, the aggregate getters,
 //! [`Snapshot`], [`Snapshot::since`], [`Snapshot::fields`], and the
@@ -31,11 +35,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   metrics exporter iterates).
 macro_rules! counters {
     ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
-        /// One virtual processor's counters, padded to its own cache
-        /// line so fast-path increments on different vCPUs never
-        /// contend.
+        /// One side of one virtual processor's counters, padded to its
+        /// own cache-line pair so fast-path increments by different
+        /// writers never contend.
         #[derive(Debug, Default)]
-        #[repr(align(64))]
+        #[repr(align(128))]
         pub struct StatsCell {
             $($(#[$doc])* pub $field: AtomicU64,)+
         }
@@ -59,15 +63,20 @@ macro_rules! counters {
                 }
             }
 
-            /// One vCPU's counters as a [`Snapshot`] (the telemetry
-            /// sampler's per-vCPU read; generated from the same list as
-            /// the cell, so it can never miss a counter).
+            /// One vCPU's counters as a [`Snapshot`], both halves summed
+            /// (the telemetry sampler's per-vCPU read).
             pub fn vcpu_snapshot(&self, vcpu: usize) -> Snapshot {
-                let c = &self.cells[vcpu];
+                self.cell(vcpu).snapshot().plus(&self.served_cell(vcpu).snapshot())
+            }
+        }
+
+        impl StatsCell {
+            /// This cell's counters as a [`Snapshot`] (generated from the
+            /// same list as the cell, so it can never miss a counter).
+            pub fn snapshot(&self) -> Snapshot {
                 Snapshot {
-                    calls: c.handoff_calls.load(Ordering::Relaxed)
-                        + c.inline_calls.load(Ordering::Relaxed),
-                    $($field: c.$field.load(Ordering::Relaxed),)+
+                    calls: self.sync_calls(),
+                    $($field: self.$field.load(Ordering::Relaxed),)+
                 }
             }
         }
@@ -282,7 +291,8 @@ counters! {
     xproc_wakes,
 }
 
-/// Sharded facility counters: one padded cell per virtual processor.
+/// Sharded facility counters: two padded cells per virtual processor,
+/// the callers' halves first, then the served halves.
 #[derive(Debug)]
 pub struct RuntimeStats {
     cells: Box<[StatsCell]>,
@@ -291,25 +301,27 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     /// Counters for `n_vcpus` virtual processors.
     pub(crate) fn new(n_vcpus: usize) -> Self {
-        RuntimeStats { cells: (0..n_vcpus.max(1)).map(|_| StatsCell::default()).collect() }
+        RuntimeStats { cells: (0..2 * n_vcpus.max(1)).map(|_| StatsCell::default()).collect() }
     }
 
-    /// The cell owned by `vcpu` — the fast path writes here and nowhere
-    /// else, so same-vCPU calls touch only their own line.
+    /// The cell `vcpu`'s callers own — the client side of the fast path
+    /// writes here and nowhere else, so same-vCPU calls touch only their
+    /// own lines.
     #[inline]
     pub fn cell(&self, vcpu: usize) -> &StatsCell {
-        &self.cells[vcpu]
+        &self.cells[..self.cells.len() / 2][vcpu]
+    }
+
+    /// The cell the threads serving `vcpu` own: workers' and the ring
+    /// worker's wall-time states, `ring_calls`, the ring's bulk staging.
+    #[inline]
+    pub fn served_cell(&self, vcpu: usize) -> &StatsCell {
+        &self.cells[self.cells.len() / 2..][vcpu]
     }
 
     /// Completed synchronous calls across all vCPUs (hand-off + inline).
     pub fn calls(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| {
-                c.handoff_calls.load(Ordering::Relaxed)
-                    + c.inline_calls.load(Ordering::Relaxed)
-            })
-            .sum()
+        self.cells.iter().map(StatsCell::sync_calls).sum()
     }
 }
 
@@ -351,6 +363,10 @@ pub const TIME_STATES: [(TimeState, &str, &str); 7] = [
 ];
 
 impl StatsCell {
+    fn sync_calls(&self) -> u64 {
+        self.handoff_calls.load(Ordering::Relaxed) + self.inline_calls.load(Ordering::Relaxed)
+    }
+
     /// Charge `ns` of wall-time to `state`'s accumulator (Relaxed, the
     /// fast-path discipline of every other counter).
     #[inline]
@@ -441,12 +457,14 @@ mod tests {
 
     #[test]
     fn cells_do_not_share_cache_lines() {
-        assert!(std::mem::align_of::<StatsCell>() >= 64);
-        assert!(std::mem::size_of::<StatsCell>().is_multiple_of(64));
+        // 128, not 64: the line pair `CachePadded` pads to. (Client half
+        // against served half: `worker.rs`'s layout test.)
+        assert!(std::mem::align_of::<StatsCell>() >= 128);
+        assert!(std::mem::size_of::<StatsCell>().is_multiple_of(128));
         let s = RuntimeStats::new(2);
         let a = s.cell(0) as *const _ as usize;
         let b = s.cell(1) as *const _ as usize;
-        assert!(b.abs_diff(a) >= 64);
+        assert!(b.abs_diff(a) >= 128);
     }
 
     #[test]

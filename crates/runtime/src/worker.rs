@@ -2,11 +2,18 @@
 //!
 //! A worker is the runtime's analogue of the paper's worker *process*: it
 //! belongs to one (entry point, vCPU) pair, idles parked in a lock-free
-//! LIFO pool, is handed one call at a time through an atomic mailbox, and
-//! re-pools itself after completing. Pools "most commonly contain only a
-//! single worker, but can grow and shrink dynamically as needed".
+//! pool and is handed one call at a time through an atomic mailbox.
+//! Pools "most commonly contain only a single worker, but can grow and
+//! shrink dynamically as needed".
+//!
+//! Who pools when: a **synchronous caller** popped the worker, so it
+//! pushes it back once it has observed `DONE` — the pool's lines and the
+//! handle's reference count are written from the caller's CPU only. A
+//! worker **pools itself** only when nobody else will (async calls,
+//! upcalls), before it completes. The price: a caller slow to wake keeps
+//! its worker, and a second caller on that vCPU takes the Frank path.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
@@ -15,7 +22,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::slot::CallSlot;
-use crate::wait::{wait, Spin};
+use crate::wait::{notify, wait, Poll, Sleeper, Spin};
 use crate::Handler;
 
 /// Maximum pooled workers per (entry, vCPU).
@@ -24,15 +31,22 @@ pub const MAX_POOLED: usize = 64;
 /// Shared handle to one worker thread.
 ///
 /// The hot fields (`thread`, `mailbox`) are lock-free: posting a call is
-/// one atomic swap plus an `unpark` against a `OnceLock`-published thread
-/// handle — no mutex anywhere on the dispatch path. Overrides and
-/// shutdown are cold; the fast path only crosses them via the `Relaxed`
-/// `has_override` gate and an `Acquire` shutdown load.
+/// one atomic swap plus — only if the worker announced its sleep — an
+/// `unpark` against a `OnceLock`-published thread handle; no mutex
+/// anywhere on the dispatch path. Overrides and shutdown are cold; the
+/// fast path only crosses them via the `Relaxed` `has_override` gate and
+/// an `Acquire` shutdown load. A test pins three groups of lines apart:
+/// what a caller only *reads* (`thread`, `shutdown`, `asleep` — written
+/// when the worker blocks, not per call), the mailbox both sides swap,
+/// and what only the worker writes (`calls`).
 pub struct WorkerHandle {
     /// The worker thread, for unparking. Written exactly once by the
     /// spawner before the worker becomes visible to any client, then read
     /// without synchronization cost on every post.
     thread: OnceLock<Thread>,
+    /// The worker's sleeper flag (`wait.rs`): 1 while it is about to
+    /// park on an empty mailbox, or parked.
+    asleep: AtomicU32,
     /// Mailbox: the posted call slot (`Arc::into_raw` transferred).
     /// Padded: the mailbox ping-pongs between client and worker every
     /// call and must not share a line with the cold fields below.
@@ -44,38 +58,45 @@ pub struct WorkerHandle {
     has_override: AtomicBool,
     /// Shutdown request.
     shutdown: AtomicBool,
-    /// Calls completed by this worker (diagnostics).
-    pub calls: AtomicU64,
+    /// Calls completed by this worker (diagnostics). Padded: written by
+    /// the worker per call, off the lines `post` reads.
+    pub calls: CachePadded<AtomicU64>,
 }
 
 impl WorkerHandle {
     fn new() -> Arc<Self> {
         Arc::new(WorkerHandle {
             thread: OnceLock::new(),
+            asleep: AtomicU32::new(0),
             mailbox: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
             override_handler: Mutex::new(None),
             has_override: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            calls: AtomicU64::new(0),
+            calls: CachePadded::new(AtomicU64::new(0)),
         })
     }
 
-    /// Post `slot` to this worker and wake it. Transfers one strong
-    /// reference through the mailbox. Lock-free: one swap, one unpark.
-    pub fn post(&self, slot: Arc<CallSlot>) {
+    /// Post `slot` to this worker, transferring one strong reference
+    /// through the mailbox, and wake it if it sleeps: one swap, a fence
+    /// and a load. Returns whether it had to wake.
+    pub fn post(&self, slot: Arc<CallSlot>) -> bool {
         let raw = Arc::into_raw(slot) as *mut CallSlot;
         let prev = self.mailbox.swap(raw, Ordering::AcqRel);
         debug_assert!(prev.is_null(), "worker double-posted");
+        notify(self.sleeper(), || self.unpark())
+    }
+
+    fn sleeper(&self) -> Sleeper<'_> {
+        Sleeper { word: &self.asleep, asleep: 1, awake: 0 }
+    }
+
+    /// Unpark the worker whatever its flag says (shutdown; the donation
+    /// rounds of a client whose spin budget ran dry). A token it did not
+    /// need costs the worker one more pass of its idle wait.
+    pub(crate) fn unpark(&self) {
         if let Some(t) = self.thread.get() {
             t.unpark();
         }
-    }
-
-    /// The worker's thread handle, once spawned (for the rendezvous's
-    /// donation escalation: the client priority-unparks this thread when
-    /// its spin budget runs dry).
-    pub(crate) fn thread(&self) -> Option<&Thread> {
-        self.thread.get()
     }
 
     pub(crate) fn take_mail(&self) -> Option<Arc<CallSlot>> {
@@ -120,9 +141,7 @@ impl WorkerHandle {
     /// Request shutdown and wake the worker.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
+        self.unpark();
     }
 }
 
@@ -253,22 +272,23 @@ impl Default for WorkerPool {
 }
 
 /// Idle rendezvous, worker side — the mirror of the client's
-/// `CallSlot::wait_done_donate`, on the same primitive (`wait.rs`): a
-/// yielding spin of `idle_spin` passes on the mailbox, then one park. In
-/// a stream of back-to-back calls neither side ever reaches a futex: the
-/// client posts while we are still spinning (its `unpark` then only sets
-/// the token, no syscall). Budget 0 (`SpinPolicy::ParkOnly`) parks
-/// immediately, keeping that baseline a pure park/unpark pair. No
-/// sleeper flag: `post` and `request_shutdown` unpark unconditionally,
-/// and a token set during the spin makes the park return at once. One
-/// park per call — the worker loop re-runs its shutdown and mailbox
-/// checks itself, so a spurious token costs another spin, not a hang.
+/// `CallSlot::wait_done`, on the same primitive (`wait.rs`): the learned
+/// `poll`, a yielding spin of `idle_spin` passes on the mailbox, then the
+/// announced park that `post` pairs with. In a stream of back-to-back
+/// calls neither side ever reaches a futex: the client posts while we
+/// are still spinning, reads our flag, and wakes nobody. Budget 0
+/// (`SpinPolicy::ParkOnly`) parks immediately — no poll either — keeping
+/// that baseline a pure park/unpark pair. One park per call — the worker
+/// loop re-runs its shutdown and mailbox checks itself, so the stray
+/// token of an unconditional `unpark` costs another spin, not a hang.
 fn idle_wait(
     entry: &crate::entry::EntryShared,
     me: &WorkerHandle,
+    poll: Option<&mut Poll>,
     timer: &mut crate::stats::StateTimer<'_>,
 ) {
-    let spin = Spin { budget: entry.idle_spin.load(Ordering::Relaxed), ..Spin::default() };
+    let budget = entry.idle_spin.load(Ordering::Relaxed);
+    let spin = Spin { poll: poll.filter(|_| budget > 0), budget, rounds: 0 };
     let ready = || {
         !me.mailbox.load(Ordering::Relaxed).is_null() || me.shutdown.load(Ordering::Relaxed)
     };
@@ -279,19 +299,23 @@ fn idle_wait(
         timer.transition(crate::stats::TimeState::Idle);
         false
     };
-    wait(spin, None, ready, || (), park);
+    wait(spin, Some(me.sleeper()), ready, || (), park);
 }
 
 /// The worker thread body: park → take call → run handler → complete →
-/// re-pool → park. (The spawner installed our thread handle and pooled us
-/// before we became visible.)
+/// park. (The spawner installed our thread handle and pooled us before
+/// we became visible.)
 fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcpu: usize) {
     // This thread's wall-time classifier: Idle on the mailbox spin, Park
     // across the futex wait (both inside `idle_wait`), Handler from call
     // pickup to completion. One timer per thread keeps the states
-    // exclusive; the drop on return charges the tail interval.
+    // exclusive; the drop on return charges the tail interval. It writes
+    // the vCPU's *served* cell: the caller's counters are on other lines.
     let mut timer =
-        crate::stats::StateTimer::new(entry.stats.cell(vcpu), crate::stats::TimeState::Idle);
+        crate::stats::StateTimer::new(entry.stats.served_cell(vcpu), crate::stats::TimeState::Idle);
+    // The mailbox's learned poll (this loop is its only writer), skipped
+    // when the last completion had to wake its waiter (see `wait.rs`).
+    let (mut poll, mut woke) = (Poll::default(), false);
     loop {
         if me.shutdown.load(Ordering::Acquire) {
             // A client may have posted a call in the window between
@@ -310,7 +334,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             return;
         }
         let Some(slot) = me.take_mail() else {
-            idle_wait(&entry, &me, &mut timer);
+            idle_wait(&entry, &me, (!woke).then_some(&mut poll), &mut timer);
             continue;
         };
         timer.transition(crate::stats::TimeState::Handler);
@@ -339,25 +363,90 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         if run.faulted {
             slot.mark_faulted();
         }
-        timer.transition(crate::stats::TimeState::Idle);
         me.calls.fetch_add(1, Ordering::Relaxed);
-        // The completion count lands on this vCPU's lifecycle shard —
-        // the worker is bound to the caller's vCPU, so this is the same
-        // cache line the caller's own accounting uses, never a remote
-        // one. Claim release is ownership-split: a synchronous caller's
-        // guard releases after it finishes reading the entry (releasing
-        // here would let a reclaim free the entry under the caller);
-        // async calls have no one else to do it.
-        entry.record_completion(vcpu);
+        // A synchronous caller holds the claim (releasing it here would
+        // let a reclaim free the entry under the caller), counts the
+        // completion on its own lifecycle line and re-pools us once it
+        // sees `DONE`. Async calls and upcalls have no one else: count,
+        // release the claim under the parity that rode the slot, and
+        // re-pool *before* completing, so a waiter that re-dispatches at
+        // once finds this worker idle.
         if !slot.has_client() {
+            entry.record_completion(vcpu);
             entry.finish_call(vcpu, slot.parity());
+            entry.pool(vcpu).push(Arc::clone(&me));
         }
-        // Re-pool *before* waking the client: a client that immediately
-        // re-dispatches must find this worker idle again, not grow the
-        // pool (the paper's single pooled worker handles back-to-back
-        // calls).
-        entry.pool(vcpu).push(Arc::clone(&me));
-        slot.complete(run.rets);
+        woke = slot.complete(run.rets);
         drop(slot);
+        // The clock read that ends Handler time comes after `DONE`: it
+        // is off the waiting caller's critical path.
+        timer.transition(crate::stats::TimeState::Idle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::ops::RangeInclusive;
+
+    /// The 128-byte line pairs (`CachePadded`'s unit) `x` occupies.
+    fn pairs<T>(x: &T) -> RangeInclusive<usize> {
+        let at = x as *const T as usize;
+        at / 128..=(at + std::mem::size_of::<T>().max(1) - 1) / 128
+    }
+
+    fn apart(a: &RangeInclusive<usize>, b: &RangeInclusive<usize>) -> bool {
+        a.end() < b.start() || b.end() < a.start()
+    }
+
+    /// Who writes which line: fails when a hot word of the hand-off moves
+    /// onto a line the other side writes. (`SlotCore`'s three lines are
+    /// asserted at compile time, beside the struct.)
+    #[test]
+    fn hot_words_keep_to_their_lines() {
+        let w = WorkerHandle::new();
+        // What a caller reads on every post …
+        let read = [pairs(&w.thread), pairs(&w.shutdown), pairs(&w.asleep)];
+        // … against what the worker writes per call, and the mailbox.
+        let written = [pairs(&*w.calls), pairs(&*w.mailbox)];
+        for r in &read {
+            for x in &written {
+                assert!(apart(r, x), "caller-read {r:?} shares a line pair with {x:?}");
+            }
+        }
+        assert!(apart(&written[0], &written[1]), "`calls` shares the mailbox's line pair");
+        let stats = crate::stats::RuntimeStats::new(3);
+        for v in 0..3 {
+            let (c, s) = (pairs(stats.cell(v)), pairs(stats.served_cell(v)));
+            assert!(apart(&c, &s), "vCPU {v}: callers' cell {c:?} against served cell {s:?}");
+        }
+    }
+
+    /// The mailbox pair for real: `post` wakes by the worker's flag
+    /// while a bystander showers the worker with unconditional `unpark`s
+    /// (what `request_shutdown` and the donation rounds issue), under
+    /// `ParkOnly` so that the worker parks between any two calls. A stray
+    /// token may cost it a pass of its idle wait; no call may hang.
+    #[test]
+    fn stray_unparks_cost_a_spin_never_a_hang() {
+        let _watchdog = crate::wait::abort_if_hung("worker.rs mailbox test");
+        let rt = crate::Runtime::new(1);
+        rt.set_spin_policy(crate::SpinPolicy::ParkOnly);
+        let ep = rt.bind("null", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let (entry, client) = (rt.frank_entry(ep).unwrap(), rt.client(0, 1));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    entry.pool(0).for_each_worker(WorkerHandle::unpark);
+                    std::thread::yield_now();
+                }
+            });
+            for i in 0..20_000 {
+                assert_eq!(client.call(ep, [i; 8]), Ok([i; 8]));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(rt.stats.workers_created(), 0, "one worker served every call");
     }
 }

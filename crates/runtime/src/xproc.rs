@@ -1060,10 +1060,10 @@ fn service_slot(
     };
     slot.core.complete_frame(rets, status, aux);
     // DONE is published; wake the caller only if it announced its sleep.
-    *woke |= notify(slot.core.sleeper(), || {
-        shm::futex_wake(slot.core.state_word(), u32::MAX);
+    if slot.core.wake_done(true) {
         cell.xproc_wakes.fetch_add(1, Ordering::Relaxed);
-    });
+        *woke = true;
+    }
     cell.xproc_calls.fetch_add(1, Ordering::Relaxed);
     true
 }
@@ -1399,9 +1399,9 @@ impl XClient {
         woke
     }
 
-    /// Wait out the slot rendezvous — the cross-process analogue of
-    /// [`crate::slot::CallSlot::wait_done_donate`] on the same primitive
-    /// (`wait.rs`): learned poll (unless this call had to wake the
+    /// Wait out the slot rendezvous — [`crate::slot::CallSlot::wait_done`]
+    /// across the boundary, on the same primitive (`wait.rs`) and the
+    /// same sleeper: learned poll (unless this call had to wake the
     /// server), the yielding spin, then the announced futex sleep in
     /// ~25 ms chunks, each preceded by a server-liveness check
     /// (`server_state` + `pid_alive`).
@@ -1422,7 +1422,7 @@ impl XClient {
             }
             alive
         };
-        wait(spin, Some(core.sleeper()), done, || (), sleep);
+        wait(spin, Some(core.sleeper(true)), done, || (), sleep);
         if done() {
             return Ok(());
         }

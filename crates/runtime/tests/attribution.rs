@@ -86,6 +86,125 @@ fn ring_worker_state_times_partition_wall_time() {
     }
 }
 
+/// Each vCPU's counters are kept in two halves, one written by the
+/// threads that call on it and one by the threads that serve it. A fixed
+/// script — sync, async and ring calls on two vCPUs with one handler
+/// panic and one hard kill among them — must leave (a) every reader's sum
+/// where it was before the split (the expected values are what the
+/// unsplit parent commit reports for this script), (b) each half holding
+/// only what its side writes.
+#[test]
+fn split_cells_sum_to_the_same_counters() {
+    let rt = Runtime::new(2);
+    let svc = rt
+        .bind(
+            "svc",
+            EntryOptions::default(),
+            Arc::new(|ctx| {
+                assert_ne!(ctx.args[0], 13, "injected server fault");
+                ctx.args
+            }),
+        )
+        .unwrap();
+    let inline =
+        rt.bind("inl", EntryOptions { inline_ok: true, ..Default::default() }, Arc::new(|c| c.args));
+    let inline = inline.unwrap();
+    let (started_tx, started) = std::sync::mpsc::channel();
+    let started_tx = std::sync::Mutex::new(started_tx);
+    let doomed = rt
+        .bind(
+            "doomed",
+            EntryOptions::default(),
+            Arc::new(move |ctx| {
+                started_tx.lock().unwrap().send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(30));
+                ctx.args
+            }),
+        )
+        .unwrap();
+    let (c0, c1) = (rt.client(0, 1), rt.client(1, 2));
+    for i in 0..100 {
+        assert_eq!(c0.call(svc, [i + 100; 8]), Ok([i + 100; 8]));
+        assert_eq!(c0.call(inline, [i; 8]), Ok([i; 8]));
+    }
+    (0..50).for_each(|i| assert_eq!(c1.call(svc, [i + 100; 8]), Ok([i + 100; 8])));
+    assert_eq!(c0.call(svc, [13; 8]), Err(RtError::ServerFault(svc)));
+    for i in 0..40 {
+        let call = c0.call_async(svc, [i + 100; 8]).unwrap();
+        if i % 2 == 0 {
+            assert_eq!(call.wait(), [i + 100; 8]);
+        }
+    }
+    let mut ring = c1.ring();
+    let mut out = Vec::new();
+    for batch in 0..4 {
+        (0..16).for_each(|i| ring.submit(svc, [batch * 16 + i + 100; 8], i).unwrap());
+        ring.doorbell();
+        while out.len() < 16 * (batch as usize + 1) {
+            ring.reap(64, &mut out);
+            std::thread::yield_now();
+        }
+    }
+    drop(ring);
+    let killer = {
+        let rt = Arc::clone(&rt);
+        std::thread::spawn(move || {
+            started.recv().unwrap();
+            rt.hard_kill(doomed, 0).unwrap();
+        })
+    };
+    assert_eq!(c1.call(doomed, [1; 8]), Err(RtError::Aborted(doomed)));
+    killer.join().unwrap();
+
+    // (a) What the parent commit reports for this script, counter by
+    // counter (wall-time and interference counters aside).
+    let total = rt.stats.snapshot();
+    let expect = [
+        ("calls", 250),
+        ("handoff_calls", 150),
+        ("inline_calls", 100),
+        ("async_calls", 40),
+        ("upcalls", 0),
+        ("server_faults", 1),
+        ("ring_submits", 64),
+        ("ring_calls", 64),
+        ("workers_created", 1), // the ring's
+        ("cds_created", 0),
+        ("frank_redirects", 0),
+    ];
+    for (name, want) in expect {
+        assert_eq!(total.field(name), Some(want), "{name}");
+    }
+    assert_eq!(total.spin_waits + total.park_waits, 152, "every sync hand-off waited once");
+    // Hand-off completions are counted whatever the call then returns
+    // (150 + the fault + 40 async + 64 ring); the aborted call on its own
+    // entry.
+    assert_eq!(rt.entry_completions(svc).unwrap(), 255);
+    assert_eq!(rt.entry_completions(inline).unwrap(), 100);
+    assert_eq!(rt.entry_completions(doomed).unwrap(), 1);
+    assert_eq!(rt.entry_completions_on(svc, 0).unwrap(), 141);
+
+    // (b) Who wrote what. The halves sum to the per-vCPU view, field by
+    // field, and those to the aggregate.
+    let mut sum = ppc_rt::Snapshot::default();
+    for v in 0..2 {
+        let (client, served) = (rt.stats.cell(v).snapshot(), rt.stats.served_cell(v).snapshot());
+        assert_eq!(rt.stats.vcpu_snapshot(v), client.plus(&served), "vCPU {v}");
+        sum = sum.plus(&client).plus(&served);
+        // Workers and the ring worker write wall-time states, `ring_calls`
+        // and nothing a caller counts …
+        assert!(served.time_handler_ns > 0 && served.time_idle_ns > 0, "vCPU {v}: {served}");
+        assert_eq!(served.ring_calls, [0, 64][v]);
+        let callers_only = ["calls", "async_calls", "ring_submits", "spin_waits", "park_waits"];
+        callers_only.iter().for_each(|n| assert_eq!(served.field(n), Some(0), "{n} on vCPU {v}"));
+        // … and callers leave those alone (an inline call's handler time
+        // is the caller's own, but vCPU 1 made no inline call).
+        assert_eq!(client.ring_calls + client.time_idle_ns + client.time_ring_ns, 0);
+        assert!(v == 0 || client.time_handler_ns == 0);
+    }
+    assert_eq!(sum, rt.stats.snapshot());
+}
+
 /// The profiler's per-entry phase totals must equal what the span
 /// tree's B/E pairs say — folding is aggregation, not re-measurement.
 #[test]

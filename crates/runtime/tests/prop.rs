@@ -56,7 +56,7 @@ proptest! {
                              rets in prop::array::uniform8(any::<u64>()),
                              program in any::<u32>()) {
         let s = CallSlot::new();
-        s.fill(args, program, None);
+        s.fill(args, program, false);
         prop_assert_eq!(s.read_args(), args);
         prop_assert_eq!(s.caller_program(), program);
         s.complete(rets);

@@ -279,6 +279,26 @@ fn shrink_reaps_surplus_workers() {
     assert_eq!(c.call(ep, [5; 8]).unwrap(), [5; 8]);
 }
 
+/// A synchronous caller pools the worker it popped. Two threads calling
+/// on one vCPU hold at most two workers between them, so the pool grows
+/// by at most one beyond the pre-spawned one, and every worker is back in
+/// it when the callers are done.
+#[test]
+fn callers_return_the_workers_they_pop() {
+    let rt = Runtime::new(1);
+    let ep = rt.bind("shared", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let c = rt.client(0, t + 1);
+            s.spawn(move || (0..5_000).for_each(|i| assert_eq!(c.call(ep, [i; 8]), Ok([i; 8]))));
+        }
+    });
+    let created = rt.stats.workers_created();
+    assert!(created <= 1, "two callers never need a third worker: {created} grown");
+    assert_eq!(rt.idle_workers(ep).unwrap() as u64, 1 + created, "all pooled at rest");
+    assert_eq!(rt.entry_completions(ep).unwrap(), 10_000);
+}
+
 #[test]
 fn distinct_services_do_not_interfere() {
     let rt = Runtime::new(2);
