@@ -175,6 +175,8 @@ fn render_frame(doc: &Json, window: &str) -> Result<String, String> {
     // split by time state. (Several threads account to one vCPU's
     // shard — pooled workers, the ring worker, waiting clients — so
     // the states sum to the attributed *thread* count, not to 1.0.)
+    // `handler` against `ring` within a ring worker's drain is a sampled
+    // estimate; with the obs plane off the whole drain reads as `ring`.
     let occ = |name: &str| num(rates, name) / 1e9;
     out.push_str(&format!(
         "occupancy: handler {:.2}  spin {:.2}  park {:.2}  ring {:.2}  copy {:.2}  frank {:.2}  idle {:.2}",

@@ -27,7 +27,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::entry::{EntryShared, EntryState};
+use crate::entry::{EntryShared, EntryState, HandlerRun};
 use crate::flight::FlightKind;
 use crate::frank::Claim;
 use crate::obs::LatencyKind;
@@ -171,14 +171,8 @@ impl Runtime {
         let scratch = ScratchRef::Lazy { vc, cell, slot };
         let run =
             entry.run_handler(vcpu, args, program, call_scope.ctx_word(), scratch, None, sampled);
-        if let Some(hns) = run.ns {
-            // Inline handler time is charged as a sampled estimate: the
-            // observed run scaled by the sample period. The unsampled
-            // null inline call thus gains *zero* clock reads — the
-            // `obs_overhead` gate's 25ns budget stays intact — while
-            // the accumulator converges on the true inline handler
-            // occupancy over any telemetry window.
-            cell.add_time(TimeState::Handler, hns << self.obs().sample_shift());
+        if let Some(est) = self.handler_estimate(&run) {
+            cell.add_time(TimeState::Handler, est);
         }
         let killed = entry.entry_state() == EntryState::Dead;
         // The slot never left IDLE, so the response is read straight off
@@ -205,6 +199,15 @@ impl Runtime {
         Ok((run.rets, response))
     }
 
+    /// Handler time on a thread that does other work around the handler
+    /// (the inline path, a ring drain), as a sampled estimate: the
+    /// observed run scaled by the sample period. The unsampled call gains
+    /// *zero* clock reads — the `obs_overhead` gate's 25ns budget stays
+    /// intact — while the sum converges on the true handler occupancy.
+    fn handler_estimate(&self, run: &HandlerRun) -> Option<u64> {
+        run.ns.map(|ns| ns << self.obs().sample_shift())
+    }
+
     /// Ring-worker-side execution of one accepted SQE
     /// ([`crate::ring::ClientRing`] and the cross-process ring): claim
     /// the entry *at execution time* — never while the SQE sits queued,
@@ -212,7 +215,11 @@ impl Runtime {
     /// deadlocking against claims parked inside it — and run the handler
     /// on the ring worker's thread under the SQE's propagated trace
     /// word. `scratch` is the page the handler sees: the ring worker's
-    /// persistent page, or the SQE's staged payload buffer.
+    /// persistent page, or the SQE's staged payload buffer. `sampled`:
+    /// the drain's one sampler tick for this SQE; a sampled run adds its
+    /// [`Runtime::handler_estimate`] to `handler_ns`, which the drain
+    /// carves out of its interval when it next reads the clock.
+    #[allow(clippy::too_many_arguments)] // the call frame, field by field
     pub(crate) fn ring_execute(
         &self,
         vcpu: usize,
@@ -221,12 +228,14 @@ impl Runtime {
         program: ProgramId,
         trace_word: u64,
         scratch: &mut [u8],
+        sampled: bool,
+        handler_ns: &mut u64,
     ) -> Result<[u64; 8], RtError> {
         // The claim releases on exit; the handler's borrows go through it.
         let claim = self.claim(vcpu, ep)?;
-        let sampled = self.obs().try_sample();
         let scratch = ScratchRef::Ready(scratch);
         let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, sampled);
+        *handler_ns += self.handler_estimate(&run).unwrap_or(0);
         let killed = claim.entry_state() == EntryState::Dead;
         // The ring worker serves this vCPU: off the submitter's lines.
         let cell = self.stats.served_cell(vcpu);

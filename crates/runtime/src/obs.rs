@@ -60,8 +60,8 @@ pub enum LatencyKind {
     /// owner `fill`/`read_into`).
     BulkCopy = 3,
     /// Submission-queue occupancy observed by a ring worker when it
-    /// picks up a doorbell (a depth in entries, not a duration — the
-    /// log₂ buckets read as queue-depth bands).
+    /// picks up a sampled SQE, that SQE included (a depth in entries,
+    /// not a duration — the log₂ buckets read as queue-depth bands).
     RingDepth = 4,
     /// Completions harvested per [`crate::ring::ClientRing::reap`] call
     /// (a batch size, not a duration).

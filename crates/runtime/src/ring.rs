@@ -16,7 +16,17 @@
 //!   client is the SQ producer and CQ consumer; the ring worker is the
 //!   SQ consumer and CQ producer. Each side publishes its cursor with a
 //!   `Release` store and reads the other's with `Acquire` — no RMWs on
-//!   the per-entry fast path at all.
+//!   the per-entry fast path at all. Entries are whole cache lines (an
+//!   SQE three, a CQE two): the producer of entry *i + 1* never
+//!   invalidates the line the consumer of entry *i* is reading.
+//! * **Cursor ownership.** `sq.tail`: client stores per submit, worker
+//!   loads per SQE. `sq.head`: worker stores per SQE, *before*
+//!   executing; client loads only when its cached copy says the lane is
+//!   full (and for the flight record of a doorbell that really wakes).
+//!   `cq.tail`: worker stores per completion, client loads once per lane
+//!   per reap. `cq.head`: client stores per reaped completion, worker
+//!   loads only in a `debug_assert` — the credit clamp, not the cursor,
+//!   keeps the CQ from overflowing.
 //! * An SQE carries the entry id, the 8 argument words, a user tag
 //!   (returned verbatim in the completion), the packed span context
 //!   (so PR-4 traces stay causally complete across the queue hop), and
@@ -88,7 +98,8 @@ use crate::flight::FlightKind;
 use crate::obs::LatencyKind;
 use crate::region::BulkDesc;
 use crate::span::SpanToken;
-use crate::wait::{notify, wait, Sleeper, Spin};
+use crate::stats::TimeState;
+use crate::wait::{notify, wait, Poll, Sleeper, Spin};
 use crate::{bulk, Client, EntryId, ProgramId, RtError, Runtime};
 
 /// Number of QoS lanes per ring — one per [`crate::QosClass`] variant.
@@ -136,6 +147,8 @@ pub struct Completion {
 
 /// A queued submission. Fixed-size; the staged payload (if any) rides
 /// as an owned pool buffer, so dropping an unexecuted SQE cannot leak.
+/// Line-aligned: 136 → 192 bytes, and no two entries share a line.
+#[repr(align(64))]
 struct Sqe {
     ep: EntryId,
     args: [u64; 8],
@@ -158,7 +171,9 @@ enum Staged {
     Bulk { buf: PoolBuf, len: usize, desc: BulkDesc },
 }
 
-/// A queued completion (plain data; the CQ never owns resources).
+/// A queued completion (plain data; the CQ never owns resources);
+/// whole lines like [`Sqe`], 88 → 128 bytes.
+#[repr(align(64))]
 struct Cqe {
     user: u64,
     ep: EntryId,
@@ -298,6 +313,8 @@ pub struct ClientRing {
     /// Client-local submission cursors, one per lane (each equals the
     /// lane's published SQ tail).
     local_tail: [u64; LANES],
+    /// Each lane's SQ head as last loaded: never ahead of the true one.
+    sq_head_cache: [u64; LANES],
     /// Completions harvested so far per lane (each equals the lane's
     /// published CQ head).
     reaped: [u64; LANES],
@@ -355,6 +372,7 @@ impl ClientRing {
             rt,
             shared,
             local_tail: [0; LANES],
+            sq_head_cache: [0; LANES],
             reaped: [0; LANES],
             credits,
             classes: vec![0u8; crate::MAX_ENTRIES].into_boxed_slice(),
@@ -411,16 +429,22 @@ impl ClientRing {
     /// budget is spent (`ring_no_credit` — the remedy is to reap) or
     /// the lane's SQ has no free slot (`ring_full` — the worker is
     /// behind), both surfacing as [`RtError::RingFull`].
-    fn admit(&self, lane: usize) -> Result<(), RtError> {
+    fn admit(&mut self, lane: usize) -> Result<(), RtError> {
         let s = &self.shared;
         if self.in_flight() >= self.credits {
             self.rt.stats.cell(s.vcpu).ring_no_credit.fetch_add(1, Ordering::Relaxed);
             return Err(RtError::RingFull);
         }
+        // The consumer's head is loaded only when the cached copy says
+        // the queue is full; refused iff the fresh value still does.
         let sq = &s.lanes[lane].sq;
-        if self.local_tail[lane] - sq.head.load(Ordering::Acquire) >= sq.capacity() as u64 {
-            self.rt.stats.cell(s.vcpu).ring_full.fetch_add(1, Ordering::Relaxed);
-            return Err(RtError::RingFull);
+        let depth = sq.capacity() as u64;
+        if self.local_tail[lane] - self.sq_head_cache[lane] >= depth {
+            self.sq_head_cache[lane] = sq.head.load(Ordering::Acquire);
+            if self.local_tail[lane] - self.sq_head_cache[lane] >= depth {
+                self.rt.stats.cell(s.vcpu).ring_full.fetch_add(1, Ordering::Relaxed);
+                return Err(RtError::RingFull);
+            }
         }
         Ok(())
     }
@@ -623,26 +647,29 @@ impl Client {
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with a
-/// yielding spin of `idle_spin` passes on both lanes' SQ tails (the
-/// mirror of the entry workers' mailbox spin), then the announced park
-/// the doorbell pairs with. One park per call: the worker loop re-reads
-/// the tails and the shutdown flag itself.
+/// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with the
+/// learned `poll` and a yielding spin of `idle_spin` passes on both
+/// lanes' SQ tails (the mirror of the entry workers' mailbox spin), then
+/// the announced park the doorbell pairs with; budget 0 (`ParkOnly`)
+/// parks at once, no poll either. One park per call: the worker loop
+/// re-reads the tails and the shutdown flag itself.
 fn idle_wait(
     ring: &RingShared,
     head: &[u64; LANES],
+    poll: &mut Poll,
     timer: &mut crate::stats::StateTimer<'_>,
 ) {
-    let spin = Spin { budget: ring.idle_spin.load(Ordering::Relaxed), ..Spin::default() };
+    let budget = ring.idle_spin.load(Ordering::Relaxed);
+    let spin = Spin { poll: Some(poll).filter(|_| budget > 0), budget, rounds: 0 };
     let ready = || {
         (0..LANES).any(|l| ring.lanes[l].sq.tail.load(Ordering::Acquire) != head[l])
             || ring.shutdown.load(Ordering::Acquire)
     };
     let park = || {
         // The spin was Idle time; the sleep is Park time.
-        timer.transition(crate::stats::TimeState::Park);
+        timer.transition(TimeState::Park);
         std::thread::park();
-        timer.transition(crate::stats::TimeState::Idle);
+        timer.transition(TimeState::Idle);
         false
     };
     wait(spin, Some(ring.sleeper()), ready, || (), park);
@@ -651,6 +678,7 @@ fn idle_wait(
 /// Consume one SQE from `lane` and post its CQE: the per-SQE body of
 /// the worker loop, parameterized so the priority scheduler above can
 /// interleave lanes.
+#[allow(clippy::too_many_arguments)] // the worker loop's locals, one by one
 fn execute_lane(
     rt: &Arc<Runtime>,
     ring: &RingShared,
@@ -658,18 +686,28 @@ fn execute_lane(
     head: &mut [u64; LANES],
     cq_tail: &mut [u64; LANES],
     scratch: &mut [u8],
+    handler_ns: &mut u64,
     timer: &mut crate::stats::StateTimer<'_>,
 ) {
     let l = &ring.lanes[lane];
+    // One sampler tick per SQE decides all its records: a second site
+    // on this thread would fall into step and take every sample or none.
+    let sampled = rt.obs().try_sample();
+    if sampled {
+        // The queue depth this pickup observes — log₂ depth bands.
+        let depth = (0..LANES).map(|i| ring.lanes[i].sq.tail.load(Ordering::Relaxed) - head[i]);
+        rt.obs().record(LatencyKind::RingDepth, ring.vcpu, depth.sum());
+    }
     // Safety: sole consumer; `head < tail` observed Acquire by the
     // caller.
     let sqe = unsafe { l.sq.read(head[lane]) };
     head[lane] += 1;
     // Free the SQ slot before executing: admission is bounded by
     // credits, not SQ occupancy, so the client may refill while this
-    // entry runs.
+    // entry runs. The client's cached copy of this head is only ever
+    // *behind* it, so it can refuse late, never admit early.
     l.sq.head.store(head[lane], Ordering::Release);
-    let cqe = execute_sqe(rt, ring, sqe, scratch, timer);
+    let cqe = execute_sqe(rt, ring, sqe, scratch, sampled, handler_ns, timer);
     debug_assert!(
         cq_tail[lane] - l.cq.head.load(Ordering::Relaxed) < l.cq.capacity() as u64,
         "credit clamp must bound CQ occupancy"
@@ -695,13 +733,17 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>) {
     let mut head = [0u64; LANES];
     let mut cq_tail = [0u64; LANES];
     // This thread's wall-time classifier: Idle on the tail spin, Park
-    // across the Dekker sleep, Ring while draining SQEs — with the
-    // handler bodies and staged bulk copies subdivided out to Handler/
-    // Copy inside `execute_sqe`.
-    let mut timer = crate::stats::StateTimer::new(
-        rt.stats.served_cell(ring.vcpu),
-        crate::stats::TimeState::Idle,
-    );
+    // across the Dekker sleep, Ring while draining — one clock read where
+    // a run of SQEs begins and one where it ends, none per SQE. Staged
+    // bulk copies are timed out to Copy in `execute_sqe`; the handlers'
+    // share is `handler_ns`, `ring_execute`'s sampled estimate, carved
+    // out of the Ring interval at the transition that closes it.
+    let mut timer =
+        crate::stats::StateTimer::new(rt.stats.served_cell(ring.vcpu), TimeState::Idle);
+    let mut handler_ns = 0u64;
+    // The tails' learned poll; this loop is its only writer. The worker
+    // wakes nobody (the client reaps by polling): always passed.
+    let mut poll = Poll::default();
     loop {
         let lat_tail = ring.lanes[LANE_LAT].sq.tail.load(Ordering::Acquire);
         let bulk_tail = ring.lanes[LANE_BULK].sq.tail.load(Ordering::Acquire);
@@ -709,19 +751,15 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>) {
             if ring.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            idle_wait(&ring, &head, &mut timer);
+            idle_wait(&ring, &head, &mut poll, &mut timer);
             continue;
         }
-        timer.transition(crate::stats::TimeState::Ring);
-        if rt.obs().try_sample() {
-            // The queue depth this pickup observes — log₂ depth bands.
-            let depth = (lat_tail - head[LANE_LAT]) + (bulk_tail - head[LANE_BULK]);
-            rt.obs().record(LatencyKind::RingDepth, ring.vcpu, depth);
-        }
+        timer.transition(TimeState::Ring);
         loop {
             if ring.lanes[LANE_LAT].sq.tail.load(Ordering::Acquire) != head[LANE_LAT] {
                 execute_lane(
-                    &rt, &ring, LANE_LAT, &mut head, &mut cq_tail, &mut scratch, &mut timer,
+                    &rt, &ring, LANE_LAT, &mut head, &mut cq_tail, &mut scratch, &mut handler_ns,
+                    &mut timer,
                 );
                 continue;
             }
@@ -729,10 +767,11 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>) {
                 break;
             }
             execute_lane(
-                &rt, &ring, LANE_BULK, &mut head, &mut cq_tail, &mut scratch, &mut timer,
+                &rt, &ring, LANE_BULK, &mut head, &mut cq_tail, &mut scratch, &mut handler_ns,
+                &mut timer,
             );
         }
-        timer.transition(crate::stats::TimeState::Idle);
+        timer.transition_carving(TimeState::Idle, TimeState::Handler, &mut handler_ns);
     }
 }
 
@@ -744,33 +783,30 @@ fn execute_sqe(
     ring: &RingShared,
     sqe: Sqe,
     scratch: &mut [u8],
+    sampled: bool,
+    handler_ns: &mut u64,
     timer: &mut crate::stats::StateTimer<'_>,
 ) -> Cqe {
-    use crate::stats::TimeState;
     let Sqe { ep, args, user, trace, staged } = sqe;
-    // Subdivide the drain: the handler body is Handler time, the staged
-    // bulk delivery Copy time; decode/staging/completion around them
-    // stays Ring time.
-    let run = |scratch: &mut [u8], timer: &mut crate::stats::StateTimer<'_>| {
-        timer.transition(TimeState::Handler);
-        let r = rt.ring_execute(ring.vcpu, ep, args, ring.program, trace, scratch);
-        timer.transition(TimeState::Ring);
-        r
+    let run = |scratch: &mut [u8], handler_ns: &mut u64| {
+        rt.ring_execute(ring.vcpu, ep, args, ring.program, trace, scratch, sampled, handler_ns)
     };
     let result = match staged {
-        None => run(scratch, timer),
+        None => run(scratch, handler_ns),
         Some(Staged::Payload { mut buf }) => {
-            let r = run(buf.as_mut_slice(), timer);
+            let r = run(buf.as_mut_slice(), handler_ns);
             rt.bulk().pool(ring.vcpu).put(buf);
             r
         }
         Some(Staged::Bulk { buf, len, desc }) => {
-            timer.transition(TimeState::Copy);
-            let copied = bulk_copy_in(rt, ring, &buf, len, desc);
+            // µs-scale, so timed exactly: closes the Ring interval so
+            // far (handlers' share carved out) and opens the next.
+            timer.transition_carving(TimeState::Copy, TimeState::Handler, handler_ns);
+            let copied = bulk_copy_in(rt, ring, &buf, len, desc, sampled);
             timer.transition(TimeState::Ring);
             rt.bulk().pool(ring.vcpu).put(buf);
             match copied {
-                Ok(()) => run(scratch, timer),
+                Ok(()) => run(scratch, handler_ns),
                 Err(e) => Err(e),
             }
         }
@@ -788,9 +824,10 @@ fn bulk_copy_in(
     buf: &PoolBuf,
     len: usize,
     desc: BulkDesc,
+    sampled: bool,
 ) -> Result<(), RtError> {
     let cell = rt.stats.served_cell(ring.vcpu);
-    let t0 = rt.obs().try_sample().then(Instant::now);
+    let t0 = sampled.then(Instant::now);
     let acc = rt
         .bulk()
         .registry(ring.vcpu)
@@ -863,6 +900,101 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 5, "queued entries freed exactly once");
         drop(q);
         assert_eq!(counter.load(Ordering::Relaxed), 5, "no double free on drop");
+    }
+
+    /// Fails when an entry stops owning its cache lines: a neighbour on
+    /// the same line is what made the producer of entry *i + 1* steal the
+    /// line from the consumer of entry *i*.
+    #[test]
+    fn queue_entries_are_whole_cache_lines() {
+        use std::mem::{align_of, size_of};
+        assert!(align_of::<Sqe>() >= 64 && size_of::<Sqe>().is_multiple_of(64));
+        assert!(align_of::<Cqe>() >= 64 && size_of::<Cqe>().is_multiple_of(64));
+        // The boxed slot array inherits the alignment.
+        let (sq, cq) = (Spsc::<Sqe>::new(4), Spsc::<Cqe>::new(4));
+        assert_eq!(sq.slots.as_ptr() as usize % 64, 0);
+        assert_eq!(cq.slots.as_ptr() as usize % 64, 0);
+    }
+
+    /// `n` depth-1 round trips — submit, doorbell, spin-reap — with a
+    /// think time between rounds drawn log-uniformly from nothing to a
+    /// few hundred µs (and now and then a long yielding pause), so the
+    /// doorbell catches the worker polling, yielding, announced but not
+    /// yet parked, and parked. The worker's park has no timeout: a lost
+    /// wake hangs the reap, and the watchdog fails the test. Returns how
+    /// many doorbells really woke the worker.
+    fn ping_pong(n: u64, policy: crate::SpinPolicy) -> u64 {
+        let _watchdog = crate::wait::abort_if_hung("ring.rs doorbell test");
+        let rt = Runtime::new(1);
+        rt.set_spin_policy(policy);
+        let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let mut ring = rt.client(0, 1).ring();
+        let (mut out, mut rng) = (Vec::new(), 0x9E37_79B9_7F4A_7C15u64);
+        for i in 0..n {
+            let r = crate::wait::xorshift(&mut rng);
+            (0..(r >> 8) % (1 << (r % 16))).for_each(|_| std::hint::spin_loop());
+            if (r >> 4).is_multiple_of(128) {
+                (0..(r >> 32) % 1024).for_each(|_| std::thread::yield_now());
+            }
+            ring.submit(ep, [i; 8], i).unwrap();
+            ring.doorbell();
+            let mut polls = 0u32;
+            while ring.reap(1, &mut out) == 0 {
+                polls += 1;
+                if polls.is_multiple_of(64) {
+                    std::thread::yield_now();
+                }
+                std::hint::spin_loop();
+            }
+            assert_eq!(out.pop().map(|c| (c.user, c.result)), Some((i, Ok([i; 8]))));
+        }
+        rt.stats.ring_doorbells()
+    }
+
+    #[test]
+    fn no_doorbell_is_lost_over_a_hundred_thousand_rounds() {
+        let n = 100_000;
+        let woken = ping_pong(n, crate::SpinPolicy::Adaptive);
+        assert!(woken >= 100, "parked path taken: {woken} wakes");
+        // `ParkOnly`: the worker blocks at once, so all but the rounds
+        // with (next to) no think time need a real wake.
+        let woken = ping_pong(n, crate::SpinPolicy::ParkOnly);
+        assert!(woken >= n / 2, "ParkOnly worker parks between rounds: {woken} wakes");
+    }
+
+    /// Budget 0 (`SpinPolicy::ParkOnly`): the idle wait goes straight to
+    /// the announced park and never consults the learned poll — a
+    /// consulted poll's budget doubles or halves, this one is as it was.
+    #[test]
+    fn park_only_idle_wait_never_consults_the_poll() {
+        let _watchdog = crate::wait::abort_if_hung("ring.rs idle_wait test");
+        let ring = RingShared {
+            vcpu: 0,
+            program: 1,
+            lanes: std::array::from_fn(|_| Lane { sq: Spsc::new(2), cq: Spsc::new(2) }),
+            sleeping: AtomicU32::new(0),
+            worker: OnceLock::new(),
+            shutdown: AtomicBool::new(false),
+            idle_spin: AtomicU32::new(crate::worker_idle_budget(crate::SpinPolicy::ParkOnly)),
+        };
+        let stats = crate::stats::RuntimeStats::new(1);
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let mut timer = crate::stats::StateTimer::new(stats.served_cell(0), TimeState::Idle);
+                let mut poll = Poll::from_bits(1024);
+                while !ring.shutdown.load(Ordering::Acquire) {
+                    idle_wait(&ring, &[0; LANES], &mut poll, &mut timer);
+                }
+                poll.bits()
+            });
+            while ring.sleeping.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            ring.shutdown.store(true, Ordering::SeqCst);
+            assert!(notify(ring.sleeper(), || worker.thread().unpark()), "announced its sleep");
+            assert_eq!(worker.join().unwrap(), 1024, "the poll was consulted");
+        });
+        assert!(stats.time_park_ns() > 0 || stats.time_idle_ns() > 0, "the wait was timed");
     }
 
     #[test]

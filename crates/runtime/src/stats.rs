@@ -237,9 +237,13 @@ counters! {
     /// a full SQ means the worker is behind).
     ring_no_credit,
     /// Wall-time (ns) spent running handlers ([`TimeState::Handler`]).
-    /// Worker and ring threads charge it exactly; the inline path
-    /// charges a sampled estimate (observed ns × the obs sample period)
-    /// so the null inline call stays free of extra clock reads.
+    /// Hand-off workers charge it exactly; the inline path and the ring
+    /// worker charge a sampled estimate (observed ns × the obs sample
+    /// period) so the null inline call and the unsampled SQE read no
+    /// clock. The ring worker carves it out of the drain's
+    /// [`TimeState::Ring`] interval: the two still sum to the drain.
+    /// With the obs plane off nothing is sampled — inline handlers
+    /// charge nothing, a ring worker's whole drain is Ring time.
     time_handler_ns,
     /// Wall-time (ns) clients spent spinning out a hand-off rendezvous
     /// that resolved without parking ([`TimeState::Spin`]).
@@ -249,9 +253,10 @@ counters! {
     /// mailbox or ring ([`TimeState::Park`]).
     time_park_ns,
     /// Wall-time (ns) ring workers spent draining submission queues —
-    /// SQE decode, staging, completion posting — *excluding* the
-    /// handler bodies and bulk copies, which are subdivided out
-    /// ([`TimeState::Ring`]).
+    /// SQE decode, staging, completion posting — *excluding* the bulk
+    /// copies, which are timed exactly, and the handler bodies, whose
+    /// sampled estimate is carved out (see
+    /// [`StatsCell::time_handler_ns`]; [`TimeState::Ring`]).
     time_ring_ns,
     /// Wall-time (ns) spent in bulk payload copies outside handler
     /// bodies (ring-side payload/bulk staging; a copy issued *inside* a
@@ -415,9 +420,24 @@ impl<'a> StateTimer<'a> {
     /// flushes the accumulator (see [`StateTimer::flush`]).
     #[inline]
     pub fn transition(&mut self, state: TimeState) {
+        self.transition_carving(state, state, &mut 0);
+    }
+
+    /// [`StateTimer::transition`], with as much of the estimate `*ns` as
+    /// the closing interval holds charged to `carved` instead of the
+    /// outgoing state, and taken off `*ns`: the states still partition
+    /// the wall time exactly, and what an interval cannot hold waits for
+    /// the next instead of over-charging `carved`.
+    #[inline]
+    pub fn transition_carving(&mut self, state: TimeState, carved: TimeState, ns: &mut u64) {
         let now = std::time::Instant::now();
-        let ns = now.duration_since(self.last).as_nanos() as u64;
-        self.cell.add_time(self.state, ns);
+        let elapsed = now.duration_since(self.last).as_nanos() as u64;
+        let cut = elapsed.min(*ns);
+        if cut > 0 {
+            self.cell.add_time(carved, cut);
+            *ns -= cut;
+        }
+        self.cell.add_time(self.state, elapsed - cut);
         self.last = now;
         self.state = state;
     }
@@ -558,6 +578,29 @@ mod tests {
                 "{name} must receive its state's charge"
             );
         }
+    }
+
+    #[test]
+    fn carving_charges_no_more_than_the_interval_it_closes() {
+        let s = RuntimeStats::new(1);
+        let mut t = StateTimer::new(s.cell(0), TimeState::Ring);
+        // An estimate larger than the interval takes all of it, and what
+        // is left waits for the next interval.
+        let hour = 3_600_000_000_000u64;
+        let mut est = hour;
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        t.transition_carving(TimeState::Ring, TimeState::Handler, &mut est);
+        let snap = s.snapshot();
+        assert!(snap.time_handler_ns >= 2_000_000, "the interval went to the carved state");
+        assert_eq!(snap.time_ring_ns, 0, "nothing was left for the outgoing state");
+        assert_eq!(est, hour - snap.time_handler_ns, "what was charged came off the estimate");
+        // A smaller one is charged whole, the rest of the interval stays.
+        est = 1_000;
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        t.transition_carving(TimeState::Idle, TimeState::Handler, &mut est);
+        let d = s.snapshot().since(&snap);
+        assert_eq!((d.time_handler_ns, est), (1_000, 0));
+        assert!(d.time_ring_ns >= 2_000_000 - 1_000);
     }
 
     #[test]

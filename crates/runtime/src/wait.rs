@@ -42,12 +42,14 @@
 //! | sync caller, async late waiter (`CallSlot::wait_done`) | per vCPU, beside the EWMA | slot waiter word, `ASLEEP` / `LATE` | `SlotCore::wake_done`: futex wake of the state word | `DONE` changed the word the `FUTEX_WAIT` compares |
 //! | segment client (`XClient::wait_done`) | per client handle | slot waiter word, `ASLEEP` | the same | the same |
 //! | entry worker (`worker.rs::idle_wait`) | local in `worker_loop` | `WorkerHandle` sleeper word | `post`: `unpark` iff announced; `request_shutdown` and the caller's donation rounds: `unpark` always | `unpark` leaves a token; a stray one costs a spin |
-//! | ring worker (`ring.rs::idle_wait`) | none | `RingShared::sleeping` | doorbell: `unpark` iff announced | token |
+//! | ring worker (`ring.rs::idle_wait`) | local in `ring_worker` | `RingShared::sleeping` | doorbell: `unpark` iff announced | token |
 //! | segment server (`serve_loop`) | local in the loop | header `server_sleeping` | doorbell bump + futex wake iff announced | the bump changed the word compared |
 //!
 //! A site passes its `Poll` only when its last exchange woke nobody (see
-//! phase 1) and its spin policy spins at all: under `ParkOnly` both
-//! in-process sides block at once — zero poll, zero spin.
+//! phase 1) and its spin policy spins at all (`idle_spin > 0` for the two
+//! workers): under `ParkOnly` both in-process sides block at once — zero
+//! poll, zero spin. The ring worker wakes nobody — its client reaps by
+//! polling — so for it the second condition is the only one.
 //!
 //! # Lost-wake freedom
 //!

@@ -1162,6 +1162,7 @@ fn execute_xsqe(
     local_scratch: &mut [u8],
 ) -> Result<[u64; 8], RtError> {
     let ep = sqe.ep as EntryId;
+    let sampled = rt.obs().try_sample();
     if sqe.flags & sqe_flags::PAYLOAD != 0 {
         // Validate the client-supplied offset against this client's own
         // staging area — a forged offset cannot reach another client's
@@ -1176,9 +1177,9 @@ fn execute_xsqe(
         // Safety: bounds validated; the staging protocol gives the
         // server exclusive use of this page until its CQE is reaped.
         let scratch = unsafe { std::slice::from_raw_parts_mut(map.span(off, len), len) };
-        rt.ring_execute(vcpu, ep, sqe.args, c.program, sqe.trace, scratch)
+        rt.ring_execute(vcpu, ep, sqe.args, c.program, sqe.trace, scratch, sampled, &mut 0)
     } else {
-        rt.ring_execute(vcpu, ep, sqe.args, c.program, sqe.trace, local_scratch)
+        rt.ring_execute(vcpu, ep, sqe.args, c.program, sqe.trace, local_scratch, sampled, &mut 0)
     }
 }
 
@@ -1589,6 +1590,8 @@ impl XClient {
         if self.in_flight >= self.map.geo.ring_depth {
             return Err(RtError::RingFull);
         }
+        // The consumer's head is loaded only when the cached copy says
+        // the queue is full; refused iff the fresh value still does.
         let depth = self.map.geo.ring_depth;
         if self.sq_tail - self.sq_head_cache >= depth {
             self.sq_head_cache = self.map.ring_hdr(self.idx).sq_head.load(Ordering::Acquire);

@@ -86,6 +86,79 @@ fn ring_worker_state_times_partition_wall_time() {
     }
 }
 
+/// The ring worker reads no clock per SQE: a drain is one Ring interval,
+/// and the handlers' share of it is a sampled estimate (a 1-in-128
+/// sampled run × 128) carved out where the interval closes. With the same
+/// 5 µs handler as above over 2·10⁴ SQEs (≈ 160 samples) the estimate
+/// must show up, must be of the size of the handlers' real time, and —
+/// carved, not added — Handler + Ring must still be the time the worker
+/// spent draining: no less than the handler bodies, no more than the
+/// wall. With the obs plane off nothing is sampled, and the whole drain
+/// is Ring time.
+#[test]
+fn ring_worker_handler_share_is_carved_from_the_drain() {
+    const SQES: u64 = 20_000;
+    const HANDLER_NS: u64 = 5_000;
+    for sampling in [true, false] {
+        if sampling && !cfg!(feature = "obs") {
+            continue; // the plane is compiled out: only the second case exists
+        }
+        let rt = Runtime::new(1);
+        rt.obs().set_enabled(sampling);
+        let ep = rt
+            .bind(
+                "attr-carve",
+                EntryOptions { initial_workers: 0, ..Default::default() },
+                Arc::new(|ctx| {
+                    let t0 = Instant::now();
+                    while (t0.elapsed().as_nanos() as u64) < HANDLER_NS {
+                        std::hint::spin_loop();
+                    }
+                    ctx.args
+                }),
+            )
+            .unwrap();
+        let client = rt.client(0, 1);
+        let before = rt.stats.vcpu_snapshot(0);
+        let t0 = Instant::now();
+        let mut ring = client.ring();
+        let mut out = Vec::with_capacity(64);
+        let (mut submitted, mut reaped) = (0u64, 0u64);
+        while reaped < SQES {
+            // One SQE per doorbell: where the worker keeps up, every run
+            // of its drain is one SQE long — the pattern a sampler ticked
+            // once per run *and* once per SQE falls into step with.
+            if submitted < SQES && ring.submit(ep, [submitted; 8], 0).is_ok() {
+                submitted += 1;
+                ring.doorbell();
+            }
+            if ring.reap(64, &mut out) == 0 {
+                std::thread::yield_now();
+            }
+            reaped += out.drain(..).count() as u64;
+        }
+        drop(ring);
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        let d = rt.stats.vcpu_snapshot(0).since(&before);
+        assert_eq!(d.ring_calls, SQES);
+        let bodies = SQES * HANDLER_NS;
+        if sampling {
+            assert!(
+                d.time_handler_ns >= bodies / 2,
+                "Handler {}ns is not of the size of {SQES} × {HANDLER_NS}ns handler bodies",
+                d.time_handler_ns
+            );
+        } else {
+            assert_eq!(d.time_handler_ns, 0, "nothing sampled, nothing carved");
+        }
+        let busy = d.time_handler_ns + d.time_ring_ns;
+        assert!(
+            busy >= bodies * 9 / 10 && busy <= elapsed,
+            "Handler + Ring = {busy}ns: the drain ran {bodies}ns of handlers within {elapsed}ns"
+        );
+    }
+}
+
 /// Each vCPU's counters are kept in two halves, one written by the
 /// threads that call on it and one by the threads that serve it. A fixed
 /// script — sync, async and ring calls on two vCPUs with one handler

@@ -110,6 +110,113 @@ fn credit_exhaustion_refuses_without_deadlock() {
     assert_eq!(out.last().unwrap().user, 9);
 }
 
+/// Admission reads the worker's SQ head through a cached copy, loaded
+/// only when the copy says the lane is full. The copy is stale the moment
+/// the worker takes an SQE (it frees the slot *before* executing), so a
+/// submitter that refused on the copy alone would shed work the queue has
+/// room for: the third submission below is admitted only by the re-load,
+/// and the fourth is the one real refusal.
+#[test]
+fn admission_reloads_the_head_only_on_apparent_full() {
+    watchdog(60);
+    let rt = Runtime::new(1);
+    let (started_tx, started) = std::sync::mpsc::channel::<()>();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let chans = std::sync::Mutex::new((started_tx, released));
+    let ep = rt
+        .bind(
+            "gate",
+            EntryOptions::default(),
+            Arc::new(move |c| {
+                if c.args[0] == 0 {
+                    let (started, released) = &*chans.lock().unwrap();
+                    started.send(()).unwrap();
+                    let _ = released.recv();
+                }
+                c.args
+            }),
+        )
+        .unwrap();
+    let client = rt.client(0, 1);
+    let mut ring = client.ring_with(RingOptions { sq_depth: 2, cq_depth: 8, credits: 8 });
+    assert_eq!((ring.sq_capacity(), ring.credits()), (2, 8));
+    // Declared after the ring, so dropped before it: a failed assertion
+    // below unblocks the handler instead of hanging the ring's drop.
+    let release = release;
+
+    // The worker takes SQE 0 — freeing its slot — and blocks in the
+    // handler: the true head is 1, the client's copy still 0.
+    ring.submit(ep, [0; 8], 0).unwrap();
+    ring.doorbell();
+    started.recv().unwrap();
+    // Tail 1: room by the copy. Tail 2: full by the copy, one free slot
+    // by the head. Tail 3: full by both.
+    ring.submit(ep, [1; 8], 1).unwrap();
+    ring.submit(ep, [2; 8], 2).expect("the stale copy must be re-loaded before refusing");
+    assert_eq!(ring.submit(ep, [3; 8], 3), Err(RtError::RingFull));
+    let snap = rt.stats.snapshot();
+    assert_eq!((snap.ring_full, snap.ring_no_credit), (1, 0), "one real refusal, counted once");
+    assert_eq!(ring.in_flight(), 3);
+
+    // Release the handler and reap: the next submission goes through on
+    // the same rule, with no refresh asked for.
+    release.send(()).unwrap();
+    let mut out = Vec::new();
+    ring.drain(&mut out);
+    assert_eq!(out.iter().map(|c| c.user).collect::<Vec<_>>(), [0, 1, 2]);
+    ring.submit(ep, [3; 8], 3).unwrap();
+    ring.drain(&mut out);
+    assert_eq!(out[3].result, Ok([3; 8]));
+    assert_eq!(rt.stats.snapshot().ring_full, 1);
+}
+
+/// 10⁵ submissions through a two-slot SQ against a consumer that is
+/// usually behind: the submitter runs into the full queue all the time
+/// and admits on a head it re-loads only then. No SQE may be overwritten
+/// before the worker has read it — every completion arrives in order
+/// with its own tag and its own echoed frame.
+#[test]
+fn cached_head_never_admits_over_an_unread_sqe() {
+    watchdog(120);
+    let rt = Runtime::new(1);
+    let ep = rt
+        .bind(
+            "slow-echo",
+            EntryOptions::default(),
+            Arc::new(|c| {
+                (0..c.args[0] % 256).for_each(|_| std::hint::spin_loop());
+                c.args
+            }),
+        )
+        .unwrap();
+    let client = rt.client(0, 1);
+    let mut ring = client.ring_with(RingOptions { sq_depth: 2, cq_depth: 8, credits: 8 });
+    let frame = |i: u64| [i, !i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i ^ 0xA5, i << 7, i, 1, 2];
+    let (total, mut next, mut seen) = (100_000u64, 0u64, 0u64);
+    let mut out: Vec<Completion> = Vec::new();
+    while seen < total {
+        while next < total {
+            match ring.submit(ep, frame(next), next) {
+                Ok(()) => next += 1,
+                Err(RtError::RingFull) => break,
+                Err(e) => panic!("unexpected submit error: {e}"),
+            }
+        }
+        ring.doorbell();
+        if ring.reap(usize::MAX, &mut out) == 0 {
+            std::thread::yield_now();
+        }
+        for c in out.drain(..) {
+            assert_eq!((c.user, c.result), (seen, Ok(frame(seen))), "SQE {seen} arrived intact");
+            seen += 1;
+        }
+    }
+    assert_eq!(ring.in_flight(), 0);
+    let snap = rt.stats.snapshot();
+    assert_eq!((snap.ring_submits, snap.ring_calls), (total, total));
+    assert!(snap.ring_full > 0, "the two-slot SQ was found full");
+}
+
 /// Staged payload delivery: the bytes handed to `submit_payload` arrive
 /// as the handler's scratch prefix — one client-side memcpy into a pool
 /// buffer, recycled after execution.
