@@ -179,12 +179,11 @@ fn render_frame(doc: &Json, window: &str) -> Result<String, String> {
     // estimate; with the obs plane off the whole drain reads as `ring`.
     let occ = |name: &str| num(rates, name) / 1e9;
     out.push_str(&format!(
-        "occupancy: handler {:.2}  spin {:.2}  park {:.2}  ring {:.2}  copy {:.2}  frank {:.2}  idle {:.2}",
+        "occupancy: handler {:.2}  spin {:.2}  park {:.2}  ring {:.2}  frank {:.2}  idle {:.2}",
         occ("time_handler_ns"),
         occ("time_spin_ns"),
         occ("time_park_ns"),
         occ("time_ring_ns"),
-        occ("time_copy_ns"),
         occ("time_frank_ns"),
         occ("time_idle_ns"),
     ));

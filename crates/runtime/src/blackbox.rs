@@ -10,7 +10,7 @@
 //! * the cumulative counter [`crate::Snapshot`] (total and
 //!   per-vCPU) and merged latency histograms,
 //! * per-vCPU **occupancy**: each vCPU's attributed wall-time split
-//!   across the [`TIME_STATES`] (handler/spin/park/ring/copy/frank/idle),
+//!   across the [`TIME_STATES`] (handler/spin/park/ring/frank/idle),
 //! * the **interference** tally from the sampler's clock-gap probe
 //!   (lost-time ratio, excursion count, worst excursion),
 //! * the live telemetry document (windowed rates, quantiles, alert

@@ -107,11 +107,6 @@ pub(crate) struct FrankInner {
     pub(crate) entries: Vec<Option<Arc<EntryShared>>>,
     /// Name table.
     pub(crate) names: HashMap<String, EntryId>,
-    /// Live client rings, registered at creation so policy changes
-    /// (e.g. [`crate::Runtime::set_spin_policy`]'s paired idle budget)
-    /// reach their workers. Weak: a ring dies with its client handle,
-    /// not with the registry; dead refs are pruned on iteration.
-    pub(crate) rings: Vec<std::sync::Weak<crate::ring::RingShared>>,
 }
 
 /// The resource manager. Owned by [`Runtime`]; all mutation goes through
@@ -132,7 +127,6 @@ impl Frank {
             inner: Mutex::new(FrankInner {
                 entries: (0..MAX_ENTRIES).map(|_| None).collect(),
                 names: HashMap::new(),
-                rings: Vec::new(),
             }),
             pin_era: AtomicU64::new(0),
             reclaim_lock: Mutex::new(()),
@@ -160,17 +154,6 @@ impl Frank {
 }
 
 impl Runtime {
-    /// Register a live client ring so runtime-wide policy changes (the
-    /// paired worker-side idle budget of
-    /// [`Runtime::set_spin_policy`]) reach its worker. Cold path; dead
-    /// weak refs are pruned here so the list stays bounded by the live
-    /// ring population.
-    pub(crate) fn register_ring(&self, ring: &Arc<crate::ring::RingShared>) {
-        let mut inner = self.frank.inner.lock();
-        inner.rings.retain(|w| w.strong_count() > 0);
-        inner.rings.push(Arc::downgrade(ring));
-    }
-
     /// Hot-path entry lookup + lifecycle claim: pin this vCPU's epoch
     /// cell, load the entry pointer from this vCPU's own table replica,
     /// count the claim on this vCPU's lifecycle shard, unpin, check
@@ -224,6 +207,24 @@ impl Runtime {
             return Err(RtError::UnknownEntry(ep));
         }
         self.frank.inner.lock().entries[ep].clone().ok_or(RtError::UnknownEntry(ep))
+    }
+
+    /// Grant entry `ep` access to `region` of `program` on `vcpu`, bound
+    /// to the program owning `ep` right now (a later re-bind of the id
+    /// under another owner does not inherit the grant). Cold path.
+    pub(crate) fn grant_region(
+        &self,
+        vcpu: usize,
+        region: crate::RegionId,
+        program: crate::ProgramId,
+        ep: EntryId,
+        write: bool,
+    ) -> Result<(), RtError> {
+        let e = self.frank_entry(ep)?;
+        if e.entry_state() != crate::EntryState::Active {
+            return Err(RtError::EntryDead(ep));
+        }
+        self.bulk().registry(vcpu).grant(region, program, ep, e.opts.owner, write)
     }
 
     /// A `Weak` observer of entry `ep`'s shared state (diagnostics and

@@ -893,16 +893,14 @@ impl Runtime {
     /// fast path reads it with one `Relaxed` load).
     pub fn set_spin_policy(&self, p: SpinPolicy) {
         self.park_only.store(p == SpinPolicy::ParkOnly, Ordering::Relaxed);
-        // Propagate the paired worker-side idle spin budget to every bound
-        // entry and live client ring (cold path; new binds and rings pick
-        // it up from the policy directly).
+        // Propagate the paired worker-side idle spin budget to every
+        // bound entry (cold path; new binds pick it up from the policy
+        // directly, and ring workers and serve loops read the policy at
+        // each idle wait).
         let budget = worker_idle_budget(p);
         let inner = self.frank.inner.lock();
         for e in inner.entries.iter().flatten() {
             e.idle_spin.store(budget, Ordering::Relaxed);
-        }
-        for r in inner.rings.iter().filter_map(|w| w.upgrade()) {
-            r.set_idle_spin(budget);
         }
     }
 
@@ -1304,11 +1302,7 @@ impl BulkRegion {
     /// later re-bind of the same entry ID under a different owner does
     /// not inherit the grant. Cold path.
     pub fn grant(&self, ep: EntryId, write: bool) -> Result<(), RtError> {
-        let e = self.rt.frank_entry(ep)?;
-        if e.entry_state() != EntryState::Active {
-            return Err(RtError::EntryDead(ep));
-        }
-        self.rt.bulk().registry(self.vcpu).grant(self.id, self.program, ep, e.opts.owner, write)
+        self.rt.grant_region(self.vcpu, self.id, self.program, ep, write)
     }
 
     /// Revoke every grant to `ep`. Blocks until in-flight transfers

@@ -1,116 +1,63 @@
 //! Submission/completion rings: pipelined PPC with doorbell batching.
 //!
 //! Every dispatch mode in `call.rs` is one-call-at-a-time rendezvous: a
-//! client's throughput is capped at 1/RTT however fast the control
-//! plane gets, and the park modes pay a park/unpark **per call**. This
-//! module adds the io_uring-style alternative over the same per-vCPU
-//! machinery: a per-client **submission queue** (SQ) and **completion
-//! queue** (CQ) pair serviced by one dedicated ring worker thread, so
-//! many PPCs ride in flight per client and the wake cost amortizes over
-//! a whole batch.
+//! client's throughput is capped at 1/RTT, and the park modes pay a
+//! park/unpark **per call**. A ring is the io_uring-style alternative:
+//! a **submission queue** (SQ) and a **completion queue** (CQ) serviced
+//! by one thread, so many PPCs ride in flight per client and the wake
+//! cost amortizes over a batch.
 //!
-//! Layout and protocol:
+//! This module is the only place a queue pair is laid out, filled,
+//! bounded, drained and reaped. The memory is the process's own
+//! ([`ClientRing`], with its own worker thread) or one client's ring
+//! area of a shared segment ([`crate::XClient`], served by `xproc.rs`).
+//! DESIGN §10 has the picture, the drain order and what each front-end
+//! adds; the two rules every `unsafe` block below leans on are here.
 //!
-//! * Both queues are power-of-two single-producer/single-consumer rings
-//!   of fixed-size entries, with cache-line-padded head/tail words. The
-//!   client is the SQ producer and CQ consumer; the ring worker is the
-//!   SQ consumer and CQ producer. Each side publishes its cursor with a
-//!   `Release` store and reads the other's with `Acquire` — no RMWs on
-//!   the per-entry fast path at all. Entries are whole cache lines (an
-//!   SQE three, a CQE two): the producer of entry *i + 1* never
-//!   invalidates the line the consumer of entry *i* is reading.
-//! * **Cursor ownership.** `sq.tail`: client stores per submit, worker
-//!   loads per SQE. `sq.head`: worker stores per SQE, *before*
-//!   executing; client loads only when its cached copy says the lane is
-//!   full (and for the flight record of a doorbell that really wakes).
-//!   `cq.tail`: worker stores per completion, client loads once per lane
-//!   per reap. `cq.head`: client stores per reaped completion, worker
-//!   loads only in a `debug_assert` — the credit clamp, not the cursor,
-//!   keeps the CQ from overflowing.
-//! * An SQE carries the entry id, the 8 argument words, a user tag
-//!   (returned verbatim in the completion), the packed span context
-//!   (so PR-4 traces stay causally complete across the queue hop), and
-//!   optionally a staged payload buffer from the PR-2 pools.
-//! * **Doorbell batching**: [`ClientRing::submit`] only writes the SQE
-//!   and publishes the tail. [`ClientRing::doorbell`] — once per batch
-//!   — wakes the worker only if it actually went to sleep: the worker's
-//!   idle wait and the doorbell are the `wait`/`notify` pair of
-//!   `wait.rs` (announce `sleeping`, fence, re-check the tails, park /
-//!   fence, read `sleeping`, unpark), which is where the lost-wakeup
-//!   argument lives. In the spin modes the worker picks submissions up
-//!   mid-spin and the doorbell is a fence and a load.
-//! * **Admission control**: the client holds a fixed credit budget,
-//!   clamped to the CQ capacity. `submitted - reaped >= credits` (or a
-//!   full SQ) refuses the submission with [`RtError::RingFull`] — the
-//!   open-loop backpressure signal — so overload shows up as shed
-//!   requests and bounded queues, never unbounded memory. The same
-//!   invariant proves the CQ can never overflow: completions in flight
-//!   plus queued SQEs never exceed the credit budget.
-//! * **Execution-time claims**: the worker claims the entry (the PR-5
-//!   lifetime-bearing `frank::Claim` guard) only when an SQE
-//!   reaches the head of the queue, never while it waits. Queued
-//!   submissions therefore hold no entry references: kill, Exchange and
-//!   reclaim drain cleanly (in-queue SQEs for a killed entry complete
-//!   with [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs), and
-//!   `wait_drained` cannot wedge on parked queue depth.
-//! * **Async copy engine**: [`ClientRing::submit_bulk`] stages the
-//!   payload into a pool buffer (a local memcpy) and returns; the ring
-//!   worker performs the grant-checked copy into the client's region
-//!   *off the caller's critical path* before running the handler. The
-//!   owner-side access (`owner_access = true`) authorizes iff the ring
-//!   client's program owns the region, so a forged descriptor is
-//!   refused in the worker with a [`RtError::BulkDenied`] completion.
+//! **Cursor ownership.** Cursors are monotonic and masked only to index.
 //!
-//! * **QoS lanes**: each ring keeps one SQ/CQ pair per
-//!   [`crate::QosClass`] (the class of the *entry* an SQE targets,
-//!   resolved at submit time and cached per-entry). The single ring
-//!   worker drains every queued `Latency` SQE before each `Bulk` one
-//!   and re-checks the `Latency` lane between `Bulk` executions, so a
-//!   latency-critical submission waits behind at most one in-progress
-//!   bulk handler — never behind a deep batch of 1MiB copies that
-//!   happened to be queued first. Credits are a single budget across
-//!   both lanes (total in-flight bounds each lane's CQ occupancy, so
-//!   the no-overflow proof is unchanged). A cached class can go stale
-//!   if an entry ID is killed and re-bound under the other class; that
-//!   mis-sorts *priority* for that ID until the ring is rebuilt — it
-//!   never affects correctness, since execution re-claims the entry
-//!   fresh.
+//! | word | written by | read by |
+//! |---|---|---|
+//! | `sq_tail` | producer, `Release`, per submission | consumer, `Acquire`, per SQE |
+//! | `sq_head` | consumer, `Release`, per SQE, *before* executing it | producer, `Acquire`, only when its cached copy says the SQ is full |
+//! | `cq_tail` | consumer, `Release`, per completion | producer, `Acquire`, once per reap |
+//! | `cq_head` | producer, `Release`, per reaped completion | nobody |
 //!
-//! Completions are posted in submission order **within a QoS lane**
-//! (one FIFO worker per lane stream), which is the ordering guarantee
-//! the tests pin down: for SQEs of the same class, CQE *i* is always
-//! the completion of SQE *i*. Across classes, `Latency` completions
-//! overtake `Bulk` ones by design — [`ClientRing::reap`] also harvests
-//! the `Latency` lane first.
+//! The consumer publishes `sq_head` and `cq_tail` from **private**
+//! copies and never loads them — or `cq_head` — back: a producer that
+//! scribbles them confuses only itself. Neither side does an RMW per
+//! entry.
+//!
+//! **Admission.** The producer holds a credit budget clamped to the CQ
+//! capacity. `submitted − reaped ≥ credits` refuses the submission, and
+//! so does a full SQ — on a *re-loaded* head only, the cached copy being
+//! stale the moment the consumer takes an SQE. Both are
+//! [`RtError::RingFull`]: overload shows as shed requests and bounded
+//! queues, never unbounded memory. The budget is also why the CQ cannot
+//! overflow, and why staging page `n & cq_mask` is free when submission
+//! `n` is admitted — pages go with the *completion* slot, because the SQ
+//! slot is recycled before its handler has run.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
-use std::time::Instant;
+use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
-
-use crate::bulk::PoolBuf;
 use crate::flight::FlightKind;
 use crate::obs::LatencyKind;
 use crate::region::BulkDesc;
+use crate::shm::Segment;
+use crate::slot::SCRATCH_BYTES;
 use crate::span::SpanToken;
-use crate::stats::TimeState;
+use crate::stats::{StateTimer, TimeState};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin};
-use crate::{bulk, Client, EntryId, ProgramId, RtError, Runtime};
+use crate::{bulk, Client, EntryId, ProgramId, RegionId, RtError, Runtime};
 
-/// Number of QoS lanes per ring — one per [`crate::QosClass`] variant.
+/// Lanes of a [`ClientRing`] — one per [`crate::QosClass`] variant.
 const LANES: usize = 2;
-/// Lane index of the `Latency` class (drained first by the worker).
-const LANE_LAT: usize = 0;
-/// Lane index of the `Bulk` class.
-const LANE_BULK: usize = 1;
 
 /// Hard cap on ring capacities (entries). Large enough for any open-loop
-/// experiment, small enough that a mis-typed depth cannot allocate gigabytes.
+/// experiment, small enough that a mis-typed depth cannot map gigabytes.
 pub const MAX_RING_DEPTH: usize = 1 << 16;
 
 /// Sizing for a [`ClientRing`]. Depths are rounded up to powers of two
@@ -141,161 +88,581 @@ pub struct Completion {
     /// The entry the SQE targeted.
     pub ep: EntryId,
     /// The handler's 8 return words, or the dispatch/execution error
-    /// (unknown/dead entry, contained fault, refused bulk copy).
+    /// (unknown/dead entry, contained fault, refused staging span).
     pub result: Result<[u64; 8], RtError>,
 }
 
-/// A queued submission. Fixed-size; the staged payload (if any) rides
-/// as an owned pool buffer, so dropping an unexecuted SQE cannot leak.
-/// Line-aligned: 136 → 192 bytes, and no two entries share a line.
-#[repr(align(64))]
-struct Sqe {
-    ep: EntryId,
+// ---------------------------------------------------------------------
+// Wire status codes
+// ---------------------------------------------------------------------
+
+/// Encode an [`RtError`] as the `(status, aux)` words of a completion
+/// (status 0 is reserved for success).
+fn err_to_wire(e: &RtError) -> (u32, u32) {
+    match e {
+        RtError::UnknownEntry(ep) => (1, *ep as u32),
+        RtError::EntryDead(ep) => (2, *ep as u32),
+        RtError::Aborted(ep) => (3, *ep as u32),
+        RtError::BadBulk => (4, 0),
+        RtError::BulkDenied(r) => (5, u32::from(*r)),
+        RtError::BulkRevoked(r) => (6, u32::from(*r)),
+        RtError::BulkReentrant(r) => (7, u32::from(*r)),
+        RtError::TableFull => (8, 0),
+        RtError::NotOwner => (9, 0),
+        RtError::BadVcpu(v) => (10, *v as u32),
+        RtError::ServerFault(ep) => (11, *ep as u32),
+        RtError::RingFull => (12, 0),
+        RtError::PeerGone => (13, 0),
+        RtError::BadSegment => (14, 0),
+    }
+}
+
+/// Decode a completion's `(status, aux)` back into the [`RtError`] the
+/// dispatch produced. Unknown codes (a newer server) fold to
+/// [`RtError::BadSegment`] — the one error that says "do not trust this
+/// segment's words".
+fn wire_to_err(code: u32, aux: u32) -> RtError {
+    match code {
+        1 => RtError::UnknownEntry(aux as EntryId),
+        2 => RtError::EntryDead(aux as EntryId),
+        3 => RtError::Aborted(aux as EntryId),
+        4 => RtError::BadBulk,
+        5 => RtError::BulkDenied(aux as RegionId),
+        6 => RtError::BulkRevoked(aux as RegionId),
+        7 => RtError::BulkReentrant(aux as RegionId),
+        8 => RtError::TableFull,
+        9 => RtError::NotOwner,
+        10 => RtError::BadVcpu(aux as usize),
+        11 => RtError::ServerFault(aux as EntryId),
+        12 => RtError::RingFull,
+        13 => RtError::PeerGone,
+        _ => RtError::BadSegment,
+    }
+}
+
+/// A dispatch result as the `(status, aux, rets)` words of a completion.
+pub(crate) fn result_to_wire(r: Result<[u64; 8], RtError>) -> (u32, u32, [u64; 8]) {
+    match r {
+        Ok(rets) => (0, 0, rets),
+        Err(e) => {
+            let (status, aux) = err_to_wire(&e);
+            (status, aux, [0; 8])
+        }
+    }
+}
+
+/// The result a completion's words carry (`rets` is valid iff `status == 0`).
+pub(crate) fn wire_to_result(status: u32, aux: u32, rets: [u64; 8]) -> Result<[u64; 8], RtError> {
+    match status {
+        0 => Ok(rets),
+        code => Err(wire_to_err(code, aux)),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Layout (repr(C), layout-asserted: these structs cross processes)
+// ---------------------------------------------------------------------
+
+/// [`Sqe`] flag bit: `payload_off`/`payload_len` name a staged span
+/// that becomes the handler's scratch.
+const SQE_PAYLOAD: u32 = 1;
+
+/// The four cursors of one lane, a cache line each (see the module
+/// docs for who writes which).
+#[repr(C, align(64))]
+pub(crate) struct RingCursors {
+    sq_tail: AtomicU64,
+    _p0: [u8; 56],
+    sq_head: AtomicU64,
+    _p1: [u8; 56],
+    cq_tail: AtomicU64,
+    _p2: [u8; 56],
+    cq_head: AtomicU64,
+    _p3: [u8; 56],
+}
+
+crate::assert_segment_layout!(RingCursors {
+    size: 256,
+    align: 64,
+    sq_tail: 0,
+    sq_head: 64,
+    cq_tail: 128,
+    cq_head: 192,
+});
+
+/// One submission-queue entry: two cache lines of plain words.
+#[repr(C, align(64))]
+#[derive(Clone, Copy)]
+pub(crate) struct Sqe {
+    ep: u32,
+    /// [`SQE_PAYLOAD`], or 0.
+    flags: u32,
     args: [u64; 8],
+    /// Submitter's tag, returned verbatim in the matching [`Cqe`].
     user: u64,
-    /// Packed [`crate::TraceCtx`] of the client-side ring span (0 = no
-    /// trace) — the handler span parents under it, exactly like the
-    /// call slot's trace word on the hand-off path.
+    /// Packed [`crate::TraceCtx`] of the submitter's ring span (0 =
+    /// none): the handler span parents under it, like the call slot's
+    /// trace word on the hand-off path.
     trace: u64,
-    staged: Option<Staged>,
+    /// Offset of the staged span from the lane's staging base — the
+    /// segment base, across processes (valid with [`SQE_PAYLOAD`]).
+    payload_off: u32,
+    payload_len: u32,
 }
 
-/// Payload staged client-side for worker-side delivery.
-enum Staged {
-    /// Request bytes the handler sees as its scratch page
-    /// ([`crate::ScratchRef::Ready`] over the buffer).
-    Payload { buf: PoolBuf },
-    /// Async bulk copy: `len` bytes to move into the granted region
-    /// span `desc` before the handler (which receives `desc` in
-    /// `args[7]`) runs.
-    Bulk { buf: PoolBuf, len: usize, desc: BulkDesc },
-}
+crate::assert_segment_layout!(Sqe {
+    size: 128,
+    align: 64,
+    ep: 0,
+    flags: 4,
+    args: 8,
+    user: 72,
+    trace: 80,
+    payload_off: 88,
+    payload_len: 92,
+});
 
-/// A queued completion (plain data; the CQ never owns resources);
-/// whole lines like [`Sqe`], 88 → 128 bytes.
-#[repr(align(64))]
-struct Cqe {
+/// One completion-queue entry.
+#[repr(C, align(64))]
+#[derive(Clone, Copy)]
+pub(crate) struct Cqe {
     user: u64,
-    ep: EntryId,
-    result: Result<[u64; 8], RtError>,
+    ep: u32,
+    /// 0 = success, else an [`err_to_wire`] code with `aux`.
+    status: u32,
+    aux: u32,
+    _pad: u32,
+    /// Result frame (valid when `status == 0`).
+    rets: [u64; 8],
 }
 
-/// A power-of-two SPSC ring: cache-line-padded cursors, `MaybeUninit`
-/// slots. The index protocol is the whole synchronization story: the
-/// producer owns `[tail, head + capacity)`, the consumer owns
-/// `[head, tail)`, and each side publishes its cursor with `Release`
-/// after touching a slot, never before.
-struct Spsc<T> {
-    /// Consumer cursor (next entry to read). Monotonic, never masked.
-    head: CachePadded<AtomicU64>,
-    /// Producer cursor (next entry to write). Monotonic, never masked.
-    tail: CachePadded<AtomicU64>,
-    mask: u64,
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+crate::assert_segment_layout!(Cqe {
+    size: 128,
+    align: 64,
+    user: 0,
+    ep: 8,
+    status: 12,
+    aux: 16,
+    rets: 24,
+});
+
+/// One lane of a ring in memory its owner keeps alive: where the
+/// cursors and entries are, where the staging pages are, how deep it
+/// is. Every pointer into the queue is derived here, from a cursor and
+/// a mask.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneRef {
+    /// The lane's [`RingCursors`]; the SQE array and then the CQE array
+    /// follow it.
+    ring: *mut u8,
+    /// What a staged-payload offset counts from (a segment's base).
+    base: *mut u8,
+    /// Offset from `base` of the staging pages, one per CQ slot.
+    stage_off: usize,
+    sq_mask: u64,
+    cq_mask: u64,
 }
 
-// Safety: slots are accessed only under the SPSC index protocol — the
-// producer touches a slot strictly before publishing it via `tail`, the
-// consumer strictly after observing it there (and symmetrically for
-// recycling via `head`) — so no slot is ever reachable from two threads
-// at once.
-unsafe impl<T: Send> Send for Spsc<T> {}
-unsafe impl<T: Send> Sync for Spsc<T> {}
+// Safety: the pointers name memory that outlives every copy of the
+// view (`LaneRef::new`'s contract); everything reached through them is
+// an atomic or an entry owned by one side at a time under the cursor
+// protocol; the view itself is plain words.
+unsafe impl Send for LaneRef {}
+unsafe impl Sync for LaneRef {}
 
-impl<T> Spsc<T> {
-    fn new(cap: usize) -> Spsc<T> {
-        debug_assert!(cap.is_power_of_two());
-        Spsc {
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
-            mask: cap as u64 - 1,
-            slots: (0..cap).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect(),
+impl LaneRef {
+    /// Bytes of cursors plus entries (a multiple of 64).
+    pub(crate) const fn ring_bytes(sq_depth: usize, cq_depth: usize) -> usize {
+        std::mem::size_of::<RingCursors>()
+            + sq_depth * std::mem::size_of::<Sqe>()
+            + cq_depth * std::mem::size_of::<Cqe>()
+    }
+
+    /// Bytes of staging pages.
+    pub(crate) const fn stage_bytes(cq_depth: usize) -> usize {
+        cq_depth * SCRATCH_BYTES
+    }
+
+    /// # Safety
+    /// For as long as this view or any copy of it is used,
+    /// [`LaneRef::ring_bytes`] at `ring` (64-aligned) and
+    /// [`LaneRef::stage_bytes`] at `base + stage_off` stay allocated,
+    /// were zero when first used as a lane, and are used as nothing
+    /// else; the depths are powers of two.
+    pub(crate) unsafe fn new(
+        ring: *mut u8,
+        base: *mut u8,
+        stage_off: usize,
+        sq_depth: usize,
+        cq_depth: usize,
+    ) -> LaneRef {
+        debug_assert!(sq_depth.is_power_of_two() && cq_depth.is_power_of_two());
+        debug_assert_eq!(ring as usize % 64, 0);
+        let (sq_mask, cq_mask) = (sq_depth as u64 - 1, cq_depth as u64 - 1);
+        LaneRef { ring, base, stage_off, sq_mask, cq_mask }
+    }
+
+    fn cursors(&self) -> &RingCursors {
+        // Safety: in bounds and aligned by `new`'s contract; all fields
+        // are atomics, valid at any bit pattern.
+        unsafe { &*(self.ring as *const RingCursors) }
+    }
+
+    fn sqe(&self, cursor: u64) -> *mut Sqe {
+        // Safety: the masked cursor is below the SQ depth; in bounds by
+        // `new`'s contract.
+        unsafe {
+            (self.ring.add(Self::ring_bytes(0, 0)) as *mut Sqe).add((cursor & self.sq_mask) as usize)
         }
     }
 
-    fn capacity(&self) -> usize {
-        self.slots.len()
+    fn cqe(&self, cursor: u64) -> *mut Cqe {
+        let first = Self::ring_bytes(self.sq_mask as usize + 1, 0);
+        // Safety: as in `sqe`, below the CQ depth.
+        unsafe { (self.ring.add(first) as *mut Cqe).add((cursor & self.cq_mask) as usize) }
     }
 
-    /// Producer side: move `v` into slot `idx`.
-    ///
-    /// # Safety
-    /// Caller is the sole producer, `idx` is its unpublished cursor, and
-    /// `idx - head < capacity` (the slot is free).
-    unsafe fn write(&self, idx: u64, v: T) {
-        (*self.slots[(idx & self.mask) as usize].get()).write(v);
+    /// Offset from `base` of the staging page of submission `cursor`.
+    fn stage_page(&self, cursor: u64) -> usize {
+        self.stage_off + (cursor & self.cq_mask) as usize * SCRATCH_BYTES
     }
 
-    /// Consumer side: move slot `idx`'s entry out.
-    ///
-    /// # Safety
-    /// Caller is the sole consumer, `idx` is its cursor, and `idx <
-    /// tail` was observed with `Acquire` (the slot is published).
-    unsafe fn read(&self, idx: u64) -> T {
-        (*self.slots[(idx & self.mask) as usize].get()).assume_init_read()
-    }
-
-    /// Drop every published-but-unconsumed entry (sole-owner teardown).
-    fn drain_owned(&mut self) {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
-        for i in head..tail {
-            // Safety: exclusive access (`&mut self`), entries in
-            // `[head, tail)` are initialized and unconsumed.
-            unsafe { drop(self.read(i)) };
+    /// The span a `PAYLOAD` SQE names, checked against this lane's own
+    /// staging area: a forged offset cannot reach another lane's pages,
+    /// the entries, or anything else in the mapping.
+    fn staged(&self, sqe: &Sqe) -> Result<(*mut u8, usize), RtError> {
+        let len = (sqe.payload_len as usize).min(SCRATCH_BYTES);
+        let off = sqe.payload_off as usize;
+        let end = self.stage_off + Self::stage_bytes(self.cq_mask as usize + 1);
+        if off < self.stage_off || off + len > end {
+            return Err(RtError::BadBulk);
         }
-        self.head.store(tail, Ordering::Relaxed);
+        // Safety: `[off, off + len)` was just bounded to the staging
+        // area.
+        Ok((unsafe { self.base.add(off) }, len))
     }
 }
 
-/// One QoS lane: an SQ/CQ pair carrying SQEs of a single
-/// [`crate::QosClass`]. Both lanes share the worker, the sleep flag and the
-/// credit budget — the lane split only decides *drain order*.
-struct Lane {
-    sq: Spsc<Sqe>,
-    cq: Spsc<Cqe>,
+// ---------------------------------------------------------------------
+// Producer: admit, stage, publish, reap
+// ---------------------------------------------------------------------
+
+/// The submitting side of one lane. Its owner is the lane's single
+/// producer (`&mut self` on [`ClientRing`] and [`crate::XClient`]
+/// enforces it).
+pub(crate) struct Producer {
+    lane: LaneRef,
+    /// Equals the published `sq_tail`.
+    sq_tail: u64,
+    /// The SQ head as last loaded: never ahead of the true one, so it
+    /// can refuse late, never admit early.
+    sq_head_cache: u64,
+    /// Equals the published `cq_head`.
+    cq_head: u64,
 }
 
-/// The state shared between a [`ClientRing`] handle and its worker
-/// thread. Registered (weakly) with Frank so runtime-wide policy
-/// changes reach the worker's idle budget.
-pub(crate) struct RingShared {
+impl Producer {
+    /// A producer over a lane whose cursors are zero: a fresh mapping,
+    /// or a segment slot the server reset at attach.
+    pub(crate) fn new(lane: LaneRef) -> Producer {
+        Producer { lane, sq_tail: 0, sq_head_cache: 0, cq_head: 0 }
+    }
+
+    /// Submissions accepted on this lane and not yet reaped.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.sq_tail - self.cq_head
+    }
+
+    /// Admission control for one submission carrying `payload_len`
+    /// staged bytes; `in_flight` counts every lane that shares the
+    /// `credits` budget. [`RtError::BadBulk`] for a payload that does
+    /// not fit a staging page, else [`RtError::RingFull`]: the budget
+    /// is spent (`in_flight >= credits` — the remedy is to reap), or
+    /// the SQ has no free slot (the consumer is behind).
+    pub(crate) fn admit(
+        &mut self,
+        in_flight: u64,
+        credits: u64,
+        payload_len: usize,
+    ) -> Result<(), RtError> {
+        if payload_len > SCRATCH_BYTES {
+            return Err(RtError::BadBulk);
+        }
+        if in_flight >= credits {
+            return Err(RtError::RingFull);
+        }
+        // The consumer's head is loaded only when the cached copy says
+        // the queue is full; refused iff the fresh value still does.
+        if self.sq_tail - self.sq_head_cache > self.lane.sq_mask {
+            self.sq_head_cache = self.lane.cursors().sq_head.load(Ordering::Acquire);
+            if self.sq_tail - self.sq_head_cache > self.lane.sq_mask {
+                return Err(RtError::RingFull);
+            }
+        }
+        Ok(())
+    }
+
+    /// Write one admitted SQE — staging `payload`, if any, into the
+    /// page of its completion slot — and publish the tail (`Release`).
+    /// No wake: that is the front-end's doorbell, once per batch.
+    /// Returns the offset one past the staged bytes (0 without a
+    /// payload).
+    pub(crate) fn push(
+        &mut self,
+        ep: EntryId,
+        args: [u64; 8],
+        user: u64,
+        trace: u64,
+        payload: Option<&[u8]>,
+    ) -> usize {
+        let (mut flags, mut payload_off, mut payload_len) = (0, 0, 0);
+        if let Some(p) = payload {
+            debug_assert!(p.len() <= SCRATCH_BYTES, "admit bounds the payload");
+            payload_off = self.lane.stage_page(self.sq_tail);
+            payload_len = p.len();
+            flags = SQE_PAYLOAD;
+            // Safety: the page is in the lane's staging area and is this
+            // producer's until the CQE of submission `sq_tail` is reaped
+            // — the previous tenant's was, by the credit clamp (module
+            // docs, Admission).
+            unsafe {
+                std::ptr::copy_nonoverlapping(p.as_ptr(), self.lane.base.add(payload_off), p.len());
+            }
+        }
+        let sqe = Sqe {
+            ep: ep as u32,
+            flags,
+            args,
+            user,
+            trace,
+            payload_off: payload_off as u32,
+            payload_len: payload_len as u32,
+        };
+        debug_assert!(self.in_flight() <= self.lane.cq_mask, "credit clamp must bound CQ occupancy");
+        // Safety: single producer; `admit` proved the slot consumed. The
+        // entry is published by the `Release` store below.
+        unsafe { std::ptr::write(self.lane.sqe(self.sq_tail), sqe) };
+        self.sq_tail += 1;
+        self.lane.cursors().sq_tail.store(self.sq_tail, Ordering::Release);
+        payload_off + payload_len
+    }
+
+    /// Harvest up to `max` completions into `out`, in submission order,
+    /// returning a credit each; `each` runs once per completion.
+    pub(crate) fn reap(
+        &mut self,
+        max: usize,
+        out: &mut Vec<Completion>,
+        mut each: impl FnMut(),
+    ) -> usize {
+        let cur = self.lane.cursors();
+        let tail = cur.cq_tail.load(Ordering::Acquire);
+        let mut n = 0;
+        while self.cq_head != tail && n < max {
+            // Safety: single CQ consumer; the `Acquire` on `cq_tail`
+            // published the entry, and the consumer will not rewrite it
+            // before `cq_head` passes (the credit clamp).
+            let cqe = unsafe { std::ptr::read(self.lane.cqe(self.cq_head)) };
+            self.cq_head += 1;
+            cur.cq_head.store(self.cq_head, Ordering::Release);
+            each();
+            out.push(Completion {
+                user: cqe.user,
+                ep: cqe.ep as EntryId,
+                result: wire_to_result(cqe.status, cqe.aux, cqe.rets),
+            });
+            n += 1;
+        }
+        n
+    }
+}
+
+// ---------------------------------------------------------------------
+// Consumer: bound, execute, post
+// ---------------------------------------------------------------------
+
+/// The serving side of one lane: private copies of the two cursors it
+/// owns, published to — never re-loaded from — the shared words.
+pub(crate) struct Consumer {
+    lane: LaneRef,
+    sq_head: u64,
+    cq_tail: u64,
+}
+
+impl Consumer {
+    pub(crate) fn new(lane: LaneRef) -> Consumer {
+        Consumer { lane, sq_head: 0, cq_tail: 0 }
+    }
+
+    /// Hand the lane to a new producer: zero the four shared cursors
+    /// and the private copies. The caller owns the lane exclusively
+    /// (no producer is active): a segment server between a slot's
+    /// `attach_req` and its ack.
+    pub(crate) fn reset(&mut self) {
+        let cur = self.lane.cursors();
+        for w in [&cur.sq_tail, &cur.sq_head, &cur.cq_tail, &cur.cq_head] {
+            w.store(0, Ordering::Relaxed);
+        }
+        (self.sq_head, self.cq_tail) = (0, 0);
+    }
+
+    /// SQEs published and not yet taken (`Acquire`: a non-zero answer
+    /// licenses reading them).
+    fn pending(&self) -> u64 {
+        self.lane.cursors().sq_tail.load(Ordering::Acquire).wrapping_sub(self.sq_head)
+    }
+}
+
+/// Serve `lanes` on behalf of `program` on `vcpu` until none has work or
+/// about one queue-full of SQEs has run — a producer that keeps
+/// submitting cannot hold the caller in here. Lanes are served in index
+/// order, lane 0's tail re-read after every execution: an SQE waits
+/// behind everything queued on an earlier lane, and an earlier-lane SQE
+/// arriving mid-batch behind at most one running handler. The handler
+/// runs under an **execution-time claim** — a queued SQE holds no entry
+/// reference, so kill, Exchange and reclaim drain a queued ring with
+/// [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs — and completions
+/// are in submission order within a lane. `scratch` is the page handlers
+/// of payload-less SQEs see; a sampled handler run adds its estimate to
+/// `handler_ns`. Returns how many SQEs were executed (each has its CQE
+/// posted), or `None` for a lane whose `sq_tail` ran more than `sq_depth`
+/// ahead of its head — a broken or hostile producer, not a big batch;
+/// nothing was executed from that lane.
+pub(crate) fn drain(
+    rt: &Arc<Runtime>,
+    lanes: &mut [Consumer],
     vcpu: usize,
     program: ProgramId,
-    /// SQ/CQ pairs indexed by [`crate::QosClass::index`]: `Latency` in lane 0,
-    /// `Bulk` in lane 1.
-    lanes: [Lane; LANES],
+    scratch: &mut [u8],
+    handler_ns: &mut u64,
+) -> Option<u64> {
+    let budget: u64 = lanes.iter().map(|c| c.lane.sq_mask + 1).sum();
+    let mut done = 0;
+    'next: while done < budget {
+        for l in 0..lanes.len() {
+            let ahead = lanes[l].pending();
+            if ahead == 0 {
+                continue;
+            }
+            if ahead > lanes[l].lane.sq_mask + 1 {
+                return None;
+            }
+            // One sampler tick per SQE decides all its records: a second
+            // site on this thread would fall into step and take every
+            // sample or none.
+            let sampled = rt.obs().try_sample();
+            if sampled {
+                // The queue depth this pickup observes — log₂ bands.
+                let depth = lanes.iter().map(Consumer::pending).sum();
+                rt.obs().record(LatencyKind::RingDepth, vcpu, depth);
+            }
+            let c = &mut lanes[l];
+            let cur = c.lane.cursors();
+            // Safety: sole SQ consumer; `pending`'s `Acquire` published
+            // the entry, and the producer will not rewrite it before
+            // `sq_head` passes. A hostile producer can tear the copy;
+            // every field is validated or opaque below.
+            let sqe = unsafe { std::ptr::read(c.lane.sqe(c.sq_head)) };
+            c.sq_head += 1;
+            // Free the SQ slot before executing: admission is bounded by
+            // credits, not SQ occupancy, so the producer may refill
+            // while this entry runs.
+            cur.sq_head.store(c.sq_head, Ordering::Release);
+            let page = match sqe.flags & SQE_PAYLOAD {
+                0 => Ok(&mut *scratch),
+                // Safety: `staged` bounded the span; the staging
+                // protocol gives the consumer exclusive use of the page
+                // until its CQE is reaped.
+                _ => c.lane.staged(&sqe).map(|(p, n)| unsafe { std::slice::from_raw_parts_mut(p, n) }),
+            };
+            let ep = sqe.ep as EntryId;
+            let result = page.and_then(|page| {
+                rt.ring_execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
+            });
+            let (status, aux, rets) = result_to_wire(result);
+            // Safety: sole CQ producer; occupancy is bounded by the
+            // producer's credit clamp (credits ≤ CQ capacity, asserted
+            // in `Producer::push`), so the slot's previous completion
+            // has been reaped.
+            unsafe {
+                std::ptr::write(
+                    c.lane.cqe(c.cq_tail),
+                    Cqe { user: sqe.user, ep: sqe.ep, status, aux, _pad: 0, rets },
+                );
+            }
+            c.cq_tail += 1;
+            cur.cq_tail.store(c.cq_tail, Ordering::Release);
+            done += 1;
+            continue 'next;
+        }
+        break;
+    }
+    Some(done)
+}
+
+// ---------------------------------------------------------------------
+// The in-process front-end
+// ---------------------------------------------------------------------
+
+/// The state shared between a [`ClientRing`] handle and its worker
+/// thread.
+struct RingShared {
+    vcpu: usize,
+    program: ProgramId,
+    /// The queues' memory; every [`LaneRef`] of this ring points into
+    /// these two.
+    entries: Box<[Line]>,
+    stage: Segment,
     /// Worker's sleep announcement (the sleeper flag the doorbell
     /// reads): 1 while it is about to park or parked.
     sleeping: AtomicU32,
-    /// Worker thread handle, installed by the spawner before the ring
-    /// is usable — a doorbell can never miss its unpark target.
-    worker: OnceLock<Thread>,
     shutdown: AtomicBool,
-    /// Worker-side idle spin budget before sleeping; paired with the
-    /// runtime [`crate::SpinPolicy`] like every entry's `idle_spin`.
-    idle_spin: AtomicU32,
 }
 
+/// A zeroed cache line: what the heap half of a ring is allocated in.
+/// A cell, because both ends write the queue while they share the
+/// `RingShared` that owns it.
+#[repr(align(64))]
+struct Line {
+    _zero: UnsafeCell<[u8; 64]>,
+}
+
+// Safety: the bytes are reached only through `LaneRef`s, under the
+// cursor protocol (see there).
+unsafe impl Sync for Line {}
+
 impl RingShared {
-    pub(crate) fn set_idle_spin(&self, budget: u32) {
-        self.idle_spin.store(budget, Ordering::Relaxed);
+    /// Allocate a ring of [`LANES`] lanes. Cursors and entries are heap
+    /// lines — the allocator hands back warm memory, where a fresh
+    /// mapping costs a page fault per page on the first batch (≈ 20 %
+    /// of `ring_d16`'s `setup_s` in a VM); the staging pages are a
+    /// private mapping, untouched — and so not resident — until a
+    /// payload is staged. Each lane gets the full depth: the lane split
+    /// is a priority mechanism, not a capacity partition.
+    fn map(vcpu: usize, program: ProgramId, sq: usize, cq: usize) -> (Arc<RingShared>, [LaneRef; LANES]) {
+        let (ring, stage) = (LaneRef::ring_bytes(sq, cq), LaneRef::stage_bytes(cq));
+        let shared = Arc::new(RingShared {
+            vcpu,
+            program,
+            entries: (0..LANES * ring / 64).map(|_| Line { _zero: UnsafeCell::new([0; 64]) }).collect(),
+            stage: Segment::private(LANES * stage).expect("map ring staging pages"),
+            sleeping: AtomicU32::new(0),
+            shutdown: AtomicBool::new(false),
+        });
+        // The pointer is taken from the allocation where it will stay,
+        // through the cells: what the lanes write, no `&` claims frozen.
+        let first = UnsafeCell::raw_get(shared.entries.as_ptr() as *const UnsafeCell<u8>);
+        // Safety: zeroed, 64-aligned, disjoint per lane and in bounds by
+        // the arithmetic above; `RingShared` owns both allocations and
+        // both ends hold an `Arc` of it beside their lanes.
+        let lanes = std::array::from_fn(|l| unsafe {
+            LaneRef::new(first.add(l * ring), shared.stage.base(), l * stage, sq, cq)
+        });
+        (shared, lanes)
     }
 
     fn sleeper(&self) -> Sleeper<'_> {
         Sleeper { word: &self.sleeping, asleep: 1, awake: 0 }
-    }
-}
-
-impl Drop for RingShared {
-    fn drop(&mut self) {
-        // Sole owner at this point (client handle and worker both
-        // gone): free anything still queued so staged payload buffers
-        // never leak.
-        for lane in &mut self.lanes {
-            lane.sq.drain_owned();
-            lane.cq.drain_owned();
-        }
     }
 }
 
@@ -305,24 +672,22 @@ impl Drop for RingShared {
 /// worker down after everything queued has completed.
 ///
 /// All producer-side methods take `&mut self`: the type system enforces
-/// the single-producer half of the SPSC contract (clone the
+/// the single-producer half of the queue contract (clone the
 /// [`Client`] and build another ring for a second submitter).
 pub struct ClientRing {
     rt: Arc<Runtime>,
     shared: Arc<RingShared>,
-    /// Client-local submission cursors, one per lane (each equals the
-    /// lane's published SQ tail).
-    local_tail: [u64; LANES],
-    /// Each lane's SQ head as last loaded: never ahead of the true one.
-    sq_head_cache: [u64; LANES],
-    /// Completions harvested so far per lane (each equals the lane's
-    /// published CQ head).
-    reaped: [u64; LANES],
+    /// One producer per lane, indexed by [`crate::QosClass::index`]:
+    /// `Latency` is lane 0.
+    lanes: [Producer; LANES],
     credits: u64,
     /// Per-entry lane cache: 0 = not yet resolved, else
     /// `1 + QosClass::index()`. Submit-time classification costs one
     /// byte load after the first call on an entry — no claim, no
-    /// atomic.
+    /// atomic. A cached class goes stale if the id is killed and
+    /// re-bound under the other class: that mis-sorts *priority* for
+    /// the id until the ring is rebuilt, never correctness — execution
+    /// re-claims the entry fresh.
     classes: Box<[u8]>,
     /// Ring spans of in-flight SQEs per lane, submission order —
     /// completions arrive in the same per-lane order, so reap closes
@@ -336,26 +701,13 @@ impl ClientRing {
         let rt = Arc::clone(client.runtime());
         let sq_cap = opts.sq_depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
         let cq_cap = opts.cq_depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
+        // One budget across the lanes, at most one lane's CQ capacity:
+        // total in-flight bounds each lane's CQ occupancy.
         let credits = opts.credits.clamp(1, cq_cap) as u64;
-        // Each lane gets the full configured depth: the lane split is a
-        // priority mechanism, not a capacity partition, and the global
-        // credit budget (<= one lane's CQ capacity) already bounds
-        // total occupancy.
-        let shared = Arc::new(RingShared {
-            vcpu: client.vcpu,
-            program: client.program,
-            lanes: std::array::from_fn(|_| Lane {
-                sq: Spsc::new(sq_cap),
-                cq: Spsc::new(cq_cap),
-            }),
-            sleeping: AtomicU32::new(0),
-            worker: OnceLock::new(),
-            shutdown: AtomicBool::new(false),
-            idle_spin: AtomicU32::new(crate::worker_idle_budget(rt.spin_policy())),
-        });
-        rt.register_ring(&shared);
+        let (shared, lanes) = RingShared::map(client.vcpu, client.program, sq_cap, cq_cap);
         let rt2 = Arc::clone(&rt);
         let sh2 = Arc::clone(&shared);
+        let consumers = lanes.map(Consumer::new);
         let cpu = rt.cpu_of(client.vcpu);
         let jh = std::thread::Builder::new()
             .name(format!("ppc-ring-v{}", client.vcpu))
@@ -363,17 +715,14 @@ impl ClientRing {
                 if let Some(cpu) = cpu {
                     crate::affinity::pin_current(cpu);
                 }
-                ring_worker(rt2, sh2);
+                ring_worker(rt2, sh2, consumers);
             })
             .expect("spawn ring worker thread");
-        shared.worker.set(jh.thread().clone()).expect("worker thread set once");
         rt.stats.cell(client.vcpu).workers_created.fetch_add(1, Ordering::Relaxed);
         ClientRing {
             rt,
             shared,
-            local_tail: [0; LANES],
-            sq_head_cache: [0; LANES],
-            reaped: [0; LANES],
+            lanes: lanes.map(Producer::new),
             credits,
             classes: vec![0u8; crate::MAX_ENTRIES].into_boxed_slice(),
             tokens: std::array::from_fn(|_| VecDeque::new()),
@@ -385,8 +734,7 @@ impl ClientRing {
     /// [`ClientRing::credits`] at all times (the bounded-memory
     /// invariant the overload experiment checks).
     pub fn in_flight(&self) -> u64 {
-        (self.local_tail[LANE_LAT] - self.reaped[LANE_LAT])
-            + (self.local_tail[LANE_BULK] - self.reaped[LANE_BULK])
+        self.lanes.iter().map(Producer::in_flight).sum()
     }
 
     /// The in-flight credit budget (shared across both QoS lanes).
@@ -396,12 +744,12 @@ impl ClientRing {
 
     /// Submission-queue capacity (entries, per QoS lane).
     pub fn sq_capacity(&self) -> usize {
-        self.shared.lanes[LANE_LAT].sq.capacity()
+        self.lanes[0].lane.sq_mask as usize + 1
     }
 
     /// Completion-queue capacity (entries, per QoS lane).
     pub fn cq_capacity(&self) -> usize {
-        self.shared.lanes[LANE_LAT].cq.capacity()
+        self.lanes[0].lane.cq_mask as usize + 1
     }
 
     /// The QoS lane `ep` rides: its entry's [`crate::QosClass`], resolved from
@@ -411,7 +759,7 @@ impl ClientRing {
     /// for real later).
     fn lane_of(&mut self, ep: EntryId) -> usize {
         if ep >= crate::MAX_ENTRIES {
-            return LANE_LAT;
+            return 0;
         }
         match self.classes[ep] {
             0 => match self.rt.entry_qos(self.shared.vcpu, ep) {
@@ -419,51 +767,42 @@ impl ClientRing {
                     self.classes[ep] = 1 + q.index() as u8;
                     q.index()
                 }
-                None => LANE_LAT,
+                None => 0,
             },
             c => (c - 1) as usize,
         }
     }
 
-    /// Admission control for `lane`: refuse when the shared credit
-    /// budget is spent (`ring_no_credit` — the remedy is to reap) or
-    /// the lane's SQ has no free slot (`ring_full` — the worker is
-    /// behind), both surfacing as [`RtError::RingFull`].
-    fn admit(&mut self, lane: usize) -> Result<(), RtError> {
-        let s = &self.shared;
-        if self.in_flight() >= self.credits {
-            self.rt.stats.cell(s.vcpu).ring_no_credit.fetch_add(1, Ordering::Relaxed);
-            return Err(RtError::RingFull);
-        }
-        // The consumer's head is loaded only when the cached copy says
-        // the queue is full; refused iff the fresh value still does.
-        let sq = &s.lanes[lane].sq;
-        let depth = sq.capacity() as u64;
-        if self.local_tail[lane] - self.sq_head_cache[lane] >= depth {
-            self.sq_head_cache[lane] = sq.head.load(Ordering::Acquire);
-            if self.local_tail[lane] - self.sq_head_cache[lane] >= depth {
-                self.rt.stats.cell(s.vcpu).ring_full.fetch_add(1, Ordering::Relaxed);
-                return Err(RtError::RingFull);
-            }
-        }
-        Ok(())
+    /// [`Producer::admit`] on `lane` against the shared budget, with a
+    /// `RingFull` counted by its cause: `ring_no_credit` or `ring_full`.
+    fn admit_lane(&mut self, lane: usize, payload_len: usize) -> Result<(), RtError> {
+        let in_flight = self.in_flight();
+        self.lanes[lane].admit(in_flight, self.credits, payload_len).inspect_err(|e| {
+            let cell = self.rt.stats.cell(self.shared.vcpu);
+            match (e, in_flight >= self.credits) {
+                (RtError::RingFull, true) => cell.ring_no_credit.fetch_add(1, Ordering::Relaxed),
+                (RtError::RingFull, false) => cell.ring_full.fetch_add(1, Ordering::Relaxed),
+                _ => 0,
+            };
+        })
     }
 
-    /// Write one SQE into `lane` and publish that lane's tail
-    /// (`Release`). No wake — that is [`ClientRing::doorbell`]'s job,
-    /// once per batch.
-    fn push(&mut self, lane: usize, ep: EntryId, args: [u64; 8], user: u64, staged: Option<Staged>) {
-        let s = &self.shared;
+    /// Open the submission's ring span and [`Producer::push`] its SQE.
+    fn push(
+        &mut self,
+        lane: usize,
+        ep: EntryId,
+        args: [u64; 8],
+        user: u64,
+        payload: Option<&[u8]>,
+    ) {
+        let vcpu = self.shared.vcpu;
         let sampled = self.rt.obs().try_sample();
-        let tok = self.rt.spans().begin_ring(sampled, s.vcpu, ep);
+        let tok = self.rt.spans().begin_ring(sampled, vcpu, ep);
         let trace = tok.as_ref().map_or(0, |t| t.ctx.pack());
-        // Safety: single producer (`&mut self`), space checked by
-        // `admit` — the cursor's slot is free.
-        unsafe { s.lanes[lane].sq.write(self.local_tail[lane], Sqe { ep, args, user, trace, staged }) };
-        self.local_tail[lane] += 1;
-        s.lanes[lane].sq.tail.store(self.local_tail[lane], Ordering::Release);
+        self.lanes[lane].push(ep, args, user, trace, payload);
         self.tokens[lane].push_back(tok);
-        self.rt.stats.cell(s.vcpu).ring_submits.fetch_add(1, Ordering::Relaxed);
+        self.rt.stats.cell(vcpu).ring_submits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Queue one PPC: entry `ep`, 8 argument words, and a `user` tag
@@ -473,15 +812,15 @@ impl ClientRing {
     /// after the batch.
     pub fn submit(&mut self, ep: EntryId, args: [u64; 8], user: u64) -> Result<(), RtError> {
         let lane = self.lane_of(ep);
-        self.admit(lane)?;
+        self.admit_lane(lane, 0)?;
         self.push(lane, ep, args, user, None);
         Ok(())
     }
 
     /// Queue one PPC carrying a request payload. The bytes are staged
-    /// into a pool buffer (one local memcpy) and handed to the handler
-    /// as its scratch page, payload in the prefix. Payloads above the
-    /// top pool size class are refused with [`RtError::BadBulk`].
+    /// into the ring's own page for this submission (one local memcpy)
+    /// and handed to the handler as its scratch. A payload over
+    /// [`crate::slot::SCRATCH_BYTES`] is refused with [`RtError::BadBulk`].
     pub fn submit_payload(
         &mut self,
         ep: EntryId,
@@ -490,24 +829,20 @@ impl ClientRing {
         payload: &[u8],
     ) -> Result<(), RtError> {
         let lane = self.lane_of(ep);
-        self.admit(lane)?;
-        let s = &self.shared;
-        let cell = self.rt.stats.cell(s.vcpu);
-        let mut buf =
-            self.rt.bulk().pool(s.vcpu).take(payload.len().max(1), cell).ok_or(RtError::BadBulk)?;
-        buf.as_mut_slice()[..payload.len()].copy_from_slice(payload);
-        self.push(lane, ep, args, user, Some(Staged::Payload { buf }));
+        self.admit_lane(lane, payload.len())?;
+        self.push(lane, ep, args, user, Some(payload));
         Ok(())
     }
 
-    /// Queue one bulk PPC, draining the region copy off this thread's
-    /// critical path: `payload` is staged into a pool buffer now (one
-    /// local memcpy), the ring worker later performs the grant-checked
-    /// copy into the span `desc` describes — which this client's
-    /// program must own — and then runs the handler with `desc` packed
-    /// into `args[7]`, exactly like [`Client::call_bulk`]. A payload
-    /// longer than the descriptor's span, or wider than the top pool
-    /// class, is refused with [`RtError::BadBulk`] up front.
+    /// Queue one bulk PPC: `payload` is copied — here, on the
+    /// submitting thread — into the span `desc` describes, which this
+    /// client's program must own, and the handler later runs with
+    /// `desc` packed into `args[7]`, exactly like [`Client::call_bulk`].
+    /// A foreign descriptor is refused on the spot with
+    /// [`RtError::BulkDenied`] (nothing is queued), a payload longer
+    /// than the descriptor's span with [`RtError::BadBulk`]. Two
+    /// in-flight bulk submissions must not target one span: the second
+    /// copy would land before the first handler has run.
     pub fn submit_bulk(
         &mut self,
         ep: EntryId,
@@ -516,19 +851,37 @@ impl ClientRing {
         desc: BulkDesc,
         payload: &[u8],
     ) -> Result<(), RtError> {
-        let lane = self.lane_of(ep);
-        self.admit(lane)?;
         args[7] = desc.encode().ok_or(RtError::BadBulk)?;
         if payload.len() > desc.len as usize {
             return Err(RtError::BadBulk);
         }
-        let s = &self.shared;
-        let cell = self.rt.stats.cell(s.vcpu);
-        let mut buf =
-            self.rt.bulk().pool(s.vcpu).take(payload.len().max(1), cell).ok_or(RtError::BadBulk)?;
-        buf.as_mut_slice()[..payload.len()].copy_from_slice(payload);
+        let lane = self.lane_of(ep);
+        self.admit_lane(lane, 0)?;
+        self.copy_in(desc, payload)?;
+        self.push(lane, ep, args, user, None);
+        Ok(())
+    }
+
+    /// Move `payload` into the region span `desc` names on behalf of
+    /// this ring's program. Owner-side access — authorized iff the
+    /// program owns the region — with the accounting of the synchronous
+    /// copy paths.
+    fn copy_in(&self, desc: BulkDesc, payload: &[u8]) -> Result<(), RtError> {
+        let (vcpu, program) = (self.shared.vcpu, self.shared.program);
+        let cell = self.rt.stats.cell(vcpu);
+        let denied = |_: &RtError| {
+            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
+        };
+        let registry = self.rt.bulk().registry(vcpu);
+        let acc = registry.begin(desc, 0, program, program, true, true).inspect_err(denied)?;
+        let n = acc.len.min(payload.len());
+        // Safety: `acc` authorizes `[acc.ptr, acc.ptr + acc.len)` and
+        // holds the slot exclusively (write access); `payload` cannot
+        // alias region memory.
+        unsafe { bulk::copy_span(acc.ptr, payload.as_ptr(), n) };
+        acc.finish().inspect_err(denied)?;
         cell.bulk_calls.fetch_add(1, Ordering::Relaxed);
-        self.push(lane, ep, args, user, Some(Staged::Bulk { buf, len: payload.len(), desc }));
+        cell.bulk_bytes.fetch_add(n as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -540,41 +893,17 @@ impl ClientRing {
     pub fn doorbell(&self) {
         let s = &self.shared;
         notify(s.sleeper(), || {
-            if let Some(t) = s.worker.get() {
-                let cell = self.rt.stats.cell(s.vcpu);
-                cell.ring_doorbells.fetch_add(1, Ordering::Relaxed);
-                let depth: u64 = (0..LANES)
-                    .map(|l| {
-                        self.local_tail[l]
-                            .saturating_sub(s.lanes[l].sq.head.load(Ordering::Relaxed))
-                    })
-                    .sum();
+            // `join` is taken only by `drop`, after its last doorbell.
+            if let Some(jh) = &self.join {
+                self.rt.stats.cell(s.vcpu).ring_doorbells.fetch_add(1, Ordering::Relaxed);
+                // SQEs not taken yet, by a `Relaxed` look at the heads
+                // (a diagnostic, not a bound).
+                let head = |p: &Producer| p.lane.cursors().sq_head.load(Ordering::Relaxed);
+                let depth: u64 = self.lanes.iter().map(|p| p.sq_tail.saturating_sub(head(p))).sum();
                 self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, depth as u32);
-                t.unpark();
+                jh.thread().unpark();
             }
         });
-    }
-
-    /// Harvest completions from one lane's CQ (per-lane submission
-    /// order; closes ring spans front-first and returns credits).
-    fn reap_lane(&mut self, lane: usize, max: usize, out: &mut Vec<Completion>) -> usize {
-        let s = &self.shared;
-        let cq = &s.lanes[lane].cq;
-        let tail = cq.tail.load(Ordering::Acquire);
-        let mut n = 0usize;
-        while self.reaped[lane] < tail && n < max {
-            // Safety: single consumer (`&mut self`), `reaped < tail`
-            // observed with Acquire.
-            let cqe = unsafe { cq.read(self.reaped[lane]) };
-            self.reaped[lane] += 1;
-            cq.head.store(self.reaped[lane], Ordering::Release);
-            if let Some(tok) = self.tokens[lane].pop_front().flatten() {
-                self.rt.spans().end_token(tok, None);
-            }
-            out.push(Completion { user: cqe.user, ep: cqe.ep, result: cqe.result });
-            n += 1;
-        }
-        n
     }
 
     /// Harvest up to `max` completions into `out` (append; the caller
@@ -585,8 +914,14 @@ impl ClientRing {
     /// the matching ring span and returns a credit. Non-blocking — an
     /// empty CQ reaps zero.
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
-        let mut n = self.reap_lane(LANE_LAT, max, out);
-        n += self.reap_lane(LANE_BULK, max - n, out);
+        let mut n = 0;
+        for (lane, tokens) in self.lanes.iter_mut().zip(&mut self.tokens) {
+            n += lane.reap(max - n, out, || {
+                if let Some(tok) = tokens.pop_front().flatten() {
+                    self.rt.spans().end_token(tok, None);
+                }
+            });
+        }
         if n > 0 && self.rt.obs().try_sample() {
             let vcpu = self.shared.vcpu;
             self.rt.obs().record(LatencyKind::ReapBatch, vcpu, n as u64);
@@ -612,20 +947,16 @@ impl ClientRing {
 impl Drop for ClientRing {
     fn drop(&mut self) {
         // Shut the worker down; it finishes everything still queued
-        // (error CQEs for dead entries) before exiting, so staged
-        // buffers recycle and nothing is silently dropped mid-queue.
+        // (error CQEs for dead entries) before exiting, so nothing is
+        // silently dropped mid-queue.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.doorbell();
         if let Some(jh) = self.join.take() {
             let _ = jh.join();
         }
         // Close the ring spans of completions never reaped, both lanes.
-        for lane in &mut self.tokens {
-            while let Some(tok) = lane.pop_front() {
-                if let Some(tok) = tok {
-                    self.rt.spans().end_token(tok, None);
-                }
-            }
+        for tok in self.tokens.iter_mut().flat_map(|lane| lane.drain(..)).flatten() {
+            self.rt.spans().end_token(tok, None);
         }
     }
 }
@@ -643,27 +974,22 @@ impl Client {
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------
-
 /// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with the
-/// learned `poll` and a yielding spin of `idle_spin` passes on both
-/// lanes' SQ tails (the mirror of the entry workers' mailbox spin), then
-/// the announced park the doorbell pairs with; budget 0 (`ParkOnly`)
-/// parks at once, no poll either. One park per call: the worker loop
-/// re-reads the tails and the shutdown flag itself.
+/// learned `poll` and a yielding spin of `budget` passes on the lanes'
+/// SQ tails (the mirror of the entry workers' mailbox spin), then the
+/// announced park the doorbell pairs with; budget 0 (`ParkOnly`) parks
+/// at once, no poll either. One park per call: the worker loop re-reads
+/// the tails and the shutdown flag itself.
 fn idle_wait(
     ring: &RingShared,
-    head: &[u64; LANES],
+    lanes: &[Consumer],
+    budget: u32,
     poll: &mut Poll,
-    timer: &mut crate::stats::StateTimer<'_>,
+    timer: &mut StateTimer<'_>,
 ) {
-    let budget = ring.idle_spin.load(Ordering::Relaxed);
     let spin = Spin { poll: Some(poll).filter(|_| budget > 0), budget, rounds: 0 };
     let ready = || {
-        (0..LANES).any(|l| ring.lanes[l].sq.tail.load(Ordering::Acquire) != head[l])
-            || ring.shutdown.load(Ordering::Acquire)
+        lanes.iter().any(|c| c.pending() != 0) || ring.shutdown.load(Ordering::Acquire)
     };
     let park = || {
         // The spin was Idle time; the sleep is Park time.
@@ -675,231 +1001,154 @@ fn idle_wait(
     wait(spin, Some(ring.sleeper()), ready, || (), park);
 }
 
-/// Consume one SQE from `lane` and post its CQE: the per-SQE body of
-/// the worker loop, parameterized so the priority scheduler above can
-/// interleave lanes.
-#[allow(clippy::too_many_arguments)] // the worker loop's locals, one by one
-fn execute_lane(
-    rt: &Arc<Runtime>,
-    ring: &RingShared,
-    lane: usize,
-    head: &mut [u64; LANES],
-    cq_tail: &mut [u64; LANES],
-    scratch: &mut [u8],
-    handler_ns: &mut u64,
-    timer: &mut crate::stats::StateTimer<'_>,
-) {
-    let l = &ring.lanes[lane];
-    // One sampler tick per SQE decides all its records: a second site
-    // on this thread would fall into step and take every sample or none.
-    let sampled = rt.obs().try_sample();
-    if sampled {
-        // The queue depth this pickup observes — log₂ depth bands.
-        let depth = (0..LANES).map(|i| ring.lanes[i].sq.tail.load(Ordering::Relaxed) - head[i]);
-        rt.obs().record(LatencyKind::RingDepth, ring.vcpu, depth.sum());
-    }
-    // Safety: sole consumer; `head < tail` observed Acquire by the
-    // caller.
-    let sqe = unsafe { l.sq.read(head[lane]) };
-    head[lane] += 1;
-    // Free the SQ slot before executing: admission is bounded by
-    // credits, not SQ occupancy, so the client may refill while this
-    // entry runs. The client's cached copy of this head is only ever
-    // *behind* it, so it can refuse late, never admit early.
-    l.sq.head.store(head[lane], Ordering::Release);
-    let cqe = execute_sqe(rt, ring, sqe, scratch, sampled, handler_ns, timer);
-    debug_assert!(
-        cq_tail[lane] - l.cq.head.load(Ordering::Relaxed) < l.cq.capacity() as u64,
-        "credit clamp must bound CQ occupancy"
-    );
-    // Safety: sole CQ producer; occupancy bounded by the credit clamp
-    // (credits <= cq capacity, and per-lane in-flight <= total).
-    unsafe { l.cq.write(cq_tail[lane], cqe) };
-    cq_tail[lane] += 1;
-    l.cq.tail.store(cq_tail[lane], Ordering::Release);
-}
-
-/// The ring worker loop: consume SQEs in per-lane order — every queued
-/// `Latency` SQE before each `Bulk` one, re-reading the `Latency` tail
-/// between `Bulk` executions so a latency submission arriving mid-batch
-/// waits behind at most one in-progress bulk handler — execute each
-/// under an execution-time claim, post the CQE, repeat. One thread per
-/// ring; it exits when the client handle drops (after finishing both
-/// queues).
-fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>) {
-    // The persistent scratch page handlers see on non-payload SQEs —
+/// The ring worker: [`drain`] while there is work, [`idle_wait`] when
+/// there is none. One thread per ring; it exits when the client handle
+/// drops, after finishing both queues.
+fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut lanes: [Consumer; LANES]) {
+    // The persistent scratch page handlers see on payload-less SQEs —
     // the ring worker's stand-in for a CD's scratch.
-    let mut scratch = vec![0u8; crate::slot::SCRATCH_BYTES].into_boxed_slice();
-    let mut head = [0u64; LANES];
-    let mut cq_tail = [0u64; LANES];
+    let mut scratch = vec![0u8; SCRATCH_BYTES].into_boxed_slice();
     // This thread's wall-time classifier: Idle on the tail spin, Park
     // across the Dekker sleep, Ring while draining — one clock read where
-    // a run of SQEs begins and one where it ends, none per SQE. Staged
-    // bulk copies are timed out to Copy in `execute_sqe`; the handlers'
-    // share is `handler_ns`, `ring_execute`'s sampled estimate, carved
-    // out of the Ring interval at the transition that closes it.
-    let mut timer =
-        crate::stats::StateTimer::new(rt.stats.served_cell(ring.vcpu), TimeState::Idle);
+    // a run of SQEs begins and one where it ends, none per SQE. The
+    // handlers' share is `handler_ns`, `ring_execute`'s sampled estimate,
+    // carved out of the Ring interval at the transition that closes it.
+    let mut timer = StateTimer::new(rt.stats.served_cell(ring.vcpu), TimeState::Idle);
     let mut handler_ns = 0u64;
     // The tails' learned poll; this loop is its only writer. The worker
     // wakes nobody (the client reaps by polling): always passed.
     let mut poll = Poll::default();
     loop {
-        let lat_tail = ring.lanes[LANE_LAT].sq.tail.load(Ordering::Acquire);
-        let bulk_tail = ring.lanes[LANE_BULK].sq.tail.load(Ordering::Acquire);
-        if head[LANE_LAT] == lat_tail && head[LANE_BULK] == bulk_tail {
+        if lanes.iter().all(|c| c.pending() == 0) {
             if ring.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            idle_wait(&ring, &head, &mut poll, &mut timer);
+            // The budget follows `Runtime::set_spin_policy` from the
+            // next idle wait on: one `Relaxed` load on a path that is
+            // about to spin or sleep.
+            let budget = crate::worker_idle_budget(rt.spin_policy());
+            idle_wait(&ring, &lanes, budget, &mut poll, &mut timer);
             continue;
         }
         timer.transition(TimeState::Ring);
-        loop {
-            if ring.lanes[LANE_LAT].sq.tail.load(Ordering::Acquire) != head[LANE_LAT] {
-                execute_lane(
-                    &rt, &ring, LANE_LAT, &mut head, &mut cq_tail, &mut scratch, &mut handler_ns,
-                    &mut timer,
-                );
-                continue;
-            }
-            if ring.lanes[LANE_BULK].sq.tail.load(Ordering::Acquire) == head[LANE_BULK] {
-                break;
-            }
-            execute_lane(
-                &rt, &ring, LANE_BULK, &mut head, &mut cq_tail, &mut scratch, &mut handler_ns,
-                &mut timer,
-            );
-        }
+        while drain(&rt, &mut lanes, ring.vcpu, ring.program, &mut scratch, &mut handler_ns)
+            .expect("ClientRing is the lanes' only producer")
+            > 0
+        {}
         timer.transition_carving(TimeState::Idle, TimeState::Handler, &mut handler_ns);
     }
-}
-
-/// Execute one SQE: deliver any staged payload, run the handler under
-/// an execution-time claim, recycle the staging buffer, and produce the
-/// completion entry.
-fn execute_sqe(
-    rt: &Arc<Runtime>,
-    ring: &RingShared,
-    sqe: Sqe,
-    scratch: &mut [u8],
-    sampled: bool,
-    handler_ns: &mut u64,
-    timer: &mut crate::stats::StateTimer<'_>,
-) -> Cqe {
-    let Sqe { ep, args, user, trace, staged } = sqe;
-    let run = |scratch: &mut [u8], handler_ns: &mut u64| {
-        rt.ring_execute(ring.vcpu, ep, args, ring.program, trace, scratch, sampled, handler_ns)
-    };
-    let result = match staged {
-        None => run(scratch, handler_ns),
-        Some(Staged::Payload { mut buf }) => {
-            let r = run(buf.as_mut_slice(), handler_ns);
-            rt.bulk().pool(ring.vcpu).put(buf);
-            r
-        }
-        Some(Staged::Bulk { buf, len, desc }) => {
-            // µs-scale, so timed exactly: closes the Ring interval so
-            // far (handlers' share carved out) and opens the next.
-            timer.transition_carving(TimeState::Copy, TimeState::Handler, handler_ns);
-            let copied = bulk_copy_in(rt, ring, &buf, len, desc, sampled);
-            timer.transition(TimeState::Ring);
-            rt.bulk().pool(ring.vcpu).put(buf);
-            match copied {
-                Ok(()) => run(scratch, handler_ns),
-                Err(e) => Err(e),
-            }
-        }
-    };
-    Cqe { user, ep, result }
-}
-
-/// The async copy engine's worker half: move the staged bytes into the
-/// granted region span on behalf of the submitting program. Owner-side
-/// access — authorized iff the ring client's program owns the region —
-/// with the same accounting as the synchronous copy paths.
-fn bulk_copy_in(
-    rt: &Arc<Runtime>,
-    ring: &RingShared,
-    buf: &PoolBuf,
-    len: usize,
-    desc: BulkDesc,
-    sampled: bool,
-) -> Result<(), RtError> {
-    let cell = rt.stats.served_cell(ring.vcpu);
-    let t0 = sampled.then(Instant::now);
-    let acc = rt
-        .bulk()
-        .registry(ring.vcpu)
-        .begin(desc, 0, ring.program, ring.program, true, true)
-        .inspect_err(|_| {
-            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
-        })?;
-    let n = acc.len.min(len);
-    // Safety: `acc` authorizes `[acc.ptr, acc.ptr + acc.len)` and holds
-    // the slot exclusively (write access); the pool buffer holds at
-    // least `len` initialized bytes and cannot alias region memory.
-    unsafe { bulk::copy_span(acc.ptr, buf.as_mut_ptr() as *const u8, n) };
-    acc.finish().inspect_err(|_| {
-        cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
-    })?;
-    cell.bulk_bytes.fetch_add(n as u64, Ordering::Relaxed);
-    if let Some(t0) = t0 {
-        rt.obs().record(LatencyKind::BulkCopy, ring.vcpu, t0.elapsed().as_nanos() as u64);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn spsc_wraps_and_preserves_order() {
-        let q: Spsc<u64> = Spsc::new(4);
-        let mut tail = 0u64;
-        let mut head = 0u64;
-        // Three full laps around a 4-slot ring.
-        for round in 0..3u64 {
-            for i in 0..4u64 {
-                unsafe { q.write(tail, round * 100 + i) };
-                tail += 1;
-                q.tail.store(tail, Ordering::Release);
-            }
-            assert_eq!(tail - head, 4, "full");
-            for i in 0..4u64 {
-                let got = unsafe { q.read(head) };
-                head += 1;
-                q.head.store(head, Ordering::Release);
-                assert_eq!(got, round * 100 + i);
-            }
-        }
+    /// A runtime with an echo entry, and one mapped ring's two ends
+    /// with nothing in between: the tests below play the worker.
+    fn bare_ring(depth: usize) -> (Arc<Runtime>, EntryId, Arc<RingShared>, Vec<Producer>, Vec<Consumer>) {
+        let rt = Runtime::new(1);
+        let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let (shared, lanes) = RingShared::map(0, 1, depth, depth);
+        let (prod, cons) = (lanes.map(Producer::new), lanes.map(Consumer::new));
+        (rt, ep, shared, prod.into(), cons.into())
+    }
+
+    fn drain_all(rt: &Arc<Runtime>, cons: &mut [Consumer]) -> Option<u64> {
+        drain(rt, cons, 0, 1, &mut [0u8; 64], &mut 0)
     }
 
     #[test]
-    fn spsc_drain_owned_frees_queued_entries() {
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        struct Probe(std::sync::Arc<std::sync::atomic::AtomicUsize>);
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
+    fn spsc_wraps_and_preserves_order() {
+        let (rt, ep, _mem, mut prod, mut cons) = bare_ring(4);
+        let (p, mut out) = (&mut prod[0], Vec::new());
+        // Three full laps around a 4-slot lane.
+        for round in 0..3u64 {
+            for i in 0..4u64 {
+                p.admit(p.in_flight(), 4, 0).unwrap();
+                p.push(ep, [round * 100 + i; 8], i, 0, None);
+            }
+            assert_eq!(p.admit(p.in_flight(), 8, 0), Err(RtError::RingFull), "full");
+            assert_eq!(p.admit(p.in_flight(), 4, 0), Err(RtError::RingFull), "no credit");
+            assert_eq!(drain_all(&rt, &mut cons), Some(4));
+            assert_eq!(p.reap(usize::MAX, &mut out, || ()), 4);
+            for (i, c) in out.drain(..).enumerate() {
+                assert_eq!((c.user, c.result), (i as u64, Ok([round * 100 + i as u64; 8])));
             }
         }
-        let mut q: Spsc<Probe> = Spsc::new(8);
-        for i in 0..5u64 {
-            unsafe { q.write(i, Probe(std::sync::Arc::clone(&counter))) };
-            q.tail.store(i + 1, Ordering::Release);
-        }
-        // Consume two, leave three queued.
+        assert_eq!(drain_all(&rt, &mut cons), Some(0), "idle");
+    }
+
+    /// Lane order: everything queued on lane 0 runs before anything on
+    /// lane 1, whichever was submitted first.
+    #[test]
+    fn drain_serves_lanes_in_index_order() {
+        let (rt, _, _mem, mut prod, mut cons) = bare_ring(4);
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&order);
+        let ep = rt
+            .bind("log", crate::EntryOptions::default(), Arc::new(move |c| {
+                seen.lock().push(c.args[0]);
+                c.args
+            }))
+            .unwrap();
         for i in 0..2u64 {
-            unsafe { drop(q.read(i)) };
-            q.head.store(i + 1, Ordering::Release);
+            prod[1].push(ep, [10 + i; 8], i, 0, None);
+            prod[0].push(ep, [i; 8], i, 0, None);
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
-        q.drain_owned();
-        assert_eq!(counter.load(Ordering::Relaxed), 5, "queued entries freed exactly once");
-        drop(q);
-        assert_eq!(counter.load(Ordering::Relaxed), 5, "no double free on drop");
+        assert_eq!(drain_all(&rt, &mut cons), Some(4));
+        assert_eq!(*order.lock(), [0, 1, 10, 11]);
+    }
+
+    /// An SQE names its staged span by offset, and the consumer checks
+    /// the offset against that lane's own pages: the neighbour lane's
+    /// page, a span straddling either end of its own area and an offset
+    /// past everything are all refused with a `BadBulk` CQE — the
+    /// handler never sees them — and the honest offset right after is
+    /// served.
+    #[test]
+    fn forged_staging_offset_is_bad_bulk() {
+        let (rt, ep, _mem, mut prod, mut cons) = bare_ring(4);
+        let p = &mut prod[1];
+        let (first, end) = (p.lane.stage_off as u32, (p.lane.stage_off + 4 * SCRATCH_BYTES) as u32);
+        let mut out = Vec::new();
+        for (user, forged) in [0, first - 1, end - 2, u32::MAX - 8].into_iter().enumerate() {
+            p.push(ep, [7; 8], user as u64, 0, Some(&[1, 2, 3]));
+            // Safety: the test is both ends; the SQE is not yet taken.
+            unsafe { (*p.lane.sqe(p.sq_tail - 1)).payload_off = forged };
+            assert_eq!(drain_all(&rt, &mut cons), Some(1));
+            p.reap(1, &mut out, || ());
+            assert_eq!(out.pop().unwrap().result, Err(RtError::BadBulk), "offset {forged}");
+        }
+        p.push(ep, [7; 8], 9, 0, Some(&[1, 2, 3]));
+        assert_eq!(drain_all(&rt, &mut cons), Some(1));
+        p.reap(1, &mut out, || ());
+        assert_eq!(out.pop().unwrap().result, Ok([7; 8]));
+        assert_eq!(rt.stats.snapshot().ring_calls, 1, "only the honest SQE reached a handler");
+    }
+
+    /// The consumer's cursors are its own: a tail more than a queue
+    /// ahead is refused with nothing executed, and scribbling the two
+    /// words the consumer publishes, or the producer's `cq_head` (which
+    /// a debug consumer used to load), does not move or stop it.
+    #[test]
+    fn consumer_bounds_the_tail_and_never_reloads_its_own_cursors() {
+        let (rt, ep, _mem, mut prod, mut cons) = bare_ring(4);
+        let lane = prod[0].lane;
+        let cur = lane.cursors();
+        for user in 0..2 {
+            prod[0].push(ep, [user; 8], user, 0, None);
+        }
+        assert_eq!(drain_all(&rt, &mut cons), Some(2));
+        cur.sq_head.store(0, Ordering::SeqCst);
+        cur.cq_tail.store(0, Ordering::SeqCst);
+        cur.cq_head.store(u64::MAX / 2, Ordering::SeqCst);
+        assert_eq!(drain_all(&rt, &mut cons), Some(0), "a rewound sq_head replays nothing");
+        prod[0].push(ep, [2; 8], 2, 0, None);
+        assert_eq!(drain_all(&rt, &mut cons), Some(1));
+        assert_eq!(cur.cq_tail.load(Ordering::SeqCst), 3, "published from the private copy");
+        cur.sq_tail.store(3 + 5, Ordering::SeqCst);
+        assert_eq!(drain_all(&rt, &mut cons), None);
+        assert_eq!(rt.stats.snapshot().ring_calls, 3);
     }
 
     /// Fails when an entry stops owning its cache lines: a neighbour on
@@ -910,10 +1159,36 @@ mod tests {
         use std::mem::{align_of, size_of};
         assert!(align_of::<Sqe>() >= 64 && size_of::<Sqe>().is_multiple_of(64));
         assert!(align_of::<Cqe>() >= 64 && size_of::<Cqe>().is_multiple_of(64));
-        // The boxed slot array inherits the alignment.
-        let (sq, cq) = (Spsc::<Sqe>::new(4), Spsc::<Cqe>::new(4));
-        assert_eq!(sq.slots.as_ptr() as usize % 64, 0);
-        assert_eq!(cq.slots.as_ptr() as usize % 64, 0);
+        // Both lanes' arrays land on line boundaries of the mapping.
+        let (_shared, lanes) = RingShared::map(0, 1, 2, 8);
+        for lane in lanes {
+            assert_eq!(lane.cursors() as *const RingCursors as usize % 64, 0);
+            assert_eq!((lane.sqe(1) as usize % 64, lane.cqe(1) as usize % 64), (0, 0));
+            assert_eq!((lane.base as usize + lane.stage_page(1)) % SCRATCH_BYTES, 0);
+        }
+    }
+
+    /// No queue entry owns a resource: a ring dropped with 64 staged
+    /// payloads queued leaves nothing to free — the pool was never
+    /// asked for a buffer, and holds what it held.
+    #[test]
+    fn an_unexecuted_payload_sqe_leaves_nothing_to_free() {
+        let rt = Runtime::new(1);
+        let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let pool_state = || {
+            let s = rt.stats.snapshot();
+            let idle: Vec<usize> =
+                (0..bulk::SIZE_CLASSES.len()).map(|c| rt.bulk().pool(0).idle_in_class(c)).collect();
+            (s.bulk_pool_hits + s.bulk_pool_misses, idle)
+        };
+        let before = pool_state();
+        let mut ring = rt.client(0, 1).ring();
+        for i in 0..64u64 {
+            ring.submit_payload(ep, [i; 8], i, &[i as u8; 512]).unwrap();
+        }
+        // No doorbell, no reap.
+        drop(ring);
+        assert_eq!(pool_state(), before);
     }
 
     /// `n` depth-1 round trips — submit, doorbell, spin-reap — with a
@@ -923,12 +1198,8 @@ mod tests {
     /// yet parked, and parked. The worker's park has no timeout: a lost
     /// wake hangs the reap, and the watchdog fails the test. Returns how
     /// many doorbells really woke the worker.
-    fn ping_pong(n: u64, policy: crate::SpinPolicy) -> u64 {
-        let _watchdog = crate::wait::abort_if_hung("ring.rs doorbell test");
-        let rt = Runtime::new(1);
-        rt.set_spin_policy(policy);
-        let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
-        let mut ring = rt.client(0, 1).ring();
+    fn ping_pong(rt: &Runtime, ring: &mut ClientRing, ep: EntryId, n: u64) -> u64 {
+        let woken = rt.stats.ring_doorbells();
         let (mut out, mut rng) = (Vec::new(), 0x9E37_79B9_7F4A_7C15u64);
         for i in 0..n {
             let r = crate::wait::xorshift(&mut rng);
@@ -948,18 +1219,43 @@ mod tests {
             }
             assert_eq!(out.pop().map(|c| (c.user, c.result)), Some((i, Ok([i; 8]))));
         }
-        rt.stats.ring_doorbells()
+        rt.stats.ring_doorbells() - woken
     }
 
     #[test]
     fn no_doorbell_is_lost_over_a_hundred_thousand_rounds() {
+        let _watchdog = crate::wait::abort_if_hung("ring.rs doorbell test");
         let n = 100_000;
-        let woken = ping_pong(n, crate::SpinPolicy::Adaptive);
-        assert!(woken >= 100, "parked path taken: {woken} wakes");
-        // `ParkOnly`: the worker blocks at once, so all but the rounds
-        // with (next to) no think time need a real wake.
-        let woken = ping_pong(n, crate::SpinPolicy::ParkOnly);
-        assert!(woken >= n / 2, "ParkOnly worker parks between rounds: {woken} wakes");
+        for policy in [crate::SpinPolicy::Adaptive, crate::SpinPolicy::ParkOnly] {
+            let rt = Runtime::new(1);
+            rt.set_spin_policy(policy);
+            let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+            let woken = ping_pong(&rt, &mut rt.client(0, 1).ring(), ep, n);
+            match policy {
+                crate::SpinPolicy::Adaptive => assert!(woken >= 100, "parked path taken: {woken}"),
+                // The worker blocks at once, so all but the rounds with
+                // (next to) no think time need a real wake.
+                crate::SpinPolicy::ParkOnly => {
+                    assert!(woken >= n / 2, "ParkOnly worker parks between rounds: {woken} wakes")
+                }
+            }
+        }
+    }
+
+    /// The worker reads the policy at each idle wait: flipped on a live
+    /// ring, the very next waits block at once — by the bound above,
+    /// at least half the rounds that follow need a real wake.
+    #[test]
+    fn a_live_ring_follows_set_spin_policy() {
+        let _watchdog = crate::wait::abort_if_hung("ring.rs live policy test");
+        let rt = Runtime::new(1);
+        let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let mut ring = rt.client(0, 1).ring();
+        ping_pong(&rt, &mut ring, ep, 2_000);
+        rt.set_spin_policy(crate::SpinPolicy::ParkOnly);
+        let n = 20_000;
+        let woken = ping_pong(&rt, &mut ring, ep, n);
+        assert!(woken >= n / 2, "the live worker parks between rounds: {woken} wakes");
     }
 
     /// Budget 0 (`SpinPolicy::ParkOnly`): the idle wait goes straight to
@@ -968,22 +1264,16 @@ mod tests {
     #[test]
     fn park_only_idle_wait_never_consults_the_poll() {
         let _watchdog = crate::wait::abort_if_hung("ring.rs idle_wait test");
-        let ring = RingShared {
-            vcpu: 0,
-            program: 1,
-            lanes: std::array::from_fn(|_| Lane { sq: Spsc::new(2), cq: Spsc::new(2) }),
-            sleeping: AtomicU32::new(0),
-            worker: OnceLock::new(),
-            shutdown: AtomicBool::new(false),
-            idle_spin: AtomicU32::new(crate::worker_idle_budget(crate::SpinPolicy::ParkOnly)),
-        };
+        let (ring, lanes) = RingShared::map(0, 1, 2, 2);
+        let lanes = lanes.map(Consumer::new);
         let stats = crate::stats::RuntimeStats::new(1);
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                let mut timer = crate::stats::StateTimer::new(stats.served_cell(0), TimeState::Idle);
+                let mut timer = StateTimer::new(stats.served_cell(0), TimeState::Idle);
                 let mut poll = Poll::from_bits(1024);
+                let budget = crate::worker_idle_budget(crate::SpinPolicy::ParkOnly);
                 while !ring.shutdown.load(Ordering::Acquire) {
-                    idle_wait(&ring, &[0; LANES], &mut poll, &mut timer);
+                    idle_wait(&ring, &lanes, budget, &mut poll, &mut timer);
                 }
                 poll.bits()
             });

@@ -122,7 +122,8 @@ pub fn segment_dir() -> PathBuf {
 /// Created by one process ([`Segment::create`] — which also unlinks the
 /// backing file on drop) and opened read-write by peers
 /// ([`Segment::open`]). [`Segment::anon`] gives an anonymous
-/// `memfd`-backed segment for single-process layout tests.
+/// `memfd`-backed segment for single-process layout tests, and the
+/// in-process ring keeps its queues in a private one.
 pub struct Segment {
     base: NonNull<u8>,
     len: usize,
@@ -174,6 +175,14 @@ impl Segment {
         Ok(Segment { base, len, unlink: None })
     }
 
+    /// An anonymous **private** mapping: zero pages no other process can
+    /// reach, for a structure that uses a segment's offset-addressed
+    /// layout inside one process (the in-process ring). One `mmap`, no
+    /// file; a page costs memory only once it is touched.
+    pub(crate) fn private(len: usize) -> io::Result<Segment> {
+        Ok(Segment { base: sys::map(len, None)?, len, unlink: None })
+    }
+
     /// The local base address of the mapping.
     #[inline]
     pub fn base(&self) -> *mut u8 {
@@ -217,7 +226,7 @@ impl Drop for Segment {
 }
 
 fn map_shared(file: &File, len: usize) -> io::Result<NonNull<u8>> {
-    sys::map_shared(file, len)
+    sys::map(len, Some(file))
 }
 
 /// Sleep on a shared `u32` until its value is no longer `expected` (or
@@ -271,6 +280,8 @@ mod sys {
     const PROT_READ: c_int = 1;
     const PROT_WRITE: c_int = 2;
     const MAP_SHARED: c_int = 1;
+    const MAP_PRIVATE: c_int = 2;
+    const MAP_ANONYMOUS: c_int = 0x20;
 
     #[cfg(target_arch = "x86_64")]
     const SYS_FUTEX: c_long = 202;
@@ -292,19 +303,16 @@ mod sys {
         tv_nsec: i64,
     }
 
-    pub(super) fn map_shared(file: &File, len: usize) -> io::Result<NonNull<u8>> {
-        // Safety: plain mmap of a file we own a handle to; failure is
-        // reported, success hands us `len` mapped bytes.
-        let p = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
+    /// Map `len` bytes: `file` shared, or fresh private zero pages.
+    pub(super) fn map(len: usize, file: Option<&File>) -> io::Result<NonNull<u8>> {
+        let (flags, fd) = match file {
+            Some(f) => (MAP_SHARED, f.as_raw_fd()),
+            None => (MAP_PRIVATE | MAP_ANONYMOUS, -1),
         };
+        // Safety: plain mmap of a file we own a handle to, or of no
+        // file; failure is reported, success hands us `len` mapped
+        // bytes.
+        let p = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ | PROT_WRITE, flags, fd, 0) };
         if p as isize == -1 {
             return Err(io::Error::last_os_error());
         }
@@ -392,7 +400,7 @@ mod sys {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::{Duration, Instant};
 
-    pub(super) fn map_shared(_file: &File, _len: usize) -> io::Result<NonNull<u8>> {
+    pub(super) fn map(_len: usize, _file: Option<&File>) -> io::Result<NonNull<u8>> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "shared-memory segments require Linux",

@@ -258,10 +258,6 @@ counters! {
     /// sampled estimate is carved out (see
     /// [`StatsCell::time_handler_ns`]; [`TimeState::Ring`]).
     time_ring_ns,
-    /// Wall-time (ns) spent in bulk payload copies outside handler
-    /// bodies (ring-side payload/bulk staging; a copy issued *inside* a
-    /// handler counts as handler run time) ([`TimeState::Copy`]).
-    time_copy_ns,
     /// Wall-time (ns) spent in Frank cold paths: worker-pool and CD-pool
     /// grow, the allocation slow path ([`TimeState::Frank`]).
     time_frank_ns,
@@ -318,7 +314,7 @@ impl RuntimeStats {
     }
 
     /// The cell the threads serving `vcpu` own: workers' and the ring
-    /// worker's wall-time states, `ring_calls`, the ring's bulk staging.
+    /// worker's wall-time states, `ring_calls`.
     #[inline]
     pub fn served_cell(&self, vcpu: usize) -> &StatsCell {
         &self.cells[self.cells.len() / 2..][vcpu]
@@ -347,8 +343,6 @@ pub enum TimeState {
     /// Ring worker draining SQEs (decode/staging/completion, not the
     /// handler bodies).
     Ring,
-    /// Bulk payload copy outside a handler body.
-    Copy,
     /// Frank cold path: pool grow, on-demand allocation.
     Frank,
     /// Spinning on an empty mailbox/ring, waiting for work.
@@ -357,12 +351,11 @@ pub enum TimeState {
 
 /// Every [`TimeState`] with its counter name and `ppc_time_ns{state=}`
 /// label, in declaration order — what the exporter and `ppc-top` iterate.
-pub const TIME_STATES: [(TimeState, &str, &str); 7] = [
+pub const TIME_STATES: [(TimeState, &str, &str); 6] = [
     (TimeState::Handler, "time_handler_ns", "handler"),
     (TimeState::Spin, "time_spin_ns", "spin"),
     (TimeState::Park, "time_park_ns", "park"),
     (TimeState::Ring, "time_ring_ns", "ring"),
-    (TimeState::Copy, "time_copy_ns", "copy"),
     (TimeState::Frank, "time_frank_ns", "frank"),
     (TimeState::Idle, "time_idle_ns", "idle"),
 ];
@@ -381,7 +374,6 @@ impl StatsCell {
             TimeState::Spin => &self.time_spin_ns,
             TimeState::Park => &self.time_park_ns,
             TimeState::Ring => &self.time_ring_ns,
-            TimeState::Copy => &self.time_copy_ns,
             TimeState::Frank => &self.time_frank_ns,
             TimeState::Idle => &self.time_idle_ns,
         };
@@ -552,7 +544,7 @@ mod tests {
         let snap = s.snapshot();
         let fields = snap.fields();
         // `calls` plus one entry per StatsCell counter, no drift.
-        assert_eq!(fields.len(), 37);
+        assert_eq!(fields.len(), 36);
         assert_eq!(fields[0], ("calls", 7));
         let get = |name: &str| fields.iter().find(|(n, _)| *n == name).unwrap().1;
         assert_eq!(get("inline_calls"), 7);

@@ -46,9 +46,10 @@
 //! | segment server (`serve_loop`) | local in the loop | header `server_sleeping` | doorbell bump + futex wake iff announced | the bump changed the word compared |
 //!
 //! A site passes its `Poll` only when its last exchange woke nobody (see
-//! phase 1) and its spin policy spins at all (`idle_spin > 0` for the two
-//! workers): under `ParkOnly` both in-process sides block at once — zero
-//! poll, zero spin. The ring worker wakes nobody — its client reaps by
+//! phase 1) and its spin policy spins at all (an idle budget above zero
+//! for the two workers — the entry's `idle_spin`, the ring worker's
+//! `worker_idle_budget` of the policy it reads at each idle wait): under
+//! `ParkOnly` both in-process sides block at once — zero poll, zero spin. The ring worker wakes nobody — its client reaps by
 //! polling — so for it the second condition is the only one.
 //!
 //! # Lost-wake freedom

@@ -13,7 +13,10 @@
 //! [`XClient::submit`]/[`XClient::reap`] behave like their
 //! [`crate::Client`]/[`crate::ClientRing`] counterparts, returning the
 //! same [`RtError`]s — plus [`RtError::PeerGone`], the one failure mode
-//! a process boundary adds.
+//! a process boundary adds. The ring *is* [`crate::ring`]'s: one lane
+//! per client, laid out, filled, drained and reaped by that module;
+//! this one adds what the boundary needs around it (liveness, the
+//! high-water mark, the futex doorbell, detaching a hostile producer).
 //!
 //! # Segment layout (version [`XPROC_LAYOUT_VERSION`])
 //!
@@ -26,10 +29,10 @@
 //! │ XClientSlot×N  SlotCore (call rendezvous) + control words        │
 //! │                + 4 KiB payload page                              │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ ring×N         XRingHdr (SQ/CQ cursors) + XSqe[depth]            │
-//! │                + XCqe[depth]                                     │
+//! │ ring×N         one `ring.rs` lane: RingCursors + Sqe[depth]      │
+//! │                + Cqe[depth]                                      │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ stage×N        depth × 4 KiB pages for ring payload staging      │
+//! │ stage×N        that lane's depth × 4 KiB staging pages           │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ bulk×N         per-client bulk share, registered server-side as  │
 //! │                a foreign-backed region (grant-checked access)    │
@@ -37,9 +40,9 @@
 //! ```
 //!
 //! Offset-reference rules: segment structures never contain addresses.
-//! Cross-references are [`crate::shm::SegOffset`]s (e.g. an
-//! [`XSqe`]'s staged-payload location) resolved against the local
-//! mapping base at the point of use. All segment-resident structs are
+//! Cross-references are [`crate::shm::SegOffset`]s (e.g. an SQE's
+//! staged-payload location) resolved against the local mapping base at
+//! the point of use. All segment-resident structs are
 //! layout-asserted at compile time; a layout change without a
 //! [`XPROC_LAYOUT_VERSION`] bump fails the build on the offsets and the
 //! byte-dump round-trip test, not at a process boundary.
@@ -51,8 +54,13 @@
 //! (pid, program, ack), then publishes them with a Release store of the
 //! slot's `attach_req` word. The server attaches only after
 //! Acquire-reading `attach_req == 1`, so it can never pair a claimed
-//! bit with half-written (or another racer's) identity words. Whichever
-//! side releases a claim retracts `attach_req` before clearing the bit.
+//! bit with half-written (or another racer's) identity words. Between
+//! that read and its ack the server owns the slot — the connector
+//! touches nothing until the ack — and that is where it zeroes the
+//! slot's ring cursors, shared and private: every owner of a slot
+//! starts from an empty ring, whatever the last one left queued or
+//! unreaped. Whichever side releases a claim retracts `attach_req`
+//! before clearing the bit.
 //!
 //! # Futex protocol
 //!
@@ -123,11 +131,11 @@ use std::time::{Duration, Instant};
 
 use crate::flight::FlightKind;
 use crate::region::BulkDesc;
-use crate::ring::Completion;
+use crate::ring::{self, result_to_wire, wire_to_result, Completion, Consumer, LaneRef, Producer};
 use crate::shm::{self, SegOffset, SegRef, Segment};
 use crate::slot::{state, waiter, SlotCore, SCRATCH_BYTES};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin, Waited};
-use crate::{EntryId, EntryState, ProgramId, RegionId, RtError, Runtime, SpinPolicy};
+use crate::{EntryId, ProgramId, RegionId, RtError, Runtime, SpinPolicy};
 
 /// Magic word at segment offset 0 (`"PPC_SEG1"`).
 pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
@@ -135,7 +143,7 @@ pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
 /// Version of the segment layout described in the module docs. Bump on
 /// any layout change; openers refuse other versions with
 /// [`RtError::BadSegment`].
-pub const XPROC_LAYOUT_VERSION: u32 = 2;
+pub const XPROC_LAYOUT_VERSION: u32 = 3;
 
 /// Hard cap on clients per segment (the claim mask is one `u64`).
 pub const MAX_XCLIENTS: usize = 64;
@@ -164,63 +172,6 @@ mod op {
     pub const REVOKE: u32 = 4;
     /// Detach: unregister the region and release the claim bit.
     pub const DETACH: u32 = 5;
-}
-
-/// [`XSqe`] flag bits.
-mod sqe_flags {
-    /// `payload_off`/`payload_len` name a staged payload page that
-    /// becomes the handler's scratch.
-    pub const PAYLOAD: u32 = 1;
-    /// `args[7]` carries a [`BulkDesc`] the client pre-filled.
-    pub const BULK: u32 = 2;
-}
-
-// ---------------------------------------------------------------------
-// Wire error codes
-// ---------------------------------------------------------------------
-
-/// Encode an [`RtError`] as `(code, aux)` words for a completion
-/// (status 0 is reserved for success).
-fn err_to_wire(e: &RtError) -> (u32, u32) {
-    match e {
-        RtError::UnknownEntry(ep) => (1, *ep as u32),
-        RtError::EntryDead(ep) => (2, *ep as u32),
-        RtError::Aborted(ep) => (3, *ep as u32),
-        RtError::BadBulk => (4, 0),
-        RtError::BulkDenied(r) => (5, u32::from(*r)),
-        RtError::BulkRevoked(r) => (6, u32::from(*r)),
-        RtError::BulkReentrant(r) => (7, u32::from(*r)),
-        RtError::TableFull => (8, 0),
-        RtError::NotOwner => (9, 0),
-        RtError::BadVcpu(v) => (10, *v as u32),
-        RtError::ServerFault(ep) => (11, *ep as u32),
-        RtError::RingFull => (12, 0),
-        RtError::PeerGone => (13, 0),
-        RtError::BadSegment => (14, 0),
-    }
-}
-
-/// Decode a completion's `(code, aux)` back into the [`RtError`] the
-/// server-side dispatch produced. Unknown codes (a newer server) fold
-/// to [`RtError::BadSegment`] — the one error that says "do not trust
-/// this segment's words".
-fn wire_to_err(code: u32, aux: u32) -> RtError {
-    match code {
-        1 => RtError::UnknownEntry(aux as EntryId),
-        2 => RtError::EntryDead(aux as EntryId),
-        3 => RtError::Aborted(aux as EntryId),
-        4 => RtError::BadBulk,
-        5 => RtError::BulkDenied(aux as RegionId),
-        6 => RtError::BulkRevoked(aux as RegionId),
-        7 => RtError::BulkReentrant(aux as RegionId),
-        8 => RtError::TableFull,
-        9 => RtError::NotOwner,
-        10 => RtError::BadVcpu(aux as usize),
-        11 => RtError::ServerFault(aux as EntryId),
-        12 => RtError::RingFull,
-        13 => RtError::PeerGone,
-        _ => RtError::BadSegment,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -333,96 +284,6 @@ crate::assert_segment_layout!(XClientSlot {
     payload: 256,
 });
 
-/// Ring cursors, one cache line each (the SPSC monotonic-cursor
-/// protocol from [`crate::ring`], relocated into the segment).
-#[repr(C, align(64))]
-pub struct XRingHdr {
-    /// Producer cursor, submission queue (client-owned).
-    sq_tail: AtomicU64,
-    _p0: [u8; 56],
-    /// Consumer cursor, submission queue (server-owned).
-    sq_head: AtomicU64,
-    _p1: [u8; 56],
-    /// Producer cursor, completion queue (server-owned).
-    cq_tail: AtomicU64,
-    _p2: [u8; 56],
-    /// Consumer cursor, completion queue (client-owned).
-    cq_head: AtomicU64,
-    _p3: [u8; 56],
-}
-
-crate::assert_segment_layout!(XRingHdr {
-    size: 256,
-    align: 64,
-    sq_tail: 0,
-    sq_head: 64,
-    cq_tail: 128,
-    cq_head: 192,
-});
-
-/// One submission-queue entry — the offset-based analogue of the
-/// in-process ring's `Sqe`: staged payloads are named by segment
-/// offset, not pointer.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct XSqe {
-    /// Entry point.
-    pub ep: u32,
-    /// `sqe_flags` bits.
-    pub flags: u32,
-    /// Argument frame.
-    pub args: [u64; 8],
-    /// Client tag, returned verbatim in the matching [`XCqe`].
-    pub user: u64,
-    /// Packed trace context (0 = none).
-    pub trace: u64,
-    /// Segment offset of the staged payload page (valid when
-    /// `sqe_flags::PAYLOAD`).
-    pub payload_off: u32,
-    /// Staged payload length.
-    pub payload_len: u32,
-}
-
-crate::assert_segment_layout!(XSqe {
-    size: 96,
-    align: 8,
-    ep: 0,
-    flags: 4,
-    args: 8,
-    user: 72,
-    trace: 80,
-    payload_off: 88,
-    payload_len: 92,
-});
-
-/// One completion-queue entry (the wire analogue of the in-process
-/// ring's `Cqe`).
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct XCqe {
-    /// The submission's tag.
-    pub user: u64,
-    /// Entry point.
-    pub ep: u32,
-    /// 0 = success, else a wire error code.
-    pub status: u32,
-    /// Auxiliary error word.
-    pub aux: u32,
-    _pad: u32,
-    /// Result frame (valid when `status == 0`).
-    pub rets: [u64; 8],
-}
-
-crate::assert_segment_layout!(XCqe {
-    size: 88,
-    align: 8,
-    user: 0,
-    ep: 8,
-    status: 12,
-    aux: 16,
-    rets: 24,
-});
-
 // ---------------------------------------------------------------------
 // Geometry
 // ---------------------------------------------------------------------
@@ -483,13 +344,9 @@ impl Geometry {
         let depth = ring_depth as usize;
         let slots_off = std::mem::size_of::<XSegHeader>();
         let rings_off = align_up(slots_off + n_clients * std::mem::size_of::<XClientSlot>(), 64);
-        let ring_stride = align_up(
-            std::mem::size_of::<XRingHdr>()
-                + depth * (std::mem::size_of::<XSqe>() + std::mem::size_of::<XCqe>()),
-            64,
-        );
+        let ring_stride = LaneRef::ring_bytes(depth, depth);
         let stage_off = align_up(rings_off + n_clients * ring_stride, 4096);
-        let bulk_off = stage_off + n_clients * depth * SCRATCH_BYTES;
+        let bulk_off = stage_off + n_clients * LaneRef::stage_bytes(depth);
         let total_len = align_up(bulk_off + n_clients * bulk_bytes, 4096);
         if total_len > u32::MAX as usize {
             return None;
@@ -573,10 +430,7 @@ impl SegMap {
         // pattern (u64/u32/atomics), so reading an arbitrary header is
         // safe — trusting it is what the checks below decide.
         let h: &XSegHeader = unsafe { SegRef::new(SegOffset(0)).resolve(&seg) };
-        if h.magic != XPROC_MAGIC {
-            return Err(RtError::BadSegment);
-        }
-        if h.layout_version != XPROC_LAYOUT_VERSION {
+        if h.magic != XPROC_MAGIC || h.layout_version != XPROC_LAYOUT_VERSION {
             return Err(RtError::BadSegment);
         }
         let geo = Geometry::compute(h.n_clients as usize, h.ring_depth, h.bulk_bytes as usize)
@@ -621,39 +475,19 @@ impl SegMap {
         unsafe { SegRef::new(SegOffset(off as u32)).resolve(&self.seg) }
     }
 
-    fn ring_hdr(&self, i: usize) -> &XRingHdr {
+    /// Client `i`'s ring: one [`ring`] lane, SQ and CQ both
+    /// `ring_depth` deep.
+    fn lane(&self, i: usize) -> LaneRef {
         debug_assert!(i < self.geo.n_clients);
-        let off = self.geo.rings_off + i * self.geo.ring_stride;
-        // Safety: in-bounds by geometry; XRingHdr is valid zeroed.
-        unsafe { SegRef::new(SegOffset(off as u32)).resolve(&self.seg) }
-    }
-
-    fn sqe_ptr(&self, i: usize, idx: u64) -> *mut XSqe {
-        let depth = self.geo.ring_depth;
-        let off = self.geo.rings_off
-            + i * self.geo.ring_stride
-            + std::mem::size_of::<XRingHdr>()
-            + (idx % depth) as usize * std::mem::size_of::<XSqe>();
-        // In-bounds by geometry.
-        unsafe { self.seg.base().add(off) as *mut XSqe }
-    }
-
-    fn cqe_ptr(&self, i: usize, idx: u64) -> *mut XCqe {
-        let depth = self.geo.ring_depth;
-        let off = self.geo.rings_off
-            + i * self.geo.ring_stride
-            + std::mem::size_of::<XRingHdr>()
-            + depth as usize * std::mem::size_of::<XSqe>()
-            + (idx % depth) as usize * std::mem::size_of::<XCqe>();
-        // In-bounds by geometry.
-        unsafe { self.seg.base().add(off) as *mut XCqe }
-    }
-
-    /// Segment offset of ring staging page `idx` for client `i`.
-    fn stage_off(&self, i: usize, idx: u64) -> usize {
-        self.geo.stage_off
-            + (i * self.geo.ring_depth as usize + (idx % self.geo.ring_depth) as usize)
-                * SCRATCH_BYTES
+        let depth = self.geo.ring_depth as usize;
+        let ring_off = self.geo.rings_off + i * self.geo.ring_stride;
+        let stage_off = self.geo.stage_off + i * LaneRef::stage_bytes(depth);
+        // Safety: both areas are in bounds, disjoint from every other
+        // client's and 64-aligned by the validated geometry; zero in a
+        // fresh segment; every holder of the view (`XClient`, the serve
+        // loop) holds this `SegMap`, whose `Arc<Segment>` keeps the
+        // mapping alive.
+        unsafe { LaneRef::new(self.seg.base().add(ring_off), self.seg.base(), stage_off, depth, depth) }
     }
 
     /// Segment offset of client `i`'s bulk share.
@@ -750,9 +584,7 @@ impl XServer {
         let h = self.map.header();
         h.server_state.store(srv::SHUTDOWN, Ordering::Release);
         shm::futex_wake(&h.doorbell, u32::MAX);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.wait();
     }
 
     /// Block until the serve loop exits (a peer-initiated shutdown —
@@ -785,11 +617,23 @@ struct ClientCtx {
     program: ProgramId,
     pid: u32,
     region: Option<RegionId>,
+    /// The slot's ring, served end: its cursors are this process's own
+    /// and are zeroed, with the shared words, at every attach.
+    ring: Consumer,
 }
 
 impl ClientCtx {
-    fn empty() -> ClientCtx {
-        ClientCtx { attached: false, refused: false, program: 0, pid: 0, region: None }
+    fn new(ring: Consumer) -> ClientCtx {
+        ClientCtx { attached: false, refused: false, program: 0, pid: 0, region: None, ring }
+    }
+
+    /// Forget the slot's owner: unregister its region (drains in-flight
+    /// bulk transfers) and clear the process-local state.
+    fn release(&mut self, rt: &Runtime, vcpu: usize) {
+        if let Some(region) = self.region.take() {
+            let _ = rt.bulk().registry(vcpu).unregister(region, self.program);
+        }
+        (self.attached, self.refused, self.program, self.pid) = (false, false, 0, 0);
     }
 }
 
@@ -803,7 +647,8 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
     h.server_pid.store(std::process::id(), Ordering::Relaxed);
     h.server_state.store(srv::SERVING, Ordering::Release);
     let n = map.geo.n_clients;
-    let mut ctx: Vec<ClientCtx> = (0..n).map(|_| ClientCtx::empty()).collect();
+    let mut ctx: Vec<ClientCtx> =
+        (0..n).map(|i| ClientCtx::new(Consumer::new(map.lane(i)))).collect();
     let mut local_scratch = vec![0u8; SCRATCH_BYTES];
     let mut last_sweep = Instant::now();
     let mut poll = Poll::default();
@@ -843,6 +688,10 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
                     }
                     if c.attached {
                         progress |= service_slot(&rt, &map, vcpu, i, c, &mut woke);
+                    }
+                    // Checked again: a DETACH just served ends the
+                    // client, whatever it left queued.
+                    if c.attached {
                         progress |= service_ring(&rt, &map, vcpu, i, c, &mut local_scratch);
                     }
                 } else if c.attached || c.refused {
@@ -852,10 +701,7 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
                     // process-local state — but if the release raced our
                     // attach, the region is still registered and must not
                     // leak.
-                    if let Some(region) = c.region.take() {
-                        let _ = rt.bulk().registry(vcpu).unregister(region, c.program);
-                    }
-                    *c = ClientCtx::empty();
+                    c.release(&rt, vcpu);
                 }
             }
             progress || h.server_state.load(Ordering::Acquire) == srv::SHUTDOWN
@@ -892,20 +738,17 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
         if last_sweep.elapsed() >= Duration::from_millis(50) {
             last_sweep = Instant::now();
             for (i, c) in ctx.iter_mut().enumerate() {
-                if c.attached {
-                    if !shm::pid_alive(c.pid) {
-                        let pid = c.pid;
-                        detach_client(&rt, &map, vcpu, i, c);
-                        rt.flight().record(vcpu, FlightKind::PeerLost, i, pid);
-                    }
-                } else if h.claim_mask.load(Ordering::Acquire) & (1 << i) != 0
-                    && map.slot(i).attach_req.load(Ordering::Acquire) == 1
-                {
-                    let pid = map.slot(i).pid.load(Ordering::Acquire);
-                    if pid != 0 && !shm::pid_alive(pid) {
-                        detach_client(&rt, &map, vcpu, i, c);
-                        rt.flight().record(vcpu, FlightKind::PeerLost, i, pid);
-                    }
+                let published = || {
+                    h.claim_mask.load(Ordering::Acquire) & (1 << i) != 0
+                        && map.slot(i).attach_req.load(Ordering::Acquire) == 1
+                };
+                let pid = match c.attached {
+                    true => c.pid,
+                    false if published() => map.slot(i).pid.load(Ordering::Acquire),
+                    false => 0,
+                };
+                if pid != 0 && !shm::pid_alive(pid) {
+                    lose_client(&rt, &map, vcpu, i, c, pid);
                 }
             }
         }
@@ -915,21 +758,19 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
     // sleepers so remote waiters observe the state and error out.
     h.server_state.store(srv::SHUTDOWN, Ordering::Release);
     for (i, c) in ctx.iter_mut().enumerate() {
-        if c.attached {
-            if let Some(region) = c.region.take() {
-                let _ = rt.bulk().registry(vcpu).unregister(region, c.program);
-            }
-        }
+        c.release(&rt, vcpu);
         shm::futex_wake(map.slot(i).core.state_word(), u32::MAX);
         shm::futex_wake(&map.slot(i).attach_ack, u32::MAX);
     }
     shm::futex_wake(&h.doorbell, u32::MAX);
 }
 
-/// Register the client's bulk share as a foreign-backed region and ack
-/// the attach handshake.
+/// Register the client's bulk share as a foreign-backed region, empty
+/// its ring, and ack the attach handshake.
 fn attach_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut ClientCtx) {
     let slot = map.slot(i);
+    // Ours alone until the ack below (module docs, Claim handshake).
+    c.ring.reset();
     let program = slot.client_program.load(Ordering::Acquire);
     let pid = slot.pid.load(Ordering::Acquire);
     let base = map.span(map.bulk_off(i), map.geo.bulk_bytes);
@@ -959,12 +800,10 @@ fn attach_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut
     rt.stats.cell(vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Tear down a client (death or detach): unregister its region (drains
-/// in-flight bulk transfers), reset its slot, release its claim bit.
+/// Tear down a client (death or detach): unregister its region, reset
+/// its slot, release its claim bit.
 fn detach_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut ClientCtx) {
-    if let Some(region) = c.region.take() {
-        let _ = rt.bulk().registry(vcpu).unregister(region, c.program);
-    }
+    c.release(rt, vcpu);
     let slot = map.slot(i);
     slot.region_id.store(u32::MAX, Ordering::Relaxed);
     slot.attach_ack.store(0, Ordering::Relaxed);
@@ -975,7 +814,14 @@ fn detach_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut
     // stale "words valid" signal.
     slot.attach_req.store(0, Ordering::Release);
     map.header().claim_mask.fetch_and(!(1u64 << i), Ordering::AcqRel);
-    *c = ClientCtx::empty();
+}
+
+/// [`detach_client`] for a client that did not ask for it — its process
+/// `pid` died, or its ring turned hostile — with the flight-plane record
+/// of the loss.
+fn lose_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut ClientCtx, pid: u32) {
+    detach_client(rt, map, vcpu, i, c);
+    rt.flight().record(vcpu, FlightKind::PeerLost, i, pid);
 }
 
 /// Service a posted slot call. Returns whether work was done; sets
@@ -985,7 +831,7 @@ fn service_slot(
     map: &SegMap,
     vcpu: usize,
     i: usize,
-    c: &ClientCtx,
+    c: &mut ClientCtx,
     woke: &mut bool,
 ) -> bool {
     let slot = map.slot(i);
@@ -996,7 +842,6 @@ fn service_slot(
     let ep = slot.ep.load(Ordering::Relaxed) as EntryId;
     let args = slot.core.read_args();
     let cell = rt.stats.cell(vcpu);
-    let mut rets = [0u64; 8];
     let result: Result<[u64; 8], RtError> = match xop {
         op::CALL => rt.dispatch(vcpu, ep, args, c.program, None).map(|(r, _)| r),
         op::PAYLOAD => {
@@ -1005,59 +850,36 @@ fn service_slot(
             // slot is IDLE/DONE; during POSTED the server has exclusive
             // use (the rendezvous protocol, same as in-process scratch).
             let req = unsafe { std::slice::from_raw_parts(map.payload_ptr(i), len) };
-            match rt.dispatch(vcpu, ep, args, c.program, Some(req)) {
-                Ok((r, resp)) => {
-                    let resp = resp.unwrap_or_default();
-                    let n = resp.len().min(SCRATCH_BYTES);
-                    // Safety: as above; exclusive during POSTED.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(resp.as_ptr(), map.payload_ptr(i), n);
-                    }
-                    slot.core.set_payload_len(n as u32);
-                    Ok(r)
-                }
-                Err(e) => Err(e),
-            }
+            rt.dispatch(vcpu, ep, args, c.program, Some(req)).map(|(r, resp)| {
+                let resp = resp.unwrap_or_default();
+                let n = resp.len().min(SCRATCH_BYTES);
+                // Safety: as above; exclusive during POSTED.
+                unsafe { std::ptr::copy_nonoverlapping(resp.as_ptr(), map.payload_ptr(i), n) };
+                slot.core.set_payload_len(n as u32);
+                r
+            })
         }
-        op::GRANT => grant_region(rt, vcpu, ep, c, args[0] != 0).map(|()| [0; 8]),
-        op::REVOKE => match c.region {
-            Some(region) => rt
-                .bulk()
-                .registry(vcpu)
-                .revoke(region, c.program, ep)
-                .map(|n| {
-                    let mut r = [0u64; 8];
-                    r[0] = n as u64;
-                    r
-                }),
-            None => Err(RtError::BadBulk),
-        },
+        op::GRANT => c.region.ok_or(RtError::BadBulk).and_then(|region| {
+            rt.grant_region(vcpu, region, c.program, ep, args[0] != 0)?;
+            Ok([0; 8])
+        }),
+        op::REVOKE => c.region.ok_or(RtError::BadBulk).and_then(|region| {
+            let n = rt.bulk().registry(vcpu).revoke(region, c.program, ep)?;
+            Ok([n as u64, 0, 0, 0, 0, 0, 0, 0])
+        }),
         op::DETACH => {
             // Completion must precede the claim release: ack first so
             // the waking client sees DONE, then reclaim. Unconditional
             // wake: the detaching client sleeps without announcing.
             slot.core.complete_frame([0; 8], 0, 0);
             shm::futex_wake(slot.core.state_word(), u32::MAX);
-            let mut cc = ClientCtx {
-                attached: c.attached,
-                refused: c.refused,
-                program: c.program,
-                pid: c.pid,
-                region: c.region,
-            };
-            detach_client(rt, map, vcpu, i, &mut cc);
+            detach_client(rt, map, vcpu, i, c);
             cell.xproc_wakes.fetch_add(1, Ordering::Relaxed);
             return true;
         }
         _ => Err(RtError::BadSegment),
     };
-    let (status, aux) = match &result {
-        Ok(r) => {
-            rets = *r;
-            (0, 0)
-        }
-        Err(e) => err_to_wire(e),
-    };
+    let (status, aux, rets) = result_to_wire(result);
     slot.core.complete_frame(rets, status, aux);
     // DONE is published; wake the caller only if it announced its sleep.
     if slot.core.wake_done(true) {
@@ -1068,33 +890,10 @@ fn service_slot(
     true
 }
 
-fn grant_region(
-    rt: &Arc<Runtime>,
-    vcpu: usize,
-    ep: EntryId,
-    c: &ClientCtx,
-    write: bool,
-) -> Result<(), RtError> {
-    let region = c.region.ok_or(RtError::BadBulk)?;
-    let e = rt.frank_entry(ep)?;
-    if e.entry_state() != EntryState::Active {
-        return Err(RtError::EntryDead(ep));
-    }
-    rt.bulk().registry(vcpu).grant(region, c.program, ep, e.opts.owner, write)
-}
-
-/// Drain client `i`'s submission queue. Returns whether work was done.
-///
-/// The drain is bounded: `sq_tail` is a client-controlled word, and a
-/// well-formed producer can never be more than `ring_depth` ahead of
-/// `sq_head`. A tail further ahead than that is a broken (or hostile)
-/// client, not a big batch — it is detached on the spot, because an
-/// unbounded `head != tail` loop would execute garbage SQEs with no
-/// shutdown check, no liveness sweep, and every other client starved,
-/// violating the module's "a client can corrupt only itself" trust
-/// model. Because the tail is sampled once, a single invocation also
-/// never drains more than `ring_depth` entries before returning to the
-/// main loop.
+/// Drain client `i`'s ring — at most a queue-full per pass, so one
+/// client cannot starve the rest. Returns whether work was done. A
+/// producer whose tail runs past its ring is detached on the spot: the
+/// module's "a client can corrupt only itself" trust model.
 fn service_ring(
     rt: &Arc<Runtime>,
     map: &SegMap,
@@ -1103,84 +902,13 @@ fn service_ring(
     c: &mut ClientCtx,
     local_scratch: &mut [u8],
 ) -> bool {
-    let rh = map.ring_hdr(i);
-    let tail = rh.sq_tail.load(Ordering::Acquire);
-    let mut head = rh.sq_head.load(Ordering::Relaxed);
-    if head == tail {
-        return false;
-    }
-    if tail.wrapping_sub(head) > map.geo.ring_depth {
-        let pid = c.pid;
-        detach_client(rt, map, vcpu, i, c);
-        rt.flight().record(vcpu, FlightKind::PeerLost, i, pid);
-        return true;
-    }
-    let cell = rt.stats.cell(vcpu);
-    while head != tail {
-        // Safety: the Acquire on sq_tail published this entry; the
-        // client will not rewrite it until sq_head passes it.
-        let sqe = unsafe { std::ptr::read(map.sqe_ptr(i, head)) };
-        let result = execute_xsqe(rt, map, vcpu, i, c, &sqe, local_scratch);
-        let (status, aux, rets) = match result {
-            Ok(r) => (0, 0, r),
-            Err(e) => {
-                let (s, a) = err_to_wire(&e);
-                (s, a, [0; 8])
-            }
-        };
-        let ct = rh.cq_tail.load(Ordering::Relaxed);
-        // Safety: CQ occupancy ≤ in-flight ≤ depth (client credits),
-        // so slot `ct` has been reaped.
-        unsafe {
-            std::ptr::write(
-                map.cqe_ptr(i, ct),
-                XCqe {
-                    user: sqe.user,
-                    ep: sqe.ep,
-                    status,
-                    aux,
-                    _pad: 0,
-                    rets,
-                },
-            );
-        }
-        rh.cq_tail.store(ct + 1, Ordering::Release);
-        head += 1;
-        rh.sq_head.store(head, Ordering::Release);
-        cell.xproc_calls.fetch_add(1, Ordering::Relaxed);
+    let lanes = std::slice::from_mut(&mut c.ring);
+    match ring::drain(rt, lanes, vcpu, c.program, local_scratch, &mut 0) {
+        Some(0) => return false,
+        Some(n) => _ = rt.stats.cell(vcpu).xproc_calls.fetch_add(n, Ordering::Relaxed),
+        None => lose_client(rt, map, vcpu, i, c, c.pid),
     }
     true
-}
-
-fn execute_xsqe(
-    rt: &Arc<Runtime>,
-    map: &SegMap,
-    vcpu: usize,
-    i: usize,
-    c: &ClientCtx,
-    sqe: &XSqe,
-    local_scratch: &mut [u8],
-) -> Result<[u64; 8], RtError> {
-    let ep = sqe.ep as EntryId;
-    let sampled = rt.obs().try_sample();
-    if sqe.flags & sqe_flags::PAYLOAD != 0 {
-        // Validate the client-supplied offset against this client's own
-        // staging area — a forged offset cannot reach another client's
-        // pages.
-        let len = (sqe.payload_len as usize).min(SCRATCH_BYTES);
-        let off = sqe.payload_off as usize;
-        let stage_base = map.stage_off(i, 0);
-        let stage_end = stage_base + map.geo.ring_depth as usize * SCRATCH_BYTES;
-        if off < stage_base || off + len > stage_end {
-            return Err(RtError::BadBulk);
-        }
-        // Safety: bounds validated; the staging protocol gives the
-        // server exclusive use of this page until its CQE is reaped.
-        let scratch = unsafe { std::slice::from_raw_parts_mut(map.span(off, len), len) };
-        rt.ring_execute(vcpu, ep, sqe.args, c.program, sqe.trace, scratch, sampled, &mut 0)
-    } else {
-        rt.ring_execute(vcpu, ep, sqe.args, c.program, sqe.trace, local_scratch, sampled, &mut 0)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1197,11 +925,8 @@ pub struct XClient {
     idx: usize,
     program: ProgramId,
     server_pid: u32,
-    /// Ring cursors (client-owned mirrors of the segment cursors).
-    sq_tail: u64,
-    cq_head: u64,
-    sq_head_cache: u64,
-    in_flight: u64,
+    /// The submitting end of this slot's ring; credits = `ring_depth`.
+    ring: Producer,
     /// The transport observed peer death: everything fails fast with
     /// [`RtError::PeerGone`] from here on.
     dead: bool,
@@ -1271,33 +996,29 @@ impl XClient {
         // claimer of this slot starts from an unpublished state and the
         // server can never pair a stale "ready" with fresh words.
         let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
+        let refused = loop {
             match slot.attach_ack.load(Ordering::Acquire) {
-                1 => break,
-                2 => {
-                    slot.attach_req.store(0, Ordering::Release);
-                    h.claim_mask.fetch_and(!(1u64 << idx), Ordering::AcqRel);
-                    return Err(RtError::TableFull);
+                1 => break None,
+                2 => break Some(RtError::TableFull),
+                _ if Instant::now() >= deadline || !shm::pid_alive(server_pid) => {
+                    break Some(RtError::PeerGone)
                 }
-                _ => {
-                    if Instant::now() >= deadline || !shm::pid_alive(server_pid) {
-                        slot.attach_req.store(0, Ordering::Release);
-                        h.claim_mask.fetch_and(!(1u64 << idx), Ordering::AcqRel);
-                        return Err(RtError::PeerGone);
-                    }
-                    shm::futex_wait(&slot.attach_ack, 0, Some(Duration::from_millis(20)));
-                }
+                _ => _ = shm::futex_wait(&slot.attach_ack, 0, Some(Duration::from_millis(20))),
             }
+        };
+        if let Some(e) = refused {
+            slot.attach_req.store(0, Ordering::Release);
+            h.claim_mask.fetch_and(!(1u64 << idx), Ordering::AcqRel);
+            return Err(e);
         }
+        // The server emptied the slot's ring before it acked.
+        let ring = Producer::new(map.lane(idx));
         Ok(XClient {
             map,
             idx,
             program,
             server_pid,
-            sq_tail: 0,
-            cq_head: 0,
-            sq_head_cache: 0,
-            in_flight: 0,
+            ring,
             dead: false,
             poll: Poll::default(),
             woke_server: false,
@@ -1365,14 +1086,11 @@ impl XClient {
     }
 
     fn ensure_alive(&mut self) -> Result<(), RtError> {
-        if self.dead {
-            return Err(RtError::PeerGone);
+        if self.server_alive() {
+            return Ok(());
         }
-        if self.map.header().server_state.load(Ordering::Acquire) != srv::SERVING {
-            self.note_peer_lost();
-            return Err(RtError::PeerGone);
-        }
-        Ok(())
+        self.note_peer_lost();
+        Err(RtError::PeerGone)
     }
 
     fn note_peer_lost(&mut self) {
@@ -1451,10 +1169,7 @@ impl XClient {
         if let Some((rt, vcpu)) = &self.obs {
             rt.stats.cell(*vcpu).xproc_calls.fetch_add(1, Ordering::Relaxed);
         }
-        if status != 0 {
-            return Err(wire_to_err(status, aux));
-        }
-        Ok(rets)
+        wire_to_result(status, aux, rets)
     }
 
     /// Synchronous PPC across the process boundary — the remote
@@ -1523,10 +1238,7 @@ impl XClient {
     /// attached.
     pub fn bulk_desc(&self, offset: u32, len: u32, write: bool) -> Result<BulkDesc, RtError> {
         let region = self.map.slot(self.idx).region_id.load(Ordering::Acquire);
-        if region == u32::MAX {
-            return Err(RtError::BadBulk);
-        }
-        if offset as usize + len as usize > self.map.geo.bulk_bytes {
+        if region == u32::MAX || offset as usize + len as usize > self.map.geo.bulk_bytes {
             return Err(RtError::BadBulk);
         }
         Ok(BulkDesc { region: region as RegionId, offset, len, write })
@@ -1539,24 +1251,24 @@ impl XClient {
     /// here guaranteed by the client's own call discipline (`&mut
     /// self` + synchronous waits).
     pub fn bulk_write(&mut self, offset: u32, data: &[u8]) -> Result<(), RtError> {
-        let end = offset as usize + data.len();
-        if end > self.map.geo.bulk_bytes {
-            return Err(RtError::BadBulk);
-        }
-        let base = self.map.span(self.map.bulk_off(self.idx) + offset as usize, data.len());
+        let base = self.share_span(offset, data.len())?;
         // Safety: in-bounds; exclusivity per the doc contract.
         unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), base, data.len()) };
         Ok(())
     }
 
+    /// `[offset, offset + len)` of this client's bulk share, bounded.
+    fn share_span(&self, offset: u32, len: usize) -> Result<*mut u8, RtError> {
+        if offset as usize + len > self.map.geo.bulk_bytes {
+            return Err(RtError::BadBulk);
+        }
+        Ok(self.map.span(self.map.bulk_off(self.idx) + offset as usize, len))
+    }
+
     /// Copy `len` bytes out of the bulk share at `offset` (the remote
     /// [`crate::BulkRegion::read_into`] direction).
     pub fn bulk_read(&mut self, offset: u32, len: usize) -> Result<Vec<u8>, RtError> {
-        let end = offset as usize + len;
-        if end > self.map.geo.bulk_bytes {
-            return Err(RtError::BadBulk);
-        }
-        let base = self.map.span(self.map.bulk_off(self.idx) + offset as usize, len);
+        let base = self.share_span(offset, len)?;
         // Safety: in-bounds; exclusivity per `bulk_write`'s contract.
         Ok(unsafe { std::slice::from_raw_parts(base, len).to_vec() })
     }
@@ -1585,46 +1297,19 @@ impl XClient {
 
     // -- ring ----------------------------------------------------------
 
-    fn admit(&mut self) -> Result<(), RtError> {
+    /// The boundary's part of a submission: liveness, then
+    /// [`Producer::admit`] against `ring_depth` credits.
+    fn ring_admit(&mut self, payload_len: usize) -> Result<(), RtError> {
         self.ensure_alive()?;
-        if self.in_flight >= self.map.geo.ring_depth {
-            return Err(RtError::RingFull);
-        }
-        // The consumer's head is loaded only when the cached copy says
-        // the queue is full; refused iff the fresh value still does.
-        let depth = self.map.geo.ring_depth;
-        if self.sq_tail - self.sq_head_cache >= depth {
-            self.sq_head_cache = self.map.ring_hdr(self.idx).sq_head.load(Ordering::Acquire);
-            if self.sq_tail - self.sq_head_cache >= depth {
-                return Err(RtError::RingFull);
-            }
-        }
-        Ok(())
-    }
-
-    fn push_sqe(&mut self, sqe: XSqe) {
-        // Safety: `admit` proved slot `sq_tail` is consumed; the entry
-        // is published by the Release store of the tail below.
-        unsafe { std::ptr::write(self.map.sqe_ptr(self.idx, self.sq_tail), sqe) };
-        self.sq_tail += 1;
-        self.map.ring_hdr(self.idx).sq_tail.store(self.sq_tail, Ordering::Release);
-        self.in_flight += 1;
+        self.ring.admit(self.ring.in_flight(), self.map.geo.ring_depth, payload_len)
     }
 
     /// Queue one PPC (the remote [`crate::ClientRing::submit`]).
     /// Returns [`RtError::RingFull`] under backpressure — reap and
     /// retry. Call [`XClient::ring_doorbell`] after the batch.
     pub fn submit(&mut self, ep: EntryId, args: [u64; 8], user: u64) -> Result<(), RtError> {
-        self.admit()?;
-        self.push_sqe(XSqe {
-            ep: ep as u32,
-            flags: 0,
-            args,
-            user,
-            trace: 0,
-            payload_off: 0,
-            payload_len: 0,
-        });
+        self.ring_admit(0)?;
+        self.ring.push(ep, args, user, 0, None);
         Ok(())
     }
 
@@ -1637,36 +1322,16 @@ impl XClient {
         user: u64,
         payload: &[u8],
     ) -> Result<(), RtError> {
-        if payload.len() > SCRATCH_BYTES {
-            return Err(RtError::BadBulk);
-        }
-        self.admit()?;
-        // Stage slot = SQE slot: by the credit argument in the module
-        // docs the page is free once the prior tenant's CQE could be
-        // reaped.
-        let off = self.map.stage_off(self.idx, self.sq_tail);
-        let dst = self.map.span(off, payload.len().max(1));
-        // Safety: in-bounds staging page owned by this client until the
-        // matching completion.
-        unsafe { std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len()) };
-        self.note_high_water(off + payload.len());
-        self.push_sqe(XSqe {
-            ep: ep as u32,
-            flags: sqe_flags::PAYLOAD,
-            args,
-            user,
-            trace: 0,
-            payload_off: off as u32,
-            payload_len: payload.len() as u32,
-        });
+        self.ring_admit(payload.len())?;
+        let staged_end = self.ring.push(ep, args, user, 0, Some(payload));
+        self.note_high_water(staged_end);
         Ok(())
     }
 
     /// Queue one bulk PPC: `payload` is copied into the span `desc`
     /// describes (this client's share), and the descriptor rides
-    /// `args[7]` (the remote [`crate::ClientRing::submit_bulk`] — the
-    /// copy happens client-side because the data is already
-    /// cross-process shared; there is no second staging hop).
+    /// `args[7]` (the remote [`crate::ClientRing::submit_bulk`]; see
+    /// [`XClient::bulk_write`] for the span's exclusivity contract).
     pub fn submit_bulk(
         &mut self,
         ep: EntryId,
@@ -1678,19 +1343,16 @@ impl XClient {
         if payload.len() > desc.len as usize {
             return Err(RtError::BadBulk);
         }
+        // The copy below lands in this client's share whatever the
+        // descriptor says: one over somebody else's region is refused.
+        if desc.region != self.region_id() {
+            return Err(RtError::BulkDenied(desc.region));
+        }
         args[7] = desc.encode().ok_or(RtError::BadBulk)?;
-        self.admit()?;
+        self.ring_admit(0)?;
         self.bulk_write(desc.offset, payload)?;
         self.note_high_water(self.map.bulk_off(self.idx) + desc.offset as usize + desc.len as usize);
-        self.push_sqe(XSqe {
-            ep: ep as u32,
-            flags: sqe_flags::BULK,
-            args,
-            user,
-            trace: 0,
-            payload_off: 0,
-            payload_len: 0,
-        });
+        self.ring.push(ep, args, user, 0, None);
         Ok(())
     }
 
@@ -1707,35 +1369,15 @@ impl XClient {
     /// outstanding and the server died, returns [`RtError::PeerGone`]
     /// (in-flight work is lost; credits are forfeited with it).
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> Result<usize, RtError> {
-        let rh = self.map.ring_hdr(self.idx);
-        let tail = rh.cq_tail.load(Ordering::Acquire);
-        let mut n = 0;
-        while self.cq_head != tail && n < max {
-            // Safety: Acquire on cq_tail published the entry; the
-            // server will not rewrite it until cq_head passes.
-            let cqe = unsafe { std::ptr::read(self.map.cqe_ptr(self.idx, self.cq_head)) };
-            self.cq_head += 1;
-            rh.cq_head.store(self.cq_head, Ordering::Release);
-            self.in_flight = self.in_flight.saturating_sub(1);
-            out.push(Completion {
-                user: cqe.user,
-                ep: cqe.ep as EntryId,
-                result: if cqe.status == 0 {
-                    Ok(cqe.rets)
-                } else {
-                    Err(wire_to_err(cqe.status, cqe.aux))
-                },
-            });
-            n += 1;
-        }
+        let n = self.ring.reap(max, out, || ());
         if n == 0
-            && self.in_flight > 0
-            && (self.dead
-                || self.map.header().server_state.load(Ordering::Acquire) != srv::SERVING
+            && self.in_flight() > 0
+            && (self.map.header().server_state.load(Ordering::Acquire) != srv::SERVING
                 || !shm::pid_alive(self.server_pid))
         {
             self.note_peer_lost();
-            self.in_flight = 0;
+            // Forfeited: nothing is in flight towards a lost server.
+            self.ring = Producer::new(self.map.lane(self.idx));
             return Err(RtError::PeerGone);
         }
         Ok(n)
@@ -1743,7 +1385,7 @@ impl XClient {
 
     /// Submissions not yet reaped.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight
+        self.ring.in_flight()
     }
 
     /// Ask the server to shut down (sets the segment state word and
@@ -1763,8 +1405,7 @@ impl Drop for XClient {
     fn drop(&mut self) {
         // Best-effort clean detach so the server reclaims the slot and
         // region immediately instead of at the next liveness sweep.
-        if self.dead || self.map.header().server_state.load(Ordering::Acquire) != srv::SERVING
-        {
+        if !self.server_alive() {
             return;
         }
         if self.post_slot_op(op::DETACH, 0, [0; 8]).is_ok() {
@@ -1997,9 +1638,9 @@ mod tests {
             RtError::BadSegment,
         ];
         for e in errs {
-            let (c, a) = err_to_wire(&e);
+            let (c, a, _) = result_to_wire(Err(e.clone()));
             assert_ne!(c, 0, "status 0 is success");
-            assert_eq!(wire_to_err(c, a), e, "roundtrip {e:?}");
+            assert_eq!(wire_to_result(c, a, [0; 8]), Err(e.clone()), "roundtrip {e:?}");
         }
     }
 
@@ -2015,6 +1656,15 @@ mod tests {
         assert!(Geometry::compute(65, 32, 4096).is_none());
         assert!(Geometry::compute(4, 33, 4096).is_none());
         assert!(Geometry::compute(4, 32, (1 << 24) + 64).is_none());
+    }
+
+    /// One of client `xc`'s four ring cursor words, by its byte offset
+    /// in the asserted `RingCursors` layout (`sq_tail` 0, `sq_head` 64,
+    /// `cq_tail` 128, `cq_head` 192) — what a hostile peer would poke.
+    fn cursor(xc: &XClient, byte: usize) -> &AtomicU64 {
+        let off = xc.map.geo.rings_off + xc.idx * xc.map.geo.ring_stride + byte;
+        // Safety: inside the client's ring area; an aligned atomic word.
+        unsafe { &*(xc.map.seg.base().add(off) as *const AtomicU64) }
     }
 
     fn serve_add(tag: &str, n_clients: usize) -> (Arc<Runtime>, XServer, EntryId, PathBuf) {
@@ -2080,7 +1730,7 @@ mod tests {
         let mut evil = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
         let mut good = XClient::connect_retry(&path, 77, Duration::from_secs(10)).unwrap();
         // Break the SPSC cursor contract: tail leaps far past head.
-        evil.map.ring_hdr(evil.idx).sq_tail.store(u64::MAX, Ordering::Release);
+        cursor(&evil, 0).store(u64::MAX, Ordering::Release);
         evil.bump_doorbell();
         // The serve loop must stay responsive for well-behaved clients…
         assert_eq!(good.call(ep, [19, 23, 0, 0, 0, 0, 0, 0]).unwrap()[0], 42);
@@ -2103,6 +1753,48 @@ mod tests {
         drop(srv);
     }
 
+    /// The other two cursors are the server's own: a client that
+    /// rewinds `sq_head` and `cq_tail` mid-traffic gets no SQE replayed
+    /// and no completion rewritten — the server publishes from private
+    /// copies and never loads them back. Nor does it load `cq_head`,
+    /// the client's own word: scribbled far ahead it must not stop a
+    /// debug server on an occupancy check (and every other client with
+    /// it).
+    #[test]
+    fn scribbled_server_cursors_do_not_rewind_the_server() {
+        let (rt, srv, ep, path) = serve_add("rewind", 1);
+        let mut xc = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
+        let mut out = Vec::new();
+        let mut round_trip = |xc: &mut XClient, user: u64| {
+            xc.submit(ep, [user, 1, 0, 0, 0, 0, 0, 0], user).unwrap();
+            xc.ring_doorbell();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while xc.reap(8, &mut out).unwrap() == 0 {
+                assert!(Instant::now() < deadline, "SQE {user} completed");
+                std::thread::yield_now();
+            }
+        };
+        (0..3).for_each(|user| round_trip(&mut xc, user));
+        cursor(&xc, 64).store(0, Ordering::SeqCst);
+        cursor(&xc, 128).store(0, Ordering::SeqCst);
+        cursor(&xc, 192).store(u64::MAX / 2, Ordering::SeqCst);
+        // The client reads `cq_tail` too: let the server overwrite the
+        // scribble — from its private copy, 3 + 1 — before reaping.
+        xc.submit(ep, [3, 1, 0, 0, 0, 0, 0, 0], 3).unwrap();
+        xc.ring_doorbell();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cursor(&xc, 128).load(Ordering::SeqCst) != 4 {
+            assert!(Instant::now() < deadline, "cq_tail published from the private copy");
+            std::thread::yield_now();
+        }
+        assert_eq!(xc.reap(8, &mut out), Ok(1));
+        let seen: Vec<_> = out.iter().map(|c| (c.user, c.result.clone().unwrap()[0])).collect();
+        assert_eq!(seen, [(0, 1), (1, 2), (2, 3), (3, 4)], "each SQE completed once");
+        assert_eq!(rt.stats.snapshot().xproc_calls, 4, "and ran once");
+        drop(xc);
+        drop(srv);
+    }
+
     #[test]
     fn create_then_validate_accepts_and_version_mismatch_is_clean() {
         let dir = shm::segment_dir();
@@ -2113,10 +1805,10 @@ mod tests {
         // Re-open by path: full validation passes.
         let re = SegMap::open(&path).unwrap();
         assert_eq!(re.geo, map.geo);
-        // Any other version — the pre-sleeper-flag layout 1 included —
-        // is a clean BadSegment, not UB.
-        assert_eq!(XPROC_LAYOUT_VERSION, 2);
-        for version in [1, XPROC_LAYOUT_VERSION + 1] {
+        // Any other version — layouts 1 and 2, whose rings had 96- and
+        // 88-byte entries, included — is a clean BadSegment, not UB.
+        assert_eq!(XPROC_LAYOUT_VERSION, 3);
+        for version in [1, 2, XPROC_LAYOUT_VERSION + 1] {
             // Safety: single-process test, no concurrent reader.
             unsafe { *(map.seg.base().add(8) as *mut u32) = version };
             assert_eq!(SegMap::open(&path).err(), Some(RtError::BadSegment));

@@ -2,6 +2,8 @@
 //! **different PIDs**, exercising `call`, `call_with_payload`,
 //! `call_bulk`, and ring submit/reap through the shared segment — plus
 //! the same-API invariant (one test body run against both transports),
+//! the ring conformance bodies of `conformance/` on the segment
+//! front-end, slot lifecycle (re-claim, detach with queued work),
 //! segment byte-dump validation, and peer-death robustness.
 //!
 //! The child process is this same test binary re-executed with
@@ -18,19 +20,12 @@ use std::time::{Duration, Instant};
 
 use ppc_rt::xproc::validate_segment;
 use ppc_rt::{
-    affinity, Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime, SpinPolicy, XClient,
-    XSegOptions,
+    affinity, BulkDesc, Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime, Snapshot,
+    SpinPolicy, XClient, XSegOptions,
 };
 
-/// Abort the whole binary if a rendezvous bug wedges a test — a hang
-/// here would otherwise stall `cargo test` forever.
-fn watchdog(secs: u64) {
-    std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_secs(secs));
-        eprintln!("xproc test watchdog fired after {secs}s");
-        std::process::abort();
-    });
-}
+mod conformance;
+use conformance::{watchdog, Eps, Gate, Rig, RingFront};
 
 /// The regime tests at the bottom assert which side of the poll/sleep
 /// line a serve loop lands on, and that depends on nothing else
@@ -121,6 +116,11 @@ const EP_SLOW: EntryId = 3;
 const EP_ECHO: EntryId = 4;
 const EP_STATS: EntryId = 5;
 
+/// Where a server child at `path` keeps its conformance gate files.
+fn gate_dir(path: &Path) -> PathBuf {
+    path.with_extension("gate")
+}
+
 /// The hidden server half: runs only when re-executed with the env var
 /// set (a bare `cargo test` run sees it pass as a no-op).
 #[test]
@@ -131,14 +131,40 @@ fn xproc_child_server() {
     // Self-deadline so an orphaned child can never outlive the test run.
     watchdog(120);
     let rt = Runtime::new(1);
-    if std::env::var_os("PPC_XPROC_CHILD_PARK_ONLY").is_some() {
+    // The child's settings, one variable: `park_only,n_clients,ring_depth`.
+    let set = std::env::var("PPC_XPROC_CHILD_OPTS").expect("set by `spawn_sized`");
+    let set: Vec<usize> = set.split(',').map(|w| w.parse().unwrap()).collect();
+    if set[0] != 0 {
         rt.set_spin_policy(SpinPolicy::ParkOnly);
     }
     bind_test_entries(&rt);
-    let mut srv = rt
-        .serve_xproc(Path::new(&path), XSegOptions::default())
-        .expect("child serves the segment");
+    let eps = conformance::bind_entries(&rt, &gate_dir(Path::new(&path)));
+    assert_eq!(eps.echo, EP_STATS + 1);
+    let opts = XSegOptions { n_clients: set[1], ring_depth: set[2] as u32, ..XSegOptions::default() };
+    let mut srv = rt.serve_xproc(Path::new(&path), opts).expect("child serves the segment");
     srv.wait();
+}
+
+/// The hidden client half of the re-claim test: queue five tagged SQEs
+/// on the segment at `PPC_XPROC_CLIENT_PATH`, reap two of them, say so
+/// (the `.ready` file), and wait to be SIGKILLed mid-batch.
+#[test]
+fn xproc_child_client() {
+    let Some(path) = std::env::var_os("PPC_XPROC_CLIENT_PATH") else {
+        return;
+    };
+    watchdog(120);
+    let path = PathBuf::from(path);
+    let mut xc = XClient::connect_retry(&path, 66, Duration::from_secs(10)).expect("connect");
+    for tag in 6600..6605u64 {
+        xc.submit(EP_ECHO, [tag; 8], tag).unwrap();
+    }
+    xc.ring_doorbell();
+    reap_all(&mut xc, 2, Duration::from_secs(10)).unwrap();
+    std::fs::write(path.with_extension("ready"), b"").unwrap();
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+    }
 }
 
 /// A spawned server child, killed and reaped on drop so a failing
@@ -155,14 +181,18 @@ impl ChildServer {
 
     /// `park_only`: the child's runtime runs `SpinPolicy::ParkOnly`.
     fn spawn_with(tag: &str, park_only: bool) -> ChildServer {
+        let d = XSegOptions::default();
+        ChildServer::spawn_sized(tag, park_only, d.n_clients, d.ring_depth)
+    }
+
+    /// A child serving a segment of `n_clients` slots, rings
+    /// `ring_depth` deep.
+    fn spawn_sized(tag: &str, park_only: bool, n_clients: usize, ring_depth: u32) -> ChildServer {
         let path = ppc_rt::shm::segment_dir()
             .join(format!("ppc-xproc-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut cmd = Command::new(std::env::current_exe().unwrap());
-        if park_only {
-            cmd.env("PPC_XPROC_CHILD_PARK_ONLY", "1");
-        }
-        let child = cmd
+        let child = Command::new(std::env::current_exe().unwrap())
+            .env("PPC_XPROC_CHILD_OPTS", format!("{},{n_clients},{ring_depth}", park_only as u8))
             .args(["xproc_child_server", "--exact", "--test-threads=1", "--nocapture"])
             .env("PPC_XPROC_CHILD_PATH", &path)
             .stdout(Stdio::null())
@@ -190,6 +220,7 @@ impl Drop for ChildServer {
     fn drop(&mut self) {
         self.kill();
         let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_dir_all(gate_dir(&self.path));
     }
 }
 
@@ -430,8 +461,13 @@ fn segment_byte_dump_round_trips_validation() {
     let _shared = CPUS.read();
     let mut srv = ChildServer::spawn("dump");
     let mut xc = srv.connect(7);
-    // Force some traffic so the dump is of a *working* segment.
+    // Force some traffic — slot and ring — so the dump is of a
+    // *working* segment.
     xc.call(EP_ADD, [1, 2, 0, 0, 0, 0, 0, 0]).unwrap();
+    xc.submit_payload(EP_PSUM, [3, 0, 0, 0, 0, 0, 0, 0], 1, &[1, 2, 3, 0, 0, 0, 0, 0]).unwrap();
+    xc.ring_doorbell();
+    let done = reap_all(&mut xc, 1, Duration::from_secs(10)).unwrap();
+    assert_eq!(done[0].result, Ok([6, 0, 0, 0, 0, 0, 0, 8]));
     validate_segment(&srv.path).expect("live segment validates");
 
     let bytes = std::fs::read(&srv.path).expect("dump the segment");
@@ -442,10 +478,11 @@ fn segment_byte_dump_round_trips_validation() {
     validate_segment(&copy).expect("byte dump round-trips validation");
 
     // Another version (offset 8 is `layout_version` by the asserted
-    // layout) — a garbled one, or layout 1, which had a pad where the
-    // header now keeps the server's sleeper flag: clean error.
+    // layout) — a garbled one; layout 1, which had a pad where the
+    // header now keeps the server's sleeper flag; layout 2, whose ring
+    // entries were 96 and 88 bytes: clean error.
     assert_eq!(bytes[8..12], ppc_rt::XPROC_LAYOUT_VERSION.to_le_bytes());
-    for version in [bytes[8] ^ 0xFF, 1] {
+    for version in [bytes[8] ^ 0xFF, 1, 2] {
         let mut bad = bytes.clone();
         bad[8] = version;
         std::fs::write(&copy, &bad).unwrap();
@@ -583,6 +620,252 @@ fn peer_death_mid_submit_bulk_is_timely_error() {
     // Dead client fails fast, with PeerGone — not RingFull, not a hang.
     assert_eq!(xc.submit(EP_ADD, [0; 8], 9), Err(RtError::PeerGone));
     assert_eq!(xc.call(EP_ADD, [0; 8]), Err(RtError::PeerGone));
+}
+
+// ---------------------------------------------------------------------
+// Ring conformance on the segment front-end
+// ---------------------------------------------------------------------
+
+/// A server child with the conformance entries bound, handing out
+/// `XClient`s.
+struct XRig {
+    srv: ChildServer,
+    gate: Gate,
+}
+
+impl XRig {
+    fn new(tag: &str, park_only: bool, ring_depth: u32) -> XRig {
+        watchdog(120);
+        let srv = ChildServer::spawn_sized(tag, park_only, 2, ring_depth);
+        let gate = Gate::at(&gate_dir(&srv.path));
+        XRig { srv, gate }
+    }
+}
+
+impl Rig for XRig {
+    fn eps(&self) -> Eps {
+        Eps::at(EP_STATS + 1)
+    }
+
+    fn gate(&self) -> &Gate {
+        &self.gate
+    }
+
+    fn front(&mut self, program: u32) -> Box<dyn RingFront> {
+        Box::new(self.srv.connect(program))
+    }
+
+    fn stats(&self) -> Option<Snapshot> {
+        None
+    }
+}
+
+impl RingFront for XClient {
+    fn submit(&mut self, ep: EntryId, args: [u64; 8], user: u64) -> Result<(), RtError> {
+        XClient::submit(self, ep, args, user)
+    }
+
+    fn submit_payload(
+        &mut self,
+        ep: EntryId,
+        args: [u64; 8],
+        user: u64,
+        payload: &[u8],
+    ) -> Result<(), RtError> {
+        XClient::submit_payload(self, ep, args, user, payload)
+    }
+
+    fn submit_bulk(
+        &mut self,
+        ep: EntryId,
+        args: [u64; 8],
+        user: u64,
+        desc: BulkDesc,
+        payload: &[u8],
+    ) -> Result<(), RtError> {
+        XClient::submit_bulk(self, ep, args, user, desc, payload)
+    }
+
+    fn doorbell(&mut self) {
+        self.ring_doorbell();
+    }
+
+    fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
+        XClient::reap(self, max, out).expect("server alive")
+    }
+
+    fn in_flight(&self) -> u64 {
+        XClient::in_flight(self)
+    }
+
+    fn credits(&self) -> u64 {
+        self.ring_depth()
+    }
+
+    fn sq_capacity(&self) -> u64 {
+        self.ring_depth()
+    }
+
+    fn bulk_desc(&mut self, ep: EntryId, len: u32) -> BulkDesc {
+        self.bulk_grant(ep, true).unwrap();
+        XClient::bulk_desc(self, 0, len, true).unwrap()
+    }
+}
+
+#[test]
+fn segment_ring_wraparound_preserves_order_across_many_laps() {
+    let _shared = CPUS.read();
+    conformance::wraparound_preserves_order_across_many_laps(&mut XRig::new("c-wrap", false, 8));
+}
+
+#[test]
+fn segment_ring_credit_exhaustion_refuses_without_deadlock() {
+    let _shared = CPUS.read();
+    conformance::credit_exhaustion_refuses_without_deadlock(&mut XRig::new("c-credit", false, 4));
+}
+
+#[test]
+fn segment_ring_admission_refuses_only_when_really_full() {
+    let _shared = CPUS.read();
+    let mut rig = XRig::new("c-admit", false, 2);
+    conformance::admission_reloads_the_head_only_on_apparent_full(&mut rig);
+}
+
+#[test]
+fn segment_ring_cached_head_never_admits_over_an_unread_sqe() {
+    let _shared = CPUS.read();
+    conformance::cached_head_never_admits_over_an_unread_sqe(&mut XRig::new("c-laps", false, 2));
+}
+
+#[test]
+fn segment_ring_payload_rides_as_handler_scratch() {
+    let _shared = CPUS.read();
+    conformance::payload_rides_as_handler_scratch(&mut XRig::new("c-payload", false, 8));
+}
+
+#[test]
+fn segment_ring_submit_bulk_copies_into_share_before_handler() {
+    let _shared = CPUS.read();
+    conformance::submit_bulk_copies_into_region_before_handler(&mut XRig::new("c-bulk", false, 8));
+}
+
+#[test]
+fn segment_ring_submit_bulk_denies_foreign_descriptors() {
+    let _shared = CPUS.read();
+    conformance::submit_bulk_denies_foreign_descriptors(&mut XRig::new("c-denied", false, 8));
+}
+
+#[test]
+fn segment_ring_handler_fault_is_contained_to_its_completion() {
+    let _shared = CPUS.read();
+    conformance::handler_fault_is_contained_to_its_completion(&mut XRig::new("c-fault", false, 8));
+}
+
+#[test]
+fn segment_ring_park_only_server_progresses_via_doorbell() {
+    let _shared = CPUS.read();
+    conformance::park_only_ring_progresses_via_doorbell(&mut XRig::new("c-park", true, 8));
+}
+
+#[test]
+fn segment_ring_drop_with_queued_work_shuts_down_cleanly() {
+    let _shared = CPUS.read();
+    conformance::drop_with_queued_work_shuts_down_cleanly(&mut XRig::new("c-drop", false, 8));
+}
+
+// ---------------------------------------------------------------------
+// Slot lifecycle: every owner starts from an empty ring
+// ---------------------------------------------------------------------
+
+/// Five SQEs tagged `round·100 + i`, echoed: the client must reap
+/// exactly its own five, in order, and nothing else.
+fn five_of_its_own(xc: &mut XClient, round: u64) {
+    for i in 0..5 {
+        let tag = round * 100 + i;
+        xc.submit(EP_ECHO, [tag; 8], tag).unwrap();
+    }
+    xc.ring_doorbell();
+    let done = reap_all(xc, 5, Duration::from_secs(10)).unwrap();
+    for (i, c) in done.iter().enumerate() {
+        let tag = round * 100 + i as u64;
+        assert_eq!((c.user, &c.result), (tag, &Ok([tag; 8])), "round {round}");
+    }
+    assert_eq!((xc.reap(16, &mut Vec::new()), xc.in_flight()), (Ok(0), 0), "and no more");
+}
+
+/// A one-slot segment served to a sequence of owners: whatever the
+/// previous owner left in the slot's ring — completions it never
+/// reaped, SQEs it never got served — the next owner starts from an
+/// empty ring. First three clean drops, then an owner SIGKILLed with
+/// three of its five completions unreaped (the sweep reclaims the slot).
+#[test]
+fn reclaimed_slot_starts_from_an_empty_ring() {
+    watchdog(90);
+    let _shared = CPUS.read();
+    let mut srv = ChildServer::spawn_sized("reclaim", false, 1, 32);
+    for round in 0..3 {
+        five_of_its_own(&mut srv.connect(10 + round as u32), round);
+    }
+
+    let ready = srv.path.with_extension("ready");
+    let mut victim = Command::new(std::env::current_exe().unwrap())
+        .args(["xproc_child_client", "--exact", "--test-threads=1", "--nocapture"])
+        .env("PPC_XPROC_CLIENT_PATH", &srv.path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn client child");
+    while !ready.exists() {
+        assert!(victim.try_wait().unwrap().is_none(), "client child died before it was killed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Kill **and reap**: the sweep sees a zombie as alive.
+    victim.kill().unwrap();
+    victim.wait().unwrap();
+    let _ = std::fs::remove_file(&ready);
+
+    // `connect` retries until the sweep has released the only slot.
+    five_of_its_own(&mut srv.connect(14), 4);
+    srv.connect(15).shutdown_server();
+    let _ = srv.child.wait();
+}
+
+/// A client that detaches with SQEs still queued: none of them runs —
+/// the detach ends the client, under whose identity and region they
+/// would have run — and the slot is free at once for the next claimer,
+/// which is acked and served under its own program id.
+#[test]
+fn detach_with_queued_sqes_runs_none_and_frees_the_slot() {
+    watchdog(90);
+    let _shared = CPUS.read();
+    let mut rig = XRig::new("detach", false, 32);
+    let eps = rig.eps();
+    let (mut a, mut b) = (rig.srv.connect(21), rig.srv.connect(22));
+
+    // B parks the one serve thread inside a handler…
+    let parked = b.call_async(eps.gate, [0; 8]).unwrap();
+    rig.gate.wait_started();
+    // …while A queues eight counted SQEs (no doorbell: the server is
+    // busy, not asleep) and drops — a DETACH the server finds, with the
+    // SQEs, on its next pass.
+    for i in 0..8 {
+        a.submit(eps.count, [1; 8], i).unwrap();
+    }
+    let dropping = std::thread::spawn(move || drop(a));
+    std::thread::sleep(Duration::from_millis(50));
+    rig.gate.release();
+    assert_eq!(parked.wait(), Ok([0; 8]));
+    dropping.join().unwrap();
+
+    // Both slots were taken: C can only have A's.
+    let mut c = XClient::connect_retry(&rig.srv.path, 23, Duration::from_secs(2))
+        .expect("the freed slot is claimed and acked at once");
+    let rets = c.call(eps.count, [0; 8]).unwrap();
+    assert_eq!(rets[0], 0, "none of the detached client's SQEs ran");
+    assert_eq!(rets[1], 23, "served under its own program id");
+    five_of_its_own(&mut c, 7);
+    c.shutdown_server();
+    let _ = rig.srv.child.wait();
 }
 
 // ---------------------------------------------------------------------
