@@ -6,11 +6,11 @@
 //! lock-free CD-pool pop, the slot fill, one atomic mailbox publish (the
 //! hand-off; a sleeping worker is woken), an adaptive poll-spin-block
 //! wait for `DONE`, and two lock-free pushes to recycle what the caller
-//! popped, worker and CD. **Zero lock acquisitions, zero writes
-//! to a cache line any other vCPU's fast path writes** — the user-level
-//! restatement of the paper's common case. (The epoch protocol's `SeqCst`
-//! operations are vCPU-local RMWs plus loads of read-mostly era/table
-//! words.)
+//! popped, worker and CD. **Zero lock acquisitions, zero writes to a
+//! cache line any other vCPU's fast path writes** — the paper's common
+//! case. (The epoch protocol's `SeqCst` operations are vCPU-local RMWs
+//! plus loads of read-mostly era/table words; the handler stays in the
+//! entry's box, borrowed under the claim: no refcount write per call.)
 //!
 //! Entries bound with [`crate::EntryOptions::inline_ok`] skip even the
 //! hand-off: the handler runs on the caller's own thread in a borrowed
@@ -79,7 +79,7 @@ impl Runtime {
         // The call span opens before resource acquisition so Frank grow
         // events during `post` parent under it; the drop guard closes it
         // (and runs the root's tail-exemplar check) on every exit.
-        let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&claim.trace_ewma_ns));
+        let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*claim.trace_ewma_ns));
         let (worker, slot, woke) =
             self.post(&claim, args, program, payload, true, scope.ctx_word())?;
         let vc = self.vcpu(vcpu)?;
@@ -156,7 +156,7 @@ impl Runtime {
         let t0 = sampled.then(Instant::now);
         // The inline call span; the drop guard closes it on the early
         // kill/fault returns too, restoring the caller's trace context.
-        let call_scope = self.spans().call_scope(sampled, vcpu, ep, Some(&entry.trace_ewma_ns));
+        let call_scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*entry.trace_ewma_ns));
         // A payload call owns a CD up front (the scratch page carries the
         // bytes both ways); a plain call borrows one lazily, only if the
         // handler asks — descriptor-only bulk calls skip the CD pool.
@@ -169,8 +169,8 @@ impl Runtime {
         // — the context word passes directly), so nested calls the
         // handler makes parent under it.
         let scratch = ScratchRef::Lazy { vc, cell, slot };
-        let run =
-            entry.run_handler(vcpu, args, program, call_scope.ctx_word(), scratch, None, sampled);
+        let word = call_scope.ctx_word();
+        let run = entry.run_handler(vcpu, args, program, word, scratch, None, None, sampled);
         if let Some(est) = self.handler_estimate(&run) {
             cell.add_time(TimeState::Handler, est);
         }
@@ -234,7 +234,7 @@ impl Runtime {
         // The claim releases on exit; the handler's borrows go through it.
         let claim = self.claim(vcpu, ep)?;
         let scratch = ScratchRef::Ready(scratch);
-        let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, sampled);
+        let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, None, sampled);
         *handler_ns += self.handler_estimate(&run).unwrap_or(0);
         let killed = claim.entry_state() == EntryState::Dead;
         // The ring worker serves this vCPU: off the submitter's lines.

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::flight::FlightKind;
@@ -138,10 +139,10 @@ pub(crate) struct HandlerRun {
 }
 
 /// One vCPU's lifecycle shard for one entry: in-flight claims split by
-/// era parity, plus the completion count. Line-aligned so two vCPUs'
-/// claim traffic never shares a cache line — the hot path's claim,
-/// finish, and completion writes all land here and nowhere else.
-#[repr(align(64))]
+/// era parity, plus the completion count, on a line pair of its own (the
+/// unit the adjacent-line prefetcher moves): the hot path's claim, finish
+/// and completion writes land here and nowhere another vCPU writes.
+#[repr(align(128))]
 #[derive(Default)]
 pub(crate) struct LifeCell {
     /// In-flight claims, indexed by the parity of the era they were
@@ -216,8 +217,9 @@ pub struct EntryShared {
     pub(crate) blackbox: Arc<crate::blackbox::Sink>,
     /// EWMA of this entry's traced root-call latency (ns; 0 = unseeded)
     /// — the tail-exemplar promotion baseline. Only traced roots feed
-    /// it, so the cell costs nothing untraced.
-    pub(crate) trace_ewma_ns: AtomicU64,
+    /// it, so the cell costs nothing untraced. Padded: every vCPU's
+    /// sampled roots store here, off the words every call reads.
+    pub(crate) trace_ewma_ns: CachePadded<AtomicU64>,
     pools: Vec<WorkerPool>,
 }
 
@@ -255,7 +257,7 @@ impl EntryShared {
             stats,
             spans,
             blackbox,
-            trace_ewma_ns: AtomicU64::new(0),
+            trace_ewma_ns: CachePadded::new(AtomicU64::new(0)),
             pools: (0..n_vcpus).map(|_| WorkerPool::new()).collect(),
         })
     }
@@ -292,9 +294,10 @@ impl EntryShared {
     /// identical on every transport. The caller holds a claim on this
     /// entry; `scratch` is the page the handler sees (a ready page, or
     /// the inline path's lazy CD borrow), `worker` the hand-off worker
-    /// whose initialization override — if installed — replaces the
-    /// entry's handler, and `trace_word` the propagated context the
-    /// handler span (and anything the handler calls) parents under.
+    /// the handler may re-initialise, `over` that worker's installed
+    /// override (§4.5.3), which replaces the entry's handler, and
+    /// `trace_word` the propagated context the handler span (and
+    /// anything the handler calls) parents under.
     ///
     /// A panicking handler unwinds to here, not through the caller's
     /// frames. Contained faults are rare: always in the flight ring,
@@ -315,10 +318,17 @@ impl EntryShared {
         trace_word: u64,
         scratch: ScratchRef<'a>,
         worker: Option<&'a WorkerHandle>,
+        over: Option<&Handler>,
         sampled: bool,
     ) -> HandlerRun {
-        let handler =
-            worker.and_then(WorkerHandle::override_handler).unwrap_or_else(|| self.handler());
+        // Borrowed, not cloned: a clone writes the refcount line every
+        // caller of the entry shares.
+        // SAFETY: the box is freed only once this claim's era parity
+        // drains (`swap_handler`), and the claim outlives the run on every
+        // transport — the inline caller's `Claim`, a sync hand-off's
+        // client until `DONE`, an async worker until its `finish_call`,
+        // `ring_execute`'s `Claim` for both rings.
+        let handler = over.unwrap_or_else(|| unsafe { &*self.handler_ptr.load(Ordering::SeqCst) });
         let t0 = sampled.then(Instant::now);
         let span = self.spans.handler_scope(trace_word, vcpu, self.id);
         let mut ctx = CallCtx {
@@ -362,9 +372,10 @@ impl EntryShared {
     /// The loop re-validates the era *after* the increment: if an
     /// exchange flipped the era in between, the claim backs out and
     /// retries under the new parity. In the sequentially-consistent total
-    /// order this guarantees that any claim whose later `handler()` load
-    /// can still observe a pre-swap handler is counted under the pre-swap
-    /// parity — which the swap drains before freeing that handler. All
+    /// order this guarantees that any claim whose later handler load in
+    /// `run_handler` can still observe a pre-swap handler is counted
+    /// under the pre-swap parity — which the swap drains before freeing
+    /// that handler, and the claim is held until the run returns. All
     /// three operations touch this vCPU's own [`LifeCell`] line plus a
     /// read-only load of the shared era word; a `SeqCst` RMW costs the
     /// same as the `AcqRel` it replaces on x86/ARM.
@@ -425,18 +436,6 @@ impl EntryShared {
         self.life[vcpu].completed.load(Ordering::Relaxed)
     }
 
-    /// The current handler (one atomic load + an `Arc` clone). The load
-    /// is `SeqCst` so it participates in the era-parity total order; on
-    /// the architectures this runtime targets it compiles to the same
-    /// instruction as the `Acquire` load it replaced.
-    pub fn handler(&self) -> Handler {
-        let p = self.handler_ptr.load(Ordering::SeqCst);
-        // Safety: a handler box is only freed once the era parity that
-        // could observe it has drained (see `swap_handler`), and the
-        // caller holds a claim, which pins the current parity.
-        unsafe { (*p).clone() }
-    }
-
     /// Replace the handler (Exchange, §4.5.2) and clear worker overrides
     /// so initialization reruns against the new code. Returns the number
     /// of previously retired handlers freed by this exchange's quiesce.
@@ -480,7 +479,7 @@ impl EntryShared {
             self.flight.record(0, crate::flight::FlightKind::Retire, self.id, freed as u32);
         }
         for p in &self.pools {
-            p.for_each_worker(|w| w.clear_override());
+            p.for_each_worker(|w| w.set_override(None));
         }
         freed
     }
@@ -526,5 +525,39 @@ impl Drop for EntryShared {
             unsafe { drop(Box::from_raw(p)) };
         }
         // Limbo boxes drop with the Vec.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::worker::tests::{apart, pairs};
+
+    /// The inline path's per-vCPU writes and shared reads, by line pair:
+    /// each vCPU's claim and pin cells own a pair, so do its histograms,
+    /// and the entry words every call reads (`state`, `era`,
+    /// `handler_ptr`) keep off the pair every vCPU's sampled roots store
+    /// to (`trace_ewma_ns`). Fails when one of them moves onto a pair
+    /// another vCPU writes.
+    #[test]
+    fn per_vcpu_words_keep_to_their_lines() {
+        let rt = crate::Runtime::new(3);
+        let opts = crate::EntryOptions { initial_workers: 0, ..Default::default() };
+        let ep = rt.bind("layout", opts, std::sync::Arc::new(|c| c.args)).unwrap();
+        let e = rt.frank_entry(ep).unwrap();
+        let life: Vec<_> = e.life.iter().map(pairs).collect();
+        let pins: Vec<_> = rt.vcpus.iter().map(|v| pairs(&v.epoch)).collect();
+        for cells in [&life, &pins] {
+            for (i, a) in cells.iter().enumerate() {
+                for b in &cells[i + 1..] {
+                    assert!(apart(a, b), "per-vCPU cells {a:?} and {b:?} share a line pair");
+                }
+            }
+        }
+        #[cfg(feature = "obs")]
+        assert_eq!(std::mem::align_of::<crate::obs::HistCell>(), 128, "histogram cells");
+        let ewma = pairs(&*e.trace_ewma_ns);
+        for read in [pairs(&e.state), pairs(&e.era), pairs(&e.handler_ptr)] {
+            assert!(apart(&read, &ewma), "a per-call read {read:?} shares `trace_ewma_ns`'s pair");
+        }
     }
 }

@@ -92,9 +92,9 @@ impl Drop for Claim<'_> {
 }
 
 /// One vCPU's pin cell: claims in the lookup→claim window, split by
-/// pin-era parity. Line-aligned for the same reason as the entries'
-/// lifecycle cells — the pin is two RMWs on this line and nothing else.
-#[repr(align(64))]
+/// pin-era parity. Aligned to a line pair for the same reason as the
+/// entries' lifecycle cells — the pin is two RMWs here and nothing else.
+#[repr(align(128))]
 #[derive(Default)]
 pub(crate) struct EpochCell {
     pub(crate) active: [AtomicU64; 2],

@@ -21,21 +21,20 @@
 //! | worker-process fault isolation (§2) | handler panics become [`RtError::ServerFault`]; the pool survives |
 //! | "handled on the same processor as the client" (§3) | [`EntryOptions::inline_ok`]: caller-thread inline dispatch, zero park/unpark |
 //! | temporary-then-block waiting (hand-off latency) | [`SpinPolicy`]: adaptive spin-then-park rendezvous, per-vCPU EWMA-tuned budget |
-//! | "a PPC accesses no shared data" (§3) | per-vCPU `#[repr(align(64))]` [`stats::StatsCell`]s, aggregated only on read |
+//! | "a PPC accesses no shared data" (§3) | per-vCPU `#[repr(align(128))]` cells (stats, claims, pins, histograms), aggregated only on read |
 //!
 //! The common-case call path performs **no lock acquisitions and no
 //! writes to a cache line any other vCPU's fast path writes**: pools are
-//! lock-free queues (`crossbeam`), the entry lookup is a single atomic
-//! load of the calling vCPU's own table replica, the client↔worker
-//! rendezvous is an atomic mailbox plus an adaptive spin-then-park wait,
-//! and every fast-path counter — including the entry's in-flight and
-//! completion accounting — is an increment on the calling vCPU's own
-//! cache line. The handful of `SeqCst` operations the epoch-reclamation
-//! protocol adds are all vCPU-local RMWs or loads of read-mostly shared
-//! words (the era counters, the table replica), which stay resident in
-//! every cache until a cold-path exchange or reclaim actually flips
-//! them. Locks appear only on cold paths (registration, kill, exchange,
-//! worker-override installation) — exactly the paper's discipline.
+//! lock-free queues, the entry lookup is one load of the calling vCPU's
+//! own table replica, the client↔worker rendezvous is an atomic mailbox
+//! plus an adaptive wait, and every fast-path counter — the entry's
+//! in-flight and completion accounting included — is an increment on the
+//! calling vCPU's own line pair. The handler stays in the entry's box,
+//! borrowed under the claim, so no call writes its reference count. The
+//! epoch protocol's `SeqCst` operations are vCPU-local RMWs or loads of
+//! read-mostly words (era counters, table replica, handler pointer) that
+//! stay in every cache until an exchange or reclaim flips them. Locks
+//! appear only on cold paths (bind, kill, exchange, worker overrides).
 //!
 //! Three dispatch modes cover the latency spectrum (`ppcbench`'s
 //! `inline_null`, `handoff_null` and `worker.park_rtt_ns`; see
@@ -359,7 +358,7 @@ impl<'a> CallCtx<'a> {
     /// per-worker initialization does not apply.
     pub fn set_worker_handler(&self, h: Handler) {
         if let Some(w) = self.worker {
-            w.set_override(h);
+            w.set_override(Some(h));
         }
     }
 

@@ -3,7 +3,7 @@
 //! The instrumentation must preserve the property it exists to prove:
 //! a PPC "accesses no shared data and acquires no locks" in the common
 //! case. So the histograms mirror [`crate::stats::StatsCell`] exactly —
-//! one `#[repr(align(64))]` `HistCell` per vCPU, `Relaxed` increments
+//! one `#[repr(align(128))]` `HistCell` per vCPU, `Relaxed` increments
 //! on the recording (hot) path, merge and percentile extraction only on
 //! the cold read path.
 //!
@@ -115,10 +115,10 @@ pub fn bucket_bound(i: usize) -> u64 {
 
 /// One virtual processor's histograms: [`NKINDS`] × [`BUCKETS`] bucket
 /// counters plus a running sum and max per kind, aligned so two vCPUs
-/// never share a cache line (the recording path touches only the
+/// never share a cache-line pair (the recording path touches only the
 /// calling vCPU's cell).
 #[cfg(feature = "obs")]
-#[repr(align(64))]
+#[repr(align(128))]
 #[derive(Debug)]
 pub struct HistCell {
     buckets: [[AtomicU64; BUCKETS]; NKINDS],

@@ -34,8 +34,8 @@ pub const MAX_POOLED: usize = 64;
 /// one atomic swap plus — only if the worker announced its sleep — an
 /// `unpark` against a `OnceLock`-published thread handle; no mutex
 /// anywhere on the dispatch path. Overrides and shutdown are cold; the
-/// fast path only crosses them via the `Relaxed` `has_override` gate and
-/// an `Acquire` shutdown load. A test pins three groups of lines apart:
+/// fast path only loads the override generation and the shutdown flag
+/// (`Acquire`). A test pins three groups of lines apart:
 /// what a caller only *reads* (`thread`, `shutdown`, `asleep` — written
 /// when the worker blocks, not per call), the mailbox both sides swap,
 /// and what only the worker writes (`calls`).
@@ -51,11 +51,10 @@ pub struct WorkerHandle {
     /// Padded: the mailbox ping-pongs between client and worker every
     /// call and must not share a line with the cold fields below.
     mailbox: CachePadded<AtomicPtr<CallSlot>>,
-    /// Per-worker handler override (worker initialization, §4.5.3).
+    /// Per-worker handler override (worker initialization, §4.5.3), and
+    /// its generation, bumped under the lock by every `set_override`.
     override_handler: Mutex<Option<Handler>>,
-    /// Whether an override is installed — the fast-path gate that keeps
-    /// `override_handler`'s mutex off the common case entirely.
-    has_override: AtomicBool,
+    override_gen: AtomicU64,
     /// Shutdown request.
     shutdown: AtomicBool,
     /// Calls completed by this worker (diagnostics). Padded: written by
@@ -70,7 +69,7 @@ impl WorkerHandle {
             asleep: AtomicU32::new(0),
             mailbox: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
             override_handler: Mutex::new(None),
-            has_override: AtomicBool::new(false),
+            override_gen: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             calls: CachePadded::new(AtomicU64::new(0)),
         })
@@ -109,26 +108,24 @@ impl WorkerHandle {
         }
     }
 
-    /// Install a per-worker handler override. The content is published
-    /// before the gate flips, so a worker that observes the gate with
-    /// `Acquire` always finds the override behind the lock.
-    pub fn set_override(&self, h: Handler) {
-        *self.override_handler.lock() = Some(h);
-        self.has_override.store(true, Ordering::Release);
+    /// Install a per-worker handler override, or remove it (`None`:
+    /// Exchange does, so that new code takes effect).
+    pub fn set_override(&self, h: Option<Handler>) {
+        let mut slot = self.override_handler.lock();
+        *slot = h;
+        self.override_gen.fetch_add(1, Ordering::Release);
     }
 
-    /// Remove the override (used by Exchange so new code takes effect).
-    pub fn clear_override(&self) {
-        self.has_override.store(false, Ordering::Release);
-        *self.override_handler.lock() = None;
-    }
-
-    /// The installed override, if any. The mutex is only ever taken when
-    /// the gate says an override exists — workers with no initialization
-    /// routine never touch a lock here.
-    pub(crate) fn override_handler(&self) -> Option<Handler> {
-        let installed = self.has_override.load(Ordering::Acquire);
-        installed.then(|| self.override_handler.lock().clone()).flatten()
+    /// Bring the worker's `(generation, override)` copy up to date,
+    /// locking only when the generation moved. Called after the mailbox
+    /// take, so a call posted once an exchange returned sees its clear.
+    fn refresh_override(&self, mine: &mut (u64, Option<Handler>)) {
+        if self.override_gen.load(Ordering::Acquire) != mine.0 {
+            *mine = {
+                let slot = self.override_handler.lock();
+                (self.override_gen.load(Ordering::Relaxed), slot.clone())
+            };
+        }
     }
 
     /// Has this worker been asked to shut down? `Acquire` pairs with the
@@ -316,6 +313,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
     // The mailbox's learned poll (this loop is its only writer), skipped
     // when the last completion had to wake its waiter (see `wait.rs`).
     let (mut poll, mut woke) = (Poll::default(), false);
+    let mut over = (0, None);
     loop {
         if me.shutdown.load(Ordering::Acquire) {
             // A client may have posted a call in the window between
@@ -338,6 +336,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             continue;
         };
         timer.transition(crate::stats::TimeState::Handler);
+        me.refresh_override(&mut over);
 
         // A faulting (panicking) handler must not take the worker — or the
         // parked client — down with it: the paper chose worker processes
@@ -357,6 +356,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
                 slot.trace_word(),
                 crate::ScratchRef::Ready(scratch),
                 Some(&me),
+                over.1.as_ref(),
                 entry.obs.try_sample(),
             )
         });
@@ -385,17 +385,17 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::ops::RangeInclusive;
 
     /// The 128-byte line pairs (`CachePadded`'s unit) `x` occupies.
-    fn pairs<T>(x: &T) -> RangeInclusive<usize> {
+    pub(crate) fn pairs<T>(x: &T) -> RangeInclusive<usize> {
         let at = x as *const T as usize;
         at / 128..=(at + std::mem::size_of::<T>().max(1) - 1) / 128
     }
 
-    fn apart(a: &RangeInclusive<usize>, b: &RangeInclusive<usize>) -> bool {
+    pub(crate) fn apart(a: &RangeInclusive<usize>, b: &RangeInclusive<usize>) -> bool {
         a.end() < b.start() || b.end() < a.start()
     }
 

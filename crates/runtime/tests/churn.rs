@@ -290,6 +290,94 @@ fn exchange_churn_never_runs_a_freed_handler() {
     dog.join().unwrap();
 }
 
+/// The handler-borrow argument under real concurrency: two vCPUs call
+/// one *inline* entry — each run borrows the handler straight from the
+/// entry's box, on the caller's thread — while a third thread exchanges
+/// it 10⁴ times. Every handler owns a guard that counts its running
+/// calls; the guard drops when the retired box is freed and counts it
+/// as a violation if a call is still running (counted, not panicked:
+/// a panic in `drop` during an unwind would abort the run). Each client
+/// also sees the handler generations in order, never an older one after
+/// a newer.
+#[test]
+fn inline_exchange_never_frees_a_running_handler() {
+    #[derive(Default)]
+    struct Freed {
+        all: AtomicU64,
+        mid_call: AtomicU64,
+    }
+    struct Retiree {
+        running: AtomicU64,
+        freed: Arc<Freed>,
+    }
+    impl Drop for Retiree {
+        fn drop(&mut self) {
+            let mid_call = self.running.load(Ordering::SeqCst) != 0;
+            self.freed.mid_call.fetch_add(u64::from(mid_call), Ordering::SeqCst);
+            self.freed.all.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let freed = Arc::new(Freed::default());
+    let make = |gen: u64| -> ppc_rt::Handler {
+        let me = Retiree { running: AtomicU64::new(0), freed: Arc::clone(&freed) };
+        Arc::new(move |c| {
+            me.running.fetch_add(1, Ordering::SeqCst);
+            // Stay inside long enough for an exchange to land mid-run.
+            (0..c.args[0]).for_each(|_| std::hint::spin_loop());
+            me.running.fetch_sub(1, Ordering::SeqCst);
+            [gen; 8]
+        })
+    };
+
+    let rt = Runtime::new(2);
+    let done = Arc::new(AtomicBool::new(false));
+    let dog = watchdog(Arc::clone(&done), 120, "inline exchange churn", Arc::clone(&rt));
+    let opts = EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() };
+    let ep = rt.bind("inline-swapee", opts, make(0)).unwrap();
+
+    const EXCHANGES: u64 = 10_000;
+    let stop = AtomicBool::new(false);
+    let progress = [AtomicU64::new(0), AtomicU64::new(0)];
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2)
+            .map(|v| {
+                let (c, stop, progress) = (rt.client(v, 1 + v as u32), &stop, &progress[v]);
+                s.spawn(move || {
+                    let (mut calls, mut last) = (0u64, 0u64);
+                    while !stop.load(Ordering::Acquire) {
+                        let gen = c.call(ep, [64; 8]).expect("exchange never kills the entry")[0];
+                        assert!(gen >= last, "generation {gen} after {last}");
+                        (calls, last) = (calls + 1, gen);
+                        progress.store(calls, Ordering::Release);
+                    }
+                    calls
+                })
+            })
+            .collect();
+        while progress.iter().any(|p| p.load(Ordering::Acquire) == 0) {
+            std::thread::yield_now();
+        }
+        for gen in 1..=EXCHANGES {
+            rt.exchange(ep, make(gen), 0).unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        for c in clients {
+            assert!(c.join().unwrap() > 0, "clients made progress throughout");
+        }
+    });
+    for _ in 0..100 {
+        if freed.all.load(Ordering::SeqCst) == EXCHANGES {
+            break;
+        }
+        rt.frank_maintain();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(freed.all.load(Ordering::SeqCst), EXCHANGES, "every retired handler was freed");
+    assert_eq!(freed.mid_call.load(Ordering::SeqCst), 0, "handlers freed while a call ran them");
+    done.store(true, Ordering::Release);
+    dog.join().unwrap();
+}
+
 /// Ring lifecycle interop: kill and reclaim with SQEs still queued.
 /// Ring submissions hold no entry claim while they wait (claims are
 /// taken at execution time), so a hard kill mid-queue must not wedge

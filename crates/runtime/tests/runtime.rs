@@ -267,6 +267,32 @@ fn worker_initialization_self_replaces_handler() {
     assert_eq!(init_runs.load(Ordering::SeqCst), 1);
 }
 
+/// A worker keeps its own copy of its override; an exchange must still
+/// reach it. The first exchange lands right after the init call that
+/// installed the override (the worker has not run it yet), the second
+/// after the worker already ran its copy. The next call runs new code
+/// both times.
+#[test]
+fn exchange_right_after_self_replacement_runs_new_code() {
+    fn self_replacing(first: u64, then: u64) -> ppc_rt::Handler {
+        Arc::new(move |ctx| {
+            ctx.set_worker_handler(Arc::new(move |_| [then; 8]));
+            [first; 8]
+        })
+    }
+    let rt = Runtime::new(1);
+    let ep = rt.bind("init", EntryOptions::default(), self_replacing(1, 2)).unwrap();
+    let c = rt.client(0, 1);
+    assert_eq!(c.call(ep, [0; 8]).unwrap()[0], 1, "init runs");
+    rt.exchange(ep, self_replacing(3, 4), 0).unwrap();
+    assert_eq!(c.call(ep, [0; 8]).unwrap()[0], 3, "the exchanged code, not the old override");
+    assert_eq!(c.call(ep, [0; 8]).unwrap()[0], 4, "its own override");
+    assert_eq!(c.call(ep, [0; 8]).unwrap()[0], 4, "the worker's copy of it");
+    rt.exchange(ep, Arc::new(|_| [5; 8]), 0).unwrap();
+    assert_eq!(c.call(ep, [0; 8]).unwrap()[0], 5, "the copy is gone with the exchange");
+    assert_eq!(rt.stats.workers_created(), 0, "one worker served every call");
+}
+
 #[test]
 fn shrink_reaps_surplus_workers() {
     let rt = Runtime::new(1);

@@ -15,13 +15,13 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 use ppc_rt::xproc::validate_segment;
 use ppc_rt::{
-    affinity, BulkDesc, Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime, Snapshot,
-    SpinPolicy, XClient, XSegOptions,
+    affinity, BulkDesc, CallCtx, Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime,
+    Snapshot, SpinPolicy, XClient, XSegOptions,
 };
 
 mod conformance;
@@ -103,9 +103,14 @@ fn bind_test_entries(rt: &Arc<Runtime>) {
             }),
         )
         .unwrap();
+    // A handler that reports its own strong count from inside its call,
+    // and a peek at the same count from outside it.
+    let me = SelfRef::default();
+    let own = rt.bind("own-count", EntryOptions::default(), self_counting(&me)).unwrap();
+    let peek = rt.bind("peek-count", inline, Arc::new(move |_| [strong_count(&me); 8])).unwrap();
     assert_eq!(
-        (add, upper, psum, slow, echo, stats),
-        (EP_ADD, EP_UPPER, EP_PSUM, EP_SLOW, EP_ECHO, EP_STATS)
+        (add, upper, psum, slow, echo, stats, own, peek),
+        (EP_ADD, EP_UPPER, EP_PSUM, EP_SLOW, EP_ECHO, EP_STATS, EP_OWN_COUNT, EP_PEEK_COUNT)
     );
 }
 
@@ -115,6 +120,26 @@ const EP_PSUM: EntryId = 2;
 const EP_SLOW: EntryId = 3;
 const EP_ECHO: EntryId = 4;
 const EP_STATS: EntryId = 5;
+const EP_OWN_COUNT: EntryId = 6;
+const EP_PEEK_COUNT: EntryId = 7;
+/// The first of `conformance::bind_entries`' table.
+const EP_CONFORMANCE: EntryId = 8;
+
+/// Where a self-counting handler finds its own `Arc`, once it exists.
+type SelfRef = Arc<OnceLock<Weak<dyn Fn(&mut CallCtx<'_>) -> [u64; 8] + Send + Sync>>>;
+
+fn strong_count(me: &SelfRef) -> u64 {
+    me.get().map_or(0, Weak::strong_count) as u64
+}
+
+/// A handler that answers with its own strong count, read from inside
+/// the call.
+fn self_counting(me: &SelfRef) -> ppc_rt::Handler {
+    let mine = Arc::clone(me);
+    let h: ppc_rt::Handler = Arc::new(move |_| [strong_count(&mine); 8]);
+    assert!(me.set(Arc::downgrade(&h)).is_ok(), "one handler per SelfRef");
+    h
+}
 
 /// Where a server child at `path` keeps its conformance gate files.
 fn gate_dir(path: &Path) -> PathBuf {
@@ -139,7 +164,7 @@ fn xproc_child_server() {
     }
     bind_test_entries(&rt);
     let eps = conformance::bind_entries(&rt, &gate_dir(Path::new(&path)));
-    assert_eq!(eps.echo, EP_STATS + 1);
+    assert_eq!(eps.echo, EP_CONFORMANCE);
     let opts = XSegOptions { n_clients: set[1], ring_depth: set[2] as u32, ..XSegOptions::default() };
     let mut srv = rt.serve_xproc(Path::new(&path), opts).expect("child serves the segment");
     srv.wait();
@@ -452,6 +477,43 @@ fn same_api_invariant_in_both_modes() {
     assert!(status.success());
 }
 
+/// A handler runs borrowed from its entry on every transport: the strong
+/// count it reads of its own `Arc` inside a call equals the count outside
+/// one. A per-call clone reads one more — and is a locked add and
+/// subtract on a line every caller of the entry writes.
+#[test]
+fn handlers_run_borrowed_on_every_transport() {
+    watchdog(90);
+    let _shared = CPUS.read();
+    let rt = Runtime::new(1);
+    let client = rt.client(0, 7);
+    let mut ring = client.ring();
+    for inline_ok in [true, false] {
+        let me = SelfRef::default();
+        let opts = EntryOptions { inline_ok, ..EntryOptions::default() };
+        let ep = rt.bind("", opts, self_counting(&me)).unwrap();
+        let outside = strong_count(&me);
+        let how = if inline_ok { "inline" } else { "hand-off" };
+        assert_eq!(client.call(ep, [0; 8]).unwrap()[0], outside, "{how} call");
+        assert_eq!(client.call_async(ep, [0; 8]).unwrap().wait()[0], outside, "async call");
+        ring.submit(ep, [0; 8], 0).unwrap();
+        let mut done = Vec::new();
+        ring.drain(&mut done);
+        assert_eq!(done[0].result.as_ref().unwrap()[0], outside, "ring call");
+    }
+
+    let mut srv = ChildServer::spawn("borrowed");
+    let mut xc = srv.connect(7);
+    let outside = xc.call(EP_PEEK_COUNT, [0; 8]).unwrap()[0];
+    assert_eq!(xc.call(EP_OWN_COUNT, [0; 8]).unwrap()[0], outside, "XClient call");
+    xc.submit(EP_OWN_COUNT, [0; 8], 0).unwrap();
+    xc.ring_doorbell();
+    let done = reap_all(&mut xc, 1, Duration::from_secs(10)).unwrap();
+    assert_eq!(done[0].result.as_ref().unwrap()[0], outside, "XClient ring call");
+    xc.shutdown_server();
+    assert!(srv.child.wait().expect("child reaped").success());
+}
+
 /// Segment validation: a byte-for-byte dump of a live segment passes
 /// the layout-version check; corrupted or truncated dumps are refused
 /// with a clean [`RtError::BadSegment`] — never UB, never a hang.
@@ -644,7 +706,7 @@ impl XRig {
 
 impl Rig for XRig {
     fn eps(&self) -> Eps {
-        Eps::at(EP_STATS + 1)
+        Eps::at(EP_CONFORMANCE)
     }
 
     fn gate(&self) -> &Gate {

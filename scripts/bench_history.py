@@ -9,12 +9,17 @@ stamp; nothing is timed here.
 
     python3 scripts/bench_history.py append <built ppcbench binary>
     python3 scripts/bench_history.py check <git ref>
+    python3 scripts/bench_history.py diff <commit> <commit>
 
 `append` runs each workload once at the benchmark's own run length and adds
 one line. `check` fails unless the file at <git ref> is a prefix of the file
-in the working tree: lines are added, never edited or removed. Run both from
-the repository root, and `append` on the reference host only (the lines are
-compared with each other).
+in the working tree: lines are added, never edited or removed. `diff` prints
+every workload x metric of two lines side by side with their ratio; a
+<commit> is a line's `commit` field as written (`abc1234+dirty` is the work
+measured on top of abc1234) or any git ref naming a clean line, and the last
+such line is used. It refuses two lines whose `host.cpu_model` differs: their
+numbers are not comparable. Run all three from the repository root, and
+`append` on the reference host only (the lines are compared with each other).
 """
 import datetime
 import json
@@ -93,10 +98,48 @@ def check(ref):
     print(f"{HISTORY}: {added} line(s) appended since {ref}, none changed")
 
 
+def find(lines, commit):
+    """The last line recorded as `commit`, else the last clean line of the
+    commit git resolves it to."""
+    exact = [l for l in lines if l["commit"] == commit]
+    if exact:
+        return exact[-1]
+    full = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{commit}^{{commit}}"],
+                          capture_output=True, text=True).stdout.strip()
+    clean = [l for l in lines if full and "+" not in l["commit"] and full.startswith(l["commit"])]
+    if clean:
+        return clean[-1]
+    known = ", ".join(l["commit"] for l in lines)
+    sys.exit(f"{HISTORY} has no line for {commit} (lines: {known})")
+
+
+def diff(a, b):
+    with open(HISTORY) as f:
+        lines = [json.loads(l) for l in f if l.strip()]
+    old, new = find(lines, a), find(lines, b)
+    hosts = old["host"]["cpu_model"], new["host"]["cpu_model"]
+    if hosts[0] != hosts[1]:
+        sys.exit(f"refusing to compare across hosts: {a} ran on {hosts[0]!r}, {b} on {hosts[1]!r}")
+    print(f"host {hosts[0]!r}")
+    for name, line in ((a, old), (b, new)):
+        print(f"{name}: {line['date']}, seed {line['seed']}, {line['seconds']} s, "
+              f"interference {line['host']['interference_ratio']:.3f}")
+    print(f"{'workload':<16}{'metric':<16}{a:>16}{b:>16}{'ratio':>9}")
+    for w, metrics in old["workloads"].items():
+        for m, x in metrics.items():
+            y = new["workloads"].get(w, {}).get(m)
+            if y is None:
+                continue
+            ratio = f"{y / x:.3f}" if x else "-"
+            print(f"{w:<16}{m:<16}{x:>16.5g}{y:>16.5g}{ratio:>9}")
+
+
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "append":
         append(sys.argv[2])
     elif len(sys.argv) == 3 and sys.argv[1] == "check":
         check(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "diff":
+        diff(sys.argv[2], sys.argv[3])
     else:
         sys.exit(__doc__)
