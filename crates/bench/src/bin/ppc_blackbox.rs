@@ -302,7 +302,7 @@ fn smoke() -> Result<(), String> {
 
     let report = analyze(&doc)?;
     print!("{report}");
-    if cfg!(feature = "obs") && !report.contains("dominant state") {
+    if !report.contains("dominant state") {
         return Err("analyzer names no dominant attributed state".into());
     }
     let _ = std::fs::remove_file(&path);

@@ -105,10 +105,6 @@ fn run(args: &[String], smoke: bool) -> Result<(), String> {
     }
 
     if smoke {
-        if !cfg!(feature = "obs") {
-            println!("ppc-profile smoke: SKIP (obs feature compiled out)");
-            return Ok(());
-        }
         if profile.records == 0 || profile.traces == 0 {
             return Err("profile is empty under a traced workload".into());
         }

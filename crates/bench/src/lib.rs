@@ -13,7 +13,6 @@
 //! | `fastpath_footprint` | §5 "200 instructions and 6 cache lines" |
 //! | `ablation_locks` | lock-free PPC vs locked-pool / LRPC / message RPC |
 //! | `ablation_stack_policy`, `ablation_stack_sharing` | §4.5.4 multi-page stack policy, §2 serial stack sharing |
-//! | `obs_overhead` | null inline call, observability compiled out vs enabled (two builds) |
 //! | `ppc_top`, `ppc_profile`, `ppc_blackbox` | operator tools: live telemetry, critical-path profile, postmortem analysis |
 
 pub mod ablation;

@@ -129,8 +129,7 @@ pub fn num_fields(pairs: &[(&str, f64)]) -> Vec<(String, Json)> {
 
 /// The percentile summary every latency-reporting mode includes:
 /// p50/p90/p99/p999/max plus the sample count, from a merged histogram.
-/// Returns an empty object for an empty histogram (e.g. histograms
-/// compiled out).
+/// Returns an empty object for an empty histogram (nothing sampled).
 pub fn latency_fields(h: &Histogram) -> Json {
     if h.count() == 0 {
         return Json::Obj(Vec::new());

@@ -202,8 +202,8 @@ impl Runtime {
     /// Handler time on a thread that does other work around the handler
     /// (the inline path, a ring drain), as a sampled estimate: the
     /// observed run scaled by the sample period. The unsampled call gains
-    /// *zero* clock reads — the `obs_overhead` gate's 25ns budget stays
-    /// intact — while the sum converges on the true handler occupancy.
+    /// *zero* clock reads (`ppcbench`'s `obs.enabled_extra_ns` prices
+    /// the plane), while the sum converges on the true handler occupancy.
     fn handler_estimate(&self, run: &HandlerRun) -> Option<u64> {
         run.ns.map(|ns| ns << self.obs().sample_shift())
     }

@@ -553,7 +553,6 @@ mod tests {
                 }
             }
         }
-        #[cfg(feature = "obs")]
         assert_eq!(std::mem::align_of::<crate::obs::HistCell>(), 128, "histogram cells");
         let ewma = pairs(&*e.trace_ewma_ns);
         for read in [pairs(&e.state), pairs(&e.era), pairs(&e.handler_ptr)] {

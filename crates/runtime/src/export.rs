@@ -961,7 +961,6 @@ pub fn load_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "obs")]
     use crate::span::SpanPhase;
 
     #[test]
@@ -1013,14 +1012,9 @@ mod tests {
         assert!(text.contains("# TYPE ppc_calls counter"), "{text}");
         assert!(text.contains("ppc_calls 7"), "{text}");
         assert!(text.contains("ppc_inline_calls 7"), "{text}");
-        if cfg!(feature = "obs") {
-            assert!(
-                text.contains("ppc_latency_ns_bucket{kind=\"call\",le=\"+Inf\"} 3"),
-                "{text}"
-            );
-            assert!(text.contains("ppc_latency_ns_count{kind=\"call\"} 3"), "{text}");
-            assert!(text.contains("ppc_latency_ns_sum{kind=\"call\"} 5300"), "{text}");
-        }
+        assert!(text.contains("ppc_latency_ns_bucket{kind=\"call\",le=\"+Inf\"} 3"), "{text}");
+        assert!(text.contains("ppc_latency_ns_count{kind=\"call\"} 3"), "{text}");
+        assert!(text.contains("ppc_latency_ns_sum{kind=\"call\"} 5300"), "{text}");
     }
 
     #[test]
@@ -1037,20 +1031,15 @@ mod tests {
         let text = doc.to_string();
         let back = Json::parse(&text).unwrap();
         assert!(back.get("counters").unwrap().get("calls").is_some());
-        if cfg!(feature = "obs") {
-            let handler = back.get("latency_ns").unwrap().get("handler").unwrap();
-            assert_eq!(handler.get("count").unwrap().as_u64(), Some(100));
-            // 99 samples of 1 000 ns live in the [512, 1023] bucket;
-            // interpolation places p50 inside it rather than at the
-            // bound.
-            let p50 = handler.get("p50").unwrap().as_u64().unwrap();
-            assert!((512..1_024).contains(&p50), "p50={p50}");
-            let p999 = handler.get("p999").unwrap().as_u64().unwrap();
-            assert!(p999 > 512_000, "p999={p999} should reach the outlier bucket");
-            assert_eq!(handler.get("max").unwrap().as_u64(), Some(1_000_000));
-        } else {
-            assert_eq!(back.get("latency_ns").unwrap(), &Json::Obj(vec![]));
-        }
+        let handler = back.get("latency_ns").unwrap().get("handler").unwrap();
+        assert_eq!(handler.get("count").unwrap().as_u64(), Some(100));
+        // 99 samples of 1 000 ns live in the [512, 1023] bucket;
+        // interpolation places p50 inside it rather than at the bound.
+        let p50 = handler.get("p50").unwrap().as_u64().unwrap();
+        assert!((512..1_024).contains(&p50), "p50={p50}");
+        let p999 = handler.get("p999").unwrap().as_u64().unwrap();
+        assert!(p999 > 512_000, "p999={p999} should reach the outlier bucket");
+        assert_eq!(handler.get("max").unwrap().as_u64(), Some(1_000_000));
     }
 
     #[test]
@@ -1069,14 +1058,10 @@ mod tests {
         let back = parse_prometheus(&text).expect("parse exposition");
         assert_eq!(back.counter("calls"), Some(9));
         assert_eq!(back.counter("handoff_calls"), Some(2));
-        if cfg!(feature = "obs") {
-            let call = back.hist("call").expect("call histogram");
-            assert_eq!(*call, obs.merged(LatencyKind::Call));
-            let handler = back.hist("handler").expect("handler histogram");
-            assert_eq!(*handler, obs.merged(LatencyKind::Handler));
-        } else {
-            assert!(back.latency.is_empty());
-        }
+        let call = back.hist("call").expect("call histogram");
+        assert_eq!(*call, obs.merged(LatencyKind::Call));
+        let handler = back.hist("handler").expect("handler histogram");
+        assert_eq!(*handler, obs.merged(LatencyKind::Handler));
     }
 
     #[test]
@@ -1095,7 +1080,6 @@ mod tests {
         assert!(parse_prometheus("# HELP whatever\nppc_calls 3\n").is_ok());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn chrome_trace_roundtrips_through_loader() {
         use crate::span::SpanRecord;

@@ -17,25 +17,17 @@
 //! mode, spin outcome) are recorded only on observability-sampled calls
 //! so the recorder never becomes the hot path's biggest store.
 //!
-//! On the wire an event is two words:
-//!
-//! ```text
-//! word 0: sequence number + 1  (0 = slot empty / write in progress)
-//! word 1: kind:8 | vcpu:8 | entry:16 | data:32
-//! ```
-//!
-//! Writers claim a slot by `fetch_add` on the cursor, invalidate it
-//! (`seq = 0`), store the payload, then publish the sequence with
-//! `Release`. Readers validate by re-reading the sequence word after
-//! the payload — a torn slot (writer in flight) is skipped, never
-//! misreported.
+//! An event is one `SeqRing` record: the slot's sequence word plus the
+//! payload word `kind:8 | vcpu:8 | entry:16 | data:32`. The span plane
+//! ([`crate::span`]) writes its four-word records into the same ring
+//! type.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
-/// Default events retained per vCPU (power of two; ~4 KB of slots per
-/// vCPU). Long-running captures can raise it with
-/// `RuntimeOptions::flight_capacity`.
+use crossbeam::utils::CachePadded;
+
+/// Events retained per vCPU (a power of two; 4 KiB of slots per vCPU).
 pub const RING_CAPACITY: usize = 256;
 
 /// What a flight event records.
@@ -204,92 +196,118 @@ impl fmt::Display for FlightEvent {
     }
 }
 
-/// 16-byte ring slot: sequence word (`seq + 1`, 0 = invalid) and packed
-/// payload.
+/// One slot: the sequence word (`seq + 1`, 0 = empty or being written)
+/// and `W` payload words.
 #[derive(Debug)]
-struct Slot {
+pub(crate) struct Slot<const W: usize> {
     seq: AtomicU64,
-    word: AtomicU64,
+    words: [AtomicU64; W],
 }
 
-/// One vCPU's event ring, line-aligned so recording never shares a line
-/// with a neighbor vCPU's ring head.
-#[repr(align(64))]
+/// The lock-free record ring both record planes write: a power-of-two
+/// array of `W`-word records behind one claim cursor. The flight
+/// recorder keeps one word per event, the span plane four per span.
+///
+/// A writer claims a sequence number with one `Relaxed` `fetch_add`,
+/// invalidates the slot (`seq = 0`), fills it and publishes `seq + 1`. A
+/// reader validates by re-reading the sequence word after the payload:
+/// a slot caught mid-write is skipped, never misreported.
+///
+/// ORDERING: a seqlock. The `Release` fence after the invalidating store
+/// keeps the payload stores from becoming visible before it. The
+/// `Acquire` fence before the re-check keeps that load from being
+/// satisfied before the payload loads. So a reader that loaded any word
+/// of a newer fill sees its invalidation (or a later store) at the
+/// re-check and skips the slot. On x86 both fences only stop the
+/// compiler. The slot has one writer at a time: two writers a whole
+/// ring apart on one slot at once (one stalled for `capacity` records
+/// mid-write) can publish a mixed record.
 #[derive(Debug)]
-struct Ring {
+pub(crate) struct SeqRing<const W: usize> {
     cursor: AtomicU64,
-    slots: Box<[Slot]>,
+    slots: Box<[Slot<W>]>,
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            cursor: AtomicU64::new(0),
-            slots: (0..capacity)
-                .map(|_| Slot { seq: AtomicU64::new(0), word: AtomicU64::new(0) })
-                .collect(),
-        }
+impl<const W: usize> SeqRing<W> {
+    /// An empty ring of `capacity` slots, a power of two so the cursor
+    /// mask is a single AND.
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity.is_power_of_two(), "ring capacity must be a power of two");
+        let zero = |_| AtomicU64::new(0);
+        let slot = |_| Slot { seq: AtomicU64::new(0), words: std::array::from_fn(zero) };
+        SeqRing { cursor: AtomicU64::new(0), slots: (0..capacity).map(slot).collect() }
     }
 
-    fn record(&self, word: u64) {
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Records written since creation (including overwritten ones).
+    pub(crate) fn recorded(&self) -> u64 {
+        self.cursor.load(Ordering::Relaxed)
+    }
+
+    fn slot(&self, seq: u64) -> &Slot<W> {
+        &self.slots[seq as usize & (self.slots.len() - 1)]
+    }
+
+    /// Append one record, overwriting the oldest.
+    #[inline]
+    pub(crate) fn record(&self, words: [u64; W]) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[seq as usize & (self.slots.len() - 1)];
-        // Invalidate, fill, publish: a reader that acquires the final
-        // sequence store is guaranteed a matching payload, and a reader
-        // racing the middle sees 0 and skips the slot.
+        let slot = self.slot(seq);
         slot.seq.store(0, Ordering::Relaxed);
-        slot.word.store(word, Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (w, v) in slot.words.iter().zip(words) {
+            w.store(v, Ordering::Relaxed);
+        }
         slot.seq.store(seq + 1, Ordering::Release);
     }
 
-    /// The retained events, oldest first. Torn slots (concurrent
-    /// writers mid-store) are skipped.
-    fn snapshot(&self) -> Vec<FlightEvent> {
+    /// Visit every retained, untorn record with its sequence number,
+    /// oldest first.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u64, [u64; W])) {
         let cursor = self.cursor.load(Ordering::Acquire);
         let retained = cursor.min(self.slots.len() as u64);
-        let mut out = Vec::with_capacity(retained as usize);
         for seq in cursor - retained..cursor {
-            let slot = &self.slots[seq as usize & (self.slots.len() - 1)];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != seq + 1 {
-                continue; // overwritten or in-flight
+            let slot = self.slot(seq);
+            if slot.seq.load(Ordering::Acquire) != seq + 1 {
+                continue; // overwritten or in flight
             }
-            let word = slot.word.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Relaxed) != s1 {
-                continue; // torn under us
-            }
-            if let Some(ev) = FlightEvent::unpack(seq, word) {
-                out.push(ev);
+            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) == seq + 1 {
+                f(seq, words);
             }
         }
-        out
+    }
+
+    /// Empty the slot of record `seq` if it still holds it: a racing
+    /// writer's fresher record survives.
+    pub(crate) fn clear(&self, seq: u64) {
+        let seq_word = &self.slot(seq).seq;
+        let _ = seq_word.compare_exchange(seq + 1, 0, Ordering::Relaxed, Ordering::Relaxed);
     }
 }
 
-/// The runtime's flight-recorder plane: one ring per vCPU plus the
-/// global enable bit. Always compiled (the per-event cost only exists
-/// when events fire; per-call events are additionally sample-gated by
-/// the caller).
+/// The runtime's flight-recorder plane: one ring of
+/// [`RING_CAPACITY`] events per vCPU plus the global enable bit. The
+/// per-event cost only exists when events fire; per-call events are
+/// additionally sample-gated by the caller.
 #[derive(Debug)]
 pub struct FlightPlane {
-    rings: Box<[Ring]>,
+    rings: Box<[CachePadded<SeqRing<1>>]>,
     enabled: AtomicBool,
 }
 
 impl FlightPlane {
-    /// A plane for `n_vcpus` with `capacity` ring slots per vCPU (must
-    /// be a power of two so the cursor mask is a single AND).
-    pub(crate) fn new(n_vcpus: usize, capacity: usize) -> Self {
-        assert!(capacity.is_power_of_two(), "flight_capacity must be a power of two");
+    pub(crate) fn new(n_vcpus: usize) -> Self {
         FlightPlane {
-            rings: (0..n_vcpus.max(1)).map(|_| Ring::new(capacity)).collect(),
+            rings: (0..n_vcpus.max(1))
+                .map(|_| CachePadded::new(SeqRing::new(RING_CAPACITY)))
+                .collect(),
             enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Ring slots per vCPU.
-    pub fn capacity(&self) -> usize {
-        self.rings.first().map_or(0, |r| r.slots.len())
     }
 
     /// Whether recording is enabled (one `Relaxed` load).
@@ -303,15 +321,13 @@ impl FlightPlane {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Record an event on `vcpu`'s ring. Lock-free; see module docs for
-    /// the slot protocol.
+    /// Record an event on `vcpu`'s ring. Lock-free; see `SeqRing`.
     #[inline]
     pub fn record(&self, vcpu: usize, kind: FlightKind, ep: usize, data: u32) {
         if !self.enabled() {
             return;
         }
-        let word = FlightEvent::pack(kind, vcpu as u8, ep as u16, data);
-        self.rings[vcpu].record(word);
+        self.rings[vcpu].record([FlightEvent::pack(kind, vcpu as u8, ep as u16, data)]);
     }
 
     /// Number of vCPU rings.
@@ -322,29 +338,22 @@ impl FlightPlane {
     /// Events recorded on `vcpu` since boot (including overwritten
     /// ones).
     pub fn recorded(&self, vcpu: usize) -> u64 {
-        self.rings[vcpu].cursor.load(Ordering::Relaxed)
+        self.rings[vcpu].recorded()
     }
 
     /// The retained events of `vcpu`'s ring, oldest first.
     pub fn snapshot(&self, vcpu: usize) -> Vec<FlightEvent> {
-        self.rings[vcpu].snapshot()
+        let mut out = Vec::with_capacity(RING_CAPACITY);
+        self.rings[vcpu].for_each(|seq, [word]| out.extend(FlightEvent::unpack(seq, word)));
+        out
     }
 
     /// Snapshot `vcpu`'s ring and clear it (sequence numbering
     /// continues — a post-drain snapshot starts where this one ended).
     pub fn drain(&self, vcpu: usize) -> Vec<FlightEvent> {
-        let out = self.rings[vcpu].snapshot();
-        let mask = self.rings[vcpu].slots.len() - 1;
+        let out = self.snapshot(vcpu);
         for ev in &out {
-            let slot = &self.rings[vcpu].slots[ev.seq as usize & mask];
-            // Only clear the slot if it still holds the drained event; a
-            // racing writer's fresher event survives.
-            let _ = slot.seq.compare_exchange(
-                ev.seq + 1,
-                0,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+            self.rings[vcpu].clear(ev.seq);
         }
         out
     }
@@ -364,12 +373,12 @@ mod tests {
         assert_eq!(ev.ep, 512);
         assert_eq!(ev.data, 0xDEAD_BEEF);
         assert!(FlightEvent::unpack(0, 0).is_none(), "kind 0 is invalid");
-        assert_eq!(std::mem::size_of::<Slot>(), 16, "16-byte packed slots");
+        assert_eq!(std::mem::size_of::<Slot<1>>(), 16, "16-byte packed slots");
     }
 
     #[test]
     fn ring_keeps_newest_with_contiguous_seqs() {
-        let fp = FlightPlane::new(1, RING_CAPACITY);
+        let fp = FlightPlane::new(1);
         let n = RING_CAPACITY as u64 + 37;
         for i in 0..n {
             fp.record(0, FlightKind::Inline, 7, i as u32);
@@ -386,26 +395,29 @@ mod tests {
 
     #[test]
     fn custom_capacity_rings_wrap_at_their_own_size() {
-        let fp = FlightPlane::new(1, 8);
-        assert_eq!(fp.capacity(), 8);
+        let ring = SeqRing::<1>::new(8);
+        assert_eq!(ring.capacity(), 8);
         for i in 0..20 {
-            fp.record(0, FlightKind::Inline, 1, i);
+            ring.record([i]);
         }
-        let evs = fp.snapshot(0);
-        assert_eq!(evs.len(), 8);
-        assert_eq!(evs.last().unwrap().data, 19);
-        assert_eq!(fp.recorded(0), 20);
+        let mut kept = Vec::new();
+        ring.for_each(|seq, [word]| {
+            assert_eq!(seq, word);
+            kept.push(word);
+        });
+        assert_eq!(kept, (12..20).collect::<Vec<_>>());
+        assert_eq!(ring.recorded(), 20);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
-    fn non_pow2_flight_capacity_panics() {
-        let _ = FlightPlane::new(1, 100);
+    fn non_pow2_ring_capacity_panics() {
+        let _ = SeqRing::<4>::new(100);
     }
 
     #[test]
     fn drain_clears_but_keeps_numbering() {
-        let fp = FlightPlane::new(2, RING_CAPACITY);
+        let fp = FlightPlane::new(2);
         fp.record(1, FlightKind::HardKill, 9, 0);
         fp.record(1, FlightKind::Fault, 9, 1);
         let first = fp.drain(1);
@@ -419,7 +431,7 @@ mod tests {
 
     #[test]
     fn disabled_plane_records_nothing() {
-        let fp = FlightPlane::new(1, RING_CAPACITY);
+        let fp = FlightPlane::new(1);
         fp.set_enabled(false);
         fp.record(0, FlightKind::Inline, 1, 1);
         assert!(fp.snapshot(0).is_empty());
@@ -436,76 +448,73 @@ mod tests {
         assert!(s.contains("ep=3"), "{s}");
     }
 
-    /// Drain/snapshot under concurrent writers: N threads hammer one
-    /// ring while a reader snapshots and drains continuously. Torn
-    /// slots may be *skipped* (that's the seqlock protocol) but must
-    /// never surface as garbage: every returned event carries a kind,
-    /// ep, and data some writer actually packed, and seqs within one
-    /// read are strictly increasing.
+    /// Reads and clears under concurrent writers, at the flight
+    /// recorder's width and the span plane's: torn slots may be
+    /// *skipped* (that is the seqlock) but never surface as garbage.
     #[test]
     fn concurrent_writers_never_yield_garbage() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        hammer::<1>();
+        hammer::<4>();
+    }
 
-        const WRITERS: usize = 4;
-        const PER_WRITER: u32 = 50_000;
-        // Each writer uses its own kind so a torn read mixing two
-        // writers' words would be visible as a (kind, ep) mismatch.
-        const KINDS: [FlightKind; WRITERS] =
-            [FlightKind::Inline, FlightKind::Handoff, FlightKind::Parked, FlightKind::Async];
-
-        let fp = Arc::new(FlightPlane::new(1, 1024));
-        let done = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let fp = Arc::clone(&fp);
-                std::thread::spawn(move || {
-                    for i in 0..PER_WRITER {
-                        fp.record(0, KINDS[w], w, i);
-                    }
-                })
-            })
-            .collect();
-        let reader = {
-            let fp = Arc::clone(&fp);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut reads = 0u64;
-                let mut events = 0u64;
-                while !done.load(Ordering::Relaxed) || reads == 0 {
-                    // Alternate snapshot and drain: both must hold the
-                    // no-garbage contract mid-write.
-                    let evs =
-                        if reads.is_multiple_of(2) { fp.snapshot(0) } else { fp.drain(0) };
-                    let mut last_seq = None;
-                    for ev in &evs {
-                        if let Some(prev) = last_seq {
-                            assert!(ev.seq > prev, "seqs strictly increase: {evs:?}");
+    /// N threads hammer one ring while a reader visits it continuously,
+    /// clearing what it read on every other pass. Every record it sees
+    /// must be one writer's whole record, with seqs strictly increasing
+    /// within a pass.
+    fn hammer<const W: usize>() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 200_000;
+        // Word k of writer w's record i: each word differs, so a record
+        // mixing two writes fails the check.
+        let word =
+            |w: u64, i: u64, k: usize| ((w << 56) | (i << 8) | k as u64).rotate_left(8 * k as u32);
+        let ring = SeqRing::<W>::new(1024);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            ring.record(std::array::from_fn(|k| word(w, i, k)));
                         }
-                        last_seq = Some(ev.seq);
-                        let w = ev.ep as usize;
-                        assert!(w < WRITERS, "ep from a real writer: {ev:?}");
-                        assert_eq!(ev.kind, KINDS[w], "kind matches the writer: {ev:?}");
-                        assert!(ev.data < PER_WRITER, "data in range: {ev:?}");
-                        assert_eq!(ev.vcpu, 0);
-                    }
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                let (mut reads, mut records) = (0u64, 0u64);
+                while !done.load(Ordering::Relaxed) || reads == 0 {
+                    let mut last = None;
+                    ring.for_each(|seq, words| {
+                        assert!(last < Some(seq), "seqs strictly increase");
+                        last = Some(seq);
+                        let (w, i) = (words[0] >> 56, (words[0] >> 8) & 0xFFFF_FFFF_FFFF);
+                        let real = w < WRITERS && i < PER_WRITER;
+                        assert!(real, "a real writer's record: {words:x?}");
+                        for (k, &v) in words.iter().enumerate() {
+                            assert_eq!(v, word(w, i, k), "record {seq} is one write: {words:x?}");
+                        }
+                        if reads % 2 == 1 {
+                            ring.clear(seq);
+                        }
+                        records += 1;
+                    });
                     reads += 1;
-                    events += evs.len() as u64;
                 }
-                (reads, events)
-            })
-        };
-        for h in writers {
-            h.join().unwrap();
-        }
-        done.store(true, Ordering::Relaxed);
-        let (reads, events) = reader.join().unwrap();
-        assert!(reads > 0 && events > 0, "reader observed traffic");
-        assert_eq!(fp.recorded(0), WRITERS as u64 * u64::from(PER_WRITER));
-        // Quiescent ring: a final snapshot is full-capacity and clean.
-        fp.record(0, FlightKind::HardKill, 0, 0);
-        let last = fp.snapshot(0).pop().unwrap();
-        assert_eq!(last.kind, FlightKind::HardKill);
-        assert_eq!(last.seq, fp.recorded(0) - 1);
+                (reads, records)
+            });
+            for h in writers {
+                h.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            let (reads, records) = reader.join().unwrap();
+            assert!(reads > 0 && records > 0, "reader observed traffic");
+        });
+        assert_eq!(ring.recorded(), WRITERS * PER_WRITER);
+        // Quiescent ring: the newest record is the last one written.
+        ring.record([0; W]);
+        let mut newest = None;
+        ring.for_each(|seq, _| newest = Some(seq));
+        assert_eq!(newest, Some(ring.recorded() - 1));
     }
 }

@@ -745,18 +745,12 @@ pub struct RuntimeOptions {
     pub pin: bool,
     /// CDs pre-pooled per vCPU.
     pub initial_cds: usize,
-    /// Flight-recorder ring slots per vCPU (power of two). The
-    /// [`flight::RING_CAPACITY`] default retains ~the last 256 events;
-    /// raise it for long captures so the ring doesn't silently wrap.
-    pub flight_capacity: usize,
     /// Span-ring slots per vCPU for the tracing plane (power of two).
     pub trace_capacity: usize,
     /// Start the telemetry sampler with this tick (`None`, the default,
     /// spawns no thread; [`telemetry::DEFAULT_TICK`] is the conventional
     /// choice). Also startable later via [`Runtime::start_telemetry`].
     pub telemetry_tick: Option<Duration>,
-    /// Telemetry time-series ring depth in ticks (power of two).
-    pub telemetry_depth: usize,
     /// SLO watchdog rules evaluated every telemetry tick (ignored until
     /// the sampler starts).
     pub slo_rules: Vec<telemetry::SloRule>,
@@ -772,10 +766,8 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             pin: false,
             initial_cds: 1,
-            flight_capacity: flight::RING_CAPACITY,
             trace_capacity: span::DEFAULT_TRACE_CAPACITY,
             telemetry_tick: None,
-            telemetry_depth: telemetry::DEFAULT_SERIES_DEPTH,
             slo_rules: Vec::new(),
             blackbox_dir: None,
         }
@@ -800,17 +792,22 @@ impl Runtime {
         )
     }
 
-    /// A runtime with explicit [`RuntimeOptions`]. Panics if a ring
-    /// capacity is not a power of two (the rings mask with a single AND).
+    /// A runtime with explicit [`RuntimeOptions`]. Panics if
+    /// `trace_capacity` is not a power of two (the rings mask with a
+    /// single AND), or for more than 256 virtual processors.
     pub fn with_runtime_options(n_vcpus: usize, opts: RuntimeOptions) -> Arc<Self> {
         assert!(n_vcpus >= 1, "at least one virtual processor");
+        assert!(
+            n_vcpus <= 256,
+            "at most 256 virtual processors: flight and span records carry the vCPU in 8 bits"
+        );
         let stats = Arc::new(RuntimeStats::new(n_vcpus));
         let rt = Arc::new(Runtime {
             vcpus: (0..n_vcpus).map(|i| VcpuState::new(i, opts.initial_cds)).collect(),
             frank: frank::Frank::new(),
             bulk: bulk::BulkState::new(n_vcpus, Arc::clone(&stats)),
             obs: Arc::new(ObsState::new(n_vcpus)),
-            flight: Arc::new(FlightPlane::new(n_vcpus, opts.flight_capacity)),
+            flight: Arc::new(FlightPlane::new(n_vcpus)),
             spans: Arc::new(SpanPlane::new(n_vcpus, opts.trace_capacity)),
             stats,
             pin_cpus: if opts.pin { affinity::allowed_cpus() } else { Vec::new() },
@@ -829,19 +826,19 @@ impl Runtime {
             rt.blackbox.set_dir(bb_dir);
         }
         if let Some(tick) = opts.telemetry_tick {
-            rt.start_telemetry(tick, opts.telemetry_depth, opts.slo_rules);
+            rt.start_telemetry(tick, opts.slo_rules);
         }
         rt
     }
 
-    /// Start the telemetry sampler (tick period, time-series ring depth
-    /// in ticks — a power of two — and the SLO watchdog rules). Idempotent:
-    /// if a sampler is already running, it is returned unchanged and the
-    /// arguments are ignored. See [`telemetry::Telemetry`].
+    /// Start the telemetry sampler (tick period and the SLO watchdog
+    /// rules; the series keeps [`telemetry::DEFAULT_SERIES_DEPTH`]
+    /// ticks). Idempotent: if a sampler is already running, it is
+    /// returned unchanged and the arguments are ignored. See
+    /// [`telemetry::Telemetry`].
     pub fn start_telemetry(
         self: &Arc<Self>,
         tick: Duration,
-        depth: usize,
         rules: Vec<telemetry::SloRule>,
     ) -> Arc<telemetry::Telemetry> {
         let mut guard = self.telemetry.lock();
@@ -850,7 +847,6 @@ impl Runtime {
         }
         let t = telemetry::Telemetry::start(
             tick,
-            depth,
             rules,
             Arc::clone(&self.stats),
             Arc::clone(&self.obs),
@@ -999,8 +995,8 @@ impl Runtime {
     /// Every retained span record as a Chrome/Perfetto trace-event JSON
     /// document (cold path). Load the file in `ui.perfetto.dev` or
     /// `chrome://tracing`; parse it back with
-    /// [`export::load_chrome_trace`]. Empty (but valid) with the `obs`
-    /// feature off or tracing disabled.
+    /// [`export::load_chrome_trace`]. Empty (but valid) with tracing
+    /// disabled.
     pub fn export_trace(&self) -> String {
         export::chrome_trace(&self.spans.all_records())
     }
@@ -1497,5 +1493,12 @@ mod tests {
     fn bad_vcpu_client_panics() {
         let rt = Runtime::new(1);
         let _ = rt.client(3, 1);
+    }
+
+    /// vCPU 256 would pack as vCPU 0 and write vCPU 0's rings.
+    #[test]
+    #[should_panic(expected = "at most 256 virtual processors")]
+    fn more_vcpus_than_records_can_name_panics() {
+        let _ = Runtime::new(257);
     }
 }

@@ -7,17 +7,12 @@
 //! on the recording (hot) path, merge and percentile extraction only on
 //! the cold read path.
 //!
-//! Three mechanisms keep the fast path honest:
+//! Two mechanisms keep the fast path honest:
 //!
-//! 1. **Compile-out** — the `obs` cargo feature (default on) gates every
-//!    bucket array and every recording store. Built with
-//!    `--no-default-features`, the whole plane folds to nothing: the
-//!    public API remains (so callers need no `cfg`), but reads return
-//!    zeros and records are empty inline functions.
-//! 2. **Runtime enable bit** — one `Relaxed` load per call
+//! 1. **Runtime enable bit** — one `Relaxed` load per call
 //!    ([`ObsState::try_sample`]). Disabled at runtime, a call pays that
 //!    single load and nothing else.
-//! 3. **Sampling** — timestamps are the real cost (`Instant::now` is
+//! 2. **Sampling** — timestamps are the real cost (`Instant::now` is
 //!    tens of nanoseconds, comparable to a whole null inline call), so
 //!    durations are recorded for every 2^`sample_shift`-th call per
 //!    *thread* (default 1/128). A thread-local tick makes the decision
@@ -33,7 +28,6 @@
 //! spread of samples inside it), so reported quantiles are usable for
 //! gating rather than snapping to the next power of two.
 
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Number of log₂ buckets per histogram (covers 0 ns up to ≈ 2⁶³ ns).
@@ -117,7 +111,6 @@ pub fn bucket_bound(i: usize) -> u64 {
 /// counters plus a running sum and max per kind, aligned so two vCPUs
 /// never share a cache-line pair (the recording path touches only the
 /// calling vCPU's cell).
-#[cfg(feature = "obs")]
 #[repr(align(128))]
 #[derive(Debug)]
 pub struct HistCell {
@@ -126,7 +119,6 @@ pub struct HistCell {
     max_ns: [AtomicU64; NKINDS],
 }
 
-#[cfg(feature = "obs")]
 impl HistCell {
     fn new() -> Self {
         // `AtomicU64` is not Copy; build the arrays element-wise.
@@ -284,21 +276,14 @@ impl Histogram {
 
 /// The runtime's histogram plane: per-vCPU cells plus the shared
 /// enable/sampling configuration word.
-///
-/// With the `obs` feature disabled this struct carries only the (inert)
-/// configuration; every record folds to nothing and every read returns
-/// an empty [`Histogram`].
 #[derive(Debug)]
 pub struct ObsState {
     /// Bit 0: histograms enabled. Bits 8..=15: sample shift (record
     /// every 2^shift-th call per thread). One `Relaxed` load per call.
-    #[cfg(feature = "obs")]
     cfg: AtomicU32,
-    #[cfg(feature = "obs")]
     cells: Box<[HistCell]>,
 }
 
-#[cfg(feature = "obs")]
 const CFG_HIST_ON: u32 = 1;
 
 thread_local! {
@@ -313,85 +298,48 @@ impl ObsState {
     /// Histograms for `n_vcpus` virtual processors, enabled, sampling
     /// every 2^[`DEFAULT_SAMPLE_SHIFT`]-th call per thread.
     pub(crate) fn new(n_vcpus: usize) -> Self {
-        let _ = n_vcpus;
         ObsState {
-            #[cfg(feature = "obs")]
             cfg: AtomicU32::new(CFG_HIST_ON | (DEFAULT_SAMPLE_SHIFT << 8)),
-            #[cfg(feature = "obs")]
             cells: (0..n_vcpus.max(1)).map(|_| HistCell::new()).collect(),
         }
     }
 
-    /// Whether histogram recording is compiled in *and* enabled.
+    /// Whether histogram recording is enabled.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "obs")]
-        {
-            self.cfg.load(Ordering::Relaxed) & CFG_HIST_ON != 0
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            false
-        }
+        self.cfg.load(Ordering::Relaxed) & CFG_HIST_ON != 0
     }
 
-    /// Enable or disable recording at runtime (no-op when compiled out).
+    /// Enable or disable recording at runtime.
     pub fn set_enabled(&self, on: bool) {
-        #[cfg(feature = "obs")]
-        {
-            let mut cur = self.cfg.load(Ordering::Relaxed);
-            loop {
-                let next = if on { cur | CFG_HIST_ON } else { cur & !CFG_HIST_ON };
-                match self.cfg.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(c) => cur = c,
-                }
+        let mut cur = self.cfg.load(Ordering::Relaxed);
+        loop {
+            let next = if on { cur | CFG_HIST_ON } else { cur & !CFG_HIST_ON };
+            match self.cfg.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(c) => cur = c,
             }
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = on;
     }
 
     /// Set the sampling shift: durations are recorded for every
     /// 2^`shift`-th call per thread. `0` records every call (full cost:
     /// two timestamps per call). Clamped to 16.
     pub fn set_sample_shift(&self, shift: u32) {
-        #[cfg(feature = "obs")]
-        {
-            let shift = shift.min(16);
-            let mut cur = self.cfg.load(Ordering::Relaxed);
-            loop {
-                let next = (cur & !(0xFF << 8)) | (shift << 8);
-                match self.cfg.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(c) => cur = c,
-                }
+        let shift = shift.min(16);
+        let mut cur = self.cfg.load(Ordering::Relaxed);
+        loop {
+            let next = (cur & !(0xFF << 8)) | (shift << 8);
+            match self.cfg.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(c) => cur = c,
             }
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = shift;
     }
 
     /// The current sampling shift.
     pub fn sample_shift(&self) -> u32 {
-        #[cfg(feature = "obs")]
-        {
-            (self.cfg.load(Ordering::Relaxed) >> 8) & 0xFF
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        (self.cfg.load(Ordering::Relaxed) >> 8) & 0xFF
     }
 
     /// The once-per-call gate: one `Relaxed` config load; if enabled,
@@ -400,23 +348,16 @@ impl ObsState {
     /// [`ObsState::record`]).
     #[inline]
     pub fn try_sample(&self) -> bool {
-        #[cfg(feature = "obs")]
-        {
-            let cfg = self.cfg.load(Ordering::Relaxed);
-            if cfg & CFG_HIST_ON == 0 {
-                return false;
-            }
-            let mask = (1u64 << ((cfg >> 8) & 0xFF)) - 1;
-            SAMPLE_TICK.with(|t| {
-                let n = t.get();
-                t.set(n.wrapping_add(1));
-                n & mask == 0
-            })
+        let cfg = self.cfg.load(Ordering::Relaxed);
+        if cfg & CFG_HIST_ON == 0 {
+            return false;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            false
-        }
+        let mask = (1u64 << ((cfg >> 8) & 0xFF)) - 1;
+        SAMPLE_TICK.with(|t| {
+            let n = t.get();
+            t.set(n.wrapping_add(1));
+            n & mask == 0
+        })
     }
 
     /// Record one duration into the calling vCPU's cell. Hot-path legal:
@@ -426,12 +367,7 @@ impl ObsState {
     /// directly).
     #[inline]
     pub fn record(&self, kind: LatencyKind, vcpu: usize, ns: u64) {
-        #[cfg(feature = "obs")]
         self.cells[vcpu].record(kind, ns);
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (kind, vcpu, ns);
-        }
     }
 
     /// Feed only the **exact max** for `kind` — one `Relaxed`
@@ -442,63 +378,38 @@ impl ObsState {
     /// exemplars exist to catch — while an
     /// unconditional `fetch_max` on an almost-always-unchanged
     /// vCPU-local line costs next to nothing next to a hand-off. No-op
-    /// when the plane is disabled or compiled out.
+    /// when the plane is disabled.
     #[inline]
     pub fn record_max(&self, kind: LatencyKind, vcpu: usize, ns: u64) {
-        #[cfg(feature = "obs")]
         if self.enabled() {
             self.cells[vcpu].record_max(kind, ns);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (kind, vcpu, ns);
         }
     }
 
     /// Merge every vCPU's histogram for `kind` (cold read path).
     pub fn merged(&self, kind: LatencyKind) -> Histogram {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
         let mut out = Histogram::new();
-        #[cfg(feature = "obs")]
-        {
-            let k = kind as usize;
-            for cell in self.cells.iter() {
-                for (i, b) in cell.buckets[k].iter().enumerate() {
-                    out.buckets[i] += b.load(Ordering::Relaxed);
-                }
-                out.sum_ns += cell.sum_ns[k].load(Ordering::Relaxed);
-                out.max_ns = out.max_ns.max(cell.max_ns[k].load(Ordering::Relaxed));
-            }
+        for v in 0..self.cells.len() {
+            out.merge(&self.vcpu_hist(kind, v));
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = kind;
         out
     }
 
     /// One vCPU's histogram for `kind` (cold read path).
     pub fn vcpu_hist(&self, kind: LatencyKind, vcpu: usize) -> Histogram {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut out = Histogram::new();
-        #[cfg(feature = "obs")]
-        {
-            let k = kind as usize;
-            let cell = &self.cells[vcpu];
-            for (i, b) in cell.buckets[k].iter().enumerate() {
-                out.buckets[i] = b.load(Ordering::Relaxed);
-            }
-            out.sum_ns = cell.sum_ns[k].load(Ordering::Relaxed);
-            out.max_ns = cell.max_ns[k].load(Ordering::Relaxed);
+        let k = kind as usize;
+        let cell = &self.cells[vcpu];
+        Histogram {
+            buckets: std::array::from_fn(|i| cell.buckets[k][i].load(Ordering::Relaxed)),
+            sum_ns: cell.sum_ns[k].load(Ordering::Relaxed),
+            max_ns: cell.max_ns[k].load(Ordering::Relaxed),
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (kind, vcpu);
-        out
     }
 
     /// Reset every bucket, sum and max to zero (cold path; racing
     /// recorders may land increments before or after — fine for the
     /// bench "reset between phases" use).
     pub fn reset(&self) {
-        #[cfg(feature = "obs")]
         for cell in self.cells.iter() {
             for k in 0..NKINDS {
                 for b in &cell.buckets[k] {
@@ -664,7 +575,6 @@ mod tests {
         assert_eq!(a.buckets[bucket_of(5)], 2);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn state_records_per_vcpu_and_merges() {
         let obs = ObsState::new(2);
@@ -688,7 +598,6 @@ mod tests {
         assert_eq!(obs.merged(LatencyKind::Call).count(), 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn sampling_honors_shift_and_enable_bit() {
         let obs = ObsState::new(1);
@@ -703,7 +612,6 @@ mod tests {
         assert_eq!((0..8).filter(|_| obs.try_sample()).count(), 8);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn cells_are_line_aligned() {
         assert!(std::mem::align_of::<HistCell>() >= 64);

@@ -124,8 +124,7 @@ pub struct SlotCore {
     faulted: AtomicU32,
     /// Era parity the dispatcher's entry claim was counted under. Rides
     /// the hand-off so whichever side owns the claim's release (worker
-    /// for async calls) decrements the right lifecycle shard. Not
-    /// feature-gated: it is lifecycle correctness, not observability.
+    /// for async calls) decrements the right lifecycle shard.
     parity: AtomicU32,
     /// Wire status for cross-process completion (0 = ok; see
     /// [`crate::xproc`]'s `RtError` code mapping). Unused in-process —
@@ -139,9 +138,7 @@ pub struct SlotCore {
     payload_len: AtomicU32,
     /// Packed trace context riding the hand-off (0 = no trace). Written
     /// by the client between `fill` and the mailbox post; the mailbox's
-    /// Release/Acquire edge publishes it to the worker. Present in the
-    /// layout unconditionally — segment layout cannot depend on compile
-    /// features — but with `obs` off nothing ever stores to it.
+    /// Release/Acquire edge publishes it to the worker.
     trace: AtomicU64,
     _pad0: [u8; 24],
     args: UnsafeCell<[u64; 8]>,
@@ -214,7 +211,6 @@ impl SlotCore {
         self.waiter.store(wait_mode, Ordering::Relaxed);
         self.faulted.store(0, Ordering::Relaxed);
         self.status.store(0, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
         self.trace.store(0, Ordering::Relaxed);
     }
 
@@ -351,27 +347,16 @@ impl CallSlot {
 
     /// Client side, after `fill` and before posting: attach the packed
     /// trace context ([`crate::span::TraceCtx::pack`]) to the call. The
-    /// mailbox publish orders it for the worker. No-op compiled out.
+    /// mailbox publish orders it for the worker.
     #[inline]
     pub fn set_trace(&self, word: u64) {
-        #[cfg(feature = "obs")]
         self.core.trace.store(word, Ordering::Relaxed);
-        #[cfg(not(feature = "obs"))]
-        let _ = word;
     }
 
-    /// Worker side: the call's packed trace context (0 = none, and
-    /// always 0 with the `obs` feature off).
+    /// Worker side: the call's packed trace context (0 = none).
     #[inline]
     pub fn trace_word(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.core.trace.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.core.trace.load(Ordering::Relaxed)
     }
 
     /// Worker side: read the arguments (slot must be POSTED and owned).
@@ -527,7 +512,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn trace_word_rides_the_slot_and_clears_on_refill() {
         let s = CallSlot::new();

@@ -11,19 +11,16 @@
 //!
 //! The discipline matches the rest of the observability plane:
 //!
-//! * **Compile-out** — every field and store is gated on the `obs`
-//!   feature; built with `--no-default-features` the public API remains
-//!   but folds to nothing (no new branches on the fast path).
 //! * **Sampling** — a root span is only minted on calls already chosen
 //!   by [`crate::ObsState::try_sample`], so the unsampled common case
 //!   pays one thread-local read and a branch. Once a trace is live,
 //!   every span *within* it records (causal completeness: a sampled
 //!   trace with holes cannot attribute its own tail).
-//! * **Allocation-free recording** — span records go into fixed
-//!   per-vCPU rings (five words per slot, claimed with a `Relaxed`
-//!   cursor `fetch_add`, published with `Release` — readers skip torn
-//!   slots exactly like the flight recorder). Exemplar promotion reuses
-//!   preallocated buffers.
+//! * **Shared-nothing recording** — span records go into the vCPU's own
+//!   `flight::SeqRing` (the flight recorder's ring type, four
+//!   payload words per slot), and trace and span ids come from a mint
+//!   beside that ring's cursor. A sampled call writes no line another
+//!   vCPU writes. Exemplar promotion reuses preallocated buffers.
 //!
 //! **Propagation** is thread-local: whoever begins an *enclosing* span
 //! (the root call span, a handler span) installs its context into a
@@ -39,15 +36,13 @@
 //! with a per-phase time breakdown — `Runtime::diagnostics()` prints
 //! "slowest recent calls and where the time went".
 
-use std::sync::atomic::AtomicU64;
-#[cfg(feature = "obs")]
-use std::sync::atomic::{AtomicU32, Ordering};
-#[cfg(feature = "obs")]
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
-#[cfg(feature = "obs")]
-use parking_lot::Mutex;
+use crossbeam::utils::CachePadded;
 
+use crate::flight::SeqRing;
+use crate::telemetry::Overwrite;
 use crate::EntryId;
 
 /// Default span-ring slots per vCPU (power of two; ~40 KB per vCPU).
@@ -198,6 +193,37 @@ impl SpanRecord {
     pub fn is_root(&self) -> bool {
         self.parent_id == 0
     }
+
+    /// The record's ring words (its `seq` is the ring's):
+    /// `trace_id:32 | span_id:16 | parent_id:16`,
+    /// `phase:8 | depth:8 | vcpu:8 | ep:16 | 0:24`, start and duration.
+    fn pack(&self) -> [u64; 4] {
+        [
+            ((self.trace_id as u64) << 32) | ((self.span_id as u64) << 16) | self.parent_id as u64,
+            ((self.phase as u64) << 56)
+                | ((self.depth as u64) << 48)
+                | ((self.vcpu as u64) << 40)
+                | ((self.ep as u64) << 24),
+            self.start_ns,
+            self.dur_ns,
+        ]
+    }
+
+    /// Decode ring words; `None` for an invalid phase byte.
+    fn unpack(seq: u64, [ids, meta, start_ns, dur_ns]: [u64; 4]) -> Option<SpanRecord> {
+        Some(SpanRecord {
+            seq,
+            trace_id: (ids >> 32) as u32,
+            span_id: (ids >> 16) as u16,
+            parent_id: ids as u16,
+            phase: SpanPhase::from_u8((meta >> 56) as u8)?,
+            depth: (meta >> 48) as u8,
+            vcpu: (meta >> 40) as u8,
+            ep: (meta >> 24) as u16,
+            start_ns,
+            dur_ns,
+        })
+    }
 }
 
 impl std::fmt::Display for SpanRecord {
@@ -220,7 +246,6 @@ impl std::fmt::Display for SpanRecord {
 /// A live span handed back by the begin calls; closed by
 /// [`SpanPlane::end_token`] (usually via [`SpanScope`]'s drop).
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(not(feature = "obs"), allow(dead_code))] // fields read by the gated bodies
 pub struct SpanToken {
     /// This span's own context (what children parent under).
     pub ctx: TraceCtx,
@@ -239,95 +264,6 @@ impl SpanToken {
     /// Whether this token is a trace root.
     pub fn is_root(&self) -> bool {
         self.parent_id == 0
-    }
-}
-
-/// 40-byte ring slot: a sequence word (`seq + 1`, 0 = invalid) plus four
-/// payload words, written under the flight recorder's invalidate → fill
-/// → publish protocol.
-#[cfg(feature = "obs")]
-#[derive(Debug)]
-struct SpanSlot {
-    seq: AtomicU64,
-    /// `trace_id:32 | span_id:16 | parent_id:16`
-    ids: AtomicU64,
-    /// `phase:8 | depth:8 | vcpu:8 | ep:16 | 0:24`
-    meta: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-}
-
-/// One vCPU's span ring, line-aligned like its flight-recorder sibling.
-#[cfg(feature = "obs")]
-#[repr(align(64))]
-#[derive(Debug)]
-struct SpanRing {
-    cursor: AtomicU64,
-    slots: Box<[SpanSlot]>,
-}
-
-#[cfg(feature = "obs")]
-impl SpanRing {
-    fn new(capacity: usize) -> Self {
-        SpanRing {
-            cursor: AtomicU64::new(0),
-            slots: (0..capacity)
-                .map(|_| SpanSlot {
-                    seq: AtomicU64::new(0),
-                    ids: AtomicU64::new(0),
-                    meta: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    dur_ns: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    fn record(&self, ids: u64, meta: u64, start_ns: u64, dur_ns: u64) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[seq as usize & (self.slots.len() - 1)];
-        slot.seq.store(0, Ordering::Relaxed);
-        slot.ids.store(ids, Ordering::Relaxed);
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(dur_ns, Ordering::Relaxed);
-        slot.seq.store(seq + 1, Ordering::Release);
-    }
-
-    /// Visit every retained, untorn record, oldest first.
-    fn for_each(&self, mut f: impl FnMut(SpanRecord)) {
-        let cursor = self.cursor.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let retained = cursor.min(cap);
-        for seq in cursor - retained..cursor {
-            let slot = &self.slots[seq as usize & (self.slots.len() - 1)];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != seq + 1 {
-                continue; // overwritten or in-flight
-            }
-            let ids = slot.ids.load(Ordering::Relaxed);
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let start_ns = slot.start_ns.load(Ordering::Relaxed);
-            let dur_ns = slot.dur_ns.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Relaxed) != s1 {
-                continue; // torn under us
-            }
-            let Some(phase) = SpanPhase::from_u8((meta >> 56) as u8) else {
-                continue;
-            };
-            f(SpanRecord {
-                seq,
-                trace_id: (ids >> 32) as u32,
-                span_id: (ids >> 16) as u16,
-                parent_id: ids as u16,
-                phase,
-                depth: (meta >> 48) as u8,
-                vcpu: (meta >> 40) as u8,
-                ep: (meta >> 24) as u16,
-                start_ns,
-                dur_ns,
-            });
-        }
     }
 }
 
@@ -361,7 +297,6 @@ pub struct Exemplar {
 }
 
 impl Exemplar {
-    #[cfg(feature = "obs")]
     fn empty() -> Self {
         Exemplar {
             trace_id: 0,
@@ -403,22 +338,17 @@ impl Exemplar {
     }
 }
 
-/// Per-vCPU exemplar store: a tiny ring of preallocated exemplars,
-/// overwritten oldest-first. The mutex is promotion-only (cold by the
-/// EWMA threshold's construction) and never touched on the fast path.
-#[cfg(feature = "obs")]
-#[repr(align(64))]
+/// One vCPU's share of the plane: its span ring, the id mint beside the
+/// ring's cursor (one line pair, written only by calls on this vCPU),
+/// and its tail exemplars. The exemplar mutex is promotion-only (cold by
+/// the EWMA threshold's construction) and never touched on the fast
+/// path.
 #[derive(Debug)]
-struct ExemplarCell {
-    ring: Mutex<ExemplarRing>,
-}
-
-#[cfg(feature = "obs")]
-#[derive(Debug)]
-struct ExemplarRing {
-    slots: Vec<Exemplar>,
-    next: usize,
-    used: usize,
+struct VcpuSpans {
+    ring: SeqRing<4>,
+    /// Ids minted on this vCPU so far.
+    mint: AtomicU64,
+    exemplars: Overwrite<Exemplar>,
 }
 
 thread_local! {
@@ -426,142 +356,94 @@ thread_local! {
     /// Thread-local for the same reason the sampling tick is: the
     /// unsampled fast path must not touch shared memory to learn "no
     /// trace is active".
-    #[cfg(feature = "obs")]
     static CTX: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The runtime's tracing plane: per-vCPU span rings, exemplar buffers,
-/// and the id mints. With the `obs` feature disabled this struct is
-/// empty and every method folds to a no-op.
+/// The runtime's tracing plane: per-vCPU span rings, id mints and
+/// exemplar buffers.
 #[derive(Debug)]
 pub struct SpanPlane {
     /// Bit 0: tracing enabled.
-    #[cfg(feature = "obs")]
     cfg: AtomicU32,
-    #[cfg(feature = "obs")]
-    next_trace: AtomicU32,
-    #[cfg(feature = "obs")]
-    next_span: AtomicU32,
-    #[cfg(feature = "obs")]
+    /// Bits of a minted id that carry the vCPU index.
+    vcpu_bits: u32,
     promotions: AtomicU64,
-    #[cfg(feature = "obs")]
-    rings: Box<[SpanRing]>,
-    #[cfg(feature = "obs")]
-    exemplars: Box<[ExemplarCell]>,
+    vcpus: Box<[CachePadded<VcpuSpans>]>,
     /// Time zero for `start_ns` stamps.
-    #[cfg(feature = "obs")]
     epoch: Instant,
 }
 
-#[cfg(feature = "obs")]
 const CFG_TRACE_ON: u32 = 1;
 
 impl SpanPlane {
     /// A plane for `n_vcpus` virtual processors with `capacity` ring
     /// slots per vCPU (must be a power of two), enabled.
     pub(crate) fn new(n_vcpus: usize, capacity: usize) -> Self {
-        assert!(capacity.is_power_of_two(), "trace_capacity must be a power of two");
-        #[cfg(not(feature = "obs"))]
-        let _ = n_vcpus;
+        let n = n_vcpus.max(1);
         SpanPlane {
-            #[cfg(feature = "obs")]
             cfg: AtomicU32::new(CFG_TRACE_ON),
-            #[cfg(feature = "obs")]
-            next_trace: AtomicU32::new(0),
-            #[cfg(feature = "obs")]
-            next_span: AtomicU32::new(0),
-            #[cfg(feature = "obs")]
+            vcpu_bits: usize::BITS - (n - 1).leading_zeros(),
             promotions: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
-            rings: (0..n_vcpus.max(1)).map(|_| SpanRing::new(capacity)).collect(),
-            #[cfg(feature = "obs")]
-            exemplars: (0..n_vcpus.max(1))
-                .map(|_| ExemplarCell {
-                    ring: Mutex::new(ExemplarRing {
-                        slots: (0..EXEMPLAR_CAPACITY).map(|_| Exemplar::empty()).collect(),
-                        next: 0,
-                        used: 0,
-                    }),
+            vcpus: (0..n)
+                .map(|_| {
+                    CachePadded::new(VcpuSpans {
+                        ring: SeqRing::new(capacity),
+                        mint: AtomicU64::new(0),
+                        exemplars: Overwrite::new(EXEMPLAR_CAPACITY, |_| Exemplar::empty()),
+                    })
                 })
                 .collect(),
-            #[cfg(feature = "obs")]
             epoch: Instant::now(),
         }
     }
 
-    /// Whether tracing is compiled in *and* enabled.
+    /// Whether tracing is enabled.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "obs")]
-        {
-            self.cfg.load(Ordering::Relaxed) & CFG_TRACE_ON != 0
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            false
-        }
+        self.cfg.load(Ordering::Relaxed) & CFG_TRACE_ON != 0
     }
 
-    /// Enable or disable span recording at runtime (no-op compiled out).
+    /// Enable or disable span recording at runtime.
     pub fn set_enabled(&self, on: bool) {
-        #[cfg(feature = "obs")]
         self.cfg.store(if on { CFG_TRACE_ON } else { 0 }, Ordering::Relaxed);
-        #[cfg(not(feature = "obs"))]
-        let _ = on;
     }
 
-    /// Ring slots per vCPU (0 when compiled out).
+    /// Ring slots per vCPU.
     pub fn capacity(&self) -> usize {
-        #[cfg(feature = "obs")]
-        {
-            self.rings.first().map_or(0, |r| r.slots.len())
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.vcpus[0].ring.capacity()
     }
 
-    /// Number of vCPU rings (0 when compiled out).
+    /// Number of vCPU rings.
     pub fn n_vcpus(&self) -> usize {
-        #[cfg(feature = "obs")]
-        {
-            self.rings.len()
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.vcpus.len()
     }
 
     /// The calling thread's current trace context, if any.
+    #[inline]
     pub fn current(&self) -> Option<TraceCtx> {
-        #[cfg(feature = "obs")]
-        {
-            TraceCtx::unpack(CTX.with(|c| c.get()))
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            None
-        }
+        TraceCtx::unpack(CTX.with(|c| c.get()))
     }
 
-    #[cfg(feature = "obs")]
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Mint a non-zero span id. A wrapping 16-bit mint: ids can recur
-    /// across traces (records are disambiguated by trace id) and, in a
-    /// trace spanning > 65535 concurrent mints, within one — acceptable
-    /// for a diagnostics plane; the exporter matches begin/end pairs by
-    /// (trace, span).
-    #[cfg(feature = "obs")]
-    fn mint_span(&self) -> u16 {
-        (self.next_span.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16 + 1
+    /// Mint a non-zero id on `vcpu`: the vCPU index in the low
+    /// `vcpu_bits`, the vCPU's own counter above it. A trace id is the
+    /// whole word, a span id its low 16 bits. Ids minted on two vCPUs
+    /// never collide, and one vCPU's ids repeat only after its counter
+    /// wraps the 16 (span) or 32 (trace) bits left; the exporter matches
+    /// begin/end pairs by (trace, span).
+    fn mint(&self, vcpu: usize) -> u32 {
+        loop {
+            let n = self.vcpus[vcpu].mint.fetch_add(1, Ordering::Relaxed);
+            let id = ((n << self.vcpu_bits) | vcpu as u64) as u32;
+            if id as u16 != 0 {
+                return id;
+            }
+        }
     }
 
-    #[cfg(feature = "obs")]
     fn begin(
         &self,
         parent: Option<TraceCtx>,
@@ -571,14 +453,17 @@ impl SpanPlane {
         ep: EntryId,
         phase: SpanPhase,
     ) -> Option<SpanToken> {
-        let (trace_id, parent_id, depth) = match parent {
-            Some(p) => (p.trace_id, p.span_id, p.depth.saturating_add(1)),
+        let (ctx, parent_id) = match parent {
+            Some(p) => {
+                let (span_id, depth) = (self.mint(vcpu) as u16, p.depth.saturating_add(1));
+                (TraceCtx { trace_id: p.trace_id, span_id, depth }, p.span_id)
+            }
             None if mint_root && self.enabled() => {
-                (self.next_trace.fetch_add(1, Ordering::Relaxed).wrapping_add(1).max(1), 0, 0)
+                let id = self.mint(vcpu);
+                (TraceCtx { trace_id: id, span_id: id as u16, depth: 0 }, 0)
             }
             None => return None,
         };
-        let ctx = TraceCtx { trace_id, span_id: self.mint_span(), depth };
         let prev = if install { CTX.with(|c| c.replace(ctx.pack())) } else { 0 };
         Some(SpanToken {
             ctx,
@@ -600,19 +485,7 @@ impl SpanPlane {
     /// context always traces, sampled or not.
     #[inline]
     pub fn begin_call(&self, sampled: bool, vcpu: usize, ep: EntryId) -> Option<SpanToken> {
-        #[cfg(feature = "obs")]
-        {
-            let parent = TraceCtx::unpack(CTX.with(|c| c.get()));
-            if parent.is_none() && !sampled {
-                return None;
-            }
-            self.begin(parent, sampled, true, vcpu, ep, SpanPhase::Call)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (sampled, vcpu, ep);
-            None
-        }
+        self.begin_client(sampled, true, vcpu, ep, SpanPhase::Call)
     }
 
     /// Begin an async span (client side). Not installed — the caller
@@ -620,19 +493,7 @@ impl SpanPlane {
     /// observed ([`crate::AsyncCall::wait`] or drop).
     #[inline]
     pub fn begin_async(&self, sampled: bool, vcpu: usize, ep: EntryId) -> Option<SpanToken> {
-        #[cfg(feature = "obs")]
-        {
-            let parent = TraceCtx::unpack(CTX.with(|c| c.get()));
-            if parent.is_none() && !sampled {
-                return None;
-            }
-            self.begin(parent, sampled, false, vcpu, ep, SpanPhase::Async)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (sampled, vcpu, ep);
-            None
-        }
+        self.begin_client(sampled, false, vcpu, ep, SpanPhase::Async)
     }
 
     /// Begin a ring span (client side, one per accepted SQE). Not
@@ -641,19 +502,26 @@ impl SpanPlane {
     /// SQE's trace word so the handler span parents under it.
     #[inline]
     pub fn begin_ring(&self, sampled: bool, vcpu: usize, ep: EntryId) -> Option<SpanToken> {
-        #[cfg(feature = "obs")]
-        {
-            let parent = TraceCtx::unpack(CTX.with(|c| c.get()));
-            if parent.is_none() && !sampled {
-                return None;
-            }
-            self.begin(parent, sampled, false, vcpu, ep, SpanPhase::Ring)
+        self.begin_client(sampled, false, vcpu, ep, SpanPhase::Ring)
+    }
+
+    /// A client-side span: under the thread's context if one is live,
+    /// else a new root if `sampled`. The unsampled, untraced case leaves
+    /// here without a call.
+    #[inline]
+    fn begin_client(
+        &self,
+        sampled: bool,
+        install: bool,
+        vcpu: usize,
+        ep: EntryId,
+        phase: SpanPhase,
+    ) -> Option<SpanToken> {
+        let parent = self.current();
+        if parent.is_none() && !sampled {
+            return None;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (sampled, vcpu, ep);
-            None
-        }
+        self.begin(parent, sampled, install, vcpu, ep, phase)
     }
 
     /// Begin a handler span under a propagated context word (the call
@@ -662,57 +530,42 @@ impl SpanPlane {
     /// parent under the handler span.
     #[inline]
     pub fn begin_handler(&self, ctx_word: u64, vcpu: usize, ep: EntryId) -> Option<SpanToken> {
-        #[cfg(feature = "obs")]
-        {
-            let parent = TraceCtx::unpack(ctx_word)?;
-            self.begin(Some(parent), false, true, vcpu, ep, SpanPhase::Handler)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (ctx_word, vcpu, ep);
-            None
-        }
+        let parent = TraceCtx::unpack(ctx_word)?;
+        self.begin(Some(parent), false, true, vcpu, ep, SpanPhase::Handler)
     }
 
     /// Begin a leaf span (rendezvous wait, bulk copy) under the thread's
     /// current context. Not installed — leaves have no children.
     #[inline]
     pub fn begin_leaf(&self, vcpu: usize, ep: EntryId, phase: SpanPhase) -> Option<SpanToken> {
-        #[cfg(feature = "obs")]
-        {
-            let parent = TraceCtx::unpack(CTX.with(|c| c.get()))?;
-            self.begin(Some(parent), false, false, vcpu, ep, phase)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (vcpu, ep, phase);
-            None
-        }
+        let parent = self.current()?;
+        self.begin(Some(parent), false, false, vcpu, ep, phase)
     }
 
     /// Record an instant (zero-duration) span under the thread's current
     /// context — Frank grow events. No-op outside a live trace.
     #[inline]
     pub fn record_instant(&self, vcpu: usize, ep: EntryId, phase: SpanPhase) {
-        #[cfg(feature = "obs")]
-        {
-            let Some(parent) = TraceCtx::unpack(CTX.with(|c| c.get())) else {
-                return;
-            };
-            let ids = ((parent.trace_id as u64) << 32)
-                | ((self.mint_span() as u64) << 16)
-                | parent.span_id as u64;
-            let meta = Self::pack_meta(phase, parent.depth.saturating_add(1), vcpu, ep);
-            self.rings[vcpu].record(ids, meta, self.now_ns(), 0);
+        if let Some(tok) = self.begin_leaf(vcpu, ep, phase) {
+            self.write(&tok, 0);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (vcpu, ep, phase);
     }
 
-    #[cfg(feature = "obs")]
-    fn pack_meta(phase: SpanPhase, depth: u8, vcpu: usize, ep: EntryId) -> u64 {
-        ((phase as u64) << 56) | ((depth as u64) << 48) | ((vcpu as u64 & 0xFF) << 40)
-            | ((ep as u64 & 0xFFFF) << 24)
+    /// Write `tok`'s record, lasting `dur_ns`, into its vCPU's ring.
+    fn write(&self, tok: &SpanToken, dur_ns: u64) {
+        let rec = SpanRecord {
+            seq: 0,
+            trace_id: tok.ctx.trace_id,
+            span_id: tok.ctx.span_id,
+            parent_id: tok.parent_id,
+            phase: tok.phase,
+            depth: tok.ctx.depth,
+            vcpu: tok.vcpu,
+            ep: tok.ep,
+            start_ns: tok.start_ns,
+            dur_ns,
+        };
+        self.vcpus[tok.vcpu as usize].ring.record(rec.pack());
     }
 
     /// End a span: write its record into the token's vCPU ring, restore
@@ -720,29 +573,17 @@ impl SpanPlane {
     /// token with an EWMA cell — run the exemplar promotion check.
     /// Returns the span duration in nanoseconds.
     pub fn end_token(&self, tok: SpanToken, ewma: Option<&AtomicU64>) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            let dur = self.now_ns().saturating_sub(tok.start_ns);
-            let ids = ((tok.ctx.trace_id as u64) << 32)
-                | ((tok.ctx.span_id as u64) << 16)
-                | tok.parent_id as u64;
-            let meta = Self::pack_meta(tok.phase, tok.ctx.depth, tok.vcpu as usize, tok.ep as usize);
-            self.rings[tok.vcpu as usize].record(ids, meta, tok.start_ns, dur);
-            if tok.installed {
-                CTX.with(|c| c.set(tok.prev));
-            }
-            if tok.is_root() {
-                if let Some(cell) = ewma {
-                    self.consider_exemplar(&tok, dur, cell);
-                }
-            }
-            dur
+        let dur = self.now_ns().saturating_sub(tok.start_ns);
+        self.write(&tok, dur);
+        if tok.installed {
+            CTX.with(|c| c.set(tok.prev));
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (tok, ewma);
-            0
+        if tok.is_root() {
+            if let Some(cell) = ewma {
+                self.consider_exemplar(&tok, dur, cell);
+            }
         }
+        dur
     }
 
     /// Root-span tail check: promote the trace into the vCPU's exemplar
@@ -750,7 +591,6 @@ impl SpanPlane {
     /// entry's EWMA, then fold the duration into the EWMA (weight 1/8,
     /// like the spin-budget EWMA). First observation seeds the EWMA and
     /// never promotes (no baseline yet).
-    #[cfg(feature = "obs")]
     fn consider_exemplar(&self, tok: &SpanToken, dur: u64, ewma: &AtomicU64) {
         let old = ewma.load(Ordering::Relaxed);
         let promote = old > 0 && dur > old.saturating_mul(EXEMPLAR_FACTOR);
@@ -761,192 +601,120 @@ impl SpanPlane {
         }
     }
 
-    /// Copy the trace's span tree from the rings into the next exemplar
-    /// slot. Cold path (taken only past the tail threshold); the only
-    /// allocation-free guarantee needed is that the preallocated span
-    /// buffer is reused, which `clear()` + bounded `push` preserves.
-    #[cfg(feature = "obs")]
+    /// Copy the trace's span tree from the rings over the vCPU's oldest
+    /// exemplar. Cold path (taken only past the tail threshold); the
+    /// preallocated span buffer is reused (`clear()` + bounded `push`).
     fn promote(&self, tok: &SpanToken, dur: u64, ewma: u64) {
-        let vcpu = tok.vcpu as usize;
-        let mut ring = self.exemplars[vcpu].ring.lock();
-        let idx = ring.next;
-        ring.next = (ring.next + 1) % EXEMPLAR_CAPACITY;
-        ring.used = (ring.used + 1).min(EXEMPLAR_CAPACITY);
-        let ex = &mut ring.slots[idx];
-        ex.trace_id = tok.ctx.trace_id;
-        ex.ep = tok.ep;
-        ex.vcpu = tok.vcpu;
-        ex.total_ns = dur;
-        ex.ewma_ns = ewma;
-        ex.start_ns = tok.start_ns;
-        ex.phase_ns = [0; NPHASES];
-        ex.frank_events = 0;
-        ex.spans.clear();
-        ex.truncated = false;
-        let root_span = tok.ctx.span_id;
-        for r in self.rings.iter() {
-            r.for_each(|rec| {
-                if rec.trace_id != tok.ctx.trace_id {
-                    return;
-                }
-                // Attribute time within the call: every span but the
-                // root itself (nested calls count under Call).
-                if !(rec.span_id == root_span && rec.is_root()) {
-                    ex.phase_ns[rec.phase as usize] += rec.dur_ns;
-                }
-                if rec.phase == SpanPhase::Frank {
-                    ex.frank_events += 1;
-                }
-                if ex.spans.len() < EXEMPLAR_SPANS {
-                    ex.spans.push(rec);
-                } else {
-                    ex.truncated = true;
-                }
-            });
-        }
-        ex.spans.sort_unstable_by_key(|r| (r.start_ns, r.depth));
+        self.vcpus[tok.vcpu as usize].exemplars.push_with(|ex| {
+            ex.trace_id = tok.ctx.trace_id;
+            ex.ep = tok.ep;
+            ex.vcpu = tok.vcpu;
+            ex.total_ns = dur;
+            ex.ewma_ns = ewma;
+            ex.start_ns = tok.start_ns;
+            ex.phase_ns = [0; NPHASES];
+            ex.frank_events = 0;
+            ex.spans.clear();
+            ex.truncated = false;
+            let root_span = tok.ctx.span_id;
+            for v in 0..self.vcpus.len() {
+                self.for_each_record(v, |rec| {
+                    if rec.trace_id != tok.ctx.trace_id {
+                        return;
+                    }
+                    // Attribute time within the call: every span but the
+                    // root itself (nested calls count under Call).
+                    if !(rec.span_id == root_span && rec.is_root()) {
+                        ex.phase_ns[rec.phase as usize] += rec.dur_ns;
+                    }
+                    if rec.phase == SpanPhase::Frank {
+                        ex.frank_events += 1;
+                    }
+                    if ex.spans.len() < EXEMPLAR_SPANS {
+                        ex.spans.push(rec);
+                    } else {
+                        ex.truncated = true;
+                    }
+                });
+            }
+            ex.spans.sort_unstable_by_key(|r| (r.start_ns, r.depth));
+        });
         self.promotions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn for_each_record(&self, vcpu: usize, mut f: impl FnMut(SpanRecord)) {
+        self.vcpus[vcpu].ring.for_each(|seq, words| {
+            if let Some(rec) = SpanRecord::unpack(seq, words) {
+                f(rec);
+            }
+        });
     }
 
     /// Total exemplar promotions since boot.
     pub fn promoted(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.promotions.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.promotions.load(Ordering::Relaxed)
     }
 
     /// Spans recorded on `vcpu` since boot (including overwritten ones).
     pub fn recorded(&self, vcpu: usize) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.rings[vcpu].cursor.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = vcpu;
-            0
-        }
+        self.vcpus[vcpu].ring.recorded()
     }
 
     /// The retained span records of `vcpu`'s ring, oldest first (cold
     /// read path; torn slots skipped).
     pub fn snapshot(&self, vcpu: usize) -> Vec<SpanRecord> {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
         let mut out = Vec::new();
-        #[cfg(feature = "obs")]
-        self.rings[vcpu].for_each(|rec| out.push(rec));
-        #[cfg(not(feature = "obs"))]
-        let _ = vcpu;
+        self.for_each_record(vcpu, |rec| out.push(rec));
         out
     }
 
     /// Every retained span record across all vCPUs, ordered by start
     /// time (the exporter's input).
     pub fn all_records(&self) -> Vec<SpanRecord> {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
         let mut out = Vec::new();
-        #[cfg(feature = "obs")]
-        {
-            for r in self.rings.iter() {
-                r.for_each(|rec| out.push(rec));
-            }
-            out.sort_unstable_by_key(|r| (r.start_ns, r.depth, r.span_id));
+        for v in 0..self.vcpus.len() {
+            self.for_each_record(v, |rec| out.push(rec));
         }
+        out.sort_unstable_by_key(|r| (r.start_ns, r.depth, r.span_id));
         out
     }
 
     /// The retained tail exemplars of `vcpu`, most recent last (cold
     /// path, clones out of the preallocated buffer).
     pub fn exemplars(&self, vcpu: usize) -> Vec<Exemplar> {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut out = Vec::new();
-        #[cfg(feature = "obs")]
-        {
-            let ring = self.exemplars[vcpu].ring.lock();
-            for i in 0..ring.used {
-                // Oldest-first: start after the next write position.
-                let idx = (ring.next + EXEMPLAR_CAPACITY - ring.used + i) % EXEMPLAR_CAPACITY;
-                out.push(ring.slots[idx].clone());
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = vcpu;
-        out
+        self.vcpus[vcpu].exemplars.last(EXEMPLAR_CAPACITY)
     }
 
-    /// A no-children scope for tests and cold paths: begin + end around
-    /// a closure under the current thread context.
-    pub fn with_leaf<R>(
-        &self,
-        vcpu: usize,
-        ep: EntryId,
-        phase: SpanPhase,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let tok = self.begin_leaf(vcpu, ep, phase);
-        let r = f();
-        if let Some(tok) = tok {
-            self.end_token(tok, None);
-        }
-        r
-    }
 }
 
 /// Drop guard closing a span on every exit path of the function that
 /// began it (dispatch has several early `return Err(..)` exits; a span
 /// left open would leak the installed thread context into unrelated
-/// calls). With the `obs` feature off this is a zero-sized no-op.
+/// calls).
 pub struct SpanScope<'a> {
-    #[cfg(feature = "obs")]
     plane: &'a SpanPlane,
-    #[cfg(feature = "obs")]
     tok: Option<SpanToken>,
     /// Root-span exemplar accounting target (the entry's trace EWMA).
-    #[cfg(feature = "obs")]
     ewma: Option<&'a AtomicU64>,
-    #[cfg(not(feature = "obs"))]
-    _p: std::marker::PhantomData<&'a ()>,
 }
 
-impl<'a> SpanScope<'a> {
+impl SpanScope<'_> {
     /// Whether a span is actually live inside this scope.
     #[inline]
     pub fn active(&self) -> bool {
-        #[cfg(feature = "obs")]
-        {
-            self.tok.is_some()
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            false
-        }
+        self.tok.is_some()
     }
 
     /// The packed context word of the live span (0 when inactive) — what
     /// the dispatcher writes into the call slot's trace word.
     #[inline]
     pub fn ctx_word(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.tok.map_or(0, |t| t.ctx.pack())
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.tok.map_or(0, |t| t.ctx.pack())
     }
 }
 
-/// Unconditional so explicit `drop(scope)` call sites stay meaningful
-/// in both builds; the compiled-out body is empty and folds away.
 impl Drop for SpanScope<'_> {
     fn drop(&mut self) {
-        #[cfg(feature = "obs")]
         if let Some(tok) = self.tok.take() {
             self.plane.end_token(tok, self.ewma);
         }
@@ -964,43 +732,19 @@ impl SpanPlane {
         ep: EntryId,
         ewma: Option<&'a AtomicU64>,
     ) -> SpanScope<'a> {
-        #[cfg(feature = "obs")]
-        {
-            SpanScope { plane: self, tok: self.begin_call(sampled, vcpu, ep), ewma }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (sampled, vcpu, ep, ewma);
-            SpanScope { _p: std::marker::PhantomData }
-        }
+        SpanScope { plane: self, tok: self.begin_call(sampled, vcpu, ep), ewma }
     }
 
     /// Scope wrapper around [`SpanPlane::begin_handler`].
     #[inline]
     pub fn handler_scope(&self, ctx_word: u64, vcpu: usize, ep: EntryId) -> SpanScope<'_> {
-        #[cfg(feature = "obs")]
-        {
-            SpanScope { plane: self, tok: self.begin_handler(ctx_word, vcpu, ep), ewma: None }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (ctx_word, vcpu, ep);
-            SpanScope { _p: std::marker::PhantomData }
-        }
+        SpanScope { plane: self, tok: self.begin_handler(ctx_word, vcpu, ep), ewma: None }
     }
 
     /// Scope wrapper around [`SpanPlane::begin_leaf`].
     #[inline]
     pub fn leaf_scope(&self, vcpu: usize, ep: EntryId, phase: SpanPhase) -> SpanScope<'_> {
-        #[cfg(feature = "obs")]
-        {
-            SpanScope { plane: self, tok: self.begin_leaf(vcpu, ep, phase), ewma: None }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (vcpu, ep, phase);
-            SpanScope { _p: std::marker::PhantomData }
-        }
+        SpanScope { plane: self, tok: self.begin_leaf(vcpu, ep, phase), ewma: None }
     }
 }
 
@@ -1028,13 +772,11 @@ mod tests {
         assert_eq!(SpanPhase::from_u8(99), None);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn slot_is_forty_bytes() {
-        assert_eq!(std::mem::size_of::<SpanSlot>(), 40);
+        assert_eq!(std::mem::size_of::<crate::flight::Slot<4>>(), 40);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn root_and_children_share_a_trace() {
         let plane = SpanPlane::new(1, 64);
@@ -1056,7 +798,6 @@ mod tests {
         assert_eq!(leaf_rec.parent_id, root_rec.span_id);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn unsampled_without_enclosing_trace_is_free() {
         let plane = SpanPlane::new(1, 64);
@@ -1069,7 +810,6 @@ mod tests {
         assert!(plane.begin_call(true, 0, 1).is_none());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn handler_scope_installs_and_restores() {
         let plane = SpanPlane::new(1, 64);
@@ -1091,7 +831,6 @@ mod tests {
         plane.end_token(root, None);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn ring_wraps_and_keeps_newest() {
         let plane = SpanPlane::new(1, 8);
@@ -1107,7 +846,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn exemplar_promotes_past_threshold() {
         let plane = SpanPlane::new(1, 64);
@@ -1142,5 +880,59 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_capacity_panics() {
         let _ = SpanPlane::new(1, 100);
+    }
+
+    /// Two threads on two vCPUs each mint 10⁴ spans, half of them roots
+    /// and half children of one shared trace: every (trace, span) pair
+    /// is distinct and non-zero.
+    #[test]
+    fn ids_minted_on_two_vcpus_never_collide() {
+        let plane = SpanPlane::new(2, 1024);
+        let shared = plane.begin_call(true, 0, 1).unwrap();
+        plane.end_token(shared, None);
+        let word = shared.ctx.pack();
+        let ids: Vec<(u32, u16)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|v| {
+                    let plane = &plane;
+                    s.spawn(move || {
+                        (0..10_000)
+                            .map(|i| {
+                                let tok = if i % 2 == 0 {
+                                    plane.begin_call(true, v, 1)
+                                } else {
+                                    plane.begin_handler(word, v, 1)
+                                };
+                                let tok = tok.unwrap();
+                                plane.end_token(tok, None);
+                                (tok.ctx.trace_id, tok.ctx.span_id)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
+        });
+        assert!(ids.iter().all(|&(t, s)| t != 0 && s != 0), "ids stay non-zero");
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), ids.len(), "a (trace, span) pair minted twice");
+    }
+
+    /// The sampled path's per-vCPU writes, by line pair: a vCPU's span
+    /// cursor and id mint share a pair no other vCPU writes, and the
+    /// plane's `cfg` word, read by every sampled root, sits on none of
+    /// them.
+    #[test]
+    fn per_vcpu_span_words_keep_to_their_lines() {
+        use crate::worker::tests::{apart, pairs};
+        let plane = SpanPlane::new(3, 64);
+        let cells: Vec<_> = plane.vcpus.iter().map(|v| pairs(&**v)).collect();
+        for (i, v) in plane.vcpus.iter().enumerate() {
+            assert_eq!(pairs(&v.ring), pairs(&v.mint), "vCPU {i}: the mint left its cursor's pair");
+            for b in &cells[i + 1..] {
+                assert!(apart(&cells[i], b), "vCPU {i}'s cell shares a pair with {b:?}");
+            }
+            assert!(apart(&cells[i], &pairs(&plane.cfg)), "vCPU {i}'s cell shares `cfg`'s pair");
+        }
     }
 }

@@ -1,16 +1,16 @@
 //! Continuous telemetry: a background sampler, a windowed time-series
 //! ring, and the SLO burn-rate watchdog.
 //!
-//! The PR-3 counters and histograms are *cumulative*: they answer "what
+//! The counters and histograms are *cumulative*: they answer "what
 //! happened since boot", never "what is the p99 right now and is it
 //! burning the SLO". This module closes that gap. A sampler thread
 //! wakes every tick (default [`DEFAULT_TICK`]), snapshots the whole
 //! counter plane ([`crate::stats::Snapshot`], totals and per-vCPU) and
 //! every [`LatencyKind`] histogram, computes **deltas** against the
-//! previous tick, and stores them in a fixed-capacity power-of-two ring
-//! of pre-allocated [`TickDelta`] slots — the same allocation-free
-//! steady-state discipline as [`crate::flight`]: after startup the
-//! sampler never allocates, it only overwrites slots in place.
+//! previous tick, and stores them in an overwrite buffer of
+//! [`DEFAULT_SERIES_DEPTH`] preallocated [`TickDelta`] slots: after
+//! startup the sampler never allocates, it only overwrites slots in
+//! place.
 //!
 //! From the ring fall out the two products the cumulative plane cannot
 //! give:
@@ -40,8 +40,7 @@
 //!
 //! The sampler costs the *fast path* nothing: it only reads the
 //! `Relaxed` counters the fast path was already writing, from its own
-//! thread, ~10 times a second. The `obs_overhead` CI gate runs with
-//! the sampler enabled to hold that claim to the ≤5% budget.
+//! thread, ~10 times a second.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -54,8 +53,8 @@ use crate::stats::{RuntimeStats, Snapshot};
 /// Default sampler period.
 pub const DEFAULT_TICK: Duration = Duration::from_millis(100);
 
-/// Default time-series ring depth (power of two). At the default tick
-/// this retains ~102 s — enough to serve the 60 s window with room for
+/// Ticks the time series retains (a power of two). At the default tick
+/// this is ~102 s — enough to serve the 60 s window with room for
 /// scrape jitter.
 pub const DEFAULT_SERIES_DEPTH: usize = 1024;
 
@@ -228,6 +227,15 @@ impl WindowStats {
     pub fn quantile_ns(&self, kind: LatencyKind, q: f64) -> u64 {
         self.hists[kind as usize].quantile(q)
     }
+
+    fn interference_ratio(&self) -> f64 {
+        let probed = self.counters.interference_probe_ns;
+        if probed == 0 {
+            0.0
+        } else {
+            self.counters.interference_ns as f64 / probed as f64
+        }
+    }
 }
 
 /// Which live signal an [`SloRule`] watches.
@@ -323,61 +331,79 @@ pub struct AlertState {
     pub interference_ratio: f64,
 }
 
-/// The fixed-capacity tick ring: pre-allocated slots, overwritten in
-/// place, never growing. Writes come only from the sampler thread;
-/// reads (exports, windows, `ppc-top`) clone out under the same lock —
-/// all cold-path, so a mutex is the honest choice (the hot path never
-/// comes near this structure).
-struct SeriesRing {
-    slots: parking_lot::Mutex<Box<[TickDelta]>>,
-    /// Ticks ever written (head); slot index = seq & (depth - 1).
-    head: AtomicU64,
+/// The one overwrite buffer: preallocated slots behind a mutex,
+/// overwritten oldest-first in place and never grown. The tick series
+/// and each vCPU's tail exemplars ([`crate::span`]) live in one. Its
+/// writers (a sampler tick, an exemplar promotion) and its readers are
+/// all cold, so a mutex is the honest choice: the call path never comes
+/// near it.
+#[derive(Debug)]
+pub(crate) struct Overwrite<T> {
+    /// The slots and the pushes ever made; a push lands in slot
+    /// `pushes & (depth - 1)`.
+    inner: parking_lot::Mutex<(Box<[T]>, u64)>,
 }
 
-impl SeriesRing {
-    fn new(depth: usize, n_vcpus: usize) -> SeriesRing {
-        assert!(depth.is_power_of_two(), "telemetry_depth must be a power of two");
-        SeriesRing {
-            slots: parking_lot::Mutex::new(
-                (0..depth).map(|_| TickDelta::empty(n_vcpus)).collect(),
-            ),
-            head: AtomicU64::new(0),
+impl<T> Overwrite<T> {
+    /// `depth` slots (a power of two), each made by `slot`.
+    pub(crate) fn new(depth: usize, slot: impl FnMut(usize) -> T) -> Self {
+        assert!(depth.is_power_of_two(), "buffer depth must be a power of two");
+        Overwrite { inner: parking_lot::Mutex::new(((0..depth).map(slot).collect(), 0)) }
+    }
+
+    pub(crate) fn depth(&self) -> usize {
+        self.inner.lock().0.len()
+    }
+
+    /// Overwrite the oldest slot in place with `fill`. Nothing is
+    /// allocated as long as `fill` reuses the slot's storage
+    /// (`clone_from`, `clear` + bounded `push`).
+    pub(crate) fn push_with(&self, fill: impl FnOnce(&mut T)) {
+        let mut inner = self.inner.lock();
+        let (slots, pushes) = &mut *inner;
+        fill(&mut slots[*pushes as usize & (slots.len() - 1)]);
+        *pushes += 1;
+    }
+
+    /// Visit the retained slots newest first, until `f` returns false.
+    pub(crate) fn newest(&self, mut f: impl FnMut(&T) -> bool) {
+        let inner = self.inner.lock();
+        let (slots, pushes) = (&inner.0, inner.1);
+        for seq in (pushes - pushes.min(slots.len() as u64)..pushes).rev() {
+            if !f(&slots[seq as usize & (slots.len() - 1)]) {
+                break;
+            }
         }
     }
 
-    /// Overwrite the next slot in place (no allocation: every boxed
-    /// array in the slot keeps its storage; `clone_from` reuses it).
-    fn push(&self, tick: &TickDelta) {
-        let mut slots = self.slots.lock();
-        let head = self.head.load(Ordering::Relaxed);
-        let idx = head as usize & (slots.len() - 1);
-        slots[idx].clone_from(tick);
-        self.head.store(head + 1, Ordering::Release);
+    /// Clones of the newest `n` slots, oldest first.
+    pub(crate) fn last(&self, n: usize) -> Vec<T>
+    where
+        T: Clone,
+    {
+        let mut out = Vec::new();
+        self.newest(|t| {
+            if out.len() == n {
+                return false;
+            }
+            out.push(t.clone());
+            true
+        });
+        out.reverse();
+        out
     }
+}
 
-    /// The newest `n` ticks, oldest first.
-    fn last(&self, n: usize) -> Vec<TickDelta> {
-        let slots = self.slots.lock();
-        let head = self.head.load(Ordering::Relaxed);
-        let retained = head.min(slots.len() as u64).min(n as u64);
-        (head - retained..head)
-            .map(|seq| slots[seq as usize & (slots.len() - 1)].clone())
-            .collect()
-    }
-
-    /// Merge the newest ticks until `window` is covered (or the ring is
-    /// exhausted).
+impl Overwrite<TickDelta> {
+    /// Merge the newest ticks until `window` is covered (or the series
+    /// is exhausted).
     fn window(&self, window: Duration, n_vcpus: usize) -> WindowStats {
         let want_ns = window.as_nanos() as u64;
-        let slots = self.slots.lock();
-        let head = self.head.load(Ordering::Relaxed);
-        let retained = head.min(slots.len() as u64);
         let mut out = WindowStats::empty(n_vcpus);
-        for seq in (head - retained..head).rev() {
+        self.newest(|t| {
             if out.dt_ns >= want_ns {
-                break;
+                return false;
             }
-            let t = &slots[seq as usize & (slots.len() - 1)];
             out.dt_ns += t.dt_ns;
             out.ticks += 1;
             out.counters = out.counters.plus(&t.counters);
@@ -394,7 +420,8 @@ impl SeriesRing {
                     slot.merge(h);
                 }
             }
-        }
+            true
+        });
         out
     }
 }
@@ -405,7 +432,7 @@ impl SeriesRing {
 /// [`crate::RuntimeOptions::telemetry_tick`] knob) and read it via
 /// [`crate::Runtime::telemetry`].
 pub struct Telemetry {
-    ring: SeriesRing,
+    ring: Overwrite<TickDelta>,
     alerts: parking_lot::Mutex<Vec<AlertState>>,
     tick: Duration,
     n_vcpus: usize,
@@ -437,10 +464,8 @@ struct Cumulative {
 
 impl Telemetry {
     /// Build the plane and spawn the sampler thread.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         tick: Duration,
-        depth: usize,
         rules: Vec<SloRule>,
         stats: Arc<RuntimeStats>,
         obs: Arc<ObsState>,
@@ -450,7 +475,7 @@ impl Telemetry {
     ) -> Arc<Telemetry> {
         let tick = tick.max(Duration::from_millis(1));
         let tel = Arc::new(Telemetry {
-            ring: SeriesRing::new(depth, n_vcpus),
+            ring: Overwrite::new(DEFAULT_SERIES_DEPTH, |_| TickDelta::empty(n_vcpus)),
             alerts: parking_lot::Mutex::new(
                 rules
                     .into_iter()
@@ -506,7 +531,7 @@ impl Telemetry {
 
     /// Ring capacity in ticks.
     pub fn depth(&self) -> usize {
-        self.ring.slots.lock().len()
+        self.ring.depth()
     }
 
     /// The newest `n` tick deltas, oldest first (the `/series` export).
@@ -529,13 +554,7 @@ impl Telemetry {
     /// divided by ns probed. 0.0 when the probe hasn't run in the
     /// window.
     pub fn interference_ratio(&self, window: Duration) -> f64 {
-        let w = self.window(window);
-        let probed = w.counters.interference_probe_ns;
-        if probed == 0 {
-            0.0
-        } else {
-            w.counters.interference_ns as f64 / probed as f64
-        }
+        self.window(window).interference_ratio()
     }
 
     /// Rules currently firing.
@@ -646,7 +665,7 @@ impl Telemetry {
                 scratch.hists[k] = h.delta_since(&prev_hists[k]);
                 prev_hists[k] = h;
             }
-            self.ring.push(&scratch);
+            self.ring.push_with(|slot| slot.clone_from(&scratch));
             self.ticks.fetch_add(1, Ordering::Release);
 
             // Watchdog: evaluate every rule on its fast/slow pair.
@@ -671,12 +690,7 @@ impl Telemetry {
                 // Annotate the alert with how much of its window the
                 // host stole: a high ratio says "look at the machine,
                 // not the facility".
-                let probed = slow_w.counters.interference_probe_ns;
-                a.interference_ratio = if probed == 0 {
-                    0.0
-                } else {
-                    slow_w.counters.interference_ns as f64 / probed as f64
-                };
+                a.interference_ratio = slow_w.interference_ratio();
                 let budget = a.rule.threshold.max(f64::MIN_POSITIVE);
                 let firing = a.measured_slow / budget >= a.rule.burn_factor
                     && a.measured_fast / budget >= a.rule.burn_factor;
@@ -720,16 +734,21 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    fn series(depth: usize, n_vcpus: usize) -> Overwrite<TickDelta> {
+        Overwrite::new(depth, |_| TickDelta::empty(n_vcpus))
+    }
+
     #[test]
     fn ring_preallocates_and_wraps() {
-        let ring = SeriesRing::new(4, 2);
+        let ring = series(4, 2);
         let mut t = TickDelta::empty(2);
         for i in 0..7u64 {
             t.seq = i;
             t.dt_ns = 10;
             t.counters.calls = i;
-            ring.push(&t);
+            ring.push_with(|slot| slot.clone_from(&t));
         }
+        assert!(ring.last(0).is_empty());
         let last = ring.last(16);
         assert_eq!(last.len(), 4, "ring retains depth ticks");
         assert_eq!(last.first().unwrap().seq, 3);
@@ -742,18 +761,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_depth_panics() {
-        let _ = SeriesRing::new(100, 1);
+        let _ = series(100, 1);
     }
 
     #[test]
     fn window_rates_divide_by_measured_time() {
-        let ring = SeriesRing::new(8, 1);
+        let ring = series(8, 1);
         let mut t = TickDelta::empty(1);
         t.dt_ns = 500_000_000; // half a second per tick
         t.counters.calls = 100;
         t.counters.inline_calls = 100;
-        ring.push(&t);
-        ring.push(&t);
+        ring.push_with(|slot| slot.clone_from(&t));
+        ring.push_with(|slot| slot.clone_from(&t));
         let w = ring.window(Duration::from_secs(1), 1);
         assert_eq!(w.counters.calls, 200);
         assert!((w.rate("calls") - 200.0).abs() < 1e-9, "rate {}", w.rate("calls"));
@@ -762,13 +781,13 @@ mod tests {
 
     #[test]
     fn window_merges_histogram_deltas() {
-        let ring = SeriesRing::new(8, 1);
+        let ring = series(8, 1);
         let mut t = TickDelta::empty(1);
         t.dt_ns = 1_000;
         t.hists[LatencyKind::Call as usize].record(100);
         t.hists[LatencyKind::Call as usize].record(200);
-        ring.push(&t);
-        ring.push(&t);
+        ring.push_with(|slot| slot.clone_from(&t));
+        ring.push_with(|slot| slot.clone_from(&t));
         let w = ring.window(Duration::from_secs(1), 1);
         assert_eq!(w.hist(LatencyKind::Call).count(), 4);
         assert!(w.quantile_ns(LatencyKind::Call, 0.5) <= 255);

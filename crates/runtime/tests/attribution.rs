@@ -100,9 +100,6 @@ fn ring_worker_handler_share_is_carved_from_the_drain() {
     const SQES: u64 = 20_000;
     const HANDLER_NS: u64 = 5_000;
     for sampling in [true, false] {
-        if sampling && !cfg!(feature = "obs") {
-            continue; // the plane is compiled out: only the second case exists
-        }
         let rt = Runtime::new(1);
         rt.obs().set_enabled(sampling);
         let ep = rt
@@ -282,9 +279,6 @@ fn split_cells_sum_to_the_same_counters() {
 /// tree's B/E pairs say — folding is aggregation, not re-measurement.
 #[test]
 fn profiler_breakdown_matches_span_tree() {
-    if !cfg!(feature = "obs") {
-        return; // tracing compiled out: nothing to fold
-    }
     let rt = Runtime::with_runtime_options(
         1,
         RuntimeOptions { trace_capacity: 4096, ..Default::default() },

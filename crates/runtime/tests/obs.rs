@@ -44,10 +44,6 @@ fn concurrent_recording_sums_exactly() {
     }
 
     let merged = rt.obs().merged(LatencyKind::Call);
-    if !cfg!(feature = "obs") {
-        assert_eq!(merged.count(), 0, "compiled out: recording is a no-op");
-        return;
-    }
     let n = VCPUS as u64 * THREADS_PER_VCPU as u64 * RECORDS;
     assert_eq!(merged.count(), n, "every record is counted exactly once");
     // Σ over threads of Σ_{i<RECORDS} (i + t):
@@ -102,18 +98,14 @@ fn export_json_roundtrips_with_live_counters() {
     let counters = back.get("counters").expect("counters object");
     assert_eq!(counters.get("calls").unwrap().as_u64(), Some(rt.stats.calls()));
     assert_eq!(counters.get("inline_calls").unwrap().as_u64(), Some(50));
-    if cfg!(feature = "obs") {
-        let call = back.get("latency_ns").unwrap().get("call").expect("call histogram");
-        assert_eq!(call.get("count").unwrap().as_u64(), Some(50));
-        assert!(call.get("p50").unwrap().as_u64().unwrap() <= call.get("p99").unwrap().as_u64().unwrap());
-    }
+    let call = back.get("latency_ns").unwrap().get("call").expect("call histogram");
+    assert_eq!(call.get("count").unwrap().as_u64(), Some(50));
+    assert!(call.get("p50").unwrap().as_u64().unwrap() <= call.get("p99").unwrap().as_u64().unwrap());
 
     let prom = rt.export_prometheus();
     assert!(prom.contains("ppc_calls 50"), "counter line present:\n{prom}");
-    if cfg!(feature = "obs") {
-        assert!(prom.contains("ppc_latency_ns_bucket{kind=\"call\",le=\"+Inf\"} 50"));
-        assert!(prom.contains("ppc_latency_ns_count{kind=\"call\"} 50"));
-    }
+    assert!(prom.contains("ppc_latency_ns_bucket{kind=\"call\",le=\"+Inf\"} 50"));
+    assert!(prom.contains("ppc_latency_ns_count{kind=\"call\"} 50"));
 }
 
 /// The failure-path dump: after traffic, a contained fault, and a hard
@@ -147,9 +139,7 @@ fn diagnostics_dump_carries_flight_rings() {
     assert!(dump.contains("inline"), "dispatch events present:\n{dump}");
     assert!(dump.contains("fault"), "the contained fault is in the ring:\n{dump}");
     assert!(dump.contains("hard_kill"), "the kill is in the ring:\n{dump}");
-    if cfg!(feature = "obs") {
-        assert!(dump.contains("latency[call]:"), "percentile lines present:\n{dump}");
-    }
+    assert!(dump.contains("latency[call]:"), "percentile lines present:\n{dump}");
 }
 
 /// The runtime enable bit actually gates recording.

@@ -25,7 +25,6 @@ fn telemetry_rt(n_vcpus: usize, rules: Vec<SloRule>) -> Arc<Runtime> {
         n_vcpus,
         RuntimeOptions {
             telemetry_tick: Some(Duration::from_millis(10)),
-            telemetry_depth: DEFAULT_SERIES_DEPTH,
             slo_rules: rules,
             ..Default::default()
         },
@@ -39,9 +38,6 @@ fn telemetry_rt(n_vcpus: usize, rules: Vec<SloRule>) -> Arc<Runtime> {
 /// not approximate.
 #[test]
 fn windowed_quantile_matches_brute_force() {
-    if !cfg!(feature = "obs") {
-        return; // histograms are compiled out
-    }
     let rt = telemetry_rt(2, Vec::new());
     let tel = rt.telemetry().expect("sampler running");
     assert!(tel.wait_ticks(2), "sampler ticking");
@@ -152,9 +148,7 @@ fn http_endpoints_roundtrip_and_are_complete() {
         }
     }
     assert_eq!(prom.counter("calls"), Some(rt.stats.calls()));
-    if cfg!(feature = "obs") {
-        assert!(prom.hist("call").is_some(), "call histogram missing");
-    }
+    assert!(prom.hist("call").is_some(), "call histogram missing");
 
     // /json: parses; counters object is complete; telemetry member
     // carries every window and (empty) alerts.
@@ -210,9 +204,8 @@ fn http_endpoints_roundtrip_and_are_complete() {
     drop(server); // joins the accept loop
 }
 
-/// JSON exporter completeness without HTTP (the `--no-default-features`
-/// half of the satellite: counters are always live even with
-/// histograms compiled out).
+/// JSON and Prometheus exporter completeness without HTTP: every
+/// counter and every histogram kind surfaces.
 #[test]
 fn export_json_is_complete_from_the_name_list() {
     let rt = Runtime::new(1);
@@ -230,28 +223,23 @@ fn export_json_is_complete_from_the_name_list() {
     for &name in Snapshot::field_names() {
         assert!(counters.get(name).is_some(), "counter {name} missing from JSON");
     }
-    if cfg!(feature = "obs") {
-        // Feed every histogram kind, then every kind must surface.
-        for (i, &kind) in KINDS.iter().enumerate() {
-            rt.obs().record(kind, 0, 100 * (i as u64 + 1));
-        }
-        let doc = Json::parse(&rt.export_json().to_string()).unwrap();
-        let latency = doc.get("latency_ns").expect("latency member");
-        for kind in KINDS {
-            assert!(
-                latency.get(kind.label()).is_some(),
-                "kind {} missing from JSON latency",
-                kind.label()
-            );
-        }
-        let prom = export::parse_prometheus(&rt.export_prometheus()).unwrap();
-        for kind in KINDS {
-            assert!(
-                prom.hist(kind.label()).is_some(),
-                "kind {} missing from Prometheus exposition",
-                kind.label()
-            );
-        }
+    // Feed every histogram kind, then every kind must surface.
+    for (i, &kind) in KINDS.iter().enumerate() {
+        rt.obs().record(kind, 0, 100 * (i as u64 + 1));
+    }
+    let doc = Json::parse(&rt.export_json().to_string()).unwrap();
+    let latency = doc.get("latency_ns").expect("latency member");
+    for kind in KINDS {
+        let label = kind.label();
+        assert!(latency.get(label).is_some(), "kind {label} missing from JSON latency");
+    }
+    let prom = export::parse_prometheus(&rt.export_prometheus()).unwrap();
+    for kind in KINDS {
+        assert!(
+            prom.hist(kind.label()).is_some(),
+            "kind {} missing from Prometheus exposition",
+            kind.label()
+        );
     }
 }
 
@@ -268,14 +256,11 @@ fn slo_watchdog_fires_alert_and_flight_event() {
         burn_factor: 1.0,
         nudge_frank: false,
     }];
-    // A roomy flight ring: the Alert event must survive the Inline
-    // events the traffic keeps recording around it.
     let rt = Runtime::with_runtime_options(
         1,
         RuntimeOptions {
             telemetry_tick: Some(Duration::from_millis(10)),
             slo_rules: rules,
-            flight_capacity: 4096,
             ..Default::default()
         },
     );
@@ -384,11 +369,11 @@ fn sustained_burn_nudges_frank() {
 fn telemetry_lifecycle() {
     let rt = Runtime::new(1);
     assert!(rt.telemetry().is_none(), "no sampler unless asked");
-    let t1 = rt.start_telemetry(Duration::from_millis(10), 64, Vec::new());
-    let t2 = rt.start_telemetry(Duration::from_millis(99), 128, Vec::new());
+    let t1 = rt.start_telemetry(Duration::from_millis(10), Vec::new());
+    let t2 = rt.start_telemetry(Duration::from_millis(99), Vec::new());
     assert!(Arc::ptr_eq(&t1, &t2), "second start returns the running sampler");
     assert_eq!(t2.tick(), Duration::from_millis(10));
-    assert_eq!(t1.depth(), 64);
+    assert_eq!(t1.depth(), DEFAULT_SERIES_DEPTH);
     assert!(t1.wait_ticks(2));
     rt.stop_telemetry();
     assert!(rt.telemetry().is_none());

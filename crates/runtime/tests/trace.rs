@@ -53,10 +53,6 @@ fn nested_chain_produces_one_correctly_parented_trace() {
     assert_eq!(client.call(outer, [10; 8]).unwrap()[0], 27);
 
     let spans = spans_of(&rt);
-    if !cfg!(feature = "obs") {
-        assert!(spans.is_empty(), "compiled out: no spans recorded");
-        return;
-    }
 
     // One trace, rooted once.
     let trace = spans[0].trace_id;
@@ -137,12 +133,6 @@ fn call_async_is_fully_observable() {
     assert_eq!(rt.stats.async_calls(), 1, "counter fires regardless of sampling");
 
     let spans = spans_of(&rt);
-    if !cfg!(feature = "obs") {
-        // Compiled out, `try_sample` is always false: no flight event,
-        // no spans — only the counter plane sees the call.
-        assert!(spans.is_empty());
-        return;
-    }
     let events = rt.flight().snapshot(0);
     assert!(
         events.iter().any(|e| e.kind == FlightKind::Async && e.ep == ep as u16),
@@ -184,10 +174,6 @@ fn ring_submissions_parent_their_handler_spans() {
     assert_eq!(out.len(), 2);
 
     let spans = spans_of(&rt);
-    if !cfg!(feature = "obs") {
-        assert!(spans.is_empty(), "compiled out: no spans recorded");
-        return;
-    }
     let rings: Vec<_> = spans.iter().filter(|s| s.name == "ring").collect();
     assert_eq!(rings.len(), 2, "one ring span per SQE: {spans:#?}");
     for r in &rings {
@@ -259,10 +245,6 @@ fn tail_call_promotes_an_exemplar() {
     }
     client.call(ep, [1; 8]).unwrap(); // the tail
 
-    if !cfg!(feature = "obs") {
-        assert_eq!(rt.spans().promoted(), 0);
-        return;
-    }
     assert!(rt.spans().promoted() >= 1, "the 5ms call dwarfs the µs-scale EWMA");
     let exemplars = rt.spans().exemplars(0);
     assert!(!exemplars.is_empty());
@@ -274,24 +256,14 @@ fn tail_call_promotes_an_exemplar() {
     assert!(dump.contains("slowest recent calls"), "exemplar section present:\n{dump}");
 }
 
-/// `RuntimeOptions` sizes both per-vCPU rings; the planes report the
-/// configured capacities and the flight ring wraps at its own size.
+/// `RuntimeOptions::trace_capacity` sizes the span rings.
 #[test]
 fn runtime_options_size_the_rings() {
     let rt = Runtime::with_runtime_options(
         1,
-        RuntimeOptions { flight_capacity: 64, trace_capacity: 128, ..Default::default() },
+        RuntimeOptions { trace_capacity: 128, ..Default::default() },
     );
-    assert_eq!(rt.flight().capacity(), 64);
-    for i in 0..100u32 {
-        rt.flight().record(0, FlightKind::Inline, 1, i);
-    }
-    let events = rt.flight().snapshot(0);
-    assert_eq!(events.len(), 64, "flight ring wraps at the configured size");
-    assert_eq!(events.last().unwrap().data, 99, "newest retained");
-    if cfg!(feature = "obs") {
-        assert_eq!(rt.spans().capacity(), 128);
-    }
+    assert_eq!(rt.spans().capacity(), 128);
 }
 
 /// Disabling the trace plane at runtime stops span recording without
@@ -312,7 +284,5 @@ fn trace_plane_disable_stops_span_recording() {
     assert_eq!(rt.stats.calls(), 10, "counters unaffected");
     rt.spans().set_enabled(true);
     client.call(ep, [0; 8]).unwrap();
-    if cfg!(feature = "obs") {
-        assert!(!spans_of(&rt).is_empty(), "recording resumes on re-enable");
-    }
+    assert!(!spans_of(&rt).is_empty(), "recording resumes on re-enable");
 }

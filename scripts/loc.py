@@ -3,8 +3,8 @@
 
 Per file of crates/runtime/src: the non-test lines (everything up to and
 including the first `#[cfg(test)]`, the whole file if it has none) and the
-occurrences of `unsafe` (whole file); then the field count of each options
-struct.
+occurrences of `unsafe` (whole file); the sums over two groups of files;
+then the field count of each options struct.
 
     python3 scripts/loc.py                 the working tree
     python3 scripts/loc.py --diff <ref>    the working tree against <ref>
@@ -18,6 +18,10 @@ import sys
 
 SRC = "crates/runtime/src"
 OPTIONS = ["RuntimeOptions", "EntryOptions", "RingOptions", "XSegOptions"]
+GROUPS = {
+    "ring + xproc": "ring xproc",
+    "obs planes": "span export obs telemetry flight stats profile blackbox http",
+}
 
 
 def tree_files():
@@ -62,8 +66,10 @@ def main():
         row(name, old_files.get(name, (0, 0)), new_files.get(name, (0, 0)))
     total = lambda files: tuple(sum(v[i] for v in files.values()) for i in (0, 1))
     row("total", total(old_files), total(new_files))
-    pair = lambda files: tuple(sum(files.get(f, (0, 0))[i] for f in ("ring.rs", "xproc.rs")) for i in (0, 1))
-    row("ring + xproc", pair(old_files), pair(new_files))
+    for name, members in GROUPS.items():
+        names = [f + ".rs" for f in members.split()]
+        group = lambda files: tuple(sum(files.get(f, (0, 0))[i] for f in names) for i in (0, 1))
+        row(name, group(old_files), group(new_files))
     print()
     for s in OPTIONS:
         old, new = old_fields.get(s, 0), new_fields.get(s, 0)
