@@ -64,7 +64,7 @@ impl LockedServer {
     /// before the lock, and the notification happens after release so the
     /// woken server never stalls on a still-held mutex.
     pub fn call(&self, args: [u64; 8]) -> [u64; 8] {
-        let slot = CallSlot::new();
+        let slot: Arc<CallSlot> = CallSlot::new().into();
         slot.fill(args, 0, true);
         let posted = Arc::clone(&slot);
         {

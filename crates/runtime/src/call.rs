@@ -2,15 +2,16 @@
 //!
 //! A synchronous call performs, in order: one pinned load of the calling
 //! vCPU's own service-table replica plus a lifecycle claim on its own
-//! shard (see [`crate::frank`]), one lock-free worker-pool pop, one
-//! lock-free CD-pool pop, the slot fill, one atomic mailbox publish (the
+//! shard (see [`crate::frank`]), one lock-free worker-pool pop, the fill
+//! of the worker's own slot and one `Release` store that posts it (the
 //! hand-off; a sleeping worker is woken), an adaptive poll-spin-block
-//! wait for `DONE`, and two lock-free pushes to recycle what the caller
-//! popped, worker and CD. **Zero lock acquisitions, zero writes to a
-//! cache line any other vCPU's fast path writes** — the paper's common
-//! case. (The epoch protocol's `SeqCst` operations are vCPU-local RMWs
-//! plus loads of read-mostly era/table words; the handler stays in the
-//! entry's box, borrowed under the claim: no refcount write per call.)
+//! wait for `DONE`, and one lock-free push that re-pools the worker.
+//! **Zero lock acquisitions, zero writes to a cache line any other
+//! vCPU's fast path writes** — the paper's common case — and each slot
+//! line crosses once per direction. (The epoch protocol's `SeqCst`
+//! operations are vCPU-local RMWs plus loads of read-mostly era/table
+//! words; the handler stays in the entry's box, borrowed under the
+//! claim: no refcount write per call.)
 //!
 //! Entries bound with [`crate::EntryOptions::inline_ok`] skip even the
 //! hand-off: the handler runs on the caller's own thread in a borrowed
@@ -31,7 +32,7 @@ use crate::entry::{EntryShared, EntryState, HandlerRun};
 use crate::flight::FlightKind;
 use crate::frank::Claim;
 use crate::obs::LatencyKind;
-use crate::slot::{CallSlot, SCRATCH_BYTES};
+use crate::slot::SCRATCH_BYTES;
 use crate::span::SpanPhase;
 use crate::stats::{StatsCell, TimeState};
 use crate::worker::WorkerHandle;
@@ -80,15 +81,10 @@ impl Runtime {
         // events during `post` parent under it; the drop guard closes it
         // (and runs the root's tail-exemplar check) on every exit.
         let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*claim.trace_ewma_ns));
-        let (worker, slot, woke) =
-            self.post(&claim, args, program, payload, true, scope.ctx_word())?;
+        let (worker, woke) = self.post(&claim, args, program, payload, true, scope.ctx_word())?;
         let vc = self.vcpu(vcpu)?;
-        let done_at = self.rendezvous(vc, &slot, &worker, woke, ep, sampled);
-        // `DONE`: the worker is finished with the call. We popped it and
-        // hold the claim — pool it and count the completion here, on
-        // lines only this vCPU's callers write.
-        claim.pool(vcpu).push(worker);
-        claim.record_completion(vcpu);
+        let done_at = self.rendezvous(vc, &worker, woke, ep, sampled);
+        let slot = &worker.slot;
         let rets = slot.read_rets();
         let faulted = slot.is_faulted();
         // A hard kill that landed while we ran aborts the call. (The
@@ -98,7 +94,11 @@ impl Runtime {
         // response length.
         let response = (payload.is_some() && !killed && !faulted)
             .then(|| slot.read_payload(rets[7] as usize));
-        vc.put_slot(claim.opts.qos, slot);
+        // Results read, the slot is the next caller's (no reset). We
+        // popped the worker and hold the claim — pool it and count the
+        // completion here, on lines only this vCPU's callers write.
+        claim.pool(vcpu).push(worker);
+        claim.record_completion(vcpu);
         let cell = self.stats.cell(vcpu);
         Self::settle(cell, ep, killed, faulted)?;
         cell.handoff_calls.fetch_add(1, Ordering::Relaxed);
@@ -133,7 +133,7 @@ impl Runtime {
 
     /// Caller-thread inline dispatch ([`crate::EntryOptions::inline_ok`]):
     /// the caller already claimed the entry; run the handler right here —
-    /// no worker, no mailbox, no park/unpark. With `payload`, a CD's
+    /// no worker, no slot hand-off, no park/unpark. With `payload`, a CD's
     /// scratch page carries the request in and the first `rets[7]` bytes
     /// back out, as in the hand-off variant.
     fn dispatch_inline(
@@ -147,7 +147,7 @@ impl Runtime {
         // on exit; the trace scope and the handler's `CallCtx` borrow the
         // entry through it, so no use can outlive the release.
         let entry: &EntryShared = &claim;
-        let (vcpu, ep, qos) = (claim.vcpu(), entry.id, entry.opts.qos);
+        let (vcpu, ep) = (claim.vcpu(), entry.id);
         let vc = self.vcpu(vcpu)?;
         let cell = self.stats.cell(vcpu);
         // One sample decides the call *and* handler records: the
@@ -161,7 +161,7 @@ impl Runtime {
         // bytes both ways); a plain call borrows one lazily, only if the
         // handler asks — descriptor-only bulk calls skip the CD pool.
         let slot = payload.map(|p| {
-            let s = vc.take_slot(qos, cell, self.flight(), self.spans());
+            let s = vc.take_slot(cell, self.flight(), self.spans());
             s.write_payload(p);
             s
         });
@@ -184,7 +184,7 @@ impl Runtime {
             _ => None,
         };
         if let Some(s) = run.lazy {
-            vc.put_slot(qos, s);
+            vc.put_slot(s);
         }
         Self::settle(cell, ep, killed, run.faulted)?;
         entry.record_completion(vcpu);
@@ -266,7 +266,6 @@ impl Runtime {
     fn rendezvous(
         &self,
         vc: &VcpuState,
-        slot: &CallSlot,
         worker: &WorkerHandle,
         woke: bool,
         ep: EntryId,
@@ -284,7 +283,7 @@ impl Runtime {
         // relative to what it measures — unlike the inline path, which
         // stays sampled.
         let t0 = Instant::now();
-        let (resolved, escalated) = vc.wait_done(slot, adaptive, Some(worker), woke);
+        let (resolved, escalated) = vc.wait_done(worker, adaptive, true, woke);
         let done_at = Instant::now();
         let wait_ns = done_at.duration_since(t0).as_nanos() as u64;
         if self.obs().enabled() {
@@ -328,15 +327,14 @@ impl Runtime {
     ) -> Result<AsyncCall, RtError> {
         let sampled = self.obs().try_sample();
         let claim = self.claim(vcpu, ep)?;
-        let qos = claim.opts.qos;
         // The async span is not installed (the caller continues past the
         // dispatch); it closes when the completion is observed. The
         // context word rides the slot so the worker's handler span — and
         // anything nested under it — parents here.
         let trace = self.spans().begin_async(sampled, vcpu, ep);
         let word = trace.as_ref().map_or(0, |tok| tok.ctx.pack());
-        let slot = match self.post(&claim, args, program, None, false, word) {
-            Ok((_, slot, _)) => slot,
+        let worker = match self.post(&claim, args, program, None, false, word) {
+            Ok((worker, _)) => worker,
             Err(e) => {
                 // Not posted (or posted and taken back): the claim is
                 // still ours and its drop releases it — without that, a
@@ -355,10 +353,9 @@ impl Runtime {
             self.flight().record(vcpu, FlightKind::Async, ep, program);
         }
         Ok(AsyncCall {
-            slot,
+            worker,
             vcpu: Arc::clone(self.vcpu(vcpu)?),
             ep,
-            qos,
             adaptive: self.spin_policy() == SpinPolicy::Adaptive,
             trace: std::cell::Cell::new(trace),
             spans: Arc::clone(self.spans()),
@@ -378,22 +375,21 @@ impl Runtime {
         Ok(r)
     }
 
-    /// The one place a call is handed to a worker: acquire the transport
-    /// resources — a worker from the entry's pool on the claim's vCPU, a
-    /// CD from that vCPU's per-QoS-class pool (so bulk bursts can't
-    /// starve latency callers of warm CDs) — write the payload, fill the
-    /// slot, and publish it to the worker's mailbox. `sync`: the caller
-    /// will wait on the slot and re-pool the worker (else nobody waits
-    /// yet, and the worker releases the claim and pools itself); a
-    /// non-zero `trace_word` rides the slot so the handler span parents
-    /// under the caller's. Also returns whether the worker had to be woken.
+    /// The one place a call is handed to a worker: pop a worker from the
+    /// entry's pool on the claim's vCPU (or grow one), write the payload
+    /// into its slot's page, fill the slot in place and post it. `sync`:
+    /// the caller will wait on the slot and re-pool the worker (else
+    /// nobody waits yet, and the worker releases the claim and pools
+    /// itself once the handle hands the slot back); a non-zero
+    /// `trace_word` rides the slot so the handler span parents under the
+    /// caller's. Also returns whether the worker had to be woken.
     ///
     /// Never releases the claim: on `Err` the call was not posted, or was
     /// posted and taken back, and the caller's [`Claim`] still owns the
     /// release. After an `Ok` from a non-`sync` post the worker may
-    /// release the claim at any moment, so nothing past the mailbox
-    /// publish touches the entry unless the slot was taken back.
-    fn post(
+    /// release the claim at any moment, so nothing past the post touches
+    /// the entry unless the call was taken back.
+    pub(crate) fn post(
         &self,
         claim: &Claim<'_>,
         args: [u64; 8],
@@ -401,9 +397,8 @@ impl Runtime {
         payload: Option<&[u8]>,
         sync: bool,
         trace_word: u64,
-    ) -> Result<(Arc<WorkerHandle>, Arc<CallSlot>, bool), RtError> {
-        let (vcpu, ep, qos) = (claim.vcpu(), claim.id, claim.opts.qos);
-        let vc = self.vcpu(vcpu)?;
+    ) -> Result<(Arc<WorkerHandle>, bool), RtError> {
+        let (vcpu, ep) = (claim.vcpu(), claim.id);
         let cell = self.stats.cell(vcpu);
         // Worker: lock-free pool pop, or the Frank grow path.
         let worker = match claim.pool(vcpu).pop() {
@@ -426,29 +421,16 @@ impl Runtime {
                 w
             }
         };
-        let slot = vc.take_slot(qos, cell, self.flight(), self.spans());
-        // The payload is written before the fill publishes the slot.
+        let slot = &worker.slot;
+        // The payload is written before the post publishes the slot.
         if let Some(p) = payload {
             slot.write_payload(p);
         }
-        slot.fill(args, program, sync);
-        slot.set_parity(claim.parity());
-        if trace_word != 0 {
-            // The mailbox publish below orders this for the worker.
-            slot.set_trace(trace_word);
-        }
-        let woke = worker.post(Arc::clone(&slot));
-        // Racing a kill: if the worker was told to shut down, it may have
-        // exited after its final mailbox drain without seeing our post.
-        // Reclaim the slot if it is still in the mailbox; the mailbox
-        // atomics order this against the worker's drain, so exactly one
-        // side gets the slot — and if it is us, the worker never ran the
-        // call, so nobody would ever rendezvous with (or, for an async
-        // call, release the claim of) the orphaned slot.
-        if worker.is_shutdown() && worker.take_mail().is_some() {
-            vc.put_slot(qos, slot);
-            return Err(RtError::Aborted(ep));
-        }
-        Ok((worker, slot, woke))
+        slot.stage(args, program, sync, claim.parity(), trace_word);
+        // Racing a kill, the worker may have exited without seeing the
+        // post: the call is ours again, and nobody else would ever
+        // complete (or, for an async call, release the claim of) it.
+        let woke = worker.post().ok_or(RtError::Aborted(ep))?;
+        Ok((worker, woke))
     }
 }

@@ -95,7 +95,7 @@ pub struct EntryOptions {
     /// Synchronous calls may run the handler *inline on the caller's
     /// thread* — the logical conclusion of hand-off scheduling: when the
     /// worker would run on the caller's processor anyway, skip the worker
-    /// entirely (no mailbox, no park/unpark). Borrow a CD for the scratch
+    /// entirely (no slot hand-off, no park/unpark). Borrow a CD for the scratch
     /// page, run, return. The trade-offs a service opts into:
     /// per-worker state is bypassed (worker-initialization overrides are
     /// ignored and [`crate::CallCtx::set_worker_handler`] is a no-op on
@@ -133,7 +133,7 @@ pub(crate) struct HandlerRun {
     /// The CD behind a [`ScratchRef::Lazy`] scratch page — the inline
     /// path's payload CD, or one the handler borrowed on first use — for
     /// the caller to repool.
-    pub(crate) lazy: Option<Arc<CallSlot>>,
+    pub(crate) lazy: Option<Box<CallSlot>>,
     /// The handler's run time, when `sampled`.
     pub(crate) ns: Option<u64>,
 }
@@ -188,7 +188,7 @@ pub struct EntryShared {
     /// under a lock, and tests observe entry reclamation through
     /// downgraded copies of it.
     weak_self: Weak<EntryShared>,
-    /// Worker-side mailbox spin budget before an idle worker parks
+    /// Worker-side idle spin budget (on its slot) before an idle worker parks
     /// (0 = park immediately). Mirrors the runtime's [`crate::SpinPolicy`]
     /// so the rendezvous is spin-paired on both sides; updated by
     /// [`crate::Runtime::set_spin_policy`] through Frank.

@@ -8,7 +8,7 @@
 //! |---|---|
 //! | processor | [`Runtime`] virtual processor (optionally pinned to a CPU, [`affinity`]) |
 //! | worker process | worker OS thread, parked in a per-vCPU lock-free pool |
-//! | call descriptor + stack page | [`slot::CallSlot`] with a 4 KB scratch page, per-vCPU lock-free pool |
+//! | call descriptor + stack page | [`slot::CallSlot`] with a 4 KB scratch page, owned by its worker (hold-CD) |
 //! | hand-off scheduling | `thread::park` / `Thread::unpark` direct switch |
 //! | 8 registers each way | `[u64; 8]` argument/result frames, never touching shared queues |
 //! | service table (1024, per CPU) | per-vCPU `AtomicPtr` table **replicas**, wait-free reads, cold-path publish broadcast |
@@ -26,8 +26,8 @@
 //! The common-case call path performs **no lock acquisitions and no
 //! writes to a cache line any other vCPU's fast path writes**: pools are
 //! lock-free queues, the entry lookup is one load of the calling vCPU's
-//! own table replica, the client↔worker rendezvous is an atomic mailbox
-//! plus an adaptive wait, and every fast-path counter — the entry's
+//! own table replica, the rendezvous is a post into the worker's own
+//! slot plus an adaptive wait, and every fast-path counter — the entry's
 //! in-flight and completion accounting included — is an increment on the
 //! calling vCPU's own line pair. The handler stays in the entry's box,
 //! borrowed under the claim, so no call writes its reference count. The
@@ -207,7 +207,7 @@ impl std::error::Error for RtError {}
 /// runtime with [`Runtime::set_spin_policy`]; read on every sync call
 /// with a `Relaxed` load.
 ///
-/// The policy is paired: it also sets the *worker-side* idle-mailbox spin
+/// The policy is paired: it also sets the *worker-side* idle-slot spin
 /// budget, so under `Adaptive` a stream of back-to-back calls resolves
 /// both waits in user space without either thread reaching a futex,
 /// while under `ParkOnly` an idle worker parks at once. A runtime that
@@ -293,7 +293,7 @@ pub(crate) enum ScratchRef<'a> {
     Lazy {
         vc: &'a VcpuState,
         cell: &'a stats::StatsCell,
-        slot: Option<Arc<slot::CallSlot>>,
+        slot: Option<Box<slot::CallSlot>>,
     },
 }
 
@@ -329,7 +329,7 @@ impl<'a> CallCtx<'a> {
                 let flight = &self.entry.flight;
                 let spans = &self.entry.spans;
                 let s =
-                    slot.get_or_insert_with(|| vc.take_slot(self.entry.opts.qos, cell, flight, spans));
+                    slot.get_or_insert_with(|| vc.take_slot(cell, flight, spans));
                 // Safety: the slot was popped from the pool, so this
                 // context owns it exclusively until dispatch recycles it;
                 // the borrow is tied to `&mut self`.
@@ -342,7 +342,7 @@ impl<'a> CallCtx<'a> {
 
     /// Reclaim the CD behind a lazy scratch page so the dispatcher can
     /// repool it.
-    pub(crate) fn take_lazy_slot(&mut self) -> Option<Arc<slot::CallSlot>> {
+    pub(crate) fn take_lazy_slot(&mut self) -> Option<Box<slot::CallSlot>> {
         match &mut self.scratch {
             ScratchRef::Lazy { slot, .. } => slot.take(),
             ScratchRef::Ready(_) => None,
@@ -529,8 +529,8 @@ impl<'a> CallCtx<'a> {
 /// A service handler: receives the call context, returns 8 result words.
 pub type Handler = Arc<dyn Fn(&mut CallCtx<'_>) -> [u64; 8] + Send + Sync>;
 
-/// Per-virtual-processor state: the CD pool (all services on this vCPU
-/// share it) and this vCPU's replica of the service table — the direct
+/// Per-virtual-processor state: the inline CD pool (all services on this
+/// vCPU share it) and this vCPU's replica of the service table — the
 /// analogue of the paper's per-processor pools and per-processor table.
 pub struct VcpuState {
     /// This vCPU's service-table replica: one atomic pointer per entry
@@ -540,14 +540,10 @@ pub struct VcpuState {
     /// This vCPU's pin cell for the epoch-reclamation protocol (see
     /// [`frank`]).
     pub(crate) epoch: frank::EpochCell,
-    /// Lock-free pools of idle call slots, one per [`QosClass`]
-    /// (indexed by [`QosClass::index`]). Segregated so a burst of `Bulk`
-    /// traffic that drains its pool grows *its* pool — a `Latency`
-    /// caller arriving mid-burst still finds a warm CD instead of
-    /// eating the Frank slow path behind the bulk work.
-    pub(crate) cd_pools: [crossbeam::queue::ArrayQueue<Arc<CallSlot>>; 2],
-    /// Slots ever created on this vCPU (diagnostics).
-    pub(crate) cds_created: AtomicU64,
+    /// Lock-free pool of idle call slots: the scratch pages inline calls
+    /// borrow, held only while a handler runs on the caller's thread (a
+    /// hand-off uses its worker's own slot).
+    pub(crate) cd_pool: crossbeam::queue::ArrayQueue<Box<CallSlot>>,
     /// EWMA of observed synchronous hand-off latency on this vCPU, in
     /// nanoseconds. Written only by callers on this vCPU (`Relaxed`);
     /// feeds [`VcpuState::spin_budget`].
@@ -564,21 +560,13 @@ impl VcpuState {
         let v = Arc::new(VcpuState {
             table: (0..MAX_ENTRIES).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
             epoch: frank::EpochCell::default(),
-            cd_pools: [
-                crossbeam::queue::ArrayQueue::new(256),
-                crossbeam::queue::ArrayQueue::new(256),
-            ],
-            cds_created: AtomicU64::new(0),
+            cd_pool: crossbeam::queue::ArrayQueue::new(256),
             ewma_ns: AtomicU64::new(0),
             poll: AtomicU64::new(0),
             id,
         });
-        // Pre-pooled CDs go to the Latency class — it is the default
-        // class and the one whose first call must not eat a Frank
-        // allocation; the Bulk pool warms up on first use.
         for _ in 0..initial_cds {
-            let _ = v.cd_pools[QosClass::Latency.index()].push(CallSlot::new());
-            v.cds_created.fetch_add(1, Ordering::Relaxed);
+            let _ = v.cd_pool.push(CallSlot::new());
         }
         v
     }
@@ -609,53 +597,50 @@ impl VcpuState {
         (ewma as u32).clamp(spin::MIN_BUDGET, spin::MAX_BUDGET)
     }
 
-    /// The client side of every hand-off rendezvous, a synchronous
-    /// caller's (`worker` is whom it posted to, `woke` whether that took a
-    /// wake) and an async call's late waiter alike: this vCPU's learned
-    /// poll unless the peer had to be woken, the EWMA's yielding spin
-    /// capped at [`spin::SPIN_HARD_CAP`], donation rounds to `worker`,
-    /// then the announced futex sleep. `ParkOnly` (not `adaptive`) keeps
-    /// the rounds only, an EWMA past [`spin::PARK_THRESHOLD_NS`] nothing.
-    /// Returns `(resolved_without_blocking, escalated)`.
+    /// The client side of every hand-off rendezvous on `worker`'s slot, a
+    /// synchronous caller's (`donate` to the worker it posted to, `woke`
+    /// whether that took a wake) and an async call's late waiter alike:
+    /// this vCPU's learned poll unless the peer had to be woken, the
+    /// EWMA's yielding spin capped at [`spin::SPIN_HARD_CAP`], donation
+    /// rounds, then the announced futex sleep. `ParkOnly` (not `adaptive`)
+    /// keeps the rounds only, an EWMA past [`spin::PARK_THRESHOLD_NS`]
+    /// nothing. Returns `(resolved_without_blocking, escalated)`.
     pub(crate) fn wait_done(
         &self,
-        slot: &CallSlot,
+        worker: &worker::WorkerHandle,
         adaptive: bool,
-        worker: Option<&worker::WorkerHandle>,
+        donate: bool,
         woke: bool,
     ) -> (bool, bool) {
         let budget = if adaptive { self.spin_budget() } else { 0 };
-        let donates = worker.is_some() && !(adaptive && budget == 0);
+        let donates = donate && !(adaptive && budget == 0);
         let mut poll = wait::Poll::from_bits(self.poll.load(Ordering::Relaxed));
         let spin = wait::Spin {
             poll: (budget > 0 && !woke).then_some(&mut poll),
             budget: budget.min(spin::SPIN_HARD_CAP),
             rounds: if donates { spin::ESCALATE_YIELDS } else { 0 },
         };
-        let how = slot.wait_done(spin, || worker.into_iter().for_each(|w| w.unpark()));
+        let how = worker.slot.wait_done(spin, || worker.unpark());
         self.poll.store(poll.bits(), Ordering::Relaxed);
         (how != wait::Waited::Blocked, donates && how != wait::Waited::Spun)
     }
 
-    /// Take a slot from `class`'s pool, growing it if dry (the Frank
-    /// slow path). `cell` is the calling vCPU's stats cell; `flight`
-    /// records the Frank event (slow path by definition, so
-    /// unconditionally) and `spans` stamps it into a live trace, if one
-    /// encloses the take.
+    /// Take a slot from the pool, growing it if dry (the Frank slow
+    /// path). `cell` is the calling vCPU's stats cell; `flight` records
+    /// the Frank event (slow path by definition, so unconditionally) and
+    /// `spans` stamps it into a live trace, if one encloses the take.
     pub(crate) fn take_slot(
         &self,
-        class: QosClass,
         cell: &StatsCell,
         flight: &FlightPlane,
         spans: &SpanPlane,
-    ) -> Arc<CallSlot> {
-        match self.cd_pools[class.index()].pop() {
+    ) -> Box<CallSlot> {
+        match self.cd_pool.pop() {
             Some(s) => s,
             None => {
                 let tf0 = std::time::Instant::now();
                 cell.frank_redirects.fetch_add(1, Ordering::Relaxed);
                 cell.cds_created.fetch_add(1, Ordering::Relaxed);
-                self.cds_created.fetch_add(1, Ordering::Relaxed);
                 // data 1 = CD pool (the entry is unknown this deep).
                 flight.record(self.id, flight::FlightKind::Frank, 0, 1);
                 spans.record_instant(self.id, 0, SpanPhase::Frank);
@@ -670,11 +655,10 @@ impl VcpuState {
         }
     }
 
-    /// Return a slot to `class`'s pool (dropped if the pool is full —
-    /// surplus reclamation, §2's "extra stacks can easily be reclaimed").
-    pub(crate) fn put_slot(&self, class: QosClass, slot: Arc<CallSlot>) {
-        slot.reset();
-        let _ = self.cd_pools[class.index()].push(slot);
+    /// Return a slot (never posted: it stays `IDLE`) to the pool, dropped
+    /// if full — §2's "extra stacks can easily be reclaimed".
+    pub(crate) fn put_slot(&self, slot: Box<CallSlot>) {
+        let _ = self.cd_pool.push(slot);
     }
 }
 
@@ -721,9 +705,9 @@ pub struct Runtime {
     shutdown: AtomicU8,
 }
 
-/// Worker-side idle-mailbox spin budget implied by a client wait policy.
+/// Worker-side idle-slot spin budget implied by a client wait policy.
 /// The rendezvous is spin-paired: when clients spin out the hand-off, the
-/// worker also spins briefly on its mailbox between calls, so a stream of
+/// worker also spins briefly on its slot between calls, so a stream of
 /// back-to-back calls never reaches a futex on either side (the client's
 /// post finds the worker unparked and its `unpark` stays token-only).
 /// `ParkOnly` maps to 0 so that baseline's idle worker parks at once.
@@ -1179,7 +1163,7 @@ impl Client {
     /// first `rets[7]` bytes come back as the response payload. Panics if
     /// `payload` exceeds the scratch page.
     ///
-    /// This is the **memcpy-through-mailbox** path: the payload is copied
+    /// This is the **memcpy-through-slot** path: the payload is copied
     /// into the slot, and the response copied back out. For transfers
     /// where the copies matter, use a registered region and
     /// [`Client::call_bulk`] instead.
@@ -1394,14 +1378,11 @@ impl Drop for BulkRegion {
     }
 }
 
-/// A pending asynchronous call.
+/// A pending asynchronous call: its result is in the worker's own slot.
 pub struct AsyncCall {
-    pub(crate) slot: Arc<CallSlot>,
+    pub(crate) worker: Arc<WorkerHandle>,
     pub(crate) vcpu: Arc<VcpuState>,
     pub(crate) ep: EntryId,
-    /// QoS class the slot was borrowed under — a pooled slot must return
-    /// to the same class's pool.
-    pub(crate) qos: QosClass,
     /// Whether the spin policy at dispatch let a waiter spin.
     pub(crate) adaptive: bool,
     /// The async span, if the dispatch was traced; closed when the
@@ -1422,14 +1403,14 @@ impl AsyncCall {
     /// Block until the worker completes and return the result words: the
     /// sync caller's wait arriving late, minus a worker to donate to.
     pub fn wait(&self) -> [u64; 8] {
-        self.vcpu.wait_done(&self.slot, self.adaptive, None, false);
+        self.vcpu.wait_done(&self.worker, self.adaptive, false, false);
         self.finish_trace();
-        self.slot.read_rets()
+        self.worker.slot.read_rets()
     }
 
     /// Non-blocking completion check.
     pub fn is_done(&self) -> bool {
-        self.slot.is_done()
+        self.worker.slot.is_done()
     }
 
     /// The entry point this call targets.
@@ -1440,10 +1421,10 @@ impl AsyncCall {
 
 impl Drop for AsyncCall {
     fn drop(&mut self) {
-        // Recycle the slot only once the worker is finished with it.
-        self.vcpu.wait_done(&self.slot, self.adaptive, None, false);
+        // Hand the slot back once the worker is done; it pools itself.
+        self.vcpu.wait_done(&self.worker, self.adaptive, false, false);
         self.finish_trace();
-        self.vcpu.put_slot(self.qos, Arc::clone(&self.slot));
+        self.worker.hand_back();
     }
 }
 

@@ -976,7 +976,7 @@ impl Client {
 
 /// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with the
 /// learned `poll` and a yielding spin of `budget` passes on the lanes'
-/// SQ tails (the mirror of the entry workers' mailbox spin), then the
+/// SQ tails (the mirror of the entry workers' slot spin), then the
 /// announced park the doorbell pairs with; budget 0 (`ParkOnly`) parks
 /// at once, no poll either. One park per call: the worker loop re-reads
 /// the tails and the shutdown flag itself.

@@ -3,44 +3,38 @@
 //! A [`CallSlot`] plays the CD's double role from §2 of the paper: it
 //! carries the call's linkage (here: argument/result frames and the
 //! waiter word the completion wake goes by) and it owns the 4 KB
-//! scratch page that stands in for the worker's stack. Slots live in
-//! per-vCPU lock-free pools and are recycled across services, giving the
-//! same serial-sharing cache benefits the paper describes.
+//! scratch page that stands in for the worker's stack. A hand-off worker
+//! owns one for life (hold-CD); inline calls borrow one from a per-vCPU
+//! pool for its page.
 //!
 //! The rendezvous state machine itself lives in [`SlotCore`] — a
 //! `#[repr(C)]`, **pointer-free, position-independent** structure so the
-//! identical protocol runs in two homes:
+//! identical protocol runs in two homes, laid out alike (core, then
+//! page): a [`CallSlot`] in-process, and a segment's client slot for the
+//! cross-process transport ([`crate::xproc`]). Both complete the same
+//! way: the waiter announces its sleep on the waiter word and
+//! futex-waits on the **state word** — which is why that word is an
+//! `AtomicU32` (the futex granule), not a byte — and the completing side
+//! wakes it only if it announced (`SlotCore::wake_done`). The layout is
+//! locked down with compile-time assertions
+//! ([`assert_segment_layout!`](crate::assert_segment_layout)): drift is a
+//! build error, not UB at a process boundary.
 //!
-//! * embedded in a heap [`CallSlot`] for the in-process path; and
-//! * resident in a shared segment ([`crate::shm::Segment`]) for the
-//!   cross-process transport ([`crate::xproc`]).
+//! The hand-off is a two-party rendezvous in which each slot line
+//! crosses once per direction per call:
 //!
-//! Both homes complete the same way: the waiter announces its sleep on
-//! the waiter word and futex-waits on the **state word** — which is why
-//! that word is an `AtomicU32` (the futex granule), not a byte — and the
-//! completing side wakes it only if it announced
-//! (`SlotCore::wake_done`). No thread handle rides the slot.
-//!
-//! The layout is locked down with compile-time assertions
-//! ([`assert_segment_layout!`](crate::assert_segment_layout)): both sides
-//! of a process boundary must agree on every offset, and drift is a build
-//! error, not UB. Process-local linkage (the boxed scratch page) stays
-//! **outside** the core in `CallSlot`.
-//!
-//! The hand-off protocol is a two-party atomic rendezvous:
-//!
-//! 1. the client owns the slot exclusively (it popped it), fills `args`,
-//!    `caller_program` and the waiter word (does a synchronous caller
-//!    wait, or nobody yet), then publishes the slot to the worker's
-//!    mailbox with `Release` and wakes the worker if it sleeps;
-//! 2. the worker acquires the mailbox pointer, runs the handler on the
-//!    slot's scratch page, writes `rets`, stores `DONE` with `Release`,
-//!    and futex-wakes the state word if the waiter word says a waiter
-//!    sleeps there;
-//! 3. the client observes `DONE` with `Acquire` and reclaims the slot —
-//!    and, for a synchronous call, the worker it popped. An asynchronous
-//!    call's waiter is the same machine arriving late: it announces on
-//!    the waiter word when (and if) it has to sleep.
+//! 1. the client, owning the slot, fills `args`, `caller_program` and
+//!    the waiter word (does a synchronous caller wait, or nobody yet),
+//!    stores `POSTED` with `Release` and wakes the peer if it sleeps;
+//! 2. the server acquires `POSTED`, runs the handler on the scratch
+//!    page, writes `rets`, stores `DONE` with `Release`, and futex-wakes
+//!    the state word if the waiter word says a waiter sleeps there;
+//! 3. the client observes `DONE` with `Acquire` and reads the results.
+//!    Nothing resets the slot: it stays `DONE` until the next post takes
+//!    it straight to `POSTED`, and servers serve `POSTED` only. `IDLE`
+//!    is a slot's state at birth and after a detach or an async hand-back.
+//!    An asynchronous call's waiter is the same machine arriving late: it
+//!    announces on the waiter word when (and if) it has to sleep.
 //!
 //! No step locks; the only blocking is a futex wait on the state word
 //! (client) and `thread::park` (idle worker), the user-level analogue of
@@ -48,7 +42,6 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::wait::{notify, wait, Sleeper, Spin, Waited};
 
@@ -61,11 +54,11 @@ pub const ABORT_RETS: [u64; 8] = [u64::MAX; 8];
 /// Slot lifecycle states. `u32` because the state word doubles as a
 /// futex word on the cross-process path.
 pub mod state {
-    /// In a pool, unowned.
+    /// Never posted, or detached (or an async result handed back).
     pub const IDLE: u32 = 0;
     /// Filled by a client, owned by a worker.
     pub const POSTED: u32 = 1;
-    /// Handler finished; results valid.
+    /// Handler finished; results valid until the slot's next post.
     pub const DONE: u32 = 2;
 }
 
@@ -137,7 +130,7 @@ pub struct SlotCore {
     /// process-local there).
     payload_len: AtomicU32,
     /// Packed trace context riding the hand-off (0 = no trace). Written
-    /// by the client between `fill` and the mailbox post; the mailbox's
+    /// by the client between `fill` and the post; the `POSTED`
     /// Release/Acquire edge publishes it to the worker.
     trace: AtomicU64,
     _pad0: [u8; 24],
@@ -163,8 +156,7 @@ crate::assert_segment_layout!(SlotCore {
 
 // Safety: access to the UnsafeCell frames follows the ownership protocol
 // documented on the module — exactly one party touches them in each
-// state, with Release/Acquire edges on `st` (and the mailbox pointer)
-// ordering the transfers.
+// state, with Release/Acquire edges on `st` ordering the transfers.
 unsafe impl Sync for SlotCore {}
 unsafe impl Send for SlotCore {}
 
@@ -190,20 +182,18 @@ impl SlotCore {
     }
 
     /// Client side: fill the frame prior to posting. Caller must own the
-    /// slot. Spins out the window in which the slot's previous user is
-    /// still between observing `DONE` and calling [`SlotCore::reset`] —
-    /// pooled in-process slots are reset before they are pooled, so only
-    /// the cross-process transport's fixed per-client slot can show it.
+    /// slot; spins only while it is still `POSTED` (a segment async call
+    /// whose handle was forgotten): `IDLE` and `DONE` are both fillable.
     pub fn fill(&self, args: [u64; 8], program: u32, wait_mode: u32) {
         let mut spins = 0u32;
-        while self.st.load(Ordering::Acquire) != state::IDLE {
+        while self.st.load(Ordering::Acquire) == state::POSTED {
             std::hint::spin_loop();
             spins += 1;
             if spins > 1 << 12 {
                 std::thread::yield_now();
             }
         }
-        // Safety: exclusive ownership in IDLE state.
+        // Safety: exclusive ownership outside POSTED.
         unsafe {
             *self.args.get() = args;
         }
@@ -216,8 +206,8 @@ impl SlotCore {
 
     /// Publish the filled frame to the peer (`Release`): the slot
     /// transitions to POSTED. Separate from [`SlotCore::fill`] so the
-    /// in-process path can interleave its mailbox hand-off and the
-    /// cross-process path its doorbell.
+    /// in-process path can add the claim parity and trace word first and
+    /// the cross-process path ring its doorbell after.
     #[inline]
     pub fn post(&self) {
         self.st.store(state::POSTED, Ordering::Release);
@@ -298,7 +288,8 @@ impl SlotCore {
         self.payload_len.store(n, Ordering::Relaxed);
     }
 
-    /// Return the slot to IDLE for pooling / reuse.
+    /// Return the slot to IDLE (a detach, an abandoned segment async call,
+    /// an async hand-back); a finished call needs none.
     #[inline]
     pub fn reset(&self) {
         self.st.store(state::IDLE, Ordering::Release);
@@ -311,15 +302,17 @@ impl Default for SlotCore {
     }
 }
 
-/// One call descriptor (the in-process home of a [`SlotCore`]).
+/// One call descriptor (the in-process home of a [`SlotCore`]), laid out
+/// like the segment's `XClientSlot`: core lines, then the page.
 ///
 /// The state word is the rendezvous's ping-pong line: the client spins or
 /// parks on it while the worker writes results. The core's line layout
 /// keeps `rets`/`scratch` stores off the spinner's line — it transfers
 /// exactly once per call (at `DONE`).
+#[repr(C)]
 pub struct CallSlot {
-    core: SlotCore,
-    scratch: UnsafeCell<Box<[u8; SCRATCH_BYTES]>>,
+    pub(crate) core: SlotCore,
+    scratch: UnsafeCell<[u8; SCRATCH_BYTES]>,
 }
 
 // Safety: see `SlotCore`; `scratch` is owned by whichever party owns the
@@ -329,28 +322,28 @@ unsafe impl Send for CallSlot {}
 
 impl CallSlot {
     /// A fresh, idle slot.
-    pub fn new() -> Arc<Self> {
-        Arc::new(CallSlot {
-            core: SlotCore::new(),
-            scratch: UnsafeCell::new(Box::new([0; SCRATCH_BYTES])),
-        })
+    pub fn new() -> Box<Self> {
+        Box::new(CallSlot { core: SlotCore::new(), scratch: UnsafeCell::new([0; SCRATCH_BYTES]) })
     }
 
-    /// Client side: fill the slot prior to posting. Caller must own the
-    /// slot (popped from a pool). `sync`: the caller will wait for the
-    /// completion (and owns the claim release); otherwise nobody waits
-    /// until a late waiter says so.
+    /// Client side: fill the slot and post it. Caller must own the slot.
+    /// `sync`: the caller will wait for the completion (and owns the
+    /// claim release); otherwise nobody waits until a late waiter says
+    /// so.
     pub fn fill(&self, args: [u64; 8], program: u32, sync: bool) {
-        self.core.fill(args, program, if sync { waiter::FUTEX } else { waiter::NONE });
+        self.stage(args, program, sync, 0, 0);
         self.core.post();
     }
 
-    /// Client side, after `fill` and before posting: attach the packed
-    /// trace context ([`crate::span::TraceCtx::pack`]) to the call. The
-    /// mailbox publish orders it for the worker.
-    #[inline]
-    pub fn set_trace(&self, word: u64) {
-        self.core.trace.store(word, Ordering::Relaxed);
+    /// Client side: fill the frame plus the claim's era parity and the
+    /// packed trace context ([`crate::span::TraceCtx::pack`], 0 = none),
+    /// without posting — [`SlotCore::post`] publishes all of it.
+    pub(crate) fn stage(&self, args: [u64; 8], program: u32, sync: bool, parity: u8, trace: u64) {
+        self.core.fill(args, program, if sync { waiter::FUTEX } else { waiter::NONE });
+        self.core.parity.store(u32::from(parity), Ordering::Relaxed);
+        if trace != 0 {
+            self.core.trace.store(trace, Ordering::Relaxed);
+        }
     }
 
     /// Worker side: the call's packed trace context (0 = none).
@@ -367,13 +360,6 @@ impl CallSlot {
     /// Worker side: the caller's program identity.
     pub fn caller_program(&self) -> u32 {
         self.core.caller_program.load(Ordering::Relaxed)
-    }
-
-    /// Client side, after `fill` and before posting: record the claim's
-    /// era parity. The mailbox publish orders it for the worker.
-    #[inline]
-    pub(crate) fn set_parity(&self, p: u8) {
-        self.core.parity.store(u32::from(p), Ordering::Relaxed);
     }
 
     /// Worker side: the claim's era parity.
@@ -394,16 +380,15 @@ impl CallSlot {
     /// Worker side: run `f` with exclusive access to the scratch page.
     pub fn with_scratch<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         // Safety: worker owns the slot while POSTED.
-        let scratch = unsafe { &mut **self.scratch.get() };
+        let scratch = unsafe { &mut *self.scratch.get() };
         f(scratch)
     }
 
     /// Raw pointer to the scratch page, for an exclusive owner operating
     /// outside the rendezvous protocol (the lazy inline scratch borrow).
     pub(crate) fn scratch_raw(&self) -> *mut u8 {
-        // Safety: the caller owns the slot; this only materializes the
-        // page's data pointer without forming a reference to its bytes.
-        unsafe { (*self.scratch.get()).as_mut_ptr() }
+        // Only the page's data pointer: no reference to its bytes forms.
+        self.scratch.get().cast()
     }
 
     /// Worker side: publish the results and wake the waiter if one
@@ -451,29 +436,29 @@ impl CallSlot {
         self.core.read_rets()
     }
 
-    /// Return the slot to IDLE for pooling.
+    /// Return the slot to IDLE (an async result handed back).
     pub fn reset(&self) {
         self.core.reset();
     }
 
-    /// Client side, before posting (slot owned, IDLE): copy a request
+    /// Client side, before posting (slot owned, not POSTED): copy a request
     /// payload into the scratch page — the runtime's bulk-data channel
     /// (§4.2's CopyFrom direction). Panics if the payload exceeds the
     /// page.
     pub fn write_payload(&self, data: &[u8]) {
         assert!(data.len() <= SCRATCH_BYTES, "payload exceeds the scratch page");
         // Safety: exclusive ownership before POSTED.
-        let scratch = unsafe { &mut **self.scratch.get() };
+        let scratch = unsafe { &mut *self.scratch.get() };
         scratch[..data.len()].copy_from_slice(data);
     }
 
-    /// Client side, after DONE and before reset: copy a response payload
-    /// out of the scratch page (§4.2's CopyTo direction).
+    /// Client side, after DONE and before the slot's next post: copy a
+    /// response payload out of the scratch page (§4.2's CopyTo direction).
     pub fn read_payload(&self, len: usize) -> Vec<u8> {
         debug_assert!(self.is_done());
         let len = len.min(SCRATCH_BYTES);
         // Safety: DONE observed with Acquire; the worker is finished.
-        let scratch = unsafe { &**self.scratch.get() };
+        let scratch = unsafe { &*self.scratch.get() };
         scratch[..len].to_vec()
     }
 }
@@ -481,6 +466,7 @@ impl CallSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn fill_complete_roundtrip() {
@@ -517,10 +503,11 @@ mod tests {
         let s = CallSlot::new();
         s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0);
-        s.set_trace(0xAB_CD);
-        assert_eq!(s.trace_word(), 0xAB_CD);
         s.complete([0; 8]);
-        s.reset();
+        s.stage([0; 8], 0, false, 1, 0xAB_CD);
+        s.core.post();
+        assert_eq!((s.trace_word(), s.parity()), (0xAB_CD, 1));
+        s.complete([0; 8]);
         s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0, "stale context never leaks into the next call");
     }
@@ -528,15 +515,15 @@ mod tests {
     #[test]
     fn cross_thread_handoff() {
         let s = CallSlot::new();
-        let s2 = Arc::clone(&s);
         s.fill([5; 8], 1, true);
-        let h = std::thread::spawn(move || {
-            let args = s2.read_args();
-            s2.complete([args[0] + 1; 8]);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let args = s.read_args();
+                s.complete([args[0] + 1; 8]);
+            });
+            s.wait_done(Spin::default(), || ());
         });
-        s.wait_done(Spin::default(), || ());
         assert_eq!(s.read_rets(), [6; 8]);
-        h.join().unwrap();
     }
 
     /// `n` hand-offs of one slot to a completing thread, the waiter going
@@ -573,7 +560,7 @@ mod tests {
                 blocked += u32::from(how == Waited::Blocked);
                 assert_eq!(s.read_rets(), [i + 1; 8]);
                 assert_eq!(s.has_client(), sync, "an announcement changed who releases the claim");
-                s.reset();
+                // No reset: the next fill posts straight from DONE.
             }
             blocked
         })
@@ -587,8 +574,10 @@ mod tests {
     }
 
     /// An async call nobody waits for: the handle's drop is the late
-    /// waiter. Under `ParkOnly` it blocks at once, on both policies the
-    /// slot comes back to its pool with the call completed.
+    /// waiter. Under `ParkOnly` it blocks at once; on both policies the
+    /// call completes and the drop hands the worker's slot back, so the
+    /// worker is pooled again before the next call pops — one worker and
+    /// no CD serve every call.
     #[test]
     fn async_calls_dropped_unwaited_complete() {
         let _watchdog = crate::wait::abort_if_hung("slot.rs drop-without-wait test");
@@ -602,7 +591,8 @@ mod tests {
             }
         }
         assert_eq!(rt.entry_completions(ep).unwrap(), 100_000);
-        assert_eq!(rt.stats.cds_created(), 0, "every slot was recycled");
+        assert_eq!(rt.stats.workers_created(), 0, "the worker was back in its pool every time");
+        assert_eq!(rt.stats.cds_created(), 0, "the hand-off borrows no CD");
     }
 
     /// A zeroed `SlotCore` is a valid idle core: segment-resident cores

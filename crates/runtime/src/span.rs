@@ -27,8 +27,8 @@
 //! thread-local cell and restores the previous value at end, so nested
 //! `Client::call`s from inside a handler parent naturally. Across the
 //! hand-off the context travels in a word on the [`crate::slot::CallSlot`]
-//! (written before the mailbox publish, read by the worker after the
-//! mailbox acquire — the existing edges order it for free).
+//! (written before the `POSTED` store, read by the worker after its
+//! acquire — the existing edge orders it for free).
 //!
 //! **Tail exemplars**: when a completed root span's duration exceeds
 //! [`EXEMPLAR_FACTOR`] × the entry point's EWMA latency, the whole span

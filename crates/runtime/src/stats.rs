@@ -249,8 +249,8 @@ counters! {
     /// that resolved without parking ([`TimeState::Spin`]).
     time_spin_ns,
     /// Wall-time (ns) spent parked/blocked: clients whose rendezvous
-    /// escalated to a futex wait, and workers parked on an empty
-    /// mailbox or ring ([`TimeState::Park`]).
+    /// escalated to a futex wait, and workers parked on an idle
+    /// slot or ring ([`TimeState::Park`]).
     time_park_ns,
     /// Wall-time (ns) ring workers spent draining submission queues —
     /// SQE decode, staging, completion posting — *excluding* the bulk
@@ -261,7 +261,7 @@ counters! {
     /// Wall-time (ns) spent in Frank cold paths: worker-pool and CD-pool
     /// grow, the allocation slow path ([`TimeState::Frank`]).
     time_frank_ns,
-    /// Wall-time (ns) workers spent spinning on an empty mailbox or
+    /// Wall-time (ns) workers spent spinning on an idle slot or
     /// ring before parking ([`TimeState::Idle`]).
     time_idle_ns,
     /// Interference detector: total ns the probe observed stolen by
@@ -345,7 +345,7 @@ pub enum TimeState {
     Ring,
     /// Frank cold path: pool grow, on-demand allocation.
     Frank,
-    /// Spinning on an empty mailbox/ring, waiting for work.
+    /// Spinning on an idle slot/ring, waiting for work.
     Idle,
 }
 

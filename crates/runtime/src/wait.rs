@@ -41,7 +41,7 @@
 //! |---|---|---|---|---|
 //! | sync caller, async late waiter (`CallSlot::wait_done`) | per vCPU, beside the EWMA | slot waiter word, `ASLEEP` / `LATE` | `SlotCore::wake_done`: futex wake of the state word | `DONE` changed the word the `FUTEX_WAIT` compares |
 //! | segment client (`XClient::wait_done`) | per client handle | slot waiter word, `ASLEEP` | the same | the same |
-//! | entry worker (`worker.rs::idle_wait`) | local in `worker_loop` | `WorkerHandle` sleeper word | `post`: `unpark` iff announced; `request_shutdown` and the caller's donation rounds: `unpark` always | `unpark` leaves a token; a stray one costs a spin |
+//! | entry worker (`worker.rs::idle_wait`) | local in `worker_loop` | `WorkerHandle` sleeper word | `post`, an async `hand_back`: `unpark` iff announced; `request_shutdown` and the caller's donation rounds: `unpark` always | `unpark` leaves a token; a stray one costs a spin |
 //! | ring worker (`ring.rs::idle_wait`) | local in `ring_worker` | `RingShared::sleeping` | doorbell: `unpark` iff announced | token |
 //! | segment server (`serve_loop`) | local in the loop | header `server_sleeping` | doorbell bump + futex wake iff announced | the bump changed the word compared |
 //!
@@ -295,7 +295,7 @@ mod tests {
         /// block, nobody is left to wake it), one in four after a few
         /// yields (it announces around the post).
         Late,
-        /// The worker mailbox: the flag-gated wake of `post` mixed with
+        /// The worker's slot: the flag-gated wake of `post` mixed with
         /// unconditional `unpark`s (`request_shutdown`, the donation
         /// rounds) before and after it, against a consumer that blocks
         /// once per wait and re-checks itself, as `worker_loop` does. A

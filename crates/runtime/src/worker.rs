@@ -1,19 +1,21 @@
 //! Worker threads and their per-vCPU pools.
 //!
 //! A worker is the runtime's analogue of the paper's worker *process*: it
-//! belongs to one (entry point, vCPU) pair, idles parked in a lock-free
-//! pool and is handed one call at a time through an atomic mailbox.
-//! Pools "most commonly contain only a single worker, but can grow and
-//! shrink dynamically as needed".
+//! belongs to one (entry point, vCPU) pair, idles in a lock-free pool,
+//! and owns its call slot (hold-CD: it keeps its CD and stack page). The
+//! caller that popped it fills that slot in place and posts it; the
+//! worker's idle wait polls the slot's state word. Pools "most commonly
+//! contain only a single worker, but can grow and shrink dynamically as
+//! needed".
 //!
 //! Who pools when: a **synchronous caller** popped the worker, so it
-//! pushes it back once it has observed `DONE` — the pool's lines and the
-//! handle's reference count are written from the caller's CPU only. A
-//! worker **pools itself** only when nobody else will (async calls,
-//! upcalls), before it completes. The price: a caller slow to wake keeps
-//! its worker, and a second caller on that vCPU takes the Frank path.
+//! pushes it back once it has read the results — the pool's lines are
+//! written from the caller's CPU only. An async handle holds no claim,
+//! so it never touches the pool: the worker pools *itself* once the
+//! handle hands the slot back. The price: a caller slow to wake keeps its
+//! worker, and a second caller on that vCPU takes the Frank path.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
@@ -21,7 +23,7 @@ use crossbeam::queue::ArrayQueue;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::slot::CallSlot;
+use crate::slot::{state, CallSlot};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin};
 use crate::Handler;
 
@@ -30,35 +32,36 @@ pub const MAX_POOLED: usize = 64;
 
 /// Shared handle to one worker thread.
 ///
-/// The hot fields (`thread`, `mailbox`) are lock-free: posting a call is
-/// one atomic swap plus — only if the worker announced its sleep — an
-/// `unpark` against a `OnceLock`-published thread handle; no mutex
-/// anywhere on the dispatch path. Overrides and shutdown are cold; the
-/// fast path only loads the override generation and the shutdown flag
-/// (`Acquire`). A test pins three groups of lines apart:
-/// what a caller only *reads* (`thread`, `shutdown`, `asleep` — written
-/// when the worker blocks, not per call), the mailbox both sides swap,
-/// and what only the worker writes (`calls`).
+/// Posting a call is a `Release` store into the worker's own slot, a
+/// fence and a load, plus — only if the worker announced its sleep — an
+/// `unpark`; no mutex anywhere on the dispatch path. A test pins three
+/// groups of lines apart: what a caller only *reads* (`thread`,
+/// `shutdown`, `asleep` — written when the worker blocks, not per call),
+/// the slot both sides write in turn, and what only the worker writes
+/// (`calls`).
 pub struct WorkerHandle {
     /// The worker thread, for unparking. Written exactly once by the
     /// spawner before the worker becomes visible to any client, then read
     /// without synchronization cost on every post.
     thread: OnceLock<Thread>,
     /// The worker's sleeper flag (`wait.rs`): 1 while it is about to
-    /// park on an empty mailbox, or parked.
+    /// park waiting on its slot, or parked.
     asleep: AtomicU32,
-    /// Mailbox: the posted call slot (`Arc::into_raw` transferred).
-    /// Padded: the mailbox ping-pongs between client and worker every
-    /// call and must not share a line with the cold fields below.
-    mailbox: CachePadded<AtomicPtr<CallSlot>>,
     /// Per-worker handler override (worker initialization, §4.5.3), and
     /// its generation, bumped under the lock by every `set_override`.
     override_handler: Mutex<Option<Handler>>,
     override_gen: AtomicU64,
-    /// Shutdown request.
+    /// Shutdown request, and the worker's last word: its final look at
+    /// its slot is done (see [`WorkerHandle::post`]).
     shutdown: AtomicBool,
-    /// Calls completed by this worker (diagnostics). Padded: written by
-    /// the worker per call, off the lines `post` reads.
+    exited: AtomicBool,
+    /// The worker's own call slot: whoever popped (or grew) the worker
+    /// fills it, the worker owns it while `POSTED`. Padded: its lines go
+    /// back and forth once per call, apart from the words around it.
+    pub(crate) slot: CachePadded<CallSlot>,
+    /// Calls this worker is done with (diagnostics) — an async one once
+    /// its handle handed the slot back and the worker pooled itself.
+    /// Padded: written by the worker per call, off the lines `post` reads.
     pub calls: CachePadded<AtomicU64>,
 }
 
@@ -67,22 +70,55 @@ impl WorkerHandle {
         Arc::new(WorkerHandle {
             thread: OnceLock::new(),
             asleep: AtomicU32::new(0),
-            mailbox: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
             override_handler: Mutex::new(None),
             override_gen: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            exited: AtomicBool::new(false),
+            slot: CachePadded::new(*CallSlot::new()),
             calls: CachePadded::new(AtomicU64::new(0)),
         })
     }
 
-    /// Post `slot` to this worker, transferring one strong reference
-    /// through the mailbox, and wake it if it sleeps: one swap, a fence
-    /// and a load. Returns whether it had to wake.
-    pub fn post(&self, slot: Arc<CallSlot>) -> bool {
-        let raw = Arc::into_raw(slot) as *mut CallSlot;
-        let prev = self.mailbox.swap(raw, Ordering::AcqRel);
-        debug_assert!(prev.is_null(), "worker double-posted");
-        notify(self.sleeper(), || self.unpark())
+    /// Post the filled slot (`POSTED`, `Release`) and wake the worker if
+    /// it sleeps. Returns whether it had to wake — or `None`: the worker
+    /// was shutting down and exited without seeing the post, so the call
+    /// is the caller's again (nobody will ever complete it).
+    ///
+    /// ORDERING: exactly one side gets the call. The caller stores
+    /// `POSTED`, fences (`SeqCst`, in `notify`) and loads `shutdown`; the
+    /// worker loads `shutdown`, fences, takes its final look at the slot
+    /// and only then stores `exited` (`Release`). A caller that read
+    /// `shutdown` false has its fence first in the total order (the
+    /// request happens before the worker's fence, and the caller's load
+    /// missed it), so the final look sees `POSTED` and the worker
+    /// completes the call. One that read it true waits for `DONE` or
+    /// `exited`: a final look that saw `POSTED` stores `DONE` before
+    /// `exited`, so `exited` without `DONE` (re-read after the `Acquire`)
+    /// means the worker missed the post and will never touch the slot.
+    pub(crate) fn post(&self) -> Option<bool> {
+        self.slot.core.post();
+        let woke = notify(self.sleeper(), || self.unpark());
+        if self.shutdown.load(Ordering::Acquire) {
+            while !self.slot.is_done() && !self.exited.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            if !self.slot.is_done() {
+                return None;
+            }
+        }
+        Some(woke)
+    }
+
+    /// An async handle's last act: hand the slot back (`IDLE`) and wait
+    /// until the worker has pooled itself (its `calls` moves) or exited,
+    /// so the drop returns with the worker ready for the next call.
+    pub(crate) fn hand_back(&self) {
+        let before = self.calls.load(Ordering::Acquire);
+        self.slot.core.reset();
+        notify(self.sleeper(), || self.unpark());
+        while self.calls.load(Ordering::Acquire) == before && !self.exited.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
     }
 
     fn sleeper(&self) -> Sleeper<'_> {
@@ -98,16 +134,6 @@ impl WorkerHandle {
         }
     }
 
-    pub(crate) fn take_mail(&self) -> Option<Arc<CallSlot>> {
-        let raw = self.mailbox.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if raw.is_null() {
-            None
-        } else {
-            // Safety: `post` transferred exactly one strong reference.
-            Some(unsafe { Arc::from_raw(raw) })
-        }
-    }
-
     /// Install a per-worker handler override, or remove it (`None`:
     /// Exchange does, so that new code takes effect).
     pub fn set_override(&self, h: Option<Handler>) {
@@ -117,8 +143,9 @@ impl WorkerHandle {
     }
 
     /// Bring the worker's `(generation, override)` copy up to date,
-    /// locking only when the generation moved. Called after the mailbox
-    /// take, so a call posted once an exchange returned sees its clear.
+    /// locking only when the generation moved. Called after the worker
+    /// acquired a `POSTED` slot, so a call posted once an exchange
+    /// returned sees its clear.
     fn refresh_override(&self, mine: &mut (u64, Option<Handler>)) {
         if self.override_gen.load(Ordering::Acquire) != mine.0 {
             *mine = {
@@ -126,13 +153,6 @@ impl WorkerHandle {
                 (self.override_gen.load(Ordering::Relaxed), slot.clone())
             };
         }
-    }
-
-    /// Has this worker been asked to shut down? `Acquire` pairs with the
-    /// `Release` in [`WorkerHandle::request_shutdown`]; the dispatch fast
-    /// path performs this load, so it must not be (and is not) SeqCst.
-    pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
     }
 
     /// Request shutdown and wake the worker.
@@ -270,25 +290,24 @@ impl Default for WorkerPool {
 
 /// Idle rendezvous, worker side — the mirror of the client's
 /// `CallSlot::wait_done`, on the same primitive (`wait.rs`): the learned
-/// `poll`, a yielding spin of `idle_spin` passes on the mailbox, then the
-/// announced park that `post` pairs with. In a stream of back-to-back
-/// calls neither side ever reaches a futex: the client posts while we
-/// are still spinning, reads our flag, and wakes nobody. Budget 0
-/// (`SpinPolicy::ParkOnly`) parks immediately — no poll either — keeping
-/// that baseline a pure park/unpark pair. One park per call — the worker
-/// loop re-runs its shutdown and mailbox checks itself, so the stray
+/// `poll`, a yielding spin of `idle_spin` passes until the slot's state
+/// reads `want`, then the announced park that `post` pairs with. In a
+/// stream of back-to-back calls neither side ever reaches a futex. Budget
+/// 0 (`SpinPolicy::ParkOnly`) parks immediately — no poll either. One
+/// park per call — the worker loop re-runs its own checks, so the stray
 /// token of an unconditional `unpark` costs another spin, not a hang.
 fn idle_wait(
     entry: &crate::entry::EntryShared,
     me: &WorkerHandle,
+    want: u32,
     poll: Option<&mut Poll>,
     timer: &mut crate::stats::StateTimer<'_>,
 ) {
     let budget = entry.idle_spin.load(Ordering::Relaxed);
     let spin = Spin { poll: poll.filter(|_| budget > 0), budget, rounds: 0 };
-    let ready = || {
-        !me.mailbox.load(Ordering::Relaxed).is_null() || me.shutdown.load(Ordering::Relaxed)
-    };
+    let st = me.slot.core.state_word();
+    let ready =
+        || st.load(Ordering::Relaxed) == want || me.shutdown.load(Ordering::Relaxed);
     let park = || {
         // The spin was Idle time; the park interval is Park time.
         timer.transition(crate::stats::TimeState::Park);
@@ -299,42 +318,53 @@ fn idle_wait(
     wait(spin, Some(me.sleeper()), ready, || (), park);
 }
 
-/// The worker thread body: park → take call → run handler → complete →
-/// park. (The spawner installed our thread handle and pooled us before
+/// The worker thread body: wait for `POSTED` → run handler → complete →
+/// wait. (The spawner installed our thread handle and pooled us before
 /// we became visible.)
 fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcpu: usize) {
-    // This thread's wall-time classifier: Idle on the mailbox spin, Park
+    // This thread's wall-time classifier: Idle on the slot spin, Park
     // across the futex wait (both inside `idle_wait`), Handler from call
     // pickup to completion. One timer per thread keeps the states
     // exclusive; the drop on return charges the tail interval. It writes
     // the vCPU's *served* cell: the caller's counters are on other lines.
     let mut timer =
         crate::stats::StateTimer::new(entry.stats.served_cell(vcpu), crate::stats::TimeState::Idle);
-    // The mailbox's learned poll (this loop is its only writer), skipped
+    // The slot's learned poll (this loop is its only writer), skipped
     // when the last completion had to wake its waiter (see `wait.rs`).
     let (mut poll, mut woke) = (Poll::default(), false);
     let mut over = (0, None);
+    let slot = &me.slot;
+    // An async result not yet handed back: wait for `IDLE`, then pool.
+    let mut owed = false;
     loop {
         if me.shutdown.load(Ordering::Acquire) {
-            // A client may have posted a call in the window between
-            // popping this worker and our shutdown: complete it with the
-            // abort marker so the caller is never left parked forever
-            // (it will observe the entry's Dead state and report
-            // `Aborted`). A waiting client owns the claim release (its
-            // guard drops after it reads the entry state); for async
-            // calls nobody else will, so release it here.
-            if let Some(slot) = me.take_mail() {
+            // The final look (ORDERING: `WorkerHandle::post`): a call
+            // posted between the pop and our shutdown completes with the
+            // abort marker (the caller reads the entry's Dead state and
+            // reports `Aborted`); for an async one nobody else releases
+            // the claim, so we do.
+            fence(Ordering::SeqCst);
+            if slot.core.state_word().load(Ordering::Acquire) == state::POSTED {
                 if !slot.has_client() {
                     entry.finish_call(vcpu, slot.parity());
                 }
                 slot.complete(crate::slot::ABORT_RETS);
             }
+            me.exited.store(true, Ordering::Release);
             return;
         }
-        let Some(slot) = me.take_mail() else {
-            idle_wait(&entry, &me, (!woke).then_some(&mut poll), &mut timer);
+        let want = if owed { state::IDLE } else { state::POSTED };
+        if slot.core.state_word().load(Ordering::Acquire) != want {
+            idle_wait(&entry, &me, want, (!woke).then_some(&mut poll), &mut timer);
             continue;
-        };
+        }
+        if owed {
+            // Pooled first, then counted: `hand_back` waits for the count.
+            owed = false;
+            entry.pool(vcpu).push(Arc::clone(&me));
+            me.calls.fetch_add(1, Ordering::Release);
+            continue;
+        }
         timer.transition(crate::stats::TimeState::Handler);
         me.refresh_override(&mut over);
 
@@ -363,21 +393,19 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         if run.faulted {
             slot.mark_faulted();
         }
-        me.calls.fetch_add(1, Ordering::Relaxed);
         // A synchronous caller holds the claim (releasing it here would
         // let a reclaim free the entry under the caller), counts the
-        // completion on its own lifecycle line and re-pools us once it
-        // sees `DONE`. Async calls and upcalls have no one else: count,
-        // release the claim under the parity that rode the slot, and
-        // re-pool *before* completing, so a waiter that re-dispatches at
-        // once finds this worker idle.
-        if !slot.has_client() {
+        // completion on its own lifecycle line and re-pools us. Async
+        // calls and upcalls have no one else: count, release the claim
+        // under the parity that rode the slot, and owe the re-pool.
+        if slot.has_client() {
+            me.calls.fetch_add(1, Ordering::Relaxed);
+        } else {
             entry.record_completion(vcpu);
             entry.finish_call(vcpu, slot.parity());
-            entry.pool(vcpu).push(Arc::clone(&me));
+            owed = true;
         }
         woke = slot.complete(run.rets);
-        drop(slot);
         // The clock read that ends Handler time comes after `DONE`: it
         // is off the waiting caller's critical path.
         timer.transition(crate::stats::TimeState::Idle);
@@ -407,14 +435,16 @@ pub(crate) mod tests {
         let w = WorkerHandle::new();
         // What a caller reads on every post …
         let read = [pairs(&w.thread), pairs(&w.shutdown), pairs(&w.asleep)];
-        // … against what the worker writes per call, and the mailbox.
-        let written = [pairs(&*w.calls), pairs(&*w.mailbox)];
+        // … against what the worker writes per call, and the slot's three
+        // lines, which both sides write in turn.
+        let written = [pairs(&*w.calls), pairs(&w.slot.core)];
+        assert_eq!(written[1].clone().count(), 2, "the slot core starts on a pair boundary");
         for r in &read {
             for x in &written {
                 assert!(apart(r, x), "caller-read {r:?} shares a line pair with {x:?}");
             }
         }
-        assert!(apart(&written[0], &written[1]), "`calls` shares the mailbox's line pair");
+        assert!(apart(&written[0], &written[1]), "`calls` shares the slot's line pairs");
         let stats = crate::stats::RuntimeStats::new(3);
         for v in 0..3 {
             let (c, s) = (pairs(stats.cell(v)), pairs(stats.served_cell(v)));
@@ -422,14 +452,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// The mailbox pair for real: `post` wakes by the worker's flag
+    /// The slot pair for real: `post` wakes by the worker's flag
     /// while a bystander showers the worker with unconditional `unpark`s
     /// (what `request_shutdown` and the donation rounds issue), under
     /// `ParkOnly` so that the worker parks between any two calls. A stray
     /// token may cost it a pass of its idle wait; no call may hang.
     #[test]
     fn stray_unparks_cost_a_spin_never_a_hang() {
-        let _watchdog = crate::wait::abort_if_hung("worker.rs mailbox test");
+        let _watchdog = crate::wait::abort_if_hung("worker.rs stray-unpark test");
         let rt = crate::Runtime::new(1);
         rt.set_spin_policy(crate::SpinPolicy::ParkOnly);
         let ep = rt.bind("null", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
@@ -448,5 +478,78 @@ pub(crate) mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(rt.stats.workers_created(), 0, "one worker served every call");
+    }
+
+    /// A post racing a kill goes to exactly one side. 10⁴ rounds of a
+    /// sync `post` against a `hard_kill` that shuts its worker down: each
+    /// call is served (its own result), aborted by the worker's final look
+    /// (`ABORT_RETS`), or taken back (`Aborted`, the worker gone), and its
+    /// handler runs at most once. Then a shut-down worker that a late
+    /// re-pool put back must give its post back: a worker that exited
+    /// never completes a call, so without the take-back that call would
+    /// wait forever.
+    #[test]
+    fn a_post_racing_a_kill_goes_to_exactly_one_side() {
+        use crate::{EntryOptions, RtError};
+        let _watchdog = crate::wait::abort_if_hung("worker.rs shutdown-race test");
+        let rt = crate::Runtime::new(1);
+        let runs = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&runs);
+        let handler: Handler = Arc::new(move |c| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            c.args
+        });
+        let mut seen = [0u32; 3];
+        for round in 0..10_000u64 {
+            let ep = rt.bind("racy", EntryOptions::default(), Arc::clone(&handler)).unwrap();
+            let before = runs.load(Ordering::Relaxed);
+            let claim = rt.claim(0, ep).unwrap();
+            let go = std::sync::Barrier::new(2);
+            let posted = std::thread::scope(|s| {
+                s.spawn(|| {
+                    go.wait();
+                    rt.hard_kill(ep, 0).unwrap();
+                });
+                go.wait();
+                let posted = rt.post(&claim, [round; 8], 1, None, true, 0);
+                if let Ok((w, _)) = &posted {
+                    while !w.slot.is_done() {
+                        std::thread::yield_now();
+                    }
+                }
+                posted
+            });
+            let ran = runs.load(Ordering::Relaxed) - before;
+            let outcome = match posted {
+                Ok((w, _)) if w.slot.read_rets() == [round; 8] => 0,
+                Ok((w, _)) => {
+                    assert_eq!(w.slot.read_rets(), crate::slot::ABORT_RETS);
+                    1
+                }
+                Err(e) => {
+                    assert_eq!(e, RtError::Aborted(ep));
+                    2
+                }
+            };
+            assert_eq!(ran, u64::from(outcome == 0), "round {round}: {outcome}, {ran} runs");
+            seen[outcome] += 1;
+            drop(claim);
+            rt.reclaim_slot(ep, 0).unwrap();
+        }
+        assert!(seen.iter().all(|&n| n > 0), "served / aborted / taken back: {seen:?}");
+
+        let ep = rt.bind("late", EntryOptions::default(), handler).unwrap();
+        let entry = rt.frank_entry(ep).unwrap();
+        let w = entry.pool(0).pop().unwrap();
+        entry.reap_workers();
+        assert!(w.exited.load(Ordering::Acquire));
+        entry.pool(0).push(w);
+        let claim = rt.claim(0, ep).unwrap();
+        let before = runs.load(Ordering::Relaxed);
+        match rt.post(&claim, [7; 8], 1, None, true, 0) {
+            Err(e) => assert_eq!(e, RtError::Aborted(ep)),
+            Ok(_) => panic!("a worker that exited accepted a post"),
+        }
+        assert_eq!(runs.load(Ordering::Relaxed), before);
     }
 }
