@@ -57,41 +57,9 @@ impl EntryState {
     }
 }
 
-/// Dispatch quality-of-service class of an entry point.
-///
-/// The class segregates the transport resources a call consumes so bulk
-/// work can never head-of-line-block latency-critical calls: each vCPU
-/// keeps one CD pool per class (a `Bulk` burst that drains its pool
-/// grows *its* pool, not the `Latency` one), and submission rings keep
-/// one SQ/CQ lane per class with the ring worker draining every queued
-/// `Latency` SQE before each `Bulk` one (see [`crate::ring`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QosClass {
-    /// Latency-critical calls (null calls, small control RPCs). The
-    /// default.
-    #[default]
-    Latency,
-    /// Throughput work (large payload/bulk transfers, long handlers)
-    /// that must yield priority to `Latency` traffic.
-    Bulk,
-}
-
-impl QosClass {
-    /// Stable index for per-class resource arrays.
-    #[inline]
-    pub(crate) fn index(self) -> usize {
-        match self {
-            QosClass::Latency => 0,
-            QosClass::Bulk => 1,
-        }
-    }
-}
-
 /// Options for a bound entry point.
 #[derive(Clone, Copy, Debug)]
 pub struct EntryOptions {
-    /// Dispatch QoS class (see [`QosClass`]). `Latency` by default.
-    pub qos: QosClass,
     /// Synchronous calls may run the handler *inline on the caller's
     /// thread* — the logical conclusion of hand-off scheduling: when the
     /// worker would run on the caller's processor anyway, skip the worker
@@ -114,7 +82,6 @@ pub struct EntryOptions {
 impl Default for EntryOptions {
     fn default() -> Self {
         EntryOptions {
-            qos: QosClass::Latency,
             inline_ok: false,
             initial_workers: 1,
             owner: 0,

@@ -91,7 +91,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use bulk::{BufferPool, BulkState, PoolBuf};
-pub use entry::{EntryOptions, EntryState, QosClass};
+pub use entry::{EntryOptions, EntryState};
 pub use flight::{FlightEvent, FlightKind, FlightPlane};
 pub use obs::{Histogram, LatencyKind, ObsState};
 pub use region::{BulkDesc, RegionId, MAX_BULK, MAX_REGIONS};
@@ -881,14 +881,6 @@ impl Runtime {
         for e in inner.entries.iter().flatten() {
             e.idle_spin.store(budget, Ordering::Relaxed);
         }
-    }
-
-    /// The QoS class of entry `ep` as seen from `vcpu`'s table replica
-    /// (`None` if unbound or dead). Used by rings to pick a lane at
-    /// submit time; a dead entry's class is irrelevant — its SQE
-    /// completes with an error either way.
-    pub(crate) fn entry_qos(&self, vcpu: usize, ep: EntryId) -> Option<QosClass> {
-        self.claim(vcpu, ep).ok().map(|c| c.opts.qos)
     }
 
     /// The current synchronous-rendezvous wait policy.

@@ -10,9 +10,11 @@
 //! This module is the only place a queue pair is laid out, filled,
 //! bounded, drained and reaped. The memory is the process's own
 //! ([`ClientRing`], with its own worker thread) or one client's ring
-//! area of a shared segment ([`crate::XClient`], served by `xproc.rs`).
-//! DESIGN §10 has the picture, the drain order and what each front-end
-//! adds; the two rules every `unsafe` block below leans on are here.
+//! area of a shared segment ([`crate::XClient`], served by `xproc.rs`);
+//! either way one producer and one consumer share one queue pair, and
+//! completions come back in submission order. DESIGN §10 has the
+//! picture and what each front-end adds; the two rules every `unsafe`
+//! block below leans on are here.
 //!
 //! **Cursor ownership.** Cursors are monotonic and masked only to index.
 //!
@@ -52,9 +54,6 @@ use crate::span::SpanToken;
 use crate::stats::{StateTimer, TimeState};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin};
 use crate::{bulk, Client, EntryId, ProgramId, RegionId, RtError, Runtime};
-
-/// Lanes of a [`ClientRing`] — one per [`crate::QosClass`] variant.
-const LANES: usize = 2;
 
 /// Hard cap on ring capacities (entries). Large enough for any open-loop
 /// experiment, small enough that a mis-typed depth cannot map gigabytes.
@@ -167,7 +166,7 @@ pub(crate) fn wire_to_result(status: u32, aux: u32, rets: [u64; 8]) -> Result<[u
 /// that becomes the handler's scratch.
 const SQE_PAYLOAD: u32 = 1;
 
-/// The four cursors of one lane, a cache line each (see the module
+/// The four cursors of a ring, a cache line each (see the module
 /// docs for who writes which).
 #[repr(C, align(64))]
 pub(crate) struct RingCursors {
@@ -204,7 +203,7 @@ pub(crate) struct Sqe {
     /// none): the handler span parents under it, like the call slot's
     /// trace word on the hand-off path.
     trace: u64,
-    /// Offset of the staged span from the lane's staging base — the
+    /// Offset of the staged span from the ring's staging base — the
     /// segment base, across processes (valid with [`SQE_PAYLOAD`]).
     payload_off: u32,
     payload_len: u32,
@@ -246,13 +245,13 @@ crate::assert_segment_layout!(Cqe {
     rets: 24,
 });
 
-/// One lane of a ring in memory its owner keeps alive: where the
+/// One ring's queue pair in memory its owner keeps alive: where the
 /// cursors and entries are, where the staging pages are, how deep it
 /// is. Every pointer into the queue is derived here, from a cursor and
 /// a mask.
 #[derive(Clone, Copy)]
 pub(crate) struct LaneRef {
-    /// The lane's [`RingCursors`]; the SQE array and then the CQE array
+    /// The ring's [`RingCursors`]; the SQE array and then the CQE array
     /// follow it.
     ring: *mut u8,
     /// What a staged-payload offset counts from (a segment's base).
@@ -287,7 +286,7 @@ impl LaneRef {
     /// For as long as this view or any copy of it is used,
     /// [`LaneRef::ring_bytes`] at `ring` (64-aligned) and
     /// [`LaneRef::stage_bytes`] at `base + stage_off` stay allocated,
-    /// were zero when first used as a lane, and are used as nothing
+    /// were zero when first used as a ring, and are used as nothing
     /// else; the depths are powers of two.
     pub(crate) unsafe fn new(
         ring: *mut u8,
@@ -327,9 +326,9 @@ impl LaneRef {
         self.stage_off + (cursor & self.cq_mask) as usize * SCRATCH_BYTES
     }
 
-    /// The span a `PAYLOAD` SQE names, checked against this lane's own
-    /// staging area: a forged offset cannot reach another lane's pages,
-    /// the entries, or anything else in the mapping.
+    /// The span a `PAYLOAD` SQE names, checked against this ring's own
+    /// staging area: a forged offset cannot reach another client's
+    /// pages, the entries, or anything else in the mapping.
     fn staged(&self, sqe: &Sqe) -> Result<(*mut u8, usize), RtError> {
         let len = (sqe.payload_len as usize).min(SCRATCH_BYTES);
         let off = sqe.payload_off as usize;
@@ -347,7 +346,7 @@ impl LaneRef {
 // Producer: admit, stage, publish, reap
 // ---------------------------------------------------------------------
 
-/// The submitting side of one lane. Its owner is the lane's single
+/// The submitting side of a ring. Its owner is the ring's single
 /// producer (`&mut self` on [`ClientRing`] and [`crate::XClient`]
 /// enforces it).
 pub(crate) struct Producer {
@@ -362,33 +361,27 @@ pub(crate) struct Producer {
 }
 
 impl Producer {
-    /// A producer over a lane whose cursors are zero: a fresh mapping,
+    /// A producer over a ring whose cursors are zero: a fresh mapping,
     /// or a segment slot the server reset at attach.
     pub(crate) fn new(lane: LaneRef) -> Producer {
         Producer { lane, sq_tail: 0, sq_head_cache: 0, cq_head: 0 }
     }
 
-    /// Submissions accepted on this lane and not yet reaped.
+    /// Submissions accepted and not yet reaped.
     pub(crate) fn in_flight(&self) -> u64 {
         self.sq_tail - self.cq_head
     }
 
     /// Admission control for one submission carrying `payload_len`
-    /// staged bytes; `in_flight` counts every lane that shares the
-    /// `credits` budget. [`RtError::BadBulk`] for a payload that does
-    /// not fit a staging page, else [`RtError::RingFull`]: the budget
-    /// is spent (`in_flight >= credits` — the remedy is to reap), or
-    /// the SQ has no free slot (the consumer is behind).
-    pub(crate) fn admit(
-        &mut self,
-        in_flight: u64,
-        credits: u64,
-        payload_len: usize,
-    ) -> Result<(), RtError> {
+    /// staged bytes. [`RtError::BadBulk`] for a payload that does not
+    /// fit a staging page, else [`RtError::RingFull`]: the `credits`
+    /// budget is spent (`in_flight() >= credits` — the remedy is to
+    /// reap), or the SQ has no free slot (the consumer is behind).
+    pub(crate) fn admit(&mut self, credits: u64, payload_len: usize) -> Result<(), RtError> {
         if payload_len > SCRATCH_BYTES {
             return Err(RtError::BadBulk);
         }
-        if in_flight >= credits {
+        if self.in_flight() >= credits {
             return Err(RtError::RingFull);
         }
         // The consumer's head is loaded only when the cached copy says
@@ -421,7 +414,7 @@ impl Producer {
             payload_off = self.lane.stage_page(self.sq_tail);
             payload_len = p.len();
             flags = SQE_PAYLOAD;
-            // Safety: the page is in the lane's staging area and is this
+            // Safety: the page is in the ring's staging area and is this
             // producer's until the CQE of submission `sq_tail` is reaped
             // — the previous tenant's was, by the credit clamp (module
             // docs, Admission).
@@ -481,7 +474,7 @@ impl Producer {
 // Consumer: bound, execute, post
 // ---------------------------------------------------------------------
 
-/// The serving side of one lane: private copies of the two cursors it
+/// The serving side of a ring: private copies of the two cursors it
 /// owns, published to — never re-loaded from — the shared words.
 pub(crate) struct Consumer {
     lane: LaneRef,
@@ -494,8 +487,8 @@ impl Consumer {
         Consumer { lane, sq_head: 0, cq_tail: 0 }
     }
 
-    /// Hand the lane to a new producer: zero the four shared cursors
-    /// and the private copies. The caller owns the lane exclusively
+    /// Hand the ring to a new producer: zero the four shared cursors
+    /// and the private copies. The caller owns the ring exclusively
     /// (no producer is active): a segment server between a slot's
     /// `attach_req` and its ack.
     pub(crate) fn reset(&mut self) {
@@ -513,89 +506,80 @@ impl Consumer {
     }
 }
 
-/// Serve `lanes` on behalf of `program` on `vcpu` until none has work or
-/// about one queue-full of SQEs has run — a producer that keeps
-/// submitting cannot hold the caller in here. Lanes are served in index
-/// order, lane 0's tail re-read after every execution: an SQE waits
-/// behind everything queued on an earlier lane, and an earlier-lane SQE
-/// arriving mid-batch behind at most one running handler. The handler
-/// runs under an **execution-time claim** — a queued SQE holds no entry
-/// reference, so kill, Exchange and reclaim drain a queued ring with
-/// [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs — and completions
-/// are in submission order within a lane. `scratch` is the page handlers
-/// of payload-less SQEs see; a sampled handler run adds its estimate to
-/// `handler_ns`. Returns how many SQEs were executed (each has its CQE
-/// posted), or `None` for a lane whose `sq_tail` ran more than `sq_depth`
-/// ahead of its head — a broken or hostile producer, not a big batch;
-/// nothing was executed from that lane.
+/// Serve `c` on behalf of `program` on `vcpu` until its SQ is empty or
+/// one queue-full of SQEs has run — a producer that keeps submitting
+/// cannot hold the caller in here. SQEs execute, and their completions
+/// are posted, in submission order, whichever entries they target. The
+/// handler runs under an **execution-time claim** — a queued SQE holds
+/// no entry reference, so kill, Exchange and reclaim drain a queued ring
+/// with [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs. `scratch` is
+/// the page handlers of payload-less SQEs see; a sampled handler run
+/// adds its estimate to `handler_ns`. Returns how many SQEs were
+/// executed (each has its CQE posted), or `None` once `sq_tail` runs
+/// more than `sq_depth` ahead of the head — a broken or hostile
+/// producer, not a big batch; nothing past that point is executed.
 pub(crate) fn drain(
     rt: &Arc<Runtime>,
-    lanes: &mut [Consumer],
+    c: &mut Consumer,
     vcpu: usize,
     program: ProgramId,
     scratch: &mut [u8],
     handler_ns: &mut u64,
 ) -> Option<u64> {
-    let budget: u64 = lanes.iter().map(|c| c.lane.sq_mask + 1).sum();
+    let budget = c.lane.sq_mask + 1;
+    let cur = c.lane.cursors();
     let mut done = 0;
-    'next: while done < budget {
-        for l in 0..lanes.len() {
-            let ahead = lanes[l].pending();
-            if ahead == 0 {
-                continue;
-            }
-            if ahead > lanes[l].lane.sq_mask + 1 {
-                return None;
-            }
-            // One sampler tick per SQE decides all its records: a second
-            // site on this thread would fall into step and take every
-            // sample or none.
-            let sampled = rt.obs().try_sample();
-            if sampled {
-                // The queue depth this pickup observes — log₂ bands.
-                let depth = lanes.iter().map(Consumer::pending).sum();
-                rt.obs().record(LatencyKind::RingDepth, vcpu, depth);
-            }
-            let c = &mut lanes[l];
-            let cur = c.lane.cursors();
-            // Safety: sole SQ consumer; `pending`'s `Acquire` published
-            // the entry, and the producer will not rewrite it before
-            // `sq_head` passes. A hostile producer can tear the copy;
-            // every field is validated or opaque below.
-            let sqe = unsafe { std::ptr::read(c.lane.sqe(c.sq_head)) };
-            c.sq_head += 1;
-            // Free the SQ slot before executing: admission is bounded by
-            // credits, not SQ occupancy, so the producer may refill
-            // while this entry runs.
-            cur.sq_head.store(c.sq_head, Ordering::Release);
-            let page = match sqe.flags & SQE_PAYLOAD {
-                0 => Ok(&mut *scratch),
-                // Safety: `staged` bounded the span; the staging
-                // protocol gives the consumer exclusive use of the page
-                // until its CQE is reaped.
-                _ => c.lane.staged(&sqe).map(|(p, n)| unsafe { std::slice::from_raw_parts_mut(p, n) }),
-            };
-            let ep = sqe.ep as EntryId;
-            let result = page.and_then(|page| {
-                rt.ring_execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
-            });
-            let (status, aux, rets) = result_to_wire(result);
-            // Safety: sole CQ producer; occupancy is bounded by the
-            // producer's credit clamp (credits ≤ CQ capacity, asserted
-            // in `Producer::push`), so the slot's previous completion
-            // has been reaped.
-            unsafe {
-                std::ptr::write(
-                    c.lane.cqe(c.cq_tail),
-                    Cqe { user: sqe.user, ep: sqe.ep, status, aux, _pad: 0, rets },
-                );
-            }
-            c.cq_tail += 1;
-            cur.cq_tail.store(c.cq_tail, Ordering::Release);
-            done += 1;
-            continue 'next;
+    while done < budget {
+        let ahead = c.pending();
+        if ahead == 0 {
+            break;
         }
-        break;
+        if ahead > budget {
+            return None;
+        }
+        // One sampler tick per SQE decides all its records: a second
+        // site on this thread would fall into step and take every
+        // sample or none.
+        let sampled = rt.obs().try_sample();
+        if sampled {
+            // The queue depth this pickup observes — log₂ bands.
+            rt.obs().record(LatencyKind::RingDepth, vcpu, ahead);
+        }
+        // Safety: sole SQ consumer; `pending`'s `Acquire` published
+        // the entry, and the producer will not rewrite it before
+        // `sq_head` passes. A hostile producer can tear the copy;
+        // every field is validated or opaque below.
+        let sqe = unsafe { std::ptr::read(c.lane.sqe(c.sq_head)) };
+        c.sq_head += 1;
+        // Free the SQ slot before executing: admission is bounded by
+        // credits, not SQ occupancy, so the producer may refill
+        // while this entry runs.
+        cur.sq_head.store(c.sq_head, Ordering::Release);
+        let page = match sqe.flags & SQE_PAYLOAD {
+            0 => Ok(&mut *scratch),
+            // Safety: `staged` bounded the span; the staging
+            // protocol gives the consumer exclusive use of the page
+            // until its CQE is reaped.
+            _ => c.lane.staged(&sqe).map(|(p, n)| unsafe { std::slice::from_raw_parts_mut(p, n) }),
+        };
+        let ep = sqe.ep as EntryId;
+        let result = page.and_then(|page| {
+            rt.ring_execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
+        });
+        let (status, aux, rets) = result_to_wire(result);
+        // Safety: sole CQ producer; occupancy is bounded by the
+        // producer's credit clamp (credits ≤ CQ capacity, asserted
+        // in `Producer::push`), so the slot's previous completion
+        // has been reaped.
+        unsafe {
+            std::ptr::write(
+                c.lane.cqe(c.cq_tail),
+                Cqe { user: sqe.user, ep: sqe.ep, status, aux, _pad: 0, rets },
+            );
+        }
+        c.cq_tail += 1;
+        cur.cq_tail.store(c.cq_tail, Ordering::Release);
+        done += 1;
     }
     Some(done)
 }
@@ -609,8 +593,8 @@ pub(crate) fn drain(
 struct RingShared {
     vcpu: usize,
     program: ProgramId,
-    /// The queues' memory; every [`LaneRef`] of this ring points into
-    /// these two.
+    /// The queue's memory; the ring's [`LaneRef`] points into these
+    /// two.
     entries: Box<[Line]>,
     stage: Segment,
     /// Worker's sleep announcement (the sleeper flag the doorbell
@@ -632,33 +616,30 @@ struct Line {
 unsafe impl Sync for Line {}
 
 impl RingShared {
-    /// Allocate a ring of [`LANES`] lanes. Cursors and entries are heap
-    /// lines — the allocator hands back warm memory, where a fresh
-    /// mapping costs a page fault per page on the first batch (≈ 20 %
-    /// of `ring_d16`'s `setup_s` in a VM); the staging pages are a
-    /// private mapping, untouched — and so not resident — until a
-    /// payload is staged. Each lane gets the full depth: the lane split
-    /// is a priority mechanism, not a capacity partition.
-    fn map(vcpu: usize, program: ProgramId, sq: usize, cq: usize) -> (Arc<RingShared>, [LaneRef; LANES]) {
-        let (ring, stage) = (LaneRef::ring_bytes(sq, cq), LaneRef::stage_bytes(cq));
+    /// Allocate a ring. Cursors and entries are heap lines — the
+    /// allocator hands back warm memory, where a fresh mapping costs a
+    /// page fault per page on the first batch (≈ 20 % of `ring_d16`'s
+    /// `setup_s` in a VM); the staging pages are a private mapping,
+    /// untouched — and so not resident — until a payload is staged.
+    fn map(vcpu: usize, program: ProgramId, sq: usize, cq: usize) -> (Arc<RingShared>, LaneRef) {
+        let ring = LaneRef::ring_bytes(sq, cq);
         let shared = Arc::new(RingShared {
             vcpu,
             program,
-            entries: (0..LANES * ring / 64).map(|_| Line { _zero: UnsafeCell::new([0; 64]) }).collect(),
-            stage: Segment::private(LANES * stage).expect("map ring staging pages"),
+            entries: (0..ring / 64).map(|_| Line { _zero: UnsafeCell::new([0; 64]) }).collect(),
+            stage: Segment::private(LaneRef::stage_bytes(cq)).expect("map ring staging pages"),
             sleeping: AtomicU32::new(0),
             shutdown: AtomicBool::new(false),
         });
         // The pointer is taken from the allocation where it will stay,
-        // through the cells: what the lanes write, no `&` claims frozen.
+        // through the cells: what the two ends write, no `&` claims
+        // frozen.
         let first = UnsafeCell::raw_get(shared.entries.as_ptr() as *const UnsafeCell<u8>);
-        // Safety: zeroed, 64-aligned, disjoint per lane and in bounds by
-        // the arithmetic above; `RingShared` owns both allocations and
-        // both ends hold an `Arc` of it beside their lanes.
-        let lanes = std::array::from_fn(|l| unsafe {
-            LaneRef::new(first.add(l * ring), shared.stage.base(), l * stage, sq, cq)
-        });
-        (shared, lanes)
+        // Safety: zeroed, 64-aligned and sized by the arithmetic above;
+        // `RingShared` owns both allocations and both ends hold an `Arc`
+        // of it beside their `LaneRef`.
+        let lane = unsafe { LaneRef::new(first, shared.stage.base(), 0, sq, cq) };
+        (shared, lane)
     }
 
     fn sleeper(&self) -> Sleeper<'_> {
@@ -673,26 +654,16 @@ impl RingShared {
 ///
 /// All producer-side methods take `&mut self`: the type system enforces
 /// the single-producer half of the queue contract (clone the
-/// [`Client`] and build another ring for a second submitter).
+/// [`Client`] and build another ring for a second submitter). SQEs run
+/// in submission order: latency-critical traffic gets a ring of its own.
 pub struct ClientRing {
     rt: Arc<Runtime>,
     shared: Arc<RingShared>,
-    /// One producer per lane, indexed by [`crate::QosClass::index`]:
-    /// `Latency` is lane 0.
-    lanes: [Producer; LANES],
+    ring: Producer,
     credits: u64,
-    /// Per-entry lane cache: 0 = not yet resolved, else
-    /// `1 + QosClass::index()`. Submit-time classification costs one
-    /// byte load after the first call on an entry — no claim, no
-    /// atomic. A cached class goes stale if the id is killed and
-    /// re-bound under the other class: that mis-sorts *priority* for
-    /// the id until the ring is rebuilt, never correctness — execution
-    /// re-claims the entry fresh.
-    classes: Box<[u8]>,
-    /// Ring spans of in-flight SQEs per lane, submission order —
-    /// completions arrive in the same per-lane order, so reap closes
-    /// them front-first.
-    tokens: [VecDeque<Option<SpanToken>>; LANES],
+    /// Ring spans of in-flight SQEs, submission order — completions
+    /// arrive in the same order, so reap closes them front-first.
+    tokens: VecDeque<Option<SpanToken>>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -701,13 +672,12 @@ impl ClientRing {
         let rt = Arc::clone(client.runtime());
         let sq_cap = opts.sq_depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
         let cq_cap = opts.cq_depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
-        // One budget across the lanes, at most one lane's CQ capacity:
-        // total in-flight bounds each lane's CQ occupancy.
+        // At most the CQ capacity: in-flight bounds CQ occupancy.
         let credits = opts.credits.clamp(1, cq_cap) as u64;
-        let (shared, lanes) = RingShared::map(client.vcpu, client.program, sq_cap, cq_cap);
+        let (shared, lane) = RingShared::map(client.vcpu, client.program, sq_cap, cq_cap);
         let rt2 = Arc::clone(&rt);
         let sh2 = Arc::clone(&shared);
-        let consumers = lanes.map(Consumer::new);
+        let consumer = Consumer::new(lane);
         let cpu = rt.cpu_of(client.vcpu);
         let jh = std::thread::Builder::new()
             .name(format!("ppc-ring-v{}", client.vcpu))
@@ -715,71 +685,48 @@ impl ClientRing {
                 if let Some(cpu) = cpu {
                     crate::affinity::pin_current(cpu);
                 }
-                ring_worker(rt2, sh2, consumers);
+                ring_worker(rt2, sh2, consumer);
             })
             .expect("spawn ring worker thread");
         rt.stats.cell(client.vcpu).workers_created.fetch_add(1, Ordering::Relaxed);
         ClientRing {
             rt,
             shared,
-            lanes: lanes.map(Producer::new),
+            ring: Producer::new(lane),
             credits,
-            classes: vec![0u8; crate::MAX_ENTRIES].into_boxed_slice(),
-            tokens: std::array::from_fn(|_| VecDeque::new()),
+            tokens: VecDeque::new(),
             join: Some(jh),
         }
     }
 
-    /// Submissions accepted but not yet reaped, both lanes — bounded by
+    /// Submissions accepted but not yet reaped — bounded by
     /// [`ClientRing::credits`] at all times (the bounded-memory
     /// invariant the overload experiment checks).
     pub fn in_flight(&self) -> u64 {
-        self.lanes.iter().map(Producer::in_flight).sum()
+        self.ring.in_flight()
     }
 
-    /// The in-flight credit budget (shared across both QoS lanes).
+    /// The in-flight credit budget.
     pub fn credits(&self) -> u64 {
         self.credits
     }
 
-    /// Submission-queue capacity (entries, per QoS lane).
+    /// Submission-queue capacity (entries).
     pub fn sq_capacity(&self) -> usize {
-        self.lanes[0].lane.sq_mask as usize + 1
+        self.ring.lane.sq_mask as usize + 1
     }
 
-    /// Completion-queue capacity (entries, per QoS lane).
+    /// Completion-queue capacity (entries).
     pub fn cq_capacity(&self) -> usize {
-        self.lanes[0].lane.cq_mask as usize + 1
+        self.ring.lane.cq_mask as usize + 1
     }
 
-    /// The QoS lane `ep` rides: its entry's [`crate::QosClass`], resolved from
-    /// this vCPU's service table on first submission and cached. An
-    /// unknown or dead entry rides the `Latency` lane un-cached (its
-    /// SQE completes with an error CQE either way; the id may be bound
-    /// for real later).
-    fn lane_of(&mut self, ep: EntryId) -> usize {
-        if ep >= crate::MAX_ENTRIES {
-            return 0;
-        }
-        match self.classes[ep] {
-            0 => match self.rt.entry_qos(self.shared.vcpu, ep) {
-                Some(q) => {
-                    self.classes[ep] = 1 + q.index() as u8;
-                    q.index()
-                }
-                None => 0,
-            },
-            c => (c - 1) as usize,
-        }
-    }
-
-    /// [`Producer::admit`] on `lane` against the shared budget, with a
-    /// `RingFull` counted by its cause: `ring_no_credit` or `ring_full`.
-    fn admit_lane(&mut self, lane: usize, payload_len: usize) -> Result<(), RtError> {
-        let in_flight = self.in_flight();
-        self.lanes[lane].admit(in_flight, self.credits, payload_len).inspect_err(|e| {
+    /// [`Producer::admit`] against the credit budget, with a `RingFull`
+    /// counted by its cause: `ring_no_credit` or `ring_full`.
+    fn admit(&mut self, payload_len: usize) -> Result<(), RtError> {
+        self.ring.admit(self.credits, payload_len).inspect_err(|e| {
             let cell = self.rt.stats.cell(self.shared.vcpu);
-            match (e, in_flight >= self.credits) {
+            match (e, self.ring.in_flight() >= self.credits) {
                 (RtError::RingFull, true) => cell.ring_no_credit.fetch_add(1, Ordering::Relaxed),
                 (RtError::RingFull, false) => cell.ring_full.fetch_add(1, Ordering::Relaxed),
                 _ => 0,
@@ -788,20 +735,13 @@ impl ClientRing {
     }
 
     /// Open the submission's ring span and [`Producer::push`] its SQE.
-    fn push(
-        &mut self,
-        lane: usize,
-        ep: EntryId,
-        args: [u64; 8],
-        user: u64,
-        payload: Option<&[u8]>,
-    ) {
+    fn push(&mut self, ep: EntryId, args: [u64; 8], user: u64, payload: Option<&[u8]>) {
         let vcpu = self.shared.vcpu;
         let sampled = self.rt.obs().try_sample();
         let tok = self.rt.spans().begin_ring(sampled, vcpu, ep);
         let trace = tok.as_ref().map_or(0, |t| t.ctx.pack());
-        self.lanes[lane].push(ep, args, user, trace, payload);
-        self.tokens[lane].push_back(tok);
+        self.ring.push(ep, args, user, trace, payload);
+        self.tokens.push_back(tok);
         self.rt.stats.cell(vcpu).ring_submits.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -811,16 +751,17 @@ impl ClientRing {
     /// shed the request, and retry). Call [`ClientRing::doorbell`]
     /// after the batch.
     pub fn submit(&mut self, ep: EntryId, args: [u64; 8], user: u64) -> Result<(), RtError> {
-        let lane = self.lane_of(ep);
-        self.admit_lane(lane, 0)?;
-        self.push(lane, ep, args, user, None);
+        self.admit(0)?;
+        self.push(ep, args, user, None);
         Ok(())
     }
 
     /// Queue one PPC carrying a request payload. The bytes are staged
     /// into the ring's own page for this submission (one local memcpy)
-    /// and handed to the handler as its scratch. A payload over
-    /// [`crate::slot::SCRATCH_BYTES`] is refused with [`RtError::BadBulk`].
+    /// and handed to the handler as its scratch, exactly `payload.len()`
+    /// bytes long; a payload over [`crate::slot::SCRATCH_BYTES`] is
+    /// refused with [`RtError::BadBulk`]. No reply payload: the
+    /// [`Completion`] carries the 8 return words only.
     pub fn submit_payload(
         &mut self,
         ep: EntryId,
@@ -828,9 +769,8 @@ impl ClientRing {
         user: u64,
         payload: &[u8],
     ) -> Result<(), RtError> {
-        let lane = self.lane_of(ep);
-        self.admit_lane(lane, payload.len())?;
-        self.push(lane, ep, args, user, Some(payload));
+        self.admit(payload.len())?;
+        self.push(ep, args, user, Some(payload));
         Ok(())
     }
 
@@ -855,10 +795,9 @@ impl ClientRing {
         if payload.len() > desc.len as usize {
             return Err(RtError::BadBulk);
         }
-        let lane = self.lane_of(ep);
-        self.admit_lane(lane, 0)?;
+        self.admit(0)?;
         self.copy_in(desc, payload)?;
-        self.push(lane, ep, args, user, None);
+        self.push(ep, args, user, None);
         Ok(())
     }
 
@@ -896,10 +835,10 @@ impl ClientRing {
             // `join` is taken only by `drop`, after its last doorbell.
             if let Some(jh) = &self.join {
                 self.rt.stats.cell(s.vcpu).ring_doorbells.fetch_add(1, Ordering::Relaxed);
-                // SQEs not taken yet, by a `Relaxed` look at the heads
+                // SQEs not taken yet, by a `Relaxed` look at the head
                 // (a diagnostic, not a bound).
-                let head = |p: &Producer| p.lane.cursors().sq_head.load(Ordering::Relaxed);
-                let depth: u64 = self.lanes.iter().map(|p| p.sq_tail.saturating_sub(head(p))).sum();
+                let head = self.ring.lane.cursors().sq_head.load(Ordering::Relaxed);
+                let depth = self.ring.sq_tail.saturating_sub(head);
                 self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, depth as u32);
                 jh.thread().unpark();
             }
@@ -908,20 +847,15 @@ impl ClientRing {
 
     /// Harvest up to `max` completions into `out` (append; the caller
     /// reuses the vector so the hot loop never allocates). Returns how
-    /// many were reaped. The `Latency` lane is harvested first — its
-    /// completions overtake queued `Bulk` ones end to end — and within
-    /// a lane completions arrive in submission order; each reap closes
-    /// the matching ring span and returns a credit. Non-blocking — an
-    /// empty CQ reaps zero.
+    /// many were reaped. Completions arrive in submission order; each
+    /// reap closes the matching ring span and returns a credit.
+    /// Non-blocking — an empty CQ reaps zero.
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
-        let mut n = 0;
-        for (lane, tokens) in self.lanes.iter_mut().zip(&mut self.tokens) {
-            n += lane.reap(max - n, out, || {
-                if let Some(tok) = tokens.pop_front().flatten() {
-                    self.rt.spans().end_token(tok, None);
-                }
-            });
-        }
+        let n = self.ring.reap(max, out, || {
+            if let Some(tok) = self.tokens.pop_front().flatten() {
+                self.rt.spans().end_token(tok, None);
+            }
+        });
         if n > 0 && self.rt.obs().try_sample() {
             let vcpu = self.shared.vcpu;
             self.rt.obs().record(LatencyKind::ReapBatch, vcpu, n as u64);
@@ -954,8 +888,8 @@ impl Drop for ClientRing {
         if let Some(jh) = self.join.take() {
             let _ = jh.join();
         }
-        // Close the ring spans of completions never reaped, both lanes.
-        for tok in self.tokens.iter_mut().flat_map(|lane| lane.drain(..)).flatten() {
+        // Close the ring spans of completions never reaped.
+        for tok in self.tokens.drain(..).flatten() {
             self.rt.spans().end_token(tok, None);
         }
     }
@@ -975,22 +909,20 @@ impl Client {
 }
 
 /// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with the
-/// learned `poll` and a yielding spin of `budget` passes on the lanes'
-/// SQ tails (the mirror of the entry workers' slot spin), then the
+/// learned `poll` and a yielding spin of `budget` passes on the SQ
+/// tail (the mirror of the entry workers' slot spin), then the
 /// announced park the doorbell pairs with; budget 0 (`ParkOnly`) parks
 /// at once, no poll either. One park per call: the worker loop re-reads
-/// the tails and the shutdown flag itself.
+/// the tail and the shutdown flag itself.
 fn idle_wait(
     ring: &RingShared,
-    lanes: &[Consumer],
+    c: &Consumer,
     budget: u32,
     poll: &mut Poll,
     timer: &mut StateTimer<'_>,
 ) {
     let spin = Spin { poll: Some(poll).filter(|_| budget > 0), budget, rounds: 0 };
-    let ready = || {
-        lanes.iter().any(|c| c.pending() != 0) || ring.shutdown.load(Ordering::Acquire)
-    };
+    let ready = || c.pending() != 0 || ring.shutdown.load(Ordering::Acquire);
     let park = || {
         // The spin was Idle time; the sleep is Park time.
         timer.transition(TimeState::Park);
@@ -1003,8 +935,8 @@ fn idle_wait(
 
 /// The ring worker: [`drain`] while there is work, [`idle_wait`] when
 /// there is none. One thread per ring; it exits when the client handle
-/// drops, after finishing both queues.
-fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut lanes: [Consumer; LANES]) {
+/// drops, after finishing the queue.
+fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut c: Consumer) {
     // The persistent scratch page handlers see on payload-less SQEs —
     // the ring worker's stand-in for a CD's scratch.
     let mut scratch = vec![0u8; SCRATCH_BYTES].into_boxed_slice();
@@ -1015,11 +947,11 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut lanes: [Consumer; LA
     // carved out of the Ring interval at the transition that closes it.
     let mut timer = StateTimer::new(rt.stats.served_cell(ring.vcpu), TimeState::Idle);
     let mut handler_ns = 0u64;
-    // The tails' learned poll; this loop is its only writer. The worker
+    // The tail's learned poll; this loop is its only writer. The worker
     // wakes nobody (the client reaps by polling): always passed.
     let mut poll = Poll::default();
     loop {
-        if lanes.iter().all(|c| c.pending() == 0) {
+        if c.pending() == 0 {
             if ring.shutdown.load(Ordering::Acquire) {
                 break;
             }
@@ -1027,12 +959,12 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut lanes: [Consumer; LA
             // next idle wait on: one `Relaxed` load on a path that is
             // about to spin or sleep.
             let budget = crate::worker_idle_budget(rt.spin_policy());
-            idle_wait(&ring, &lanes, budget, &mut poll, &mut timer);
+            idle_wait(&ring, &c, budget, &mut poll, &mut timer);
             continue;
         }
         timer.transition(TimeState::Ring);
-        while drain(&rt, &mut lanes, ring.vcpu, ring.program, &mut scratch, &mut handler_ns)
-            .expect("ClientRing is the lanes' only producer")
+        while drain(&rt, &mut c, ring.vcpu, ring.program, &mut scratch, &mut handler_ns)
+            .expect("ClientRing is the ring's only producer")
             > 0
         {}
         timer.transition_carving(TimeState::Idle, TimeState::Handler, &mut handler_ns);
@@ -1040,35 +972,46 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut lanes: [Consumer; LA
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Push an SQE whose staged span is `len` bytes at offset `off`,
+    /// unchecked — what a hostile producer writes.
+    pub(crate) fn push_forged(p: &mut Producer, ep: EntryId, user: u64, off: u32, len: u32) {
+        let (flags, payload_off, payload_len) = (SQE_PAYLOAD, off, len);
+        let sqe = Sqe { ep: ep as u32, flags, args: [7; 8], user, trace: 0, payload_off, payload_len };
+        // Safety: as in `Producer::push`; the caller keeps within the
+        // credits, and the `Release` store publishes the entry.
+        unsafe { std::ptr::write(p.lane.sqe(p.sq_tail), sqe) };
+        p.sq_tail += 1;
+        p.lane.cursors().sq_tail.store(p.sq_tail, Ordering::Release);
+    }
 
     /// A runtime with an echo entry, and one mapped ring's two ends
     /// with nothing in between: the tests below play the worker.
-    fn bare_ring(depth: usize) -> (Arc<Runtime>, EntryId, Arc<RingShared>, Vec<Producer>, Vec<Consumer>) {
+    fn bare_ring(depth: usize) -> (Arc<Runtime>, EntryId, Arc<RingShared>, Producer, Consumer) {
         let rt = Runtime::new(1);
         let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
-        let (shared, lanes) = RingShared::map(0, 1, depth, depth);
-        let (prod, cons) = (lanes.map(Producer::new), lanes.map(Consumer::new));
-        (rt, ep, shared, prod.into(), cons.into())
+        let (shared, lane) = RingShared::map(0, 1, depth, depth);
+        (rt, ep, shared, Producer::new(lane), Consumer::new(lane))
     }
 
-    fn drain_all(rt: &Arc<Runtime>, cons: &mut [Consumer]) -> Option<u64> {
-        drain(rt, cons, 0, 1, &mut [0u8; 64], &mut 0)
+    fn drain_all(rt: &Arc<Runtime>, c: &mut Consumer) -> Option<u64> {
+        drain(rt, c, 0, 1, &mut [0u8; 64], &mut 0)
     }
 
     #[test]
     fn spsc_wraps_and_preserves_order() {
-        let (rt, ep, _mem, mut prod, mut cons) = bare_ring(4);
-        let (p, mut out) = (&mut prod[0], Vec::new());
-        // Three full laps around a 4-slot lane.
+        let (rt, ep, _mem, mut p, mut cons) = bare_ring(4);
+        let mut out = Vec::new();
+        // Three full laps around a 4-slot ring.
         for round in 0..3u64 {
             for i in 0..4u64 {
-                p.admit(p.in_flight(), 4, 0).unwrap();
+                p.admit(4, 0).unwrap();
                 p.push(ep, [round * 100 + i; 8], i, 0, None);
             }
-            assert_eq!(p.admit(p.in_flight(), 8, 0), Err(RtError::RingFull), "full");
-            assert_eq!(p.admit(p.in_flight(), 4, 0), Err(RtError::RingFull), "no credit");
+            assert_eq!(p.admit(8, 0), Err(RtError::RingFull), "full");
+            assert_eq!(p.admit(4, 0), Err(RtError::RingFull), "no credit");
             assert_eq!(drain_all(&rt, &mut cons), Some(4));
             assert_eq!(p.reap(usize::MAX, &mut out, || ()), 4);
             for (i, c) in out.drain(..).enumerate() {
@@ -1078,43 +1021,19 @@ mod tests {
         assert_eq!(drain_all(&rt, &mut cons), Some(0), "idle");
     }
 
-    /// Lane order: everything queued on lane 0 runs before anything on
-    /// lane 1, whichever was submitted first.
-    #[test]
-    fn drain_serves_lanes_in_index_order() {
-        let (rt, _, _mem, mut prod, mut cons) = bare_ring(4);
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let seen = Arc::clone(&order);
-        let ep = rt
-            .bind("log", crate::EntryOptions::default(), Arc::new(move |c| {
-                seen.lock().push(c.args[0]);
-                c.args
-            }))
-            .unwrap();
-        for i in 0..2u64 {
-            prod[1].push(ep, [10 + i; 8], i, 0, None);
-            prod[0].push(ep, [i; 8], i, 0, None);
-        }
-        assert_eq!(drain_all(&rt, &mut cons), Some(4));
-        assert_eq!(*order.lock(), [0, 1, 10, 11]);
-    }
-
     /// An SQE names its staged span by offset, and the consumer checks
-    /// the offset against that lane's own pages: the neighbour lane's
-    /// page, a span straddling either end of its own area and an offset
-    /// past everything are all refused with a `BadBulk` CQE — the
-    /// handler never sees them — and the honest offset right after is
-    /// served.
+    /// the offset against the ring's own pages: a span straddling the
+    /// end of its area and an offset past everything are refused with a
+    /// `BadBulk` CQE — the handler never sees them — and the honest
+    /// offset right after is served. (The segment ring, whose clients'
+    /// areas have neighbours, checks both ends in `xproc.rs`.)
     #[test]
     fn forged_staging_offset_is_bad_bulk() {
-        let (rt, ep, _mem, mut prod, mut cons) = bare_ring(4);
-        let p = &mut prod[1];
-        let (first, end) = (p.lane.stage_off as u32, (p.lane.stage_off + 4 * SCRATCH_BYTES) as u32);
+        let (rt, ep, _mem, mut p, mut cons) = bare_ring(4);
+        let end = (p.lane.stage_off + 4 * SCRATCH_BYTES) as u32;
         let mut out = Vec::new();
-        for (user, forged) in [0, first - 1, end - 2, u32::MAX - 8].into_iter().enumerate() {
-            p.push(ep, [7; 8], user as u64, 0, Some(&[1, 2, 3]));
-            // Safety: the test is both ends; the SQE is not yet taken.
-            unsafe { (*p.lane.sqe(p.sq_tail - 1)).payload_off = forged };
+        for (user, forged) in [end - 2, u32::MAX - 8].into_iter().enumerate() {
+            push_forged(&mut p, ep, user as u64, forged, 3);
             assert_eq!(drain_all(&rt, &mut cons), Some(1));
             p.reap(1, &mut out, || ());
             assert_eq!(out.pop().unwrap().result, Err(RtError::BadBulk), "offset {forged}");
@@ -1132,18 +1051,18 @@ mod tests {
     /// a debug consumer used to load), does not move or stop it.
     #[test]
     fn consumer_bounds_the_tail_and_never_reloads_its_own_cursors() {
-        let (rt, ep, _mem, mut prod, mut cons) = bare_ring(4);
-        let lane = prod[0].lane;
+        let (rt, ep, _mem, mut p, mut cons) = bare_ring(4);
+        let lane = p.lane;
         let cur = lane.cursors();
         for user in 0..2 {
-            prod[0].push(ep, [user; 8], user, 0, None);
+            p.push(ep, [user; 8], user, 0, None);
         }
         assert_eq!(drain_all(&rt, &mut cons), Some(2));
         cur.sq_head.store(0, Ordering::SeqCst);
         cur.cq_tail.store(0, Ordering::SeqCst);
         cur.cq_head.store(u64::MAX / 2, Ordering::SeqCst);
         assert_eq!(drain_all(&rt, &mut cons), Some(0), "a rewound sq_head replays nothing");
-        prod[0].push(ep, [2; 8], 2, 0, None);
+        p.push(ep, [2; 8], 2, 0, None);
         assert_eq!(drain_all(&rt, &mut cons), Some(1));
         assert_eq!(cur.cq_tail.load(Ordering::SeqCst), 3, "published from the private copy");
         cur.sq_tail.store(3 + 5, Ordering::SeqCst);
@@ -1159,13 +1078,11 @@ mod tests {
         use std::mem::{align_of, size_of};
         assert!(align_of::<Sqe>() >= 64 && size_of::<Sqe>().is_multiple_of(64));
         assert!(align_of::<Cqe>() >= 64 && size_of::<Cqe>().is_multiple_of(64));
-        // Both lanes' arrays land on line boundaries of the mapping.
-        let (_shared, lanes) = RingShared::map(0, 1, 2, 8);
-        for lane in lanes {
-            assert_eq!(lane.cursors() as *const RingCursors as usize % 64, 0);
-            assert_eq!((lane.sqe(1) as usize % 64, lane.cqe(1) as usize % 64), (0, 0));
-            assert_eq!((lane.base as usize + lane.stage_page(1)) % SCRATCH_BYTES, 0);
-        }
+        // Both arrays land on line boundaries of the mapping.
+        let (_shared, lane) = RingShared::map(0, 1, 2, 8);
+        assert_eq!(lane.cursors() as *const RingCursors as usize % 64, 0);
+        assert_eq!((lane.sqe(1) as usize % 64, lane.cqe(1) as usize % 64), (0, 0));
+        assert_eq!((lane.base as usize + lane.stage_page(1)) % SCRATCH_BYTES, 0);
     }
 
     /// No queue entry owns a resource: a ring dropped with 64 staged
@@ -1264,8 +1181,8 @@ mod tests {
     #[test]
     fn park_only_idle_wait_never_consults_the_poll() {
         let _watchdog = crate::wait::abort_if_hung("ring.rs idle_wait test");
-        let (ring, lanes) = RingShared::map(0, 1, 2, 2);
-        let lanes = lanes.map(Consumer::new);
+        let (ring, lane) = RingShared::map(0, 1, 2, 2);
+        let c = Consumer::new(lane);
         let stats = crate::stats::RuntimeStats::new(1);
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
@@ -1273,7 +1190,7 @@ mod tests {
                 let mut poll = Poll::from_bits(1024);
                 let budget = crate::worker_idle_budget(crate::SpinPolicy::ParkOnly);
                 while !ring.shutdown.load(Ordering::Acquire) {
-                    idle_wait(&ring, &lanes, budget, &mut poll, &mut timer);
+                    idle_wait(&ring, &c, budget, &mut poll, &mut timer);
                 }
                 poll.bits()
             });

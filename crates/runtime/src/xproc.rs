@@ -13,8 +13,8 @@
 //! [`XClient::submit`]/[`XClient::reap`] behave like their
 //! [`crate::Client`]/[`crate::ClientRing`] counterparts, returning the
 //! same [`RtError`]s — plus [`RtError::PeerGone`], the one failure mode
-//! a process boundary adds. The ring *is* [`crate::ring`]'s: one lane
-//! per client, laid out, filled, drained and reaped by that module;
+//! a process boundary adds. The ring *is* [`crate::ring`]'s: one queue
+//! pair per client, laid out, filled, drained and reaped by that module;
 //! this one adds what the boundary needs around it (liveness, the
 //! high-water mark, the futex doorbell, detaching a hostile producer).
 //!
@@ -29,10 +29,10 @@
 //! │ XClientSlot×N  SlotCore (call rendezvous) + control words        │
 //! │                + 4 KiB payload page                              │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ ring×N         one `ring.rs` lane: RingCursors + Sqe[depth]      │
+//! │ ring×N         one `ring.rs` ring: RingCursors + Sqe[depth]      │
 //! │                + Cqe[depth]                                      │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ stage×N        that lane's depth × 4 KiB staging pages           │
+//! │ stage×N        that ring's depth × 4 KiB staging pages           │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ bulk×N         per-client bulk share, registered server-side as  │
 //! │                a foreign-backed region (grant-checked access)    │
@@ -478,7 +478,7 @@ impl SegMap {
         unsafe { SegRef::new(SegOffset(off as u32)).resolve(&self.seg) }
     }
 
-    /// Client `i`'s ring: one [`ring`] lane, SQ and CQ both
+    /// Client `i`'s ring: one [`ring`] queue pair, SQ and CQ both
     /// `ring_depth` deep.
     fn lane(&self, i: usize) -> LaneRef {
         debug_assert!(i < self.geo.n_clients);
@@ -871,9 +871,9 @@ fn service_slot(
             Ok([n as u64, 0, 0, 0, 0, 0, 0, 0])
         }),
         op::DETACH => {
-            // Completion must precede the claim release: ack first so
-            // the waking client sees DONE, then reclaim. Unconditional
-            // wake: the detaching client sleeps without announcing.
+            // Complete before the claim release, so the waiting client
+            // sees POSTED end before the slot can change hands; then
+            // reclaim. Unconditional wake: it sleeps without announcing.
             slot.core.complete_frame([0; 8], 0, 0);
             shm::futex_wake(slot.core.state_word(), u32::MAX);
             detach_client(rt, map, vcpu, i, c);
@@ -905,8 +905,7 @@ fn service_ring(
     c: &mut ClientCtx,
     local_scratch: &mut [u8],
 ) -> bool {
-    let lanes = std::slice::from_mut(&mut c.ring);
-    match ring::drain(rt, lanes, vcpu, c.program, local_scratch, &mut 0) {
+    match ring::drain(rt, &mut c.ring, vcpu, c.program, local_scratch, &mut 0) {
         Some(0) => return false,
         Some(n) => _ = rt.stats.cell(vcpu).xproc_calls.fetch_add(n, Ordering::Relaxed),
         None => lose_client(rt, map, vcpu, i, c, c.pid),
@@ -1317,7 +1316,7 @@ impl XClient {
     /// [`Producer::admit`] against `ring_depth` credits.
     fn ring_admit(&mut self, payload_len: usize) -> Result<(), RtError> {
         self.ensure_alive()?;
-        self.ring.admit(self.ring.in_flight(), self.map.geo.ring_depth, payload_len)
+        self.ring.admit(self.map.geo.ring_depth, payload_len)
     }
 
     /// Queue one PPC (the remote [`crate::ClientRing::submit`]).
@@ -1331,6 +1330,8 @@ impl XClient {
 
     /// Queue one PPC with a request payload staged into this client's
     /// ring staging page (the remote [`crate::ClientRing::submit_payload`]).
+    /// The handler's scratch is exactly `payload.len()` bytes, and the
+    /// [`Completion`] carries no reply payload.
     pub fn submit_payload(
         &mut self,
         ep: EntryId,
@@ -1433,12 +1434,14 @@ impl Drop for XClient {
             return;
         }
         if self.post_slot_op(op::DETACH, 0, [0; 8]).is_ok() {
+            // The server completes the DETACH and at once resets the
+            // slot for its next claimer: wait only while it is POSTED,
+            // and never touch it again — it may be somebody else's.
             let w = self.map.slot(self.idx).core.state_word();
             let deadline = Instant::now() + Duration::from_millis(200);
-            while w.load(Ordering::Acquire) != state::DONE && Instant::now() < deadline {
+            while w.load(Ordering::Acquire) == state::POSTED && Instant::now() < deadline {
                 shm::futex_wait(w, state::POSTED, Some(Duration::from_millis(20)));
             }
-            self.map.slot(self.idx).core.reset();
         }
     }
 }
@@ -1641,6 +1644,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn wire_codes_roundtrip() {
@@ -1881,6 +1886,110 @@ mod tests {
         assert_eq!(next.call_bulk(bump, [0; 8], desc).unwrap()[0], u64::MAX);
         assert_eq!(rt.xproc_stats().unwrap().high_water, high);
         drop(next);
+        drop(srv);
+    }
+
+    /// A drop's DETACH is over once the server has answered it: the
+    /// server resets the slot right after completing, so a drop that
+    /// waited for `DONE` instead sat out its 200 ms deadline.
+    #[test]
+    fn a_dropped_client_detaches_promptly() {
+        let (_rt, srv, ep, path) = serve_add("dropwait", 1);
+        let mut slow = Vec::new();
+        for round in 0..30u64 {
+            let mut xc = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
+            assert_eq!(xc.call(ep, [round, 1, 0, 0, 0, 0, 0, 0]).unwrap()[0], round + 1);
+            let t0 = Instant::now();
+            drop(xc);
+            slow.extend(Some(t0.elapsed()).filter(|d| *d >= Duration::from_millis(50)));
+        }
+        assert!(slow.is_empty(), "drops that took 50 ms or more: {slow:?}");
+        drop(srv);
+    }
+
+    /// The slot a drop frees can be claimed while the drop is still
+    /// returning: the old client must not write it again. A new client
+    /// claims it and calls until the old one's drop has returned — and
+    /// at least 10³ times — with every call answered.
+    #[test]
+    fn a_new_claimer_survives_the_old_clients_drop() {
+        let (_rt, srv, ep, path) = serve_add("reclaim", 1);
+        let mut old = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
+        assert_eq!(old.call(ep, [1, 1, 0, 0, 0, 0, 0, 0]).unwrap()[0], 2);
+        let dropped = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flag = Arc::clone(&dropped);
+        // Detached: a call lost to a stray write would block it.
+        std::thread::spawn(move || {
+            let mut xc = XClient::connect_retry(&path, 67, Duration::from_secs(10)).unwrap();
+            let mut n = 0u64;
+            while n < 1_000 || !flag.load(Ordering::Acquire) {
+                let sum = xc.call(ep, [n, 1, 0, 0, 0, 0, 0, 0]).map(|r| r[0]);
+                assert_eq!(sum, Ok(n + 1), "call {n} of the new client");
+                n += 1;
+            }
+            tx.send(n).unwrap();
+        });
+        drop(old);
+        dropped.store(true, Ordering::Release);
+        let n = rx.recv_timeout(Duration::from_secs(10)).expect("the new client's calls all answered");
+        assert!(n >= 1_000);
+        drop(srv);
+    }
+
+    /// The segment's client staging areas are neighbours. Client 0
+    /// forging an SQE's staged span onto client 1's first page, across
+    /// the boundary between their areas, or below its own area gets a
+    /// `BadBulk` CQE for each: the handler — which overwrites whatever
+    /// scratch it is given — never runs on them, client 1's pages keep
+    /// their bytes, and client 0 stays attached and served.
+    #[test]
+    fn forged_offset_cannot_reach_a_neighbours_staging_page() {
+        let (rt, srv, _, path) = serve_add("forge", 2);
+        let scribble: crate::Handler = Arc::new(|ctx| {
+            let fill = ctx.args[0] as u8;
+            ctx.scratch().fill(fill);
+            ctx.args
+        });
+        let ep = rt.bind("scribble", crate::EntryOptions::default(), scribble).unwrap();
+        let mut a = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
+        let mut b = XClient::connect_retry(&path, 77, Duration::from_secs(10)).unwrap();
+        assert_eq!((a.idx, b.idx), (0, 1));
+        let mut out = Vec::new();
+        let reap_one = |xc: &mut XClient, out: &mut Vec<Completion>| {
+            xc.ring_doorbell();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while xc.reap(1, out).unwrap() == 0 {
+                assert!(Instant::now() < deadline, "the SQE completed");
+                std::thread::yield_now();
+            }
+            out.pop().unwrap().result
+        };
+        let g = a.map.geo;
+        let stage = LaneRef::stage_bytes(g.ring_depth as usize);
+        // Client 1's whole area, once one of its own payloads is staged
+        // and scribbled on.
+        b.submit_payload(ep, [0xB1; 8], 1, &[0; 64]).unwrap();
+        assert_eq!(reap_one(&mut b, &mut out), Ok([0xB1; 8]));
+        let area1 = a.map.seg.base().wrapping_add(g.stage_off + stage) as *const u8;
+        // Safety: inside the mapping by the validated geometry.
+        let area1 = || unsafe { std::slice::from_raw_parts(area1, stage).to_vec() };
+        let before = area1();
+        assert!(before[..64].iter().all(|&x| x == 0xB1), "the handler wrote its own page");
+        let calls = rt.stats.snapshot().xproc_calls;
+        for (user, forged) in [g.stage_off + stage, g.stage_off + stage - 2, g.stage_off - 1]
+            .into_iter()
+            .enumerate()
+        {
+            crate::ring::tests::push_forged(&mut a.ring, ep, user as u64, forged as u32, 3);
+            assert_eq!(reap_one(&mut a, &mut out), Err(RtError::BadBulk), "offset {forged}");
+        }
+        assert_eq!(area1(), before, "client 1's pages are untouched");
+        assert_ne!(a.map.header().claim_mask.load(Ordering::Acquire) & 1, 0, "client 0 attached");
+        a.submit_payload(ep, [5; 8], 9, &[1, 2, 3]).unwrap();
+        assert_eq!(reap_one(&mut a, &mut out), Ok([5; 8]), "and served");
+        assert_eq!(rt.stats.snapshot().xproc_calls, calls + 4, "each forged SQE completed once");
+        drop((a, b));
         drop(srv);
     }
 

@@ -96,6 +96,9 @@ pub struct Eps {
     pub count: EntryId,
     /// Panics on `args[0] == 13`, else returns its arguments.
     pub flaky: EntryId,
+    /// `tick` and `tock` return `[calls to either so far, args[0], 0, ..]`.
+    pub tick: EntryId,
+    pub tock: EntryId,
 }
 
 impl Eps {
@@ -107,6 +110,8 @@ impl Eps {
             check: base + 3,
             count: base + 4,
             flaky: base + 5,
+            tick: base + 6,
+            tock: base + 7,
         }
     }
 }
@@ -181,10 +186,16 @@ pub fn bind_entries(rt: &Arc<Runtime>, gate_dir: &Path) -> Eps {
             }),
         )
         .unwrap();
+    let seq = Arc::new(AtomicU64::new(0));
+    let stamp = |seq: Arc<AtomicU64>| -> ppc_rt::Handler {
+        Arc::new(move |c| [seq.fetch_add(1, Ordering::Relaxed), c.args[0], 0, 0, 0, 0, 0, 0])
+    };
+    let tick = rt.bind("c-tick", opts(), stamp(Arc::clone(&seq))).unwrap();
+    let tock = rt.bind("c-tock", opts(), stamp(seq)).unwrap();
     let eps = Eps::at(echo);
     assert_eq!(
-        (gate, psum, check, count, flaky),
-        (eps.gate, eps.psum, eps.check, eps.count, eps.flaky)
+        (gate, psum, check, count, flaky, tick, tock),
+        (eps.gate, eps.psum, eps.check, eps.count, eps.flaky, eps.tick, eps.tock)
     );
     eps
 }
@@ -269,6 +280,27 @@ pub fn wraparound_preserves_order_across_many_laps(rig: &mut dyn Rig) {
         assert_eq!(c.result, Ok([i as u64; 8]), "handler ran with the right args");
     }
     assert_eq!(f.in_flight(), 0);
+}
+
+/// One ring is one queue: SQEs to two entries, interleaved A, B, A, B…
+/// and rung in under one doorbell, execute and reap in exact submission
+/// order — neither entry overtakes the other. (Isolation for
+/// latency-critical traffic is a ring of its own, not a lane.)
+pub fn interleaved_entries_run_and_reap_in_submission_order(rig: &mut dyn Rig) {
+    let (eps, mut f) = (rig.eps(), rig.front(1));
+    let ep_of = |i: u64| if i.is_multiple_of(2) { eps.tick } else { eps.tock };
+    for i in 0..f.credits() {
+        f.submit(ep_of(i), [i; 8], i).unwrap();
+    }
+    let mut out = Vec::new();
+    f.drain(&mut out);
+    assert_eq!(out.len() as u64, f.credits());
+    let first = out[0].result.as_ref().unwrap()[0];
+    for (i, c) in (0u64..).zip(&out) {
+        assert_eq!((c.user, c.ep), (i, ep_of(i)), "reaped in submission order");
+        let rets = c.result.as_ref().unwrap();
+        assert_eq!((rets[0], rets[1]), (first + i, i), "executed in submission order");
+    }
 }
 
 /// Credit exhaustion is a clean refusal, not a deadlock: with the

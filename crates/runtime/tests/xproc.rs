@@ -781,6 +781,13 @@ fn segment_ring_wraparound_preserves_order_across_many_laps() {
 }
 
 #[test]
+fn segment_ring_interleaved_entries_run_and_reap_in_submission_order() {
+    let _shared = CPUS.read();
+    let mut rig = XRig::new("c-interleave", false, 16);
+    conformance::interleaved_entries_run_and_reap_in_submission_order(&mut rig);
+}
+
+#[test]
 fn segment_ring_credit_exhaustion_refuses_without_deadlock() {
     let _shared = CPUS.read();
     conformance::credit_exhaustion_refuses_without_deadlock(&mut XRig::new("c-credit", false, 4));
