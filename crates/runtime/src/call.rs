@@ -1,17 +1,17 @@
 //! The dispatch fastpath.
 //!
-//! A synchronous call performs, in order: one pinned load of the calling
-//! vCPU's own service-table replica plus a lifecycle claim on its own
-//! shard (see [`crate::frank`]), one lock-free worker-pool pop, the fill
+//! A synchronous call performs, in order: one load of the calling vCPU's
+//! own service-table replica plus a claim pushed on the calling thread's
+//! own cell (see [`crate::frank`]), one lock-free worker-pool pop, the fill
 //! of the worker's own slot and one `Release` store that posts it (the
 //! hand-off; a sleeping worker is woken), an adaptive poll-spin-block
 //! wait for `DONE`, and one lock-free push that re-pools the worker.
 //! **Zero lock acquisitions, zero writes to a cache line any other
 //! vCPU's fast path writes** — the paper's common case — and each slot
-//! line crosses once per direction. (The epoch protocol's `SeqCst`
-//! operations are vCPU-local RMWs plus loads of read-mostly era/table
-//! words; the handler stays in the entry's box, borrowed under the
-//! claim: no refcount write per call.)
+//! line crosses once per direction. (The claim is plain stores to the
+//! thread's own line pair plus loads of read-mostly table, state and
+//! handler words — no locked instruction; the handler stays in the
+//! entry's box, borrowed under the claim: no refcount write per call.)
 //!
 //! Entries bound with [`crate::EntryOptions::inline_ok`] skip even the
 //! hand-off: the handler runs on the caller's own thread in a borrowed
@@ -315,9 +315,9 @@ impl Runtime {
     /// Asynchronous dispatch: returns a handle; the caller continues
     /// immediately ("the caller and worker proceed independently").
     /// Always hands off to a worker — inline execution would defeat the
-    /// point of an async call. The *worker* releases the entry claim
-    /// when the handler completes (the caller may be long gone), using
-    /// the parity that rides the slot.
+    /// point of an async call. The caller's claim passes to the *worker*,
+    /// which holds its own from pickup until the handler completes (the
+    /// caller may be long gone).
     pub(crate) fn dispatch_async(
         &self,
         vcpu: usize,
@@ -346,7 +346,7 @@ impl Runtime {
                 return Err(e);
             }
         };
-        // The worker owns the release from here.
+        // The worker claims for itself from here.
         claim.transfer();
         self.stats.cell(vcpu).async_calls.fetch_add(1, Ordering::Relaxed);
         if sampled {
@@ -379,16 +379,16 @@ impl Runtime {
     /// entry's pool on the claim's vCPU (or grow one), write the payload
     /// into its slot's page, fill the slot in place and post it. `sync`:
     /// the caller will wait on the slot and re-pool the worker (else
-    /// nobody waits yet, and the worker releases the claim and pools
+    /// nobody waits yet, and the worker claims for itself and pools
     /// itself once the handle hands the slot back); a non-zero
     /// `trace_word` rides the slot so the handler span parents under the
     /// caller's. Also returns whether the worker had to be woken.
     ///
     /// Never releases the claim: on `Err` the call was not posted, or was
     /// posted and taken back, and the caller's [`Claim`] still owns the
-    /// release. After an `Ok` from a non-`sync` post the worker may
-    /// release the claim at any moment, so nothing past the post touches
-    /// the entry unless the call was taken back.
+    /// release. After an `Ok` from a non-`sync` post the caller's claim
+    /// is handed over ([`Claim::transfer`]), so nothing past the post
+    /// touches the entry unless the call was taken back.
     pub(crate) fn post(
         &self,
         claim: &Claim<'_>,
@@ -426,7 +426,7 @@ impl Runtime {
         if let Some(p) = payload {
             slot.write_payload(p);
         }
-        slot.stage(args, program, sync, claim.parity(), trace_word);
+        slot.stage(args, program, sync, trace_word);
         // Racing a kill, the worker may have exited without seeing the
         // post: the call is ours again, and nobody else would ever
         // complete (or, for an async call, release the claim of) it.

@@ -1,26 +1,21 @@
-//! Entry points: per-entry lifecycle state, sharded in-flight accounting,
-//! and the era-parity handler-retirement protocol.
+//! Entry points: per-entry lifecycle state, sharded completion counts,
+//! and handler retirement.
 //!
 //! The cold-path mutations themselves (bind, kill, exchange, reclaim) live
 //! in [`crate::frank`]; this module owns the data those operations act on:
 //!
-//! * **Per-vCPU lifecycle cells** (`LifeCell`): every in-flight claim and
-//!   every completion is counted on the calling vCPU's own cache line, so
-//!   the hot path never writes a line another vCPU's hot path also writes.
-//!   Kill/drain paths *sum* the shards — the same aggregate-on-read
-//!   discipline as the stats plane.
-//! * **Era-parity claims**: the entry carries an `era` counter, bumped by
-//!   each handler exchange. A claim counts itself under the era's parity
-//!   and re-validates the era afterwards, so "every call that can still
-//!   observe the previous handler" is exactly "the claims counted under
-//!   the previous parity" — a directly observable drain condition, even
-//!   under continuous new traffic.
-//! * **The limbo list**: a replaced handler is quarantined tagged with the
-//!   era it was retired under, and freed once that era's parity drains —
-//!   which [`EntryShared::swap_handler`] forces before installing the next
-//!   handler, so the list never holds more than about one handler no
-//!   matter how many exchanges run (the fix for the old unbounded
-//!   graveyard).
+//! * **Per-vCPU completion counts** (`completed`): every completion is
+//!   counted on the calling vCPU's own line pair, so the hot path never
+//!   writes a line another vCPU's hot path also writes; readers *sum*
+//!   the shards — the same aggregate-on-read discipline as the stats
+//!   plane. In-flight calls are not counted here at all: they are the
+//!   claims on the callers' own cells (`claims`).
+//! * **The limbo slot**: an exchange swaps the handler pointer, then
+//!   snapshots the claims on the entry — the only calls that can still
+//!   run the old handler — and parks the old box beside that snapshot.
+//!   The next exchange waits for it to drain and frees the box, so limbo
+//!   never holds more than one handler no matter how many exchanges run,
+//!   and no exchange waits for the calls running when it returns.
 
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
@@ -29,6 +24,7 @@ use std::time::Instant;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
+use crate::claims::{self, Snapshot};
 use crate::flight::FlightKind;
 use crate::obs::LatencyKind;
 use crate::slot::CallSlot;
@@ -105,20 +101,6 @@ pub(crate) struct HandlerRun {
     pub(crate) ns: Option<u64>,
 }
 
-/// One vCPU's lifecycle shard for one entry: in-flight claims split by
-/// era parity, plus the completion count, on a line pair of its own (the
-/// unit the adjacent-line prefetcher moves): the hot path's claim, finish
-/// and completion writes land here and nowhere another vCPU writes.
-#[repr(align(128))]
-#[derive(Default)]
-pub(crate) struct LifeCell {
-    /// In-flight claims, indexed by the parity of the era they were
-    /// validated under (see [`EntryShared::claim`]).
-    active: [AtomicU64; 2],
-    /// Calls completed on this vCPU (sync, async, and upcall alike).
-    completed: AtomicU64,
-}
-
 /// Shared state of one bound entry point.
 pub struct EntryShared {
     /// Entry ID.
@@ -129,27 +111,18 @@ pub struct EntryShared {
     pub opts: EntryOptions,
     /// Lifecycle state (`EntryState` as u8).
     pub state: AtomicU8,
-    /// Handler-exchange era. Bumped (under `xlock`) by every
-    /// [`EntryShared::swap_handler`]; claims re-validate against it so
-    /// each in-flight call is attributed to exactly one era's parity.
-    /// The hot path only *reads* this line — it stays shared in every
-    /// vCPU's cache and transfers only on an exchange (a cold path).
-    era: AtomicU64,
-    /// Per-vCPU lifecycle shards (claims + completions).
-    life: Box<[LifeCell]>,
+    /// Calls completed per vCPU (sync, async and upcall alike), each on
+    /// a line pair of its own: no other vCPU's hot path writes there.
+    completed: Box<[CachePadded<AtomicU64>]>,
+    /// Points into `installed`'s handler: what a call borrows.
     handler_ptr: AtomicPtr<Handler>,
-    /// Retired handlers, tagged with the era they were retired under.
-    /// A tag-`t` handler can only be referenced by claims validated at
-    /// era `t` (counted under parity `t & 1`): once that parity drains
-    /// the box is freed. `swap_handler` forces the drain before every
-    /// install, so the list holds at most ~one handler in steady state.
-    #[allow(clippy::vec_box)]
-    limbo: Mutex<Vec<(u64, Box<Handler>)>>,
-    /// Serializes handler exchanges (and opportunistic limbo drains):
-    /// the era-parity argument needs at most two live eras at any time.
-    /// Deliberately *not* the Frank lock — the quiesce wait inside an
-    /// exchange must not block unrelated binds.
-    xlock: Mutex<()>,
+    /// The installed handler. Its lock serializes exchanges (and
+    /// opportunistic limbo drains); deliberately *not* the Frank lock —
+    /// the wait inside an exchange must not block unrelated binds.
+    installed: Mutex<Arc<Handler>>,
+    /// The handler the last exchange retired, with the claims that could
+    /// still run it; freed once they drain.
+    limbo: Mutex<Option<(Snapshot, Arc<Handler>)>>,
     /// Self-reference, set at construction ([`Arc::new_cyclic`]). The
     /// grow-on-demand path upgrades this instead of scanning a registry
     /// under a lock, and tests observe entry reclamation through
@@ -206,16 +179,16 @@ impl EntryShared {
         spans: Arc<crate::span::SpanPlane>,
         blackbox: Arc<crate::blackbox::Sink>,
     ) -> Arc<Self> {
+        let handler = Arc::new(handler);
         Arc::new_cyclic(|weak| EntryShared {
             id,
             name: name.to_string(),
             opts,
             state: AtomicU8::new(EntryState::Active as u8),
-            era: AtomicU64::new(0),
-            life: (0..n_vcpus).map(|_| LifeCell::default()).collect(),
-            handler_ptr: AtomicPtr::new(Box::into_raw(Box::new(handler))),
-            limbo: Mutex::new(Vec::new()),
-            xlock: Mutex::new(()),
+            completed: (0..n_vcpus).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            handler_ptr: AtomicPtr::new(Arc::as_ptr(&handler).cast_mut()),
+            installed: Mutex::new(handler),
+            limbo: Mutex::new(None),
             weak_self: weak.clone(),
             idle_spin: AtomicU32::new(idle_spin),
             bulk,
@@ -290,11 +263,13 @@ impl EntryShared {
     ) -> HandlerRun {
         // Borrowed, not cloned: a clone writes the refcount line every
         // caller of the entry shares.
-        // SAFETY: the box is freed only once this claim's era parity
-        // drains (`swap_handler`), and the claim outlives the run on every
-        // transport — the inline caller's `Claim`, a sync hand-off's
-        // client until `DONE`, an async worker until its `finish_call`,
-        // `ring_execute`'s `Claim` for both rings.
+        // SAFETY: `installed` keeps the handler alive; a retired one is
+        // freed only once the claims its exchange snapshotted drain
+        // (`swap_handler`), a claim taken later loads the new pointer,
+        // and a claim outlives the run on every transport — the inline
+        // caller's `Claim`, a sync hand-off's client until `DONE`, an
+        // async worker's own claim from pickup, `ring_execute`'s `Claim`
+        // for both rings.
         let handler = over.unwrap_or_else(|| unsafe { &*self.handler_ptr.load(Ordering::SeqCst) });
         let t0 = sampled.then(Instant::now);
         let span = self.spans.handler_scope(trace_word, vcpu, self.id);
@@ -333,112 +308,59 @@ impl EntryShared {
         &self.pools[vcpu]
     }
 
-    /// Claim an in-flight call slot on `vcpu`; returns the era parity the
-    /// claim was counted under (pass it to [`EntryShared::finish_call`]).
-    ///
-    /// The loop re-validates the era *after* the increment: if an
-    /// exchange flipped the era in between, the claim backs out and
-    /// retries under the new parity. In the sequentially-consistent total
-    /// order this guarantees that any claim whose later handler load in
-    /// `run_handler` can still observe a pre-swap handler is counted
-    /// under the pre-swap parity — which the swap drains before freeing
-    /// that handler, and the claim is held until the run returns. All
-    /// three operations touch this vCPU's own [`LifeCell`] line plus a
-    /// read-only load of the shared era word; a `SeqCst` RMW costs the
-    /// same as the `AcqRel` it replaces on x86/ARM.
-    #[inline]
-    pub(crate) fn claim(&self, vcpu: usize) -> u8 {
-        let cell = &self.life[vcpu];
-        loop {
-            let era = self.era.load(Ordering::SeqCst);
-            let parity = (era & 1) as usize;
-            cell.active[parity].fetch_add(1, Ordering::SeqCst);
-            if self.era.load(Ordering::SeqCst) == era {
-                return parity as u8;
-            }
-            cell.active[parity].fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Release a claim taken on `vcpu` under `parity` (invoked by the
-    /// side that owns the claim: the client for sync/inline calls, the
-    /// worker for async ones).
-    #[inline]
-    pub(crate) fn finish_call(&self, vcpu: usize, parity: u8) {
-        self.life[vcpu].active[parity as usize & 1].fetch_sub(1, Ordering::Release);
-    }
-
     /// Count one completed call on `vcpu` (a `Relaxed` increment on the
-    /// vCPU's own lifecycle line — the sharded successor of the old
+    /// vCPU's own completion line — the sharded successor of the old
     /// shared `calls` counter).
     #[inline]
     pub(crate) fn record_completion(&self, vcpu: usize) {
-        self.life[vcpu].completed.fetch_add(1, Ordering::Relaxed);
+        self.completed[vcpu].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// In-flight claims, summed across every vCPU and both parities —
-    /// the kill paths' drain gate (aggregate-on-read; cold).
-    pub fn active(&self) -> u64 {
-        self.life
-            .iter()
-            .map(|c| {
-                c.active[0].load(Ordering::SeqCst) + c.active[1].load(Ordering::SeqCst)
-            })
-            .sum()
-    }
-
-    /// In-flight claims counted under `parity`, summed across vCPUs.
-    fn parity_active(&self, parity: usize) -> u64 {
-        self.life.iter().map(|c| c.active[parity & 1].load(Ordering::SeqCst)).sum()
+    /// Whether an async call handed to one of this entry's workers is
+    /// still `POSTED` (a kill drain counts it as a held claim).
+    pub(crate) fn async_posted(&self) -> bool {
+        self.pools.iter().any(WorkerPool::async_posted)
     }
 
     /// Completed calls, summed across every vCPU (diagnostics).
     pub fn completions(&self) -> u64 {
-        self.life.iter().map(|c| c.completed.load(Ordering::Relaxed)).sum()
+        self.completed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Completed calls on one vCPU (the shard itself; used by tests that
     /// verify the shards sum exactly).
     pub(crate) fn completions_on(&self, vcpu: usize) -> u64 {
-        self.life[vcpu].completed.load(Ordering::Relaxed)
+        self.completed[vcpu].load(Ordering::Relaxed)
     }
 
     /// Replace the handler (Exchange, §4.5.2) and clear worker overrides
     /// so initialization reruns against the new code. Returns the number
-    /// of previously retired handlers freed by this exchange's quiesce.
+    /// of previously retired handlers freed by this exchange (0 or 1).
     ///
-    /// Protocol (serialized by `xlock`): wait for the *previous* era's
-    /// parity to drain — after which every handler already in limbo is
-    /// unreferenced and freed — then swap the new handler in, quarantine
-    /// the old box tagged with the current era, and bump the era. The
-    /// two-era window keeps the parity counters unambiguous, and limbo
-    /// never accumulates: 10k exchanges leave at most one box pending.
+    /// Protocol (serialized by `installed`): wait for the claims the previous
+    /// exchange snapshotted and free its retiree, swap the new handler
+    /// in, then snapshot the claims on this entry (`claims::snapshot`:
+    /// the barrier, then the scan) and park the old box beside them. A
+    /// claim the scan missed took its frame after the barrier, so it loads
+    /// the new pointer. The wait is for calls that were running one
+    /// exchange ago, never for the ones running now, and limbo holds at
+    /// most one box.
     ///
     /// Must not be called from one of this entry's own handlers — the
-    /// quiesce can wait on the caller's own claim (same restriction as
+    /// wait can be for the caller's own claim (same restriction as
     /// `wait_drained`/`hard_kill`).
     pub fn swap_handler(&self, h: Handler) -> u64 {
-        let _x = self.xlock.lock();
-        let era = self.era.load(Ordering::SeqCst);
-        if era > 0 {
-            let old_parity = ((era - 1) & 1) as usize;
-            while self.parity_active(old_parity) != 0 {
-                std::thread::yield_now();
-            }
-        }
-        // The previous era has quiesced: every limbo tag is < era, and a
-        // tag-t handler is only reachable from era-t claims, all drained.
-        let freed = {
-            let mut limbo = self.limbo.lock();
-            let n = limbo.len() as u64;
-            limbo.clear();
-            n
-        };
-        let new = Box::into_raw(Box::new(h));
-        let old = self.handler_ptr.swap(new, Ordering::SeqCst);
-        // Safety: `old` came from Box::into_raw at bind or a prior swap.
-        self.limbo.lock().push((era, unsafe { Box::from_raw(old) }));
-        self.era.fetch_add(1, Ordering::SeqCst);
+        let mut installed = self.installed.lock();
+        let prev = self.limbo.lock().take();
+        let freed = prev.map_or(0, |(snap, _old)| {
+            snap.wait();
+            1
+        });
+        let new = Arc::new(h);
+        self.handler_ptr.store(Arc::as_ptr(&new).cast_mut(), Ordering::SeqCst);
+        let old = std::mem::replace(&mut *installed, new);
+        let snap = claims::snapshot(self);
+        *self.limbo.lock() = Some((snap, old));
         let cold = self.stats.cell(0);
         cold.handlers_retired.fetch_add(1, Ordering::Relaxed);
         cold.handlers_freed.fetch_add(freed, Ordering::Relaxed);
@@ -451,29 +373,26 @@ impl EntryShared {
         freed
     }
 
-    /// Opportunistically free quiesced limbo handlers (Frank maintenance;
-    /// also the final drain a reclaim performs once the entry is fully
-    /// drained). Returns how many were freed.
+    /// Opportunistically free the retired handler if its claims have
+    /// drained (Frank maintenance; also the final drain a reclaim
+    /// performs once the entry is fully drained). Returns how many were
+    /// freed.
     pub(crate) fn try_drain_limbo(&self) -> u64 {
-        let Some(_x) = self.xlock.try_lock() else { return 0 };
+        let Some(_x) = self.installed.try_lock() else { return 0 };
         let mut limbo = self.limbo.lock();
-        let before = limbo.len();
-        // `xlock` is held, so the era cannot advance under us; a tag-t
-        // box is free once parity t&1 shows no claims (conservative when
-        // era ≥ t+2 traffic shares the parity, but never unsound).
-        limbo.retain(|(tag, _)| self.parity_active((tag & 1) as usize) != 0);
-        let freed = (before - limbo.len()) as u64;
-        if freed > 0 {
-            self.stats.cell(0).handlers_freed.fetch_add(freed, Ordering::Relaxed);
-            self.flight.record(0, crate::flight::FlightKind::Retire, self.id, freed as u32);
+        if !limbo.as_mut().is_some_and(|(snap, _)| snap.drained()) {
+            return 0;
         }
-        freed
+        *limbo = None;
+        self.stats.cell(0).handlers_freed.fetch_add(1, Ordering::Relaxed);
+        self.flight.record(0, crate::flight::FlightKind::Retire, self.id, 1);
+        1
     }
 
     /// Retired-but-not-yet-freed handlers (diagnostics; the exchange
     /// regression test asserts this stays bounded).
     pub fn limbo_len(&self) -> usize {
-        self.limbo.lock().len()
+        usize::from(self.limbo.lock().is_some())
     }
 
     /// Shut down and join every worker (called off the worker threads).
@@ -484,45 +403,44 @@ impl EntryShared {
     }
 }
 
-impl Drop for EntryShared {
-    fn drop(&mut self) {
-        let p = self.handler_ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if !p.is_null() {
-            // Safety: the final handler box, never freed elsewhere.
-            unsafe { drop(Box::from_raw(p)) };
-        }
-        // Limbo boxes drop with the Vec.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::worker::tests::{apart, pairs};
 
-    /// The inline path's per-vCPU writes and shared reads, by line pair:
-    /// each vCPU's claim and pin cells own a pair, so do its histograms,
-    /// and the entry words every call reads (`state`, `era`,
-    /// `handler_ptr`) keep off the pair every vCPU's sampled roots store
-    /// to (`trace_ewma_ns`). Fails when one of them moves onto a pair
-    /// another vCPU writes.
+    /// The inline path's private writes and shared reads, by line pair:
+    /// each vCPU's completion cell owns a pair, so do its histograms and
+    /// each thread's claim cell, and the entry words every call reads
+    /// (`state`, `handler_ptr`) keep off the pair every vCPU's sampled
+    /// roots store to (`trace_ewma_ns`). Fails when one of them moves
+    /// onto a pair another vCPU or thread writes.
     #[test]
     fn per_vcpu_words_keep_to_their_lines() {
         let rt = crate::Runtime::new(3);
         let opts = crate::EntryOptions { initial_workers: 0, ..Default::default() };
         let ep = rt.bind("layout", opts, std::sync::Arc::new(|c| c.args)).unwrap();
         let e = rt.frank_entry(ep).unwrap();
-        let life: Vec<_> = e.life.iter().map(pairs).collect();
-        let pins: Vec<_> = rt.vcpus.iter().map(|v| pairs(&v.epoch)).collect();
-        for cells in [&life, &pins] {
+        let completed: Vec<_> = e.completed.iter().map(|c| pairs(&**c)).collect();
+        // Two threads holding a claim at once: two cells.
+        let both = std::sync::Barrier::new(2);
+        let claims: Vec<_> = std::thread::scope(|s| {
+            let cell = || {
+                let _c = rt.claim(0, ep).unwrap();
+                both.wait();
+                pairs(crate::claims::my_cell())
+            };
+            let t = [s.spawn(cell), s.spawn(cell)];
+            t.map(|t| t.join().unwrap()).into()
+        });
+        for cells in [&completed, &claims] {
             for (i, a) in cells.iter().enumerate() {
                 for b in &cells[i + 1..] {
-                    assert!(apart(a, b), "per-vCPU cells {a:?} and {b:?} share a line pair");
+                    assert!(apart(a, b), "private cells {a:?} and {b:?} share a line pair");
                 }
             }
         }
         assert_eq!(std::mem::align_of::<crate::obs::HistCell>(), 128, "histogram cells");
         let ewma = pairs(&*e.trace_ewma_ns);
-        for read in [pairs(&e.state), pairs(&e.era), pairs(&e.handler_ptr)] {
+        for read in [pairs(&e.state), pairs(&e.handler_ptr)] {
             assert!(apart(&read, &ewma), "a per-call read {read:?} shares `trace_ewma_ns`'s pair");
         }
     }

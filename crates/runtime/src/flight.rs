@@ -68,10 +68,10 @@ pub enum FlightKind {
     /// Entry published: bound and broadcast to every vCPU's table
     /// replica (`data` = owner program).
     Publish = 13,
-    /// Retired handler(s) freed after their era quiesced (`data` =
-    /// handlers freed).
+    /// Retired handler(s) freed once no claim could reach them (`data`
+    /// = handlers freed).
     Retire = 14,
-    /// Dead entry reclaimed: unpublished, grace period run, registry
+    /// Dead entry reclaimed: unpublished, its claims drained, registry
     /// reference dropped (`data` = requester program).
     Reclaim = 15,
     /// Ring doorbell that woke a sleeping ring worker (`data` =
@@ -196,8 +196,8 @@ impl fmt::Display for FlightEvent {
     }
 }
 
-/// One slot: the sequence word (`seq + 1`, 0 = empty or being written)
-/// and `W` payload words.
+/// One slot: the sequence word (`seq + 1`, 0 = empty, [`BUSY`] = being
+/// written) and `W` payload words.
 #[derive(Debug)]
 pub(crate) struct Slot<const W: usize> {
     seq: AtomicU64,
@@ -209,24 +209,30 @@ pub(crate) struct Slot<const W: usize> {
 /// recorder keeps one word per event, the span plane four per span.
 ///
 /// A writer claims a sequence number with one `Relaxed` `fetch_add`,
-/// invalidates the slot (`seq = 0`), fills it and publishes `seq + 1`. A
+/// then the slot itself: a CAS from a published or empty sequence word
+/// to the in-flight mark [`BUSY`]. It fills the slot and publishes
+/// `seq + 1`. A writer that finds the slot in flight (a writer a whole
+/// ring behind stalled mid-record) or holding a newer record drops its
+/// own and counts the drop, so a slot has one writer at a time. A
 /// reader validates by re-reading the sequence word after the payload:
 /// a slot caught mid-write is skipped, never misreported.
 ///
-/// ORDERING: a seqlock. The `Release` fence after the invalidating store
+/// ORDERING: a seqlock. The `Release` fence after the claiming CAS
 /// keeps the payload stores from becoming visible before it. The
 /// `Acquire` fence before the re-check keeps that load from being
 /// satisfied before the payload loads. So a reader that loaded any word
-/// of a newer fill sees its invalidation (or a later store) at the
-/// re-check and skips the slot. On x86 both fences only stop the
-/// compiler. The slot has one writer at a time: two writers a whole
-/// ring apart on one slot at once (one stalled for `capacity` records
-/// mid-write) can publish a mixed record.
+/// of a newer fill sees its mark (or a later store) at the re-check and
+/// skips the slot. On x86 both fences only stop the compiler.
 #[derive(Debug)]
 pub(crate) struct SeqRing<const W: usize> {
     cursor: AtomicU64,
+    /// Records dropped because their slot was still being written.
+    dropped: AtomicU64,
     slots: Box<[Slot<W>]>,
 }
+
+/// The sequence word of a slot a writer is filling.
+const BUSY: u64 = u64::MAX;
 
 impl<const W: usize> SeqRing<W> {
     /// An empty ring of `capacity` slots, a power of two so the cursor
@@ -235,17 +241,20 @@ impl<const W: usize> SeqRing<W> {
         assert!(capacity.is_power_of_two(), "ring capacity must be a power of two");
         let zero = |_| AtomicU64::new(0);
         let slot = |_| Slot { seq: AtomicU64::new(0), words: std::array::from_fn(zero) };
-        SeqRing { cursor: AtomicU64::new(0), slots: (0..capacity).map(slot).collect() }
+        let slots = (0..capacity).map(slot).collect();
+        SeqRing { cursor: AtomicU64::new(0), dropped: AtomicU64::new(0), slots }
     }
 
     pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// Records written since creation (including overwritten ones).
+    /// Records written since creation (including overwritten and
+    /// dropped ones).
     pub(crate) fn recorded(&self) -> u64 {
         self.cursor.load(Ordering::Relaxed)
     }
+
 
     fn slot(&self, seq: u64) -> &Slot<W> {
         &self.slots[seq as usize & (self.slots.len() - 1)]
@@ -256,10 +265,21 @@ impl<const W: usize> SeqRing<W> {
     pub(crate) fn record(&self, words: [u64; W]) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = self.slot(seq);
-        slot.seq.store(0, Ordering::Relaxed);
+        let mut cur = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if cur == BUSY || cur > seq + 1 {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            match slot.seq.compare_exchange_weak(cur, BUSY, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
         fence(Ordering::Release);
         for (w, v) in slot.words.iter().zip(words) {
             w.store(v, Ordering::Relaxed);
+            #[cfg(test)] crate::claims::pause::point("record");
         }
         slot.seq.store(seq + 1, Ordering::Release);
     }
@@ -455,6 +475,39 @@ mod tests {
     fn concurrent_writers_never_yield_garbage() {
         hammer::<1>();
         hammer::<4>();
+    }
+
+    /// A writer parked mid-record while others lap the ring: the writer
+    /// that lands on its slot drops its record instead of writing under
+    /// it, so no reader ever sees a record mixed from two writes.
+    #[test]
+    fn a_writer_stalled_mid_record_is_never_mixed_with_a_lapping_one() {
+        use crate::claims::pause::{self, Gate};
+        let _hung = crate::wait::abort_if_hung("stalled ring writer");
+        let ring = SeqRing::<2>::new(4);
+        let gate = std::sync::Arc::new(Gate::default());
+        let whole = |ring: &SeqRing<2>| {
+            ring.for_each(|seq, w| assert_eq!(w[1], w[0] + 1, "record {seq} is one write: {w:x?}"))
+        };
+        std::thread::scope(|s| {
+            let g = std::sync::Arc::clone(&gate);
+            let stalled = s.spawn(|| {
+                pause::arm(Some(("record", g)));
+                ring.record([0xA0, 0xA1]);
+            });
+            gate.parked(1); // after its first word
+            for i in 1..=4u64 {
+                ring.record([i << 4, (i << 4) + 1]);
+            }
+            gate.release(1);
+            gate.parked(2); // after its last word, before it publishes
+            let mixed = std::panic::catch_unwind(|| whole(&ring));
+            gate.release(1);
+            stalled.join().unwrap();
+            assert!(mixed.is_ok(), "a reader saw a record mixed from two writes");
+        });
+        whole(&ring);
+        assert_eq!((ring.recorded(), ring.dropped.load(Ordering::Relaxed)), (5, 1));
     }
 
     /// N threads hammer one ring while a reader visits it continuously,

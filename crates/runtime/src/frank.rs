@@ -3,79 +3,63 @@
 //! soft/hard kill, reclaim, worker shrink, name registration).
 //!
 //! The hot path never takes Frank's lock. It sees the control plane only
-//! through two read-mostly structures:
+//! through two structures:
 //!
 //! * **Per-vCPU service-table replicas** (`VcpuState::table`) —
 //!   the paper's per-processor service table. A lookup is one atomic load
 //!   of the calling vCPU's own replica; bind broadcasts a publish to
 //!   every replica from the cold path, reclaim broadcasts the unpublish.
-//! * **The pin-era cells** (`EpochCell`) — per-vCPU epoch counters
-//!   advanced at call boundaries. A claim *pins* its vCPU for the tiny
-//!   lookup→claim window; `Frank::wait_grace` on the reclaim path
-//!   advances the era and waits for the old era's pins to exit, which
-//!   (with the unpublish ordered first) proves no claimant can still be
-//!   holding the dead entry's raw pointer without also holding a counted
-//!   entry claim. After that, draining the entry's own claim shards is
-//!   sufficient to free it.
-//!
-//! The grace protocol is the same era-parity scheme the entries use for
-//! handler retirement (see [`crate::entry`]): an increment-then-revalidate
-//! loop against a shared era word, counted in a parity-indexed slot of
-//! the pinner's own cache line, so detecting quiescence is a sum over
-//! per-vCPU counters instead of a global barrier — and, unlike a plain
-//! entered/exited counter pair, it terminates under continuous traffic
-//! because new pins land in the *new* parity.
+//! * **Per-thread claim cells** (`claims`). A claim pushes the
+//!   entry on the calling thread's own cell with plain stores and
+//!   re-loads the replica to validate; no locked instruction. The cost
+//!   moves to the writers: reclaim unpublishes, and the kill drains set
+//!   the state, then each takes a `claims::snapshot` (one
+//!   `membarrier` plus a scan of the cells) and waits out the claims it
+//!   found, plus any async call handed to a worker that has not yet
+//!   claimed for itself. Exchange does the same for a retired handler,
+//!   one exchange later (see [`crate::entry`]).
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
+use crate::claims;
 use crate::entry::{EntryOptions, EntryShared, EntryState};
 use crate::flight::FlightKind;
 use crate::span::SpanPhase;
-use crate::{EntryId, Handler, ProgramId, RtError, Runtime, VcpuState, MAX_ENTRIES};
+use crate::{EntryId, Handler, ProgramId, RtError, Runtime, MAX_ENTRIES};
 
-/// A counted lifecycle claim on an entry, returned by [`Runtime::claim`].
+/// A claim on an entry, returned by [`Runtime::claim`].
 ///
 /// Derefs to the entry, and releasing happens on drop — so the borrow
 /// checker itself enforces the reclamation contract: any borrow taken
 /// *through* the claim (a trace scope holding `&entry.trace_ewma_ns`, a
 /// `CallCtx` handed to an inline handler) keeps the claim borrowed and
 /// therefore cannot outlive the release. The claim is what keeps the
-/// entry's memory alive against a concurrent `reclaim_slot`; before this
-/// type, that invariant lived only in comments and was broken twice.
+/// entry's memory, and its handler, alive against a concurrent reclaim
+/// or exchange; before this type, that invariant lived only in comments
+/// and was broken twice.
 ///
-/// Async dispatch transfers the release obligation to the worker (the
-/// parity rides the slot) via [`Claim::transfer`], the one deliberate
-/// escape hatch from the guard.
+/// An async dispatch hands the claim over with [`Claim::transfer`], the
+/// one deliberate escape hatch from the guard.
 pub(crate) struct Claim<'rt> {
     entry: &'rt EntryShared,
     vcpu: usize,
-    parity: u8,
+    _held: claims::Held,
 }
 
 impl<'rt> Claim<'rt> {
-    /// The vCPU whose lifecycle shard counts this claim.
+    /// The vCPU the claim was taken on.
     pub(crate) fn vcpu(&self) -> usize {
         self.vcpu
     }
 
-    /// The era parity the claim was counted under (rides the slot so the
-    /// releasing side passes it back to [`EntryShared::finish_call`]).
-    pub(crate) fn parity(&self) -> u8 {
-        self.parity
-    }
-
-    /// Hand the release obligation to another owner (the worker, for
-    /// async calls — it finds the parity on the slot): suppresses the
-    /// drop. From here the entry stays alive only while that owner still
-    /// holds the counted claim.
-    pub(crate) fn transfer(self) {
-        std::mem::forget(self);
-    }
+    /// Hand the claim to the worker an async call was posted to: the
+    /// caller's frame is released, the `POSTED` slot counts as the claim
+    /// until the worker pushes its own at pickup, and the worker's entry
+    /// `Arc` keeps the memory (see [`drain`]).
+    pub(crate) fn transfer(self) {}
 }
 
 impl Deref for Claim<'_> {
@@ -85,23 +69,27 @@ impl Deref for Claim<'_> {
     }
 }
 
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.entry.finish_call(self.vcpu, self.parity);
+/// Wait out every claim on `e` after the store that stops new ones (an
+/// unpublish, or a state other than `Active`): the claims a snapshot
+/// finds, then async calls handed over to a worker. Their caller released
+/// its claim once the slot was `POSTED`, and the worker claims only at
+/// pickup, so a `POSTED` client-less slot counts as held. The slots are
+/// read after the callers' claims drained, so a hand-over the scan caught
+/// on neither side shows here: the caller's release ordered its `POSTED`
+/// store before that read, and the slot stays `POSTED` until after the
+/// worker's own claim is released. No new hand-over can start: each needs
+/// a new claim, and those fail.
+fn drain(e: &EntryShared) {
+    claims::snapshot(e).wait();
+    while e.async_posted() {
+        std::thread::yield_now();
     }
 }
 
-/// One vCPU's pin cell: claims in the lookup→claim window, split by
-/// pin-era parity. Aligned to a line pair for the same reason as the
-/// entries' lifecycle cells — the pin is two RMWs here and nothing else.
-#[repr(align(128))]
-#[derive(Default)]
-pub(crate) struct EpochCell {
-    pub(crate) active: [AtomicU64; 2],
-}
-
-/// Cold-path state: everything Frank owns, behind one mutex.
-pub(crate) struct FrankInner {
+/// The resource manager's state, behind one mutex ([`Runtime`]'s
+/// `frank`). All mutation goes through the `impl Runtime` block below so
+/// callers keep the familiar `rt.bind(..)` / `rt.hard_kill(..)` surface.
+pub(crate) struct Frank {
     /// The authoritative entry registry (the strong references behind
     /// every raw pointer published in the vCPU table replicas).
     pub(crate) entries: Vec<Option<Arc<EntryShared>>>,
@@ -109,96 +97,44 @@ pub(crate) struct FrankInner {
     pub(crate) names: HashMap<String, EntryId>,
 }
 
-/// The resource manager. Owned by [`Runtime`]; all mutation goes through
-/// the `impl Runtime` block below so callers keep the familiar
-/// `rt.bind(..)` / `rt.hard_kill(..)` surface.
-pub(crate) struct Frank {
-    pub(crate) inner: Mutex<FrankInner>,
-    /// The table-pin era (see module docs). Read-only on the hot path.
-    pin_era: AtomicU64,
-    /// Serializes grace periods: the parity scheme admits at most two
-    /// live eras, so era flips must not overlap.
-    reclaim_lock: Mutex<()>,
-}
-
 impl Frank {
     pub(crate) fn new() -> Frank {
-        Frank {
-            inner: Mutex::new(FrankInner {
-                entries: (0..MAX_ENTRIES).map(|_| None).collect(),
-                names: HashMap::new(),
-            }),
-            pin_era: AtomicU64::new(0),
-            reclaim_lock: Mutex::new(()),
-        }
-    }
-
-    /// Advance the pin era and wait for every pin taken under the old
-    /// era to exit. Caller holds `reclaim_lock`, and must have made the
-    /// state being reclaimed unreachable (nulled the table replicas)
-    /// *before* calling: the SeqCst total order then guarantees any pin
-    /// that read the old pointer is counted in the old parity until its
-    /// entry claim is, so post-grace the entry claims alone gate freeing.
-    fn wait_grace(&self, vcpus: &[Arc<VcpuState>]) {
-        let era = self.pin_era.fetch_add(1, Ordering::SeqCst);
-        let old = (era & 1) as usize;
-        loop {
-            let pinned: u64 =
-                vcpus.iter().map(|v| v.epoch.active[old].load(Ordering::SeqCst)).sum();
-            if pinned == 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
+        Frank { entries: (0..MAX_ENTRIES).map(|_| None).collect(), names: HashMap::new() }
     }
 }
 
 impl Runtime {
-    /// Hot-path entry lookup + lifecycle claim: pin this vCPU's epoch
-    /// cell, load the entry pointer from this vCPU's own table replica,
-    /// count the claim on this vCPU's lifecycle shard, unpin, check
-    /// state. Everything written is on the calling vCPU's own cache
-    /// lines; the era words and the table replica are read-only here, so
-    /// they stay resident in shared state across vCPUs.
+    /// Hot-path entry lookup + claim: load the entry pointer from this
+    /// vCPU's own table replica, push it on this thread's claim cell,
+    /// re-load the replica to validate, check state. No locked
+    /// instruction: the push writes only this thread's own line pair,
+    /// and the replica, state and handler words are read-only here, so
+    /// they stay resident in every vCPU's cache.
     ///
     /// The returned [`Claim`] releases on drop and Derefs to the entry;
     /// borrows of the entry go through it, so the compiler rejects any
-    /// use of the entry past the release (async dispatch escapes via
-    /// [`Claim::transfer`], handing the release to the worker).
+    /// use of the entry past the release.
     #[inline]
     pub(crate) fn claim(&self, vcpu: usize, ep: EntryId) -> Result<Claim<'_>, RtError> {
-        let vc = self.vcpu(vcpu)?;
-        if ep >= MAX_ENTRIES {
+        let slot = self.vcpu(vcpu)?.table.get(ep).ok_or(RtError::UnknownEntry(ep))?;
+        let p = slot.load(Ordering::Acquire);
+        if p.is_null() {
             return Err(RtError::UnknownEntry(ep));
         }
-        let cell = &vc.epoch;
-        loop {
-            let era = self.frank.pin_era.load(Ordering::SeqCst);
-            let pin = (era & 1) as usize;
-            cell.active[pin].fetch_add(1, Ordering::SeqCst);
-            if self.frank.pin_era.load(Ordering::SeqCst) != era {
-                // A grace period raced us; retry under the new era.
-                cell.active[pin].fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            let p = vc.table[ep].load(Ordering::SeqCst);
-            if p.is_null() {
-                cell.active[pin].fetch_sub(1, Ordering::Release);
-                return Err(RtError::UnknownEntry(ep));
-            }
-            // Safety: the pin protocol — a reclaim unpublishes before its
-            // grace period, so a pointer read under a validated pin is
-            // backed by a registry Arc until at least our claim lands.
-            let entry = unsafe { &*p };
-            let parity = entry.claim(vcpu);
-            // The entry claim now protects the entry; exit the pin.
-            cell.active[pin].fetch_sub(1, Ordering::Release);
-            let claim = Claim { entry, vcpu, parity };
-            if claim.entry_state() != EntryState::Active {
-                return Err(RtError::EntryDead(ep)); // drop releases the claim
-            }
-            return Ok(claim);
+        let held = claims::push(p);
+        if slot.load(Ordering::Acquire) != p {
+            return Err(RtError::UnknownEntry(ep)); // dropping `held` pops it
         }
+        // Safety: `p` was still published after our claim was pushed and
+        // ordered, so a reclaim's scan (after its unpublish and barrier)
+        // sees the claim and waits for it before dropping the registry
+        // `Arc` behind `p` (`claims` module docs).
+        let entry = unsafe { &*p };
+        let claim = Claim { entry, vcpu, _held: held };
+        if claim.entry_state() != EntryState::Active {
+            return Err(RtError::EntryDead(ep)); // drop releases the claim
+        }
+        Ok(claim)
     }
 
     /// Cold-path entry lookup: the registry `Arc` behind `ep`.
@@ -206,7 +142,7 @@ impl Runtime {
         if ep >= MAX_ENTRIES {
             return Err(RtError::UnknownEntry(ep));
         }
-        self.frank.inner.lock().entries[ep].clone().ok_or(RtError::UnknownEntry(ep))
+        self.frank.lock().entries[ep].clone().ok_or(RtError::UnknownEntry(ep))
     }
 
     /// Grant entry `ep` access to `region` of `program` on `vcpu`, bound
@@ -244,7 +180,7 @@ impl Runtime {
         opts: EntryOptions,
         handler: Handler,
     ) -> Result<EntryId, RtError> {
-        let mut inner = self.frank.inner.lock();
+        let mut inner = self.frank.lock();
         let ep = match opts.want_ep {
             Some(ep) => {
                 if ep >= MAX_ENTRIES {
@@ -316,9 +252,7 @@ impl Runtime {
     /// Must not be called from one of the entry's own handlers.
     pub fn wait_drained(&self, ep: EntryId) -> Result<(), RtError> {
         let e = self.frank_entry(ep)?;
-        while e.active() != 0 {
-            std::thread::yield_now();
-        }
+        drain(&e);
         e.state.store(EntryState::Dead as u8, Ordering::Release);
         e.reap_workers();
         Ok(())
@@ -342,8 +276,8 @@ impl Runtime {
     /// Exchange (§4.5.2): atomically replace the handler of a live entry
     /// — on-line replacement of an executing server. Worker-local
     /// initialization overrides are cleared, and handlers retired by
-    /// previous exchanges are freed as their era quiesces (the retired
-    /// set is bounded; see [`EntryShared::swap_handler`]). Must not be
+    /// previous exchanges are freed once no claim can reach them (the
+    /// retired set is bounded; see [`EntryShared::swap_handler`]). Must not be
     /// called from one of the entry's own handlers.
     pub fn exchange(&self, ep: EntryId, h: Handler, by: ProgramId) -> Result<(), RtError> {
         let e = self.frank_entry(ep)?;
@@ -356,10 +290,10 @@ impl Runtime {
         Ok(())
     }
 
-    /// Free a dead entry's ID for rebinding — and, unlike the
-    /// pre-epoch runtime, actually free the entry: unpublish it from
-    /// every vCPU replica, run a pin-era grace period, drain the
-    /// lifecycle shards, and drop the registry reference. Once this
+    /// Free a dead entry's ID for rebinding — and actually free the
+    /// entry: unpublish it from every vCPU replica, wait out the claims
+    /// that may still hold it (`drain`), and drop the registry
+    /// reference. Once this
     /// returns, the old `EntryShared` is gone as soon as the last
     /// external `Arc` (a worker mid-join, a caller-held handle) drops —
     /// observable via [`Runtime::entry_weak`]. Kept separate from the
@@ -376,7 +310,7 @@ impl Runtime {
             // slip a *new* entry into this ID before our removal below
             // (the ID stays occupied in the registry until then), so the
             // nulls can never clobber someone else's publish.
-            let inner = self.frank.inner.lock();
+            let inner = self.frank.lock();
             if !inner.entries[ep].as_ref().is_some_and(|cur| Arc::ptr_eq(cur, &e)) {
                 return Err(RtError::UnknownEntry(ep));
             }
@@ -384,24 +318,17 @@ impl Runtime {
                 vc.table[ep].store(std::ptr::null_mut(), Ordering::SeqCst);
             }
         }
-        // Grace period — NOT under the Frank lock: in-flight calls
-        // claimed before the kill may run handlers that call bind().
-        {
-            let _g = self.frank.reclaim_lock.lock();
-            self.frank.wait_grace(&self.vcpus);
-        }
-        // No future claim can reach the entry; wait out the ones held.
-        while e.active() != 0 {
-            std::thread::yield_now();
-        }
+        // NOT under the Frank lock: in-flight calls claimed before the
+        // kill may run handlers that call bind().
+        drain(&e);
         // A dispatch that claimed before the kill may have grown the
         // pool after the kill's reap; with zero claims left no more can
         // appear, so this second reap is final — no pooled worker
         // outlives the reclaim holding the entry `Arc`.
         e.reap_workers();
-        // Fully drained: every parity is zero, so all limbo handlers free.
+        // Fully drained: no claim is left to reach a limbo handler.
         e.try_drain_limbo();
-        let mut inner = self.frank.inner.lock();
+        let mut inner = self.frank.lock();
         if inner.entries[ep].as_ref().is_some_and(|cur| Arc::ptr_eq(cur, &e)) {
             inner.entries[ep] = None;
             if !e.name.is_empty() && inner.names.get(&e.name) == Some(&ep) {
@@ -417,7 +344,7 @@ impl Runtime {
 
     /// Completed calls of entry `ep` — sync (inline or hand-off), async,
     /// and upcall alike (diagnostics; used by stats-conservation checks).
-    /// A sum over the per-vCPU lifecycle shards.
+    /// A sum over the per-vCPU completion shards.
     pub fn entry_completions(&self, ep: EntryId) -> Result<u64, RtError> {
         Ok(self.frank_entry(ep)?.completions())
     }
@@ -451,11 +378,11 @@ impl Runtime {
     /// thread or after load spikes): shrink every pool back to the size
     /// it was bound with — `max(1, initial_workers)`, the paper's pools
     /// "most commonly contain only a single worker" and "shrink
-    /// dynamically as needed" — and free retired handlers whose era has
-    /// quiesced. Returns `(workers_reaped, handlers_freed)`.
+    /// dynamically as needed" — and free retired handlers no claim can
+    /// still reach. Returns `(workers_reaped, handlers_freed)`.
     pub fn frank_maintain(&self) -> (usize, u64) {
         let entries: Vec<Arc<EntryShared>> =
-            self.frank.inner.lock().entries.iter().flatten().cloned().collect();
+            self.frank.lock().entries.iter().flatten().cloned().collect();
         let mut reaped = 0;
         let mut freed = 0;
         for e in entries {

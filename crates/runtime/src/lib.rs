@@ -12,7 +12,7 @@
 //! | hand-off scheduling | `thread::park` / `Thread::unpark` direct switch |
 //! | 8 registers each way | `[u64; 8]` argument/result frames, never touching shared queues |
 //! | service table (1024, per CPU) | per-vCPU `AtomicPtr` table **replicas**, wait-free reads, cold-path publish broadcast |
-//! | Frank (slow-path resource manager) | [`frank`]: bind/kill/exchange/reclaim + the grow/shrink paths, epoch-based reclamation |
+//! | Frank (slow-path resource manager) | [`frank`]: bind/kill/exchange/reclaim + the grow/shrink paths, reclamation paid by the writer (`membarrier`) |
 //! | program-ID authentication | `caller_program` in [`CallCtx`] + [`auth::Acl`] |
 //! | soft-/hard-kill, Exchange | [`Runtime::soft_kill`], [`Runtime::hard_kill`], [`Runtime::exchange`] |
 //! | worker initialization (§4.5.3) | per-worker handler override via [`CallCtx::set_worker_handler`] |
@@ -21,20 +21,21 @@
 //! | worker-process fault isolation (§2) | handler panics become [`RtError::ServerFault`]; the pool survives |
 //! | "handled on the same processor as the client" (§3) | [`EntryOptions::inline_ok`]: caller-thread inline dispatch, zero park/unpark |
 //! | temporary-then-block waiting (hand-off latency) | [`SpinPolicy`]: adaptive spin-then-park rendezvous, per-vCPU EWMA-tuned budget |
-//! | "a PPC accesses no shared data" (§3) | per-vCPU `#[repr(align(128))]` cells (stats, claims, pins, histograms), aggregated only on read |
+//! | "a PPC accesses no shared data" (§3) | per-vCPU `#[repr(align(128))]` cells (stats, completions, histograms), aggregated only on read, and per-thread claim cells |
 //!
 //! The common-case call path performs **no lock acquisitions and no
 //! writes to a cache line any other vCPU's fast path writes**: pools are
 //! lock-free queues, the entry lookup is one load of the calling vCPU's
 //! own table replica, the rendezvous is a post into the worker's own
 //! slot plus an adaptive wait, and every fast-path counter — the entry's
-//! in-flight and completion accounting included — is an increment on the
-//! calling vCPU's own line pair. The handler stays in the entry's box,
-//! borrowed under the claim, so no call writes its reference count. The
-//! epoch protocol's `SeqCst` operations are vCPU-local RMWs or loads of
-//! read-mostly words (era counters, table replica, handler pointer) that
-//! stay in every cache until an exchange or reclaim flips them. Locks
-//! appear only on cold paths (bind, kill, exchange, worker overrides).
+//! completion count included — is an increment on the calling vCPU's
+//! own line pair. The handler stays in the entry's box, borrowed under
+//! the claim, so no call writes its reference count. The claim itself is
+//! plain stores to the calling thread's own claim cell plus loads of
+//! read-mostly words (table replica, state, handler pointer) that stay
+//! in every cache until an exchange or reclaim changes them; those
+//! writers pay with a `membarrier` (`claims`). Locks appear only on
+//! cold paths (bind, kill, exchange, worker overrides).
 //!
 //! Three dispatch modes cover the latency spectrum (`ppcbench`'s
 //! `inline_null`, `handoff_null` and `worker.park_rtt_ns`; see
@@ -67,6 +68,7 @@ pub mod baseline;
 pub mod blackbox;
 pub mod bulk;
 pub mod call;
+mod claims;
 pub mod entry;
 pub mod export;
 pub mod flight;
@@ -537,9 +539,6 @@ pub struct VcpuState {
     /// ID, read only by callers on this vCPU (a single cache-local load
     /// per call), written only by Frank's publish/unpublish broadcasts.
     pub(crate) table: Box<[AtomicPtr<EntryShared>]>,
-    /// This vCPU's pin cell for the epoch-reclamation protocol (see
-    /// [`frank`]).
-    pub(crate) epoch: frank::EpochCell,
     /// Lock-free pool of idle call slots: the scratch pages inline calls
     /// borrow, held only while a handler runs on the caller's thread (a
     /// hand-off uses its worker's own slot).
@@ -559,7 +558,6 @@ impl VcpuState {
     fn new(id: usize, initial_cds: usize) -> Arc<Self> {
         let v = Arc::new(VcpuState {
             table: (0..MAX_ENTRIES).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
-            epoch: frank::EpochCell::default(),
             cd_pool: crossbeam::queue::ArrayQueue::new(256),
             ewma_ns: AtomicU64::new(0),
             poll: AtomicU64::new(0),
@@ -667,9 +665,9 @@ impl VcpuState {
 pub struct Runtime {
     pub(crate) vcpus: Vec<Arc<VcpuState>>,
     /// The cold-path resource manager: entry registry (the strong
-    /// references behind every published table pointer), name table, and
-    /// the pin-era grace machinery (see [`frank`]).
-    pub(crate) frank: frank::Frank,
+    /// references behind every published table pointer) and name table
+    /// (see [`frank`]).
+    pub(crate) frank: parking_lot::Mutex<frank::Frank>,
     /// Facility counters, sharded per vCPU. (`Arc` so the bulk engine can
     /// account from handler context without a back reference.)
     pub stats: Arc<RuntimeStats>,
@@ -785,10 +783,11 @@ impl Runtime {
             n_vcpus <= 256,
             "at most 256 virtual processors: flight and span records carry the vCPU in 8 bits"
         );
+        claims::register();
         let stats = Arc::new(RuntimeStats::new(n_vcpus));
         let rt = Arc::new(Runtime {
             vcpus: (0..n_vcpus).map(|i| VcpuState::new(i, opts.initial_cds)).collect(),
-            frank: frank::Frank::new(),
+            frank: parking_lot::Mutex::new(frank::Frank::new()),
             bulk: bulk::BulkState::new(n_vcpus, Arc::clone(&stats)),
             obs: Arc::new(ObsState::new(n_vcpus)),
             flight: Arc::new(FlightPlane::new(n_vcpus)),
@@ -877,7 +876,7 @@ impl Runtime {
         // directly, and ring workers and serve loops read the policy at
         // each idle wait).
         let budget = worker_idle_budget(p);
-        let inner = self.frank.inner.lock();
+        let inner = self.frank.lock();
         for e in inner.entries.iter().flatten() {
             e.idle_spin.store(budget, Ordering::Relaxed);
         }
@@ -1432,7 +1431,7 @@ impl Drop for Runtime {
         // Reap every live entry: signal workers and join them, then let
         // the registry drop the shared state.
         let entries: Vec<Arc<EntryShared>> =
-            self.frank.inner.lock().entries.iter().flatten().cloned().collect();
+            self.frank.lock().entries.iter().flatten().cloned().collect();
         for e in &entries {
             e.state.store(EntryState::Dead as u8, Ordering::SeqCst);
             e.reap_workers();

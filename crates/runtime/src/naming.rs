@@ -16,17 +16,17 @@ impl Runtime {
     /// service was bound with a non-empty name). Returns any previous
     /// binding.
     pub fn ns_register(&self, name: &str, ep: EntryId) -> Option<EntryId> {
-        self.frank.inner.lock().names.insert(name.to_string(), ep)
+        self.frank.lock().names.insert(name.to_string(), ep)
     }
 
     /// Resolve `name`.
     pub fn ns_lookup(&self, name: &str) -> Option<EntryId> {
-        self.frank.inner.lock().names.get(name).copied()
+        self.frank.lock().names.get(name).copied()
     }
 
     /// Remove `name`, returning its binding.
     pub fn ns_unregister(&self, name: &str) -> Option<EntryId> {
-        self.frank.inner.lock().names.remove(name)
+        self.frank.lock().names.remove(name)
     }
 }
 

@@ -252,6 +252,12 @@ pub fn pid_alive(pid: u32) -> bool {
     sys::pid_alive(pid)
 }
 
+/// `membarrier(2)`: register this process for `PRIVATE_EXPEDITED`, or
+/// issue one such barrier. False if the kernel refused.
+pub(crate) fn membarrier(register: bool) -> bool {
+    sys::membarrier(register)
+}
+
 #[cfg(target_os = "linux")]
 mod sys {
     use std::fs::File;
@@ -291,6 +297,10 @@ mod sys {
     const SYS_MEMFD_CREATE: c_long = 319;
     #[cfg(target_arch = "aarch64")]
     const SYS_MEMFD_CREATE: c_long = 279;
+    #[cfg(target_arch = "x86_64")]
+    const SYS_MEMBARRIER: c_long = 324;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_MEMBARRIER: c_long = 283;
 
     /// `FUTEX_WAIT`/`FUTEX_WAKE` **without** `FUTEX_PRIVATE_FLAG`: the
     /// word is shared between address spaces.
@@ -373,6 +383,13 @@ mod sys {
         }
     }
 
+    pub(super) fn membarrier(register: bool) -> bool {
+        // MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, _PRIVATE_EXPEDITED.
+        let cmd: c_int = if register { 16 } else { 8 };
+        // Safety: no pointer arguments; `flags` and `cpu_id` are 0.
+        unsafe { syscall(SYS_MEMBARRIER, cmd, 0 as c_uint, 0 as c_int) == 0 }
+    }
+
     pub(super) fn pid_alive(pid: u32) -> bool {
         if pid == 0 {
             return false;
@@ -436,6 +453,10 @@ mod sys {
     }
 
     pub(super) fn pid_alive(_pid: u32) -> bool {
+        false
+    }
+
+    pub(super) fn membarrier(_register: bool) -> bool {
         false
     }
 }

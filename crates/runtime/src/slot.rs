@@ -91,14 +91,14 @@ pub mod waiter {
 /// Line layout (64-byte lines, asserted below):
 ///
 /// ```text
-/// line 0   st | waiter | caller_program | faulted | parity
-///          | status | aux | payload_len | trace | pad
+/// line 0   st | waiter | caller_program | faulted | status
+///          | aux | payload_len | trace | pad
 /// line 1   args[0..8]
 /// line 2   rets[0..8]
 /// ```
 ///
 /// The state word shares line 0 only with words the **server does not
-/// write during the wait**: `caller_program`/`parity`/`trace` are
+/// write during the wait**: `caller_program`/`trace` are
 /// written by the client before POSTED, `status`/`aux`/`faulted` by the
 /// server at completion (right before the `DONE` store that ends the
 /// spin). `waiter` is the waiter's own: written before POSTED, and by a
@@ -115,10 +115,6 @@ pub struct SlotCore {
     caller_program: AtomicU32,
     /// The handler faulted (panicked) while servicing this call.
     faulted: AtomicU32,
-    /// Era parity the dispatcher's entry claim was counted under. Rides
-    /// the hand-off so whichever side owns the claim's release (worker
-    /// for async calls) decrements the right lifecycle shard.
-    parity: AtomicU32,
     /// Wire status for cross-process completion (0 = ok; see
     /// [`crate::xproc`]'s `RtError` code mapping). Unused in-process —
     /// errors there travel as `Result`s, never through the slot.
@@ -145,10 +141,9 @@ crate::assert_segment_layout!(SlotCore {
     waiter: 4,
     caller_program: 8,
     faulted: 12,
-    parity: 16,
-    status: 20,
-    aux: 24,
-    payload_len: 28,
+    status: 16,
+    aux: 20,
+    payload_len: 24,
     trace: 32,
     args: 64,
     rets: 128,
@@ -170,7 +165,6 @@ impl SlotCore {
             waiter: AtomicU32::new(waiter::NONE),
             caller_program: AtomicU32::new(0),
             faulted: AtomicU32::new(0),
-            parity: AtomicU32::new(0),
             status: AtomicU32::new(0),
             aux: AtomicU32::new(0),
             payload_len: AtomicU32::new(0),
@@ -206,7 +200,7 @@ impl SlotCore {
 
     /// Publish the filled frame to the peer (`Release`): the slot
     /// transitions to POSTED. Separate from [`SlotCore::fill`] so the
-    /// in-process path can add the claim parity and trace word first and
+    /// in-process path can add the trace word first and
     /// the cross-process path ring its doorbell after.
     #[inline]
     pub fn post(&self) {
@@ -331,16 +325,15 @@ impl CallSlot {
     /// claim release); otherwise nobody waits until a late waiter says
     /// so.
     pub fn fill(&self, args: [u64; 8], program: u32, sync: bool) {
-        self.stage(args, program, sync, 0, 0);
+        self.stage(args, program, sync, 0);
         self.core.post();
     }
 
-    /// Client side: fill the frame plus the claim's era parity and the
-    /// packed trace context ([`crate::span::TraceCtx::pack`], 0 = none),
-    /// without posting — [`SlotCore::post`] publishes all of it.
-    pub(crate) fn stage(&self, args: [u64; 8], program: u32, sync: bool, parity: u8, trace: u64) {
+    /// Client side: fill the frame plus the packed trace context
+    /// ([`crate::span::TraceCtx::pack`], 0 = none), without posting —
+    /// [`SlotCore::post`] publishes all of it.
+    pub(crate) fn stage(&self, args: [u64; 8], program: u32, sync: bool, trace: u64) {
         self.core.fill(args, program, if sync { waiter::FUTEX } else { waiter::NONE });
-        self.core.parity.store(u32::from(parity), Ordering::Relaxed);
         if trace != 0 {
             self.core.trace.store(trace, Ordering::Relaxed);
         }
@@ -360,12 +353,6 @@ impl CallSlot {
     /// Worker side: the caller's program identity.
     pub fn caller_program(&self) -> u32 {
         self.core.caller_program.load(Ordering::Relaxed)
-    }
-
-    /// Worker side: the claim's era parity.
-    #[inline]
-    pub(crate) fn parity(&self) -> u8 {
-        self.core.parity.load(Ordering::Relaxed) as u8
     }
 
     /// Whether a client thread waits synchronously on this call — which
@@ -504,9 +491,9 @@ mod tests {
         s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0);
         s.complete([0; 8]);
-        s.stage([0; 8], 0, false, 1, 0xAB_CD);
+        s.stage([0; 8], 0, false, 0xAB_CD);
         s.core.post();
-        assert_eq!((s.trace_word(), s.parity()), (0xAB_CD, 1));
+        assert_eq!(s.trace_word(), 0xAB_CD);
         s.complete([0; 8]);
         s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0, "stale context never leaks into the next call");

@@ -209,13 +209,13 @@ counters! {
     /// Bulk accesses rejected: no grant, bad descriptor, or revoked
     /// mid-transfer.
     bulk_denied,
-    /// Handlers retired by Exchange into the era-tagged limbo list.
+    /// Handlers retired by Exchange into the limbo slot.
     handlers_retired,
-    /// Retired handlers freed after their era quiesced. Trails
+    /// Retired handlers freed once no claim could reach them. Trails
     /// `handlers_retired` by at most the bounded limbo length — the
     /// anti-leak invariant the churn tests assert.
     handlers_freed,
-    /// Dead entries reclaimed (unpublished + grace period + registry
+    /// Dead entries reclaimed (unpublished + claims drained + registry
     /// reference dropped).
     entries_reclaimed,
     /// SQEs accepted into a submission ring (admitted past the credit

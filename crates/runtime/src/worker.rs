@@ -235,6 +235,19 @@ impl WorkerPool {
         w
     }
 
+    /// Whether a live worker here holds an async call it was handed and
+    /// has not completed (`POSTED`, no client waiting). A worker that
+    /// exited never runs its slot again: a post it missed was taken back
+    /// (`WorkerHandle::post`) and stays `POSTED`. Cold path.
+    pub(crate) fn async_posted(&self) -> bool {
+        let held = |w: &WorkerHandle| {
+            w.slot.core.state_word().load(Ordering::Acquire) == state::POSTED
+                && !w.slot.has_client()
+                && !w.exited.load(Ordering::Acquire)
+        };
+        self.all.lock().iter().any(|(w, _)| held(w))
+    }
+
     /// Visit every worker ever created in this pool (cold path).
     pub fn for_each_worker(&self, mut f: impl FnMut(&WorkerHandle)) {
         for (w, _) in self.all.lock().iter() {
@@ -341,13 +354,10 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             // The final look (ORDERING: `WorkerHandle::post`): a call
             // posted between the pop and our shutdown completes with the
             // abort marker (the caller reads the entry's Dead state and
-            // reports `Aborted`); for an async one nobody else releases
-            // the claim, so we do.
+            // reports `Aborted`); an async one's claim was the `POSTED`
+            // slot, released by the completion.
             fence(Ordering::SeqCst);
             if slot.core.state_word().load(Ordering::Acquire) == state::POSTED {
-                if !slot.has_client() {
-                    entry.finish_call(vcpu, slot.parity());
-                }
                 slot.complete(crate::slot::ABORT_RETS);
             }
             me.exited.store(true, Ordering::Release);
@@ -365,6 +375,10 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             me.calls.fetch_add(1, Ordering::Release);
             continue;
         }
+        // An async call's caller has let go of its claim: take our own
+        // before anything reads the entry's handler (`Claim::transfer`).
+        #[cfg(test)] crate::claims::pause::point("pickup");
+        let held = (!slot.has_client()).then(|| crate::claims::push(Arc::as_ptr(&entry)));
         timer.transition(crate::stats::TimeState::Handler);
         me.refresh_override(&mut over);
 
@@ -393,16 +407,15 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         if run.faulted {
             slot.mark_faulted();
         }
-        // A synchronous caller holds the claim (releasing it here would
-        // let a reclaim free the entry under the caller), counts the
-        // completion on its own lifecycle line and re-pools us. Async
-        // calls and upcalls have no one else: count, release the claim
-        // under the parity that rode the slot, and owe the re-pool.
-        if slot.has_client() {
+        // A synchronous caller holds the claim until it has read the
+        // results, counts the completion on its own vCPU's line and
+        // re-pools us. Async calls and upcalls have no one else: count,
+        // release our claim and owe the re-pool.
+        if held.is_none() {
             me.calls.fetch_add(1, Ordering::Relaxed);
         } else {
             entry.record_completion(vcpu);
-            entry.finish_call(vcpu, slot.parity());
+            drop(held);
             owed = true;
         }
         woke = slot.complete(run.rets);
@@ -481,7 +494,8 @@ pub(crate) mod tests {
     }
 
     /// A post racing a kill goes to exactly one side. 10⁴ rounds of a
-    /// sync `post` against a `hard_kill` that shuts its worker down: each
+    /// `post`, sync and async in turn, against a `hard_kill` that shuts
+    /// its worker down, each round then reclaimed: each
     /// call is served (its own result), aborted by the worker's final look
     /// (`ABORT_RETS`), or taken back (`Aborted`, the worker gone), and its
     /// handler runs at most once. Then a shut-down worker that a late
@@ -511,7 +525,9 @@ pub(crate) mod tests {
                     rt.hard_kill(ep, 0).unwrap();
                 });
                 go.wait();
-                let posted = rt.post(&claim, [round; 8], 1, None, true, 0);
+                // Sync and async alike: a taken-back async post must not
+                // look held to the reclaim below.
+                let posted = rt.post(&claim, [round; 8], 1, None, round % 2 == 0, 0);
                 if let Ok((w, _)) = &posted {
                     while !w.slot.is_done() {
                         std::thread::yield_now();

@@ -146,7 +146,7 @@ pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
 /// Version of the segment layout described in the module docs. Bump on
 /// any layout change; openers refuse other versions with
 /// [`RtError::BadSegment`].
-pub const XPROC_LAYOUT_VERSION: u32 = 3;
+pub const XPROC_LAYOUT_VERSION: u32 = 4;
 
 /// Hard cap on clients per segment (the claim mask is one `u64`).
 pub const MAX_XCLIENTS: usize = 64;
@@ -2004,9 +2004,10 @@ mod tests {
         let re = SegMap::open(&path).unwrap();
         assert_eq!(re.geo, map.geo);
         // Any other version — layouts 1 and 2, whose rings had 96- and
-        // 88-byte entries, included — is a clean BadSegment, not UB.
-        assert_eq!(XPROC_LAYOUT_VERSION, 3);
-        for version in [1, 2, XPROC_LAYOUT_VERSION + 1] {
+        // 88-byte entries, and 3, whose slots carried a claim-parity
+        // word at offset 16, included — is a clean BadSegment, not UB.
+        assert_eq!(XPROC_LAYOUT_VERSION, 4);
+        for version in [1, 2, 3, XPROC_LAYOUT_VERSION + 1] {
             // Safety: single-process test, no concurrent reader.
             unsafe { *(map.seg.base().add(8) as *mut u32) = version };
             assert_eq!(SegMap::open(&path).err(), Some(RtError::BadSegment));

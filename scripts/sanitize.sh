@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# ThreadSanitizer over the ring: `ppc-rt`'s `ring::` unit tests and the
-# `tests/ring.rs` suite (the in-process front-end and the conformance
-# bodies), built with the nightly toolchain's TSan runtime.
+# ThreadSanitizer over the ring and the claim cells: `ppc-rt`'s `ring::`
+# unit tests, the `tests/ring.rs` suite (the in-process front-end and the
+# conformance bodies) and the claim-cell storm (kill, reclaim, rebind and
+# exchange beside two callers), built with the nightly toolchain's TSan
+# runtime. TSan does not model `membarrier`; the storm is still checked,
+# because a claim's release (`Release`) and the writer's scan of it
+# (`Acquire`) are the edge that orders every use of an entry before its
+# free.
 #
-#     scripts/sanitize.sh            run both, exit nonzero on any report
+#     scripts/sanitize.sh            run all three, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -20,3 +25,4 @@ target=x86_64-unknown-linux-gnu
 
 cargo +nightly test -p ppc-rt --target "$target" --lib -- ring::
 cargo +nightly test -p ppc-rt --target "$target" --test ring
+cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests::storm_at_one_id_beside_inline_callers
