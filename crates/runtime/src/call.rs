@@ -71,17 +71,17 @@ impl Runtime {
         // keeping the entry alive for the scope's EWMA read.
         //
         // Observability gate: one Relaxed load (plus a thread-local tick
-        // when enabled). Unsampled calls pay only the end-to-end
-        // timestamp pair that feeds the *exact* per-kind max — the tail
-        // gate cannot live with a 1/128-sampled max — and nothing when
-        // the plane is off entirely.
+        // when enabled). The tick decides every timed record of the call
+        // — call, rendezvous and, riding the slot, the worker's handler
+        // run — as on the inline path: an unsampled call reads no clock.
         let sampled = self.obs().try_sample();
-        let t0 = self.obs().enabled().then(Instant::now);
+        let t0 = sampled.then(Instant::now);
         // The call span opens before resource acquisition so Frank grow
         // events during `post` parent under it; the drop guard closes it
         // (and runs the root's tail-exemplar check) on every exit.
         let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*claim.trace_ewma_ns));
-        let (worker, woke) = self.post(&claim, args, program, payload, true, scope.ctx_word())?;
+        let word = scope.ctx_word();
+        let (worker, woke) = self.post(&claim, args, program, payload, true, word, sampled)?;
         let vc = self.vcpu(vcpu)?;
         let done_at = self.rendezvous(vc, &worker, woke, ep, sampled);
         let slot = &worker.slot;
@@ -102,14 +102,11 @@ impl Runtime {
         let cell = self.stats.cell(vcpu);
         Self::settle(cell, ep, killed, faulted)?;
         cell.handoff_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(t0) = t0 {
+        if let (Some(t0), Some(done_at)) = (t0, done_at) {
             // The instant the wait ended closes the call record too.
             let ns = done_at.duration_since(t0).as_nanos() as u64;
-            self.obs().record_max(LatencyKind::Call, vcpu, ns);
-            if sampled {
-                self.obs().record(LatencyKind::Call, vcpu, ns);
-                self.flight().record(vcpu, FlightKind::Handoff, ep, program);
-            }
+            self.obs().record(LatencyKind::Call, vcpu, ns);
+            self.flight().record(vcpu, FlightKind::Handoff, ep, program);
         }
         // `scope` drops first (it borrows `claim`), then the claim
         // releases — the order the reclaim protocol requires.
@@ -249,20 +246,16 @@ impl Runtime {
     /// [`SpinPolicy`] ([`VcpuState::wait_done`]). Every budgeted wait is
     /// *bounded with escalation*: when the spin budget runs dry the
     /// client donates its timeslice to `worker` — priority-unpark plus
-    /// `yield_now`, up to [`crate::spin::ESCALATE_YIELDS`] rounds —
-    /// before finally blocking. A spun-out budget means the worker lost
-    /// the processor mid-handler; blocking straight away stacks a futex
-    /// sleep/wake round trip on top of the context switch the worker
-    /// needs anyway, and that convoy is precisely the 50–80µs p999/max
-    /// outlier the tail histograms showed. `ParkOnly` skips poll and spin
-    /// but keeps the escalation (its tail had the same convoy shape).
+    /// `yield_now`, up to [`crate::spin::ESCALATE_YIELDS`] rounds (its
+    /// doc says why) — before finally blocking. `ParkOnly` skips poll and spin
+    /// but keeps the escalation.
     ///
-    /// Under `Adaptive`, the observed wall-clock latency feeds the
-    /// calling vCPU's EWMA so the next budget fits the workload. With
-    /// the obs plane enabled the wait is always timed and feeds the
-    /// exact [`LatencyKind::Rendezvous`] max; a `sampled` rendezvous
-    /// additionally records the full histogram entry and its
-    /// spin-vs-park outcome into the flight ring. Returns when it ended.
+    /// Every call counts its outcome and charges its futex wait, timed
+    /// around the wait itself, to Park. Only a `sampled` rendezvous reads
+    /// the clock around the whole wait: it records the histogram and the
+    /// flight event, feeds the vCPU's EWMA under `Adaptive` (so the next
+    /// budget fits the workload), and charges its unblocked part, scaled
+    /// by the sample period, to Spin. Returns when a sampled wait ended.
     fn rendezvous(
         &self,
         vc: &VcpuState,
@@ -270,46 +263,36 @@ impl Runtime {
         woke: bool,
         ep: EntryId,
         sampled: bool,
-    ) -> Instant {
+    ) -> Option<Instant> {
         // The client-side wait as a leaf span under the live call span
         // (no-op otherwise) — this is the "rendezvous wait" slice of a
         // tail exemplar's phase breakdown.
         let _span = self.spans().leaf_scope(vc.id, ep, SpanPhase::Rendezvous);
         let cell = self.stats.cell(vc.id);
         let adaptive = self.spin_policy() == SpinPolicy::Adaptive;
-        // Unconditional timestamp pair: the wait below is µs-scale
-        // (spin, donation, or futex), so the attribution plane's charge
-        // of this interval to `time_spin_ns`/`time_park_ns` costs noise
-        // relative to what it measures — unlike the inline path, which
-        // stays sampled.
-        let t0 = Instant::now();
-        let (resolved, escalated) = vc.wait_done(worker, adaptive, true, woke);
-        let done_at = Instant::now();
-        let wait_ns = done_at.duration_since(t0).as_nanos() as u64;
-        if self.obs().enabled() {
-            self.obs().record_max(LatencyKind::Rendezvous, vc.id, wait_ns);
-        }
-        if adaptive {
-            vc.observe_latency(wait_ns);
-        }
-        // The client's wait is this vCPU's attributed time: a resolved
-        // wait was spent spinning (userspace), an unresolved one parked.
+        let t0 = sampled.then(Instant::now);
+        let (resolved, escalated, blocked_ns) = vc.wait_done(worker, adaptive, true, woke);
         if resolved {
             cell.spin_waits.fetch_add(1, Ordering::Relaxed);
-            cell.add_time(TimeState::Spin, wait_ns);
         } else {
             cell.park_waits.fetch_add(1, Ordering::Relaxed);
-            cell.add_time(TimeState::Park, wait_ns);
+            cell.add_time(TimeState::Park, blocked_ns);
         }
         if escalated {
             cell.spin_escalations.fetch_add(1, Ordering::Relaxed);
         }
-        if sampled {
-            self.obs().record(LatencyKind::Rendezvous, vc.id, wait_ns);
-            let kind = if resolved { FlightKind::SpinResolved } else { FlightKind::Parked };
-            self.flight().record(vc.id, kind, ep, wait_ns.min(u32::MAX as u64) as u32);
+        let t0 = t0?;
+        let done_at = Instant::now();
+        let wait_ns = done_at.duration_since(t0).as_nanos() as u64;
+        if adaptive {
+            vc.observe_latency(wait_ns);
         }
-        done_at
+        let spun_ns = wait_ns.saturating_sub(blocked_ns) << self.obs().sample_shift();
+        cell.add_time(TimeState::Spin, spun_ns);
+        self.obs().record(LatencyKind::Rendezvous, vc.id, wait_ns);
+        let kind = if resolved { FlightKind::SpinResolved } else { FlightKind::Parked };
+        self.flight().record(vc.id, kind, ep, wait_ns.min(u32::MAX as u64) as u32);
+        Some(done_at)
     }
 
     /// Asynchronous dispatch: returns a handle; the caller continues
@@ -333,7 +316,7 @@ impl Runtime {
         // anything nested under it — parents here.
         let trace = self.spans().begin_async(sampled, vcpu, ep);
         let word = trace.as_ref().map_or(0, |tok| tok.ctx.pack());
-        let worker = match self.post(&claim, args, program, None, false, word) {
+        let worker = match self.post(&claim, args, program, None, false, word, sampled) {
             Ok((worker, _)) => worker,
             Err(e) => {
                 // Not posted (or posted and taken back): the claim is
@@ -382,13 +365,16 @@ impl Runtime {
     /// nobody waits yet, and the worker claims for itself and pools
     /// itself once the handle hands the slot back); a non-zero
     /// `trace_word` rides the slot so the handler span parents under the
-    /// caller's. Also returns whether the worker had to be woken.
+    /// caller's, and `sampled` — the caller's tick — decides whether the
+    /// worker times the handler run. Also returns whether the worker had
+    /// to be woken.
     ///
     /// Never releases the claim: on `Err` the call was not posted, or was
     /// posted and taken back, and the caller's [`Claim`] still owns the
     /// release. After an `Ok` from a non-`sync` post the caller's claim
     /// is handed over ([`Claim::transfer`]), so nothing past the post
     /// touches the entry unless the call was taken back.
+    #[allow(clippy::too_many_arguments)] // the call frame, field by field
     pub(crate) fn post(
         &self,
         claim: &Claim<'_>,
@@ -397,6 +383,7 @@ impl Runtime {
         payload: Option<&[u8]>,
         sync: bool,
         trace_word: u64,
+        sampled: bool,
     ) -> Result<(Arc<WorkerHandle>, bool), RtError> {
         let (vcpu, ep) = (claim.vcpu(), claim.id);
         let cell = self.stats.cell(vcpu);
@@ -426,11 +413,60 @@ impl Runtime {
         if let Some(p) = payload {
             slot.write_payload(p);
         }
-        slot.stage(args, program, sync, trace_word);
+        slot.stage(args, program, sync, trace_word, sampled);
         // Racing a kill, the worker may have exited without seeing the
         // post: the call is ours again, and nobody else would ever
         // complete (or, for an async call, release the claim of) it.
         let woke = worker.post().ok_or(RtError::Aborted(ep))?;
         Ok((worker, woke))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use crate::{EntryOptions, Runtime};
+
+    /// Only sampled waits feed the vCPU's EWMA, and that is enough for it
+    /// to follow a phase change: exchange a null hand-off entry for a
+    /// 150 µs one and the budget must reach 0 (park at once) within 2 048
+    /// calls — 16 sampled waits at the default 1 in 128, where 9 of ≥
+    /// 150 µs carry the weight-⅛ EWMA past 100 µs from any start — and
+    /// exchange it back and the budget must return within 8 192 calls
+    /// (64 samples). Without the feed the EWMA never moves off 0, and
+    /// the budget never off its default.
+    #[test]
+    fn sampled_waits_flip_the_vcpu_to_park_at_once_and_back() {
+        let _watchdog = crate::wait::abort_if_hung("call.rs EWMA test");
+        let rt = Runtime::new(1);
+        assert_eq!(rt.obs().sample_shift(), crate::obs::DEFAULT_SAMPLE_SHIFT);
+        let ep = rt.bind("phase", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let client = rt.client(0, 1);
+        let vc = rt.vcpu(0).unwrap();
+        for i in 0..1_024 {
+            client.call(ep, [i; 8]).unwrap();
+        }
+        assert!(vc.spin_budget() > 0, "a null handler spins");
+        let slow = Arc::new(|c: &mut crate::CallCtx<'_>| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(150) {
+                std::hint::spin_loop();
+            }
+            c.args
+        });
+        rt.exchange(ep, slow, 0).unwrap();
+        let to_park = (1..=2_048).find(|&i| {
+            client.call(ep, [i; 8]).unwrap();
+            vc.spin_budget() == 0
+        });
+        assert!(to_park.is_some(), "150 µs calls never flipped the vCPU to park at once");
+        rt.exchange(ep, Arc::new(|c| c.args), 0).unwrap();
+        let back = (1..=8_192).find(|&i| {
+            client.call(ep, [i; 8]).unwrap();
+            vc.spin_budget() > 0
+        });
+        assert!(back.is_some(), "null calls never brought the spin budget back");
     }
 }

@@ -602,14 +602,14 @@ impl VcpuState {
     /// EWMA's yielding spin capped at [`spin::SPIN_HARD_CAP`], donation
     /// rounds, then the announced futex sleep. `ParkOnly` (not `adaptive`)
     /// keeps the rounds only, an EWMA past [`spin::PARK_THRESHOLD_NS`]
-    /// nothing. Returns `(resolved_without_blocking, escalated)`.
+    /// nothing. Returns `(resolved_without_blocking, escalated, blocked_ns)`.
     pub(crate) fn wait_done(
         &self,
         worker: &worker::WorkerHandle,
         adaptive: bool,
         donate: bool,
         woke: bool,
-    ) -> (bool, bool) {
+    ) -> (bool, bool, u64) {
         let budget = if adaptive { self.spin_budget() } else { 0 };
         let donates = donate && !(adaptive && budget == 0);
         let mut poll = wait::Poll::from_bits(self.poll.load(Ordering::Relaxed));
@@ -618,9 +618,9 @@ impl VcpuState {
             budget: budget.min(spin::SPIN_HARD_CAP),
             rounds: if donates { spin::ESCALATE_YIELDS } else { 0 },
         };
-        let how = worker.slot.wait_done(spin, || worker.unpark());
+        let (how, blocked_ns) = worker.slot.wait_done(spin, || worker.unpark());
         self.poll.store(poll.bits(), Ordering::Relaxed);
-        (how != wait::Waited::Blocked, donates && how != wait::Waited::Spun)
+        (how != wait::Waited::Blocked, donates && how != wait::Waited::Spun, blocked_ns)
     }
 
     /// Take a slot from the pool, growing it if dry (the Frank slow

@@ -18,8 +18,11 @@
 //!    *thread* (default 1/128). A thread-local tick makes the decision
 //!    without touching shared memory; sampled calls pay the two
 //!    timestamps and one bucket increment, unsampled calls pay a
-//!    thread-local increment and a branch. Uniform every-Nth sampling
-//!    is unbiased for quantiles, which is what the plane reports.
+//!    thread-local increment and a branch. The calling thread's tick
+//!    decides every timed record of a call, a hand-off worker's included
+//!    (the decision rides the slot), and the per-kind max is the max
+//!    over sampled calls. Uniform every-Nth sampling is unbiased for
+//!    quantiles, which is what the plane reports.
 //!
 //! Buckets are log₂-spaced over nanoseconds: bucket *i* holds durations
 //! with bit length *i* (i.e. `ns in [2^(i-1), 2^i)` for `i ≥ 1`, and
@@ -136,11 +139,6 @@ impl HistCell {
         self.sum_ns[k].fetch_add(ns, Ordering::Relaxed);
         self.max_ns[k].fetch_max(ns, Ordering::Relaxed);
     }
-
-    #[inline]
-    fn record_max(&self, kind: LatencyKind, ns: u64) {
-        self.max_ns[kind as usize].fetch_max(ns, Ordering::Relaxed);
-    }
 }
 
 /// A merged (cross-vCPU) view of one kind's histogram — the cold-path
@@ -211,11 +209,12 @@ impl Histogram {
             if seen + c >= rank {
                 let lower = if i == 0 { 0 } else { bucket_bound(i - 1) + 1 };
                 // The top populated bucket's upper bound is the exact
-                // tracked max — but clamped into the bucket: `max_ns` may
-                // exceed the top *sampled* bucket when the unconditional
-                // max feed saw a tail the 1/128 sampler missed, and
-                // letting it stretch the interpolation span would corrupt
-                // every near-tail quantile.
+                // tracked max — but clamped into the bucket: a window
+                // delta's `max_ns` is 0 when the window set no new max
+                // (see `delta_since`), and a hand-built histogram may
+                // carry a max from outside its buckets; letting either
+                // stretch the interpolation span would corrupt every
+                // near-tail quantile.
                 let upper = if i == top {
                     self.max_ns.clamp(lower, bucket_bound(i))
                 } else {
@@ -240,9 +239,9 @@ impl Histogram {
     }
 
     /// Clear every bucket, the sum, **and the exact max** back to zero.
-    /// The max reset matters: the PR-7 exact-max feed is unconditional,
-    /// so a histogram reused across measurement windows would otherwise
-    /// report a stale worst-case from a previous window forever.
+    /// The max reset matters: a max only ratchets up, so a histogram
+    /// reused across measurement windows would otherwise report a stale
+    /// worst case from a previous window forever.
     pub fn reset(&mut self) {
         *self = Histogram::new();
     }
@@ -370,22 +369,6 @@ impl ObsState {
         self.cells[vcpu].record(kind, ns);
     }
 
-    /// Feed only the **exact max** for `kind` — one `Relaxed`
-    /// `fetch_max` on the calling vCPU's cell, no bucket or sum traffic.
-    /// The hand-off dispatch path calls this for *every* timed call (not
-    /// just the 1/128 sampled ones): a sampled max under-reports the
-    /// worst call by construction — precisely the tail the flight-ring
-    /// exemplars exist to catch — while an
-    /// unconditional `fetch_max` on an almost-always-unchanged
-    /// vCPU-local line costs next to nothing next to a hand-off. No-op
-    /// when the plane is disabled.
-    #[inline]
-    pub fn record_max(&self, kind: LatencyKind, vcpu: usize, ns: u64) {
-        if self.enabled() {
-            self.cells[vcpu].record_max(kind, ns);
-        }
-    }
-
     /// Merge every vCPU's histogram for `kind` (cold read path).
     pub fn merged(&self, kind: LatencyKind) -> Histogram {
         let mut out = Histogram::new();
@@ -483,10 +466,10 @@ mod tests {
 
     #[test]
     fn unsampled_max_does_not_skew_quantiles() {
-        // The unconditional max feed can push `max_ns` far above the top
-        // *sampled* bucket (an 80µs convoy the 1/128 sampler missed).
-        // Quantiles must stay inside the sampled distribution; only the
-        // exact max reports the outlier.
+        // A max from outside the sampled buckets (an 80µs convoy
+        // recorded in another window, say) may sit far above the top
+        // one. Quantiles must stay inside the sampled distribution; only
+        // the max reports the outlier.
         let mut h = Histogram::new();
         for _ in 0..1_000 {
             h.record(1_500); // bucket 11: [1024, 2047]
@@ -502,7 +485,7 @@ mod tests {
     #[test]
     fn reset_clears_the_exact_max() {
         let mut h = Histogram::new();
-        h.record(80_000); // the PR-7 unconditional max feed's outlier
+        h.record(80_000); // one outlier
         assert_eq!(h.max_ns, 80_000);
         h.reset();
         assert_eq!(h.count(), 0);
@@ -586,14 +569,6 @@ mod tests {
         assert_eq!(obs.vcpu_hist(LatencyKind::Call, 0).count(), 1);
         assert_eq!(obs.merged(LatencyKind::Handler).count(), 1);
         assert_eq!(obs.merged(LatencyKind::BulkCopy).count(), 0);
-        // The exact-max feed raises only the max: no bucket, no sum.
-        obs.record_max(LatencyKind::Call, 0, 9_999);
-        assert_eq!(obs.merged(LatencyKind::Call).count(), 2);
-        assert_eq!(obs.merged(LatencyKind::Call).max_ns, 9_999);
-        obs.set_enabled(false);
-        obs.record_max(LatencyKind::Call, 0, 99_999);
-        obs.set_enabled(true);
-        assert_eq!(obs.merged(LatencyKind::Call).max_ns, 9_999, "disabled feed is a no-op");
         obs.reset();
         assert_eq!(obs.merged(LatencyKind::Call).count(), 0);
     }

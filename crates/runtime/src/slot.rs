@@ -42,6 +42,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::wait::{notify, wait, Sleeper, Spin, Waited};
 
@@ -92,13 +93,13 @@ pub mod waiter {
 ///
 /// ```text
 /// line 0   st | waiter | caller_program | faulted | status
-///          | aux | payload_len | trace | pad
+///          | aux | payload_len | sampled | trace | pad
 /// line 1   args[0..8]
 /// line 2   rets[0..8]
 /// ```
 ///
 /// The state word shares line 0 only with words the **server does not
-/// write during the wait**: `caller_program`/`trace` are
+/// write during the wait**: `caller_program`/`sampled`/`trace` are
 /// written by the client before POSTED, `status`/`aux`/`faulted` by the
 /// server at completion (right before the `DONE` store that ends the
 /// spin). `waiter` is the waiter's own: written before POSTED, and by a
@@ -125,6 +126,9 @@ pub struct SlotCore {
     /// `call_with_payload`); unused in-process (the scratch page is
     /// process-local there).
     payload_len: AtomicU32,
+    /// The caller's sample decision (1 = time the handler run too).
+    /// In-process only: a segment server samples on its own tick.
+    sampled: AtomicU32,
     /// Packed trace context riding the hand-off (0 = no trace). Written
     /// by the client between `fill` and the post; the `POSTED`
     /// Release/Acquire edge publishes it to the worker.
@@ -144,6 +148,7 @@ crate::assert_segment_layout!(SlotCore {
     status: 16,
     aux: 20,
     payload_len: 24,
+    sampled: 28,
     trace: 32,
     args: 64,
     rets: 128,
@@ -168,6 +173,7 @@ impl SlotCore {
             status: AtomicU32::new(0),
             aux: AtomicU32::new(0),
             payload_len: AtomicU32::new(0),
+            sampled: AtomicU32::new(0),
             trace: AtomicU64::new(0),
             _pad0: [0; 24],
             args: UnsafeCell::new([0; 8]),
@@ -325,15 +331,17 @@ impl CallSlot {
     /// claim release); otherwise nobody waits until a late waiter says
     /// so.
     pub fn fill(&self, args: [u64; 8], program: u32, sync: bool) {
-        self.stage(args, program, sync, 0);
+        self.stage(args, program, sync, 0, false);
         self.core.post();
     }
 
     /// Client side: fill the frame plus the packed trace context
-    /// ([`crate::span::TraceCtx::pack`], 0 = none), without posting —
-    /// [`SlotCore::post`] publishes all of it.
-    pub(crate) fn stage(&self, args: [u64; 8], program: u32, sync: bool, trace: u64) {
+    /// ([`crate::span::TraceCtx::pack`], 0 = none) and the caller's
+    /// sample decision, without posting — [`SlotCore::post`] publishes
+    /// all of it.
+    pub(crate) fn stage(&self, args: [u64; 8], program: u32, sync: bool, trace: u64, sampled: bool) {
         self.core.fill(args, program, if sync { waiter::FUTEX } else { waiter::NONE });
+        self.core.sampled.store(u32::from(sampled), Ordering::Relaxed);
         if trace != 0 {
             self.core.trace.store(trace, Ordering::Relaxed);
         }
@@ -343,6 +351,11 @@ impl CallSlot {
     #[inline]
     pub fn trace_word(&self) -> u64 {
         self.core.trace.load(Ordering::Relaxed)
+    }
+
+    /// Worker side: whether the caller's tick sampled this call.
+    pub(crate) fn sampled(&self) -> bool {
+        self.core.sampled.load(Ordering::Relaxed) != 0
     }
 
     /// Worker side: read the arguments (slot must be POSTED and owned).
@@ -408,13 +421,18 @@ impl CallSlot {
     /// announce on the waiter word and futex-wait on the state word. No
     /// timeout: [`CallSlot::complete`] changes that word before it reads
     /// the announcement. A synchronous caller and an async call's late
-    /// waiter differ only in the value announced.
-    pub(crate) fn wait_done(&self, spin: Spin<'_>, donate: impl FnMut()) -> Waited {
+    /// waiter differ only in the value announced. Also returns the time
+    /// spent blocked, read around each futex wait and nowhere else.
+    pub(crate) fn wait_done(&self, spin: Spin<'_>, donate: impl FnMut()) -> (Waited, u64) {
+        let mut blocked_ns = 0;
         let sleep = || {
+            let t0 = Instant::now();
             crate::shm::futex_wait(&self.core.st, state::POSTED, None);
+            blocked_ns += t0.elapsed().as_nanos() as u64;
             true
         };
-        wait(spin, Some(self.core.sleeper(self.has_client())), || self.is_done(), donate, sleep)
+        let sleeper = Some(self.core.sleeper(self.has_client()));
+        (wait(spin, sleeper, || self.is_done(), donate, sleep), blocked_ns)
     }
 
     /// Client side: read the results (slot must be DONE).
@@ -491,7 +509,7 @@ mod tests {
         s.fill([0; 8], 0, false);
         assert_eq!(s.trace_word(), 0);
         s.complete([0; 8]);
-        s.stage([0; 8], 0, false, 0xAB_CD);
+        s.stage([0; 8], 0, false, 0xAB_CD, false);
         s.core.post();
         assert_eq!(s.trace_word(), 0xAB_CD);
         s.complete([0; 8]);
@@ -504,11 +522,14 @@ mod tests {
         let s = CallSlot::new();
         s.fill([5; 8], 1, true);
         std::thread::scope(|scope| {
-            scope.spawn(|| {
+            let completer = scope.spawn(|| {
                 let args = s.read_args();
                 s.complete([args[0] + 1; 8]);
             });
             s.wait_done(Spin::default(), || ());
+            // Joined (`pthread_join`) before the slot drops: TSan does not
+            // see the scope's own join, which runs in uninstrumented std.
+            completer.join().unwrap();
         });
         assert_eq!(s.read_rets(), [6; 8]);
     }
@@ -523,7 +544,7 @@ mod tests {
         let _watchdog = crate::wait::abort_if_hung("slot.rs hand-off test");
         let s = CallSlot::new();
         std::thread::scope(|scope| {
-            scope.spawn(|| {
+            let completer = scope.spawn(|| {
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64;
                 for _ in 0..n {
                     while s.core.st.load(Ordering::Acquire) != state::POSTED {
@@ -542,13 +563,15 @@ mod tests {
                 while after_done && !s.is_done() {
                     std::thread::yield_now();
                 }
-                let how = s.wait_done(Spin::default(), || ());
+                let (how, _) = s.wait_done(Spin::default(), || ());
                 assert!(!after_done || how == Waited::Spun, "nobody is left to wake this wait");
                 blocked += u32::from(how == Waited::Blocked);
                 assert_eq!(s.read_rets(), [i + 1; 8]);
                 assert_eq!(s.has_client(), sync, "an announcement changed who releases the claim");
                 // No reset: the next fill posts straight from DONE.
             }
+            // Joined before the slot drops, as in `cross_thread_handoff`.
+            completer.join().unwrap();
             blocked
         })
     }

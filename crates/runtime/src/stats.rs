@@ -237,20 +237,19 @@ counters! {
     /// a full SQ means the worker is behind).
     ring_no_credit,
     /// Wall-time (ns) spent running handlers ([`TimeState::Handler`]).
-    /// Hand-off workers charge it exactly; the inline path and the ring
-    /// worker charge a sampled estimate (observed ns × the obs sample
-    /// period) so the null inline call and the unsampled SQE read no
-    /// clock. The ring worker carves it out of the drain's
-    /// [`TimeState::Ring`] interval: the two still sum to the drain.
-    /// With the obs plane off nothing is sampled — inline handlers
-    /// charge nothing, a ring worker's whole drain is Ring time.
+    /// Every in-process transport charges a sampled estimate (observed
+    /// ns × the obs sample period): no unsampled call reads a clock for
+    /// it. Workers carve it out of the interval it ran in (hand-off: Idle,
+    /// ring: the drain's [`TimeState::Ring`]), so their states still sum
+    /// to their wall time. With the obs plane off nothing is sampled and
+    /// handlers charge nothing.
     time_handler_ns,
-    /// Wall-time (ns) clients spent spinning out a hand-off rendezvous
-    /// that resolved without parking ([`TimeState::Spin`]).
+    /// Wall-time (ns) clients spent in a hand-off rendezvous outside its
+    /// futex wait, sampled like handler time ([`TimeState::Spin`]).
     time_spin_ns,
-    /// Wall-time (ns) spent parked/blocked: clients whose rendezvous
-    /// escalated to a futex wait, and workers parked on an idle
-    /// slot or ring ([`TimeState::Park`]).
+    /// Wall-time (ns) spent parked/blocked, exactly: clients in a hand-off
+    /// rendezvous's futex wait, workers parked on an idle slot or ring
+    /// ([`TimeState::Park`]).
     time_park_ns,
     /// Wall-time (ns) ring workers spent draining submission queues —
     /// SQE decode, staging, completion posting — *excluding* the bulk

@@ -24,6 +24,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::slot::{state, CallSlot};
+use crate::stats::{StateTimer, TimeState};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin};
 use crate::Handler;
 
@@ -314,7 +315,8 @@ fn idle_wait(
     me: &WorkerHandle,
     want: u32,
     poll: Option<&mut Poll>,
-    timer: &mut crate::stats::StateTimer<'_>,
+    timer: &mut StateTimer<'_>,
+    handler_ns: &mut u64,
 ) {
     let budget = entry.idle_spin.load(Ordering::Relaxed);
     let spin = Spin { poll: poll.filter(|_| budget > 0), budget, rounds: 0 };
@@ -322,10 +324,10 @@ fn idle_wait(
     let ready =
         || st.load(Ordering::Relaxed) == want || me.shutdown.load(Ordering::Relaxed);
     let park = || {
-        // The spin was Idle time; the park interval is Park time.
-        timer.transition(crate::stats::TimeState::Park);
+        // The spin was Idle time (less `handler_ns`), the park is Park.
+        timer.transition_carving(TimeState::Park, TimeState::Handler, handler_ns);
         std::thread::park();
-        timer.transition(crate::stats::TimeState::Idle);
+        timer.transition(TimeState::Idle);
         false
     };
     wait(spin, Some(me.sleeper()), ready, || (), park);
@@ -335,13 +337,14 @@ fn idle_wait(
 /// wait. (The spawner installed our thread handle and pooled us before
 /// we became visible.)
 fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcpu: usize) {
-    // This thread's wall-time classifier: Idle on the slot spin, Park
-    // across the futex wait (both inside `idle_wait`), Handler from call
-    // pickup to completion. One timer per thread keeps the states
-    // exclusive; the drop on return charges the tail interval. It writes
-    // the vCPU's *served* cell: the caller's counters are on other lines.
-    let mut timer =
-        crate::stats::StateTimer::new(entry.stats.served_cell(vcpu), crate::stats::TimeState::Idle);
+    // This thread's wall-time classifier: Park across the park inside
+    // `idle_wait`, Idle the rest, with no clock read per call; the
+    // handlers' sampled estimate `handler_ns` is carved out of Idle at
+    // the next clock read (the ring worker's rule). The drop on return
+    // charges the tail interval. It writes the vCPU's *served* cell: the
+    // caller's counters are on other lines.
+    let mut timer = StateTimer::new(entry.stats.served_cell(vcpu), TimeState::Idle);
+    let mut handler_ns = 0u64;
     // The slot's learned poll (this loop is its only writer), skipped
     // when the last completion had to wake its waiter (see `wait.rs`).
     let (mut poll, mut woke) = (Poll::default(), false);
@@ -365,7 +368,8 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         }
         let want = if owed { state::IDLE } else { state::POSTED };
         if slot.core.state_word().load(Ordering::Acquire) != want {
-            idle_wait(&entry, &me, want, (!woke).then_some(&mut poll), &mut timer);
+            let poll = (!woke).then_some(&mut poll);
+            idle_wait(&entry, &me, want, poll, &mut timer, &mut handler_ns);
             continue;
         }
         if owed {
@@ -379,7 +383,6 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         // before anything reads the entry's handler (`Claim::transfer`).
         #[cfg(test)] crate::claims::pause::point("pickup");
         let held = (!slot.has_client()).then(|| crate::claims::push(Arc::as_ptr(&entry)));
-        timer.transition(crate::stats::TimeState::Handler);
         me.refresh_override(&mut over);
 
         // A faulting (panicking) handler must not take the worker — or the
@@ -389,9 +392,8 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         // that rode the slot across the hand-off and ends inside
         // `run_handler` — before `complete` — so the DONE Release/Acquire
         // edge orders our ring write before any client-side scan of the
-        // trace. Handler-run timing samples on *this* worker thread's
-        // tick — per-thread sampling needs no coordination with the
-        // client side.
+        // trace. The handler run is timed iff the caller's tick sampled
+        // the call: one tick decides every timed record of a hand-off.
         let run = slot.with_scratch(|scratch| {
             entry.run_handler(
                 vcpu,
@@ -401,7 +403,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
                 crate::ScratchRef::Ready(scratch),
                 Some(&me),
                 over.1.as_ref(),
-                entry.obs.try_sample(),
+                slot.sampled(),
             )
         });
         if run.faulted {
@@ -419,9 +421,11 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             owed = true;
         }
         woke = slot.complete(run.rets);
-        // The clock read that ends Handler time comes after `DONE`: it
-        // is off the waiting caller's critical path.
-        timer.transition(crate::stats::TimeState::Idle);
+        // A sampled run's carving clock read comes after `DONE`.
+        if let Some(ns) = run.ns {
+            handler_ns += ns << entry.obs.sample_shift();
+            timer.transition_carving(TimeState::Idle, TimeState::Handler, &mut handler_ns);
+        }
     }
 }
 
@@ -479,7 +483,7 @@ pub(crate) mod tests {
         let (entry, client) = (rt.frank_entry(ep).unwrap(), rt.client(0, 1));
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            s.spawn(|| {
+            let bystander = s.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
                     entry.pool(0).for_each_worker(WorkerHandle::unpark);
                     std::thread::yield_now();
@@ -489,6 +493,10 @@ pub(crate) mod tests {
                 assert_eq!(client.call(ep, [i; 8]), Ok([i; 8]));
             }
             stop.store(true, Ordering::Relaxed);
+            // Joined (`pthread_join`) before the runtime drops: TSan does
+            // not see the scope's own join, which runs in uninstrumented
+            // std.
+            bystander.join().unwrap();
         });
         assert_eq!(rt.stats.workers_created(), 0, "one worker served every call");
     }
@@ -520,19 +528,22 @@ pub(crate) mod tests {
             let claim = rt.claim(0, ep).unwrap();
             let go = std::sync::Barrier::new(2);
             let posted = std::thread::scope(|s| {
-                s.spawn(|| {
+                let killer = s.spawn(|| {
                     go.wait();
                     rt.hard_kill(ep, 0).unwrap();
                 });
                 go.wait();
                 // Sync and async alike: a taken-back async post must not
                 // look held to the reclaim below.
-                let posted = rt.post(&claim, [round; 8], 1, None, round % 2 == 0, 0);
+                let posted = rt.post(&claim, [round; 8], 1, None, round % 2 == 0, 0, false);
                 if let Ok((w, _)) = &posted {
                     while !w.slot.is_done() {
                         std::thread::yield_now();
                     }
                 }
+                // Joined before the reclaim frees the entry, as in
+                // `stray_unparks_cost_a_spin_never_a_hang`.
+                killer.join().unwrap();
                 posted
             });
             let ran = runs.load(Ordering::Relaxed) - before;
@@ -562,7 +573,7 @@ pub(crate) mod tests {
         entry.pool(0).push(w);
         let claim = rt.claim(0, ep).unwrap();
         let before = runs.load(Ordering::Relaxed);
-        match rt.post(&claim, [7; 8], 1, None, true, 0) {
+        match rt.post(&claim, [7; 8], 1, None, true, 0, false) {
             Err(e) => assert_eq!(e, RtError::Aborted(ep)),
             Ok(_) => panic!("a worker that exited accepted a post"),
         }

@@ -156,6 +156,112 @@ fn ring_worker_handler_share_is_carved_from_the_drain() {
     }
 }
 
+/// The hand-off worker's partner of the two ring-worker tests above. A
+/// worker reads the clock only at a park edge and after a sampled run,
+/// and carves the sampled handler estimate out of its Idle interval: its
+/// Idle + Park + Handler, on the vCPU's served cell, must fill the
+/// bracket from bind (which spawns it) to the hard kill (which joins it)
+/// — never more, and no less than the bracket less spawn and join noise.
+/// With sampling the Handler share is of the size of the handler bodies;
+/// with the obs plane off nothing is sampled and it is 0.
+#[test]
+fn handoff_worker_state_times_partition_wall_time() {
+    const CALLS: u64 = 20_000;
+    const HANDLER_NS: u64 = 5_000;
+    for sampling in [true, false] {
+        let rt = Runtime::new(1);
+        rt.obs().set_enabled(sampling);
+        let before = rt.stats.served_cell(0).snapshot();
+        let t0 = Instant::now();
+        let ep = rt
+            .bind(
+                "attr-handoff",
+                EntryOptions::default(),
+                Arc::new(|ctx| {
+                    let t0 = Instant::now();
+                    while (t0.elapsed().as_nanos() as u64) < HANDLER_NS {
+                        std::hint::spin_loop();
+                    }
+                    ctx.args
+                }),
+            )
+            .unwrap();
+        let client = rt.client(0, 1);
+        for i in 0..CALLS {
+            assert_eq!(client.call(ep, [i; 8]), Ok([i; 8]));
+            // Let the worker park now and then: Park edges in the bracket.
+            if i % 2_000 == 0 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        rt.hard_kill(ep, 0).unwrap();
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        let d = rt.stats.served_cell(0).snapshot().since(&before);
+        let states = d.time_idle_ns + d.time_park_ns + d.time_handler_ns;
+        assert_eq!(attributed_ns(&d), states, "a worker charges Idle, Park and Handler only");
+        assert!(
+            states <= elapsed && states >= elapsed / 4 * 3,
+            "Idle + Park + Handler = {states}ns against a {elapsed}ns bracket"
+        );
+        assert!(d.time_park_ns > 0, "the worker parked");
+        let bodies = CALLS * HANDLER_NS;
+        if sampling {
+            assert!(
+                d.time_handler_ns >= bodies / 2 && d.time_handler_ns <= elapsed,
+                "Handler {}ns is not of the size of {CALLS} × {HANDLER_NS}ns handler bodies",
+                d.time_handler_ns
+            );
+        } else {
+            assert_eq!(d.time_handler_ns, 0, "nothing sampled, nothing carved");
+        }
+    }
+}
+
+/// Park time stays exact on the caller's side: the clock is read around
+/// each futex wait, sampled or not. Under `ParkOnly` a caller of a 10 ms
+/// handler donates a few rounds and then blocks for nearly the whole
+/// call, so the Park it charges must come within 20 % of the wall time
+/// of the calls whose wait blocked, and never exceed it. (On a busy host
+/// a donation round can outlast the handler; such a call blocks not at
+/// all and is left out of both sides.)
+#[test]
+fn parkonly_caller_charges_its_blocked_time_to_park() {
+    const CALLS: u64 = 30;
+    let rt = Runtime::new(1);
+    rt.set_spin_policy(ppc_rt::SpinPolicy::ParkOnly);
+    let ep = rt
+        .bind(
+            "attr-park",
+            EntryOptions::default(),
+            Arc::new(|ctx| {
+                std::thread::sleep(Duration::from_millis(10));
+                ctx.args
+            }),
+        )
+        .unwrap();
+    let client = rt.client(0, 1);
+    let (mut blocked_wall, mut park, mut blocked) = (0u64, 0u64, 0u64);
+    for i in 0..CALLS {
+        let before = rt.stats.cell(0).snapshot();
+        let t0 = Instant::now();
+        assert_eq!(client.call(ep, [i; 8]), Ok([i; 8]));
+        let wall = t0.elapsed().as_nanos() as u64;
+        let d = rt.stats.cell(0).snapshot().since(&before);
+        if d.park_waits == 1 {
+            blocked += 1;
+            blocked_wall += wall;
+            park += d.time_park_ns;
+        } else {
+            assert_eq!(d.time_park_ns, 0, "call {i} did not block but charged Park");
+        }
+    }
+    assert!(blocked >= CALLS / 2, "only {blocked} of {CALLS} waits blocked");
+    assert!(
+        park <= blocked_wall && park >= blocked_wall / 5 * 4,
+        "Park {park}ns against {blocked_wall}ns the caller spent in {blocked} blocked calls"
+    );
+}
+
 /// Each vCPU's counters are kept in two halves, one written by the
 /// threads that call on it and one by the threads that serve it. A fixed
 /// script — sync, async and ring calls on two vCPUs with one handler

@@ -1,24 +1,34 @@
 //! The locked-RMW ledger: exact counts of `lock`-prefixed instructions
-//! (and `xchg` with a memory operand, locked without a prefix) that one
-//! call executes, by single-stepping it.
+//! (and `xchg` with a memory operand, locked without a prefix) and of
+//! clock reads (`rdtsc`, `rdtscp`) that one call executes, by
+//! single-stepping it.
 //!
 //! It needs no hardware PMU (virtual machines often have none):
-//! `ptrace` single-stepping is exact. For each path a forked child asks
-//! to be traced, warms the path, then raises `SIGSTOP` around an empty
-//! marker pair and around one call. The parent single-steps both
-//! intervals, decodes the prefix bytes at every `rip`, and reports the
-//! difference: the call alone. The counts do not depend on timing or on
-//! the build profile, so they are asserted exactly — a ratchet, not a
-//! bound: a change that moves one edits the number here and says so.
-//! Instruction counts do depend on the build and are only printed.
+//! `ptrace` single-stepping is exact, and steps through the vDSO as
+//! through any user code — so a `clock_gettime` shows up as the counter
+//! read inside it. For each path a forked child asks to be traced, warms
+//! the path, settles it (a worker thread parked, say), then raises
+//! `SIGSTOP` around an empty marker pair and around one call. The parent
+//! single-steps both intervals — the calling thread only; a worker runs
+//! untraced — decodes the instruction at every `rip`, and reports the
+//! difference: the call alone. Locked RMWs do not depend on timing, so
+//! they are asserted exactly — a ratchet, not a bound: a change that
+//! moves one edits the number here and says so. Every path must read
+//! the clock 0 times (an unsampled call reads none). Instruction counts
+//! depend on the build, and on a hand-off on how long the caller's wait
+//! loop runs, and are only printed.
 //!
 //! `harness = false`: `main` is the only thread, so `fork` is safe and
-//! the child is single-threaded too.
+//! the child is single-threaded too until the path spawns its workers.
 
 use std::ffi::{c_int, c_long, c_void};
 use std::hint::black_box;
 use std::os::unix::fs::FileExt;
 use std::sync::Arc;
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use ppc_rt::{Client, EntryOptions, Runtime};
 
@@ -41,36 +51,49 @@ const RIP: usize = 16;
 /// (one call in 128 is timed) then stands off a sampled call.
 const WARM: usize = 5;
 
-/// A path to count: its name, the locked RMWs one call takes, and a
-/// builder for the call (run in the child).
-type Path = (&'static str, u64, fn() -> Box<dyn FnMut()>);
+/// One call to count, and what settles the process before the next
+/// marker (run after each warming call too).
+struct Case {
+    call: Box<dyn FnMut()>,
+    settle: Box<dyn FnMut()>,
+}
+
+impl Case {
+    fn call(call: impl FnMut() + 'static) -> Case {
+        Case { call: Box::new(call), settle: Box::new(|| ()) }
+    }
+}
+
+/// A path to count: its name, the locked RMWs one call takes (`None`:
+/// printed, not asserted), and a builder for the call (run in the child).
+type Path = (&'static str, Option<u64>, fn() -> Case);
 
 fn inline_entry(rt: &Arc<Runtime>, name: &str, h: ppc_rt::Handler) -> usize {
     let opts = EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() };
     rt.bind(name, opts, h).unwrap()
 }
 
-fn inline_null() -> Box<dyn FnMut()> {
+fn inline_null() -> Case {
     let rt = Runtime::new(1);
     let ep = inline_entry(&rt, "null", Arc::new(|c| c.args));
     let c = rt.client(0, 1);
-    Box::new(move || {
+    Case::call(move || {
         black_box(c.call(ep, black_box([1; 8])).unwrap());
     })
 }
 
-fn inline_nested() -> Box<dyn FnMut()> {
+fn inline_nested() -> Case {
     let rt = Runtime::new(1);
     let inner = inline_entry(&rt, "null", Arc::new(|c| c.args));
     let nested: Client = rt.client(0, 2);
     let outer = inline_entry(&rt, "outer", Arc::new(move |c| nested.call(inner, c.args).unwrap()));
     let c = rt.client(0, 1);
-    Box::new(move || {
+    Case::call(move || {
         black_box(c.call(outer, black_box([1; 8])).unwrap());
     })
 }
 
-fn inline_payload_64() -> Box<dyn FnMut()> {
+fn inline_payload_64() -> Case {
     let rt = Runtime::new(1);
     let ep = inline_entry(&rt, "echo", Arc::new(|c| {
         let mut rets = c.args;
@@ -79,9 +102,74 @@ fn inline_payload_64() -> Box<dyn FnMut()> {
     }));
     let c = rt.client(0, 1);
     let payload = [7u8; 64];
-    Box::new(move || {
+    Case::call(move || {
         black_box(c.call_with_payload(ep, black_box([1; 8]), &payload).unwrap());
     })
+}
+
+/// The caller's side of a null hand-off, its worker parked at the
+/// marker: the post always wakes it (one `unpark`), and the caller's wait
+/// loop runs while the worker, untraced, completes the call.
+fn handoff_null() -> Case {
+    let rt = Runtime::new(1);
+    let ep = rt.bind("null", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+    let c = rt.client(0, 1);
+    Case {
+        call: Box::new(move || {
+            black_box(c.call(ep, black_box([1; 8])).unwrap());
+        }),
+        settle: Box::new(others_asleep),
+    }
+}
+
+/// The client side of a 16-deep `ClientRing` batch: 16 submits and the
+/// doorbell, its ring worker parked at the marker so the doorbell always
+/// wakes it. The settle step reaps the batch, outside the markers.
+fn ring_d16() -> Case {
+    let rt = Runtime::new(1);
+    let opts = EntryOptions { initial_workers: 0, ..Default::default() };
+    let ep = rt.bind("null", opts, Arc::new(|c| c.args)).unwrap();
+    let ring = Rc::new(RefCell::new(rt.client(0, 1).ring()));
+    let reaper = Rc::clone(&ring);
+    let mut out = Vec::with_capacity(16);
+    Case {
+        call: Box::new(move || {
+            let mut ring = ring.borrow_mut();
+            for i in 0..16 {
+                ring.submit(ep, black_box([i; 8]), i).unwrap();
+            }
+            ring.doorbell();
+        }),
+        settle: Box::new(move || {
+            let mut ring = reaper.borrow_mut();
+            while out.len() < 16 {
+                ring.reap(16, &mut out);
+            }
+            assert!(out.drain(..).all(|c| c.result.is_ok()));
+            drop(ring);
+            others_asleep();
+        }),
+    }
+}
+
+/// Wait until every other thread of this process sleeps (state `S` in
+/// `/proc`): an idle worker spins a while before it parks. Gives up after
+/// 5 s, leaving the count to show what did not settle.
+fn others_asleep() {
+    let me = std::process::id().to_string();
+    let asleep = |tid: &str| {
+        let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap_or_default();
+        stat.rsplit_once(')').is_some_and(|(_, rest)| rest.trim_start().starts_with('S'))
+    };
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_secs(5) {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("list this process's threads");
+        let tids: Vec<String> = tasks.map(|t| t.unwrap().file_name().to_string_lossy().into_owned()).collect();
+        if tids.iter().all(|tid| *tid == me || asleep(tid)) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Whether the instruction at the start of `text` is a locked RMW: a
@@ -99,6 +187,16 @@ fn locked(text: &[u8; 16]) -> bool {
         i += 1; // REX
     }
     matches!(text[i], 0x86 | 0x87) && text[i + 1] >> 6 != 3
+}
+
+/// Whether the instruction at the start of `text` reads the time-stamp
+/// counter: `rdtsc` (`0F 31`) or `rdtscp` (`0F 01 F9`).
+fn clock_read(text: &[u8; 16]) -> bool {
+    let mut i = 0;
+    while i < 13 && matches!(text[i], 0xF2 | 0xF3 | 0x66 | 0x67) {
+        i += 1;
+    }
+    text[i] == 0x0F && (text[i + 1] == 0x31 || text[i + 1..i + 3] == [0x01, 0xF9])
 }
 
 fn wait(pid: c_int) -> c_int {
@@ -119,29 +217,37 @@ fn request(req: c_int, pid: c_int, data: *mut c_void) {
     assert!(r != -1, "ptrace({req}): {}", std::io::Error::last_os_error());
 }
 
-/// Single-step the stopped child to its next `SIGSTOP`; returns
-/// (instructions, locked RMWs).
-fn step_to_marker(pid: c_int, mem: &std::fs::File) -> (u64, u64) {
-    let (mut insns, mut locks) = (0, 0);
+/// What one traced interval executed.
+#[derive(Clone, Copy)]
+struct Tally {
+    insns: u64,
+    locks: u64,
+    clocks: u64,
+}
+
+/// Single-step the stopped child to its next `SIGSTOP`.
+fn step_to_marker(pid: c_int, mem: &std::fs::File) -> Tally {
+    let mut t = Tally { insns: 0, locks: 0, clocks: 0 };
     loop {
         let mut regs = [0u64; 27];
         request(PTRACE_GETREGS, pid, regs.as_mut_ptr().cast());
         let mut text = [0u8; 16];
         mem.read_exact_at(&mut text, regs[RIP]).expect("read the child's text");
-        insns += 1;
-        locks += u64::from(locked(&text));
+        t.insns += 1;
+        t.locks += u64::from(locked(&text));
+        t.clocks += u64::from(clock_read(&text));
         request(PTRACE_SINGLESTEP, pid, std::ptr::null_mut());
         match stopped_by(wait(pid)) {
-            Some(SIGSTOP) => return (insns, locks),
+            Some(SIGSTOP) => return t,
             Some(_) => {}
             None => panic!("the child left its traced interval"),
         }
     }
 }
 
-/// Fork a child that runs `build`'s call between markers; returns
-/// (instructions, locked RMWs) of one call.
-fn count(build: fn() -> Box<dyn FnMut()>) -> (u64, u64) {
+/// Fork a child that runs `build`'s call between markers; returns what
+/// one call executed.
+fn count(build: fn() -> Case) -> Tally {
     // Safety: this process has one thread (`harness = false`).
     let pid = unsafe { fork() };
     assert!(pid >= 0, "fork: {}", std::io::Error::last_os_error());
@@ -153,14 +259,15 @@ fn count(build: fn() -> Box<dyn FnMut()>) -> (u64, u64) {
                 let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
                 _exit(100 + errno.min(100));
             }
-            let mut call = build();
+            let mut case = build();
             for _ in 0..WARM {
-                call();
+                (case.call)();
+                (case.settle)();
             }
             raise(SIGSTOP);
             raise(SIGSTOP);
             raise(SIGSTOP);
-            call();
+            (case.call)();
             raise(SIGSTOP);
             _exit(0);
         }
@@ -178,7 +285,11 @@ fn count(build: fn() -> Box<dyn FnMut()>) -> (u64, u64) {
     let call = step_to_marker(pid, &mem);
     request(PTRACE_CONT, pid, std::ptr::null_mut());
     assert_eq!(wait(pid), 0, "the child exits cleanly");
-    (call.0 - empty.0, call.1 - empty.1)
+    Tally {
+        insns: call.insns - empty.insns,
+        locks: call.locks - empty.locks,
+        clocks: call.clocks - empty.clocks,
+    }
 }
 
 fn main() {
@@ -186,19 +297,34 @@ fn main() {
         println!("ledger: skipped, it decodes x86-64 Linux register sets and encodings");
         return;
     }
-    let paths: [Path; 3] = [
-        ("inline null", 2, inline_null),
-        ("inline outer -> inline null", 4, inline_nested),
-        ("inline call_with_payload, 64 B", 4, inline_payload_64),
+    // The hand-off caller's 7, in both build profiles: the pool pop, the
+    // `SeqCst` fence of the post's Dekker check (a `lock or` on the
+    // stack), the parked worker's `unpark`, `spin_waits`, the pool push,
+    // the completion and `handoff_calls`. The ring's 21: `ring_submits`
+    // per submit, and the doorbell's fence, `ring_doorbells`, its flight
+    // record (cursor and sequence word) and `unpark`.
+    let paths: [Path; 5] = [
+        ("inline null", Some(2), inline_null),
+        ("inline outer -> inline null", Some(4), inline_nested),
+        ("inline call_with_payload, 64 B", Some(4), inline_payload_64),
+        ("hand-off null (caller)", Some(7), handoff_null),
+        ("ClientRing 16 submits + doorbell", Some(21), ring_d16),
     ];
     let mut wrong = Vec::new();
     for (name, want, build) in paths {
-        let (insns, locks) = count(build);
-        println!("ledger: {name:<32} {insns:>6} instructions {locks:>3} locked RMWs (expected {want})");
-        if locks != want {
-            wrong.push(format!("{name}: {locks} locked RMWs, expected {want}"));
+        let t = count(build);
+        let expected = want.map_or("not asserted".to_string(), |w| format!("expected {w}"));
+        println!(
+            "ledger: {name:<34} {:>6} instructions {:>3} locked RMWs ({expected}) {:>2} clock reads",
+            t.insns, t.locks, t.clocks
+        );
+        if want.is_some_and(|w| t.locks != w) {
+            wrong.push(format!("{name}: {} locked RMWs, {expected}", t.locks));
+        }
+        if t.clocks != 0 {
+            wrong.push(format!("{name}: {} clock reads, expected 0", t.clocks));
         }
     }
-    assert!(wrong.is_empty(), "locked-RMW ledger changed: {wrong:?}");
-    println!("test result: ok. 3 passed; 0 failed");
+    assert!(wrong.is_empty(), "ledger changed: {wrong:?}");
+    println!("test result: ok. {} passed; 0 failed", paths.len());
 }

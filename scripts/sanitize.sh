@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
-# ThreadSanitizer over the ring and the claim cells: `ppc-rt`'s `ring::`
-# unit tests, the `tests/ring.rs` suite (the in-process front-end and the
-# conformance bodies) and the claim-cell storm (kill, reclaim, rebind and
-# exchange beside two callers), built with the nightly toolchain's TSan
-# runtime. TSan does not model `membarrier`; the storm is still checked,
+# ThreadSanitizer over the ring, the claim cells and the hand-off:
+# `ppc-rt`'s `ring::` unit tests, the `tests/ring.rs` suite (the
+# in-process front-end and the conformance bodies), the claim-cell storm
+# (kill, reclaim, rebind and exchange beside two callers), and the
+# `slot::`, `worker::` and `wait::` unit tests (the slot rendezvous, the
+# worker's post/shutdown race, the wait primitive), built with the
+# nightly toolchain's TSan runtime. TSan does not model `membarrier`; the storm is still checked,
 # because a claim's release (`Release`) and the writer's scan of it
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all three, exit nonzero on any report
+#     scripts/sanitize.sh            run all four, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
-# `scripts/tsan.supp` suppresses them, each line with its reason. Runs
+# `scripts/tsan.supp` suppresses them, each line with its reason. For
+# the same reason a test that frees what its spawned threads touched
+# joins them one by one (`pthread_join`, which TSan sees) instead of
+# leaving it to `thread::scope`'s own join. Runs
 # offline; the build goes to target/tsan so the normal build cache is
 # left alone. Run from the repository root.
 set -euo pipefail
@@ -26,3 +31,4 @@ target=x86_64-unknown-linux-gnu
 cargo +nightly test -p ppc-rt --target "$target" --lib -- ring::
 cargo +nightly test -p ppc-rt --target "$target" --test ring
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests::storm_at_one_id_beside_inline_callers
+cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
