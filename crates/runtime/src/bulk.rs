@@ -22,7 +22,6 @@ use crossbeam::queue::ArrayQueue;
 
 use crate::region::RegionRegistry;
 use crate::stats::{RuntimeStats, StatsCell};
-use std::sync::atomic::Ordering;
 
 /// Pool buffer alignment: one cache line, so DMA-style word copies never
 /// straddle a line at the buffer head.
@@ -206,14 +205,15 @@ impl BufferPool {
     /// exceeds the top size class.
     pub fn take(&self, len: usize, cell: &StatsCell) -> Option<PoolBuf> {
         let class = class_for(len)?;
+        let who = crate::claims::token();
         match self.classes[class].pop() {
             Some(b) => {
-                cell.bulk_pool_hits.fetch_add(1, Ordering::Relaxed);
+                cell.add(who, |c| &c.bulk_pool_hits, 1);
                 Some(b)
             }
             None => {
-                cell.bulk_pool_misses.fetch_add(1, Ordering::Relaxed);
-                cell.frank_redirects.fetch_add(1, Ordering::Relaxed);
+                cell.add(who, |c| &c.bulk_pool_misses, 1);
+                cell.add(who, |c| &c.frank_redirects, 1);
                 Some(PoolBuf::alloc(class))
             }
         }
@@ -349,10 +349,10 @@ mod tests {
         }
         // Four class-cold takes missed; the second class-0 take (len 64,
         // after len 1 recycled its buffer) hit.
-        assert_eq!(cell.bulk_pool_misses.load(Ordering::Relaxed), 4);
-        assert_eq!(cell.bulk_pool_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(cell.snapshot().bulk_pool_misses, 4);
+        assert_eq!(cell.snapshot().bulk_pool_hits, 1);
         let b = pool.take(4096, &cell).unwrap();
-        assert_eq!(cell.bulk_pool_hits.load(Ordering::Relaxed), 2);
+        assert_eq!(cell.snapshot().bulk_pool_hits, 2);
         pool.put(b);
     }
 

@@ -11,7 +11,8 @@
 //! line crosses once per direction. (The claim is plain stores to the
 //! thread's own line pair plus loads of read-mostly table, state and
 //! handler words — no locked instruction; the handler stays in the
-//! entry's box, borrowed under the claim: no refcount write per call.)
+//! entry's box, borrowed under the claim: no refcount write per call;
+//! the counts are plain stores to the thread's own copy, [`crate::stats`].)
 //!
 //! Entries bound with [`crate::EntryOptions::inline_ok`] skip even the
 //! hand-off: the handler runs on the caller's own thread in a borrowed
@@ -24,10 +25,10 @@
 //! loop, inline path, ring workers) and `Runtime::post` the only place a
 //! call is handed to a worker (sync and async).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::claims::{self, Token, NOBODY};
 use crate::entry::{EntryShared, EntryState, HandlerRun};
 use crate::flight::FlightKind;
 use crate::frank::Claim;
@@ -83,7 +84,7 @@ impl Runtime {
         let word = scope.ctx_word();
         let (worker, woke) = self.post(&claim, args, program, payload, true, word, sampled)?;
         let vc = self.vcpu(vcpu)?;
-        let done_at = self.rendezvous(vc, &worker, woke, ep, sampled);
+        let (owned, done_at) = self.rendezvous(vc, claim.token(), &worker, woke, ep, sampled);
         let slot = &worker.slot;
         let rets = slot.read_rets();
         let faulted = slot.is_faulted();
@@ -98,10 +99,10 @@ impl Runtime {
         // popped the worker and hold the claim — pool it and count the
         // completion here, on lines only this vCPU's callers write.
         claim.pool(vcpu).push(worker);
-        claim.record_completion(vcpu);
+        claim.record_completion(vcpu, owned);
         let cell = self.stats.cell(vcpu);
-        Self::settle(cell, ep, killed, faulted)?;
-        cell.handoff_calls.fetch_add(1, Ordering::Relaxed);
+        Self::settle(cell, claim.token(), ep, killed, faulted)?;
+        cell.add(claim.token(), |c| &c.handoff_calls, 1);
         if let (Some(t0), Some(done_at)) = (t0, done_at) {
             // The instant the wait ended closes the call record too.
             let ns = done_at.duration_since(t0).as_nanos() as u64;
@@ -116,13 +117,19 @@ impl Runtime {
     /// The error a finished handler run maps to, on every transport: a
     /// hard kill that landed while it ran aborts the call, and a
     /// contained panic is a counted server fault, on `cell` — the
-    /// settling thread's side of the vCPU's counters.
-    fn settle(cell: &StatsCell, ep: EntryId, killed: bool, faulted: bool) -> Result<(), RtError> {
+    /// settling thread's side of the vCPU's counters — as `who`.
+    fn settle(
+        cell: &StatsCell,
+        who: Token,
+        ep: EntryId,
+        killed: bool,
+        faulted: bool,
+    ) -> Result<(), RtError> {
         if killed {
             return Err(RtError::Aborted(ep));
         }
         if faulted {
-            cell.server_faults.fetch_add(1, Ordering::Relaxed);
+            cell.add(who, |c| &c.server_faults, 1);
             return Err(RtError::ServerFault(ep));
         }
         Ok(())
@@ -183,12 +190,12 @@ impl Runtime {
         if let Some(s) = run.lazy {
             vc.put_slot(s);
         }
-        Self::settle(cell, ep, killed, run.faulted)?;
-        entry.record_completion(vcpu);
+        Self::settle(cell, claim.token(), ep, killed, run.faulted)?;
         // `inline_calls` alone records the completion: the aggregate
         // `calls` getter derives hand-off + inline, so the fast path
         // pays one counter increment, not two.
-        cell.inline_calls.fetch_add(1, Ordering::Relaxed);
+        let owned = cell.add(claim.token(), |c| &c.inline_calls, 1);
+        entry.record_completion(vcpu, owned);
         if let Some(t0) = t0 {
             self.obs().record(LatencyKind::Call, vcpu, t0.elapsed().as_nanos() as u64);
             self.flight().record(vcpu, FlightKind::Inline, ep, program);
@@ -234,11 +241,12 @@ impl Runtime {
         let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, None, sampled);
         *handler_ns += self.handler_estimate(&run).unwrap_or(0);
         let killed = claim.entry_state() == EntryState::Dead;
-        // The ring worker serves this vCPU: off the submitter's lines.
+        // The ring worker serves this vCPU: off the submitter's lines,
+        // and never the owner of the completion word.
         let cell = self.stats.served_cell(vcpu);
-        Self::settle(cell, ep, killed, run.faulted)?;
-        claim.record_completion(vcpu);
-        cell.ring_calls.fetch_add(1, Ordering::Relaxed);
+        Self::settle(cell, claim.token(), ep, killed, run.faulted)?;
+        claim.record_completion(vcpu, false);
+        cell.add(claim.token(), |c| &c.ring_calls, 1);
         Ok(run.rets)
     }
 
@@ -255,33 +263,33 @@ impl Runtime {
     /// the clock around the whole wait: it records the histogram and the
     /// flight event, feeds the vCPU's EWMA under `Adaptive` (so the next
     /// budget fits the workload), and charges its unblocked part, scaled
-    /// by the sample period, to Spin. Returns when a sampled wait ended.
+    /// by the sample period, to Spin. Returns whether `who` owns the
+    /// vCPU's callers' stats cell, and when a sampled wait ended.
     fn rendezvous(
         &self,
         vc: &VcpuState,
+        who: Token,
         worker: &WorkerHandle,
         woke: bool,
         ep: EntryId,
         sampled: bool,
-    ) -> Option<Instant> {
+    ) -> (bool, Option<Instant>) {
         // The client-side wait as a leaf span under the live call span
         // (no-op otherwise) — this is the "rendezvous wait" slice of a
         // tail exemplar's phase breakdown.
         let _span = self.spans().leaf_scope(vc.id, ep, SpanPhase::Rendezvous);
-        let cell = self.stats.cell(vc.id);
         let adaptive = self.spin_policy() == SpinPolicy::Adaptive;
         let t0 = sampled.then(Instant::now);
         let (resolved, escalated, blocked_ns) = vc.wait_done(worker, adaptive, true, woke);
-        if resolved {
-            cell.spin_waits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            cell.park_waits.fetch_add(1, Ordering::Relaxed);
+        let cell = self.stats.cell(vc.id);
+        let owned = cell.add(who, |c| if resolved { &c.spin_waits } else { &c.park_waits }, 1);
+        if !resolved {
             cell.add_time(TimeState::Park, blocked_ns);
         }
         if escalated {
-            cell.spin_escalations.fetch_add(1, Ordering::Relaxed);
+            cell.add(who, |c| &c.spin_escalations, 1);
         }
-        let t0 = t0?;
+        let Some(t0) = t0 else { return (owned, None) };
         let done_at = Instant::now();
         let wait_ns = done_at.duration_since(t0).as_nanos() as u64;
         if adaptive {
@@ -292,7 +300,7 @@ impl Runtime {
         self.obs().record(LatencyKind::Rendezvous, vc.id, wait_ns);
         let kind = if resolved { FlightKind::SpinResolved } else { FlightKind::Parked };
         self.flight().record(vc.id, kind, ep, wait_ns.min(u32::MAX as u64) as u32);
-        Some(done_at)
+        (owned, Some(done_at))
     }
 
     /// Asynchronous dispatch: returns a handle; the caller continues
@@ -330,8 +338,9 @@ impl Runtime {
             }
         };
         // The worker claims for itself from here.
+        let who = claim.token();
         claim.transfer();
-        self.stats.cell(vcpu).async_calls.fetch_add(1, Ordering::Relaxed);
+        self.stats.cell(vcpu).add(who, |c| &c.async_calls, 1);
         if sampled {
             self.flight().record(vcpu, FlightKind::Async, ep, program);
         }
@@ -354,7 +363,7 @@ impl Runtime {
         args: [u64; 8],
     ) -> Result<AsyncCall, RtError> {
         let r = self.dispatch_async(vcpu, ep, args, 0)?;
-        self.stats.cell(vcpu).upcalls.fetch_add(1, Ordering::Relaxed);
+        self.stats.cell(vcpu).add(claims::token(), |c| &c.upcalls, 1);
         Ok(r)
     }
 
@@ -386,14 +395,14 @@ impl Runtime {
         sampled: bool,
     ) -> Result<(Arc<WorkerHandle>, bool), RtError> {
         let (vcpu, ep) = (claim.vcpu(), claim.id);
-        let cell = self.stats.cell(vcpu);
         // Worker: lock-free pool pop, or the Frank grow path.
         let worker = match claim.pool(vcpu).pop() {
             Some(w) => w,
             None => {
                 let tf0 = Instant::now();
-                cell.frank_redirects.fetch_add(1, Ordering::Relaxed);
-                cell.workers_created.fetch_add(1, Ordering::Relaxed);
+                let cold = self.stats.cell(vcpu);
+                cold.add(NOBODY, |c| &c.frank_redirects, 1);
+                cold.add(NOBODY, |c| &c.workers_created, 1);
                 // Frank redirects are the slow path by definition:
                 // record unconditionally (data 0 = worker pool).
                 self.flight().record(vcpu, FlightKind::Frank, ep, 0);
@@ -404,7 +413,7 @@ impl Runtime {
                 let w = claim.pool(vcpu).grow(&arc, vcpu, self.cpu_of(vcpu), false);
                 // Cold by construction: charge the grow (thread spawn
                 // and all) to the caller's Frank time.
-                cell.add_time(TimeState::Frank, tf0.elapsed().as_nanos() as u64);
+                cold.add_time(TimeState::Frank, tf0.elapsed().as_nanos() as u64);
                 w
             }
         };

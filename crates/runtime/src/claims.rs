@@ -22,7 +22,9 @@
 //! count mod 128: a writer waits for the word it saw to change, so for
 //! *that* claim only, and terminates under continuous traffic. Cells are
 //! process-wide (so is `membarrier`) and never freed: an exiting
-//! thread's cell goes to a free list.
+//! thread's cell goes to a free list. A cell's address is also its
+//! thread's counting identity, the [`Token`] a stats cell's owner is
+//! known by.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -117,6 +119,22 @@ impl ClaimCell {
     }
 }
 
+/// A thread's counting identity: its claim cell's address. ORDERING: it
+/// passes to another thread only with the cell, through [`REGISTRY`]'s
+/// mutex, so the old holder's last count happens before the new one's
+/// first (DESIGN §9). Cells are never freed: a token is never reused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Token(pub(crate) usize);
+
+/// No cell's address: cold counts (bind, grow, Frank) never own a cell.
+pub(crate) const NOBODY: Token = Token(1);
+
+/// The calling thread's [`Token`], for a count with no claim at hand.
+#[inline]
+pub(crate) fn token() -> Token {
+    Token(CELL.with(Cell::get).unwrap_or_else(adopt) as *const ClaimCell as usize)
+}
+
 /// The calling thread's first claim: adopt a free cell or leak a new one.
 #[cold]
 fn adopt() -> &'static ClaimCell {
@@ -136,7 +154,7 @@ fn adopt() -> &'static ClaimCell {
 /// A claim on the calling thread's cell; dropping it releases the claim
 /// (on the same thread: it is neither `Send` nor `Sync`).
 pub(crate) struct Held {
-    cell: &'static ClaimCell,
+    pub(crate) cell: &'static ClaimCell,
     /// A frame index, or an overflow id (`>= DEPTH`).
     at: usize,
     _thread: PhantomData<*const ()>,

@@ -8,8 +8,10 @@
 //!   counted on the calling vCPU's own line pair, so the hot path never
 //!   writes a line another vCPU's hot path also writes; readers *sum*
 //!   the shards — the same aggregate-on-read discipline as the stats
-//!   plane. In-flight calls are not counted here at all: they are the
-//!   claims on the callers' own cells (`claims`).
+//!   plane. As a stats cell has two copies, a shard has two words: the
+//!   owner of the vCPU's callers' stats cell adds to one with plain
+//!   stores, every other writer to the other with `fetch_add`. In-flight
+//!   calls are not counted here: they are the claims (`claims`).
 //! * **The limbo slot**: an exchange swaps the handler pointer, then
 //!   snapshots the claims on the entry — the only calls that can still
 //!   run the old handler — and parks the old box beside that snapshot.
@@ -24,7 +26,7 @@ use std::time::Instant;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::claims::{self, Snapshot};
+use crate::claims::{self, Snapshot, NOBODY};
 use crate::flight::FlightKind;
 use crate::obs::LatencyKind;
 use crate::slot::CallSlot;
@@ -113,7 +115,8 @@ pub struct EntryShared {
     pub state: AtomicU8,
     /// Calls completed per vCPU (sync, async and upcall alike), each on
     /// a line pair of its own: no other vCPU's hot path writes there.
-    completed: Box<[CachePadded<AtomicU64>]>,
+    /// `[owned, shared]`: the caller cell owner's word, everyone else's.
+    completed: Box<[CachePadded<[AtomicU64; 2]>]>,
     /// Points into `installed`'s handler: what a call borrows.
     handler_ptr: AtomicPtr<Handler>,
     /// The installed handler. Its lock serializes exchanges (and
@@ -185,7 +188,7 @@ impl EntryShared {
             name: name.to_string(),
             opts,
             state: AtomicU8::new(EntryState::Active as u8),
-            completed: (0..n_vcpus).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            completed: (0..n_vcpus).map(|_| CachePadded::default()).collect(),
             handler_ptr: AtomicPtr::new(Arc::as_ptr(&handler).cast_mut()),
             installed: Mutex::new(handler),
             limbo: Mutex::new(None),
@@ -308,12 +311,12 @@ impl EntryShared {
         &self.pools[vcpu]
     }
 
-    /// Count one completed call on `vcpu` (a `Relaxed` increment on the
-    /// vCPU's own completion line — the sharded successor of the old
-    /// shared `calls` counter).
+    /// Count one completed call on `vcpu`, as the word's only writer if
+    /// `owned` (the caller owns the vCPU's callers' [`crate::StatsCell`]).
     #[inline]
-    pub(crate) fn record_completion(&self, vcpu: usize) {
-        self.completed[vcpu].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_completion(&self, vcpu: usize, owned: bool) {
+        let [mine, theirs] = &*self.completed[vcpu];
+        crate::stats::add_to(if owned { mine } else { theirs }, owned, 1);
     }
 
     /// Whether an async call handed to one of this entry's workers is
@@ -324,13 +327,13 @@ impl EntryShared {
 
     /// Completed calls, summed across every vCPU (diagnostics).
     pub fn completions(&self) -> u64 {
-        self.completed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        (0..self.completed.len()).map(|v| self.completions_on(v)).sum()
     }
 
     /// Completed calls on one vCPU (the shard itself; used by tests that
     /// verify the shards sum exactly).
     pub(crate) fn completions_on(&self, vcpu: usize) -> u64 {
-        self.completed[vcpu].load(Ordering::Relaxed)
+        self.completed[vcpu].iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Replace the handler (Exchange, §4.5.2) and clear worker overrides
@@ -362,8 +365,8 @@ impl EntryShared {
         let snap = claims::snapshot(self);
         *self.limbo.lock() = Some((snap, old));
         let cold = self.stats.cell(0);
-        cold.handlers_retired.fetch_add(1, Ordering::Relaxed);
-        cold.handlers_freed.fetch_add(freed, Ordering::Relaxed);
+        cold.add(NOBODY, |c| &c.handlers_retired, 1);
+        cold.add(NOBODY, |c| &c.handlers_freed, freed);
         if freed > 0 {
             self.flight.record(0, crate::flight::FlightKind::Retire, self.id, freed as u32);
         }
@@ -384,7 +387,7 @@ impl EntryShared {
             return 0;
         }
         *limbo = None;
-        self.stats.cell(0).handlers_freed.fetch_add(1, Ordering::Relaxed);
+        self.stats.cell(0).add(NOBODY, |c| &c.handlers_freed, 1);
         self.flight.record(0, crate::flight::FlightKind::Retire, self.id, 1);
         1
     }

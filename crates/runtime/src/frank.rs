@@ -46,13 +46,18 @@ use crate::{EntryId, Handler, ProgramId, RtError, Runtime, MAX_ENTRIES};
 pub(crate) struct Claim<'rt> {
     entry: &'rt EntryShared,
     vcpu: usize,
-    _held: claims::Held,
+    held: claims::Held,
 }
 
 impl<'rt> Claim<'rt> {
     /// The vCPU the claim was taken on.
     pub(crate) fn vcpu(&self) -> usize {
         self.vcpu
+    }
+
+    /// The claiming thread's counting identity.
+    pub(crate) fn token(&self) -> claims::Token {
+        claims::Token(self.held.cell as *const _ as usize)
     }
 
     /// Hand the claim to the worker an async call was posted to: the
@@ -130,7 +135,7 @@ impl Runtime {
         // sees the claim and waits for it before dropping the registry
         // `Arc` behind `p` (`claims` module docs).
         let entry = unsafe { &*p };
-        let claim = Claim { entry, vcpu, _held: held };
+        let claim = Claim { entry, vcpu, held };
         if claim.entry_state() != EntryState::Active {
             return Err(RtError::EntryDead(ep)); // drop releases the claim
         }
@@ -336,7 +341,7 @@ impl Runtime {
             }
         }
         drop(inner);
-        self.stats.cell(0).entries_reclaimed.fetch_add(1, Ordering::Relaxed);
+        self.stats.cell(0).add(claims::NOBODY, |c| &c.entries_reclaimed, 1);
         self.flight().record(0, FlightKind::Reclaim, ep, by);
         self.spans().record_instant(0, ep, SpanPhase::Frank);
         Ok(())

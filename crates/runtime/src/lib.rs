@@ -416,7 +416,9 @@ impl<'a> CallCtx<'a> {
         let entry = self.entry;
         let _span = cap.map(|_| entry.spans.leaf_scope(self.vcpu, self.ep, SpanPhase::BulkCopy));
         let t0 = (cap.is_some() && entry.obs.try_sample()).then(std::time::Instant::now);
-        let cell = entry.bulk.stats.cell(self.vcpu);
+        // The handler's thread: on an inline entry the caller, which
+        // likely owns the cell.
+        let (cell, who) = (entry.bulk.stats.cell(self.vcpu), claims::token());
         let begun = entry.bulk.registry(self.vcpu).begin(
             desc,
             self.ep,
@@ -426,7 +428,7 @@ impl<'a> CallCtx<'a> {
             false,
         );
         let acc = begun.inspect_err(|_| {
-            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
+            cell.add(who, |c| &c.bulk_denied, 1);
             let region = desc.region as u32;
             entry.flight.record(self.vcpu, flight::FlightKind::BulkDenied, self.ep, region);
         })?;
@@ -437,7 +439,7 @@ impl<'a> CallCtx<'a> {
             entry.obs.record(obs::LatencyKind::BulkCopy, self.vcpu, ns);
         }
         acc.finish().inspect_err(|e| {
-            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
+            cell.add(who, |c| &c.bulk_denied, 1);
             // The revoke race is exactly what a post-mortem needs to
             // see: always in the flight ring.
             if let RtError::BulkRevoked(r) = e {
@@ -446,7 +448,7 @@ impl<'a> CallCtx<'a> {
             }
         })?;
         if cap.is_some() {
-            cell.bulk_bytes.fetch_add(n as u64, Ordering::Relaxed);
+            cell.add(who, |c| &c.bulk_bytes, n as u64);
         }
         Ok((r, n))
     }
@@ -637,17 +639,14 @@ impl VcpuState {
             Some(s) => s,
             None => {
                 let tf0 = std::time::Instant::now();
-                cell.frank_redirects.fetch_add(1, Ordering::Relaxed);
-                cell.cds_created.fetch_add(1, Ordering::Relaxed);
+                cell.add(claims::NOBODY, |c| &c.frank_redirects, 1);
+                cell.add(claims::NOBODY, |c| &c.cds_created, 1);
                 // data 1 = CD pool (the entry is unknown this deep).
                 flight.record(self.id, flight::FlightKind::Frank, 0, 1);
                 spans.record_instant(self.id, 0, SpanPhase::Frank);
                 let s = CallSlot::new();
                 // Cold path: the CD allocation is Frank time.
-                cell.add_time(
-                    stats::TimeState::Frank,
-                    tf0.elapsed().as_nanos() as u64,
-                );
+                cell.add_time(stats::TimeState::Frank, tf0.elapsed().as_nanos() as u64);
                 s
             }
         }
@@ -1190,7 +1189,7 @@ impl Client {
     ) -> Result<[u64; 8], RtError> {
         args[7] = desc.encode().ok_or(RtError::BadBulk)?;
         let r = self.call(ep, args)?;
-        self.rt.stats.cell(self.vcpu).bulk_calls.fetch_add(1, Ordering::Relaxed);
+        self.rt.stats.cell(self.vcpu).add(claims::token(), |c| &c.bulk_calls, 1);
         Ok(r)
     }
 

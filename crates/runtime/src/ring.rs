@@ -45,6 +45,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::claims::{self, NOBODY};
 use crate::flight::FlightKind;
 use crate::obs::LatencyKind;
 use crate::region::BulkDesc;
@@ -688,7 +689,7 @@ impl ClientRing {
                 ring_worker(rt2, sh2, consumer);
             })
             .expect("spawn ring worker thread");
-        rt.stats.cell(client.vcpu).workers_created.fetch_add(1, Ordering::Relaxed);
+        rt.stats.cell(client.vcpu).add(NOBODY, |c| &c.workers_created, 1);
         ClientRing {
             rt,
             shared,
@@ -724,14 +725,17 @@ impl ClientRing {
     /// [`Producer::admit`] against the credit budget, with a `RingFull`
     /// counted by its cause: `ring_no_credit` or `ring_full`.
     fn admit(&mut self, payload_len: usize) -> Result<(), RtError> {
-        self.ring.admit(self.credits, payload_len).inspect_err(|e| {
-            let cell = self.rt.stats.cell(self.shared.vcpu);
-            match (e, self.ring.in_flight() >= self.credits) {
-                (RtError::RingFull, true) => cell.ring_no_credit.fetch_add(1, Ordering::Relaxed),
-                (RtError::RingFull, false) => cell.ring_full.fetch_add(1, Ordering::Relaxed),
-                _ => 0,
-            };
-        })
+        self.ring.admit(self.credits, payload_len).inspect_err(|e| self.refused(e))
+    }
+
+    #[cold]
+    fn refused(&self, e: &RtError) {
+        let cell = self.rt.stats.cell(self.shared.vcpu);
+        match (e, self.ring.in_flight() >= self.credits) {
+            (RtError::RingFull, true) => cell.add(claims::token(), |c| &c.ring_no_credit, 1),
+            (RtError::RingFull, false) => cell.add(claims::token(), |c| &c.ring_full, 1),
+            _ => false,
+        };
     }
 
     /// Open the submission's ring span and [`Producer::push`] its SQE.
@@ -742,7 +746,7 @@ impl ClientRing {
         let trace = tok.as_ref().map_or(0, |t| t.ctx.pack());
         self.ring.push(ep, args, user, trace, payload);
         self.tokens.push_back(tok);
-        self.rt.stats.cell(vcpu).ring_submits.fetch_add(1, Ordering::Relaxed);
+        self.rt.stats.cell(vcpu).add(claims::token(), |c| &c.ring_submits, 1);
     }
 
     /// Queue one PPC: entry `ep`, 8 argument words, and a `user` tag
@@ -807,10 +811,8 @@ impl ClientRing {
     /// copy paths.
     fn copy_in(&self, desc: BulkDesc, payload: &[u8]) -> Result<(), RtError> {
         let (vcpu, program) = (self.shared.vcpu, self.shared.program);
-        let cell = self.rt.stats.cell(vcpu);
-        let denied = |_: &RtError| {
-            cell.bulk_denied.fetch_add(1, Ordering::Relaxed);
-        };
+        let (cell, who) = (self.rt.stats.cell(vcpu), claims::token());
+        let denied = |_: &RtError| _ = cell.add(who, |c| &c.bulk_denied, 1);
         let registry = self.rt.bulk().registry(vcpu);
         let acc = registry.begin(desc, 0, program, program, true, true).inspect_err(denied)?;
         let n = acc.len.min(payload.len());
@@ -819,8 +821,8 @@ impl ClientRing {
         // alias region memory.
         unsafe { bulk::copy_span(acc.ptr, payload.as_ptr(), n) };
         acc.finish().inspect_err(denied)?;
-        cell.bulk_calls.fetch_add(1, Ordering::Relaxed);
-        cell.bulk_bytes.fetch_add(n as u64, Ordering::Relaxed);
+        cell.add(who, |c| &c.bulk_calls, 1);
+        cell.add(who, |c| &c.bulk_bytes, n as u64);
         Ok(())
     }
 
@@ -834,7 +836,7 @@ impl ClientRing {
         notify(s.sleeper(), || {
             // `join` is taken only by `drop`, after its last doorbell.
             if let Some(jh) = &self.join {
-                self.rt.stats.cell(s.vcpu).ring_doorbells.fetch_add(1, Ordering::Relaxed);
+                self.rt.stats.cell(s.vcpu).add(claims::token(), |c| &c.ring_doorbells, 1);
                 // SQEs not taken yet, by a `Relaxed` look at the head
                 // (a diagnostic, not a bound).
                 let head = self.ring.lane.cursors().sq_head.load(Ordering::Relaxed);

@@ -4,13 +4,21 @@
 //! the common case — a single global statistics block would violate that
 //! from inside the facility itself: every call on every vCPU would bounce
 //! the same counter cache lines. Counters therefore live in
-//! [`StatsCell`]s, each `#[repr(align(128))]` (the line *pair* the
-//! adjacent-line prefetcher moves, as `CachePadded` pads), updated with
-//! `Relaxed` stores on the fast path and aggregated only when someone
-//! asks (a cold read path). Each vCPU has two: [`RuntimeStats::cell`] for
-//! the threads that *call* on it, [`RuntimeStats::served_cell`] for those
-//! that *serve* it (entry workers, the ring worker) from another CPU.
-//! Every reader sums the halves: the split shows in no exported number.
+//! [`StatsCell`]s, each on line pairs of its own (the pair the
+//! adjacent-line prefetcher moves, as `CachePadded` pads), and are
+//! aggregated only when someone asks (a cold read path). Each vCPU has
+//! two: [`RuntimeStats::cell`] for the threads that *call* on it,
+//! [`RuntimeStats::served_cell`] for those that *serve* it (entry
+//! workers, the ring worker) from another CPU. Every reader sums the
+//! halves: the split shows in no exported number.
+//!
+//! **One writer per copy.** A cell holds two copies of its counters. The
+//! first thread that counts a call on it owns it for good, known by its
+//! claim cell's address (DESIGN §9), and counts on its copy with a
+//! `Relaxed` load and store — no locked instruction. Every other writer
+//! (a second caller, a worker, the cold paths, which never take
+//! ownership) adds to the other copy with `fetch_add`, through the same
+//! `StatsCell::add`. Readers sum both copies.
 //!
 //! The whole counter surface — the cell fields, the aggregate getters,
 //! [`Snapshot`], [`Snapshot::since`], [`Snapshot::fields`], and the
@@ -22,11 +30,14 @@
 //! counter increment.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::claims::{Token, NOBODY};
+use crossbeam::utils::CachePadded;
 
 /// Defines every facility counter exactly once. Expands to:
 ///
-/// * the [`StatsCell`] field (one padded `AtomicU64` per counter),
+/// * the [`Counters`] field (one `AtomicU64` per counter),
 /// * the per-counter aggregate getter on [`RuntimeStats`],
 /// * the [`Snapshot`] field, filled by [`RuntimeStats::snapshot`],
 /// * the counter-wise [`Snapshot::since`] difference,
@@ -35,12 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   metrics exporter iterates).
 macro_rules! counters {
     ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
-        /// One side of one virtual processor's counters, padded to its
-        /// own cache-line pair so fast-path increments by different
-        /// writers never contend.
+        /// One copy of a [`StatsCell`]'s counters: the owner's, or
+        /// everyone else's.
         #[derive(Debug, Default)]
-        #[repr(align(128))]
-        pub struct StatsCell {
+        pub(crate) struct Counters {
             $($(#[$doc])* pub $field: AtomicU64,)+
         }
 
@@ -49,7 +58,7 @@ macro_rules! counters {
                 $(#[$doc])*
                 /// (Aggregated across all vCPUs.)
                 pub fn $field(&self) -> u64 {
-                    self.cells.iter().map(|c| c.$field.load(Ordering::Relaxed)).sum()
+                    self.cells.iter().map(|c| c.sum(|b| &b.$field)).sum()
                 }
             )+
 
@@ -76,7 +85,7 @@ macro_rules! counters {
             pub fn snapshot(&self) -> Snapshot {
                 Snapshot {
                     calls: self.sync_calls(),
-                    $($field: self.$field.load(Ordering::Relaxed),)+
+                    $($field: self.sum(|b| &b.$field),)+
                 }
             }
         }
@@ -166,7 +175,7 @@ macro_rules! counters {
 
 counters! {
     /// Completed synchronous hand-off calls — hand-off completions
-    /// *only*; inline completions count in [`StatsCell::inline_calls`].
+    /// *only*; inline completions count in [`Snapshot::inline_calls`].
     /// The aggregate [`RuntimeStats::calls`] getter sums the two, so
     /// each dispatch path pays exactly one counter increment. (Named
     /// `handoff_calls` rather than `calls` so a reader wanting all
@@ -255,7 +264,7 @@ counters! {
     /// SQE decode, staging, completion posting — *excluding* the bulk
     /// copies, which are timed exactly, and the handler bodies, whose
     /// sampled estimate is carved out (see
-    /// [`StatsCell::time_handler_ns`]; [`TimeState::Ring`]).
+    /// [`Snapshot::time_handler_ns`]; [`TimeState::Ring`]).
     time_ring_ns,
     /// Wall-time (ns) spent in Frank cold paths: worker-pool and CD-pool
     /// grow, the allocation slow path ([`TimeState::Frank`]).
@@ -266,7 +275,7 @@ counters! {
     /// Interference detector: total ns the probe observed stolen by
     /// involuntary deschedule (clock-gap excursions above the probe
     /// threshold). Accumulated on vCPU 0's cell by the telemetry
-    /// sampler; the ratio to [`StatsCell::interference_probe_ns`] is
+    /// sampler; the ratio to [`Snapshot::interference_probe_ns`] is
     /// the measured interference fraction.
     interference_ns,
     /// Interference detector: total ns the probe spent measuring. The
@@ -289,6 +298,71 @@ counters! {
     /// issued. A timeout wake counts nothing. Near zero per call while
     /// both ends poll; one or two per call once they sleep.
     xproc_wakes,
+}
+
+/// One side of one virtual processor's counters: the owner word (on a
+/// line of its own: every writer reads it, the first writes it once), the
+/// owner's copy and everyone else's, on line pairs apart.
+#[derive(Debug, Default)]
+#[repr(C, align(128))]
+pub struct StatsCell {
+    owner: OwnerWord,
+    mine: Counters,
+    theirs: CachePadded<Counters>,
+}
+
+/// The owner's [`Token`] (0: none yet), set once, by a CAS.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct OwnerWord(AtomicUsize);
+
+/// Add `n` to `word`: its only writer (`owned`) with a `Relaxed` load and
+/// store, any other with `fetch_add`.
+#[inline]
+pub(crate) fn add_to(word: &AtomicU64, owned: bool, n: u64) {
+    match owned {
+        true => word.store(word.load(Ordering::Relaxed) + n, Ordering::Relaxed),
+        false => _ = word.fetch_add(n, Ordering::Relaxed),
+    }
+}
+
+impl StatsCell {
+    /// Add `n` to the counter `field` picks, as `who`: on the owner's copy
+    /// if `who` owns the cell or takes it now (unowned, and `who` is not
+    /// [`NOBODY`]), else on the other. Returns whether `who` owns the
+    /// cell — and so every entry's completion word for its vCPU.
+    #[inline]
+    pub(crate) fn add(&self, who: Token, field: impl Fn(&Counters) -> &AtomicU64, n: u64) -> bool {
+        let owner = self.owner.0.load(Ordering::Relaxed);
+        let take = || self.owner.0.compare_exchange(0, who.0, Ordering::Relaxed, Ordering::Relaxed);
+        let owned = owner == who.0 || owner == 0 && who != NOBODY && take().is_ok();
+        add_to(field(if owned { &self.mine } else { &self.theirs }), owned, n);
+        owned
+    }
+
+    /// One counter, both copies summed.
+    fn sum(&self, field: impl Fn(&Counters) -> &AtomicU64) -> u64 {
+        field(&self.mine).load(Ordering::Relaxed) + field(&self.theirs).load(Ordering::Relaxed)
+    }
+
+    fn sync_calls(&self) -> u64 {
+        self.sum(|b| &b.handoff_calls) + self.sum(|b| &b.inline_calls)
+    }
+
+    /// Charge `ns` of wall-time to `state`'s accumulator, on the shared
+    /// copy: time is charged on sampled, parked and cold paths only.
+    #[inline]
+    pub fn add_time(&self, state: TimeState, ns: u64) {
+        let field: fn(&Counters) -> &AtomicU64 = match state {
+            TimeState::Handler => |c| &c.time_handler_ns,
+            TimeState::Spin => |c| &c.time_spin_ns,
+            TimeState::Park => |c| &c.time_park_ns,
+            TimeState::Ring => |c| &c.time_ring_ns,
+            TimeState::Frank => |c| &c.time_frank_ns,
+            TimeState::Idle => |c| &c.time_idle_ns,
+        };
+        self.add(NOBODY, field, ns);
+    }
 }
 
 /// Sharded facility counters: two padded cells per virtual processor,
@@ -358,27 +432,6 @@ pub const TIME_STATES: [(TimeState, &str, &str); 6] = [
     (TimeState::Frank, "time_frank_ns", "frank"),
     (TimeState::Idle, "time_idle_ns", "idle"),
 ];
-
-impl StatsCell {
-    fn sync_calls(&self) -> u64 {
-        self.handoff_calls.load(Ordering::Relaxed) + self.inline_calls.load(Ordering::Relaxed)
-    }
-
-    /// Charge `ns` of wall-time to `state`'s accumulator (Relaxed, the
-    /// fast-path discipline of every other counter).
-    #[inline]
-    pub fn add_time(&self, state: TimeState, ns: u64) {
-        let cell = match state {
-            TimeState::Handler => &self.time_handler_ns,
-            TimeState::Spin => &self.time_spin_ns,
-            TimeState::Park => &self.time_park_ns,
-            TimeState::Ring => &self.time_ring_ns,
-            TimeState::Frank => &self.time_frank_ns,
-            TimeState::Idle => &self.time_idle_ns,
-        };
-        cell.fetch_add(ns, Ordering::Relaxed);
-    }
-}
 
 /// A facility thread's wall-time classifier: owned by the thread's loop,
 /// it tracks the instant of the last state transition and charges the
@@ -458,9 +511,9 @@ mod tests {
         let s = RuntimeStats::new(4);
         assert_eq!(s.calls(), 0);
         assert_eq!(s.frank_redirects(), 0);
-        s.cell(0).handoff_calls.fetch_add(2, Ordering::Relaxed);
-        s.cell(3).handoff_calls.fetch_add(3, Ordering::Relaxed);
-        s.cell(1).inline_calls.fetch_add(1, Ordering::Relaxed);
+        s.cell(0).add(NOBODY, |c| &c.handoff_calls, 2);
+        s.cell(3).add(NOBODY, |c| &c.handoff_calls, 3);
+        s.cell(1).add(NOBODY, |c| &c.inline_calls, 1);
         // Aggregate `calls` derives hand-off + inline.
         assert_eq!(s.calls(), 6);
         assert_eq!(s.inline_calls(), 1);
@@ -472,6 +525,13 @@ mod tests {
         // against served half: `worker.rs`'s layout test.)
         assert!(std::mem::align_of::<StatsCell>() >= 128);
         assert!(std::mem::size_of::<StatsCell>().is_multiple_of(128));
+        // Inside a cell: the owner word alone on its line, the two copies
+        // on line pairs apart.
+        let c = StatsCell::default();
+        let at = |x: *const u8| x as usize - &c as *const StatsCell as usize;
+        let (mine, theirs) = (at(&c.mine as *const _ as _), at(&*c.theirs as *const _ as _));
+        assert_eq!((at(&c.owner as *const _ as _), mine), (0, 64));
+        assert!(mine + std::mem::size_of::<Counters>() <= theirs && theirs % 128 == 0);
         let s = RuntimeStats::new(2);
         let a = s.cell(0) as *const _ as usize;
         let b = s.cell(1) as *const _ as usize;
@@ -481,10 +541,10 @@ mod tests {
     #[test]
     fn snapshot_since_and_display() {
         let s = RuntimeStats::new(2);
-        s.cell(0).handoff_calls.fetch_add(10, Ordering::Relaxed);
+        s.cell(0).add(NOBODY, |c| &c.handoff_calls, 10);
         let first = s.snapshot();
-        s.cell(1).handoff_calls.fetch_add(4, Ordering::Relaxed);
-        s.cell(1).park_waits.fetch_add(4, Ordering::Relaxed);
+        s.cell(1).add(NOBODY, |c| &c.handoff_calls, 4);
+        s.cell(1).add(NOBODY, |c| &c.park_waits, 4);
         let delta = s.snapshot().since(&first);
         assert_eq!(delta.calls, 4);
         assert_eq!(delta.park_waits, 4);
@@ -497,9 +557,9 @@ mod tests {
     #[test]
     fn vcpu_snapshot_and_field_lookup() {
         let s = RuntimeStats::new(2);
-        s.cell(0).inline_calls.fetch_add(3, Ordering::Relaxed);
-        s.cell(1).inline_calls.fetch_add(5, Ordering::Relaxed);
-        s.cell(1).ring_submits.fetch_add(2, Ordering::Relaxed);
+        s.cell(0).add(NOBODY, |c| &c.inline_calls, 3);
+        s.cell(1).add(NOBODY, |c| &c.inline_calls, 5);
+        s.cell(1).add(NOBODY, |c| &c.ring_submits, 2);
         let v0 = s.vcpu_snapshot(0);
         let v1 = s.vcpu_snapshot(1);
         assert_eq!(v0.calls, 3);
@@ -538,8 +598,8 @@ mod tests {
     #[test]
     fn snapshot_fields_cover_every_counter() {
         let s = RuntimeStats::new(1);
-        s.cell(0).inline_calls.fetch_add(7, Ordering::Relaxed);
-        s.cell(0).bulk_denied.fetch_add(2, Ordering::Relaxed);
+        s.cell(0).add(NOBODY, |c| &c.inline_calls, 7);
+        s.cell(0).add(NOBODY, |c| &c.bulk_denied, 2);
         let snap = s.snapshot();
         let fields = snap.fields();
         // `calls` plus one entry per StatsCell counter, no drift.
@@ -592,6 +652,71 @@ mod tests {
         let d = s.snapshot().since(&snap);
         assert_eq!((d.time_handler_ns, est), (1_000, 0));
         assert!(d.time_ring_ns >= 2_000_000 - 1_000);
+    }
+
+    /// Counts stay exact when callers share a vCPU, and when a cell
+    /// changes hands. Four threads call on vCPU 0 at once, inline and
+    /// hand-off: one owns the caller cell, the other three count on its
+    /// shared copy (were they all to take the owned path, their plain
+    /// load/store pairs would lose counts, and the shared copy would stay
+    /// empty). Then 300 short-lived threads call in turn: an exiting
+    /// thread's claim cell — its token — passes to a later thread, which
+    /// keeps counting on the owned copy it inherited.
+    #[test]
+    fn counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands() {
+        use crate::{EntryOptions, Runtime};
+        use std::sync::Arc;
+        let _watchdog = crate::wait::abort_if_hung("stats.rs shared-vCPU test");
+        let inline = EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() };
+        let rt = Runtime::new(1);
+        let ep_in = rt.bind("inline", inline, Arc::new(|c| c.args)).unwrap();
+        let ep_ho = rt.bind("handoff", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let callers: Vec<_> = (0..4)
+            .map(|p| {
+                let client = rt.client(0, p + 1);
+                std::thread::spawn(move || {
+                    for i in 0..20_000 {
+                        assert_eq!(client.call(ep_in, [i; 8]), Ok([i; 8]));
+                        if i % 10 == 0 {
+                            assert_eq!(client.call(ep_ho, [i; 8]), Ok([i; 8]));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in callers {
+            t.join().unwrap();
+        }
+        let s = rt.stats.snapshot();
+        assert_eq!((s.inline_calls, s.handoff_calls, s.calls), (80_000, 8_000, 88_000));
+        assert_eq!(s.spin_waits + s.park_waits, 8_000);
+        assert_eq!(rt.entry_completions_on(ep_in, 0), Ok(80_000));
+        assert_eq!(rt.entry_completions_on(ep_ho, 0), Ok(8_000));
+        let cell = rt.stats.cell(0);
+        let (mine, theirs) = (&cell.mine.inline_calls, &cell.theirs.inline_calls);
+        let (mine, theirs) = (mine.load(Ordering::Relaxed), theirs.load(Ordering::Relaxed));
+        assert!(mine > 0 && theirs > 0, "owned {mine}, shared {theirs}: both copies count");
+
+        let rt = Runtime::new(1);
+        let ep = rt.bind("inline", inline, Arc::new(|c| c.args)).unwrap();
+        let mut first = 0;
+        for n in 0..300 {
+            let client = rt.client(0, 1);
+            std::thread::spawn(move || {
+                for i in 0..100 {
+                    assert_eq!(client.call(ep, [i; 8]), Ok([i; 8]));
+                }
+            })
+            .join()
+            .unwrap();
+            if n == 0 {
+                first = rt.stats.cell(0).mine.inline_calls.load(Ordering::Relaxed);
+            }
+        }
+        assert_eq!((rt.stats.inline_calls(), rt.entry_completions_on(ep, 0)), (30_000, Ok(30_000)));
+        let owned = rt.stats.cell(0).mine.inline_calls.load(Ordering::Relaxed);
+        assert_eq!(first, 100, "the first thread owns the cell");
+        assert!(owned > first, "no later thread inherited the owned copy ({owned})");
     }
 
     #[test]

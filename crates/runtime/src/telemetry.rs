@@ -629,10 +629,10 @@ impl Telemetry {
             let probe = interference_probe(
                 (self.tick / 512).clamp(Duration::from_micros(50), Duration::from_millis(1)),
             );
-            let cell0 = stats.cell(0);
-            cell0.interference_ns.fetch_add(probe.lost_ns, Ordering::Relaxed);
-            cell0.interference_probe_ns.fetch_add(probe.probed_ns, Ordering::Relaxed);
-            cell0.interference_excursions.fetch_add(probe.excursions, Ordering::Relaxed);
+            let (cell0, nobody) = (stats.cell(0), crate::claims::NOBODY);
+            cell0.add(nobody, |c| &c.interference_ns, probe.lost_ns);
+            cell0.add(nobody, |c| &c.interference_probe_ns, probe.probed_ns);
+            cell0.add(nobody, |c| &c.interference_excursions, probe.excursions);
             if probe.max_excursion_ns >= INTERFERENCE_EVENT_NS {
                 flight.record(
                     0,

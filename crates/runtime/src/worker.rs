@@ -63,6 +63,7 @@ pub struct WorkerHandle {
     /// Calls this worker is done with (diagnostics) — an async one once
     /// its handle handed the slot back and the worker pooled itself.
     /// Padded: written by the worker per call, off the lines `post` reads.
+    /// The worker is its only writer: a plain load and store, no RMW.
     pub calls: CachePadded<AtomicU64>,
 }
 
@@ -376,7 +377,7 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             // Pooled first, then counted: `hand_back` waits for the count.
             owed = false;
             entry.pool(vcpu).push(Arc::clone(&me));
-            me.calls.fetch_add(1, Ordering::Release);
+            me.calls.store(me.calls.load(Ordering::Relaxed) + 1, Ordering::Release);
             continue;
         }
         // An async call's caller has let go of its claim: take our own
@@ -411,12 +412,13 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         }
         // A synchronous caller holds the claim until it has read the
         // results, counts the completion on its own vCPU's line and
-        // re-pools us. Async calls and upcalls have no one else: count,
-        // release our claim and owe the re-pool.
+        // re-pools us. Async calls and upcalls have no one else: count
+        // (this thread never owns the completion word), release our
+        // claim and owe the re-pool.
         if held.is_none() {
-            me.calls.fetch_add(1, Ordering::Relaxed);
+            me.calls.store(me.calls.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         } else {
-            entry.record_completion(vcpu);
+            entry.record_completion(vcpu, false);
             drop(held);
             owed = true;
         }

@@ -132,6 +132,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::claims;
 use crate::flight::FlightKind;
 use crate::region::BulkDesc;
 use crate::ring::{self, result_to_wire, wire_to_result, Completion, Consumer, LaneRef, Producer};
@@ -714,7 +715,7 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
         // loop whatever the wake found.
         let doze = || {
             if shm::futex_wait(&h.doorbell, seen, Some(Duration::from_millis(5))) {
-                rt.stats.cell(vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
+                rt.stats.cell(vcpu).add(claims::token(), |c| &c.xproc_wakes, 1);
             }
             slept = true;
             false
@@ -800,7 +801,7 @@ fn attach_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut
         }
     }
     shm::futex_wake(&slot.attach_ack, u32::MAX);
-    rt.stats.cell(vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
+    rt.stats.cell(vcpu).add(claims::token(), |c| &c.xproc_wakes, 1);
 }
 
 /// Tear down a client (death or detach): unregister its region, reset
@@ -844,7 +845,7 @@ fn service_slot(
     let xop = slot.xop.load(Ordering::Relaxed);
     let ep = slot.ep.load(Ordering::Relaxed) as EntryId;
     let args = slot.core.read_args();
-    let cell = rt.stats.cell(vcpu);
+    let (cell, who) = (rt.stats.cell(vcpu), claims::token());
     let result: Result<[u64; 8], RtError> = match xop {
         op::CALL => rt.dispatch(vcpu, ep, args, c.program, None).map(|(r, _)| r),
         op::PAYLOAD => {
@@ -877,7 +878,7 @@ fn service_slot(
             slot.core.complete_frame([0; 8], 0, 0);
             shm::futex_wake(slot.core.state_word(), u32::MAX);
             detach_client(rt, map, vcpu, i, c);
-            cell.xproc_wakes.fetch_add(1, Ordering::Relaxed);
+            cell.add(who, |c| &c.xproc_wakes, 1);
             return true;
         }
         _ => Err(RtError::BadSegment),
@@ -886,10 +887,10 @@ fn service_slot(
     slot.core.complete_frame(rets, status, aux);
     // DONE is published; wake the caller only if it announced its sleep.
     if slot.core.wake_done(true) {
-        cell.xproc_wakes.fetch_add(1, Ordering::Relaxed);
+        cell.add(who, |c| &c.xproc_wakes, 1);
         *woke = true;
     }
-    cell.xproc_calls.fetch_add(1, Ordering::Relaxed);
+    cell.add(who, |c| &c.xproc_calls, 1);
     true
 }
 
@@ -907,7 +908,7 @@ fn service_ring(
 ) -> bool {
     match ring::drain(rt, &mut c.ring, vcpu, c.program, local_scratch, &mut 0) {
         Some(0) => return false,
-        Some(n) => _ = rt.stats.cell(vcpu).xproc_calls.fetch_add(n, Ordering::Relaxed),
+        Some(n) => _ = rt.stats.cell(vcpu).add(claims::token(), |c| &c.xproc_calls, n),
         None => lose_client(rt, map, vcpu, i, c, c.pid),
     }
     true
@@ -1118,7 +1119,7 @@ impl XClient {
             shm::futex_wake(&h.doorbell, u32::MAX);
         });
         if let (true, Some((rt, vcpu))) = (woke, &self.obs) {
-            rt.stats.cell(*vcpu).xproc_wakes.fetch_add(1, Ordering::Relaxed);
+            rt.stats.cell(*vcpu).add(claims::token(), |c| &c.xproc_wakes, 1);
         }
         woke
     }
@@ -1178,7 +1179,7 @@ impl XClient {
         let (status, aux) = core.status();
         let rets = core.read_rets();
         if let Some((rt, vcpu)) = &self.obs {
-            rt.stats.cell(*vcpu).xproc_calls.fetch_add(1, Ordering::Relaxed);
+            rt.stats.cell(*vcpu).add(claims::token(), |c| &c.xproc_calls, 1);
         }
         wire_to_result(status, aux, rets)
     }

@@ -8,12 +8,15 @@
 //! through any user code — so a `clock_gettime` shows up as the counter
 //! read inside it. For each path a forked child asks to be traced, warms
 //! the path, settles it (a worker thread parked, say), then raises
-//! `SIGSTOP` around an empty marker pair and around one call. The parent
+//! `SIGSTOP` around an empty marker pair and around one call (then drops
+//! the path, which ends any server process it forked). The parent
 //! single-steps both intervals — the calling thread only; a worker runs
 //! untraced — decodes the instruction at every `rip`, and reports the
 //! difference: the call alone. Locked RMWs do not depend on timing, so
 //! they are asserted exactly — a ratchet, not a bound: a change that
-//! moves one edits the number here and says so. Every path must read
+//! moves one edits the number here and says so. The first call of a
+//! thread on a vCPU takes ownership of its stats cell with one CAS; the
+//! warm-up calls pay it, outside the markers. Every path must read
 //! the clock 0 times (an unsampled call reads none). Instruction counts
 //! depend on the build, and on a hand-off on how long the caller's wait
 //! loop runs, and are only printed.
@@ -27,10 +30,12 @@ use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 use std::cell::RefCell;
+use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use ppc_rt::{Client, EntryOptions, Runtime};
+use ppc_rt::xproc::fork_server;
+use ppc_rt::{Client, EntryOptions, Runtime, XClient, XSegOptions};
 
 extern "C" {
     fn ptrace(request: c_int, ...) -> c_long;
@@ -107,6 +112,29 @@ fn inline_payload_64() -> Case {
     })
 }
 
+/// An inline `call_bulk` whose handler copies the whole granted 64 KiB
+/// span out with `copy_from`, into a buffer of the calling thread's own.
+fn inline_bulk_64k() -> Case {
+    const LEN: usize = 64 << 10;
+    thread_local! {
+        static DST: RefCell<Vec<u8>> = RefCell::new(vec![0; LEN]);
+    }
+    let rt = Runtime::new(1);
+    let ep = inline_entry(&rt, "copy", Arc::new(|c| {
+        let desc = c.bulk_desc().unwrap();
+        let n = DST.with(|d| c.copy_from(desc, &mut d.borrow_mut()[..]).unwrap());
+        [n as u64, 0, 0, 0, 0, 0, 0, 0]
+    }));
+    let c = rt.client(0, 1);
+    let region = c.bulk_register(LEN).unwrap();
+    region.grant(ep, false).unwrap();
+    let desc = region.full_desc(false);
+    Case::call(move || {
+        assert_eq!(black_box(c.call_bulk(ep, black_box([1; 8]), desc).unwrap())[0], LEN as u64);
+        let _ = &region;
+    })
+}
+
 /// The caller's side of a null hand-off, its worker parked at the
 /// marker: the post always wakes it (one `unpark`), and the caller's wait
 /// loop runs while the worker, untraced, completes the call.
@@ -149,6 +177,35 @@ fn ring_d16() -> Case {
             drop(ring);
             others_asleep();
         }),
+    }
+}
+
+/// The client side of a null `XClient::call` to a forked server process.
+/// The settle step leaves the server 20 ms to fall asleep on its doorbell,
+/// so the post rings it; single-stepped, the client finds the call done
+/// when it reaches the wait.
+fn xproc_null() -> Case {
+    /// The segment file, removed when the path is dropped.
+    struct SegFile(PathBuf);
+    impl Drop for SegFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+    let file = SegFile(std::env::temp_dir().join(format!("ppc-ledger-{}.seg", std::process::id())));
+    let server = fork_server(&file.0, XSegOptions::default(), || {
+        let rt = Runtime::new(1);
+        inline_entry(&rt, "null", Arc::new(|c| c.args));
+        rt
+    })
+    .unwrap();
+    let mut xc = XClient::connect_retry(&file.0, 1, Duration::from_secs(10)).unwrap();
+    Case {
+        call: Box::new(move || {
+            black_box(xc.call(0, black_box([1; 8])).unwrap());
+            let _ = (&server, &file);
+        }),
+        settle: Box::new(|| std::thread::sleep(Duration::from_millis(20))),
     }
 }
 
@@ -269,6 +326,7 @@ fn count(build: fn() -> Case) -> Tally {
             raise(SIGSTOP);
             (case.call)();
             raise(SIGSTOP);
+            drop(case);
             _exit(0);
         }
     }
@@ -283,8 +341,16 @@ fn count(build: fn() -> Case) -> Tally {
     request(PTRACE_CONT, pid, std::ptr::null_mut());
     assert_eq!(stopped_by(wait(pid)), Some(SIGSTOP), "third marker");
     let call = step_to_marker(pid, &mem);
-    request(PTRACE_CONT, pid, std::ptr::null_mut());
-    assert_eq!(wait(pid), 0, "the child exits cleanly");
+    // Run the child to its exit; a stop for a signal (the `SIGCHLD` of a
+    // server process it ended) is resumed with the signal dropped.
+    let status = loop {
+        request(PTRACE_CONT, pid, std::ptr::null_mut());
+        let status = wait(pid);
+        if stopped_by(status).is_none() {
+            break status;
+        }
+    };
+    assert_eq!(status, 0, "the child exits cleanly");
     Tally {
         insns: call.insns - empty.insns,
         locks: call.locks - empty.locks,
@@ -297,18 +363,21 @@ fn main() {
         println!("ledger: skipped, it decodes x86-64 Linux register sets and encodings");
         return;
     }
-    // The hand-off caller's 7, in both build profiles: the pool pop, the
-    // `SeqCst` fence of the post's Dekker check (a `lock or` on the
-    // stack), the parked worker's `unpark`, `spin_waits`, the pool push,
-    // the completion and `handoff_calls`. The ring's 21: `ring_submits`
-    // per submit, and the doorbell's fence, `ring_doorbells`, its flight
-    // record (cursor and sequence word) and `unpark`.
-    let paths: [Path; 5] = [
-        ("inline null", Some(2), inline_null),
-        ("inline outer -> inline null", Some(4), inline_nested),
-        ("inline call_with_payload, 64 B", Some(4), inline_payload_64),
-        ("hand-off null (caller)", Some(7), handoff_null),
-        ("ClientRing 16 submits + doorbell", Some(21), ring_d16),
+    // Counters take none: the calling thread owns its vCPU's stats cell
+    // and counts with plain stores. The payload call's 2: the CD pool pop
+    // and push. The hand-off caller's 4, in both build profiles: the pool
+    // pop, the `SeqCst` fence of the post's Dekker check (a `lock or` on
+    // the stack), the parked worker's `unpark` and the pool push. The
+    // ring's 4: the doorbell's fence, its flight record (cursor and
+    // sequence word) and `unpark`.
+    let paths: [Path; 7] = [
+        ("inline null", Some(0), inline_null),
+        ("inline outer -> inline null", Some(0), inline_nested),
+        ("inline call_with_payload, 64 B", Some(2), inline_payload_64),
+        ("inline call_bulk, copy_from 64 KiB", Some(2), inline_bulk_64k),
+        ("hand-off null (caller)", Some(4), handoff_null),
+        ("ClientRing 16 submits + doorbell", Some(4), ring_d16),
+        ("XClient null (client)", Some(2), xproc_null),
     ];
     let mut wrong = Vec::new();
     for (name, want, build) in paths {

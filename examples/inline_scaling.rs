@@ -10,7 +10,11 @@
 //! figure stays close to the one-client figure; a shared written line
 //! roughly doubles it. The control row (`2 apart`) runs the two clients
 //! against two one-vCPU runtimes that share nothing: what the host itself
-//! costs a second busy CPU.
+//! costs a second busy CPU. The `2 on vCPU 0` row has both clients call
+//! the same vCPU from their two CPUs: one thread owns the vCPU's stats
+//! cell and counts with plain stores, the other counts on its shared copy
+//! with locked adds; the row prints the faster and the slower client of
+//! each round (the owner is whichever thread counted first).
 //!
 //! Run: `cargo run --release --example inline_scaling [-- --seconds S --rounds R]`
 //! (defaults: 1 s per round, 5 rounds). Needs two allowed CPUs.
@@ -77,21 +81,30 @@ fn main() {
         .and_then(|l| l.split(':').nth(1).map(|m| m.trim().to_owned()))
         .unwrap_or_default();
     println!("host {model:?}, CPUs {cpus:?}; {rounds} rounds of {secs} s");
-    println!("{:<5}{:>9}{:>34}", "obs", "clients", "ns/call per client [min..max]");
+    println!("{:<5}{:>20}{:>34}", "obs", "clients", "ns/call per client [min..max]");
     for obs in [true, false] {
         let (rt, ep) = null_runtime(2, obs);
         let apart = [null_runtime(1, obs), null_runtime(1, obs)];
+        let on = if obs { "on" } else { "off" };
+        let print = |name: &str, mut ns: Vec<f64>| {
+            ns.sort_by(f64::total_cmp);
+            let (lo, mid, hi) = (ns[0], ns[ns.len() / 2], ns[ns.len() - 1]);
+            println!("{on:<5}{name:>20}{:>34}", format!("{mid:.1} [{lo:.1}..{hi:.1}]"));
+        };
         for name in ["1", "2", "2 apart"] {
             let clients = || match name {
                 "1" => vec![(rt.client(0, 1), ep)],
                 "2" => vec![(rt.client(0, 1), ep), (rt.client(1, 2), ep)],
                 _ => apart.iter().map(|(rt, ep)| (rt.client(0, 1), *ep)).collect(),
             };
-            let mut ns: Vec<f64> = (0..rounds).flat_map(|_| round(clients(), &cpus, secs)).collect();
-            ns.sort_by(f64::total_cmp);
-            let (lo, mid, hi) = (ns[0], ns[ns.len() / 2], ns[ns.len() - 1]);
-            let on = if obs { "on" } else { "off" };
-            println!("{on:<5}{name:>9}{:>34}", format!("{mid:.1} [{lo:.1}..{hi:.1}]"));
+            print(name, (0..rounds).flat_map(|_| round(clients(), &cpus, secs)).collect());
         }
+        let (one, ep) = null_runtime(1, obs);
+        let both: Vec<Vec<f64>> = (0..rounds)
+            .map(|_| round(vec![(one.client(0, 1), ep), (one.client(0, 2), ep)], &cpus, secs))
+            .collect();
+        let side = |pick: fn(f64, f64) -> f64| both.iter().map(|r| pick(r[0], r[1])).collect();
+        print("2 on vCPU 0, faster", side(f64::min));
+        print("2 on vCPU 0, slower", side(f64::max));
     }
 }

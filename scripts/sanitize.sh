@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
-# ThreadSanitizer over the ring, the claim cells and the hand-off:
-# `ppc-rt`'s `ring::` unit tests, the `tests/ring.rs` suite (the
+# ThreadSanitizer over the ring, the claim cells, the hand-off and the
+# counters: `ppc-rt`'s `ring::` unit tests, the `tests/ring.rs` suite (the
 # in-process front-end and the conformance bodies), the claim-cell storm
-# (kill, reclaim, rebind and exchange beside two callers), and the
+# (kill, reclaim, rebind and exchange beside two callers), the
 # `slot::`, `worker::` and `wait::` unit tests (the slot rendezvous, the
-# worker's post/shutdown race, the wait primitive), built with the
+# worker's post/shutdown race, the wait primitive), and the stats test
+# that shares a vCPU's counters between four callers and hands a cell's
+# ownership from thread to thread (owner and shared copies, every access
+# atomic), built with the
 # nightly toolchain's TSan runtime. TSan does not model `membarrier`; the storm is still checked,
 # because a claim's release (`Release`) and the writer's scan of it
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all four, exit nonzero on any report
+#     scripts/sanitize.sh            run all five, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -32,3 +35,4 @@ cargo +nightly test -p ppc-rt --target "$target" --lib -- ring::
 cargo +nightly test -p ppc-rt --target "$target" --test ring
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests::storm_at_one_id_beside_inline_callers
 cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
+cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact stats::tests::counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands
