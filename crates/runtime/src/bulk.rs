@@ -1,5 +1,5 @@
-//! The payload plane: per-vCPU size-classed buffer pools and the vectored
-//! copy engine behind [`crate::Client::call_bulk`].
+//! The payload plane: per-vCPU size-classed buffer pools behind
+//! [`crate::Client::call_bulk`].
 //!
 //! PR 1 made the *control* plane (8 words each way) lock-free and
 //! shared-nothing; this module applies the same discipline to payloads.
@@ -7,12 +7,9 @@
 //! classes, pooled **per virtual processor**, and recycled without ever
 //! crossing CPUs — the CD-pool discipline applied to bulk data. A pool
 //! miss is a Frank slow-path event: the buffer is allocated on demand
-//! (and counted), exactly like worker/CD growth.
-//!
-//! The copy engine (`copy_span`, `exchange_span`) chunks large
-//! transfers so a 1 MiB copy never monopolizes an unbounded stretch of
-//! the store pipeline between progress points, and walks aligned spans
-//! eight bytes at a time when source and destination agree modulo 8.
+//! (and counted), exactly like worker/CD growth. Bytes move with the
+//! standard library's `copy_nonoverlapping` (`memcpy`) and
+//! `swap_nonoverlapping`.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
@@ -243,61 +240,6 @@ impl Default for BufferPool {
     }
 }
 
-/// Copy chunk: large transfers advance in 64 KiB steps.
-const COPY_CHUNK: usize = 64 << 10;
-/// Block size for the in-place exchange (stack temporary, no allocation).
-const XCHG_BLOCK: usize = 512;
-
-/// Chunked, alignment-aware copy of `len` bytes. When source and
-/// destination are congruent modulo 8 the body runs eight bytes at a
-/// time ([`u64`] lanes); otherwise it falls back to byte granularity.
-///
-/// # Safety
-/// `src..src+len` must be readable, `dst..dst+len` writable, and the two
-/// spans must not overlap.
-pub(crate) unsafe fn copy_span(dst: *mut u8, src: *const u8, len: usize) {
-    let mut off = 0;
-    while off < len {
-        let n = (len - off).min(COPY_CHUNK);
-        let d = dst.add(off);
-        let s = src.add(off);
-        if (d as usize) & 7 == (s as usize) & 7 {
-            // Align to the word boundary, stream words, mop up the tail.
-            let head = ((8 - ((d as usize) & 7)) & 7).min(n);
-            std::ptr::copy_nonoverlapping(s, d, head);
-            let words = (n - head) / 8;
-            std::ptr::copy_nonoverlapping(
-                s.add(head).cast::<u64>(),
-                d.add(head).cast::<u64>(),
-                words,
-            );
-            let tail = head + words * 8;
-            std::ptr::copy_nonoverlapping(s.add(tail), d.add(tail), n - tail);
-        } else {
-            std::ptr::copy_nonoverlapping(s, d, n);
-        }
-        off += n;
-    }
-}
-
-/// Swap `len` bytes between `a` and `b` through a fixed stack block — the
-/// runtime's Exchange for payloads, allocation-free so it stays legal on
-/// the warm path.
-///
-/// # Safety
-/// Both spans must be valid for read+write and must not overlap.
-pub(crate) unsafe fn exchange_span(a: *mut u8, b: *mut u8, len: usize) {
-    let mut tmp = [0u8; XCHG_BLOCK];
-    let mut off = 0;
-    while off < len {
-        let n = (len - off).min(XCHG_BLOCK);
-        std::ptr::copy_nonoverlapping(a.add(off), tmp.as_mut_ptr(), n);
-        std::ptr::copy_nonoverlapping(b.add(off), a.add(off), n);
-        std::ptr::copy_nonoverlapping(tmp.as_ptr(), b.add(off), n);
-        off += n;
-    }
-}
-
 /// The runtime's bulk-data state: one registry and one buffer pool per
 /// virtual processor, plus the sharded stats the engine accounts to.
 /// Shared into every bound entry so handlers reach it without a back
@@ -378,24 +320,58 @@ mod tests {
         assert_eq!(unsafe { b.as_mut_ptr().read() }, 0);
     }
 
+    /// `copy_from`, `copy_to` and `exchange_bulk` move exactly the
+    /// span's bytes: at odd offsets on either side, at 0 B, and past
+    /// 64 KiB.
     #[test]
     fn copy_and_exchange_spans() {
-        // Cover aligned fast lanes, misaligned fallback, and chunking.
-        for (src_off, dst_off, len) in
-            [(0usize, 0usize, 4096usize), (1, 1, 1000), (1, 2, 777), (0, 0, COPY_CHUNK + 123), (3, 3, 0)]
-        {
-            let src: Vec<u8> = (0..src_off + len).map(|i| (i * 7) as u8).collect();
-            let mut dst = vec![0u8; dst_off + len];
-            unsafe {
-                copy_span(dst.as_mut_ptr().add(dst_off), src.as_ptr().add(src_off), len)
+        use std::sync::Mutex;
+        const LEN: usize = (64 << 10) + 128;
+        let rt = crate::Runtime::new(1);
+        // The handler's own memory, beside the caller's region.
+        let server = Arc::new(Mutex::new(vec![0u8; LEN]));
+        let mem = Arc::clone(&server);
+        let h: crate::Handler = Arc::new(move |c| {
+            let desc = c.bulk_desc().unwrap();
+            let (off, len) = (c.args[1] as usize, c.args[2] as usize);
+            let span = &mut mem.lock().unwrap()[off..off + len];
+            let n = match c.args[0] {
+                0 => c.copy_from(desc, span),
+                1 => c.copy_to(desc, span),
+                _ => c.exchange_bulk(desc, span),
             };
-            assert_eq!(&dst[dst_off..], &src[src_off..], "copy ({src_off},{dst_off},{len})");
+            [n.unwrap() as u64; 8]
+        });
+        let ep = rt.bind("copy", crate::EntryOptions::default(), h).unwrap();
+        let client = rt.client(0, 1);
+        let region = client.bulk_register(LEN).unwrap();
+        region.grant(ep, true).unwrap();
+        let (a, b): (Vec<u8>, Vec<u8>) = (0..LEN).map(|i| ((i * 7) as u8, (i * 3 + 1) as u8)).unzip();
+        for (reg_off, buf_off, len) in
+            [(0usize, 0usize, 4096usize), (1, 1, 1000), (1, 2, 777), (0, 0, (64 << 10) + 123), (3, 3, 0)]
+        {
+            for op in 0..3u64 {
+                region.fill(0, &a).unwrap();
+                server.lock().unwrap().copy_from_slice(&b);
+                let desc = region.desc(reg_off as u32, len as u32, true);
+                let args = [op, buf_off as u64, len as u64, 0, 0, 0, 0, 0];
+                assert_eq!(client.call_bulk(ep, args, desc).unwrap()[0], len as u64);
+                let (mut want_reg, mut want_buf) = (a.clone(), b.clone());
+                let (reg, buf) = (reg_off..reg_off + len, buf_off..buf_off + len);
+                match op {
+                    0 => want_buf[buf.clone()].copy_from_slice(&a[reg]),
+                    1 => want_reg[reg].copy_from_slice(&b[buf]),
+                    _ => {
+                        want_reg[reg.clone()].copy_from_slice(&b[buf.clone()]);
+                        want_buf[buf].copy_from_slice(&a[reg]);
+                    }
+                }
+                let mut got = vec![0u8; LEN];
+                region.read_into(0, &mut got).unwrap();
+                let case = format!("op {op} ({reg_off},{buf_off},{len})");
+                assert!(got == want_reg, "region after {case}");
+                assert!(*server.lock().unwrap() == want_buf, "handler memory after {case}");
+            }
         }
-        let mut a: Vec<u8> = (0..2000u32).map(|i| i as u8).collect();
-        let mut b: Vec<u8> = (0..2000u32).map(|i| (i * 3) as u8).collect();
-        let (a0, b0) = (a.clone(), b.clone());
-        unsafe { exchange_span(a.as_mut_ptr(), b.as_mut_ptr(), 2000) };
-        assert_eq!(a, b0);
-        assert_eq!(b, a0);
     }
 }

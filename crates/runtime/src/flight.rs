@@ -74,8 +74,8 @@ pub enum FlightKind {
     /// Dead entry reclaimed: unpublished, its claims drained, registry
     /// reference dropped (`data` = requester program).
     Reclaim = 15,
-    /// Ring doorbell that woke a sleeping ring worker (`data` =
-    /// submission-queue depth at wake).
+    /// Ring doorbell that woke a sleeping ring worker (`data` = the
+    /// producer's in-flight count at wake).
     Doorbell = 16,
     /// Completion-queue reap batch (`data` = completions harvested).
     RingReap = 17,

@@ -154,10 +154,9 @@ pub enum RtError {
     /// those of a message exchange": the caller gets an error, the server
     /// (and its other workers) keep running.
     ServerFault(EntryId),
-    /// A ring submission was refused by admission control: the
-    /// submission queue is full or the client's in-flight credits are
-    /// exhausted. Open-loop backpressure — reap completions (or shed
-    /// the request) and retry.
+    /// A ring submission was refused by admission control: the ring's
+    /// depth of submissions is in flight. Open-loop backpressure — reap
+    /// completions (or shed the request) and retry.
     RingFull,
     /// The cross-process peer (server or client) died or detached while
     /// an operation was outstanding; the operation did not complete.
@@ -191,7 +190,7 @@ impl std::fmt::Display for RtError {
                 write!(f, "server handler for entry {ep} faulted during the call")
             }
             RtError::RingFull => {
-                write!(f, "submission ring full or in-flight credits exhausted")
+                write!(f, "submission ring full: reap completions and retry")
             }
             RtError::PeerGone => {
                 write!(f, "cross-process peer died or detached mid-operation")
@@ -373,11 +372,11 @@ impl<'a> CallCtx<'a> {
     // ---- bulk data: the handler side of the payload plane (§4.2) ----
     //
     // Every accessor below is warm-path legal: authorization is a
-    // lock-free epoch-stamped registry read on this vCPU, transfers go
-    // through the vectored copy engine, and accounting is a Relaxed
-    // increment on this vCPU's own stats cell. The server's identity for
-    // the grant check is (entry, entry owner) — the same pair
-    // `ppc-core`'s Copy Server validates.
+    // lock-free epoch-stamped registry read on this vCPU, a transfer is
+    // one `memcpy`, and accounting is a Relaxed increment on this vCPU's
+    // own stats cell. The server's identity for the grant check is
+    // (entry, entry owner) — the same pair `ppc-core`'s Copy Server
+    // validates.
     //
     // Concurrency contract: *writing* accessors (`copy_to`,
     // `exchange_bulk`, `with_bulk_mut`, and the owner-side
@@ -462,7 +461,7 @@ impl<'a> CallCtx<'a> {
         // unique borrow of at least `n` bytes and cannot alias registry
         // memory.
         self.bulk_op(desc, false, Some(dst.len()), |ptr, n| unsafe {
-            bulk::copy_span(dst_ptr, ptr, n)
+            std::ptr::copy_nonoverlapping(ptr, dst_ptr, n)
         })
         .map(|((), n)| n)
     }
@@ -473,7 +472,7 @@ impl<'a> CallCtx<'a> {
     pub fn copy_to(&self, desc: BulkDesc, src: &[u8]) -> Result<usize, RtError> {
         // Safety: as in `copy_from`, directions reversed.
         self.bulk_op(desc, true, Some(src.len()), |ptr, n| unsafe {
-            bulk::copy_span(ptr, src.as_ptr(), n)
+            std::ptr::copy_nonoverlapping(src.as_ptr(), ptr, n)
         })
         .map(|((), n)| n)
     }
@@ -483,9 +482,9 @@ impl<'a> CallCtx<'a> {
     /// bytes swapped. Requires a write grant.
     pub fn exchange_bulk(&self, desc: BulkDesc, buf: &mut [u8]) -> Result<usize, RtError> {
         let buf_ptr = buf.as_mut_ptr();
-        // Safety: as in `copy_to`; `exchange_span` reads and writes both.
+        // Safety: as in `copy_to`; the swap reads and writes both.
         self.bulk_op(desc, true, Some(buf.len()), |ptr, n| unsafe {
-            bulk::exchange_span(ptr, buf_ptr, n)
+            std::ptr::swap_nonoverlapping(ptr, buf_ptr, n)
         })
         .map(|((), n)| n)
     }
@@ -557,7 +556,7 @@ pub struct VcpuState {
 }
 
 impl VcpuState {
-    fn new(id: usize, initial_cds: usize) -> Arc<Self> {
+    fn new(id: usize) -> Arc<Self> {
         let v = Arc::new(VcpuState {
             table: (0..MAX_ENTRIES).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
             cd_pool: crossbeam::queue::ArrayQueue::new(256),
@@ -565,9 +564,10 @@ impl VcpuState {
             poll: AtomicU64::new(0),
             id,
         });
-        for _ in 0..initial_cds {
-            let _ = v.cd_pool.push(CallSlot::new());
-        }
+        // One CD pre-pooled: like the worker pools, the CD pool "most
+        // commonly contains only" what back-to-back calls recycle; bursts
+        // grow it on demand.
+        let _ = v.cd_pool.push(CallSlot::new());
         v
     }
 
@@ -724,8 +724,6 @@ pub struct RuntimeOptions {
     /// count) the constructing thread is allowed ([`affinity`]); unpinned
     /// where the kernel refuses.
     pub pin: bool,
-    /// CDs pre-pooled per vCPU.
-    pub initial_cds: usize,
     /// Span-ring slots per vCPU for the tracing plane (power of two).
     pub trace_capacity: usize,
     /// Start the telemetry sampler with this tick (`None`, the default,
@@ -746,7 +744,6 @@ impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
             pin: false,
-            initial_cds: 1,
             trace_capacity: span::DEFAULT_TRACE_CAPACITY,
             telemetry_tick: None,
             slo_rules: Vec::new(),
@@ -757,20 +754,10 @@ impl Default for RuntimeOptions {
 
 impl Runtime {
     /// A runtime with `n_vcpus` virtual processors, unpinned, one CD
-    /// pre-pooled per vCPU (like the worker pools, the CD pool "most
-    /// commonly contains only" what back-to-back calls recycle; bursts
-    /// grow it on demand).
+    /// pre-pooled per vCPU; see [`Runtime::with_runtime_options`] for the
+    /// knobs.
     pub fn new(n_vcpus: usize) -> Arc<Self> {
-        Self::with_options(n_vcpus, false, 1)
-    }
-
-    /// A runtime with the historical option pair; see
-    /// [`Runtime::with_runtime_options`] for the full knob set.
-    pub fn with_options(n_vcpus: usize, pin: bool, initial_cds: usize) -> Arc<Self> {
-        Self::with_runtime_options(
-            n_vcpus,
-            RuntimeOptions { pin, initial_cds, ..RuntimeOptions::default() },
-        )
+        Self::with_runtime_options(n_vcpus, RuntimeOptions::default())
     }
 
     /// A runtime with explicit [`RuntimeOptions`]. Panics if
@@ -785,7 +772,7 @@ impl Runtime {
         claims::register();
         let stats = Arc::new(RuntimeStats::new(n_vcpus));
         let rt = Arc::new(Runtime {
-            vcpus: (0..n_vcpus).map(|i| VcpuState::new(i, opts.initial_cds)).collect(),
+            vcpus: (0..n_vcpus).map(VcpuState::new).collect(),
             frank: parking_lot::Mutex::new(frank::Frank::new()),
             bulk: bulk::BulkState::new(n_vcpus, Arc::clone(&stats)),
             obs: Arc::new(ObsState::new(n_vcpus)),
@@ -1305,16 +1292,16 @@ impl BulkRegion {
     }
 
     /// Owner write: copy `data` into the region at `offset` (the fill
-    /// before a call). Lock-free; uses the vectored copy engine. Holds
-    /// the region exclusively while the copy runs — a concurrent
-    /// server-side access to the same region waits.
+    /// before a call). Lock-free; one `memcpy`. Holds the region
+    /// exclusively while the copy runs — a concurrent server-side access
+    /// to the same region waits.
     pub fn fill(&self, offset: u32, data: &[u8]) -> Result<(), RtError> {
         let _span = self.rt.spans.leaf_scope(self.vcpu, 0, SpanPhase::BulkCopy);
         let t0 = self.rt.obs.try_sample().then(std::time::Instant::now);
         let r = self.with_span(offset, data.len() as u32, true, |ptr, n| {
             // Safety: span validated by the registry, held exclusively;
             // `data` cannot alias registry memory.
-            unsafe { bulk::copy_span(ptr, data.as_ptr(), n) };
+            unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), ptr, n) };
         });
         if let Some(t0) = t0 {
             self.rt.obs.record(obs::LatencyKind::BulkCopy, self.vcpu, t0.elapsed().as_nanos() as u64);
@@ -1331,7 +1318,7 @@ impl BulkRegion {
         let r = self.with_span(offset, dst.len() as u32, false, |ptr, n| {
             // Safety: as in `fill`, directions reversed; writers are
             // excluded while this read access is announced.
-            unsafe { bulk::copy_span(dst.as_mut_ptr(), ptr, n) };
+            unsafe { std::ptr::copy_nonoverlapping(ptr, dst.as_mut_ptr(), n) };
         });
         if let Some(t0) = t0 {
             self.rt.obs.record(obs::LatencyKind::BulkCopy, self.vcpu, t0.elapsed().as_nanos() as u64);

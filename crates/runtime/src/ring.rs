@@ -21,24 +21,23 @@
 //! | word | written by | read by |
 //! |---|---|---|
 //! | `sq_tail` | producer, `Release`, per submission | consumer, `Acquire`, per SQE |
-//! | `sq_head` | consumer, `Release`, per SQE, *before* executing it | producer, `Acquire`, only when its cached copy says the SQ is full |
 //! | `cq_tail` | consumer, `Release`, per completion | producer, `Acquire`, once per reap |
-//! | `cq_head` | producer, `Release`, per reaped completion | nobody |
 //!
-//! The consumer publishes `sq_head` and `cq_tail` from **private**
-//! copies and never loads them — or `cq_head` — back: a producer that
-//! scribbles them confuses only itself. Neither side does an RMW per
-//! entry.
+//! Each side keeps a private copy of how far it has read the other's
+//! queue (the consumer's SQ head, the producer's CQ head) and publishes
+//! it nowhere. The consumer publishes `cq_tail` from a private copy and
+//! never loads it back: a producer that scribbles it confuses only
+//! itself. Neither side does an RMW per entry.
 //!
-//! **Admission.** The producer holds a credit budget clamped to the CQ
-//! capacity. `submitted − reaped ≥ credits` refuses the submission, and
-//! so does a full SQ — on a *re-loaded* head only, the cached copy being
-//! stale the moment the consumer takes an SQE. Both are
-//! [`RtError::RingFull`]: overload shows as shed requests and bounded
-//! queues, never unbounded memory. The budget is also why the CQ cannot
-//! overflow, and why staging page `n & cq_mask` is free when submission
-//! `n` is admitted — pages go with the *completion* slot, because the SQ
-//! slot is recycled before its handler has run.
+//! **Admission.** One rule: a ring is `depth` deep — SQ slots, CQ slots,
+//! staging pages — and a submission is refused with
+//! [`RtError::RingFull`] iff `depth` are in flight (submitted, not yet
+//! reaped). That is enough, because the consumer copies SQE *n* out
+//! before it posts CQE *n*, and the producer reaps CQE *n* before it
+//! can admit *n + depth*: `in_flight < depth` proves SQ slot, CQ slot and
+//! staging page `n & mask` free. The producer's admission reads nothing
+//! the consumer writes, and overload shows as shed requests and bounded
+//! queues, never unbounded memory.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -54,29 +53,24 @@ use crate::slot::SCRATCH_BYTES;
 use crate::span::SpanToken;
 use crate::stats::{StateTimer, TimeState};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin};
-use crate::{bulk, Client, EntryId, ProgramId, RegionId, RtError, Runtime};
+use crate::{Client, EntryId, ProgramId, RegionId, RtError, Runtime};
 
 /// Hard cap on ring capacities (entries). Large enough for any open-loop
 /// experiment, small enough that a mis-typed depth cannot map gigabytes.
 pub const MAX_RING_DEPTH: usize = 1 << 16;
 
-/// Sizing for a [`ClientRing`]. Depths are rounded up to powers of two
-/// and clamped to [2, [`MAX_RING_DEPTH`]]; `credits` is clamped to the
-/// completion-queue capacity so the CQ can never overflow.
+/// Sizing for a [`ClientRing`]: one depth, rounded up to a power of two
+/// and clamped to [2, [`MAX_RING_DEPTH`]].
 #[derive(Clone, Copy, Debug)]
 pub struct RingOptions {
-    /// Submission-queue capacity (entries).
-    pub sq_depth: usize,
-    /// Completion-queue capacity (entries).
-    pub cq_depth: usize,
-    /// In-flight credit budget: submissions not yet reaped. The
-    /// admission bound behind [`RtError::RingFull`].
-    pub credits: usize,
+    /// SQ slots, CQ slots and staging pages, and so the in-flight bound
+    /// behind [`RtError::RingFull`] (module docs, Admission).
+    pub depth: usize,
 }
 
 impl Default for RingOptions {
     fn default() -> Self {
-        RingOptions { sq_depth: 64, cq_depth: 64, credits: 64 }
+        RingOptions { depth: 64 }
     }
 }
 
@@ -167,28 +161,17 @@ pub(crate) fn wire_to_result(status: u32, aux: u32, rets: [u64; 8]) -> Result<[u
 /// that becomes the handler's scratch.
 const SQE_PAYLOAD: u32 = 1;
 
-/// The four cursors of a ring, a cache line each (see the module
-/// docs for who writes which).
+/// The two published cursors of a ring, a cache line each (see the
+/// module docs for who writes which).
 #[repr(C, align(64))]
 pub(crate) struct RingCursors {
     sq_tail: AtomicU64,
     _p0: [u8; 56],
-    sq_head: AtomicU64,
-    _p1: [u8; 56],
     cq_tail: AtomicU64,
-    _p2: [u8; 56],
-    cq_head: AtomicU64,
-    _p3: [u8; 56],
+    _p1: [u8; 56],
 }
 
-crate::assert_segment_layout!(RingCursors {
-    size: 256,
-    align: 64,
-    sq_tail: 0,
-    sq_head: 64,
-    cq_tail: 128,
-    cq_head: 192,
-});
+crate::assert_segment_layout!(RingCursors { size: 128, align: 64, sq_tail: 0, cq_tail: 64 });
 
 /// One submission-queue entry: two cache lines of plain words.
 #[repr(C, align(64))]
@@ -249,7 +232,7 @@ crate::assert_segment_layout!(Cqe {
 /// One ring's queue pair in memory its owner keeps alive: where the
 /// cursors and entries are, where the staging pages are, how deep it
 /// is. Every pointer into the queue is derived here, from a cursor and
-/// a mask.
+/// the mask.
 #[derive(Clone, Copy)]
 pub(crate) struct LaneRef {
     /// The ring's [`RingCursors`]; the SQE array and then the CQE array
@@ -257,10 +240,10 @@ pub(crate) struct LaneRef {
     ring: *mut u8,
     /// What a staged-payload offset counts from (a segment's base).
     base: *mut u8,
-    /// Offset from `base` of the staging pages, one per CQ slot.
+    /// Offset from `base` of the staging pages, one per slot.
     stage_off: usize,
-    sq_mask: u64,
-    cq_mask: u64,
+    /// `depth - 1`: SQ, CQ and staging pages are all `depth` deep.
+    mask: u64,
 }
 
 // Safety: the pointers name memory that outlives every copy of the
@@ -272,15 +255,14 @@ unsafe impl Sync for LaneRef {}
 
 impl LaneRef {
     /// Bytes of cursors plus entries (a multiple of 64).
-    pub(crate) const fn ring_bytes(sq_depth: usize, cq_depth: usize) -> usize {
+    pub(crate) const fn ring_bytes(depth: usize) -> usize {
         std::mem::size_of::<RingCursors>()
-            + sq_depth * std::mem::size_of::<Sqe>()
-            + cq_depth * std::mem::size_of::<Cqe>()
+            + depth * (std::mem::size_of::<Sqe>() + std::mem::size_of::<Cqe>())
     }
 
     /// Bytes of staging pages.
-    pub(crate) const fn stage_bytes(cq_depth: usize) -> usize {
-        cq_depth * SCRATCH_BYTES
+    pub(crate) const fn stage_bytes(depth: usize) -> usize {
+        depth * SCRATCH_BYTES
     }
 
     /// # Safety
@@ -288,18 +270,15 @@ impl LaneRef {
     /// [`LaneRef::ring_bytes`] at `ring` (64-aligned) and
     /// [`LaneRef::stage_bytes`] at `base + stage_off` stay allocated,
     /// were zero when first used as a ring, and are used as nothing
-    /// else; the depths are powers of two.
-    pub(crate) unsafe fn new(
-        ring: *mut u8,
-        base: *mut u8,
-        stage_off: usize,
-        sq_depth: usize,
-        cq_depth: usize,
-    ) -> LaneRef {
-        debug_assert!(sq_depth.is_power_of_two() && cq_depth.is_power_of_two());
+    /// else; `depth` is a power of two.
+    pub(crate) unsafe fn new(ring: *mut u8, base: *mut u8, stage_off: usize, depth: usize) -> LaneRef {
+        debug_assert!(depth.is_power_of_two());
         debug_assert_eq!(ring as usize % 64, 0);
-        let (sq_mask, cq_mask) = (sq_depth as u64 - 1, cq_depth as u64 - 1);
-        LaneRef { ring, base, stage_off, sq_mask, cq_mask }
+        LaneRef { ring, base, stage_off, mask: depth as u64 - 1 }
+    }
+
+    fn depth(&self) -> u64 {
+        self.mask + 1
     }
 
     fn cursors(&self) -> &RingCursors {
@@ -309,22 +288,24 @@ impl LaneRef {
     }
 
     fn sqe(&self, cursor: u64) -> *mut Sqe {
-        // Safety: the masked cursor is below the SQ depth; in bounds by
+        // Safety: the masked cursor is below the depth; in bounds by
         // `new`'s contract.
         unsafe {
-            (self.ring.add(Self::ring_bytes(0, 0)) as *mut Sqe).add((cursor & self.sq_mask) as usize)
+            (self.ring.add(Self::ring_bytes(0)) as *mut Sqe).add((cursor & self.mask) as usize)
         }
     }
 
     fn cqe(&self, cursor: u64) -> *mut Cqe {
-        let first = Self::ring_bytes(self.sq_mask as usize + 1, 0);
-        // Safety: as in `sqe`, below the CQ depth.
-        unsafe { (self.ring.add(first) as *mut Cqe).add((cursor & self.cq_mask) as usize) }
+        let sqes = self.depth() as usize * std::mem::size_of::<Sqe>();
+        // Safety: as in `sqe`.
+        unsafe {
+            (self.ring.add(Self::ring_bytes(0) + sqes) as *mut Cqe).add((cursor & self.mask) as usize)
+        }
     }
 
     /// Offset from `base` of the staging page of submission `cursor`.
     fn stage_page(&self, cursor: u64) -> usize {
-        self.stage_off + (cursor & self.cq_mask) as usize * SCRATCH_BYTES
+        self.stage_off + (cursor & self.mask) as usize * SCRATCH_BYTES
     }
 
     /// The span a `PAYLOAD` SQE names, checked against this ring's own
@@ -333,7 +314,7 @@ impl LaneRef {
     fn staged(&self, sqe: &Sqe) -> Result<(*mut u8, usize), RtError> {
         let len = (sqe.payload_len as usize).min(SCRATCH_BYTES);
         let off = sqe.payload_off as usize;
-        let end = self.stage_off + Self::stage_bytes(self.cq_mask as usize + 1);
+        let end = self.stage_off + Self::stage_bytes(self.depth() as usize);
         if off < self.stage_off || off + len > end {
             return Err(RtError::BadBulk);
         }
@@ -354,10 +335,7 @@ pub(crate) struct Producer {
     lane: LaneRef,
     /// Equals the published `sq_tail`.
     sq_tail: u64,
-    /// The SQ head as last loaded: never ahead of the true one, so it
-    /// can refuse late, never admit early.
-    sq_head_cache: u64,
-    /// Equals the published `cq_head`.
+    /// Completions reaped: private, published nowhere.
     cq_head: u64,
 }
 
@@ -365,7 +343,7 @@ impl Producer {
     /// A producer over a ring whose cursors are zero: a fresh mapping,
     /// or a segment slot the server reset at attach.
     pub(crate) fn new(lane: LaneRef) -> Producer {
-        Producer { lane, sq_tail: 0, sq_head_cache: 0, cq_head: 0 }
+        Producer { lane, sq_tail: 0, cq_head: 0 }
     }
 
     /// Submissions accepted and not yet reaped.
@@ -373,25 +351,22 @@ impl Producer {
         self.sq_tail - self.cq_head
     }
 
+    /// The ring's depth: SQ slots, CQ slots, staging pages, in-flight
+    /// bound.
+    pub(crate) fn depth(&self) -> u64 {
+        self.lane.depth()
+    }
+
     /// Admission control for one submission carrying `payload_len`
-    /// staged bytes. [`RtError::BadBulk`] for a payload that does not
-    /// fit a staging page, else [`RtError::RingFull`]: the `credits`
-    /// budget is spent (`in_flight() >= credits` — the remedy is to
-    /// reap), or the SQ has no free slot (the consumer is behind).
-    pub(crate) fn admit(&mut self, credits: u64, payload_len: usize) -> Result<(), RtError> {
+    /// staged bytes: [`RtError::BadBulk`] for a payload that does not
+    /// fit a staging page, [`RtError::RingFull`] iff `depth` are in
+    /// flight — the remedy is to reap. Reads no consumer-written word.
+    pub(crate) fn admit(&self, payload_len: usize) -> Result<(), RtError> {
         if payload_len > SCRATCH_BYTES {
             return Err(RtError::BadBulk);
         }
-        if self.in_flight() >= credits {
+        if self.in_flight() == self.depth() {
             return Err(RtError::RingFull);
-        }
-        // The consumer's head is loaded only when the cached copy says
-        // the queue is full; refused iff the fresh value still does.
-        if self.sq_tail - self.sq_head_cache > self.lane.sq_mask {
-            self.sq_head_cache = self.lane.cursors().sq_head.load(Ordering::Acquire);
-            if self.sq_tail - self.sq_head_cache > self.lane.sq_mask {
-                return Err(RtError::RingFull);
-            }
         }
         Ok(())
     }
@@ -417,8 +392,7 @@ impl Producer {
             flags = SQE_PAYLOAD;
             // Safety: the page is in the ring's staging area and is this
             // producer's until the CQE of submission `sq_tail` is reaped
-            // — the previous tenant's was, by the credit clamp (module
-            // docs, Admission).
+            // — the previous tenant's was, by admission (module docs).
             unsafe {
                 std::ptr::copy_nonoverlapping(p.as_ptr(), self.lane.base.add(payload_off), p.len());
             }
@@ -432,7 +406,7 @@ impl Producer {
             payload_off: payload_off as u32,
             payload_len: payload_len as u32,
         };
-        debug_assert!(self.in_flight() <= self.lane.cq_mask, "credit clamp must bound CQ occupancy");
+        debug_assert!(self.in_flight() < self.depth(), "admit bounds the queue");
         // Safety: single producer; `admit` proved the slot consumed. The
         // entry is published by the `Release` store below.
         unsafe { std::ptr::write(self.lane.sqe(self.sq_tail), sqe) };
@@ -442,7 +416,7 @@ impl Producer {
     }
 
     /// Harvest up to `max` completions into `out`, in submission order,
-    /// returning a credit each; `each` runs once per completion.
+    /// freeing a slot each; `each` runs once per completion.
     pub(crate) fn reap(
         &mut self,
         max: usize,
@@ -455,10 +429,9 @@ impl Producer {
         while self.cq_head != tail && n < max {
             // Safety: single CQ consumer; the `Acquire` on `cq_tail`
             // published the entry, and the consumer will not rewrite it
-            // before `cq_head` passes (the credit clamp).
+            // before this producer has admitted past `cq_head` (admission).
             let cqe = unsafe { std::ptr::read(self.lane.cqe(self.cq_head)) };
             self.cq_head += 1;
-            cur.cq_head.store(self.cq_head, Ordering::Release);
             each();
             out.push(Completion {
                 user: cqe.user,
@@ -475,8 +448,8 @@ impl Producer {
 // Consumer: bound, execute, post
 // ---------------------------------------------------------------------
 
-/// The serving side of a ring: private copies of the two cursors it
-/// owns, published to — never re-loaded from — the shared words.
+/// The serving side of a ring: its SQ head, private, and its `cq_tail`,
+/// published to — never re-loaded from — the shared word.
 pub(crate) struct Consumer {
     lane: LaneRef,
     sq_head: u64,
@@ -488,15 +461,14 @@ impl Consumer {
         Consumer { lane, sq_head: 0, cq_tail: 0 }
     }
 
-    /// Hand the ring to a new producer: zero the four shared cursors
+    /// Hand the ring to a new producer: zero the two shared cursors
     /// and the private copies. The caller owns the ring exclusively
     /// (no producer is active): a segment server between a slot's
     /// `attach_req` and its ack.
     pub(crate) fn reset(&mut self) {
         let cur = self.lane.cursors();
-        for w in [&cur.sq_tail, &cur.sq_head, &cur.cq_tail, &cur.cq_head] {
-            w.store(0, Ordering::Relaxed);
-        }
+        cur.sq_tail.store(0, Ordering::Relaxed);
+        cur.cq_tail.store(0, Ordering::Relaxed);
         (self.sq_head, self.cq_tail) = (0, 0);
     }
 
@@ -517,8 +489,8 @@ impl Consumer {
 /// the page handlers of payload-less SQEs see; a sampled handler run
 /// adds its estimate to `handler_ns`. Returns how many SQEs were
 /// executed (each has its CQE posted), or `None` once `sq_tail` runs
-/// more than `sq_depth` ahead of the head — a broken or hostile
-/// producer, not a big batch; nothing past that point is executed.
+/// more than `depth` ahead of the head — a broken or hostile producer,
+/// not a big batch; nothing past that point is executed.
 pub(crate) fn drain(
     rt: &Arc<Runtime>,
     c: &mut Consumer,
@@ -527,7 +499,7 @@ pub(crate) fn drain(
     scratch: &mut [u8],
     handler_ns: &mut u64,
 ) -> Option<u64> {
-    let budget = c.lane.sq_mask + 1;
+    let budget = c.lane.depth();
     let cur = c.lane.cursors();
     let mut done = 0;
     while done < budget {
@@ -547,15 +519,11 @@ pub(crate) fn drain(
             rt.obs().record(LatencyKind::RingDepth, vcpu, ahead);
         }
         // Safety: sole SQ consumer; `pending`'s `Acquire` published
-        // the entry, and the producer will not rewrite it before
-        // `sq_head` passes. A hostile producer can tear the copy;
+        // the entry, and the producer will not rewrite it before it
+        // reaps this SQE's CQE. A hostile producer can tear the copy;
         // every field is validated or opaque below.
         let sqe = unsafe { std::ptr::read(c.lane.sqe(c.sq_head)) };
         c.sq_head += 1;
-        // Free the SQ slot before executing: admission is bounded by
-        // credits, not SQ occupancy, so the producer may refill
-        // while this entry runs.
-        cur.sq_head.store(c.sq_head, Ordering::Release);
         let page = match sqe.flags & SQE_PAYLOAD {
             0 => Ok(&mut *scratch),
             // Safety: `staged` bounded the span; the staging
@@ -568,10 +536,10 @@ pub(crate) fn drain(
             rt.ring_execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
         });
         let (status, aux, rets) = result_to_wire(result);
-        // Safety: sole CQ producer; occupancy is bounded by the
-        // producer's credit clamp (credits ≤ CQ capacity, asserted
-        // in `Producer::push`), so the slot's previous completion
-        // has been reaped.
+        // Safety: sole CQ producer; the producer admitted this SQE
+        // with fewer than `depth` in flight (asserted in
+        // `Producer::push`), so the slot's previous completion has
+        // been reaped.
         unsafe {
             std::ptr::write(
                 c.lane.cqe(c.cq_tail),
@@ -622,13 +590,13 @@ impl RingShared {
     /// page fault per page on the first batch (≈ 20 % of `ring_d16`'s
     /// `setup_s` in a VM); the staging pages are a private mapping,
     /// untouched — and so not resident — until a payload is staged.
-    fn map(vcpu: usize, program: ProgramId, sq: usize, cq: usize) -> (Arc<RingShared>, LaneRef) {
-        let ring = LaneRef::ring_bytes(sq, cq);
+    fn map(vcpu: usize, program: ProgramId, depth: usize) -> (Arc<RingShared>, LaneRef) {
+        let ring = LaneRef::ring_bytes(depth);
         let shared = Arc::new(RingShared {
             vcpu,
             program,
             entries: (0..ring / 64).map(|_| Line { _zero: UnsafeCell::new([0; 64]) }).collect(),
-            stage: Segment::private(LaneRef::stage_bytes(cq)).expect("map ring staging pages"),
+            stage: Segment::private(LaneRef::stage_bytes(depth)).expect("map ring staging pages"),
             sleeping: AtomicU32::new(0),
             shutdown: AtomicBool::new(false),
         });
@@ -639,7 +607,7 @@ impl RingShared {
         // Safety: zeroed, 64-aligned and sized by the arithmetic above;
         // `RingShared` owns both allocations and both ends hold an `Arc`
         // of it beside their `LaneRef`.
-        let lane = unsafe { LaneRef::new(first, shared.stage.base(), 0, sq, cq) };
+        let lane = unsafe { LaneRef::new(first, shared.stage.base(), 0, depth) };
         (shared, lane)
     }
 
@@ -661,7 +629,6 @@ pub struct ClientRing {
     rt: Arc<Runtime>,
     shared: Arc<RingShared>,
     ring: Producer,
-    credits: u64,
     /// Ring spans of in-flight SQEs, submission order — completions
     /// arrive in the same order, so reap closes them front-first.
     tokens: VecDeque<Option<SpanToken>>,
@@ -671,11 +638,8 @@ pub struct ClientRing {
 impl ClientRing {
     pub(crate) fn new(client: &Client, opts: RingOptions) -> ClientRing {
         let rt = Arc::clone(client.runtime());
-        let sq_cap = opts.sq_depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
-        let cq_cap = opts.cq_depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
-        // At most the CQ capacity: in-flight bounds CQ occupancy.
-        let credits = opts.credits.clamp(1, cq_cap) as u64;
-        let (shared, lane) = RingShared::map(client.vcpu, client.program, sq_cap, cq_cap);
+        let depth = opts.depth.next_power_of_two().clamp(2, MAX_RING_DEPTH);
+        let (shared, lane) = RingShared::map(client.vcpu, client.program, depth);
         let rt2 = Arc::clone(&rt);
         let sh2 = Arc::clone(&shared);
         let consumer = Consumer::new(lane);
@@ -694,48 +658,35 @@ impl ClientRing {
             rt,
             shared,
             ring: Producer::new(lane),
-            credits,
             tokens: VecDeque::new(),
             join: Some(jh),
         }
     }
 
     /// Submissions accepted but not yet reaped — bounded by
-    /// [`ClientRing::credits`] at all times (the bounded-memory
-    /// invariant the overload experiment checks).
+    /// [`ClientRing::depth`] at all times (the bounded-memory invariant
+    /// the overload experiment checks).
     pub fn in_flight(&self) -> u64 {
         self.ring.in_flight()
     }
 
-    /// The in-flight credit budget.
-    pub fn credits(&self) -> u64 {
-        self.credits
+    /// The ring's depth: SQ and CQ slots, staging pages, and the
+    /// in-flight bound.
+    pub fn depth(&self) -> u64 {
+        self.ring.depth()
     }
 
-    /// Submission-queue capacity (entries).
-    pub fn sq_capacity(&self) -> usize {
-        self.ring.lane.sq_mask as usize + 1
-    }
-
-    /// Completion-queue capacity (entries).
-    pub fn cq_capacity(&self) -> usize {
-        self.ring.lane.cq_mask as usize + 1
-    }
-
-    /// [`Producer::admit`] against the credit budget, with a `RingFull`
-    /// counted by its cause: `ring_no_credit` or `ring_full`.
-    fn admit(&mut self, payload_len: usize) -> Result<(), RtError> {
-        self.ring.admit(self.credits, payload_len).inspect_err(|e| self.refused(e))
+    /// [`Producer::admit`], with a `RingFull` counted in
+    /// `ring_no_credit`: the remedy is always to reap.
+    fn admit(&self, payload_len: usize) -> Result<(), RtError> {
+        self.ring.admit(payload_len).inspect_err(|e| self.refused(e))
     }
 
     #[cold]
     fn refused(&self, e: &RtError) {
-        let cell = self.rt.stats.cell(self.shared.vcpu);
-        match (e, self.ring.in_flight() >= self.credits) {
-            (RtError::RingFull, true) => cell.add(claims::token(), |c| &c.ring_no_credit, 1),
-            (RtError::RingFull, false) => cell.add(claims::token(), |c| &c.ring_full, 1),
-            _ => false,
-        };
+        if *e == RtError::RingFull {
+            self.rt.stats.cell(self.shared.vcpu).add(claims::token(), |c| &c.ring_no_credit, 1);
+        }
     }
 
     /// Open the submission's ring span and [`Producer::push`] its SQE.
@@ -819,7 +770,7 @@ impl ClientRing {
         // Safety: `acc` authorizes `[acc.ptr, acc.ptr + acc.len)` and
         // holds the slot exclusively (write access); `payload` cannot
         // alias region memory.
-        unsafe { bulk::copy_span(acc.ptr, payload.as_ptr(), n) };
+        unsafe { std::ptr::copy_nonoverlapping(payload.as_ptr(), acc.ptr, n) };
         acc.finish().inspect_err(denied)?;
         cell.add(who, |c| &c.bulk_calls, 1);
         cell.add(who, |c| &c.bulk_bytes, n as u64);
@@ -837,11 +788,8 @@ impl ClientRing {
             // `join` is taken only by `drop`, after its last doorbell.
             if let Some(jh) = &self.join {
                 self.rt.stats.cell(s.vcpu).add(claims::token(), |c| &c.ring_doorbells, 1);
-                // SQEs not taken yet, by a `Relaxed` look at the head
-                // (a diagnostic, not a bound).
-                let head = self.ring.lane.cursors().sq_head.load(Ordering::Relaxed);
-                let depth = self.ring.sq_tail.saturating_sub(head);
-                self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, depth as u32);
+                let in_flight = self.ring.in_flight() as u32;
+                self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, in_flight);
                 jh.thread().unpark();
             }
         });
@@ -850,7 +798,7 @@ impl ClientRing {
     /// Harvest up to `max` completions into `out` (append; the caller
     /// reuses the vector so the hot loop never allocates). Returns how
     /// many were reaped. Completions arrive in submission order; each
-    /// reap closes the matching ring span and returns a credit.
+    /// reap closes the matching ring span and frees a slot.
     /// Non-blocking — an empty CQ reaps zero.
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
         let n = self.ring.reap(max, out, || {
@@ -983,7 +931,7 @@ pub(crate) mod tests {
         let (flags, payload_off, payload_len) = (SQE_PAYLOAD, off, len);
         let sqe = Sqe { ep: ep as u32, flags, args: [7; 8], user, trace: 0, payload_off, payload_len };
         // Safety: as in `Producer::push`; the caller keeps within the
-        // credits, and the `Release` store publishes the entry.
+        // depth, and the `Release` store publishes the entry.
         unsafe { std::ptr::write(p.lane.sqe(p.sq_tail), sqe) };
         p.sq_tail += 1;
         p.lane.cursors().sq_tail.store(p.sq_tail, Ordering::Release);
@@ -994,7 +942,7 @@ pub(crate) mod tests {
     fn bare_ring(depth: usize) -> (Arc<Runtime>, EntryId, Arc<RingShared>, Producer, Consumer) {
         let rt = Runtime::new(1);
         let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
-        let (shared, lane) = RingShared::map(0, 1, depth, depth);
+        let (shared, lane) = RingShared::map(0, 1, depth);
         (rt, ep, shared, Producer::new(lane), Consumer::new(lane))
     }
 
@@ -1009,11 +957,10 @@ pub(crate) mod tests {
         // Three full laps around a 4-slot ring.
         for round in 0..3u64 {
             for i in 0..4u64 {
-                p.admit(4, 0).unwrap();
+                p.admit(0).unwrap();
                 p.push(ep, [round * 100 + i; 8], i, 0, None);
             }
-            assert_eq!(p.admit(8, 0), Err(RtError::RingFull), "full");
-            assert_eq!(p.admit(4, 0), Err(RtError::RingFull), "no credit");
+            assert_eq!(p.admit(0), Err(RtError::RingFull), "depth in flight");
             assert_eq!(drain_all(&rt, &mut cons), Some(4));
             assert_eq!(p.reap(usize::MAX, &mut out, || ()), 4);
             for (i, c) in out.drain(..).enumerate() {
@@ -1048,9 +995,8 @@ pub(crate) mod tests {
     }
 
     /// The consumer's cursors are its own: a tail more than a queue
-    /// ahead is refused with nothing executed, and scribbling the two
-    /// words the consumer publishes, or the producer's `cq_head` (which
-    /// a debug consumer used to load), does not move or stop it.
+    /// ahead is refused with nothing executed, and scribbling the word
+    /// the consumer publishes does not move or stop it.
     #[test]
     fn consumer_bounds_the_tail_and_never_reloads_its_own_cursors() {
         let (rt, ep, _mem, mut p, mut cons) = bare_ring(4);
@@ -1060,10 +1006,8 @@ pub(crate) mod tests {
             p.push(ep, [user; 8], user, 0, None);
         }
         assert_eq!(drain_all(&rt, &mut cons), Some(2));
-        cur.sq_head.store(0, Ordering::SeqCst);
         cur.cq_tail.store(0, Ordering::SeqCst);
-        cur.cq_head.store(u64::MAX / 2, Ordering::SeqCst);
-        assert_eq!(drain_all(&rt, &mut cons), Some(0), "a rewound sq_head replays nothing");
+        assert_eq!(drain_all(&rt, &mut cons), Some(0), "a rewound cq_tail replays nothing");
         p.push(ep, [2; 8], 2, 0, None);
         assert_eq!(drain_all(&rt, &mut cons), Some(1));
         assert_eq!(cur.cq_tail.load(Ordering::SeqCst), 3, "published from the private copy");
@@ -1081,7 +1025,7 @@ pub(crate) mod tests {
         assert!(align_of::<Sqe>() >= 64 && size_of::<Sqe>().is_multiple_of(64));
         assert!(align_of::<Cqe>() >= 64 && size_of::<Cqe>().is_multiple_of(64));
         // Both arrays land on line boundaries of the mapping.
-        let (_shared, lane) = RingShared::map(0, 1, 2, 8);
+        let (_shared, lane) = RingShared::map(0, 1, 2);
         assert_eq!(lane.cursors() as *const RingCursors as usize % 64, 0);
         assert_eq!((lane.sqe(1) as usize % 64, lane.cqe(1) as usize % 64), (0, 0));
         assert_eq!((lane.base as usize + lane.stage_page(1)) % SCRATCH_BYTES, 0);
@@ -1097,7 +1041,7 @@ pub(crate) mod tests {
         let pool_state = || {
             let s = rt.stats.snapshot();
             let idle: Vec<usize> =
-                (0..bulk::SIZE_CLASSES.len()).map(|c| rt.bulk().pool(0).idle_in_class(c)).collect();
+                (0..crate::bulk::SIZE_CLASSES.len()).map(|c| rt.bulk().pool(0).idle_in_class(c)).collect();
             (s.bulk_pool_hits + s.bulk_pool_misses, idle)
         };
         let before = pool_state();
@@ -1183,7 +1127,7 @@ pub(crate) mod tests {
     #[test]
     fn park_only_idle_wait_never_consults_the_poll() {
         let _watchdog = crate::wait::abort_if_hung("ring.rs idle_wait test");
-        let (ring, lane) = RingShared::map(0, 1, 2, 2);
+        let (ring, lane) = RingShared::map(0, 1, 2);
         let c = Consumer::new(lane);
         let stats = crate::stats::RuntimeStats::new(1);
         std::thread::scope(|s| {
@@ -1210,11 +1154,9 @@ pub(crate) mod tests {
     fn ring_options_clamp() {
         let rt = Runtime::new(1);
         let client = rt.client(0, 1);
-        let ring =
-            client.ring_with(RingOptions { sq_depth: 5, cq_depth: 3, credits: 1000 });
-        assert_eq!(ring.sq_capacity(), 8, "rounded up to a power of two");
-        assert_eq!(ring.cq_capacity(), 4);
-        assert_eq!(ring.credits(), 4, "credits clamped to CQ capacity");
-        assert_eq!(ring.in_flight(), 0);
+        let depth = |depth| client.ring_with(RingOptions { depth }).depth();
+        assert_eq!(depth(5), 8, "rounded up to a power of two");
+        assert_eq!(depth(0), 2, "clamped below");
+        assert_eq!(depth(MAX_RING_DEPTH + 1), MAX_RING_DEPTH as u64, "clamped above");
     }
 }

@@ -227,8 +227,8 @@ counters! {
     /// Dead entries reclaimed (unpublished + claims drained + registry
     /// reference dropped).
     entries_reclaimed,
-    /// SQEs accepted into a submission ring (admitted past the credit
-    /// gate; each later completes exactly once).
+    /// SQEs accepted into a submission ring (admitted with fewer than
+    /// `depth` in flight; each later completes exactly once).
     ring_submits,
     /// Ring-submitted calls executed by a ring worker (completions
     /// posted to a CQ, successful or not).
@@ -236,14 +236,11 @@ counters! {
     /// Doorbell rings that actually woke a sleeping ring worker — the
     /// batched stand-in for per-call unpark.
     ring_doorbells,
-    /// Submissions refused because the submission queue itself was full
-    /// ([`crate::RtError::RingFull`]): the producer outran the ring
-    /// worker's drain.
+    /// Always 0: a ring has one depth, and every refusal is
+    /// `ring_no_credit`. Kept for readers of the counter set.
     ring_full,
-    /// Submissions refused because the in-flight credit budget was
-    /// exhausted (also [`crate::RtError::RingFull`], but a different
-    /// remedy: the client must *reap* — completions are waiting — where
-    /// a full SQ means the worker is behind).
+    /// Submissions refused with [`crate::RtError::RingFull`]: `depth`
+    /// were in flight. The remedy is to *reap*.
     ring_no_credit,
     /// Wall-time (ns) spent running handlers ([`TimeState::Handler`]).
     /// Every in-process transport charges a sampled estimate (observed

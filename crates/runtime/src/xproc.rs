@@ -29,8 +29,8 @@
 //! │ XClientSlot×N  SlotCore (call rendezvous) + control words        │
 //! │                + 4 KiB payload page                              │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ ring×N         one `ring.rs` ring: RingCursors + Sqe[depth]      │
-//! │                + Cqe[depth]                                      │
+//! │ ring×N         one `ring.rs` ring: RingCursors (2 lines)         │
+//! │                + Sqe[depth] + Cqe[depth]                         │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ stage×N        that ring's depth × 4 KiB staging pages           │
 //! ├──────────────────────────────────────────────────────────────────┤
@@ -147,7 +147,7 @@ pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
 /// Version of the segment layout described in the module docs. Bump on
 /// any layout change; openers refuse other versions with
 /// [`RtError::BadSegment`].
-pub const XPROC_LAYOUT_VERSION: u32 = 4;
+pub const XPROC_LAYOUT_VERSION: u32 = 5;
 
 /// Hard cap on clients per segment (the claim mask is one `u64`).
 pub const MAX_XCLIENTS: usize = 64;
@@ -348,7 +348,7 @@ impl Geometry {
         let depth = ring_depth as usize;
         let slots_off = std::mem::size_of::<XSegHeader>();
         let rings_off = align_up(slots_off + n_clients * std::mem::size_of::<XClientSlot>(), 64);
-        let ring_stride = LaneRef::ring_bytes(depth, depth);
+        let ring_stride = LaneRef::ring_bytes(depth);
         let stage_off = align_up(rings_off + n_clients * ring_stride, 4096);
         let bulk_off = stage_off + n_clients * LaneRef::stage_bytes(depth);
         let total_len = align_up(bulk_off + n_clients * bulk_bytes, 4096);
@@ -479,8 +479,7 @@ impl SegMap {
         unsafe { SegRef::new(SegOffset(off as u32)).resolve(&self.seg) }
     }
 
-    /// Client `i`'s ring: one [`ring`] queue pair, SQ and CQ both
-    /// `ring_depth` deep.
+    /// Client `i`'s ring: one [`ring`] queue pair, `ring_depth` deep.
     fn lane(&self, i: usize) -> LaneRef {
         debug_assert!(i < self.geo.n_clients);
         let depth = self.geo.ring_depth as usize;
@@ -491,7 +490,7 @@ impl SegMap {
         // fresh segment; every holder of the view (`XClient`, the serve
         // loop) holds this `SegMap`, whose `Arc<Segment>` keeps the
         // mapping alive.
-        unsafe { LaneRef::new(self.seg.base().add(ring_off), self.seg.base(), stage_off, depth, depth) }
+        unsafe { LaneRef::new(self.seg.base().add(ring_off), self.seg.base(), stage_off, depth) }
     }
 
     /// Segment offset of client `i`'s bulk share.
@@ -928,7 +927,7 @@ pub struct XClient {
     idx: usize,
     program: ProgramId,
     server_pid: u32,
-    /// The submitting end of this slot's ring; credits = `ring_depth`.
+    /// The submitting end of this slot's ring, `ring_depth` deep.
     ring: Producer,
     /// The transport observed peer death: everything fails fast with
     /// [`RtError::PeerGone`] from here on.
@@ -1078,7 +1077,8 @@ impl XClient {
         self.map.geo.bulk_bytes
     }
 
-    /// Ring depth (submission credits).
+    /// Ring depth: SQ and CQ slots, staging pages, and the in-flight
+    /// bound.
     pub fn ring_depth(&self) -> u64 {
         self.map.geo.ring_depth
     }
@@ -1314,10 +1314,10 @@ impl XClient {
     // -- ring ----------------------------------------------------------
 
     /// The boundary's part of a submission: liveness, then
-    /// [`Producer::admit`] against `ring_depth` credits.
+    /// [`Producer::admit`].
     fn ring_admit(&mut self, payload_len: usize) -> Result<(), RtError> {
         self.ensure_alive()?;
-        self.ring.admit(self.map.geo.ring_depth, payload_len)
+        self.ring.admit(payload_len)
     }
 
     /// Queue one PPC (the remote [`crate::ClientRing::submit`]).
@@ -1385,7 +1385,7 @@ impl XClient {
     /// [`crate::ClientRing::reap`]). Non-blocking; returns how many
     /// landed in `out`. When nothing is reapable but submissions are
     /// outstanding and the server died, returns [`RtError::PeerGone`]
-    /// (in-flight work is lost; credits are forfeited with it). Empty
+    /// (in-flight work is lost and its slots forfeited with it). Empty
     /// polls read `server_state` each time, but `kill(pid, 0)` only once
     /// in 1 024 (the first included): no syscall per pass.
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> Result<usize, RtError> {
@@ -1678,8 +1678,11 @@ mod tests {
         let g = Geometry::compute(4, 32, 256 << 10).unwrap();
         assert_eq!(g.slots_off, 128);
         assert!(g.rings_off >= g.slots_off + 4 * std::mem::size_of::<XClientSlot>());
-        assert_eq!(g.stage_off % 4096, 0);
-        assert_eq!(g.total_len % 4096, 0);
+        // Two cursor lines, then 32 SQEs and 32 CQEs of 128 B each.
+        assert_eq!(g.ring_stride, 128 + 32 * 256);
+        assert_eq!(g.stage_off, align_up(g.rings_off + 4 * g.ring_stride, 4096));
+        assert_eq!(g.bulk_off, g.stage_off + 4 * 32 * 4096);
+        assert_eq!(g.total_len, g.bulk_off + 4 * (256 << 10));
         // Refusals: zero clients, too many, non-pow2 depth, giant bulk.
         assert!(Geometry::compute(0, 32, 4096).is_none());
         assert!(Geometry::compute(65, 32, 4096).is_none());
@@ -1687,9 +1690,9 @@ mod tests {
         assert!(Geometry::compute(4, 32, (1 << 24) + 64).is_none());
     }
 
-    /// One of client `xc`'s four ring cursor words, by its byte offset
-    /// in the asserted `RingCursors` layout (`sq_tail` 0, `sq_head` 64,
-    /// `cq_tail` 128, `cq_head` 192) — what a hostile peer would poke.
+    /// One of client `xc`'s two ring cursor words, by its byte offset in
+    /// the asserted `RingCursors` layout (`sq_tail` 0, `cq_tail` 64) —
+    /// what a hostile peer would poke.
     fn cursor(xc: &XClient, byte: usize) -> &AtomicU64 {
         let off = xc.map.geo.rings_off + xc.idx * xc.map.geo.ring_stride + byte;
         // Safety: inside the client's ring area; an aligned atomic word.
@@ -1782,13 +1785,10 @@ mod tests {
         drop(srv);
     }
 
-    /// The other two cursors are the server's own: a client that
-    /// rewinds `sq_head` and `cq_tail` mid-traffic gets no SQE replayed
-    /// and no completion rewritten — the server publishes from private
-    /// copies and never loads them back. Nor does it load `cq_head`,
-    /// the client's own word: scribbled far ahead it must not stop a
-    /// debug server on an occupancy check (and every other client with
-    /// it).
+    /// The other cursor is the server's own: a client that rewinds
+    /// `cq_tail` mid-traffic gets no SQE replayed and no completion
+    /// rewritten — the server publishes from a private copy and never
+    /// loads it back.
     #[test]
     fn scribbled_server_cursors_do_not_rewind_the_server() {
         let (rt, srv, ep, path) = serve_add("rewind", 1);
@@ -1805,14 +1805,12 @@ mod tests {
         };
         (0..3).for_each(|user| round_trip(&mut xc, user));
         cursor(&xc, 64).store(0, Ordering::SeqCst);
-        cursor(&xc, 128).store(0, Ordering::SeqCst);
-        cursor(&xc, 192).store(u64::MAX / 2, Ordering::SeqCst);
         // The client reads `cq_tail` too: let the server overwrite the
         // scribble — from its private copy, 3 + 1 — before reaping.
         xc.submit(ep, [3, 1, 0, 0, 0, 0, 0, 0], 3).unwrap();
         xc.ring_doorbell();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while cursor(&xc, 128).load(Ordering::SeqCst) != 4 {
+        while cursor(&xc, 64).load(Ordering::SeqCst) != 4 {
             assert!(Instant::now() < deadline, "cq_tail published from the private copy");
             std::thread::yield_now();
         }
@@ -2005,10 +2003,11 @@ mod tests {
         let re = SegMap::open(&path).unwrap();
         assert_eq!(re.geo, map.geo);
         // Any other version — layouts 1 and 2, whose rings had 96- and
-        // 88-byte entries, and 3, whose slots carried a claim-parity
-        // word at offset 16, included — is a clean BadSegment, not UB.
-        assert_eq!(XPROC_LAYOUT_VERSION, 4);
-        for version in [1, 2, 3, XPROC_LAYOUT_VERSION + 1] {
+        // 88-byte entries, 3, whose slots carried a claim-parity word at
+        // offset 16, and 4, whose rings had four cursor lines, included —
+        // is a clean BadSegment, not UB.
+        assert_eq!(XPROC_LAYOUT_VERSION, 5);
+        for version in [1, 2, 3, 4, XPROC_LAYOUT_VERSION + 1] {
             // Safety: single-process test, no concurrent reader.
             unsafe { *(map.seg.base().add(8) as *mut u32) = version };
             assert_eq!(SegMap::open(&path).err(), Some(RtError::BadSegment));

@@ -456,11 +456,7 @@ fn exchange_with_queued_sqes_serves_some_era() {
     let dog = watchdog(Arc::clone(&done), 60, "ring exchange drain", Arc::clone(&rt));
     let ep = rt.bind("gen", EntryOptions::default(), Arc::new(|_| [1; 8])).unwrap();
     let client = rt.client(0, 1);
-    let mut ring = client.ring_with(ppc_rt::RingOptions {
-        sq_depth: 256,
-        cq_depth: 256,
-        credits: 256,
-    });
+    let mut ring = client.ring_with(ppc_rt::RingOptions { depth: 256 });
     let mut out = Vec::new();
     for round in 2..50u64 {
         for i in 0..16u64 {

@@ -222,8 +222,8 @@ pub trait RingFront {
     /// Non-blocking; a transport error fails the test.
     fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize;
     fn in_flight(&self) -> u64;
-    fn credits(&self) -> u64;
-    fn sq_capacity(&self) -> u64;
+    /// SQ and CQ slots, staging pages, and the in-flight bound.
+    fn depth(&self) -> u64;
     /// A write descriptor over the first `len` bytes of this
     /// front-end's own bulk memory, granted to `ep`.
     fn bulk_desc(&mut self, ep: EntryId, len: u32) -> BulkDesc;
@@ -262,7 +262,7 @@ pub fn wraparound_preserves_order_across_many_laps(rig: &mut dyn Rig) {
     let mut out: Vec<Completion> = Vec::new();
     let mut next = 0u64;
     while next < 100 {
-        // Fill the credit budget, then drain — each iteration is one
+        // Fill the ring to its depth, then drain — each iteration is one
         // full lap of both queues.
         while next < 100 {
             match f.submit(ep, [next; 8], next) {
@@ -289,12 +289,12 @@ pub fn wraparound_preserves_order_across_many_laps(rig: &mut dyn Rig) {
 pub fn interleaved_entries_run_and_reap_in_submission_order(rig: &mut dyn Rig) {
     let (eps, mut f) = (rig.eps(), rig.front(1));
     let ep_of = |i: u64| if i.is_multiple_of(2) { eps.tick } else { eps.tock };
-    for i in 0..f.credits() {
+    for i in 0..f.depth() {
         f.submit(ep_of(i), [i; 8], i).unwrap();
     }
     let mut out = Vec::new();
     f.drain(&mut out);
-    assert_eq!(out.len() as u64, f.credits());
+    assert_eq!(out.len() as u64, f.depth());
     let first = out[0].result.as_ref().unwrap()[0];
     for (i, c) in (0u64..).zip(&out) {
         assert_eq!((c.user, c.ep), (i, ep_of(i)), "reaped in submission order");
@@ -304,68 +304,60 @@ pub fn interleaved_entries_run_and_reap_in_submission_order(rig: &mut dyn Rig) {
 }
 
 /// Credit exhaustion is a clean refusal, not a deadlock: with the
-/// server blocked inside a handler, the submission beyond the credit
-/// budget returns `RingFull` immediately, in-flight never exceeds the
-/// budget (the bounded-memory invariant), and draining restores full
-/// capacity. Needs `credits <= sq_capacity`.
+/// server blocked inside a handler, the submission beyond the ring's
+/// depth returns `RingFull` immediately, in-flight never exceeds the
+/// depth (the bounded-memory invariant), and draining restores full
+/// capacity.
 pub fn credit_exhaustion_refuses_without_deadlock(rig: &mut dyn Rig) {
     let (ep, mut f) = (rig.eps().gate, rig.front(1));
     let _open = rig.gate().opener();
-    let credits = f.credits();
-    for i in 0..credits {
+    let depth = f.depth();
+    for i in 0..depth {
         f.submit(ep, [i; 8], i).unwrap();
     }
     f.doorbell();
-    // The budget is spent; the next submission sheds immediately.
+    // The ring is full; the next submission sheds immediately.
     assert_eq!(f.submit(ep, [99; 8], 99), Err(RtError::RingFull));
-    assert_eq!(f.in_flight(), credits, "in-flight bounded by credits");
-    if let (Some(s), true) = (rig.stats(), credits < f.sq_capacity()) {
-        // A credit shed counts into `ring_no_credit`, not `ring_full`:
-        // the SQ has free slots, the client just has to reap.
-        assert!(s.ring_no_credit >= 1, "the credit shed was counted");
-        assert_eq!(s.ring_full, 0, "SQ-full never happened");
+    assert_eq!(f.in_flight(), depth, "in-flight bounded by the depth");
+    if let Some(s) = rig.stats() {
+        // Every shed counts into `ring_no_credit`: the remedy is to reap.
+        assert!(s.ring_no_credit >= 1, "the shed was counted");
+        assert_eq!(s.ring_full, 0, "ring_full is never counted");
     }
     rig.gate().release();
     let mut out = Vec::new();
     f.drain(&mut out);
-    assert_eq!(out.len() as u64, credits);
-    // Credits returned: the refused submission now succeeds.
+    assert_eq!(out.len() as u64, depth);
+    // Slots returned: the refused submission now succeeds.
     f.submit(ep, [99; 8], 99).unwrap();
     f.drain(&mut out);
     assert_eq!(out.last().unwrap().user, 99);
 }
 
-/// Admission reads the consumer's SQ head through a cached copy, loaded
-/// only when the copy says the queue is full. The copy is stale the
-/// moment the consumer takes an SQE (it frees the slot *before*
-/// executing), so a submitter that refused on the copy alone would shed
-/// work the queue has room for. With SQE 0 taken and its handler
-/// blocked, exactly `min(credits − 1, sq_capacity)` more are admitted —
-/// the last of them, when the SQ is the tighter bound, only by the
-/// re-load — and the next is the one real refusal.
-pub fn admission_reloads_the_head_only_on_apparent_full(rig: &mut dyn Rig) {
+/// Admission is one rule: refuse iff `depth` submissions are in flight.
+/// The consumer taking an SQE frees nothing a submitter can use — the
+/// slot is free once its completion is reaped. With SQE 0 taken and its
+/// handler blocked, exactly `depth − 1` more are admitted, and the next
+/// is refused once and counted once, in `ring_no_credit`.
+pub fn admission_refuses_only_at_depth_in_flight(rig: &mut dyn Rig) {
     let (ep, mut f) = (rig.eps().gate, rig.front(1));
     let _open = rig.gate().opener();
-    let sq_bound = f.sq_capacity() < f.credits() - 1;
-    let more = f.sq_capacity().min(f.credits() - 1);
+    let more = f.depth() - 1;
 
-    // The consumer takes SQE 0 — freeing its slot — and blocks in the
-    // handler: the true head is 1, the submitter's copy still 0.
+    // The consumer takes SQE 0 and blocks in the handler.
     f.submit(ep, [0; 8], 0).unwrap();
     f.doorbell();
     rig.gate().wait_started();
     for i in 1..=more {
-        f.submit(ep, [i; 8], i).expect("the stale copy must be re-loaded before refusing");
+        f.submit(ep, [i; 8], i).expect("fewer than depth in flight is admitted");
     }
     assert_eq!(f.submit(ep, [more + 1; 8], more + 1), Err(RtError::RingFull));
     if let Some(s) = rig.stats() {
-        let want = if sq_bound { (1, 0) } else { (0, 1) };
-        assert_eq!((s.ring_full, s.ring_no_credit), want, "one real refusal, counted once");
+        assert_eq!((s.ring_full, s.ring_no_credit), (0, 1), "one refusal, counted once");
     }
     assert_eq!(f.in_flight(), more + 1);
 
-    // Release the handler and reap: the next submission goes through on
-    // the same rule, with no refresh asked for.
+    // Release the handler and reap: the next submission goes through.
     rig.gate().release();
     let mut out = Vec::new();
     f.drain(&mut out);
@@ -374,19 +366,18 @@ pub fn admission_reloads_the_head_only_on_apparent_full(rig: &mut dyn Rig) {
     f.drain(&mut out);
     assert_eq!(out.last().unwrap().result, Ok([more + 1; 8]));
     if let Some(s) = rig.stats() {
-        let want = if sq_bound { (1, 0) } else { (0, 1) };
-        assert_eq!((s.ring_full, s.ring_no_credit), want, "and never again");
+        assert_eq!((s.ring_full, s.ring_no_credit), (0, 1), "and never again");
     }
 }
 
-/// 10⁵ submissions through a two-slot SQ against a consumer that is
-/// usually behind: the submitter runs into the full queue all the time
-/// and admits on a head it re-loads only then. No SQE may be overwritten
-/// before the consumer has read it — every completion arrives in order
-/// with its own tag and its own echoed frame.
-pub fn cached_head_never_admits_over_an_unread_sqe(rig: &mut dyn Rig) {
+/// 10⁵ submissions through a two-deep ring against a consumer that is
+/// usually behind: the submitter runs into the full ring on every
+/// batch. No SQE may be overwritten before the consumer has read it —
+/// every completion arrives in order with its own tag and its own
+/// echoed frame.
+pub fn admission_never_overwrites_an_unread_sqe(rig: &mut dyn Rig) {
     let (ep, mut f) = (rig.eps().echo, rig.front(1));
-    assert_eq!(f.sq_capacity(), 2);
+    assert_eq!(f.depth(), 2);
     let frame = |i: u64| [i, !i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i ^ 0xA5, i << 7, i, 1, 2];
     let (total, mut next, mut seen) = (100_000u64, 0u64, 0u64);
     let mut out: Vec<Completion> = Vec::new();
@@ -410,7 +401,7 @@ pub fn cached_head_never_admits_over_an_unread_sqe(rig: &mut dyn Rig) {
     assert_eq!(f.in_flight(), 0);
     if let Some(s) = rig.stats() {
         assert_eq!((s.ring_submits, s.ring_calls), (total, total));
-        assert!(s.ring_full > 0, "the two-slot SQ was found full");
+        assert!(s.ring_no_credit > 0, "the two-deep ring was found full");
     }
 }
 
@@ -421,12 +412,12 @@ pub fn payload_rides_as_handler_scratch(rig: &mut dyn Rig) {
     let (ep, mut f) = (rig.eps().psum, rig.front(1));
     let mut out = Vec::new();
     // More payloads than the ring has staging pages: pages are reused.
-    for round in 0..3 * f.credits() {
+    for round in 0..3 * f.depth() {
         let payload = vec![(round % 7) as u8 + 1; 1000];
         let mut args = [0u64; 8];
         args[0] = payload.len() as u64;
         f.submit_payload(ep, args, round, &payload).unwrap();
-        if f.in_flight() == f.credits() {
+        if f.in_flight() == f.depth() {
             f.drain(&mut out);
         }
     }

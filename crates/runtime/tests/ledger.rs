@@ -152,7 +152,10 @@ fn handoff_null() -> Case {
 
 /// The client side of a 16-deep `ClientRing` batch: 16 submits and the
 /// doorbell, its ring worker parked at the marker so the doorbell always
-/// wakes it. The settle step reaps the batch, outside the markers.
+/// wakes it. The settle step reaps the batch, outside the markers, once
+/// the worker has drained it and parked: one non-empty reap per batch,
+/// so the sampler's tick (once per submit and per non-empty reap) keeps
+/// the sampled submit out of the marked batch however the threads ran.
 fn ring_d16() -> Case {
     let rt = Runtime::new(1);
     let opts = EntryOptions { initial_workers: 0, ..Default::default() };
@@ -169,29 +172,28 @@ fn ring_d16() -> Case {
             ring.doorbell();
         }),
         settle: Box::new(move || {
+            others_asleep();
             let mut ring = reaper.borrow_mut();
             while out.len() < 16 {
                 ring.reap(16, &mut out);
             }
             assert!(out.drain(..).all(|c| c.result.is_ok()));
-            drop(ring);
-            others_asleep();
         }),
     }
 }
 
-/// The client side of a null `XClient::call` to a forked server process.
-/// The settle step leaves the server 20 ms to fall asleep on its doorbell,
-/// so the post rings it; single-stepped, the client finds the call done
-/// when it reaches the wait.
-fn xproc_null() -> Case {
-    /// The segment file, removed when the path is dropped.
-    struct SegFile(PathBuf);
-    impl Drop for SegFile {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
+/// The segment file, removed when the path is dropped.
+struct SegFile(PathBuf);
+
+impl Drop for SegFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
     }
+}
+
+/// A forked server process with an inline null entry (entry 0), and a
+/// client connected to it; the server ends when its handle drops.
+fn xproc_client() -> (XClient, impl Sized) {
     let file = SegFile(std::env::temp_dir().join(format!("ppc-ledger-{}.seg", std::process::id())));
     let server = fork_server(&file.0, XSegOptions::default(), || {
         let rt = Runtime::new(1);
@@ -199,13 +201,56 @@ fn xproc_null() -> Case {
         rt
     })
     .unwrap();
-    let mut xc = XClient::connect_retry(&file.0, 1, Duration::from_secs(10)).unwrap();
+    let xc = XClient::connect_retry(&file.0, 1, Duration::from_secs(10)).unwrap();
+    (xc, (server, file))
+}
+
+/// Leave a segment server 20 ms to fall asleep on its doorbell, so the
+/// next post or ring doorbell rings it.
+fn server_asleep() {
+    std::thread::sleep(Duration::from_millis(20));
+}
+
+/// The client side of a null `XClient::call` to a forked server process.
+/// Single-stepped, the client finds the call done when it reaches the
+/// wait.
+fn xproc_null() -> Case {
+    let (mut xc, server) = xproc_client();
     Case {
         call: Box::new(move || {
             black_box(xc.call(0, black_box([1; 8])).unwrap());
-            let _ = (&server, &file);
+            let _ = &server;
         }),
-        settle: Box::new(|| std::thread::sleep(Duration::from_millis(20))),
+        settle: Box::new(server_asleep),
+    }
+}
+
+/// The client side of a 16-deep `XClient` ring batch: 16 submits and
+/// `ring_doorbell`, the server asleep at the marker so the doorbell
+/// always wakes it. The settle step reaps the batch, outside the markers.
+fn xproc_ring_d16() -> Case {
+    let (xc, server) = xproc_client();
+    let xc = Rc::new(RefCell::new(xc));
+    let reaper = Rc::clone(&xc);
+    let mut out = Vec::with_capacity(16);
+    Case {
+        call: Box::new(move || {
+            let mut xc = xc.borrow_mut();
+            for i in 0..16 {
+                xc.submit(0, black_box([i; 8]), i).unwrap();
+            }
+            xc.ring_doorbell();
+            let _ = &server;
+        }),
+        settle: Box::new(move || {
+            let mut xc = reaper.borrow_mut();
+            while out.len() < 16 {
+                xc.reap(16, &mut out).unwrap();
+            }
+            assert!(out.drain(..).all(|c| c.result.is_ok()));
+            drop(xc);
+            server_asleep();
+        }),
     }
 }
 
@@ -369,8 +414,9 @@ fn main() {
     // pop, the `SeqCst` fence of the post's Dekker check (a `lock or` on
     // the stack), the parked worker's `unpark` and the pool push. The
     // ring's 4: the doorbell's fence, its flight record (cursor and
-    // sequence word) and `unpark`.
-    let paths: [Path; 7] = [
+    // sequence word) and `unpark`. The segment ring's 2: the doorbell's
+    // fence and the doorbell word's bump before the futex wake.
+    let paths: [Path; 8] = [
         ("inline null", Some(0), inline_null),
         ("inline outer -> inline null", Some(0), inline_nested),
         ("inline call_with_payload, 64 B", Some(2), inline_payload_64),
@@ -378,13 +424,14 @@ fn main() {
         ("hand-off null (caller)", Some(4), handoff_null),
         ("ClientRing 16 submits + doorbell", Some(4), ring_d16),
         ("XClient null (client)", Some(2), xproc_null),
+        ("XClient 16 submits + ring_doorbell (client)", Some(2), xproc_ring_d16),
     ];
     let mut wrong = Vec::new();
     for (name, want, build) in paths {
         let t = count(build);
         let expected = want.map_or("not asserted".to_string(), |w| format!("expected {w}"));
         println!(
-            "ledger: {name:<34} {:>6} instructions {:>3} locked RMWs ({expected}) {:>2} clock reads",
+            "ledger: {name:<43} {:>6} instructions {:>3} locked RMWs ({expected}) {:>2} clock reads",
             t.insns, t.locks, t.clocks
         );
         if want.is_some_and(|w| t.locks != w) {

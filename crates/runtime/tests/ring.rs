@@ -1,5 +1,5 @@
 //! Submission/completion ring semantics on the in-process front-end:
-//! wraparound, ordering, credit backpressure, staged payloads, bulk
+//! wraparound, ordering, depth backpressure, staged payloads, bulk
 //! submission, fault containment, and worker teardown. The bodies live
 //! in `conformance/` and run here against `Client::ring()`;
 //! `tests/xproc.rs` runs the same bodies through a segment. The queue
@@ -24,7 +24,7 @@ use conformance::{watchdog, Eps, Gate, Rig, RingFront};
 static CPUS: RwLock<()> = RwLock::new(());
 
 /// A one-vCPU runtime with the conformance entries bound, handing out
-/// `ClientRing`s of one sizing.
+/// `ClientRing`s of one depth.
 struct InProc {
     rt: Arc<Runtime>,
     eps: Eps,
@@ -34,19 +34,18 @@ struct InProc {
 }
 
 impl InProc {
-    fn new(tag: &str, sq_depth: usize, cq_depth: usize, credits: usize) -> InProc {
+    fn new(tag: &str, depth: usize) -> InProc {
         watchdog(120);
         let rt = Runtime::new(1);
         let gate_dir =
             std::env::temp_dir().join(format!("ppc-ring-gate-{tag}-{}", std::process::id()));
         let eps = conformance::bind_entries(&rt, &gate_dir);
-        let opts = RingOptions { sq_depth, cq_depth, credits };
+        let opts = RingOptions { depth };
         InProc { rt, eps, gate: Gate::at(&gate_dir), opts, _shared: CPUS.read() }
     }
 
     fn default_sized(tag: &str) -> InProc {
-        let d = RingOptions::default();
-        InProc::new(tag, d.sq_depth, d.cq_depth, d.credits)
+        InProc::new(tag, RingOptions::default().depth)
     }
 }
 
@@ -68,12 +67,9 @@ impl Rig for InProc {
     fn front(&mut self, program: u32) -> Box<dyn RingFront> {
         let client = self.rt.client(0, program);
         let ring = client.ring_with(self.opts);
-        // Every rig here is sized in powers of two with `credits <= cq_depth`:
-        // the ring is exactly as deep as the test asked.
-        assert_eq!(
-            (ring.sq_capacity(), ring.cq_capacity(), ring.credits()),
-            (self.opts.sq_depth, self.opts.cq_depth, self.opts.credits as u64)
-        );
+        // Every rig here is sized in powers of two: the ring is exactly
+        // as deep as the test asked.
+        assert_eq!(ring.depth(), self.opts.depth as u64);
         Box::new(Front { ring, region: None, client })
     }
 
@@ -128,12 +124,8 @@ impl RingFront for Front {
         self.ring.in_flight()
     }
 
-    fn credits(&self) -> u64 {
-        self.ring.credits()
-    }
-
-    fn sq_capacity(&self) -> u64 {
-        self.ring.sq_capacity() as u64
+    fn depth(&self) -> u64 {
+        self.ring.depth()
     }
 
     fn bulk_desc(&mut self, ep: EntryId, len: u32) -> BulkDesc {
@@ -145,30 +137,29 @@ impl RingFront for Front {
 
 #[test]
 fn wraparound_preserves_order_across_many_laps() {
-    conformance::wraparound_preserves_order_across_many_laps(&mut InProc::new("wrap", 8, 8, 8));
+    conformance::wraparound_preserves_order_across_many_laps(&mut InProc::new("wrap", 8));
 }
 
 #[test]
 fn interleaved_entries_run_and_reap_in_submission_order() {
-    let mut rig = InProc::new("interleave", 16, 16, 16);
+    let mut rig = InProc::new("interleave", 16);
     conformance::interleaved_entries_run_and_reap_in_submission_order(&mut rig);
 }
 
 #[test]
 fn credit_exhaustion_refuses_without_deadlock() {
-    let mut rig = InProc::new("credit", 16, 16, 4);
+    let mut rig = InProc::new("credit", 4);
     conformance::credit_exhaustion_refuses_without_deadlock(&mut rig);
 }
 
 #[test]
-fn admission_reloads_the_head_only_on_apparent_full() {
-    let mut rig = InProc::new("admit", 2, 8, 8);
-    conformance::admission_reloads_the_head_only_on_apparent_full(&mut rig);
+fn admission_refuses_only_at_depth_in_flight() {
+    conformance::admission_refuses_only_at_depth_in_flight(&mut InProc::new("admit", 8));
 }
 
 #[test]
-fn cached_head_never_admits_over_an_unread_sqe() {
-    conformance::cached_head_never_admits_over_an_unread_sqe(&mut InProc::new("laps", 2, 8, 8));
+fn admission_never_overwrites_an_unread_sqe() {
+    conformance::admission_never_overwrites_an_unread_sqe(&mut InProc::new("laps", 2));
 }
 
 #[test]
@@ -230,7 +221,7 @@ fn a_second_ring_is_not_held_up_by_a_flooded_one() {
     let flood = rt.bind("flood", EntryOptions::default(), sleepy).unwrap();
     let probe = rt.bind("probe", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
     let client = rt.client(0, 1);
-    let opts = RingOptions { sq_depth: 32, cq_depth: 32, credits: 32 };
+    let opts = RingOptions { depth: 32 };
     let (mut bulk, mut fast) = (client.ring_with(opts), client.ring_with(opts));
     let (mut out, mut worst) = (Vec::new(), Duration::ZERO);
     for round in 0..12u64 {

@@ -640,9 +640,9 @@ fn peer_death_mid_call_is_timely_error() {
 }
 
 /// Kill the server **mid-submit_bulk**: queued ring work resolves to a
-/// timely [`RtError::PeerGone`] from `reap`, credits are forfeited with
-/// the segment (no RingFull lockout afterwards — the error is
-/// PeerGone), and the client is cleanly dead.
+/// timely [`RtError::PeerGone`] from `reap`, in-flight slots are
+/// forfeited with the segment (no RingFull lockout afterwards — the
+/// error is PeerGone), and the client is cleanly dead.
 #[test]
 fn peer_death_mid_submit_bulk_is_timely_error() {
     watchdog(90);
@@ -678,7 +678,7 @@ fn peer_death_mid_submit_bulk_is_timely_error() {
         }
     };
     assert_eq!(err, RtError::PeerGone);
-    assert_eq!(xc.in_flight(), 0, "in-flight credits released with the peer");
+    assert_eq!(xc.in_flight(), 0, "in-flight slots released with the peer");
     // Dead client fails fast, with PeerGone — not RingFull, not a hang.
     assert_eq!(xc.submit(EP_ADD, [0; 8], 9), Err(RtError::PeerGone));
     assert_eq!(xc.call(EP_ADD, [0; 8]), Err(RtError::PeerGone));
@@ -760,11 +760,7 @@ impl RingFront for XClient {
         XClient::in_flight(self)
     }
 
-    fn credits(&self) -> u64 {
-        self.ring_depth()
-    }
-
-    fn sq_capacity(&self) -> u64 {
+    fn depth(&self) -> u64 {
         self.ring_depth()
     }
 
@@ -797,13 +793,13 @@ fn segment_ring_credit_exhaustion_refuses_without_deadlock() {
 fn segment_ring_admission_refuses_only_when_really_full() {
     let _shared = CPUS.read();
     let mut rig = XRig::new("c-admit", false, 2);
-    conformance::admission_reloads_the_head_only_on_apparent_full(&mut rig);
+    conformance::admission_refuses_only_at_depth_in_flight(&mut rig);
 }
 
 #[test]
-fn segment_ring_cached_head_never_admits_over_an_unread_sqe() {
+fn segment_ring_admission_never_overwrites_an_unread_sqe() {
     let _shared = CPUS.read();
-    conformance::cached_head_never_admits_over_an_unread_sqe(&mut XRig::new("c-laps", false, 2));
+    conformance::admission_never_overwrites_an_unread_sqe(&mut XRig::new("c-laps", false, 2));
 }
 
 #[test]
