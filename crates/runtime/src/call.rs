@@ -17,7 +17,8 @@
 //! Entries bound with [`crate::EntryOptions::inline_ok`] skip even the
 //! hand-off: the handler runs on the caller's own thread in a borrowed
 //! CD, which is hand-off scheduling taken to its limit — the "switch" to
-//! the worker costs nothing because the caller *is* the worker.
+//! the worker costs nothing because the caller *is* the worker. One obs
+//! gate, one body: only a sampled or traced call takes the cold twin.
 //!
 //! Everything here is built from two primitives, as the paper builds its
 //! async, interrupt and upcall variants from the one PPC mechanism:
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::claims::{self, Token, NOBODY};
-use crate::entry::{EntryShared, EntryState, HandlerRun};
+use crate::entry::EntryState;
 use crate::flight::FlightKind;
 use crate::frank::Claim;
 use crate::obs::LatencyKind;
@@ -39,42 +40,56 @@ use crate::stats::{StatsCell, TimeState};
 use crate::worker::WorkerHandle;
 use crate::{AsyncCall, EntryId, ProgramId, RtError, Runtime, ScratchRef, SpinPolicy, VcpuState};
 
+/// A payload call's request bytes and the buffer its response lands in.
+pub(crate) type Payload<'p> = Option<(&'p [u8], &'p mut Vec<u8>)>;
+
 impl Runtime {
-    /// Synchronous dispatch: blocks and returns the result words.
+    /// Synchronous null call: blocks and returns the result words.
+    #[inline]
+    pub(crate) fn call(
+        &self,
+        vcpu: usize,
+        ep: EntryId,
+        args: [u64; 8],
+        program: ProgramId,
+    ) -> Result<[u64; 8], RtError> {
+        self.dispatch(vcpu, ep, args, program, None)
+    }
+
+    /// Synchronous dispatch: blocks and returns the result words. A
+    /// `payload` travels in the scratch page (§4.2's bulk data; the words
+    /// carry opcode/lengths), which the handler rewrites in place via
+    /// `CallCtx::scratch`; its first `rets[7]` bytes land in the buffer.
     ///
-    /// With `payload`, the call carries bulk data through the scratch
-    /// page — the runtime analogue of §4.2: the 8 register words carry
-    /// the opcode/lengths, the page carries the data. The handler reads
-    /// and rewrites the payload in place via `CallCtx::scratch`; the
-    /// response payload of `rets[7]` bytes (by convention) is copied back
-    /// out and returned beside the result words (`None` without a
-    /// request payload).
+    /// An inline call's one gate: the sampler's tick (taken once) or a
+    /// live trace context — a nested call parents under its handler's
+    /// span even when unsampled — sends it to the traced twin.
+    #[inline(always)]
     pub(crate) fn dispatch(
         &self,
         vcpu: usize,
         ep: EntryId,
         args: [u64; 8],
         program: ProgramId,
-        payload: Option<&[u8]>,
-    ) -> Result<([u64; 8], Option<Vec<u8>>), RtError> {
-        assert!(
-            payload.map_or(0, <[u8]>::len) <= SCRATCH_BYTES,
-            "payload exceeds the {SCRATCH_BYTES}-byte scratch page",
-        );
+        payload: Payload<'_>,
+    ) -> Result<[u64; 8], RtError> {
+        if let Some((request, _)) = &payload {
+            assert!(request.len() <= SCRATCH_BYTES, "payload exceeds the scratch page");
+        }
+        // The claim drops last: trace scopes and the handler's `CallCtx`
+        // borrow the entry through it, so none can outlive the release.
         let claim = self.claim(vcpu, ep)?;
         if claim.opts.inline_ok {
-            return self.dispatch_inline(args, program, payload, claim);
+            let sampled = self.obs().try_sample();
+            if sampled || self.spans().current().is_some() {
+                return self.inline_traced(&claim, args, program, payload, sampled);
+            }
+            return self.inline_body(&claim, args, program, payload, 0, false);
         }
-        // The claim guards the rest of the call: every early `?`/`return
-        // Err` below releases it, and at the happy-path exit it drops
-        // last (no explicit drop — `scope` below borrows the entry
-        // *through* it, so the compiler rejects any earlier release),
-        // keeping the entry alive for the scope's EWMA read.
-        //
-        // Observability gate: one Relaxed load (plus a thread-local tick
-        // when enabled). The tick decides every timed record of the call
-        // — call, rendezvous and, riding the slot, the worker's handler
-        // run — as on the inline path: an unsampled call reads no clock.
+        let (request, response) = payload.unzip();
+        // The tick decides every timed record of a hand-off — call,
+        // rendezvous and, riding the slot, the worker's handler run: an
+        // unsampled call reads no clock.
         let sampled = self.obs().try_sample();
         let t0 = sampled.then(Instant::now);
         // The call span opens before resource acquisition so Frank grow
@@ -82,8 +97,8 @@ impl Runtime {
         // (and runs the root's tail-exemplar check) on every exit.
         let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*claim.trace_ewma_ns));
         let word = scope.ctx_word();
-        let (worker, woke) = self.post(&claim, args, program, payload, true, word, sampled)?;
-        let vc = self.vcpu(vcpu)?;
+        let (worker, woke) = self.post(&claim, args, program, request, true, word, sampled)?;
+        let vc = claim.vc();
         let (owned, done_at) = self.rendezvous(vc, claim.token(), &worker, woke, ep, sampled);
         let slot = &worker.slot;
         let rets = slot.read_rets();
@@ -93,8 +108,9 @@ impl Runtime {
         let killed = claim.entry_state() == EntryState::Dead;
         // An aborted or faulted completion carries `ABORT_RETS`, not a
         // response length.
-        let response = (payload.is_some() && !killed && !faulted)
-            .then(|| slot.read_payload(rets[7] as usize));
+        if let Some(out) = response.filter(|_| !killed && !faulted) {
+            *out = slot.read_payload(rets[7] as usize);
+        }
         // Results read, the slot is the next caller's (no reset). We
         // popped the worker and hold the claim — pool it and count the
         // completion here, on lines only this vCPU's callers write.
@@ -111,7 +127,7 @@ impl Runtime {
         }
         // `scope` drops first (it borrows `claim`), then the claim
         // releases — the order the reclaim protocol requires.
-        Ok((rets, response))
+        Ok(rets)
     }
 
     /// The error a finished handler run maps to, on every transport: a
@@ -135,81 +151,78 @@ impl Runtime {
         Ok(())
     }
 
-    /// Caller-thread inline dispatch ([`crate::EntryOptions::inline_ok`]):
-    /// the caller already claimed the entry; run the handler right here —
-    /// no worker, no slot hand-off, no park/unpark. With `payload`, a CD's
-    /// scratch page carries the request in and the first `rets[7]` bytes
-    /// back out, as in the hand-off variant.
-    fn dispatch_inline(
+    /// The traced twin of an inline call: the call span (its drop guard
+    /// closes it on every exit, restoring the caller's trace context)
+    /// around the one body, and, if `sampled`, the call record.
+    #[cold]
+    #[inline(never)]
+    fn inline_traced(
         &self,
+        claim: &Claim<'_>,
         args: [u64; 8],
         program: ProgramId,
-        payload: Option<&[u8]>,
-        claim: Claim<'_>,
-    ) -> Result<([u64; 8], Option<Vec<u8>>), RtError> {
-        // The claim (a parameter, so dropped after every local) releases
-        // on exit; the trace scope and the handler's `CallCtx` borrow the
-        // entry through it, so no use can outlive the release.
-        let entry: &EntryShared = &claim;
-        let (vcpu, ep) = (claim.vcpu(), entry.id);
-        let vc = self.vcpu(vcpu)?;
-        let cell = self.stats.cell(vcpu);
-        // One sample decides the call *and* handler records: the
-        // unsampled null inline call reads no clock at all.
-        let sampled = self.obs().try_sample();
+        payload: Payload<'_>,
+        sampled: bool,
+    ) -> Result<[u64; 8], RtError> {
+        let (vcpu, ep) = (claim.vc().id, claim.id);
         let t0 = sampled.then(Instant::now);
-        // The inline call span; the drop guard closes it on the early
-        // kill/fault returns too, restoring the caller's trace context.
-        let call_scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*entry.trace_ewma_ns));
-        // A payload call owns a CD up front (the scratch page carries the
-        // bytes both ways); a plain call borrows one lazily, only if the
-        // handler asks — descriptor-only bulk calls skip the CD pool.
-        let slot = payload.map(|p| {
+        let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*claim.trace_ewma_ns));
+        let rets = self.inline_body(claim, args, program, payload, scope.ctx_word(), sampled)?;
+        if let Some(t0) = t0 {
+            self.obs().record(LatencyKind::Call, vcpu, t0.elapsed().as_nanos() as u64);
+            self.flight().record(vcpu, FlightKind::Inline, ep, program);
+        }
+        Ok(rets)
+    }
+
+    /// Caller-thread inline dispatch ([`crate::EntryOptions::inline_ok`]):
+    /// the handler runs right here under `word` — no worker, no hand-off.
+    #[inline(always)]
+    fn inline_body(
+        &self,
+        claim: &Claim<'_>,
+        args: [u64; 8],
+        program: ProgramId,
+        payload: Payload<'_>,
+        word: u64,
+        sampled: bool,
+    ) -> Result<[u64; 8], RtError> {
+        let (request, response) = payload.unzip();
+        let (vc, ep) = (claim.vc(), claim.id);
+        let vcpu = vc.id;
+        let cell = self.stats.cell(vcpu);
+        // A payload's CD is taken up front, else borrowed on first use.
+        let slot = request.map(|p| {
             let s = vc.take_slot(cell, self.flight(), self.spans());
             s.write_payload(p);
             s
         });
-        // The handler span nests under the call span (no slot hop inline
-        // — the context word passes directly), so nested calls the
-        // handler makes parent under it.
+        // No slot hop inline: the handler span nests directly under
+        // `word`, and nested calls the handler makes under it.
         let scratch = ScratchRef::Lazy { vc, cell, slot };
-        let word = call_scope.ctx_word();
-        let run = entry.run_handler(vcpu, args, program, word, scratch, None, None, sampled);
-        if let Some(est) = self.handler_estimate(&run) {
-            cell.add_time(TimeState::Handler, est);
+        let run = claim.run_handler(vcpu, args, program, word, scratch, None, None, sampled);
+        if let Some(ns) = run.est_ns {
+            cell.add_time(TimeState::Handler, ns);
         }
-        let killed = entry.entry_state() == EntryState::Dead;
+        let killed = claim.entry_state() == EntryState::Dead;
         // The slot never left IDLE, so the response is read straight off
         // the scratch page before recycling.
-        let response = match (payload, &run.lazy) {
-            (Some(_), Some(s)) if !killed && !run.faulted => Some(s.with_scratch(|page| {
-                page[..(run.rets[7] as usize).min(SCRATCH_BYTES)].to_vec()
-            })),
-            _ => None,
-        };
+        if let (Some(out), Some(s)) = (response, &run.lazy) {
+            if !killed && !run.faulted {
+                let n = (run.rets[7] as usize).min(SCRATCH_BYTES);
+                *out = s.with_scratch(|page| page[..n].to_vec());
+            }
+        }
         if let Some(s) = run.lazy {
-            vc.put_slot(s);
+            let _ = vc.cd_pool.push(s); // dropped if full: §2's reclaimable stacks
         }
         Self::settle(cell, claim.token(), ep, killed, run.faulted)?;
         // `inline_calls` alone records the completion: the aggregate
         // `calls` getter derives hand-off + inline, so the fast path
         // pays one counter increment, not two.
         let owned = cell.add(claim.token(), |c| &c.inline_calls, 1);
-        entry.record_completion(vcpu, owned);
-        if let Some(t0) = t0 {
-            self.obs().record(LatencyKind::Call, vcpu, t0.elapsed().as_nanos() as u64);
-            self.flight().record(vcpu, FlightKind::Inline, ep, program);
-        }
-        Ok((run.rets, response))
-    }
-
-    /// Handler time on a thread that does other work around the handler
-    /// (the inline path, a ring drain), as a sampled estimate: the
-    /// observed run scaled by the sample period. The unsampled call gains
-    /// *zero* clock reads (`ppcbench`'s `obs.enabled_extra_ns` prices
-    /// the plane), while the sum converges on the true handler occupancy.
-    fn handler_estimate(&self, run: &HandlerRun) -> Option<u64> {
-        run.ns.map(|ns| ns << self.obs().sample_shift())
+        claim.record_completion(vcpu, owned);
+        Ok(run.rets)
     }
 
     /// Ring-worker-side execution of one accepted SQE
@@ -221,7 +234,7 @@ impl Runtime {
     /// word. `scratch` is the page the handler sees: the ring worker's
     /// persistent page, or the SQE's staged payload buffer. `sampled`:
     /// the drain's one sampler tick for this SQE; a sampled run adds its
-    /// [`Runtime::handler_estimate`] to `handler_ns`, which the drain
+    /// handler-time estimate to `handler_ns`, which the drain
     /// carves out of its interval when it next reads the clock.
     #[allow(clippy::too_many_arguments)] // the call frame, field by field
     pub(crate) fn ring_execute(
@@ -239,7 +252,7 @@ impl Runtime {
         let claim = self.claim(vcpu, ep)?;
         let scratch = ScratchRef::Ready(scratch);
         let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, None, sampled);
-        *handler_ns += self.handler_estimate(&run).unwrap_or(0);
+        *handler_ns += run.est_ns.unwrap_or(0);
         let killed = claim.entry_state() == EntryState::Dead;
         // The ring worker serves this vCPU: off the submitter's lines,
         // and never the owner of the completion word.
@@ -394,7 +407,7 @@ impl Runtime {
         trace_word: u64,
         sampled: bool,
     ) -> Result<(Arc<WorkerHandle>, bool), RtError> {
-        let (vcpu, ep) = (claim.vcpu(), claim.id);
+        let (vcpu, ep) = (claim.vc().id, claim.id);
         // Worker: lock-free pool pop, or the Frank grow path.
         let worker = match claim.pool(vcpu).pop() {
             Some(w) => w,

@@ -99,8 +99,9 @@ pub(crate) struct HandlerRun {
     /// path's payload CD, or one the handler borrowed on first use — for
     /// the caller to repool.
     pub(crate) lazy: Option<Box<CallSlot>>,
-    /// The handler's run time, when `sampled`.
-    pub(crate) ns: Option<u64>,
+    /// When `sampled`, the run time scaled by the sample period: the
+    /// estimate for the unsampled runs it stands for, which read no clock.
+    pub(crate) est_ns: Option<u64>,
 }
 
 /// Shared state of one bound entry point.
@@ -298,7 +299,8 @@ impl EntryShared {
             self.blackbox.event("handler-panic");
         }
         let rets = result.unwrap_or(crate::slot::ABORT_RETS);
-        HandlerRun { rets, faulted, lazy: ctx.take_lazy_slot(), ns }
+        let lazy = if let ScratchRef::Lazy { slot, .. } = ctx.scratch { slot } else { None };
+        HandlerRun { rets, faulted, lazy, est_ns: ns.map(|ns| ns << self.obs.sample_shift()) }
     }
 
     /// Current lifecycle state.

@@ -28,7 +28,7 @@ use crate::claims;
 use crate::entry::{EntryOptions, EntryShared, EntryState};
 use crate::flight::FlightKind;
 use crate::span::SpanPhase;
-use crate::{EntryId, Handler, ProgramId, RtError, Runtime, MAX_ENTRIES};
+use crate::{EntryId, Handler, ProgramId, RtError, Runtime, VcpuState, MAX_ENTRIES};
 
 /// A claim on an entry, returned by [`Runtime::claim`].
 ///
@@ -45,14 +45,14 @@ use crate::{EntryId, Handler, ProgramId, RtError, Runtime, MAX_ENTRIES};
 /// one deliberate escape hatch from the guard.
 pub(crate) struct Claim<'rt> {
     entry: &'rt EntryShared,
-    vcpu: usize,
+    vc: &'rt VcpuState,
     held: claims::Held,
 }
 
 impl<'rt> Claim<'rt> {
-    /// The vCPU the claim was taken on.
-    pub(crate) fn vcpu(&self) -> usize {
-        self.vcpu
+    /// The vCPU the claim was taken on, resolved once by the claim.
+    pub(crate) fn vc(&self) -> &'rt VcpuState {
+        self.vc
     }
 
     /// The claiming thread's counting identity.
@@ -121,7 +121,8 @@ impl Runtime {
     /// use of the entry past the release.
     #[inline]
     pub(crate) fn claim(&self, vcpu: usize, ep: EntryId) -> Result<Claim<'_>, RtError> {
-        let slot = self.vcpu(vcpu)?.table.get(ep).ok_or(RtError::UnknownEntry(ep))?;
+        let vc: &VcpuState = self.vcpu(vcpu)?;
+        let slot = vc.table.get(ep).ok_or(RtError::UnknownEntry(ep))?;
         let p = slot.load(Ordering::Acquire);
         if p.is_null() {
             return Err(RtError::UnknownEntry(ep));
@@ -135,7 +136,7 @@ impl Runtime {
         // sees the claim and waits for it before dropping the registry
         // `Arc` behind `p` (`claims` module docs).
         let entry = unsafe { &*p };
-        let claim = Claim { entry, vcpu, held };
+        let claim = Claim { entry, vc, held };
         if claim.entry_state() != EntryState::Active {
             return Err(RtError::EntryDead(ep)); // drop releases the claim
         }

@@ -284,13 +284,9 @@ pub(crate) enum ScratchRef<'a> {
     /// their page before the handler runs.
     Ready(&'a mut [u8]),
     /// Inline dispatch: `slot` starts out as the CD that carries the
-    /// payload, or — without a payload — empty, and then no CD is
-    /// borrowed unless the handler actually asks for
-    /// [`CallCtx::scratch`]. Descriptor-only bulk calls never touch the
-    /// CD pool at all — their payload lives in the granted region, so
-    /// charging them two pool operations for a page they never read
-    /// would violate the fast path's "touch nothing you don't need"
-    /// discipline.
+    /// payload, or empty, and then no CD is borrowed unless the handler
+    /// asks for [`CallCtx::scratch`]: a descriptor-only bulk call, whose
+    /// data lives in the granted region, never touches the CD pool.
     Lazy {
         vc: &'a VcpuState,
         cell: &'a stats::StatsCell,
@@ -338,15 +334,6 @@ impl<'a> CallCtx<'a> {
                     std::slice::from_raw_parts_mut(s.scratch_raw(), slot::SCRATCH_BYTES)
                 }
             }
-        }
-    }
-
-    /// Reclaim the CD behind a lazy scratch page so the dispatcher can
-    /// repool it.
-    pub(crate) fn take_lazy_slot(&mut self) -> Option<Box<slot::CallSlot>> {
-        match &mut self.scratch {
-            ScratchRef::Lazy { slot, .. } => slot.take(),
-            ScratchRef::Ready(_) => None,
         }
     }
 
@@ -573,9 +560,12 @@ impl VcpuState {
 
     /// Fold one observed call latency into the EWMA (weight 1/8: old
     /// enough to smooth scheduler noise, fresh enough to track a phase
-    /// change within a few calls). A lost update under a racy
-    /// read-modify-write is harmless — the next call re-observes.
+    /// change within a few calls), each observation capped at 1.5 ×
+    /// [`spin::PARK_THRESHOLD_NS`]: enough to say "park", and an outlier
+    /// (a first call waiting on a new worker) decays below it in 4
+    /// samples. A lost update under a racy read-modify-write is harmless.
     pub(crate) fn observe_latency(&self, ns: u64) {
+        let ns = ns.min(spin::PARK_THRESHOLD_NS * 3 / 2);
         let old = self.ewma_ns.load(Ordering::Relaxed);
         let new = if old == 0 { ns } else { old - old / 8 + ns / 8 };
         self.ewma_ns.store(new, Ordering::Relaxed);
@@ -650,12 +640,6 @@ impl VcpuState {
                 s
             }
         }
-    }
-
-    /// Return a slot (never posted: it stays `IDLE`) to the pool, dropped
-    /// if full — §2's "extra stacks can easily be reclaimed".
-    pub(crate) fn put_slot(&self, slot: Box<CallSlot>) {
-        let _ = self.cd_pool.push(slot);
     }
 }
 
@@ -1125,7 +1109,7 @@ impl Client {
     /// Synchronous PPC: 8 words in, 8 words out, hand-off to a worker on
     /// this client's vCPU. No locks, no shared queues.
     pub fn call(&self, ep: EntryId, args: [u64; 8]) -> Result<[u64; 8], RtError> {
-        self.rt.dispatch(self.vcpu, ep, args, self.program, None).map(|(rets, _)| rets)
+        self.rt.call(self.vcpu, ep, args, self.program)
     }
 
     /// Asynchronous PPC (§4.4): the caller continues immediately; the
@@ -1150,9 +1134,10 @@ impl Client {
         args: [u64; 8],
         payload: &[u8],
     ) -> Result<([u64; 8], Vec<u8>), RtError> {
-        self.rt
-            .dispatch(self.vcpu, ep, args, self.program, Some(payload))
-            .map(|(rets, response)| (rets, response.unwrap_or_default()))
+        let mut response = Vec::new();
+        let payload = Some((payload, &mut response));
+        let rets = self.rt.dispatch(self.vcpu, ep, args, self.program, payload)?;
+        Ok((rets, response))
     }
 
     /// Synchronous PPC carrying a bulk-region descriptor: `desc` is

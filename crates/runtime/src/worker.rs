@@ -424,8 +424,8 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         }
         woke = slot.complete(run.rets);
         // A sampled run's carving clock read comes after `DONE`.
-        if let Some(ns) = run.ns {
-            handler_ns += ns << entry.obs.sample_shift();
+        if let Some(ns) = run.est_ns {
+            handler_ns += ns;
             timer.transition_carving(TimeState::Idle, TimeState::Handler, &mut handler_ns);
         }
     }

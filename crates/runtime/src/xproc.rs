@@ -846,20 +846,19 @@ fn service_slot(
     let args = slot.core.read_args();
     let (cell, who) = (rt.stats.cell(vcpu), claims::token());
     let result: Result<[u64; 8], RtError> = match xop {
-        op::CALL => rt.dispatch(vcpu, ep, args, c.program, None).map(|(r, _)| r),
+        op::CALL => rt.call(vcpu, ep, args, c.program),
         op::PAYLOAD => {
             let len = (slot.core.payload_len() as usize).min(SCRATCH_BYTES);
             // Safety: the client owns the payload page only while the
             // slot is IDLE/DONE; during POSTED the server has exclusive
             // use (the rendezvous protocol, same as in-process scratch).
             let req = unsafe { std::slice::from_raw_parts(map.payload_ptr(i), len) };
-            rt.dispatch(vcpu, ep, args, c.program, Some(req)).map(|(r, resp)| {
-                let resp = resp.unwrap_or_default();
+            let mut resp = Vec::new();
+            rt.dispatch(vcpu, ep, args, c.program, Some((req, &mut resp))).inspect(|_| {
                 let n = resp.len().min(SCRATCH_BYTES);
                 // Safety: as above; exclusive during POSTED.
                 unsafe { std::ptr::copy_nonoverlapping(resp.as_ptr(), map.payload_ptr(i), n) };
                 slot.core.set_payload_len(n as u32);
-                r
             })
         }
         op::GRANT => c.region.ok_or(RtError::BadBulk).and_then(|region| {

@@ -19,7 +19,9 @@
 //! warm-up calls pay it, outside the markers. Every path must read
 //! the clock 0 times (an unsampled call reads none). Instruction counts
 //! depend on the build, and on a hand-off on how long the caller's wait
-//! loop runs, and are only printed.
+//! loop runs: a release build holds the four inline paths under
+//! ceilings (another ratchet — a toolchain that moves one edits it here
+//! and says why), and every other count is only printed.
 //!
 //! `harness = false`: `main` is the only thread, so `fork` is safe and
 //! the child is single-threaded too until the path spawns its workers.
@@ -70,8 +72,10 @@ impl Case {
 }
 
 /// A path to count: its name, the locked RMWs one call takes (`None`:
-/// printed, not asserted), and a builder for the call (run in the child).
-type Path = (&'static str, Option<u64>, fn() -> Case);
+/// printed, not asserted), the most instructions it may take in a
+/// release build (`None`: printed only), and a builder for the call
+/// (run in the child).
+type Path = (&'static str, Option<u64>, Option<u64>, fn() -> Case);
 
 fn inline_entry(rt: &Arc<Runtime>, name: &str, h: ppc_rt::Handler) -> usize {
     let opts = EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() };
@@ -416,18 +420,24 @@ fn main() {
     // ring's 4: the doorbell's fence, its flight record (cursor and
     // sequence word) and `unpark`. The segment ring's 2: the doorbell's
     // fence and the doorbell word's bump before the futex wake.
+    //
+    // The instruction ceilings: the inline null call is the paper's
+    // ≈ 200-instruction round trip, held at 280 (and a nested pair at
+    // twice that); the payload and bulk calls at their counts before the
+    // null call lost its obs plumbing, which must not have moved them.
     let paths: [Path; 8] = [
-        ("inline null", Some(0), inline_null),
-        ("inline outer -> inline null", Some(0), inline_nested),
-        ("inline call_with_payload, 64 B", Some(2), inline_payload_64),
-        ("inline call_bulk, copy_from 64 KiB", Some(2), inline_bulk_64k),
-        ("hand-off null (caller)", Some(4), handoff_null),
-        ("ClientRing 16 submits + doorbell", Some(4), ring_d16),
-        ("XClient null (client)", Some(2), xproc_null),
-        ("XClient 16 submits + ring_doorbell (client)", Some(2), xproc_ring_d16),
+        ("inline null", Some(0), Some(280), inline_null),
+        ("inline outer -> inline null", Some(0), Some(560), inline_nested),
+        ("inline call_with_payload, 64 B", Some(2), Some(715), inline_payload_64),
+        ("inline call_bulk, copy_from 64 KiB", Some(2), Some(66_410), inline_bulk_64k),
+        ("hand-off null (caller)", Some(4), None, handoff_null),
+        ("ClientRing 16 submits + doorbell", Some(4), None, ring_d16),
+        ("XClient null (client)", Some(2), None, xproc_null),
+        ("XClient 16 submits + ring_doorbell (client)", Some(2), None, xproc_ring_d16),
     ];
+    let release = !cfg!(debug_assertions);
     let mut wrong = Vec::new();
-    for (name, want, build) in paths {
+    for (name, want, ceiling, build) in paths {
         let t = count(build);
         let expected = want.map_or("not asserted".to_string(), |w| format!("expected {w}"));
         println!(
@@ -436,6 +446,10 @@ fn main() {
         );
         if want.is_some_and(|w| t.locks != w) {
             wrong.push(format!("{name}: {} locked RMWs, {expected}", t.locks));
+        }
+        if let Some(max) = ceiling.filter(|&max| release && t.insns > max) {
+            let (n, build) = (t.insns, "in a release build");
+            wrong.push(format!("{name}: {n} instructions, at most {max} {build}"));
         }
         if t.clocks != 0 {
             wrong.push(format!("{name}: {} clock reads, expected 0", t.clocks));

@@ -520,6 +520,45 @@ fn inline_entry_supports_payload_and_faults() {
     assert_eq!(c.call(ep, [0; 8]).unwrap()[7], 0);
 }
 
+/// The inline call's lean body repools the CD a payload-less handler
+/// borrows through `scratch()`, on a fault too: after one warm call no
+/// call creates a CD — a leaked one would show as a pool miss on the
+/// next call — and a panic after the borrow is one counted server fault.
+#[test]
+fn inline_lazy_scratch_is_repooled_through_calls_and_faults() {
+    let rt = Runtime::new(1);
+    let ep = rt
+        .bind(
+            "inline-scratch",
+            EntryOptions { inline_ok: true, ..Default::default() },
+            Arc::new(|ctx| {
+                ctx.scratch()[0] = ctx.args[0] as u8;
+                if ctx.args[1] == u64::MAX {
+                    panic!("inline fault after borrowing scratch");
+                }
+                ctx.args
+            }),
+        )
+        .unwrap();
+    let c = rt.client(0, 1);
+    c.call(ep, [0; 8]).unwrap(); // warm
+    let warm = rt.stats.snapshot();
+    for i in 0..1_000u64 {
+        assert_eq!(c.call(ep, [i; 8]).unwrap(), [i; 8]);
+    }
+    assert_eq!(rt.stats.snapshot().since(&warm).cds_created, 0, "the lazy CD leaked");
+
+    assert_eq!(c.call(ep, [1, u64::MAX, 0, 0, 0, 0, 0, 0]), Err(RtError::ServerFault(ep)));
+    assert_eq!(rt.stats.server_faults(), 1);
+    for i in 0..1_000u64 {
+        assert_eq!(c.call(ep, [i; 8]).unwrap(), [i; 8]);
+    }
+    let delta = rt.stats.snapshot().since(&warm);
+    assert_eq!(delta.cds_created, 0, "the faulted call's CD was not repooled");
+    assert_eq!(delta.server_faults, 1);
+    assert_eq!(delta.inline_calls, 2_000);
+}
+
 #[test]
 fn async_to_inline_entry_still_hands_off() {
     let rt = Runtime::new(1);

@@ -98,6 +98,46 @@ fn nested_chain_produces_one_correctly_parented_trace() {
     }
 }
 
+/// The inline call's gate honours a live trace: with every second call
+/// sampled, each outer call ticks even (sampled, a root) and the inline
+/// call its handler makes ticks odd (unsampled), yet the nested call
+/// must still parent under the handler span. Eight outer calls, eight
+/// roots, each exactly call → handler → call → handler.
+#[test]
+fn unsampled_nested_inline_call_joins_the_live_trace() {
+    let rt = Runtime::new(1);
+    rt.obs().set_sample_shift(1);
+    let inline = || EntryOptions { inline_ok: true, ..Default::default() };
+    let inner = rt.bind("inner", inline(), Arc::new(|c| c.args)).unwrap();
+    let nested = rt.client(0, 2);
+    let outer =
+        rt.bind("outer", inline(), Arc::new(move |c| nested.call(inner, c.args).unwrap())).unwrap();
+    // A fresh thread: its sampler tick starts at 0, so the outer calls
+    // take the even ticks.
+    let client = rt.client(0, 1);
+    std::thread::spawn(move || {
+        for i in 0..8 {
+            assert_eq!(client.call(outer, [i; 8]).unwrap(), [i; 8]);
+        }
+    })
+    .join()
+    .unwrap();
+
+    let spans = spans_of(&rt);
+    let roots: Vec<_> = spans.iter().filter(|s| s.is_root()).collect();
+    assert_eq!(roots.len(), 8, "one root per outer call: {spans:#?}");
+    for root in roots {
+        let mut tree: Vec<_> = spans.iter().filter(|s| s.trace_id == root.trace_id).collect();
+        tree.sort_by_key(|s| s.depth);
+        let shape: Vec<_> = tree.iter().map(|s| (s.name.as_str(), s.depth, s.ep)).collect();
+        let (o, i) = (outer as u16, inner as u16);
+        assert_eq!(shape, [("call", 0, o), ("handler", 1, o), ("call", 2, i), ("handler", 3, i)]);
+        for pair in tree.windows(2) {
+            assert_eq!(pair[1].parent_id, pair[0].span_id, "each under the one above: {tree:#?}");
+        }
+    }
+}
+
 /// The thread-local trace context never leaks past the call that
 /// installed it — including through nested handlers on the same thread.
 #[test]
