@@ -16,18 +16,16 @@
 //! picture and what each front-end adds; the two rules every `unsafe`
 //! block below leans on are here.
 //!
-//! **Cursor ownership.** Cursors are monotonic and masked only to index.
-//!
-//! | word | written by | read by |
-//! |---|---|---|
-//! | `sq_tail` | producer, `Release`, per submission | consumer, `Acquire`, per SQE |
-//! | `cq_tail` | consumer, `Release`, per completion | producer, `Acquire`, once per reap |
-//!
-//! Each side keeps a private copy of how far it has read the other's
-//! queue (the consumer's SQ head, the producer's CQ head) and publishes
-//! it nowhere. The consumer publishes `cq_tail` from a private copy and
-//! never loads it back: a producer that scribbles it confuses only
-//! itself. Neither side does an RMW per entry.
+//! **Sequence words.** Each entry publishes itself (FastForward,
+//! Giacomoni et al., PPoPP 2008): entry *n*, in slot `n & mask`, ends in
+//! a `seq` word its writer — the producer for an SQE, the consumer for a
+//! CQE — sets to `n + 1` with `Release` after the body, and its reader
+//! loads with `Acquire`. SQE *n*'s word reads `n + 1` (ready), the
+//! previous lap's `n + 1 − depth` (not yet; 0 on the first lap), or
+//! anything else: a hostile producer, which `drain` refuses. Each side's
+//! progress is private, and the consumer never loads a CQE word back, so
+//! a producer that scribbles one confuses only itself. No shared cursor,
+//! and no RMW per entry.
 //!
 //! **Admission.** One rule: a ring is `depth` deep — SQ slots, CQ slots,
 //! staging pages — and a submission is refused with
@@ -39,7 +37,7 @@
 //! the consumer writes, and overload shows as shed requests and bounded
 //! queues, never unbounded memory.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -161,22 +159,23 @@ pub(crate) fn wire_to_result(status: u32, aux: u32, rets: [u64; 8]) -> Result<[u
 /// that becomes the handler's scratch.
 const SQE_PAYLOAD: u32 = 1;
 
-/// The two published cursors of a ring, a cache line each (see the
-/// module docs for who writes which).
+/// One queue entry, two cache lines: a body of plain words and the
+/// sequence word that publishes it (module docs).
 #[repr(C, align(64))]
-pub(crate) struct RingCursors {
-    sq_tail: AtomicU64,
-    _p0: [u8; 56],
-    cq_tail: AtomicU64,
-    _p1: [u8; 56],
+struct Entry<B> {
+    body: B,
+    seq: AtomicU64,
 }
 
-crate::assert_segment_layout!(RingCursors { size: 128, align: 64, sq_tail: 0, cq_tail: 64 });
+type Sqe = Entry<SqeBody>;
+type Cqe = Entry<CqeBody>;
+crate::assert_segment_layout!(Sqe { size: 128, align: 64, body: 0, seq: 96 });
+crate::assert_segment_layout!(Cqe { size: 128, align: 64, body: 0, seq: 88 });
 
-/// One submission-queue entry: two cache lines of plain words.
-#[repr(C, align(64))]
+/// What an SQE carries.
+#[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct Sqe {
+struct SqeBody {
     ep: u32,
     /// [`SQE_PAYLOAD`], or 0.
     flags: u32,
@@ -193,9 +192,9 @@ pub(crate) struct Sqe {
     payload_len: u32,
 }
 
-crate::assert_segment_layout!(Sqe {
-    size: 128,
-    align: 64,
+crate::assert_segment_layout!(SqeBody {
+    size: 96,
+    align: 8,
     ep: 0,
     flags: 4,
     args: 8,
@@ -205,10 +204,10 @@ crate::assert_segment_layout!(Sqe {
     payload_len: 92,
 });
 
-/// One completion-queue entry.
-#[repr(C, align(64))]
+/// What a CQE carries.
+#[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct Cqe {
+struct CqeBody {
     user: u64,
     ep: u32,
     /// 0 = success, else an [`err_to_wire`] code with `aux`.
@@ -219,9 +218,9 @@ pub(crate) struct Cqe {
     rets: [u64; 8],
 }
 
-crate::assert_segment_layout!(Cqe {
-    size: 128,
-    align: 64,
+crate::assert_segment_layout!(CqeBody {
+    size: 88,
+    align: 8,
     user: 0,
     ep: 8,
     status: 12,
@@ -230,13 +229,11 @@ crate::assert_segment_layout!(Cqe {
 });
 
 /// One ring's queue pair in memory its owner keeps alive: where the
-/// cursors and entries are, where the staging pages are, how deep it
-/// is. Every pointer into the queue is derived here, from a cursor and
-/// the mask.
+/// entries are, where the staging pages are, how deep it is. Every
+/// pointer into the queue is derived here, from a cursor and the mask.
 #[derive(Clone, Copy)]
 pub(crate) struct LaneRef {
-    /// The ring's [`RingCursors`]; the SQE array and then the CQE array
-    /// follow it.
+    /// The SQE array; the CQE array follows it.
     ring: *mut u8,
     /// What a staged-payload offset counts from (a segment's base).
     base: *mut u8,
@@ -248,16 +245,15 @@ pub(crate) struct LaneRef {
 
 // Safety: the pointers name memory that outlives every copy of the
 // view (`LaneRef::new`'s contract); everything reached through them is
-// an atomic or an entry owned by one side at a time under the cursor
-// protocol; the view itself is plain words.
+// an atomic or an entry body owned by one side at a time under the
+// sequence-word protocol; the view itself is plain words.
 unsafe impl Send for LaneRef {}
 unsafe impl Sync for LaneRef {}
 
 impl LaneRef {
-    /// Bytes of cursors plus entries (a multiple of 64).
+    /// Bytes of entries (a multiple of 64).
     pub(crate) const fn ring_bytes(depth: usize) -> usize {
-        std::mem::size_of::<RingCursors>()
-            + depth * (std::mem::size_of::<Sqe>() + std::mem::size_of::<Cqe>())
+        depth * (std::mem::size_of::<Sqe>() + std::mem::size_of::<Cqe>())
     }
 
     /// Bytes of staging pages.
@@ -281,26 +277,26 @@ impl LaneRef {
         self.mask + 1
     }
 
-    fn cursors(&self) -> &RingCursors {
-        // Safety: in bounds and aligned by `new`'s contract; all fields
-        // are atomics, valid at any bit pattern.
-        unsafe { &*(self.ring as *const RingCursors) }
-    }
-
     fn sqe(&self, cursor: u64) -> *mut Sqe {
         // Safety: the masked cursor is below the depth; in bounds by
         // `new`'s contract.
-        unsafe {
-            (self.ring.add(Self::ring_bytes(0)) as *mut Sqe).add((cursor & self.mask) as usize)
-        }
+        unsafe { (self.ring as *mut Sqe).add((cursor & self.mask) as usize) }
     }
 
     fn cqe(&self, cursor: u64) -> *mut Cqe {
-        let sqes = self.depth() as usize * std::mem::size_of::<Sqe>();
-        // Safety: as in `sqe`.
-        unsafe {
-            (self.ring.add(Self::ring_bytes(0) + sqes) as *mut Cqe).add((cursor & self.mask) as usize)
-        }
+        // Safety: as in `sqe`; the CQ follows `depth` SQEs.
+        unsafe { (self.sqe(0).add(self.depth() as usize) as *mut Cqe).add((cursor & self.mask) as usize) }
+    }
+
+    fn sq_seq(&self, cursor: u64) -> &AtomicU64 {
+        // Safety: in bounds and aligned by `new`'s contract; only the
+        // atomic is borrowed, never the body beside it.
+        unsafe { &(*self.sqe(cursor)).seq }
+    }
+
+    fn cq_seq(&self, cursor: u64) -> &AtomicU64 {
+        // Safety: as in `sq_seq`.
+        unsafe { &(*self.cqe(cursor)).seq }
     }
 
     /// Offset from `base` of the staging page of submission `cursor`.
@@ -311,7 +307,7 @@ impl LaneRef {
     /// The span a `PAYLOAD` SQE names, checked against this ring's own
     /// staging area: a forged offset cannot reach another client's
     /// pages, the entries, or anything else in the mapping.
-    fn staged(&self, sqe: &Sqe) -> Result<(*mut u8, usize), RtError> {
+    fn staged(&self, sqe: &SqeBody) -> Result<(*mut u8, usize), RtError> {
         let len = (sqe.payload_len as usize).min(SCRATCH_BYTES);
         let off = sqe.payload_off as usize;
         let end = self.stage_off + Self::stage_bytes(self.depth() as usize);
@@ -333,22 +329,22 @@ impl LaneRef {
 /// enforces it).
 pub(crate) struct Producer {
     lane: LaneRef,
-    /// Equals the published `sq_tail`.
-    sq_tail: u64,
+    /// Submissions pushed: private, published nowhere.
+    tail: u64,
     /// Completions reaped: private, published nowhere.
-    cq_head: u64,
+    head: u64,
 }
 
 impl Producer {
-    /// A producer over a ring whose cursors are zero: a fresh mapping,
-    /// or a segment slot the server reset at attach.
+    /// A producer over a ring whose sequence words are zero: a fresh
+    /// mapping, or a segment slot the server reset at attach.
     pub(crate) fn new(lane: LaneRef) -> Producer {
-        Producer { lane, sq_tail: 0, cq_head: 0 }
+        Producer { lane, tail: 0, head: 0 }
     }
 
     /// Submissions accepted and not yet reaped.
     pub(crate) fn in_flight(&self) -> u64 {
-        self.sq_tail - self.cq_head
+        self.tail - self.head
     }
 
     /// The ring's depth: SQ slots, CQ slots, staging pages, in-flight
@@ -372,9 +368,9 @@ impl Producer {
     }
 
     /// Write one admitted SQE — staging `payload`, if any, into the
-    /// page of its completion slot — and publish the tail (`Release`).
-    /// No wake: that is the front-end's doorbell, once per batch.
-    /// Returns the offset one past the staged bytes (0 without a
+    /// page of its completion slot — and publish it by its sequence word
+    /// (`Release`). No wake: that is the front-end's doorbell, once per
+    /// batch. Returns the offset one past the staged bytes (0 without a
     /// payload).
     pub(crate) fn push(
         &mut self,
@@ -384,54 +380,46 @@ impl Producer {
         trace: u64,
         payload: Option<&[u8]>,
     ) -> usize {
-        let (mut flags, mut payload_off, mut payload_len) = (0, 0, 0);
+        let n = self.tail;
+        let mut body = SqeBody { ep: ep as u32, flags: 0, args, user, trace, payload_off: 0, payload_len: 0 };
         if let Some(p) = payload {
             debug_assert!(p.len() <= SCRATCH_BYTES, "admit bounds the payload");
-            payload_off = self.lane.stage_page(self.sq_tail);
-            payload_len = p.len();
-            flags = SQE_PAYLOAD;
+            let off = self.lane.stage_page(n);
             // Safety: the page is in the ring's staging area and is this
-            // producer's until the CQE of submission `sq_tail` is reaped
-            // — the previous tenant's was, by admission (module docs).
-            unsafe {
-                std::ptr::copy_nonoverlapping(p.as_ptr(), self.lane.base.add(payload_off), p.len());
-            }
+            // producer's until the CQE of submission `n` is reaped — the
+            // previous tenant's was, by admission (module docs).
+            unsafe { std::ptr::copy_nonoverlapping(p.as_ptr(), self.lane.base.add(off), p.len()) };
+            (body.flags, body.payload_off, body.payload_len) = (SQE_PAYLOAD, off as u32, p.len() as u32);
         }
-        let sqe = Sqe {
-            ep: ep as u32,
-            flags,
-            args,
-            user,
-            trace,
-            payload_off: payload_off as u32,
-            payload_len: payload_len as u32,
-        };
         debug_assert!(self.in_flight() < self.depth(), "admit bounds the queue");
-        // Safety: single producer; `admit` proved the slot consumed. The
-        // entry is published by the `Release` store below.
-        unsafe { std::ptr::write(self.lane.sqe(self.sq_tail), sqe) };
-        self.sq_tail += 1;
-        self.lane.cursors().sq_tail.store(self.sq_tail, Ordering::Release);
-        payload_off + payload_len
+        // Safety: single producer; admission proved the slot consumed.
+        // The body is published by the `Release` store below.
+        unsafe { std::ptr::write(&raw mut (*self.lane.sqe(n)).body, body) };
+        self.lane.sq_seq(n).store(n + 1, Ordering::Release);
+        self.tail = n + 1;
+        (body.payload_off + body.payload_len) as usize
     }
 
     /// Harvest up to `max` completions into `out`, in submission order,
-    /// freeing a slot each; `each` runs once per completion.
+    /// freeing a slot each; `each` runs once per completion. Never past
+    /// what was pushed: a producer made afresh over a used ring (an
+    /// `XClient` that lost its server) still finds old CQE words there.
     pub(crate) fn reap(
         &mut self,
         max: usize,
         out: &mut Vec<Completion>,
         mut each: impl FnMut(),
     ) -> usize {
-        let cur = self.lane.cursors();
-        let tail = cur.cq_tail.load(Ordering::Acquire);
         let mut n = 0;
-        while self.cq_head != tail && n < max {
-            // Safety: single CQ consumer; the `Acquire` on `cq_tail`
-            // published the entry, and the consumer will not rewrite it
-            // before this producer has admitted past `cq_head` (admission).
-            let cqe = unsafe { std::ptr::read(self.lane.cqe(self.cq_head)) };
-            self.cq_head += 1;
+        while n < max
+            && self.head != self.tail
+            && self.lane.cq_seq(self.head).load(Ordering::Acquire) == self.head + 1
+        {
+            // Safety: single CQ consumer; the `Acquire` on its sequence
+            // word published the entry, and the consumer will not rewrite
+            // it before this producer has admitted past `head` (admission).
+            let cqe = unsafe { std::ptr::read(&raw const (*self.lane.cqe(self.head)).body) };
+            self.head += 1;
             each();
             out.push(Completion {
                 user: cqe.user,
@@ -448,34 +436,46 @@ impl Producer {
 // Consumer: bound, execute, post
 // ---------------------------------------------------------------------
 
-/// The serving side of a ring: its SQ head, private, and its `cq_tail`,
-/// published to — never re-loaded from — the shared word.
+/// The serving side of a ring: its head — the next SQE to take, and
+/// the CQE slot its completion goes to — private, published nowhere.
 pub(crate) struct Consumer {
     lane: LaneRef,
-    sq_head: u64,
-    cq_tail: u64,
+    head: u64,
 }
 
 impl Consumer {
     pub(crate) fn new(lane: LaneRef) -> Consumer {
-        Consumer { lane, sq_head: 0, cq_tail: 0 }
+        Consumer { lane, head: 0 }
     }
 
-    /// Hand the ring to a new producer: zero the two shared cursors
-    /// and the private copies. The caller owns the ring exclusively
-    /// (no producer is active): a segment server between a slot's
-    /// `attach_req` and its ack.
+    /// Hand the ring to a new producer: zero every sequence word and the
+    /// head. The caller owns the ring exclusively (no producer is
+    /// active): a segment server between a slot's `attach_req` and its
+    /// ack.
     pub(crate) fn reset(&mut self) {
-        let cur = self.lane.cursors();
-        cur.sq_tail.store(0, Ordering::Relaxed);
-        cur.cq_tail.store(0, Ordering::Relaxed);
-        (self.sq_head, self.cq_tail) = (0, 0);
+        for n in 0..self.lane.depth() {
+            self.lane.sq_seq(n).store(0, Ordering::Relaxed);
+            self.lane.cq_seq(n).store(0, Ordering::Relaxed);
+        }
+        self.head = 0;
     }
 
-    /// SQEs published and not yet taken (`Acquire`: a non-zero answer
-    /// licenses reading them).
-    fn pending(&self) -> u64 {
-        self.lane.cursors().sq_tail.load(Ordering::Acquire).wrapping_sub(self.sq_head)
+    /// What SQE `n`'s sequence word says (module docs): `Some(true)`
+    /// published — the `Acquire` licenses reading its body —,
+    /// `Some(false)` not yet (the previous lap's word, 0 on the first),
+    /// `None` a word no honest producer writes.
+    fn published(&self, n: u64) -> Option<bool> {
+        match self.lane.sq_seq(n).load(Ordering::Acquire) {
+            s if s == n + 1 => Some(true),
+            s if s == (n + 1).saturating_sub(self.lane.depth()) => Some(false),
+            _ => None,
+        }
+    }
+
+    /// Nothing to serve at the head: the readiness predicates' test (a
+    /// hostile word is something to serve — `drain` refuses it).
+    fn idle(&self) -> bool {
+        self.published(self.head) == Some(false)
     }
 }
 
@@ -488,9 +488,9 @@ impl Consumer {
 /// with [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs. `scratch` is
 /// the page handlers of payload-less SQEs see; a sampled handler run
 /// adds its estimate to `handler_ns`. Returns how many SQEs were
-/// executed (each has its CQE posted), or `None` once `sq_tail` runs
-/// more than `depth` ahead of the head — a broken or hostile producer,
-/// not a big batch; nothing past that point is executed.
+/// executed (each has its CQE posted), or `None` once the head SQE's
+/// sequence word is neither this lap's nor the last — a broken or
+/// hostile producer; nothing from that point on is executed.
 pub(crate) fn drain(
     rt: &Arc<Runtime>,
     c: &mut Consumer,
@@ -499,31 +499,25 @@ pub(crate) fn drain(
     scratch: &mut [u8],
     handler_ns: &mut u64,
 ) -> Option<u64> {
-    let budget = c.lane.depth();
-    let cur = c.lane.cursors();
     let mut done = 0;
-    while done < budget {
-        let ahead = c.pending();
-        if ahead == 0 {
-            break;
-        }
-        if ahead > budget {
-            return None;
-        }
+    while done < c.lane.depth() && c.published(c.head)? {
         // One sampler tick per SQE decides all its records: a second
         // site on this thread would fall into step and take every
         // sample or none.
         let sampled = rt.obs().try_sample();
         if sampled {
-            // The queue depth this pickup observes — log₂ bands.
-            rt.obs().record(LatencyKind::RingDepth, vcpu, ahead);
+            // The published run this pickup finds, a queue-full at most
+            // (log₂ bands): one sequence word per entry, sampled only.
+            let run = (0..c.lane.depth()).take_while(|&k| c.published(c.head + k) == Some(true));
+            rt.obs().record(LatencyKind::RingDepth, vcpu, run.count() as u64);
         }
-        // Safety: sole SQ consumer; `pending`'s `Acquire` published
-        // the entry, and the producer will not rewrite it before it
-        // reaps this SQE's CQE. A hostile producer can tear the copy;
-        // every field is validated or opaque below.
-        let sqe = unsafe { std::ptr::read(c.lane.sqe(c.sq_head)) };
-        c.sq_head += 1;
+        let n = c.head;
+        // Safety: sole SQ consumer; `published`'s `Acquire` published
+        // the body, and the producer will not rewrite it before it reaps
+        // this SQE's CQE. A hostile producer can tear the copy; every
+        // field is validated or opaque below.
+        let sqe = unsafe { std::ptr::read(&raw const (*c.lane.sqe(n)).body) };
+        c.head = n + 1;
         let page = match sqe.flags & SQE_PAYLOAD {
             0 => Ok(&mut *scratch),
             // Safety: `staged` bounded the span; the staging
@@ -536,18 +530,13 @@ pub(crate) fn drain(
             rt.ring_execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
         });
         let (status, aux, rets) = result_to_wire(result);
-        // Safety: sole CQ producer; the producer admitted this SQE
-        // with fewer than `depth` in flight (asserted in
-        // `Producer::push`), so the slot's previous completion has
-        // been reaped.
-        unsafe {
-            std::ptr::write(
-                c.lane.cqe(c.cq_tail),
-                Cqe { user: sqe.user, ep: sqe.ep, status, aux, _pad: 0, rets },
-            );
-        }
-        c.cq_tail += 1;
-        cur.cq_tail.store(c.cq_tail, Ordering::Release);
+        let body = CqeBody { user: sqe.user, ep: sqe.ep, status, aux, _pad: 0, rets };
+        // Safety: sole CQ producer; the producer admitted this SQE with
+        // fewer than `depth` in flight (asserted in `Producer::push`),
+        // so the slot's previous completion has been reaped. The body
+        // is published by the `Release` store below.
+        unsafe { std::ptr::write(&raw mut (*c.lane.cqe(n)).body, body) };
+        c.lane.cq_seq(n).store(n + 1, Ordering::Release);
         done += 1;
     }
     Some(done)
@@ -632,6 +621,9 @@ pub struct ClientRing {
     /// Ring spans of in-flight SQEs, submission order — completions
     /// arrive in the same order, so reap closes them front-first.
     tokens: VecDeque<Option<SpanToken>>,
+    /// Submissions since the last doorbell, not yet in `ring_submits`:
+    /// the doorbell bills them, one counter write per batch.
+    unbilled: Cell<u64>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -659,6 +651,7 @@ impl ClientRing {
             shared,
             ring: Producer::new(lane),
             tokens: VecDeque::new(),
+            unbilled: Cell::new(0),
             join: Some(jh),
         }
     }
@@ -697,7 +690,7 @@ impl ClientRing {
         let trace = tok.as_ref().map_or(0, |t| t.ctx.pack());
         self.ring.push(ep, args, user, trace, payload);
         self.tokens.push_back(tok);
-        self.rt.stats.cell(vcpu).add(claims::token(), |c| &c.ring_submits, 1);
+        *self.unbilled.get_mut() += 1;
     }
 
     /// Queue one PPC: entry `ep`, 8 argument words, and a `user` tag
@@ -778,12 +771,15 @@ impl ClientRing {
     }
 
     /// Ring the doorbell: wake the worker iff it actually went to sleep
-    /// (`notify` in `wait.rs`; the tails were published by `push`). One
-    /// park/unpark pair per *batch*, not per call — the amortization
-    /// that pays for the ring in the park modes. Idempotent and cheap
-    /// when the worker is awake (spin modes): one fence and one load.
+    /// (`notify` in `wait.rs`; `push` published the SQEs), and count the
+    /// batch's submissions in `ring_submits`. One park/unpark pair per
+    /// *batch*, not per call — the amortization that pays for the ring
+    /// in the park modes. Idempotent and cheap when the worker is awake
+    /// (spin modes): one fence and one load.
     pub fn doorbell(&self) {
         let s = &self.shared;
+        let batch = self.unbilled.replace(0);
+        self.rt.stats.cell(s.vcpu).add(claims::token(), |c| &c.ring_submits, batch);
         notify(s.sleeper(), || {
             // `join` is taken only by `drop`, after its last doorbell.
             if let Some(jh) = &self.join {
@@ -859,11 +855,11 @@ impl Client {
 }
 
 /// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with the
-/// learned `poll` and a yielding spin of `budget` passes on the SQ
-/// tail (the mirror of the entry workers' slot spin), then the
-/// announced park the doorbell pairs with; budget 0 (`ParkOnly`) parks
-/// at once, no poll either. One park per call: the worker loop re-reads
-/// the tail and the shutdown flag itself.
+/// learned `poll` and a yielding spin of `budget` passes on the head
+/// SQE's sequence word (the mirror of the entry workers' slot spin),
+/// then the announced park the doorbell pairs with; budget 0
+/// (`ParkOnly`) parks at once, no poll either. One park per call: the
+/// worker loop re-reads the word and the shutdown flag itself.
 fn idle_wait(
     ring: &RingShared,
     c: &Consumer,
@@ -872,7 +868,7 @@ fn idle_wait(
     timer: &mut StateTimer<'_>,
 ) {
     let spin = Spin { poll: Some(poll).filter(|_| budget > 0), budget, rounds: 0 };
-    let ready = || c.pending() != 0 || ring.shutdown.load(Ordering::Acquire);
+    let ready = || !c.idle() || ring.shutdown.load(Ordering::Acquire);
     let park = || {
         // The spin was Idle time; the sleep is Park time.
         timer.transition(TimeState::Park);
@@ -890,18 +886,18 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut c: Consumer) {
     // The persistent scratch page handlers see on payload-less SQEs —
     // the ring worker's stand-in for a CD's scratch.
     let mut scratch = vec![0u8; SCRATCH_BYTES].into_boxed_slice();
-    // This thread's wall-time classifier: Idle on the tail spin, Park
+    // This thread's wall-time classifier: Idle on the SQE spin, Park
     // across the Dekker sleep, Ring while draining — one clock read where
     // a run of SQEs begins and one where it ends, none per SQE. The
     // handlers' share is `handler_ns`, `ring_execute`'s sampled estimate,
     // carved out of the Ring interval at the transition that closes it.
     let mut timer = StateTimer::new(rt.stats.served_cell(ring.vcpu), TimeState::Idle);
     let mut handler_ns = 0u64;
-    // The tail's learned poll; this loop is its only writer. The worker
+    // The SQ's learned poll; this loop is its only writer. The worker
     // wakes nobody (the client reaps by polling): always passed.
     let mut poll = Poll::default();
     loop {
-        if c.pending() == 0 {
+        if c.idle() {
             if ring.shutdown.load(Ordering::Acquire) {
                 break;
             }
@@ -928,13 +924,11 @@ pub(crate) mod tests {
     /// Push an SQE whose staged span is `len` bytes at offset `off`,
     /// unchecked — what a hostile producer writes.
     pub(crate) fn push_forged(p: &mut Producer, ep: EntryId, user: u64, off: u32, len: u32) {
-        let (flags, payload_off, payload_len) = (SQE_PAYLOAD, off, len);
-        let sqe = Sqe { ep: ep as u32, flags, args: [7; 8], user, trace: 0, payload_off, payload_len };
-        // Safety: as in `Producer::push`; the caller keeps within the
-        // depth, and the `Release` store publishes the entry.
-        unsafe { std::ptr::write(p.lane.sqe(p.sq_tail), sqe) };
-        p.sq_tail += 1;
-        p.lane.cursors().sq_tail.store(p.sq_tail, Ordering::Release);
+        p.push(ep, [7; 8], user, 0, None);
+        // Safety: the consumer reads the entry only once the caller
+        // drains, on this thread.
+        let body = unsafe { &mut (*p.lane.sqe(p.tail - 1)).body };
+        (body.flags, body.payload_off, body.payload_len) = (SQE_PAYLOAD, off, len);
     }
 
     /// A runtime with an echo entry, and one mapped ring's two ends
@@ -994,26 +988,57 @@ pub(crate) mod tests {
         assert_eq!(rt.stats.snapshot().ring_calls, 1, "only the honest SQE reached a handler");
     }
 
-    /// The consumer's cursors are its own: a tail more than a queue
-    /// ahead is refused with nothing executed, and scribbling the word
-    /// the consumer publishes does not move or stop it.
+    /// The sequence words gate every lap: a depth-2 ring driven through
+    /// a hundred laps, in runs of one and of two, finds the previous
+    /// lap's word "not yet" after each run; the consumer never reads a
+    /// CQE word back, so scribbled ones are neither replayed nor
+    /// rewritten; and a stale 0 after the first lap, or a word from a lap
+    /// ahead, is hostile, with nothing executed.
     #[test]
-    fn consumer_bounds_the_tail_and_never_reloads_its_own_cursors() {
-        let (rt, ep, _mem, mut p, mut cons) = bare_ring(4);
+    fn sequence_words_gate_each_lap_and_refuse_a_stale_or_future_word() {
+        let (rt, ep, _mem, mut p, mut cons) = bare_ring(2);
         let lane = p.lane;
-        let cur = lane.cursors();
-        for user in 0..2 {
-            p.push(ep, [user; 8], user, 0, None);
+        let mut out = Vec::new();
+        for n in 0..200u64 {
+            p.admit(0).unwrap();
+            p.push(ep, [n; 8], n, 0, None);
+            if n % 4 == 2 {
+                continue; // the first of a run of two
+            }
+            let run = if n % 4 == 3 { 2 } else { 1 };
+            assert_eq!(drain_all(&rt, &mut cons), Some(run), "SQE {n}");
+            assert_eq!(drain_all(&rt, &mut cons), Some(0), "the previous lap is not ready");
+            assert_eq!(p.reap(usize::MAX, &mut out, || ()), run as usize);
         }
-        assert_eq!(drain_all(&rt, &mut cons), Some(2));
-        cur.cq_tail.store(0, Ordering::SeqCst);
-        assert_eq!(drain_all(&rt, &mut cons), Some(0), "a rewound cq_tail replays nothing");
-        p.push(ep, [2; 8], 2, 0, None);
+        assert!(out.iter().enumerate().all(|(i, c)| (c.user, &c.result) == (i as u64, &Ok([i as u64; 8]))));
+        (0..2).for_each(|k| lane.cq_seq(k).store(u64::MAX, Ordering::SeqCst));
+        assert_eq!(drain_all(&rt, &mut cons), Some(0), "scribbled CQE words replay nothing");
+        p.push(ep, [200; 8], 200, 0, None);
         assert_eq!(drain_all(&rt, &mut cons), Some(1));
-        assert_eq!(cur.cq_tail.load(Ordering::SeqCst), 3, "published from the private copy");
-        cur.sq_tail.store(3 + 5, Ordering::SeqCst);
-        assert_eq!(drain_all(&rt, &mut cons), None);
-        assert_eq!(rt.stats.snapshot().ring_calls, 3);
+        assert_eq!(p.reap(usize::MAX, &mut out, || ()), 1);
+        assert_eq!(lane.cq_seq(1).load(Ordering::SeqCst), u64::MAX, "nor rewritten");
+        assert_eq!(rt.stats.snapshot().ring_calls, 201);
+        let head = cons.head;
+        for (word, why) in [(0, "a stale 0 after the first lap"), (head + 1 + 2, "a lap ahead")] {
+            lane.sq_seq(head).store(word, Ordering::SeqCst);
+            assert_eq!(drain_all(&rt, &mut cons), None, "{why} is hostile");
+        }
+        assert_eq!(rt.stats.snapshot().ring_calls, 201, "and nothing more ran");
+    }
+
+    /// A sampled pickup records the published run it finds, counted
+    /// from the sequence words: 16 queued SQEs, every pickup sampled,
+    /// record 16, 15, … 1.
+    #[test]
+    fn a_sampled_pickup_records_the_ready_run() {
+        let (rt, ep, _mem, mut p, mut cons) = bare_ring(32);
+        rt.obs().set_sample_shift(0);
+        for i in 0..16u64 {
+            p.push(ep, [i; 8], i, 0, None);
+        }
+        assert_eq!(drain_all(&rt, &mut cons), Some(16));
+        let h = rt.obs().vcpu_hist(LatencyKind::RingDepth, 0);
+        assert_eq!((h.count(), h.max_ns, h.sum_ns), (16, 16, (1..=16).sum()));
     }
 
     /// Fails when an entry stops owning its cache lines: a neighbour on
@@ -1026,7 +1051,7 @@ pub(crate) mod tests {
         assert!(align_of::<Cqe>() >= 64 && size_of::<Cqe>().is_multiple_of(64));
         // Both arrays land on line boundaries of the mapping.
         let (_shared, lane) = RingShared::map(0, 1, 2);
-        assert_eq!(lane.cursors() as *const RingCursors as usize % 64, 0);
+        assert_eq!((lane.sqe(0) as usize % 64, lane.cqe(0) as usize % 64), (0, 0));
         assert_eq!((lane.sqe(1) as usize % 64, lane.cqe(1) as usize % 64), (0, 0));
         assert_eq!((lane.base as usize + lane.stage_page(1)) % SCRATCH_BYTES, 0);
     }

@@ -228,7 +228,8 @@ counters! {
     /// reference dropped).
     entries_reclaimed,
     /// SQEs accepted into a submission ring (admitted with fewer than
-    /// `depth` in flight; each later completes exactly once).
+    /// `depth` in flight; each later completes exactly once), counted a
+    /// batch at a time by the next doorbell.
     ring_submits,
     /// Ring-submitted calls executed by a ring worker (completions
     /// posted to a CQ, successful or not).

@@ -29,8 +29,8 @@
 //! │ XClientSlot×N  SlotCore (call rendezvous) + control words        │
 //! │                + 4 KiB payload page                              │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ ring×N         one `ring.rs` ring: RingCursors (2 lines)         │
-//! │                + Sqe[depth] + Cqe[depth]                         │
+//! │ ring×N         one `ring.rs` ring: Sqe[depth] + Cqe[depth], each │
+//! │                entry published by its own sequence word          │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ stage×N        that ring's depth × 4 KiB staging pages           │
 //! ├──────────────────────────────────────────────────────────────────┤
@@ -57,7 +57,7 @@
 //! bit with half-written (or another racer's) identity words. Between
 //! that read and its ack the server owns the slot — the connector
 //! touches nothing until the ack — and that is where it zeroes the
-//! slot's ring cursors, shared and private: every owner of a slot
+//! slot's ring sequence words and its own head: every owner of a slot
 //! starts from an empty ring, whatever the last one left queued or
 //! unreaped. Whichever side releases a claim retracts `attach_req`
 //! before clearing the bit.
@@ -78,7 +78,7 @@
 //!   header's `server_sleeping` flag, then a re-run of the service pass,
 //!   then `FUTEX_WAIT` on the doorbell value read *before* the announce,
 //!   with a 5 ms timeout that doubles as the liveness-sweep tick. A
-//!   client, after publishing work (`POSTED` in its slot, or `sq_tail`),
+//!   client, after publishing work (`POSTED` in its slot, or an SQE),
 //!   fences and reads the flag; only if it is set does it bump the
 //!   doorbell and `FUTEX_WAKE`. *Dekker pair 1 — server flag vs slot/SQ
 //!   publication:* the server stores the flag, fences, loads the work
@@ -104,7 +104,7 @@
 //! The flags are hints to skip a syscall, never the only road to
 //! progress: a client that scribbles either one buys at worst a needless
 //! wake or one timeout of latency, for itself or (the header flag) its
-//! neighbours — the timeouts, the attach gate, the cursor bound, the
+//! neighbours — the timeouts, the attach gate, the sequence-word check, the
 //! staging-offset validation and the peer-death sweep are where they
 //! were. `SpinPolicy::ParkOnly` on the serving runtime drops the poll:
 //! the serve loop then blocks as soon as a pass finds nothing.
@@ -147,7 +147,7 @@ pub const XPROC_MAGIC: u64 = 0x5050_435f_5345_4731;
 /// Version of the segment layout described in the module docs. Bump on
 /// any layout change; openers refuse other versions with
 /// [`RtError::BadSegment`].
-pub const XPROC_LAYOUT_VERSION: u32 = 5;
+pub const XPROC_LAYOUT_VERSION: u32 = 6;
 
 /// Hard cap on clients per segment (the claim mask is one `u64`).
 pub const MAX_XCLIENTS: usize = 64;
@@ -620,8 +620,8 @@ struct ClientCtx {
     program: ProgramId,
     pid: u32,
     region: Option<RegionId>,
-    /// The slot's ring, served end: its cursors are this process's own
-    /// and are zeroed, with the shared words, at every attach.
+    /// The slot's ring, served end: its head is this process's own and
+    /// is zeroed, with the sequence words, at every attach.
     ring: Consumer,
 }
 
@@ -1107,8 +1107,8 @@ impl XClient {
         }
     }
 
-    /// Tell the server there is work — after publishing it (`POSTED`,
-    /// `sq_tail`). A polling server needs nothing; one that announced
+    /// Tell the server there is work — after publishing it (`POSTED`, an
+    /// SQE's sequence word). A polling server needs nothing; one that announced
     /// its sleep gets the doorbell bumped (so a wait it has not entered
     /// yet returns at once) and a `FUTEX_WAKE`. Returns whether it woke.
     fn bump_doorbell(&self) -> bool {
@@ -1393,8 +1393,9 @@ impl XClient {
             return Ok(n);
         }
         // A short pause, as the syscall it mostly skips was: a tight reap
-        // loop would steal `cq_tail` back after every completion the
-        // server publishes (−10 % `xproc_ring_d16` on a 2-vCPU Xeon VM).
+        // loop pulls the next CQE's line back while the server is still
+        // writing it (without the pause, `xproc_ring_d16` read ×0.96 in
+        // 7 of 8 pairs on a 2-vCPU Xeon VM, EXPERIMENTS "Sequence words").
         (0..8).for_each(|_| std::hint::spin_loop());
         self.empty_reaps = self.empty_reaps.wrapping_add(1);
         if self.map.header().server_state.load(Ordering::Acquire) != srv::SERVING
@@ -1677,8 +1678,8 @@ mod tests {
         let g = Geometry::compute(4, 32, 256 << 10).unwrap();
         assert_eq!(g.slots_off, 128);
         assert!(g.rings_off >= g.slots_off + 4 * std::mem::size_of::<XClientSlot>());
-        // Two cursor lines, then 32 SQEs and 32 CQEs of 128 B each.
-        assert_eq!(g.ring_stride, 128 + 32 * 256);
+        // 32 SQEs and 32 CQEs of 128 B each.
+        assert_eq!(g.ring_stride, 32 * 256);
         assert_eq!(g.stage_off, align_up(g.rings_off + 4 * g.ring_stride, 4096));
         assert_eq!(g.bulk_off, g.stage_off + 4 * 32 * 4096);
         assert_eq!(g.total_len, g.bulk_off + 4 * (256 << 10));
@@ -1689,11 +1690,15 @@ mod tests {
         assert!(Geometry::compute(4, 32, (1 << 24) + 64).is_none());
     }
 
-    /// One of client `xc`'s two ring cursor words, by its byte offset in
-    /// the asserted `RingCursors` layout (`sq_tail` 0, `cq_tail` 64) —
-    /// what a hostile peer would poke.
-    fn cursor(xc: &XClient, byte: usize) -> &AtomicU64 {
-        let off = xc.map.geo.rings_off + xc.idx * xc.map.geo.ring_stride + byte;
+    /// The sequence word of client `xc`'s SQE `n` (`cq`: CQE `n`), by
+    /// its byte offset in the asserted layout (128-byte entries, the CQ
+    /// after the SQ; `seq` at 96 in an SQE, at 88 in a CQE) — what a
+    /// hostile peer would poke.
+    fn seq_word(xc: &XClient, cq: bool, n: u64) -> &AtomicU64 {
+        let depth = xc.map.geo.ring_depth as usize;
+        let entry = (n as usize & (depth - 1)) * 128;
+        let within = if cq { depth * 128 + entry + 88 } else { entry + 96 };
+        let off = xc.map.geo.rings_off + xc.idx * xc.map.geo.ring_stride + within;
         // Safety: inside the client's ring area; an aligned atomic word.
         unsafe { &*(xc.map.seg.base().add(off) as *const AtomicU64) }
     }
@@ -1752,19 +1757,22 @@ mod tests {
         drop(srv);
     }
 
-    /// A client storing a garbage `sq_tail` must be detached — not
-    /// handed an effectively-infinite drain loop that starves every
-    /// other client and never re-checks shutdown.
+    /// A client publishing an SQE under a sequence word from a lap
+    /// ahead must be detached — not served, and not left to stall a
+    /// serve pass that every other client waits on.
     #[test]
-    fn malformed_sq_tail_detaches_client_not_server() {
-        let (rt, srv, ep, path) = serve_add("badtail", 2);
+    fn forged_future_lap_seq_detaches_client_not_server() {
+        let (rt, srv, ep, path) = serve_add("badseq", 2);
         let mut evil = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
         let mut good = XClient::connect_retry(&path, 77, Duration::from_secs(10)).unwrap();
-        // Break the SPSC cursor contract: tail leaps far past head.
-        cursor(&evil, 0).store(u64::MAX, Ordering::Release);
+        // Break the sequence-word contract: SQE 0 claims the next lap.
+        let depth = evil.ring_depth();
+        seq_word(&evil, false, 0).store(1 + depth, Ordering::Release);
         evil.bump_doorbell();
         // The serve loop must stay responsive for well-behaved clients…
-        assert_eq!(good.call(ep, [19, 23, 0, 0, 0, 0, 0, 0]).unwrap()[0], 42);
+        for i in 0..100 {
+            assert_eq!(good.call(ep, [i, 23, 0, 0, 0, 0, 0, 0]).unwrap()[0], i + 23);
+        }
         // …and must reclaim the malformed one (claim bit released,
         // loss on the flight record).
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1776,21 +1784,23 @@ mod tests {
             rt.flight().snapshot(0).iter().any(|e| e.kind == FlightKind::PeerLost),
             "forced detach lands on the flight record"
         );
+        assert_eq!(rt.stats.snapshot().ring_calls, 0, "the forged SQE never ran");
         // The slot no longer belongs to `evil`; skip its clean-detach
         // drop protocol against a reclaimed (possibly re-claimed) slot.
         evil.dead = true;
         drop(evil);
+        assert_eq!(good.call(ep, [19, 23, 0, 0, 0, 0, 0, 0]).unwrap()[0], 42, "still served");
         drop(good);
         drop(srv);
     }
 
-    /// The other cursor is the server's own: a client that rewinds
-    /// `cq_tail` mid-traffic gets no SQE replayed and no completion
-    /// rewritten — the server publishes from a private copy and never
-    /// loads it back.
+    /// The CQE sequence words are the client's to read, never the
+    /// server's: a client that scribbles them mid-traffic gets no SQE
+    /// replayed and no completion rewritten — the server posts each
+    /// CQE once, from its own head, and never loads a word back.
     #[test]
-    fn scribbled_server_cursors_do_not_rewind_the_server() {
-        let (rt, srv, ep, path) = serve_add("rewind", 1);
+    fn scribbled_cqe_seq_words_replay_and_rewrite_nothing() {
+        let (rt, srv, ep, path) = serve_add("cqeseq", 1);
         let mut xc = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
         let mut out = Vec::new();
         let mut round_trip = |xc: &mut XClient, user: u64| {
@@ -1803,22 +1813,43 @@ mod tests {
             }
         };
         (0..3).for_each(|user| round_trip(&mut xc, user));
-        cursor(&xc, 64).store(0, Ordering::SeqCst);
-        // The client reads `cq_tail` too: let the server overwrite the
-        // scribble — from its private copy, 3 + 1 — before reaping.
-        xc.submit(ep, [3, 1, 0, 0, 0, 0, 0, 0], 3).unwrap();
-        xc.ring_doorbell();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while cursor(&xc, 64).load(Ordering::SeqCst) != 4 {
-            assert!(Instant::now() < deadline, "cq_tail published from the private copy");
-            std::thread::yield_now();
-        }
-        assert_eq!(xc.reap(8, &mut out), Ok(1));
+        (0..3).for_each(|n| seq_word(&xc, true, n).store(0xdead, Ordering::SeqCst));
+        round_trip(&mut xc, 3);
+        assert_eq!(xc.reap(8, &mut out), Ok(0), "nothing replayed");
         let seen: Vec<_> = out.iter().map(|c| (c.user, c.result.clone().unwrap()[0])).collect();
         assert_eq!(seen, [(0, 1), (1, 2), (2, 3), (3, 4)], "each SQE completed once");
         assert_eq!(rt.stats.snapshot().xproc_calls, 4, "and ran once");
+        for n in 0..3 {
+            assert_eq!(seq_word(&xc, true, n).load(Ordering::SeqCst), 0xdead, "CQE {n} not rewritten");
+        }
+        assert_eq!(seq_word(&xc, true, 3).load(Ordering::SeqCst), 4, "CQE 3 posted once");
         drop(xc);
         drop(srv);
+    }
+
+    /// A client that loses its server mid-batch forfeits the batch and
+    /// starts its counts over, but the ring still holds the CQE words of
+    /// the round trips before: a later reap must not take them for new
+    /// completions.
+    #[test]
+    fn a_forfeited_ring_reaps_nothing_stale() {
+        let (_rt, mut srv, ep, path) = serve_add("forfeit", 1);
+        let mut xc = XClient::connect_retry(&path, 66, Duration::from_secs(10)).unwrap();
+        let mut out = Vec::new();
+        for user in 0..3 {
+            xc.submit(ep, [user, 1, 0, 0, 0, 0, 0, 0], user).unwrap();
+            xc.ring_doorbell();
+            while xc.reap(8, &mut out).unwrap() == 0 {
+                std::thread::yield_now();
+            }
+        }
+        srv.shutdown();
+        // In flight towards a server that is gone: pushed past `submit`'s
+        // liveness check.
+        xc.ring.push(ep, [3, 1, 0, 0, 0, 0, 0, 0], 3, 0, None);
+        assert_eq!(xc.reap(8, &mut out), Err(RtError::PeerGone));
+        assert_eq!(xc.reap(8, &mut out), Ok(0), "CQE 0's old word is not a completion");
+        assert_eq!((out.len(), xc.in_flight()), (3, 0));
     }
 
     /// The slot is never reset between calls: it stays `DONE` until the
@@ -2003,10 +2034,10 @@ mod tests {
         assert_eq!(re.geo, map.geo);
         // Any other version — layouts 1 and 2, whose rings had 96- and
         // 88-byte entries, 3, whose slots carried a claim-parity word at
-        // offset 16, and 4, whose rings had four cursor lines, included —
-        // is a clean BadSegment, not UB.
-        assert_eq!(XPROC_LAYOUT_VERSION, 5);
-        for version in [1, 2, 3, 4, XPROC_LAYOUT_VERSION + 1] {
+        // offset 16, 4, whose rings had four cursor lines, and 5, whose
+        // rings had two, included — is a clean BadSegment, not UB.
+        assert_eq!(XPROC_LAYOUT_VERSION, 6);
+        for version in [1, 2, 3, 4, 5, XPROC_LAYOUT_VERSION + 1] {
             // Safety: single-process test, no concurrent reader.
             unsafe { *(map.seg.base().add(8) as *mut u32) = version };
             assert_eq!(SegMap::open(&path).err(), Some(RtError::BadSegment));
