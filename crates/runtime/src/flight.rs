@@ -74,8 +74,8 @@ pub enum FlightKind {
     /// Dead entry reclaimed: unpublished, its claims drained, registry
     /// reference dropped (`data` = requester program).
     Reclaim = 15,
-    /// Ring doorbell that woke a sleeping ring worker (`data` = the
-    /// producer's in-flight count at wake).
+    /// Ring doorbell that woke a sleeping ring worker, for a traced batch
+    /// only (`data` = the producer's in-flight count at wake).
     Doorbell = 16,
     /// Completion-queue reap batch (`data` = completions harvested).
     RingReap = 17,

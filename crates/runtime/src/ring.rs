@@ -38,7 +38,6 @@
 //! queues, never unbounded memory.
 
 use std::cell::{Cell, UnsafeCell};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -401,15 +400,10 @@ impl Producer {
     }
 
     /// Harvest up to `max` completions into `out`, in submission order,
-    /// freeing a slot each; `each` runs once per completion. Never past
-    /// what was pushed: a producer made afresh over a used ring (an
-    /// `XClient` that lost its server) still finds old CQE words there.
-    pub(crate) fn reap(
-        &mut self,
-        max: usize,
-        out: &mut Vec<Completion>,
-        mut each: impl FnMut(),
-    ) -> usize {
+    /// freeing a slot each. Never past what was pushed: a producer made
+    /// afresh over a used ring (an `XClient` that lost its server) still
+    /// finds old CQE words there.
+    pub(crate) fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
         let mut n = 0;
         while n < max
             && self.head != self.tail
@@ -420,7 +414,6 @@ impl Producer {
             // it before this producer has admitted past `head` (admission).
             let cqe = unsafe { std::ptr::read(&raw const (*self.lane.cqe(self.head)).body) };
             self.head += 1;
-            each();
             out.push(Completion {
                 user: cqe.user,
                 ep: cqe.ep as EntryId,
@@ -618,9 +611,9 @@ pub struct ClientRing {
     rt: Arc<Runtime>,
     shared: Arc<RingShared>,
     ring: Producer,
-    /// Ring spans of in-flight SQEs, submission order — completions
-    /// arrive in the same order, so reap closes them front-first.
-    tokens: VecDeque<Option<SpanToken>>,
+    /// The ring span of a traced batch's first SQE, keyed by its
+    /// submission number, until that SQE is reaped: at most one is open.
+    traced: Option<(u64, SpanToken)>,
     /// Submissions since the last doorbell, not yet in `ring_submits`:
     /// the doorbell bills them, one counter write per batch.
     unbilled: Cell<u64>,
@@ -650,7 +643,7 @@ impl ClientRing {
             rt,
             shared,
             ring: Producer::new(lane),
-            tokens: VecDeque::new(),
+            traced: None,
             unbilled: Cell::new(0),
             join: Some(jh),
         }
@@ -682,14 +675,19 @@ impl ClientRing {
         }
     }
 
-    /// Open the submission's ring span and [`Producer::push`] its SQE.
+    /// [`Producer::push`] the SQE. A batch's first submit, while no traced
+    /// SQE is in flight, takes its one sampler tick: a sampled batch, or
+    /// one under a live trace, opens the ring span that SQE carries.
     fn push(&mut self, ep: EntryId, args: [u64; 8], user: u64, payload: Option<&[u8]>) {
-        let vcpu = self.shared.vcpu;
-        let sampled = self.rt.obs().try_sample();
-        let tok = self.rt.spans().begin_ring(sampled, vcpu, ep);
-        let trace = tok.as_ref().map_or(0, |t| t.ctx.pack());
+        let mut trace = 0;
+        if *self.unbilled.get_mut() == 0 && self.traced.is_none() {
+            let sampled = self.rt.obs().try_sample();
+            if let Some(tok) = self.rt.spans().begin_ring(sampled, self.shared.vcpu, ep) {
+                trace = tok.ctx.pack();
+                self.traced = Some((self.ring.tail, tok));
+            }
+        }
         self.ring.push(ep, args, user, trace, payload);
-        self.tokens.push_back(tok);
         *self.unbilled.get_mut() += 1;
     }
 
@@ -784,8 +782,11 @@ impl ClientRing {
             // `join` is taken only by `drop`, after its last doorbell.
             if let Some(jh) = &self.join {
                 self.rt.stats.cell(s.vcpu).add(claims::token(), |c| &c.ring_doorbells, 1);
-                let in_flight = self.ring.in_flight() as u32;
-                self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, in_flight);
+                // Recorded only if this batch carries the traced SQE.
+                if self.traced.as_ref().is_some_and(|(n, _)| n + batch >= self.ring.tail) {
+                    let in_flight = self.ring.in_flight() as u32;
+                    self.rt.flight().record(s.vcpu, FlightKind::Doorbell, 0, in_flight);
+                }
                 jh.thread().unpark();
             }
         });
@@ -793,15 +794,14 @@ impl ClientRing {
 
     /// Harvest up to `max` completions into `out` (append; the caller
     /// reuses the vector so the hot loop never allocates). Returns how
-    /// many were reaped. Completions arrive in submission order; each
-    /// reap closes the matching ring span and frees a slot.
-    /// Non-blocking — an empty CQ reaps zero.
+    /// many were reaped. Completions arrive in submission order, each
+    /// freeing a slot; the reap that takes the traced SQE closes its
+    /// ring span. Non-blocking — an empty CQ reaps zero.
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
-        let n = self.ring.reap(max, out, || {
-            if let Some(tok) = self.tokens.pop_front().flatten() {
-                self.rt.spans().end_token(tok, None);
-            }
-        });
+        let n = self.ring.reap(max, out);
+        if let Some((_, tok)) = self.traced.take_if(|(n, _)| *n < self.ring.head) {
+            self.rt.spans().end_token(tok, None);
+        }
         if n > 0 && self.rt.obs().try_sample() {
             let vcpu = self.shared.vcpu;
             self.rt.obs().record(LatencyKind::ReapBatch, vcpu, n as u64);
@@ -834,8 +834,8 @@ impl Drop for ClientRing {
         if let Some(jh) = self.join.take() {
             let _ = jh.join();
         }
-        // Close the ring spans of completions never reaped.
-        for tok in self.tokens.drain(..).flatten() {
+        // Close the ring span of a traced SQE never reaped.
+        if let Some((_, tok)) = self.traced.take() {
             self.rt.spans().end_token(tok, None);
         }
     }
@@ -956,7 +956,7 @@ pub(crate) mod tests {
             }
             assert_eq!(p.admit(0), Err(RtError::RingFull), "depth in flight");
             assert_eq!(drain_all(&rt, &mut cons), Some(4));
-            assert_eq!(p.reap(usize::MAX, &mut out, || ()), 4);
+            assert_eq!(p.reap(usize::MAX, &mut out), 4);
             for (i, c) in out.drain(..).enumerate() {
                 assert_eq!((c.user, c.result), (i as u64, Ok([round * 100 + i as u64; 8])));
             }
@@ -978,12 +978,12 @@ pub(crate) mod tests {
         for (user, forged) in [end - 2, u32::MAX - 8].into_iter().enumerate() {
             push_forged(&mut p, ep, user as u64, forged, 3);
             assert_eq!(drain_all(&rt, &mut cons), Some(1));
-            p.reap(1, &mut out, || ());
+            p.reap(1, &mut out);
             assert_eq!(out.pop().unwrap().result, Err(RtError::BadBulk), "offset {forged}");
         }
         p.push(ep, [7; 8], 9, 0, Some(&[1, 2, 3]));
         assert_eq!(drain_all(&rt, &mut cons), Some(1));
-        p.reap(1, &mut out, || ());
+        p.reap(1, &mut out);
         assert_eq!(out.pop().unwrap().result, Ok([7; 8]));
         assert_eq!(rt.stats.snapshot().ring_calls, 1, "only the honest SQE reached a handler");
     }
@@ -1008,14 +1008,14 @@ pub(crate) mod tests {
             let run = if n % 4 == 3 { 2 } else { 1 };
             assert_eq!(drain_all(&rt, &mut cons), Some(run), "SQE {n}");
             assert_eq!(drain_all(&rt, &mut cons), Some(0), "the previous lap is not ready");
-            assert_eq!(p.reap(usize::MAX, &mut out, || ()), run as usize);
+            assert_eq!(p.reap(usize::MAX, &mut out), run as usize);
         }
         assert!(out.iter().enumerate().all(|(i, c)| (c.user, &c.result) == (i as u64, &Ok([i as u64; 8]))));
         (0..2).for_each(|k| lane.cq_seq(k).store(u64::MAX, Ordering::SeqCst));
         assert_eq!(drain_all(&rt, &mut cons), Some(0), "scribbled CQE words replay nothing");
         p.push(ep, [200; 8], 200, 0, None);
         assert_eq!(drain_all(&rt, &mut cons), Some(1));
-        assert_eq!(p.reap(usize::MAX, &mut out, || ()), 1);
+        assert_eq!(p.reap(usize::MAX, &mut out), 1);
         assert_eq!(lane.cq_seq(1).load(Ordering::SeqCst), u64::MAX, "nor rewritten");
         assert_eq!(rt.stats.snapshot().ring_calls, 201);
         let head = cons.head;
@@ -1173,6 +1173,46 @@ pub(crate) mod tests {
             assert_eq!(worker.join().unwrap(), 1024, "the poll was consulted");
         });
         assert!(stats.time_park_ns() > 0 || stats.time_idle_ns() > 0, "the wait was timed");
+    }
+
+    /// The doorbell's flight record follows the batch's sampler tick.
+    /// Each round rings a sampled batch, then — its traced SQE still
+    /// unreaped — a second batch and `drain`'s empty one, each at a
+    /// parked worker: only the first batch's wakes are recorded, and with
+    /// the sampler off none is, though the worker wakes all the same.
+    #[test]
+    fn a_doorbell_is_flight_recorded_only_for_a_traced_batch() {
+        let _watchdog = crate::wait::abort_if_hung("ring.rs doorbell record test");
+        for sampled in [true, false] {
+            let rt = Runtime::new(1);
+            rt.set_spin_policy(crate::SpinPolicy::ParkOnly);
+            rt.obs().set_sample_shift(0);
+            rt.obs().set_enabled(sampled);
+            let ep = rt.bind("echo", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+            let (mut ring, mut out) = (rt.client(0, 1).ring(), Vec::new());
+            let parked = |ring: &ClientRing| {
+                while ring.shared.sleeping.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+            };
+            let mut first_woken = 0;
+            for i in 0..8u64 {
+                parked(&ring);
+                ring.submit(ep, [i; 8], i).unwrap();
+                let woken = rt.stats.ring_doorbells();
+                ring.doorbell();
+                first_woken += rt.stats.ring_doorbells() - woken;
+                parked(&ring);
+                ring.submit(ep, [i; 8], i).unwrap();
+                ring.doorbell();
+                parked(&ring);
+                ring.drain(&mut out);
+            }
+            let events = rt.flight().snapshot(0);
+            let recorded = events.iter().filter(|e| e.kind == FlightKind::Doorbell).count() as u64;
+            assert!(rt.stats.ring_doorbells() > first_woken && first_woken > 0, "parked workers were woken");
+            assert_eq!(recorded, if sampled { first_woken } else { 0 }, "sampled: {sampled}");
+        }
     }
 
     #[test]

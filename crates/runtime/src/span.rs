@@ -75,7 +75,7 @@ pub enum SpanPhase {
     Frank = 5,
     /// Asynchronous call, dispatch to completion-observed.
     Async = 6,
-    /// Ring-submitted call, SQE accepted to completion reaped.
+    /// Ring-submitted batch, its first SQE accepted to that SQE reaped.
     Ring = 7,
 }
 
@@ -496,10 +496,10 @@ impl SpanPlane {
         self.begin_client(sampled, false, vcpu, ep, SpanPhase::Async)
     }
 
-    /// Begin a ring span (client side, one per accepted SQE). Not
-    /// installed — the submitter continues immediately; the span closes
-    /// when the completion is reaped, and its packed context rides the
-    /// SQE's trace word so the handler span parents under it.
+    /// Begin a ring span (client side, one per sampled batch, at its
+    /// first SQE). Not installed; the span closes when that SQE is
+    /// reaped, and its packed context rides the SQE's trace word so the
+    /// handler span parents under it.
     #[inline]
     pub fn begin_ring(&self, sampled: bool, vcpu: usize, ep: EntryId) -> Option<SpanToken> {
         self.begin_client(sampled, false, vcpu, ep, SpanPhase::Ring)

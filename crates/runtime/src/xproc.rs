@@ -1388,7 +1388,7 @@ impl XClient {
     /// polls read `server_state` each time, but `kill(pid, 0)` only once
     /// in 1 024 (the first included): no syscall per pass.
     pub fn reap(&mut self, max: usize, out: &mut Vec<Completion>) -> Result<usize, RtError> {
-        let n = self.ring.reap(max, out, || ());
+        let n = self.ring.reap(max, out);
         if n != 0 || self.in_flight() == 0 {
             return Ok(n);
         }

@@ -7,13 +7,17 @@
 //! The allocation half is proved directly: a counting `#[global_allocator]`
 //! wraps `System`, armed only around the measured loop. This test binary
 //! holds exactly one `#[test]` so no sibling test's allocations bleed
-//! into the armed window.
+//! into the armed window, and arms the counter only once every other
+//! thread sleeps: `bind` spawns the inline entry's worker too, and a
+//! thread's start-up allocates on whichever core first runs it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ppc_rt::{EntryOptions, Runtime};
+
+mod settle;
 
 /// `System`, plus a counter armed around the measured region.
 struct CountingAlloc;
@@ -100,6 +104,7 @@ fn warm_call_bulk_allocates_nothing_and_stays_on_the_fast_path() {
         assert_eq!(client.call_bulk(handoff_ep, [0; 8], region.full_desc(false)).unwrap()[0], 4096);
     }
 
+    settle::others_asleep();
     let warm = rt.stats.snapshot();
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);

@@ -19,9 +19,10 @@
 //! warm-up calls pay it, outside the markers. Every path must read
 //! the clock 0 times (an unsampled call reads none). Instruction counts
 //! depend on the build, and on a hand-off on how long the caller's wait
-//! loop runs: a release build holds the four inline paths under
-//! ceilings (another ratchet — a toolchain that moves one edits it here
-//! and says why), and every other count is only printed.
+//! loop runs: a release build holds the four inline paths and the two
+//! ring batches under ceilings (another ratchet — a toolchain that
+//! moves one edits it here and says why), and every other count is only
+//! printed.
 //!
 //! `harness = false`: `main` is the only thread, so `fork` is safe and
 //! the child is single-threaded too until the path spawns its workers.
@@ -34,10 +35,13 @@ use std::sync::Arc;
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ppc_rt::xproc::fork_server;
 use ppc_rt::{Client, EntryOptions, Runtime, XClient, XSegOptions};
+
+mod settle;
+use settle::others_asleep;
 
 extern "C" {
     fn ptrace(request: c_int, ...) -> c_long;
@@ -158,8 +162,9 @@ fn handoff_null() -> Case {
 /// doorbell, its ring worker parked at the marker so the doorbell always
 /// wakes it. The settle step reaps the batch, outside the markers, once
 /// the worker has drained it and parked: one non-empty reap per batch,
-/// so the sampler's tick (once per submit and per non-empty reap) keeps
-/// the sampled submit out of the marked batch however the threads ran.
+/// so the sampler ticks twice a batch — once where the batch opens, once
+/// at the reap — and the marked batch stays unsampled however the
+/// threads ran (its 0 clock reads show it).
 fn ring_d16() -> Case {
     let rt = Runtime::new(1);
     let opts = EntryOptions { initial_workers: 0, ..Default::default() };
@@ -255,26 +260,6 @@ fn xproc_ring_d16() -> Case {
             drop(xc);
             server_asleep();
         }),
-    }
-}
-
-/// Wait until every other thread of this process sleeps (state `S` in
-/// `/proc`): an idle worker spins a while before it parks. Gives up after
-/// 5 s, leaving the count to show what did not settle.
-fn others_asleep() {
-    let me = std::process::id().to_string();
-    let asleep = |tid: &str| {
-        let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap_or_default();
-        stat.rsplit_once(')').is_some_and(|(_, rest)| rest.trim_start().starts_with('S'))
-    };
-    let t0 = Instant::now();
-    while t0.elapsed() < Duration::from_secs(5) {
-        let tasks = std::fs::read_dir("/proc/self/task").expect("list this process's threads");
-        let tids: Vec<String> = tasks.map(|t| t.unwrap().file_name().to_string_lossy().into_owned()).collect();
-        if tids.iter().all(|tid| *tid == me || asleep(tid)) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -417,23 +402,25 @@ fn main() {
     // and push. The hand-off caller's 4, in both build profiles: the pool
     // pop, the `SeqCst` fence of the post's Dekker check (a `lock or` on
     // the stack), the parked worker's `unpark` and the pool push. The
-    // ring's 4: the doorbell's fence, its flight record (cursor and
-    // sequence word) and `unpark`. The segment ring's 2: the doorbell's
+    // ring's 2: the doorbell's fence and `unpark` (an unsampled batch
+    // writes no flight record). The segment ring's 2: the doorbell's
     // fence and the doorbell word's bump before the futex wake.
     //
     // The instruction ceilings: the inline null call is the paper's
     // ≈ 200-instruction round trip, held at 280 (and a nested pair at
     // twice that); the payload and bulk calls at their counts before the
     // null call lost its obs plumbing, which must not have moved them.
+    // The two ring batches at their counts once `ClientRing` paid for
+    // observability per batch (1 591 and 1 028), rounded up.
     let paths: [Path; 8] = [
         ("inline null", Some(0), Some(280), inline_null),
         ("inline outer -> inline null", Some(0), Some(560), inline_nested),
         ("inline call_with_payload, 64 B", Some(2), Some(715), inline_payload_64),
         ("inline call_bulk, copy_from 64 KiB", Some(2), Some(66_410), inline_bulk_64k),
         ("hand-off null (caller)", Some(4), None, handoff_null),
-        ("ClientRing 16 submits + doorbell", Some(4), None, ring_d16),
+        ("ClientRing 16 submits + doorbell", Some(2), Some(1_600), ring_d16),
         ("XClient null (client)", Some(2), None, xproc_null),
-        ("XClient 16 submits + ring_doorbell (client)", Some(2), None, xproc_ring_d16),
+        ("XClient 16 submits + ring_doorbell (client)", Some(2), Some(1_030), xproc_ring_d16),
     ];
     let release = !cfg!(debug_assertions);
     let mut wrong = Vec::new();

@@ -194,45 +194,69 @@ fn call_async_is_fully_observable() {
     load_chrome_trace(&rt.export_trace()).expect("every begin has an end after drop");
 }
 
-/// Ring submissions trace like every other dispatch: each sampled SQE
-/// mints a `ring` root span that opens at submit and closes at reap,
-/// and the worker-side handler span rides the SQE's packed context —
-/// same trace id, parented under the ring span.
+/// Ring submissions trace once per batch: the first submit after a
+/// doorbell takes the batch's one sampler tick, and a sampled batch's
+/// first SQE carries a `ring` root span that opens at submit and closes
+/// at reap; the worker-side handler span rides that SQE's packed context
+/// — same trace id, parented under the ring span and contained in it.
+/// The rest of the batch carries no context, and no batch opens a span
+/// while another's traced SQE is in flight. A traced handler that
+/// submits a batch gets one child ring span.
 #[test]
 fn ring_submissions_parent_their_handler_spans() {
     let rt = Runtime::new(1);
     rt.obs().set_sample_shift(0);
-    let ep = rt
-        .bind("svc", EntryOptions::default(), Arc::new(|c| c.args))
-        .unwrap();
+    let first = rt.bind("first", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+    let second = rt.bind("second", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
     let client = rt.client(0, 1);
     let mut ring = client.ring();
     let mut out = Vec::new();
-    ring.submit(ep, [1; 8], 1).unwrap();
-    ring.submit(ep, [2; 8], 2).unwrap();
-    ring.drain(&mut out);
-    assert_eq!(out.len(), 2);
+    let rings = |spans: &[TraceSpan]| spans.iter().filter(|s| s.name == "ring").cloned().collect::<Vec<_>>();
+    let mut batch = |ring: &mut ppc_rt::ClientRing, drain: bool| {
+        ring.submit(first, [1; 8], 1).unwrap();
+        ring.submit(second, [2; 8], 2).unwrap();
+        if drain {
+            ring.drain(&mut out)
+        } else {
+            ring.doorbell()
+        }
+    };
 
+    batch(&mut ring, true);
     let spans = spans_of(&rt);
-    let rings: Vec<_> = spans.iter().filter(|s| s.name == "ring").collect();
-    assert_eq!(rings.len(), 2, "one ring span per SQE: {spans:#?}");
-    for r in &rings {
-        assert!(r.is_root(), "ring submissions are trace roots");
-        assert_eq!(r.ep, ep as u16);
-        let handler = spans
-            .iter()
-            .find(|s| s.name == "handler" && s.trace_id == r.trace_id)
-            .unwrap_or_else(|| panic!("handler span for trace {}: {spans:#?}", r.trace_id));
-        assert_eq!(handler.parent_id, r.span_id, "handler under its ring span");
-        assert!(handler.start_us >= r.start_us, "containment");
+    let found = rings(&spans);
+    let [r] = &found[..] else { panic!("one ring span per batch: {spans:#?}") };
+    assert!(r.is_root(), "a sampled batch is a trace root");
+    assert_eq!(r.ep, first as u16, "the span is the first SQE's");
+    let handlers: Vec<_> = spans.iter().filter(|s| s.name == "handler").collect();
+    let [h] = handlers[..] else { panic!("only the first SQE carries a context: {spans:#?}") };
+    assert_eq!((h.trace_id, h.parent_id, h.ep), (r.trace_id, r.span_id, first as u16), "handler under it");
+    assert!(h.start_us >= r.start_us && h.start_us + h.dur_us <= r.start_us + r.dur_us, "containment");
+
+    // A second batch is a second causal chain.
+    batch(&mut ring, true);
+    let spans = rings(&spans_of(&rt));
+    assert_eq!(spans.len(), 2, "a second ring span: {spans:#?}");
+    assert_ne!(spans[0].trace_id, spans[1].trace_id);
+
+    // A batch rung while the traced SQE of the one before is unreaped
+    // opens no span of its own.
+    batch(&mut ring, false);
+    batch(&mut ring, false);
+    ring.drain(&mut out);
+    assert_eq!(out.len(), 8);
+    let spans = spans_of(&rt);
+    let handlers: Vec<_> = spans.iter().filter(|s| s.name == "handler").collect();
+    assert_eq!((rings(&spans).len(), handlers.len()), (3, 3), "the unreaped batch's span only: {spans:#?}");
+    for h in handlers {
+        let parent = spans.iter().find(|s| (s.trace_id, s.span_id) == (h.trace_id, h.parent_id));
+        assert_eq!(parent.map(|p| p.name.as_str()), Some("ring"), "every handler under its ring span");
     }
-    // The two SQEs are distinct causal chains.
-    assert_ne!(rings[0].trace_id, rings[1].trace_id);
-    // Submitting from inside a traced handler parents the ring span
-    // into the surrounding chain instead of minting a new root.
     drop(ring);
+
+    // Submitting from inside a traced handler parents the batch's ring
+    // span into the surrounding chain instead of minting a new root.
     let rt2 = Arc::clone(&rt);
-    let inner = ep;
     let outer = rt
         .bind(
             "outer",
@@ -241,7 +265,8 @@ fn ring_submissions_parent_their_handler_spans() {
                 let c = rt2.client(ctx.vcpu, 999);
                 let mut ring = c.ring();
                 let mut out = Vec::new();
-                ring.submit(inner, ctx.args, 1).unwrap();
+                ring.submit(first, ctx.args, 1).unwrap();
+                ring.submit(second, ctx.args, 2).unwrap();
                 ring.drain(&mut out);
                 out[0].result.clone().unwrap()
             }),
@@ -249,15 +274,13 @@ fn ring_submissions_parent_their_handler_spans() {
         .unwrap();
     client.call(outer, [5; 8]).unwrap();
     let spans = spans_of(&rt);
-    let nested = spans
-        .iter()
-        .find(|s| s.name == "ring" && !s.is_root())
-        .unwrap_or_else(|| panic!("nested ring span joins the caller's chain: {spans:#?}"));
+    let nested: Vec<_> = spans.iter().filter(|s| s.name == "ring" && !s.is_root()).collect();
+    let [nested] = nested[..] else { panic!("one child ring span per batch: {spans:#?}") };
     let parent = spans
         .iter()
-        .find(|s| s.span_id == nested.parent_id)
+        .find(|s| s.span_id == nested.parent_id && s.trace_id == nested.trace_id)
         .expect("nested ring span's parent exists");
-    assert_eq!(parent.name, "handler", "ring span parented under the submitting handler");
+    assert_eq!((parent.name.as_str(), parent.ep), ("handler", outer as u16), "under the submitting handler");
 }
 
 /// A root call slower than `EXEMPLAR_FACTOR`× the entry's EWMA is

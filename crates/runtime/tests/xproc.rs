@@ -639,6 +639,37 @@ fn peer_death_mid_call_is_timely_error() {
     );
 }
 
+/// `bulk_revoke` withdraws a grant across the boundary: after it, the
+/// entry's next `call_bulk` and a ring `submit_bulk` to it both fault in
+/// the handler (its `with_bulk_mut` is refused), the share's bytes are
+/// left as the client wrote them, and a second revoke finds nothing.
+#[test]
+fn bulk_revoke_refuses_the_next_call_and_submission() {
+    watchdog(90);
+    let _shared = CPUS.read();
+    let srv = ChildServer::spawn("revoke");
+    let mut xc = srv.connect(11);
+    let data = b"granted, then revoked".to_vec();
+    xc.bulk_write(0, &data).unwrap();
+    xc.bulk_grant(EP_UPPER, true).unwrap();
+    let desc = xc.bulk_desc(0, data.len() as u32, true).unwrap();
+    assert_eq!(xc.call_bulk(EP_UPPER, [0; 8], desc).unwrap()[1] as usize, data.len());
+    assert_eq!(xc.bulk_read(0, data.len()).unwrap(), data.to_ascii_uppercase());
+
+    assert_eq!(xc.bulk_revoke(EP_UPPER), Ok(1));
+    xc.bulk_write(0, &data).unwrap();
+    assert_eq!(xc.call_bulk(EP_UPPER, [0; 8], desc), Err(RtError::ServerFault(EP_UPPER)));
+    let queued = xc.bulk_desc(4096, data.len() as u32, true).unwrap();
+    xc.submit_bulk(EP_UPPER, [0; 8], 5, queued, &data).unwrap();
+    xc.ring_doorbell();
+    let done = reap_all(&mut xc, 1, Duration::from_secs(10)).unwrap();
+    assert_eq!((done[0].user, &done[0].result), (5, &Err(RtError::ServerFault(EP_UPPER))));
+    for off in [0, 4096] {
+        assert_eq!(xc.bulk_read(off, data.len()).unwrap(), data, "share at {off} unmodified");
+    }
+    assert_eq!(xc.bulk_revoke(EP_UPPER), Ok(0), "nothing left to revoke");
+}
+
 /// Kill the server **mid-submit_bulk**: queued ring work resolves to a
 /// timely [`RtError::PeerGone`] from `reap`, in-flight slots are
 /// forfeited with the segment (no RingFull lockout afterwards — the

@@ -4,7 +4,10 @@
 # in-process front-end and the conformance bodies), three `xproc::` ring
 # tests (the sequence-word protocol across the segment: a forged
 # future-lap word, scribbled CQE words, forged staging offsets; the
-# server runs on a thread of the test process), the claim-cell storm
+# server runs on a thread of the test process), the ring trace test
+# (`tests/trace.rs`: a batch's ring span, written by the client, and its
+# handler span, written by the ring worker, land in one vCPU's span
+# ring from two threads), the claim-cell storm
 # (kill, reclaim, rebind and exchange beside two callers), the
 # `slot::`, `worker::` and `wait::` unit tests (the slot rendezvous, the
 # worker's post/shutdown race, the wait primitive), and the stats test
@@ -16,7 +19,7 @@
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all six, exit nonzero on any report
+#     scripts/sanitize.sh            run all seven, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -40,6 +43,7 @@ cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact \
     xproc::tests::forged_future_lap_seq_detaches_client_not_server \
     xproc::tests::scribbled_cqe_seq_words_replay_and_rewrite_nothing \
     xproc::tests::forged_offset_cannot_reach_a_neighbours_staging_page
+cargo +nightly test -p ppc-rt --target "$target" --test trace -- --exact ring_submissions_parent_their_handler_spans
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests::storm_at_one_id_beside_inline_callers
 cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact stats::tests::counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands
