@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use ppc_bench::report::Json;
 use ppc_rt::export;
 use ppc_rt::stats::TIME_STATES;
-use ppc_rt::{EntryOptions, Runtime, RuntimeOptions};
+use ppc_rt::{EntryOptions, Runtime};
 
 const USAGE: &str = "\
 ppc-blackbox: postmortem black-box analyzer
@@ -236,13 +236,8 @@ fn analyze(doc: &Json) -> Result<String, String> {
 
 /// CI round-trip: drive a runtime, capture, reload, compare, analyze.
 fn smoke() -> Result<(), String> {
-    let rt = Runtime::with_runtime_options(
-        2,
-        RuntimeOptions {
-            telemetry_tick: Some(Duration::from_millis(20)),
-            ..Default::default()
-        },
-    );
+    let rt = Runtime::new(2);
+    rt.start_telemetry(Duration::from_millis(20), Vec::new());
     rt.obs().set_sample_shift(0);
     let ep = rt
         .bind(

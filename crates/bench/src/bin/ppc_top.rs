@@ -37,7 +37,7 @@ use ppc_bench::report::Json;
 use ppc_rt::export::{self, parse_prometheus};
 use ppc_rt::http::http_get;
 use ppc_rt::telemetry::{SloMetric, SloRule};
-use ppc_rt::{EntryOptions, Runtime, RuntimeOptions};
+use ppc_rt::{EntryOptions, Runtime};
 
 const USAGE: &str = "\
 ppc-top: live telemetry viewer for a ppc-rt runtime
@@ -235,14 +235,8 @@ fn render_frame(doc: &Json, window: &str) -> Result<String, String> {
 /// traffic thread so the viewer has something to show. Returns the
 /// runtime and a stop flag for the traffic thread.
 fn demo_runtime(rules: Vec<SloRule>) -> (Arc<Runtime>, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-    let rt = Runtime::with_runtime_options(
-        2,
-        RuntimeOptions {
-            telemetry_tick: Some(Duration::from_millis(25)),
-            slo_rules: rules,
-            ..Default::default()
-        },
-    );
+    let rt = Runtime::new(2);
+    rt.start_telemetry(Duration::from_millis(25), rules);
     let ep = rt
         .bind(
             "top-demo",

@@ -13,7 +13,8 @@
 //!
 //! * [`prometheus`] — the Prometheus text exposition format: one
 //!   `ppc_<counter>` counter per stats field and a classic
-//!   `ppc_latency_ns` histogram per [`LatencyKind`] (cumulative
+//!   `ppc_latency_ns` histogram per
+//!   [`LatencyKind`](crate::obs::LatencyKind) (cumulative
 //!   `_bucket{kind,le}` series plus `_count`/`_sum`).
 //! * [`json_snapshot`] — the same data as a [`Json`] object tree with
 //!   per-kind percentiles precomputed, the shape `/json`, the black box
@@ -21,10 +22,10 @@
 
 use std::fmt::Write as _;
 
-use crate::obs::{Histogram, LatencyKind, ObsState, KINDS};
+use crate::obs::{Histogram, ObsState, KINDS};
 use crate::span::SpanRecord;
 use crate::stats::Snapshot;
-use crate::telemetry::{Telemetry, TickDelta, WINDOWS};
+use crate::telemetry::{InterferenceSample, Telemetry, WindowStats, WINDOWS};
 
 /// Version stamp carried by every JSON artifact this module (and the
 /// bench reports built on it) emits. Bump it when a field is renamed,
@@ -372,9 +373,10 @@ pub const QUANTILES: [(&str, f64); 4] =
 
 /// Render the counter + histogram planes in Prometheus text exposition
 /// format. Counters become `ppc_<name>` counter series; each
-/// [`LatencyKind`] with samples becomes a `kind`-labelled cumulative
-/// `ppc_latency_ns` histogram. Latencies are in nanoseconds (sampled —
-/// see [`ObsState`]; counts are of sampled recordings, not raw calls).
+/// [`LatencyKind`](crate::obs::LatencyKind) with samples becomes a
+/// `kind`-labelled cumulative `ppc_latency_ns` histogram. Latencies are
+/// in nanoseconds (sampled — see [`ObsState`]; counts are of sampled
+/// recordings, not raw calls).
 pub fn prometheus(snap: &Snapshot, obs: &ObsState) -> String {
     let mut out = String::new();
     for (name, value) in snap.fields() {
@@ -393,34 +395,28 @@ pub fn prometheus(snap: &Snapshot, obs: &ObsState) -> String {
             snap.field(name).unwrap_or(0)
         );
     }
-    let hists: Vec<(LatencyKind, Histogram)> =
-        KINDS.iter().map(|&k| (k, obs.merged(k))).collect();
-    if hists.iter().any(|(_, h)| h.count() > 0) {
+    let hists = KINDS.map(|k| obs.merged(k));
+    let mut sampled = KINDS.iter().zip(&hists).filter(|(_, h)| h.count() > 0).peekable();
+    if sampled.peek().is_some() {
         let _ = writeln!(out, "# TYPE ppc_latency_ns histogram");
-        for (kind, h) in &hists {
-            if h.count() == 0 {
+    }
+    for (kind, h) in sampled {
+        let kind = kind.label();
+        let mut cumulative = 0u64;
+        for (bound, bucket_count) in h.bucket_entries() {
+            if bucket_count == 0 {
                 continue;
             }
-            let kind = kind.label();
-            let mut cumulative = 0u64;
-            for (bound, bucket_count) in h.bucket_entries() {
-                if bucket_count == 0 {
-                    continue;
-                }
-                cumulative += bucket_count;
-                let _ = writeln!(
-                    out,
-                    "ppc_latency_ns_bucket{{kind=\"{kind}\",le=\"{bound}\"}} {cumulative}"
-                );
-            }
+            cumulative += bucket_count;
             let _ = writeln!(
                 out,
-                "ppc_latency_ns_bucket{{kind=\"{kind}\",le=\"+Inf\"}} {cumulative}"
+                "ppc_latency_ns_bucket{{kind=\"{kind}\",le=\"{bound}\"}} {cumulative}"
             );
-            let _ = writeln!(out, "ppc_latency_ns_count{{kind=\"{kind}\"}} {}", h.count());
-            let _ = writeln!(out, "ppc_latency_ns_sum{{kind=\"{kind}\"}} {}", h.sum_ns);
-            let _ = writeln!(out, "ppc_latency_ns_max{{kind=\"{kind}\"}} {}", h.max_ns);
         }
+        let _ = writeln!(out, "ppc_latency_ns_bucket{{kind=\"{kind}\",le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(out, "ppc_latency_ns_count{{kind=\"{kind}\"}} {}", h.count());
+        let _ = writeln!(out, "ppc_latency_ns_sum{{kind=\"{kind}\"}} {}", h.sum_ns);
+        let _ = writeln!(out, "ppc_latency_ns_max{{kind=\"{kind}\"}} {}", h.max_ns);
     }
     out
 }
@@ -431,8 +427,7 @@ pub fn prometheus(snap: &Snapshot, obs: &ObsState) -> String {
 /// second. Appended to [`prometheus`] output by
 /// [`crate::Runtime::export_prometheus`] when the sampler is running.
 pub fn prometheus_rates(tel: &Telemetry) -> String {
-    let windows: Vec<(&str, crate::telemetry::WindowStats)> =
-        WINDOWS.iter().map(|&(label, dur)| (label, tel.window(dur))).collect();
+    let windows = windows(tel);
     let mut out = String::new();
     for &name in Snapshot::field_names() {
         let _ = writeln!(out, "# TYPE ppc_rate_{name} gauge");
@@ -653,53 +648,51 @@ pub fn counters_json(snap: &Snapshot) -> Json {
     )
 }
 
+/// The `latency_ns` object of every document: one [`histogram_json`]
+/// per kind with samples, keyed by its label. `hists` is in
+/// [`KINDS`] order.
+pub(crate) fn latency_json(hists: &[Histogram]) -> Json {
+    Json::Obj(
+        KINDS
+            .iter()
+            .zip(hists)
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(k, h)| (k.label().to_string(), histogram_json(h)))
+            .collect(),
+    )
+}
+
 /// Render the counter + histogram planes as one JSON object:
 /// `{"schema_version": N, "counters": {...}, "latency_ns":
 /// {"call": {...}, ...}}`. Kinds with no samples are omitted from
 /// `latency_ns`.
 pub fn json_snapshot(snap: &Snapshot, obs: &ObsState) -> Json {
-    let latency = Json::Obj(
-        KINDS
-            .iter()
-            .map(|&k| (k, obs.merged(k)))
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(k, h)| (k.label().to_string(), histogram_json(&h)))
-            .collect(),
-    );
     Json::obj([
         ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
         ("counters", counters_json(snap)),
-        ("latency_ns", latency),
+        ("latency_ns", latency_json(&KINDS.map(|k| obs.merged(k)))),
     ])
 }
 
-/// One [`TickDelta`] as JSON: the tick's identity, its counter deltas
-/// (aggregate and per-vCPU), and the non-empty per-kind histogram
+/// One tick of the series as JSON: the tick's identity, its counter
+/// deltas (aggregate and per-vCPU), and the non-empty per-kind histogram
 /// deltas. (Per-vCPU call histograms stay out of the document — the
 /// per-vCPU view consumers want is the *windowed* one in
 /// [`telemetry_json`], not per-tick buckets.)
-fn tick_json(t: &TickDelta) -> Json {
-    let latency = Json::Obj(
-        KINDS
-            .iter()
-            .zip(t.hists.iter())
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(k, h)| (k.label().to_string(), histogram_json(h)))
-            .collect(),
-    );
+fn tick_json(t: &WindowStats) -> Json {
     Json::obj([
         ("seq", Json::Num(t.seq as f64)),
         ("at_ns", Json::Num(t.at_ns as f64)),
         ("dt_ns", Json::Num(t.dt_ns as f64)),
         ("counters", counters_json(&t.counters)),
-        ("latency_ns", latency),
+        ("latency_ns", latency_json(&t.hists)),
         ("per_vcpu", Json::Arr(t.per_vcpu.iter().map(counters_json).collect())),
     ])
 }
 
 /// The raw telemetry ring (the `/series` endpoint): every retained
-/// [`TickDelta`], oldest first.
-pub fn series_json(ticks: &[TickDelta]) -> Json {
+/// tick, oldest first.
+pub fn series_json(ticks: &[WindowStats]) -> Json {
     Json::obj([
         ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
         ("ticks", Json::Arr(ticks.iter().map(tick_json).collect())),
@@ -710,20 +703,12 @@ pub fn series_json(ticks: &[TickDelta]) -> Json {
 /// (events/s), per-kind windowed quantiles, and the per-vCPU view
 /// (counter deltas + call-latency quantiles) — the shape `ppc-top`
 /// renders.
-fn window_json(w: &crate::telemetry::WindowStats) -> Json {
+fn window_json(w: &WindowStats) -> Json {
     let rates = Json::Obj(
         w.counters
             .fields()
             .into_iter()
             .map(|(name, _)| (name.to_string(), Json::Num(w.rate(name))))
-            .collect(),
-    );
-    let latency = Json::Obj(
-        KINDS
-            .iter()
-            .zip(w.hists.iter())
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(k, h)| (k.label().to_string(), histogram_json(h)))
             .collect(),
     );
     let per_vcpu = Json::Arr(
@@ -742,22 +727,27 @@ fn window_json(w: &crate::telemetry::WindowStats) -> Json {
         ("dt_ns", Json::Num(w.dt_ns as f64)),
         ("ticks", Json::Num(w.ticks as f64)),
         ("rates", rates),
-        ("latency_ns", latency),
+        ("latency_ns", latency_json(&w.hists)),
         ("per_vcpu", per_vcpu),
     ])
+}
+
+/// Every [`WINDOWS`] entry merged, label first: what each export
+/// renders its windows from.
+fn windows(tel: &Telemetry) -> Vec<(&'static str, WindowStats)> {
+    WINDOWS.iter().map(|&(label, dur)| (label, tel.window(dur))).collect()
 }
 
 /// The live telemetry document (merged into the `/json` endpoint under
 /// `"telemetry"`): sampler identity, every [`WINDOWS`] entry rendered
 /// as its window object — wall-window rates and quantiles, per-vCPU —
-/// and the SLO watchdog's alert states.
+/// the SLO watchdog's alert states, and each window's
+/// host-interference ratio.
 pub fn telemetry_json(tel: &Telemetry) -> Json {
-    let windows = Json::Obj(
-        WINDOWS
-            .iter()
-            .map(|&(label, dur)| (label.to_string(), window_json(&tel.window(dur))))
-            .collect(),
-    );
+    let windows = windows(tel);
+    let per_window = |f: &dyn Fn(&WindowStats) -> Json| {
+        Json::Obj(windows.iter().map(|(label, w)| (label.to_string(), f(w))).collect())
+    };
     let alerts = Json::Arr(
         tel.alerts()
             .iter()
@@ -778,22 +768,15 @@ pub fn telemetry_json(tel: &Telemetry) -> Json {
             })
             .collect(),
     );
-    let interference = Json::Obj(
-        WINDOWS
-            .iter()
-            .map(|&(label, dur)| {
-                (label.to_string(), Json::Num(tel.interference_ratio(dur)))
-            })
-            .collect(),
-    );
+    let interference = |w: &WindowStats| Json::Num(InterferenceSample::from(&w.counters).ratio());
     Json::obj([
         ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
         ("tick_ms", Json::Num(tel.tick().as_secs_f64() * 1e3)),
         ("ticks", Json::Num(tel.ticks() as f64)),
         ("depth", Json::Num(tel.depth() as f64)),
-        ("windows", windows),
+        ("windows", per_window(&window_json)),
         ("alerts", alerts),
-        ("interference", interference),
+        ("interference", per_window(&interference)),
     ])
 }
 
@@ -961,6 +944,7 @@ pub fn load_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::LatencyKind;
     use crate::span::SpanPhase;
 
     #[test]

@@ -101,7 +101,7 @@ pub use ring::{ClientRing, Completion, RingOptions};
 pub use shm::{SegOffset, SegRef, Segment};
 pub use span::{Exemplar, SpanPhase, SpanPlane, SpanRecord, TraceCtx};
 pub use stats::{RuntimeStats, Snapshot, StatsCell};
-pub use telemetry::{AlertState, SloMetric, SloRule, Telemetry, TickDelta, WindowStats};
+pub use telemetry::{AlertState, SloMetric, SloRule, Telemetry, WindowStats};
 pub use xproc::{
     ForkedServer, XClient, XSegOptions, XServer, XprocStats, XPROC_LAYOUT_VERSION, XPROC_MAGIC,
 };
@@ -671,13 +671,14 @@ pub struct Runtime {
     /// Whether the [`SpinPolicy`] is `ParkOnly` (else `Adaptive`).
     park_only: AtomicBool,
     /// The telemetry plane (windowed sampler + SLO watchdog), present
-    /// once started via [`RuntimeOptions::telemetry_tick`] or
-    /// [`Runtime::start_telemetry`]. Cold-path mutex: touched only at
-    /// start/stop/read, never by dispatch.
+    /// once started via [`Runtime::start_telemetry`]. Cold-path mutex:
+    /// touched only at start/stop/read, never by dispatch.
     telemetry: parking_lot::Mutex<Option<Arc<telemetry::Telemetry>>>,
     /// The postmortem capture sink, shared with every bound entry so the
     /// worker panic path can trigger a capture without a runtime back
-    /// reference (see [`blackbox::Sink`]).
+    /// reference (see [`blackbox::Sink`]). Automatic captures go to the
+    /// directory [`Runtime::set_blackbox_dir`] names, at construction the
+    /// one in `PPC_BLACKBOX_DIR`, if set.
     blackbox: Arc<blackbox::Sink>,
     /// The cross-process transport segment, when this runtime is serving
     /// one (see [`Runtime::serve_xproc`]). Weak: the [`xproc::XServer`]
@@ -699,9 +700,11 @@ pub(crate) fn worker_idle_budget(p: SpinPolicy) -> u32 {
     }
 }
 
-/// Construction-time knobs for [`Runtime::with_runtime_options`].
-/// (`Clone` but no longer `Copy`: the SLO rule list is heap-backed.)
-#[derive(Clone, Debug)]
+/// Construction-time knobs for [`Runtime::with_runtime_options`]. The
+/// telemetry sampler and the black-box directory are switched on the
+/// built runtime ([`Runtime::start_telemetry`],
+/// [`Runtime::set_blackbox_dir`]).
+#[derive(Clone, Copy, Debug)]
 pub struct RuntimeOptions {
     /// Pin every thread the runtime spawns for vCPU *i* — entry workers,
     /// ring worker, `serve_xproc` thread — to the *i*-th CPU (modulo the
@@ -710,29 +713,11 @@ pub struct RuntimeOptions {
     pub pin: bool,
     /// Span-ring slots per vCPU for the tracing plane (power of two).
     pub trace_capacity: usize,
-    /// Start the telemetry sampler with this tick (`None`, the default,
-    /// spawns no thread; [`telemetry::DEFAULT_TICK`] is the conventional
-    /// choice). Also startable later via [`Runtime::start_telemetry`].
-    pub telemetry_tick: Option<Duration>,
-    /// SLO watchdog rules evaluated every telemetry tick (ignored until
-    /// the sampler starts).
-    pub slo_rules: Vec<telemetry::SloRule>,
-    /// Directory for automatic postmortem black-box captures (handler
-    /// panics, SLO alert rising edges). `None` — the default — leaves
-    /// automatic capture off unless the `PPC_BLACKBOX_DIR` environment
-    /// variable names a directory. See [`blackbox`].
-    pub blackbox_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> Self {
-        RuntimeOptions {
-            pin: false,
-            trace_capacity: span::DEFAULT_TRACE_CAPACITY,
-            telemetry_tick: None,
-            slo_rules: Vec::new(),
-            blackbox_dir: None,
-        }
+        RuntimeOptions { pin: false, trace_capacity: span::DEFAULT_TRACE_CAPACITY }
     }
 }
 
@@ -771,15 +756,8 @@ impl Runtime {
             shutdown: AtomicU8::new(0),
         });
         rt.blackbox.attach(Arc::downgrade(&rt));
-        let bb_dir = opts
-            .blackbox_dir
-            .clone()
-            .or_else(|| std::env::var_os("PPC_BLACKBOX_DIR").map(std::path::PathBuf::from));
-        if bb_dir.is_some() {
-            rt.blackbox.set_dir(bb_dir);
-        }
-        if let Some(tick) = opts.telemetry_tick {
-            rt.start_telemetry(tick, opts.slo_rules);
+        if let Some(dir) = std::env::var_os("PPC_BLACKBOX_DIR") {
+            rt.blackbox.set_dir(Some(dir.into()));
         }
         rt
     }
@@ -1061,9 +1039,8 @@ impl Runtime {
         std::fs::write(path, text)
     }
 
-    /// Configure (or clear) the automatic-capture directory at runtime.
-    /// Equivalent to [`RuntimeOptions::blackbox_dir`] / the
-    /// `PPC_BLACKBOX_DIR` environment variable, but switchable live.
+    /// Configure (or clear) the automatic-capture directory at runtime,
+    /// replacing the one `PPC_BLACKBOX_DIR` named at construction.
     pub fn set_blackbox_dir(&self, dir: Option<std::path::PathBuf>) {
         self.blackbox.set_dir(dir);
     }

@@ -90,6 +90,22 @@ pub struct Profile {
 /// recurse forever. Real trees are bounded by call nesting (≤ 255).
 const MAX_WALK_DEPTH: usize = 64;
 
+/// `ep`'s profile in `entries`, made empty on first sight.
+fn entry<'a>(
+    entries: &'a mut HashMap<u16, EntryProfile>,
+    names: &HashMap<u16, String>,
+    ep: u16,
+) -> &'a mut EntryProfile {
+    entries.entry(ep).or_insert_with(|| EntryProfile {
+        ep,
+        name: names.get(&ep).cloned().unwrap_or_else(|| format!("ep{ep}")),
+        roots: 0,
+        root_ns: 0,
+        phases: [PhaseAgg::default(); NPHASES],
+        child_ns: 0,
+    })
+}
+
 /// Fold `records` into a [`Profile`]. `names` maps entry IDs to
 /// diagnostic names (missing IDs render as `ep<N>`).
 pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
@@ -136,14 +152,7 @@ pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
         // Explicit stack: (span index, path string, child cursor).
         for &root in &roots {
             let r = spans[root];
-            let e = entries.entry(r.ep).or_insert_with(|| EntryProfile {
-                ep: r.ep,
-                name: names.get(&r.ep).cloned().unwrap_or_else(|| format!("ep{}", r.ep)),
-                roots: 0,
-                root_ns: 0,
-                phases: [PhaseAgg::default(); NPHASES],
-                child_ns: 0,
-            });
+            let e = entry(&mut entries, names, r.ep);
             if r.parent_id == 0 {
                 e.roots += 1;
                 e.root_ns += r.dur_ns;
@@ -164,32 +173,11 @@ pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
                     // a *different* entry bills the parent's entry as
                     // child time.
                     if kr.ep != s.ep {
-                        entries
-                            .entry(s.ep)
-                            .or_insert_with(|| EntryProfile {
-                                ep: s.ep,
-                                name: names
-                                    .get(&s.ep)
-                                    .cloned()
-                                    .unwrap_or_else(|| format!("ep{}", s.ep)),
-                                roots: 0,
-                                root_ns: 0,
-                                phases: [PhaseAgg::default(); NPHASES],
-                                child_ns: 0,
-                            })
-                            .child_ns += kr.dur_ns;
+                        entry(&mut entries, names, s.ep).child_ns += kr.dur_ns;
                     }
                 }
                 let self_ns = s.dur_ns.saturating_sub(kid_ns);
-                let e = entries.entry(s.ep).or_insert_with(|| EntryProfile {
-                    ep: s.ep,
-                    name: names.get(&s.ep).cloned().unwrap_or_else(|| format!("ep{}", s.ep)),
-                    roots: 0,
-                    root_ns: 0,
-                    phases: [PhaseAgg::default(); NPHASES],
-                    child_ns: 0,
-                });
-                let agg = &mut e.phases[s.phase as usize];
+                let agg = &mut entry(&mut entries, names, s.ep).phases[s.phase as usize];
                 agg.count += 1;
                 agg.total_ns += s.dur_ns;
                 agg.self_ns += self_ns;

@@ -676,19 +676,28 @@ impl ClientRing {
     }
 
     /// [`Producer::push`] the SQE. A batch's first submit, while no traced
-    /// SQE is in flight, takes its one sampler tick: a sampled batch, or
-    /// one under a live trace, opens the ring span that SQE carries.
+    /// SQE is in flight, takes its one sampler tick ([`Self::open_batch`]).
     fn push(&mut self, ep: EntryId, args: [u64; 8], user: u64, payload: Option<&[u8]>) {
-        let mut trace = 0;
-        if *self.unbilled.get_mut() == 0 && self.traced.is_none() {
-            let sampled = self.rt.obs().try_sample();
-            if let Some(tok) = self.rt.spans().begin_ring(sampled, self.shared.vcpu, ep) {
-                trace = tok.ctx.pack();
-                self.traced = Some((self.ring.tail, tok));
-            }
-        }
+        let first = *self.unbilled.get_mut() == 0 && self.traced.is_none();
+        let trace = if first { self.open_batch(ep) } else { 0 };
         self.ring.push(ep, args, user, trace, payload);
         *self.unbilled.get_mut() += 1;
+    }
+
+    /// A batch's one sampler tick: a sampled batch, or one under a live
+    /// trace, opens the ring span its first SQE carries; returns that
+    /// SQE's trace word (0 untraced). Out of line, so the other submits
+    /// of a batch save no registers for it.
+    #[cold]
+    #[inline(never)]
+    fn open_batch(&mut self, ep: EntryId) -> u64 {
+        let sampled = self.rt.obs().try_sample();
+        let Some(tok) = self.rt.spans().begin_ring(sampled, self.shared.vcpu, ep) else {
+            return 0;
+        };
+        let trace = tok.ctx.pack();
+        self.traced = Some((self.ring.tail, tok));
+        trace
     }
 
     /// Queue one PPC: entry `ep`, 8 argument words, and a `user` tag

@@ -8,12 +8,25 @@
 //! counters a thread charges must *partition* that thread's lifetime —
 //! no double counting, no unattributed gaps beyond timer-edge noise.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ppc_rt::export::{self, load_chrome_trace};
 use ppc_rt::stats::TIME_STATES;
 use ppc_rt::{EntryOptions, RtError, Runtime, RuntimeOptions, SpanPhase};
+
+/// Every test here holds this for its whole run (poisoned or not), so
+/// none runs beside another. They compare what the runtime charged with
+/// wall time, and a neighbour busy on the host's CPUs stretches the one
+/// but not the other: a `ParkOnly` caller's donation rounds before it
+/// parks (`yield_now`, up to `spin::ESCALATE_YIELDS` of them) each hand
+/// a busy neighbour a timeslice that is wall time and not Park, and a
+/// 30 ms handler can finish before a starved killer thread runs.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Σ of all attributed time-state counters in a snapshot (ns).
 fn attributed_ns(snap: &ppc_rt::Snapshot) -> u64 {
@@ -28,6 +41,7 @@ fn attributed_ns(snap: &ppc_rt::Snapshot) -> u64 {
 /// bracket with `Instant` reads around creation and drop.
 #[test]
 fn ring_worker_state_times_partition_wall_time() {
+    let _serial = serial();
     let rt = Runtime::new(1);
     let ep = rt
         .bind(
@@ -97,6 +111,7 @@ fn ring_worker_state_times_partition_wall_time() {
 /// is Ring time.
 #[test]
 fn ring_worker_handler_share_is_carved_from_the_drain() {
+    let _serial = serial();
     const SQES: u64 = 20_000;
     const HANDLER_NS: u64 = 5_000;
     for sampling in [true, false] {
@@ -166,6 +181,7 @@ fn ring_worker_handler_share_is_carved_from_the_drain() {
 /// with the obs plane off nothing is sampled and it is 0.
 #[test]
 fn handoff_worker_state_times_partition_wall_time() {
+    let _serial = serial();
     const CALLS: u64 = 20_000;
     const HANDLER_NS: u64 = 5_000;
     for sampling in [true, false] {
@@ -226,6 +242,7 @@ fn handoff_worker_state_times_partition_wall_time() {
 /// all and is left out of both sides.)
 #[test]
 fn parkonly_caller_charges_its_blocked_time_to_park() {
+    let _serial = serial();
     const CALLS: u64 = 30;
     let rt = Runtime::new(1);
     rt.set_spin_policy(ppc_rt::SpinPolicy::ParkOnly);
@@ -271,6 +288,7 @@ fn parkonly_caller_charges_its_blocked_time_to_park() {
 /// only what its side writes.
 #[test]
 fn split_cells_sum_to_the_same_counters() {
+    let _serial = serial();
     let rt = Runtime::new(2);
     let svc = rt
         .bind(
@@ -385,6 +403,7 @@ fn split_cells_sum_to_the_same_counters() {
 /// tree's B/E pairs say — folding is aggregation, not re-measurement.
 #[test]
 fn profiler_breakdown_matches_span_tree() {
+    let _serial = serial();
     let rt = Runtime::with_runtime_options(
         1,
         RuntimeOptions { trace_capacity: 4096, ..Default::default() },
@@ -473,6 +492,7 @@ fn profiler_breakdown_matches_span_tree() {
 /// gate and rate limit.
 #[test]
 fn blackbox_round_trips_and_rate_limits() {
+    let _serial = serial();
     let rt = Runtime::new(2);
     let ep = rt
         .bind(
@@ -547,14 +567,13 @@ fn blackbox_round_trips_and_rate_limits() {
 /// captures within one.)
 #[test]
 fn handler_panic_captures_a_blackbox_on_every_transport() {
+    let _serial = serial();
     for transport in ["hand-off", "inline", "ring"] {
         let dir = std::env::temp_dir()
             .join(format!("ppc-bb-panic-{}-{transport}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let rt = Runtime::with_runtime_options(
-            1,
-            RuntimeOptions { blackbox_dir: Some(dir.clone()), ..Default::default() },
-        );
+        let rt = Runtime::new(1);
+        rt.set_blackbox_dir(Some(dir.clone()));
         let ep = rt
             .bind(
                 "attr-boom",

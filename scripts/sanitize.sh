@@ -13,13 +13,16 @@
 # worker's post/shutdown race, the wait primitive), and the stats test
 # that shares a vCPU's counters between four callers and hands a cell's
 # ownership from thread to thread (owner and shared copies, every access
-# atomic), built with the
+# atomic), and the `flight::` unit tests (the record ring's seqlock, which
+# the flight recorder and the span plane both write: concurrent writers
+# beside a reader at both widths, and a writer stalled mid-record while
+# others lap it; about 5 s of the run, warm), built with the
 # nightly toolchain's TSan runtime. TSan does not model `membarrier`; the storm is still checked,
 # because a claim's release (`Release`) and the writer's scan of it
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all seven, exit nonzero on any report
+#     scripts/sanitize.sh            run all eight, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -47,3 +50,4 @@ cargo +nightly test -p ppc-rt --target "$target" --test trace -- --exact ring_su
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests::storm_at_one_id_beside_inline_callers
 cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact stats::tests::counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands
+cargo +nightly test -p ppc-rt --target "$target" --lib -- flight::
