@@ -80,7 +80,7 @@ impl Runtime {
         // borrow the entry through it, so none can outlive the release.
         let claim = self.claim(vcpu, ep)?;
         if claim.opts.inline_ok {
-            let sampled = self.obs().try_sample();
+            let sampled = self.obs().try_sample(vcpu);
             if sampled || self.spans().current().is_some() {
                 return self.inline_traced(&claim, args, program, payload, sampled);
             }
@@ -90,7 +90,7 @@ impl Runtime {
         // The tick decides every timed record of a hand-off — call,
         // rendezvous and, riding the slot, the worker's handler run: an
         // unsampled call reads no clock.
-        let sampled = self.obs().try_sample();
+        let sampled = self.obs().try_sample(vcpu);
         let t0 = sampled.then(Instant::now);
         // The call span opens before resource acquisition so Frank grow
         // events during `post` parent under it; the drop guard closes it
@@ -99,7 +99,7 @@ impl Runtime {
         let word = scope.ctx_word();
         let (worker, woke) = self.post(&claim, args, program, request, true, word, sampled)?;
         let vc = claim.vc();
-        let (owned, done_at) = self.rendezvous(vc, claim.token(), &worker, woke, ep, sampled);
+        let done_at = self.rendezvous(vc, claim.token(), &worker, woke, ep, sampled);
         let slot = &worker.slot;
         let rets = slot.read_rets();
         let faulted = slot.is_faulted();
@@ -115,7 +115,6 @@ impl Runtime {
         // popped the worker and hold the claim — pool it and count the
         // completion here, on lines only this vCPU's callers write.
         claim.pool(vcpu).push(worker);
-        claim.record_completion(vcpu, owned);
         let cell = self.stats.cell(vcpu);
         Self::settle(cell, claim.token(), ep, killed, faulted)?;
         cell.add(claim.token(), |c| &c.handoff_calls, 1);
@@ -220,8 +219,7 @@ impl Runtime {
         // `inline_calls` alone records the completion: the aggregate
         // `calls` getter derives hand-off + inline, so the fast path
         // pays one counter increment, not two.
-        let owned = cell.add(claim.token(), |c| &c.inline_calls, 1);
-        claim.record_completion(vcpu, owned);
+        cell.add(claim.token(), |c| &c.inline_calls, 1);
         Ok(run.rets)
     }
 
@@ -254,11 +252,9 @@ impl Runtime {
         let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, None, sampled);
         *handler_ns += run.est_ns.unwrap_or(0);
         let killed = claim.entry_state() == EntryState::Dead;
-        // The ring worker serves this vCPU: off the submitter's lines,
-        // and never the owner of the completion word.
+        // The ring worker serves this vCPU: off the submitter's lines.
         let cell = self.stats.served_cell(vcpu);
         Self::settle(cell, claim.token(), ep, killed, run.faulted)?;
-        claim.record_completion(vcpu, false);
         cell.add(claim.token(), |c| &c.ring_calls, 1);
         Ok(run.rets)
     }
@@ -276,8 +272,7 @@ impl Runtime {
     /// the clock around the whole wait: it records the histogram and the
     /// flight event, feeds the vCPU's EWMA under `Adaptive` (so the next
     /// budget fits the workload), and charges its unblocked part, scaled
-    /// by the sample period, to Spin. Returns whether `who` owns the
-    /// vCPU's callers' stats cell, and when a sampled wait ended.
+    /// by the sample period, to Spin. Returns when a sampled wait ended.
     fn rendezvous(
         &self,
         vc: &VcpuState,
@@ -286,7 +281,7 @@ impl Runtime {
         woke: bool,
         ep: EntryId,
         sampled: bool,
-    ) -> (bool, Option<Instant>) {
+    ) -> Option<Instant> {
         // The client-side wait as a leaf span under the live call span
         // (no-op otherwise) — this is the "rendezvous wait" slice of a
         // tail exemplar's phase breakdown.
@@ -295,14 +290,14 @@ impl Runtime {
         let t0 = sampled.then(Instant::now);
         let (resolved, escalated, blocked_ns) = vc.wait_done(worker, adaptive, true, woke);
         let cell = self.stats.cell(vc.id);
-        let owned = cell.add(who, |c| if resolved { &c.spin_waits } else { &c.park_waits }, 1);
+        cell.add(who, |c| if resolved { &c.spin_waits } else { &c.park_waits }, 1);
         if !resolved {
             cell.add_time(TimeState::Park, blocked_ns);
         }
         if escalated {
             cell.add(who, |c| &c.spin_escalations, 1);
         }
-        let Some(t0) = t0 else { return (owned, None) };
+        let t0 = t0?;
         let done_at = Instant::now();
         let wait_ns = done_at.duration_since(t0).as_nanos() as u64;
         if adaptive {
@@ -313,7 +308,7 @@ impl Runtime {
         self.obs().record(LatencyKind::Rendezvous, vc.id, wait_ns);
         let kind = if resolved { FlightKind::SpinResolved } else { FlightKind::Parked };
         self.flight().record(vc.id, kind, ep, wait_ns.min(u32::MAX as u64) as u32);
-        (owned, Some(done_at))
+        Some(done_at)
     }
 
     /// Asynchronous dispatch: returns a handle; the caller continues
@@ -329,7 +324,7 @@ impl Runtime {
         args: [u64; 8],
         program: ProgramId,
     ) -> Result<AsyncCall, RtError> {
-        let sampled = self.obs().try_sample();
+        let sampled = self.obs().try_sample(vcpu);
         let claim = self.claim(vcpu, ep)?;
         // The async span is not installed (the caller continues past the
         // dispatch); it closes when the completion is observed. The

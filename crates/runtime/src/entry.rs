@@ -1,23 +1,17 @@
-//! Entry points: per-entry lifecycle state, sharded completion counts,
-//! and handler retirement.
+//! Entry points: per-entry lifecycle state and handler retirement.
 //!
 //! The cold-path mutations themselves (bind, kill, exchange, reclaim) live
-//! in [`crate::frank`]; this module owns the data those operations act on:
+//! in [`crate::frank`]; this module owns the data those operations act on.
+//! A call writes nothing here: in-flight calls are the claims (`claims`),
+//! and completed ones are counted once, on the vCPU's stats cell
+//! ([`crate::stats`]).
 //!
-//! * **Per-vCPU completion counts** (`completed`): every completion is
-//!   counted on the calling vCPU's own line pair, so the hot path never
-//!   writes a line another vCPU's hot path also writes; readers *sum*
-//!   the shards — the same aggregate-on-read discipline as the stats
-//!   plane. As a stats cell has two copies, a shard has two words: the
-//!   owner of the vCPU's callers' stats cell adds to one with plain
-//!   stores, every other writer to the other with `fetch_add`. In-flight
-//!   calls are not counted here: they are the claims (`claims`).
-//! * **The limbo slot**: an exchange swaps the handler pointer, then
-//!   snapshots the claims on the entry — the only calls that can still
-//!   run the old handler — and parks the old box beside that snapshot.
-//!   The next exchange waits for it to drain and frees the box, so limbo
-//!   never holds more than one handler no matter how many exchanges run,
-//!   and no exchange waits for the calls running when it returns.
+//! **The limbo slot**: an exchange swaps the handler pointer, then
+//! snapshots the claims on the entry — the only calls that can still run
+//! the old handler — and parks the old box beside that snapshot. The next
+//! exchange waits for it to drain and frees the box, so limbo never holds
+//! more than one handler no matter how many exchanges run, and no
+//! exchange waits for the calls running when it returns.
 
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
@@ -114,10 +108,6 @@ pub struct EntryShared {
     pub opts: EntryOptions,
     /// Lifecycle state (`EntryState` as u8).
     pub state: AtomicU8,
-    /// Calls completed per vCPU (sync, async and upcall alike), each on
-    /// a line pair of its own: no other vCPU's hot path writes there.
-    /// `[owned, shared]`: the caller cell owner's word, everyone else's.
-    completed: Box<[CachePadded<[AtomicU64; 2]>]>,
     /// Points into `installed`'s handler: what a call borrows.
     handler_ptr: AtomicPtr<Handler>,
     /// The installed handler. Its lock serializes exchanges (and
@@ -189,7 +179,6 @@ impl EntryShared {
             name: name.to_string(),
             opts,
             state: AtomicU8::new(EntryState::Active as u8),
-            completed: (0..n_vcpus).map(|_| CachePadded::default()).collect(),
             handler_ptr: AtomicPtr::new(Arc::as_ptr(&handler).cast_mut()),
             installed: Mutex::new(handler),
             limbo: Mutex::new(None),
@@ -313,29 +302,10 @@ impl EntryShared {
         &self.pools[vcpu]
     }
 
-    /// Count one completed call on `vcpu`, as the word's only writer if
-    /// `owned` (the caller owns the vCPU's callers' [`crate::StatsCell`]).
-    #[inline]
-    pub(crate) fn record_completion(&self, vcpu: usize, owned: bool) {
-        let [mine, theirs] = &*self.completed[vcpu];
-        crate::stats::add_to(if owned { mine } else { theirs }, owned, 1);
-    }
-
     /// Whether an async call handed to one of this entry's workers is
     /// still `POSTED` (a kill drain counts it as a held claim).
     pub(crate) fn async_posted(&self) -> bool {
         self.pools.iter().any(WorkerPool::async_posted)
-    }
-
-    /// Completed calls, summed across every vCPU (diagnostics).
-    pub fn completions(&self) -> u64 {
-        (0..self.completed.len()).map(|v| self.completions_on(v)).sum()
-    }
-
-    /// Completed calls on one vCPU (the shard itself; used by tests that
-    /// verify the shards sum exactly).
-    pub(crate) fn completions_on(&self, vcpu: usize) -> u64 {
-        self.completed[vcpu].iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Replace the handler (Exchange, §4.5.2) and clear worker overrides
@@ -413,8 +383,8 @@ mod tests {
     use crate::worker::tests::{apart, pairs};
 
     /// The inline path's private writes and shared reads, by line pair:
-    /// each vCPU's completion cell owns a pair, so do its histograms and
-    /// each thread's claim cell, and the entry words every call reads
+    /// each thread's claim cell owns a pair, so do each vCPU's
+    /// histograms, and the entry words every call reads
     /// (`state`, `handler_ptr`) keep off the pair every vCPU's sampled
     /// roots store to (`trace_ewma_ns`). Fails when one of them moves
     /// onto a pair another vCPU or thread writes.
@@ -424,25 +394,18 @@ mod tests {
         let opts = crate::EntryOptions { initial_workers: 0, ..Default::default() };
         let ep = rt.bind("layout", opts, std::sync::Arc::new(|c| c.args)).unwrap();
         let e = rt.frank_entry(ep).unwrap();
-        let completed: Vec<_> = e.completed.iter().map(|c| pairs(&**c)).collect();
         // Two threads holding a claim at once: two cells.
         let both = std::sync::Barrier::new(2);
-        let claims: Vec<_> = std::thread::scope(|s| {
+        let [a, b] = std::thread::scope(|s| {
             let cell = || {
                 let _c = rt.claim(0, ep).unwrap();
                 both.wait();
                 pairs(crate::claims::my_cell())
             };
             let t = [s.spawn(cell), s.spawn(cell)];
-            t.map(|t| t.join().unwrap()).into()
+            t.map(|t| t.join().unwrap())
         });
-        for cells in [&completed, &claims] {
-            for (i, a) in cells.iter().enumerate() {
-                for b in &cells[i + 1..] {
-                    assert!(apart(a, b), "private cells {a:?} and {b:?} share a line pair");
-                }
-            }
-        }
+        assert!(apart(&a, &b), "claim cells {a:?} and {b:?} share a line pair");
         assert_eq!(std::mem::align_of::<crate::obs::HistCell>(), 128, "histogram cells");
         let ewma = pairs(&*e.trace_ewma_ns);
         for read in [pairs(&e.state), pairs(&e.handler_ptr)] {

@@ -348,22 +348,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// Completed calls of entry `ep` — sync (inline or hand-off), async,
-    /// and upcall alike (diagnostics; used by stats-conservation checks).
-    /// A sum over the per-vCPU completion shards.
-    pub fn entry_completions(&self, ep: EntryId) -> Result<u64, RtError> {
-        Ok(self.frank_entry(ep)?.completions())
-    }
-
-    /// Completed calls of entry `ep` on one vCPU — the shard itself
-    /// (tests verify the shards sum exactly to the aggregate).
-    pub fn entry_completions_on(&self, ep: EntryId, vcpu: usize) -> Result<u64, RtError> {
-        if vcpu >= self.n_vcpus() {
-            return Err(RtError::BadVcpu(vcpu));
-        }
-        Ok(self.frank_entry(ep)?.completions_on(vcpu))
-    }
-
     /// Shrink the pooled workers of (`ep`, `vcpu`) down to `keep`.
     pub fn shrink_workers(&self, ep: EntryId, vcpu: usize, keep: usize) -> Result<usize, RtError> {
         let e = self.frank_entry(ep)?;

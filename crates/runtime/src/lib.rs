@@ -13,7 +13,7 @@
 //! | 8 registers each way | `[u64; 8]` argument/result frames, never touching shared queues |
 //! | service table (1024, per CPU) | per-vCPU `AtomicPtr` table **replicas**, wait-free reads, cold-path publish broadcast |
 //! | Frank (slow-path resource manager) | [`frank`]: bind/kill/exchange/reclaim + the grow/shrink paths, reclamation paid by the writer (`membarrier`) |
-//! | program-ID authentication | `caller_program` in [`CallCtx`] + [`auth::Acl`] |
+//! | program-ID authentication | `caller_program` in [`CallCtx`]; each server applies its own policy |
 //! | soft-/hard-kill, Exchange | [`Runtime::soft_kill`], [`Runtime::hard_kill`], [`Runtime::exchange`] |
 //! | worker initialization (§4.5.3) | per-worker handler override via [`CallCtx::set_worker_handler`] |
 //! | async / interrupt / upcall variants | [`Client::call_async`], [`Runtime::upcall`] |
@@ -21,15 +21,15 @@
 //! | worker-process fault isolation (§2) | handler panics become [`RtError::ServerFault`]; the pool survives |
 //! | "handled on the same processor as the client" (§3) | [`EntryOptions::inline_ok`]: caller-thread inline dispatch, zero park/unpark |
 //! | temporary-then-block waiting (hand-off latency) | [`SpinPolicy`]: adaptive spin-then-park rendezvous, per-vCPU EWMA-tuned budget |
-//! | "a PPC accesses no shared data" (§3) | per-vCPU `#[repr(align(128))]` cells (stats, completions, histograms), aggregated only on read, and per-thread claim cells |
+//! | "a PPC accesses no shared data" (§3) | per-vCPU `#[repr(align(128))]` cells (stats, histograms), aggregated only on read, and per-thread claim cells |
 //!
 //! The common-case call path performs **no lock acquisitions and no
 //! writes to a cache line any other vCPU's fast path writes**: pools are
 //! lock-free queues, the entry lookup is one load of the calling vCPU's
 //! own table replica, the rendezvous is a post into the worker's own
-//! slot plus an adaptive wait, and every fast-path counter — the entry's
-//! completion count included — is an increment on the calling vCPU's
-//! own line pair. The handler stays in the entry's box, borrowed under
+//! slot plus an adaptive wait, and every fast-path counter is an
+//! increment on the calling vCPU's own line pair; the entry itself
+//! counts nothing. The handler stays in the entry's box, borrowed under
 //! the claim, so no call writes its reference count. The claim itself is
 //! plain stores to the calling thread's own claim cell plus loads of
 //! read-mostly words (table replica, state, handler pointer) that stay
@@ -63,7 +63,6 @@
 //! ```
 
 pub mod affinity;
-pub mod auth;
 pub mod baseline;
 pub mod blackbox;
 pub mod bulk;
@@ -350,12 +349,6 @@ impl<'a> CallCtx<'a> {
         }
     }
 
-    /// Number of calls this entry point has completed (diagnostics; a
-    /// sum over the per-vCPU lifecycle shards).
-    pub fn entry_calls(&self) -> u64 {
-        self.entry.completions()
-    }
-
     // ---- bulk data: the handler side of the payload plane (§4.2) ----
     //
     // Every accessor below is warm-path legal: authorization is a
@@ -401,7 +394,7 @@ impl<'a> CallCtx<'a> {
     ) -> Result<(R, usize), RtError> {
         let entry = self.entry;
         let _span = cap.map(|_| entry.spans.leaf_scope(self.vcpu, self.ep, SpanPhase::BulkCopy));
-        let t0 = (cap.is_some() && entry.obs.try_sample()).then(std::time::Instant::now);
+        let t0 = (cap.is_some() && entry.obs.try_sample(self.vcpu)).then(std::time::Instant::now);
         // The handler's thread: on an inline entry the caller, which
         // likely owns the cell.
         let (cell, who) = (entry.bulk.stats.cell(self.vcpu), claims::token());
@@ -1259,7 +1252,7 @@ impl BulkRegion {
     /// to the same region waits.
     pub fn fill(&self, offset: u32, data: &[u8]) -> Result<(), RtError> {
         let _span = self.rt.spans.leaf_scope(self.vcpu, 0, SpanPhase::BulkCopy);
-        let t0 = self.rt.obs.try_sample().then(std::time::Instant::now);
+        let t0 = self.rt.obs.try_sample(self.vcpu).then(std::time::Instant::now);
         let r = self.with_span(offset, data.len() as u32, true, |ptr, n| {
             // Safety: span validated by the registry, held exclusively;
             // `data` cannot alias registry memory.
@@ -1276,7 +1269,7 @@ impl BulkRegion {
     /// of the region proceed in parallel.
     pub fn read_into(&self, offset: u32, dst: &mut [u8]) -> Result<(), RtError> {
         let _span = self.rt.spans.leaf_scope(self.vcpu, 0, SpanPhase::BulkCopy);
-        let t0 = self.rt.obs.try_sample().then(std::time::Instant::now);
+        let t0 = self.rt.obs.try_sample(self.vcpu).then(std::time::Instant::now);
         let r = self.with_span(offset, dst.len() as u32, false, |ptr, n| {
             // Safety: as in `fill`, directions reversed; writers are
             // excluded while this read access is announced.

@@ -15,8 +15,11 @@
 //! 2. **Sampling** — timestamps are the real cost (`Instant::now` is
 //!    tens of nanoseconds, comparable to a whole null inline call), so
 //!    durations are recorded for every 2^`sample_shift`-th call per
-//!    *thread* (default 1/128). A thread-local tick makes the decision
-//!    without touching shared memory; sampled calls pay the two
+//!    *(thread, vCPU)* (default 1/128). A thread-local tick per vCPU
+//!    makes the decision without touching shared memory — a thread that
+//!    alternates between two vCPUs' clients samples each of them, where
+//!    one tick per thread and an even period would land every sample on
+//!    one vCPU; sampled calls pay the two
 //!    timestamps and one bucket increment, unsampled calls pay a
 //!    thread-local increment and a branch. The calling thread's tick
 //!    decides every timed record of a call, a hand-off worker's included
@@ -31,6 +34,7 @@
 //! spread of samples inside it), so reported quantiles are usable for
 //! gating rather than snapping to the next power of two.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Number of log₂ buckets per histogram (covers 0 ns up to ≈ 2⁶³ ns).
@@ -278,27 +282,34 @@ impl Histogram {
 #[derive(Debug)]
 pub struct ObsState {
     /// Bit 0: histograms enabled. Bits 8..=15: sample shift (record
-    /// every 2^shift-th call per thread). One `Relaxed` load per call.
+    /// every 2^shift-th call per thread and vCPU), bits 16..=31 the tick
+    /// mask it makes ([`shift_bits`]). One `Relaxed` load per call.
     cfg: AtomicU32,
     cells: Box<[HistCell]>,
 }
 
 const CFG_HIST_ON: u32 = 1;
 
+/// The config bits of sample shift `shift` (at most 16): the shift, and
+/// the mask 2^shift − 1 that the per-call gate tests the tick against.
+const fn shift_bits(shift: u32) -> u32 {
+    shift << 8 | ((1 << shift) - 1) << 16
+}
+
 thread_local! {
-    /// Per-thread sampling tick. Thread-local so the unsampled common
-    /// case touches no shared memory at all (a shared per-vCPU tick
-    /// would put an RMW on every call — measurable against a ~70 ns
-    /// null inline call).
-    static SAMPLE_TICK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Per-thread sampling ticks, one per vCPU (a runtime has at most
+    /// 256). Thread-local so the unsampled common case touches no shared
+    /// memory at all (a shared per-vCPU tick would put an RMW on every
+    /// call — measurable against a ~70 ns null inline call).
+    static SAMPLE_TICKS: [Cell<u32>; 256] = const { [const { Cell::new(0) }; 256] };
 }
 
 impl ObsState {
     /// Histograms for `n_vcpus` virtual processors, enabled, sampling
-    /// every 2^[`DEFAULT_SAMPLE_SHIFT`]-th call per thread.
+    /// every 2^[`DEFAULT_SAMPLE_SHIFT`]-th call per thread and vCPU.
     pub(crate) fn new(n_vcpus: usize) -> Self {
         ObsState {
-            cfg: AtomicU32::new(CFG_HIST_ON | (DEFAULT_SAMPLE_SHIFT << 8)),
+            cfg: AtomicU32::new(CFG_HIST_ON | shift_bits(DEFAULT_SAMPLE_SHIFT)),
             cells: (0..n_vcpus.max(1)).map(|_| HistCell::new()).collect(),
         }
     }
@@ -322,13 +333,13 @@ impl ObsState {
     }
 
     /// Set the sampling shift: durations are recorded for every
-    /// 2^`shift`-th call per thread. `0` records every call (full cost:
-    /// two timestamps per call). Clamped to 16.
+    /// 2^`shift`-th call per thread and vCPU. `0` records every call
+    /// (full cost: two timestamps per call). Clamped to 16.
     pub fn set_sample_shift(&self, shift: u32) {
-        let shift = shift.min(16);
+        let bits = shift_bits(shift.min(16));
         let mut cur = self.cfg.load(Ordering::Relaxed);
         loop {
-            let next = (cur & !(0xFF << 8)) | (shift << 8);
+            let next = (cur & CFG_HIST_ON) | bits;
             match self.cfg.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return,
                 Err(c) => cur = c,
@@ -342,17 +353,18 @@ impl ObsState {
     }
 
     /// The once-per-call gate: one `Relaxed` config load; if enabled,
-    /// one thread-local tick. Returns `true` when this call should be
-    /// timed (the caller then takes timestamps and calls
-    /// [`ObsState::record`]).
+    /// one tick of the calling thread's counter for `vcpu`. Returns `true`
+    /// when this call should be timed (the caller then takes timestamps
+    /// and calls [`ObsState::record`]).
     #[inline]
-    pub fn try_sample(&self) -> bool {
+    pub fn try_sample(&self, vcpu: usize) -> bool {
         let cfg = self.cfg.load(Ordering::Relaxed);
         if cfg & CFG_HIST_ON == 0 {
             return false;
         }
-        let mask = (1u64 << ((cfg >> 8) & 0xFF)) - 1;
-        SAMPLE_TICK.with(|t| {
+        let mask = cfg >> 16;
+        SAMPLE_TICKS.with(|t| {
+            let t = &t[vcpu as u8 as usize];
             let n = t.get();
             t.set(n.wrapping_add(1));
             n & mask == 0
@@ -577,14 +589,33 @@ mod tests {
     fn sampling_honors_shift_and_enable_bit() {
         let obs = ObsState::new(1);
         obs.set_sample_shift(2); // every 4th
-        let hits = (0..32).filter(|_| obs.try_sample()).count();
+        let hits = (0..32).filter(|_| obs.try_sample(0)).count();
         assert_eq!(hits, 8);
         obs.set_enabled(false);
         assert!(!obs.enabled());
-        assert_eq!((0..32).filter(|_| obs.try_sample()).count(), 0);
+        assert_eq!((0..32).filter(|_| obs.try_sample(0)).count(), 0);
         obs.set_enabled(true);
         obs.set_sample_shift(0); // every call
-        assert_eq!((0..8).filter(|_| obs.try_sample()).count(), 8);
+        assert_eq!((0..8).filter(|_| obs.try_sample(0)).count(), 8);
+    }
+
+    /// One thread alternating inline calls between vCPU 0's and vCPU 1's
+    /// clients samples each vCPU every 128th of its own calls: with one
+    /// tick per thread, the even default period landed every sampled
+    /// call on the same vCPU and left the other's histograms empty. Any
+    /// 512 consecutive ticks hold exactly four multiples of 128.
+    #[test]
+    fn a_thread_alternating_vcpus_samples_each_of_them() {
+        let rt = crate::Runtime::new(2);
+        assert_eq!(rt.obs().sample_shift(), DEFAULT_SAMPLE_SHIFT);
+        let opts = crate::EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() };
+        let ep = rt.bind("null", opts, std::sync::Arc::new(|c| c.args)).unwrap();
+        let clients = [rt.client(0, 1), rt.client(1, 1)];
+        for i in 0..1_024u64 {
+            assert_eq!(clients[i as usize % 2].call(ep, [i; 8]), Ok([i; 8]));
+        }
+        let counts = [0, 1].map(|v| rt.obs().vcpu_hist(LatencyKind::Call, v).count());
+        assert_eq!(counts, [4, 4], "sampled calls on vCPU 0 and 1");
     }
 
     #[test]

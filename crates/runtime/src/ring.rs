@@ -497,7 +497,7 @@ pub(crate) fn drain(
         // One sampler tick per SQE decides all its records: a second
         // site on this thread would fall into step and take every
         // sample or none.
-        let sampled = rt.obs().try_sample();
+        let sampled = rt.obs().try_sample(vcpu);
         if sampled {
             // The published run this pickup finds, a queue-full at most
             // (log₂ bands): one sequence word per entry, sampled only.
@@ -691,8 +691,9 @@ impl ClientRing {
     #[cold]
     #[inline(never)]
     fn open_batch(&mut self, ep: EntryId) -> u64 {
-        let sampled = self.rt.obs().try_sample();
-        let Some(tok) = self.rt.spans().begin_ring(sampled, self.shared.vcpu, ep) else {
+        let vcpu = self.shared.vcpu;
+        let sampled = self.rt.obs().try_sample(vcpu);
+        let Some(tok) = self.rt.spans().begin_ring(sampled, vcpu, ep) else {
             return 0;
         };
         let trace = tok.ctx.pack();
@@ -763,7 +764,7 @@ impl ClientRing {
     fn copy_in(&self, desc: BulkDesc, payload: &[u8]) -> Result<(), RtError> {
         let (vcpu, program) = (self.shared.vcpu, self.shared.program);
         let (cell, who) = (self.rt.stats.cell(vcpu), claims::token());
-        let denied = |_: &RtError| _ = cell.add(who, |c| &c.bulk_denied, 1);
+        let denied = |_: &RtError| cell.add(who, |c| &c.bulk_denied, 1);
         let registry = self.rt.bulk().registry(vcpu);
         let acc = registry.begin(desc, 0, program, program, true, true).inspect_err(denied)?;
         let n = acc.len.min(payload.len());
@@ -811,7 +812,7 @@ impl ClientRing {
         if let Some((_, tok)) = self.traced.take_if(|(n, _)| *n < self.ring.head) {
             self.rt.spans().end_token(tok, None);
         }
-        if n > 0 && self.rt.obs().try_sample() {
+        if n > 0 && self.rt.obs().try_sample(self.shared.vcpu) {
             let vcpu = self.shared.vcpu;
             self.rt.obs().record(LatencyKind::ReapBatch, vcpu, n as u64);
             self.rt.flight().record(vcpu, FlightKind::RingReap, 0, n as u32);

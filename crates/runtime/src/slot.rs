@@ -592,7 +592,13 @@ mod tests {
     fn async_calls_dropped_unwaited_complete() {
         let _watchdog = crate::wait::abort_if_hung("slot.rs drop-without-wait test");
         let rt = crate::Runtime::new(1);
-        let ep = rt.bind("null", crate::EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let runs = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&runs);
+        let handler: crate::Handler = Arc::new(move |c| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            c.args
+        });
+        let ep = rt.bind("null", crate::EntryOptions::default(), handler).unwrap();
         let client = rt.client(0, 1);
         for policy in [crate::SpinPolicy::ParkOnly, crate::SpinPolicy::Adaptive] {
             rt.set_spin_policy(policy);
@@ -600,7 +606,7 @@ mod tests {
                 drop(client.call_async(ep, [i; 8]).unwrap());
             }
         }
-        assert_eq!(rt.entry_completions(ep).unwrap(), 100_000);
+        assert_eq!(runs.load(Ordering::Relaxed), 100_000);
         assert_eq!(rt.stats.workers_created(), 0, "the worker was back in its pool every time");
         assert_eq!(rt.stats.cds_created(), 0, "the hand-off borrows no CD");
     }

@@ -18,7 +18,8 @@
 //! `Relaxed` load and store — no locked instruction. Every other writer
 //! (a second caller, a worker, the cold paths, which never take
 //! ownership) adds to the other copy with `fetch_add`, through the same
-//! `StatsCell::add`. Readers sum both copies.
+//! `StatsCell::add`. Readers sum both copies. These counts are the only
+//! record of a completed call: an entry keeps none of its own.
 //!
 //! The whole counter surface — the cell fields, the aggregate getters,
 //! [`Snapshot`], [`Snapshot::since`], [`Snapshot::fields`], and the
@@ -314,28 +315,21 @@ pub struct StatsCell {
 #[repr(align(64))]
 struct OwnerWord(AtomicUsize);
 
-/// Add `n` to `word`: its only writer (`owned`) with a `Relaxed` load and
-/// store, any other with `fetch_add`.
-#[inline]
-pub(crate) fn add_to(word: &AtomicU64, owned: bool, n: u64) {
-    match owned {
-        true => word.store(word.load(Ordering::Relaxed) + n, Ordering::Relaxed),
-        false => _ = word.fetch_add(n, Ordering::Relaxed),
-    }
-}
-
 impl StatsCell {
     /// Add `n` to the counter `field` picks, as `who`: on the owner's copy
-    /// if `who` owns the cell or takes it now (unowned, and `who` is not
-    /// [`NOBODY`]), else on the other. Returns whether `who` owns the
-    /// cell — and so every entry's completion word for its vCPU.
+    /// with a `Relaxed` load and store if `who` owns the cell or takes it
+    /// now (unowned, and `who` is not [`NOBODY`]), else on the other copy
+    /// with `fetch_add`.
     #[inline]
-    pub(crate) fn add(&self, who: Token, field: impl Fn(&Counters) -> &AtomicU64, n: u64) -> bool {
+    pub(crate) fn add(&self, who: Token, field: impl Fn(&Counters) -> &AtomicU64, n: u64) {
         let owner = self.owner.0.load(Ordering::Relaxed);
         let take = || self.owner.0.compare_exchange(0, who.0, Ordering::Relaxed, Ordering::Relaxed);
-        let owned = owner == who.0 || owner == 0 && who != NOBODY && take().is_ok();
-        add_to(field(if owned { &self.mine } else { &self.theirs }), owned, n);
-        owned
+        if owner == who.0 || owner == 0 && who != NOBODY && take().is_ok() {
+            let word = field(&self.mine);
+            word.store(word.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        } else {
+            field(&self.theirs).fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// One counter, both copies summed.
@@ -659,16 +653,27 @@ mod tests {
     /// load/store pairs would lose counts, and the shared copy would stay
     /// empty). Then 300 short-lived threads call in turn: an exiting
     /// thread's claim cell — its token — passes to a later thread, which
-    /// keeps counting on the owned copy it inherited.
+    /// keeps counting on the owned copy it inherited. The oracle is each
+    /// handler's own count of its runs, which the dispatcher never writes.
     #[test]
     fn counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands() {
-        use crate::{EntryOptions, Runtime};
+        use crate::{EntryOptions, Handler, Runtime};
         use std::sync::Arc;
         let _watchdog = crate::wait::abort_if_hung("stats.rs shared-vCPU test");
+        let counted = || {
+            let runs = Arc::new(AtomicU64::new(0));
+            let mine = Arc::clone(&runs);
+            let h: Handler = Arc::new(move |c| {
+                mine.fetch_add(1, Ordering::Relaxed);
+                c.args
+            });
+            (runs, h)
+        };
         let inline = EntryOptions { inline_ok: true, initial_workers: 0, ..Default::default() };
         let rt = Runtime::new(1);
-        let ep_in = rt.bind("inline", inline, Arc::new(|c| c.args)).unwrap();
-        let ep_ho = rt.bind("handoff", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
+        let ((runs_in, h_in), (runs_ho, h_ho)) = (counted(), counted());
+        let ep_in = rt.bind("inline", inline, h_in).unwrap();
+        let ep_ho = rt.bind("handoff", EntryOptions::default(), h_ho).unwrap();
         let callers: Vec<_> = (0..4)
             .map(|p| {
                 let client = rt.client(0, p + 1);
@@ -688,15 +693,16 @@ mod tests {
         let s = rt.stats.snapshot();
         assert_eq!((s.inline_calls, s.handoff_calls, s.calls), (80_000, 8_000, 88_000));
         assert_eq!(s.spin_waits + s.park_waits, 8_000);
-        assert_eq!(rt.entry_completions_on(ep_in, 0), Ok(80_000));
-        assert_eq!(rt.entry_completions_on(ep_ho, 0), Ok(8_000));
+        let runs = (runs_in.load(Ordering::Relaxed), runs_ho.load(Ordering::Relaxed));
+        assert_eq!(runs, (80_000, 8_000), "every counted call ran its handler once");
         let cell = rt.stats.cell(0);
         let (mine, theirs) = (&cell.mine.inline_calls, &cell.theirs.inline_calls);
         let (mine, theirs) = (mine.load(Ordering::Relaxed), theirs.load(Ordering::Relaxed));
         assert!(mine > 0 && theirs > 0, "owned {mine}, shared {theirs}: both copies count");
 
         let rt = Runtime::new(1);
-        let ep = rt.bind("inline", inline, Arc::new(|c| c.args)).unwrap();
+        let (runs, h) = counted();
+        let ep = rt.bind("inline", inline, h).unwrap();
         let mut first = 0;
         for n in 0..300 {
             let client = rt.client(0, 1);
@@ -711,7 +717,7 @@ mod tests {
                 first = rt.stats.cell(0).mine.inline_calls.load(Ordering::Relaxed);
             }
         }
-        assert_eq!((rt.stats.inline_calls(), rt.entry_completions_on(ep, 0)), (30_000, Ok(30_000)));
+        assert_eq!((rt.stats.inline_calls(), runs.load(Ordering::Relaxed)), (30_000, 30_000));
         let owned = rt.stats.cell(0).mine.inline_calls.load(Ordering::Relaxed);
         assert_eq!(first, 100, "the first thread owns the cell");
         assert!(owned > first, "no later thread inherited the owned copy ({owned})");

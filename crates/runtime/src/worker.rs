@@ -38,8 +38,8 @@ pub const MAX_POOLED: usize = 64;
 /// `unpark`; no mutex anywhere on the dispatch path. A test pins three
 /// groups of lines apart: what a caller only *reads* (`thread`,
 /// `shutdown`, `asleep` — written when the worker blocks, not per call),
-/// the slot both sides write in turn, and what only the worker writes
-/// (`calls`).
+/// the slot both sides write in turn, and what only the worker writes,
+/// once per async call (`calls`).
 pub struct WorkerHandle {
     /// The worker thread, for unparking. Written exactly once by the
     /// spawner before the worker becomes visible to any client, then read
@@ -60,11 +60,13 @@ pub struct WorkerHandle {
     /// fills it, the worker owns it while `POSTED`. Padded: its lines go
     /// back and forth once per call, apart from the words around it.
     pub(crate) slot: CachePadded<CallSlot>,
-    /// Calls this worker is done with (diagnostics) — an async one once
-    /// its handle handed the slot back and the worker pooled itself.
-    /// Padded: written by the worker per call, off the lines `post` reads.
-    /// The worker is its only writer: a plain load and store, no RMW.
-    pub calls: CachePadded<AtomicU64>,
+    /// Async calls this worker is done with: bumped once the handle
+    /// handed the slot back and the worker pooled itself, which is what
+    /// `hand_back` waits for. A synchronous call leaves it alone: its
+    /// caller pools the worker and counts the call. Padded: off the lines
+    /// `post` reads. The worker is its only writer: a plain load and
+    /// store, no RMW.
+    pub(crate) calls: CachePadded<AtomicU64>,
 }
 
 impl WorkerHandle {
@@ -411,17 +413,10 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
             slot.mark_faulted();
         }
         // A synchronous caller holds the claim until it has read the
-        // results, counts the completion on its own vCPU's line and
-        // re-pools us. Async calls and upcalls have no one else: count
-        // (this thread never owns the completion word), release our
-        // claim and owe the re-pool.
-        if held.is_none() {
-            me.calls.store(me.calls.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        } else {
-            entry.record_completion(vcpu, false);
-            drop(held);
-            owed = true;
-        }
+        // results, then counts the call and re-pools us. Async calls and
+        // upcalls have no one else: release our claim and owe the re-pool.
+        owed = held.is_some();
+        drop(held);
         woke = slot.complete(run.rets);
         // A sampled run's carving clock read comes after `DONE`.
         if let Some(ns) = run.est_ns {

@@ -906,7 +906,7 @@ fn service_ring(
 ) -> bool {
     match ring::drain(rt, &mut c.ring, vcpu, c.program, local_scratch, &mut 0) {
         Some(0) => return false,
-        Some(n) => _ = rt.stats.cell(vcpu).add(claims::token(), |c| &c.xproc_calls, n),
+        Some(n) => rt.stats.cell(vcpu).add(claims::token(), |c| &c.xproc_calls, n),
         None => lose_client(rt, map, vcpu, i, c, c.pid),
     }
     true
@@ -1069,11 +1069,6 @@ impl XClient {
     /// attach).
     pub fn region_id(&self) -> RegionId {
         self.map.slot(self.idx).region_id.load(Ordering::Acquire) as RegionId
-    }
-
-    /// Bulk share capacity in bytes.
-    pub fn bulk_capacity(&self) -> usize {
-        self.map.geo.bulk_bytes
     }
 
     /// Ring depth: SQ and CQ slots, staging pages, and the in-flight

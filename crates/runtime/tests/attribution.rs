@@ -8,6 +8,7 @@
 //! counters a thread charges must *partition* that thread's lifetime —
 //! no double counting, no unattributed gaps beyond timer-edge noise.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -290,26 +291,40 @@ fn parkonly_caller_charges_its_blocked_time_to_park() {
 fn split_cells_sum_to_the_same_counters() {
     let _serial = serial();
     let rt = Runtime::new(2);
+    // Handler runs, counted by the handlers: `svc` on vCPU 0 and 1, then
+    // `inl` and `doomed`.
+    let runs: Arc<[AtomicU64; 4]> = Arc::default();
+    let svc_runs = Arc::clone(&runs);
     let svc = rt
         .bind(
             "svc",
             EntryOptions::default(),
-            Arc::new(|ctx| {
+            Arc::new(move |ctx| {
+                svc_runs[ctx.vcpu].fetch_add(1, Ordering::Relaxed);
                 assert_ne!(ctx.args[0], 13, "injected server fault");
                 ctx.args
             }),
         )
         .unwrap();
-    let inline =
-        rt.bind("inl", EntryOptions { inline_ok: true, ..Default::default() }, Arc::new(|c| c.args));
+    let inl_runs = Arc::clone(&runs);
+    let inline = rt.bind(
+        "inl",
+        EntryOptions { inline_ok: true, ..Default::default() },
+        Arc::new(move |c| {
+            inl_runs[2].fetch_add(1, Ordering::Relaxed);
+            c.args
+        }),
+    );
     let inline = inline.unwrap();
     let (started_tx, started) = std::sync::mpsc::channel();
     let started_tx = std::sync::Mutex::new(started_tx);
+    let doomed_runs = Arc::clone(&runs);
     let doomed = rt
         .bind(
             "doomed",
             EntryOptions::default(),
             Arc::new(move |ctx| {
+                doomed_runs[3].fetch_add(1, Ordering::Relaxed);
                 started_tx.lock().unwrap().send(()).unwrap();
                 std::thread::sleep(Duration::from_millis(30));
                 ctx.args
@@ -370,13 +385,11 @@ fn split_cells_sum_to_the_same_counters() {
         assert_eq!(total.field(name), Some(want), "{name}");
     }
     assert_eq!(total.spin_waits + total.park_waits, 152, "every sync hand-off waited once");
-    // Hand-off completions are counted whatever the call then returns
-    // (150 + the fault + 40 async + 64 ring); the aborted call on its own
-    // entry.
-    assert_eq!(rt.entry_completions(svc).unwrap(), 255);
-    assert_eq!(rt.entry_completions(inline).unwrap(), 100);
-    assert_eq!(rt.entry_completions(doomed).unwrap(), 1);
-    assert_eq!(rt.entry_completions_on(svc, 0).unwrap(), 141);
+    // Every handler ran once per call, whatever the call then returned:
+    // on vCPU 0 100 sync + the fault + 40 async, on vCPU 1 50 sync + 64
+    // ring; the aborted call on its own entry.
+    let runs = runs.each_ref().map(|r| r.load(Ordering::Relaxed));
+    assert_eq!(runs, [141, 114, 100, 1], "svc on vCPU 0 and 1, inl, doomed");
 
     // (b) Who wrote what. The halves sum to the per-vCPU view, field by
     // field, and those to the aggregate.

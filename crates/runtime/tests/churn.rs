@@ -480,37 +480,3 @@ fn exchange_with_queued_sqes_serves_some_era() {
     dog.join().unwrap();
 }
 
-/// Lifecycle acceptance check 2: the per-vCPU lifecycle shards are exact —
-/// per-vCPU completion counts sum to the entry total, and the total
-/// matches the calls actually made. (If the hot path wrote any shared
-/// line, the cheap way to implement it would be one counter; this pins
-/// the sharding.)
-#[test]
-fn sharded_completions_sum_exactly() {
-    let rt = Runtime::new(2);
-    let ep = rt.bind("counted", EntryOptions::default(), Arc::new(|c| c.args)).unwrap();
-    const PER_VCPU: u64 = 400;
-    let threads: Vec<_> = (0..2)
-        .map(|v| {
-            let c = rt.client(v, 1 + v as u32);
-            std::thread::spawn(move || {
-                for i in 0..PER_VCPU {
-                    assert_eq!(c.call(ep, [i; 8]).unwrap(), [i; 8]);
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    let total = rt.entry_completions(ep).unwrap();
-    let per: u64 =
-        (0..2).map(|v| rt.entry_completions_on(ep, v).unwrap()).sum();
-    assert_eq!(total, 2 * PER_VCPU);
-    assert_eq!(per, total, "shards sum exactly to the aggregate");
-    // Each vCPU's shard saw exactly its own traffic: no cross-vCPU
-    // writes to another shard's line.
-    for v in 0..2 {
-        assert_eq!(rt.entry_completions_on(ep, v).unwrap(), PER_VCPU);
-    }
-}

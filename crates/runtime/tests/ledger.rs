@@ -406,18 +406,17 @@ fn main() {
     // writes no flight record). The segment ring's 2: the doorbell's
     // fence and the doorbell word's bump before the futex wake.
     //
-    // The instruction ceilings: the inline null call is the paper's
-    // ≈ 200-instruction round trip, held at 280 (and a nested pair at
-    // twice that); the payload and bulk calls at their counts before the
-    // null call lost its obs plumbing, which must not have moved them.
-    // The segment ring's batch at its count once `ClientRing` paid for
+    // The instruction ceilings: the four inline paths at their counts once
+    // a call stopped writing a per-entry completion count and the sampler
+    // kept one tick per vCPU (the inline null call against the paper's
+    // ≈ 200-instruction round trip: 268). The segment ring's batch at its count once `ClientRing` paid for
     // observability per batch (1 028), rounded up; `ClientRing`'s at its
     // count once the batch's sampler tick moved out of line (1 309).
     let paths: [Path; 8] = [
-        ("inline null", Some(0), Some(280), inline_null),
-        ("inline outer -> inline null", Some(0), Some(560), inline_nested),
-        ("inline call_with_payload, 64 B", Some(2), Some(715), inline_payload_64),
-        ("inline call_bulk, copy_from 64 KiB", Some(2), Some(66_410), inline_bulk_64k),
+        ("inline null", Some(0), Some(268), inline_null),
+        ("inline outer -> inline null", Some(0), Some(533), inline_nested),
+        ("inline call_with_payload, 64 B", Some(2), Some(607), inline_payload_64),
+        ("inline call_bulk, copy_from 64 KiB", Some(2), Some(66_300), inline_bulk_64k),
         ("hand-off null (caller)", Some(4), None, handoff_null),
         ("ClientRing 16 submits + doorbell", Some(2), Some(1_309), ring_d16),
         ("XClient null (client)", Some(2), None, xproc_null),

@@ -16,13 +16,17 @@
 # atomic), and the `flight::` unit tests (the record ring's seqlock, which
 # the flight recorder and the span plane both write: concurrent writers
 # beside a reader at both widths, and a writer stalled mid-record while
-# others lap it; about 5 s of the run, warm), built with the
+# others lap it; about 5 s of the run, warm), and the `baseline::` unit
+# tests (the locked comparator: `LockedServer`'s queue sits behind std's
+# uninstrumented mutex, so `scripts/tsan.supp` suppresses its reports;
+# the step shows the slots it hands through that queue stay clean
+# otherwise, about 2 s), built with the
 # nightly toolchain's TSan runtime. TSan does not model `membarrier`; the storm is still checked,
 # because a claim's release (`Release`) and the writer's scan of it
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all eight, exit nonzero on any report
+#     scripts/sanitize.sh            run all nine, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -51,3 +55,4 @@ cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests:
 cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact stats::tests::counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands
 cargo +nightly test -p ppc-rt --target "$target" --lib -- flight::
+cargo +nightly test -p ppc-rt --target "$target" --lib -- baseline::
