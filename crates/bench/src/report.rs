@@ -10,6 +10,7 @@
 use std::path::{Path, PathBuf};
 
 pub use ppc_rt::export::Json;
+use ppc_rt::export::QUANTILES;
 pub use ppc_rt::Histogram;
 
 /// Split the shared `--json <path>` / `--json=<path>` flag out of an
@@ -134,14 +135,9 @@ pub fn latency_fields(h: &Histogram) -> Json {
     if h.count() == 0 {
         return Json::Obj(Vec::new());
     }
-    Json::obj([
-        ("count", Json::Num(h.count() as f64)),
-        ("p50", Json::Num(h.quantile(0.50) as f64)),
-        ("p90", Json::Num(h.quantile(0.90) as f64)),
-        ("p99", Json::Num(h.quantile(0.99) as f64)),
-        ("p999", Json::Num(h.quantile(0.999) as f64)),
-        ("max", Json::Num(h.max_ns as f64)),
-    ])
+    let quantiles = QUANTILES.iter().map(|&(name, q)| (name, Json::Num(h.quantile(q) as f64)));
+    let count = ("count", Json::Num(h.count() as f64));
+    Json::obj([count].into_iter().chain(quantiles).chain([("max", Json::Num(h.max_ns as f64))]))
 }
 
 /// Format a row of cells with the given column widths (right-aligned

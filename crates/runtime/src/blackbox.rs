@@ -38,6 +38,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::export::{self, Json};
+use crate::flight::Record;
+use crate::span::Exemplar;
 use crate::stats::{Snapshot, TIME_STATES};
 use crate::telemetry::{InterferenceSample, WindowStats};
 use crate::Runtime;
@@ -148,89 +150,12 @@ fn sanitize(reason: &str) -> String {
 /// vCPU's total attributed time. Cumulative (whole-lifetime) shares —
 /// the *windowed* view lives in the embedded telemetry document.
 fn occupancy_json(per_vcpu: &[Snapshot]) -> Json {
-    Json::Arr(
-        per_vcpu
-            .iter()
-            .map(|s| {
-                let total: u64 = TIME_STATES
-                    .iter()
-                    .map(|&(_, name, _)| s.field(name).unwrap_or(0))
-                    .sum();
-                Json::Obj(
-                    TIME_STATES
-                        .iter()
-                        .map(|&(_, name, label)| {
-                            let ns = s.field(name).unwrap_or(0);
-                            let frac =
-                                if total == 0 { 0.0 } else { ns as f64 / total as f64 };
-                            (label.to_string(), Json::Num(frac))
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-fn flight_json(rt: &Runtime) -> Json {
-    let flight = rt.flight();
-    Json::Arr(
-        (0..flight.n_vcpus())
-            .map(|v| {
-                Json::Arr(
-                    flight
-                        .snapshot(v)
-                        .into_iter()
-                        .map(|ev| {
-                            Json::obj([
-                                ("seq", Json::Num(ev.seq as f64)),
-                                ("kind", Json::Str(ev.kind.label().into())),
-                                ("vcpu", Json::Num(ev.vcpu as f64)),
-                                ("ep", Json::Num(ev.ep as f64)),
-                                ("data", Json::Num(ev.data as f64)),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-fn exemplars_json(rt: &Runtime) -> Json {
-    let spans = rt.spans();
-    let mut out = Vec::new();
-    for v in 0..spans.n_vcpus() {
-        for ex in spans.exemplars(v) {
-            out.push(Json::obj([
-                ("trace_id", Json::Num(ex.trace_id as f64)),
-                ("ep", Json::Num(ex.ep as f64)),
-                ("vcpu", Json::Num(ex.vcpu as f64)),
-                ("total_ns", Json::Num(ex.total_ns as f64)),
-                (
-                    "spans",
-                    Json::Arr(
-                        ex.spans
-                            .iter()
-                            .map(|s| {
-                                Json::obj([
-                                    ("phase", Json::Str(s.phase.label().into())),
-                                    ("span_id", Json::Num(s.span_id as f64)),
-                                    ("parent_id", Json::Num(s.parent_id as f64)),
-                                    ("depth", Json::Num(s.depth as f64)),
-                                    ("vcpu", Json::Num(s.vcpu as f64)),
-                                    ("ep", Json::Num(s.ep as f64)),
-                                    ("start_ns", Json::Num(s.start_ns as f64)),
-                                    ("dur_ns", Json::Num(s.dur_ns as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]));
-        }
-    }
-    Json::Arr(out)
+    let shares = |s: &Snapshot| {
+        let ns = TIME_STATES.map(|(_, name, _)| s.field(name).unwrap_or(0));
+        let total = ns.iter().sum::<u64>().max(1) as f64;
+        Json::obj(TIME_STATES.iter().zip(ns).map(|(t, ns)| (t.2, Json::Num(ns as f64 / total))))
+    };
+    Json::Arr(per_vcpu.iter().map(shares).collect())
 }
 
 /// Build the black-box document for `rt`. The shape is versioned by
@@ -258,6 +183,9 @@ pub fn capture(rt: &Runtime, reason: &str) -> Json {
         None => (Json::Null, Json::Null),
     };
 
+    let (flight, spans) = (rt.flight(), rt.spans());
+    let records = |recs: Vec<Record>| Json::Arr(recs.iter().map(Record::json).collect());
+    let exemplars: Vec<Exemplar> = (0..spans.n_vcpus()).flat_map(|v| spans.exemplars(v)).collect();
     Json::obj([
         ("schema_version", Json::Num(export::SCHEMA_VERSION as f64)),
         ("kind", Json::Str("ppc-blackbox".into())),
@@ -273,7 +201,7 @@ pub fn capture(rt: &Runtime, reason: &str) -> Json {
         ("interference", interference),
         ("telemetry", telemetry),
         ("series", series),
-        ("flight", flight_json(rt)),
-        ("exemplars", exemplars_json(rt)),
+        ("flight", Json::Arr((0..flight.n_vcpus()).map(|v| records(flight.snapshot(v))).collect())),
+        ("exemplars", Json::Arr(exemplars.iter().map(Exemplar::json).collect())),
     ])
 }

@@ -330,8 +330,8 @@ impl Runtime {
         // dispatch); it closes when the completion is observed. The
         // context word rides the slot so the worker's handler span — and
         // anything nested under it — parents here.
-        let trace = self.spans().begin_async(sampled, vcpu, ep);
-        let word = trace.as_ref().map_or(0, |tok| tok.ctx.pack());
+        let trace = self.spans().begin_client(sampled, false, vcpu, ep, SpanPhase::Async);
+        let word = trace.as_ref().map_or(0, |tok| tok.ctx().pack());
         let worker = match self.post(&claim, args, program, None, false, word, sampled) {
             Ok((worker, _)) => worker,
             Err(e) => {

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use crate::obs::{Histogram, ObsState, KINDS};
-use crate::span::SpanRecord;
+use crate::flight::Record;
 use crate::stats::Snapshot;
 use crate::telemetry::{InterferenceSample, Telemetry, WindowStats, WINDOWS};
 
@@ -618,48 +618,26 @@ pub fn parse_prometheus(text: &str) -> Result<PromSnapshot, String> {
 /// in nanoseconds, and the non-empty log₂ buckets as `[le, count]`
 /// pairs.
 pub fn histogram_json(h: &Histogram) -> Json {
-    let mut fields: Vec<(String, Json)> =
-        vec![("count".into(), Json::Num(h.count() as f64))];
-    for (name, q) in QUANTILES {
-        fields.push((name.into(), Json::Num(h.quantile(q) as f64)));
-    }
-    fields.push(("max".into(), Json::Num(h.max_ns as f64)));
-    fields.push(("sum".into(), Json::Num(h.sum_ns as f64)));
-    fields.push((
-        "buckets".into(),
-        Json::Arr(
-            h.bucket_entries()
-                .filter(|&(_, n)| n > 0)
-                .map(|(le, n)| Json::Arr(vec![Json::Num(le as f64), Json::Num(n as f64)]))
-                .collect(),
-        ),
-    ));
-    Json::Obj(fields)
+    let n = |v: u64| Json::Num(v as f64);
+    let quantiles = QUANTILES.iter().map(|&(name, q)| (name, n(h.quantile(q))));
+    let buckets = h.bucket_entries().filter(|&(_, c)| c > 0);
+    let buckets = buckets.map(|(le, c)| Json::Arr(vec![n(le), n(c)]));
+    let tail = [("max", n(h.max_ns)), ("sum", n(h.sum_ns)), ("buckets", Json::Arr(buckets.collect()))];
+    Json::obj([("count", n(h.count()))].into_iter().chain(quantiles).chain(tail))
 }
 
 /// One [`Snapshot`]'s counters as a JSON object (name → value, driven
 /// by [`Snapshot::fields`] so a new counter appears automatically).
 pub fn counters_json(snap: &Snapshot) -> Json {
-    Json::Obj(
-        snap.fields()
-            .into_iter()
-            .map(|(name, value)| (name.to_string(), Json::Num(value as f64)))
-            .collect(),
-    )
+    Json::obj(snap.fields().into_iter().map(|(name, value)| (name, Json::Num(value as f64))))
 }
 
 /// The `latency_ns` object of every document: one [`histogram_json`]
 /// per kind with samples, keyed by its label. `hists` is in
 /// [`KINDS`] order.
 pub(crate) fn latency_json(hists: &[Histogram]) -> Json {
-    Json::Obj(
-        KINDS
-            .iter()
-            .zip(hists)
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(k, h)| (k.label().to_string(), histogram_json(h)))
-            .collect(),
-    )
+    let sampled = KINDS.iter().zip(hists).filter(|(_, h)| h.count() > 0);
+    Json::obj(sampled.map(|(k, h)| (k.label(), histogram_json(h))))
 }
 
 /// Render the counter + histogram planes as one JSON object:
@@ -796,17 +774,18 @@ pub fn telemetry_json(tel: &Telemetry) -> Json {
 ///   fighting over one.
 /// * `ts` is microseconds (the format's unit) as `f64`, carrying
 ///   nanosecond precision in the fraction.
-/// * `args` carries the causal identity: trace id, span id, parent
-///   span id, depth, entry point, vcpu.
-pub fn chrome_trace(records: &[SpanRecord]) -> String {
+/// * `args` is the span's [`Record::json`] object: its causal identity
+///   (trace, span and parent span ids, depth), entry point and vcpu.
+///
+/// Records other than spans are skipped.
+pub fn chrome_trace(records: &[Record]) -> String {
     struct Ev {
         ts_ns: u64,
         rank: u32, // orders B before E at equal timestamps
         json: Json,
     }
     let mut events: Vec<Ev> = Vec::with_capacity(records.len() * 2);
-    for r in records {
-        let phase = r.phase;
+    for (r, phase) in records.iter().filter_map(|r| Some((r, r.phase()?))) {
         let tid = u64::from(r.depth) * 2 + u64::from(phase.server_side());
         let common = |ph: &str, ts_ns: u64| {
             Json::obj([
@@ -816,17 +795,7 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
                 ("pid", Json::Num(f64::from(r.vcpu) + 1.0)),
                 ("tid", Json::Num(tid as f64)),
                 ("ts", Json::Num(ts_ns as f64 / 1000.0)),
-                (
-                    "args",
-                    Json::obj([
-                        ("trace", Json::Num(f64::from(r.trace_id))),
-                        ("span", Json::Num(f64::from(r.span_id))),
-                        ("parent", Json::Num(f64::from(r.parent_id))),
-                        ("depth", Json::Num(f64::from(r.depth))),
-                        ("ep", Json::Num(f64::from(r.ep))),
-                        ("vcpu", Json::Num(f64::from(r.vcpu))),
-                    ]),
-                ),
+                ("args", r.json()),
             ])
         };
         events.push(Ev {
@@ -848,83 +817,38 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
     .to_string()
 }
 
-/// A span reconstructed from a Chrome trace-event document: one matched
-/// `"B"`/`"E"` pair.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceSpan {
-    /// Phase label (`"call"`, `"handler"`, ...).
-    pub name: String,
-    pub trace_id: u32,
-    pub span_id: u16,
-    pub parent_id: u16,
-    pub depth: u8,
-    pub ep: u16,
-    pub vcpu: u8,
-    /// Begin timestamp in microseconds (the document's `ts` unit).
-    pub start_us: f64,
-    /// `E.ts - B.ts`, microseconds.
-    pub dur_us: f64,
-}
-
-impl TraceSpan {
-    /// Root spans have no parent.
-    pub fn is_root(&self) -> bool {
-        self.parent_id == 0
-    }
-}
-
-/// Load a [`chrome_trace`] document back into spans, matching each
-/// `"B"` to its `"E"` by `(trace, span)` identity from `args`. Errors
-/// on malformed JSON, a missing field, an `"E"` with no open `"B"`, or
-/// a `"B"` never closed — the strictness is the point: this is the
+/// Load a [`chrome_trace`] document back into span records, matching
+/// each `"B"` to its `"E"` by `(trace, span)` identity. A record is its
+/// `args` object ([`Record::from_json`]) timed by the pair: `start_ns`
+/// from the `"B"`'s `ts`, `dur_ns` from the `"E"`'s. Errors on malformed
+/// JSON, `args` that are not a record, an `"E"` with no open `"B"`, or a
+/// `"B"` never closed — the strictness is the point: this is the
 /// round-trip check the exporter is tested against. Returned spans are
-/// sorted by `(start_us, depth)`.
-pub fn load_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
+/// sorted by `(start_ns, depth, span_id)`.
+pub fn load_chrome_trace(text: &str) -> Result<Vec<Record>, String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
         .ok_or("no traceEvents array")?;
-    fn arg(ev: &Json, key: &str) -> Result<u64, String> {
-        ev.get("args")
-            .and_then(|a| a.get(key))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("event missing args.{key}"))
-    }
-    let mut open: std::collections::HashMap<(u64, u64), TraceSpan> =
-        std::collections::HashMap::new();
+    let mut open = std::collections::HashMap::new();
     let mut out = Vec::new();
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).ok_or("event missing ph")?;
-        let key = (arg(ev, "trace")?, arg(ev, "span")?);
         let ts = ev.get("ts").and_then(Json::as_f64).ok_or("event missing ts")?;
+        let ns = (ts * 1000.0).round() as u64;
+        let rec = ev.get("args").and_then(Record::from_json).ok_or("event args are not a record")?;
+        let key = (rec.trace_id(), rec.span_id);
         match ph {
             "B" => {
-                let span = TraceSpan {
-                    name: ev
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("event missing name")?
-                        .to_string(),
-                    trace_id: key.0 as u32,
-                    span_id: key.1 as u16,
-                    parent_id: arg(ev, "parent")? as u16,
-                    depth: arg(ev, "depth")? as u8,
-                    ep: arg(ev, "ep")? as u16,
-                    vcpu: arg(ev, "vcpu")? as u8,
-                    start_us: ts,
-                    dur_us: 0.0,
-                };
-                if open.insert(key, span).is_some() {
+                if open.insert(key, Record { start_ns: ns, ..rec }).is_some() {
                     return Err(format!("duplicate open span {key:?}"));
                 }
             }
             "E" => {
-                let mut span = open
-                    .remove(&key)
-                    .ok_or_else(|| format!("end without begin for span {key:?}"))?;
-                span.dur_us = ts - span.start_us;
-                out.push(span);
+                let begin =
+                    open.remove(&key).ok_or_else(|| format!("end without begin for span {key:?}"))?;
+                out.push(Record { dur_ns: ns.saturating_sub(begin.start_ns), ..begin });
             }
             other => return Err(format!("unexpected event phase {other:?}")),
         }
@@ -932,12 +856,7 @@ pub fn load_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
     if let Some(key) = open.keys().next() {
         return Err(format!("begin without end for span {key:?}"));
     }
-    out.sort_by(|a, b| {
-        a.start_us
-            .total_cmp(&b.start_us)
-            .then(a.depth.cmp(&b.depth))
-            .then(a.span_id.cmp(&b.span_id))
-    });
+    out.sort_by_key(|r| (r.start_ns, r.depth, r.span_id));
     Ok(out)
 }
 
@@ -1066,44 +985,23 @@ mod tests {
 
     #[test]
     fn chrome_trace_roundtrips_through_loader() {
-        use crate::span::SpanRecord;
+        use crate::flight::Record;
+        let span = |span_id, parent_id, phase, depth, start_ns, dur_ns| Record {
+            seq: 1,
+            kind: crate::flight::Kind::Span(phase),
+            vcpu: 0,
+            ep: 3,
+            data: 7,
+            span_id,
+            parent_id,
+            depth,
+            start_ns,
+            dur_ns,
+        };
         let records = vec![
-            SpanRecord {
-                seq: 1,
-                trace_id: 7,
-                span_id: 1,
-                parent_id: 0,
-                phase: SpanPhase::Call,
-                depth: 0,
-                vcpu: 0,
-                ep: 3,
-                start_ns: 1_000,
-                dur_ns: 9_000,
-            },
-            SpanRecord {
-                seq: 1,
-                trace_id: 7,
-                span_id: 2,
-                parent_id: 1,
-                phase: SpanPhase::Handler,
-                depth: 1,
-                vcpu: 0,
-                ep: 3,
-                start_ns: 2_000,
-                dur_ns: 6_000,
-            },
-            SpanRecord {
-                seq: 1,
-                trace_id: 7,
-                span_id: 3,
-                parent_id: 2,
-                phase: SpanPhase::Frank,
-                depth: 2,
-                vcpu: 0,
-                ep: 3,
-                start_ns: 3_000,
-                dur_ns: 0,
-            },
+            span(1, 0, SpanPhase::Call, 0, 1_000, 9_000),
+            span(2, 1, SpanPhase::Handler, 1, 2_000, 6_000),
+            span(3, 2, SpanPhase::Frank, 2, 3_000, 0),
         ];
         let text = chrome_trace(&records);
         let doc = Json::parse(&text).expect("valid JSON");
@@ -1115,13 +1013,12 @@ mod tests {
         let spans = load_chrome_trace(&text).expect("round-trip");
         assert_eq!(spans.len(), records.len());
         for (got, want) in spans.iter().zip(&records) {
-            assert_eq!(got.trace_id, want.trace_id);
+            assert_eq!(got.trace_id(), want.trace_id());
             assert_eq!(got.span_id, want.span_id);
             assert_eq!(got.parent_id, want.parent_id);
             assert_eq!(got.depth, want.depth);
-            assert_eq!(got.name, want.phase.label());
-            let dur_ns = (got.dur_us * 1000.0).round() as u64;
-            assert_eq!(dur_ns, want.dur_ns);
+            assert_eq!(got.kind.label(), want.kind.label());
+            assert_eq!(got.dur_ns, want.dur_ns);
         }
         assert!(spans[0].is_root());
         assert!(!spans[1].is_root());
@@ -1131,11 +1028,17 @@ mod tests {
     fn chrome_trace_loader_rejects_unpaired_events() {
         let text = chrome_trace(&[]);
         assert!(load_chrome_trace(&text).unwrap().is_empty());
-        let orphan_end = r#"{"traceEvents":[{"name":"call","ph":"E","ts":1,
-            "args":{"trace":1,"span":1,"parent":0,"depth":0,"ep":0,"vcpu":0}}]}"#;
-        assert!(load_chrome_trace(orphan_end).is_err());
-        let orphan_begin = r#"{"traceEvents":[{"name":"call","ph":"B","ts":1,
-            "args":{"trace":1,"span":1,"parent":0,"depth":0,"ep":0,"vcpu":0}}]}"#;
-        assert!(load_chrome_trace(orphan_begin).is_err());
+        let event = |ph: &str| {
+            let args = r#"{"seq":0,"phase":"call","trace_id":1,"span_id":1,"parent_id":0,
+                "depth":0,"vcpu":0,"ep":0,"start_ns":1000,"dur_ns":0}"#;
+            format!(r#"{{"name":"call","ph":"{ph}","ts":1,"args":{args}}}"#)
+        };
+        let doc = |events: &[&str]| {
+            let events: Vec<String> = events.iter().map(|&ph| event(ph)).collect();
+            format!(r#"{{"traceEvents":[{}]}}"#, events.join(","))
+        };
+        assert_eq!(load_chrome_trace(&doc(&["B", "E"])).unwrap().len(), 1, "a pair loads");
+        assert!(load_chrome_trace(&doc(&["E"])).is_err(), "orphan end");
+        assert!(load_chrome_trace(&doc(&["B"])).is_err(), "orphan begin");
     }
 }

@@ -161,11 +161,10 @@ fn handle_conn(stream: TcpStream, rt: &Weak<Runtime>) -> std::io::Result<()> {
     };
     // Ignore any query string: `/metrics?x=1` is `/metrics`.
     let path = path.split('?').next().unwrap_or(path);
-    match path {
-        "/" => respond(
-            &mut stream,
-            200,
-            "text/plain; charset=utf-8",
+    let (text, json) = ("text/plain; charset=utf-8", "application/json");
+    let (content_type, body) = match path {
+        "/" => (
+            text,
             "ppc-rt observability endpoints:\n\
              /metrics      Prometheus text exposition (incl. ppc_rate_* windows\n\
                            and ppc_transport_*/ppc_segment_* gauges)\n\
@@ -176,54 +175,21 @@ fn handle_conn(stream: TcpStream, rt: &Weak<Runtime>) -> std::io::Result<()> {
              /profile      critical-path profile (per-entry phase breakdown)\n\
              /profile.folded  collapsed stacks (flamegraph.pl / speedscope)\n\
              /blackbox     on-demand black-box capture (JSON artifact)\n\
-             /diagnostics  human-readable diagnostics dump\n",
+             /diagnostics  human-readable diagnostics dump\n"
+                .to_string(),
         ),
-        "/metrics" => respond(
-            &mut stream,
-            200,
-            // The exposition-format content type Prometheus expects.
-            "text/plain; version=0.0.4; charset=utf-8",
-            &rt.export_prometheus(),
-        ),
-        "/json" => respond(
-            &mut stream,
-            200,
-            "application/json",
-            &rt.export_json().to_string(),
-        ),
-        "/series" => respond(
-            &mut stream,
-            200,
-            "application/json",
-            &rt.export_series().to_string(),
-        ),
-        "/trace" => respond(&mut stream, 200, "application/json", &rt.export_trace()),
-        "/profile" => respond(
-            &mut stream,
-            200,
-            "text/plain; charset=utf-8",
-            &rt.profile().text_report(),
-        ),
-        "/profile.folded" => respond(
-            &mut stream,
-            200,
-            "text/plain; charset=utf-8",
-            &rt.profile().folded(),
-        ),
-        "/blackbox" => respond(
-            &mut stream,
-            200,
-            "application/json",
-            &rt.blackbox_json("http-request").to_string(),
-        ),
-        "/diagnostics" => respond(
-            &mut stream,
-            200,
-            "text/plain; charset=utf-8",
-            &rt.diagnostics(),
-        ),
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
-    }
+        // The exposition-format content type Prometheus expects.
+        "/metrics" => ("text/plain; version=0.0.4; charset=utf-8", rt.export_prometheus()),
+        "/json" => (json, rt.export_json().to_string()),
+        "/series" => (json, rt.export_series().to_string()),
+        "/trace" => (json, rt.export_trace()),
+        "/profile" => (text, rt.profile().text_report()),
+        "/profile.folded" => (text, rt.profile().folded()),
+        "/blackbox" => (json, rt.blackbox_json("http-request").to_string()),
+        "/diagnostics" => (text, rt.diagnostics()),
+        _ => return respond(&mut stream, 404, "text/plain", "not found\n"),
+    };
+    respond(&mut stream, 200, content_type, &body)
 }
 
 fn respond(

@@ -93,12 +93,12 @@ use std::time::Duration;
 
 pub use bulk::{BufferPool, BulkState, PoolBuf};
 pub use entry::{EntryOptions, EntryState};
-pub use flight::{FlightEvent, FlightKind, FlightPlane};
+pub use flight::{FlightKind, FlightPlane, Kind, Record};
 pub use obs::{Histogram, LatencyKind, ObsState};
 pub use region::{BulkDesc, RegionId, MAX_BULK, MAX_REGIONS};
 pub use ring::{ClientRing, Completion, RingOptions};
 pub use shm::{SegOffset, SegRef, Segment};
-pub use span::{Exemplar, SpanPhase, SpanPlane, SpanRecord, TraceCtx};
+pub use span::{Exemplar, SpanPhase, SpanPlane, TraceCtx};
 pub use stats::{RuntimeStats, Snapshot, StatsCell};
 pub use telemetry::{AlertState, SloMetric, SloRule, Telemetry, WindowStats};
 pub use xproc::{

@@ -28,7 +28,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::span::{SpanPhase, SpanRecord, NPHASES, PHASES};
+use crate::flight::Record;
+use crate::span::{SpanPhase, NPHASES, PHASES};
 use crate::Runtime;
 
 /// Aggregate for one phase within one entry's profile.
@@ -106,12 +107,14 @@ fn entry<'a>(
     })
 }
 
-/// Fold `records` into a [`Profile`]. `names` maps entry IDs to
-/// diagnostic names (missing IDs render as `ep<N>`).
-pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
-    let mut by_trace: HashMap<u32, Vec<&SpanRecord>> = HashMap::new();
+/// Fold the spans among `records` into a [`Profile`]. `names` maps
+/// entry IDs to diagnostic names (missing IDs render as `ep<N>`).
+pub fn build(records: &[Record], names: &HashMap<u16, String>) -> Profile {
+    let mut by_trace: HashMap<u32, Vec<(&Record, SpanPhase)>> = HashMap::new();
     for r in records {
-        by_trace.entry(r.trace_id).or_default().push(r);
+        if let Some(phase) = r.phase() {
+            by_trace.entry(r.trace_id()).or_default().push((r, phase));
+        }
     }
 
     let mut entries: HashMap<u16, EntryProfile> = HashMap::new();
@@ -132,12 +135,12 @@ pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
     trace_ids.sort_unstable();
     for tid in &trace_ids {
         let mut spans = by_trace.remove(tid).unwrap();
-        spans.sort_by_key(|r| (r.start_ns, r.seq));
+        spans.sort_by_key(|(r, _)| (r.start_ns, r.seq));
         let ids: std::collections::HashSet<u16> =
-            spans.iter().map(|r| r.span_id).collect();
+            spans.iter().map(|(r, _)| r.span_id).collect();
         let mut children: HashMap<u16, Vec<usize>> = HashMap::new();
         let mut roots: Vec<usize> = Vec::new();
-        for (i, r) in spans.iter().enumerate() {
+        for (i, (r, _)) in spans.iter().enumerate() {
             if r.parent_id != 0 && ids.contains(&r.parent_id) && r.parent_id != r.span_id
             {
                 children.entry(r.parent_id).or_default().push(i);
@@ -151,23 +154,23 @@ pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
 
         // Explicit stack: (span index, path string, child cursor).
         for &root in &roots {
-            let r = spans[root];
+            let (r, phase) = spans[root];
             let e = entry(&mut entries, names, r.ep);
             if r.parent_id == 0 {
                 e.roots += 1;
                 e.root_ns += r.dur_ns;
             }
 
-            let mut walk: Vec<(usize, String)> = vec![(root, frame(r.ep, r.phase))];
+            let mut walk: Vec<(usize, String)> = vec![(root, frame(r.ep, phase))];
             while let Some((i, path)) = walk.pop() {
-                let s = spans[i];
+                let (s, phase) = spans[i];
                 let kids = children.get(&s.span_id).map(Vec::as_slice).unwrap_or(&[]);
                 let mut kid_ns = 0u64;
                 for &k in kids {
-                    let kr = spans[k];
+                    let (kr, kid_phase) = spans[k];
                     kid_ns = kid_ns.saturating_add(kr.dur_ns);
                     if path.matches(';').count() + 1 < MAX_WALK_DEPTH {
-                        walk.push((k, format!("{path};{}", frame(kr.ep, kr.phase))));
+                        walk.push((k, format!("{path};{}", frame(kr.ep, kid_phase))));
                     }
                     // Cross-entry child attribution: a nested call into
                     // a *different* entry bills the parent's entry as
@@ -177,7 +180,7 @@ pub fn build(records: &[SpanRecord], names: &HashMap<u16, String>) -> Profile {
                     }
                 }
                 let self_ns = s.dur_ns.saturating_sub(kid_ns);
-                let agg = &mut entry(&mut entries, names, s.ep).phases[s.phase as usize];
+                let agg = &mut entry(&mut entries, names, s.ep).phases[phase as usize];
                 agg.count += 1;
                 agg.total_ns += s.dur_ns;
                 agg.self_ns += self_ns;
@@ -334,16 +337,16 @@ mod tests {
         ep: u16,
         start_ns: u64,
         dur_ns: u64,
-    ) -> SpanRecord {
-        SpanRecord {
+    ) -> Record {
+        Record {
             seq: span_id as u64,
-            trace_id,
-            span_id,
-            parent_id,
-            phase,
-            depth: 0,
+            kind: crate::flight::Kind::Span(phase),
             vcpu: 0,
             ep,
+            data: trace_id,
+            span_id,
+            parent_id,
+            depth: 0,
             start_ns,
             dur_ns,
         }

@@ -677,8 +677,9 @@ mod tests {
         let writer_live = AtomicBool::new(false);
 
         std::thread::scope(|s| {
+            let mut threads = Vec::new();
             for _ in 0..4 {
-                s.spawn(|| {
+                threads.push(s.spawn(|| {
                     for _ in 0..200 {
                         let acc = reg.begin(d, 2, 3, 1, true, false).unwrap();
                         assert!(
@@ -692,8 +693,8 @@ mod tests {
                         writer_live.store(false, Ordering::SeqCst);
                         acc.finish().unwrap();
                     }
-                });
-                s.spawn(|| {
+                }));
+                threads.push(s.spawn(|| {
                     for _ in 0..200 {
                         let acc = reg.begin(d, 2, 3, 1, false, false).unwrap();
                         assert!(
@@ -702,8 +703,11 @@ mod tests {
                         );
                         acc.finish().unwrap();
                     }
-                });
+                }));
             }
+            // Joined by hand (`pthread_join`, which TSan sees) before the
+            // region is unregistered below.
+            threads.into_iter().for_each(|t| t.join().unwrap());
         });
         reg.unregister(id, 1).unwrap();
     }

@@ -47,7 +47,7 @@ use crate::obs::LatencyKind;
 use crate::region::BulkDesc;
 use crate::shm::Segment;
 use crate::slot::SCRATCH_BYTES;
-use crate::span::SpanToken;
+use crate::span::{SpanPhase, SpanToken};
 use crate::stats::{StateTimer, TimeState};
 use crate::wait::{notify, wait, Poll, Sleeper, Spin};
 use crate::{Client, EntryId, ProgramId, RegionId, RtError, Runtime};
@@ -693,10 +693,11 @@ impl ClientRing {
     fn open_batch(&mut self, ep: EntryId) -> u64 {
         let vcpu = self.shared.vcpu;
         let sampled = self.rt.obs().try_sample(vcpu);
-        let Some(tok) = self.rt.spans().begin_ring(sampled, vcpu, ep) else {
+        let phase = SpanPhase::Ring;
+        let Some(tok) = self.rt.spans().begin_client(sampled, false, vcpu, ep, phase) else {
             return 0;
         };
-        let trace = tok.ctx.pack();
+        let trace = tok.ctx().pack();
         self.traced = Some((self.ring.tail, tok));
         trace
     }
@@ -1219,7 +1220,7 @@ pub(crate) mod tests {
                 ring.drain(&mut out);
             }
             let events = rt.flight().snapshot(0);
-            let recorded = events.iter().filter(|e| e.kind == FlightKind::Doorbell).count() as u64;
+            let recorded = events.iter().filter(|e| e.kind == crate::flight::Kind::Flight(FlightKind::Doorbell)).count() as u64;
             assert!(rt.stats.ring_doorbells() > first_woken && first_woken > 0, "parked workers were woken");
             assert_eq!(recorded, if sampled { first_woken } else { 0 }, "sampled: {sampled}");
         }

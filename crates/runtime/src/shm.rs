@@ -538,7 +538,7 @@ mod tests {
         // Safety: in-bounds, aligned, zero-initialized.
         let word = unsafe { r.resolve(&seg) };
         std::thread::scope(|s| {
-            s.spawn(|| {
+            let waiter = s.spawn(|| {
                 while word.load(Ordering::Acquire) == 0 {
                     futex_wait(word, 0, Some(Duration::from_millis(50)));
                 }
@@ -546,6 +546,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             word.store(1, Ordering::Release);
             futex_wake(word, u32::MAX);
+            waiter.join().unwrap(); // by hand: TSan sees `pthread_join`
         });
         assert_eq!(word.load(Ordering::Relaxed), 1);
     }

@@ -365,24 +365,24 @@ pub struct AlertState {
     pub interference_ratio: f64,
 }
 
-/// The one overwrite buffer: preallocated slots behind a mutex,
-/// overwritten oldest-first in place and never grown. The tick series
-/// and each vCPU's tail exemplars ([`crate::span`]) live in one. Its
-/// writers (a sampler tick, an exemplar promotion) and its readers are
-/// all cold, so a mutex is the honest choice: the call path never comes
-/// near it.
+/// The overwrite buffer the tick series lives in: preallocated
+/// [`WindowStats`] slots behind a mutex, overwritten oldest-first in
+/// place and never grown. Its writer (a sampler tick) and its readers
+/// are all cold, so a mutex is the honest choice: the call path never
+/// comes near it.
 #[derive(Debug)]
-pub(crate) struct Overwrite<T> {
+pub(crate) struct Overwrite {
     /// The slots and the pushes ever made; a push lands in slot
     /// `pushes & (depth - 1)`.
-    inner: parking_lot::Mutex<(Box<[T]>, u64)>,
+    inner: parking_lot::Mutex<(Box<[WindowStats]>, u64)>,
 }
 
-impl<T> Overwrite<T> {
-    /// `depth` slots (a power of two), each made by `slot`.
-    pub(crate) fn new(depth: usize, slot: impl FnMut(usize) -> T) -> Self {
+impl Overwrite {
+    /// `depth` empty ticks over `n_vcpus` (a power of two of them).
+    pub(crate) fn new(depth: usize, n_vcpus: usize) -> Self {
         assert!(depth.is_power_of_two(), "buffer depth must be a power of two");
-        Overwrite { inner: parking_lot::Mutex::new(((0..depth).map(slot).collect(), 0)) }
+        let slots = (0..depth).map(|_| WindowStats::empty(n_vcpus)).collect();
+        Overwrite { inner: parking_lot::Mutex::new((slots, 0)) }
     }
 
     pub(crate) fn depth(&self) -> usize {
@@ -391,8 +391,8 @@ impl<T> Overwrite<T> {
 
     /// Overwrite the oldest slot in place with `fill`. Nothing is
     /// allocated as long as `fill` reuses the slot's storage
-    /// (`clone_from`, `clear` + bounded `push`).
-    pub(crate) fn push_with(&self, fill: impl FnOnce(&mut T)) {
+    /// (`clone_from`).
+    pub(crate) fn push_with(&self, fill: impl FnOnce(&mut WindowStats)) {
         let mut inner = self.inner.lock();
         let (slots, pushes) = &mut *inner;
         fill(&mut slots[*pushes as usize & (slots.len() - 1)]);
@@ -400,7 +400,7 @@ impl<T> Overwrite<T> {
     }
 
     /// Visit the retained slots newest first, until `f` returns false.
-    pub(crate) fn newest(&self, mut f: impl FnMut(&T) -> bool) {
+    pub(crate) fn newest(&self, mut f: impl FnMut(&WindowStats) -> bool) {
         let inner = self.inner.lock();
         let (slots, pushes) = (&inner.0, inner.1);
         for seq in (pushes - pushes.min(slots.len() as u64)..pushes).rev() {
@@ -411,10 +411,7 @@ impl<T> Overwrite<T> {
     }
 
     /// Clones of the newest `n` slots, oldest first.
-    pub(crate) fn last(&self, n: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
+    pub(crate) fn last(&self, n: usize) -> Vec<WindowStats> {
         let mut out = Vec::new();
         self.newest(|t| {
             if out.len() == n {
@@ -426,9 +423,7 @@ impl<T> Overwrite<T> {
         out.reverse();
         out
     }
-}
 
-impl Overwrite<WindowStats> {
     /// Merge the newest ticks until `window` is covered (or the series
     /// is exhausted).
     fn window(&self, window: Duration, n_vcpus: usize) -> WindowStats {
@@ -450,7 +445,7 @@ impl Overwrite<WindowStats> {
 /// [`crate::Runtime::start_telemetry`] and read it via
 /// [`crate::Runtime::telemetry`].
 pub struct Telemetry {
-    ring: Overwrite<WindowStats>,
+    ring: Overwrite,
     alerts: parking_lot::Mutex<Vec<AlertState>>,
     tick: Duration,
     n_vcpus: usize,
@@ -484,7 +479,7 @@ impl Telemetry {
     ) -> Arc<Telemetry> {
         let tick = tick.max(Duration::from_millis(1));
         let tel = Arc::new(Telemetry {
-            ring: Overwrite::new(DEFAULT_SERIES_DEPTH, |_| WindowStats::empty(n_vcpus)),
+            ring: Overwrite::new(DEFAULT_SERIES_DEPTH, n_vcpus),
             alerts: parking_lot::Mutex::new(
                 rules
                     .into_iter()
@@ -717,8 +712,8 @@ impl Telemetry {
 mod tests {
     use super::*;
 
-    fn series(depth: usize, n_vcpus: usize) -> Overwrite<WindowStats> {
-        Overwrite::new(depth, |_| WindowStats::empty(n_vcpus))
+    fn series(depth: usize, n_vcpus: usize) -> Overwrite {
+        Overwrite::new(depth, n_vcpus)
     }
 
     #[test]

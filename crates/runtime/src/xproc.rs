@@ -1093,6 +1093,9 @@ impl XClient {
         Err(RtError::PeerGone)
     }
 
+    /// Cold: taken once, when the server is gone, and kept out of the
+    /// code of every submit and call that checks for it.
+    #[cold]
     fn note_peer_lost(&mut self) {
         if !self.dead {
             self.dead = true;
@@ -1776,7 +1779,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
-            rt.flight().snapshot(0).iter().any(|e| e.kind == FlightKind::PeerLost),
+            rt.flight().snapshot(0).iter().any(|e| e.kind == crate::Kind::Flight(FlightKind::PeerLost)),
             "forced detach lands on the flight record"
         );
         assert_eq!(rt.stats.snapshot().ring_calls, 0, "the forged SQE never ran");

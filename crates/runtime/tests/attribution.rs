@@ -452,7 +452,7 @@ fn profiler_breakdown_matches_span_tree() {
     let mut expect: std::collections::HashMap<(u16, u8), (u64, u64)> =
         std::collections::HashMap::new();
     for r in &records {
-        let e = expect.entry((r.ep, r.phase as u8)).or_insert((0, 0));
+        let e = expect.entry((r.ep, r.phase().unwrap() as u8)).or_insert((0, 0));
         e.0 += 1;
         e.1 += r.dur_ns;
     }
@@ -488,9 +488,9 @@ fn profiler_breakdown_matches_span_tree() {
     for r in &records {
         let t = loaded
             .iter()
-            .find(|t| t.trace_id == r.trace_id && t.span_id == r.span_id)
-            .unwrap_or_else(|| panic!("span {}/{} lost in B/E export", r.trace_id, r.span_id));
-        let dur_ns = (t.dur_us * 1_000.0).round() as u64;
+            .find(|t| t.trace_id() == r.trace_id() && t.span_id == r.span_id)
+            .unwrap_or_else(|| panic!("span {}/{} lost in B/E export", r.trace_id(), r.span_id));
+        let dur_ns = t.dur_ns;
         assert!(
             dur_ns.abs_diff(r.dur_ns) <= 1,
             "B/E duration drifted: {} vs {}",

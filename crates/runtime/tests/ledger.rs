@@ -409,18 +409,19 @@ fn main() {
     // The instruction ceilings: the four inline paths at their counts once
     // a call stopped writing a per-entry completion count and the sampler
     // kept one tick per vCPU (the inline null call against the paper's
-    // ≈ 200-instruction round trip: 268). The segment ring's batch at its count once `ClientRing` paid for
-    // observability per batch (1 028), rounded up; `ClientRing`'s at its
-    // count once the batch's sampler tick moved out of line (1 309).
+    // ≈ 200-instruction round trip: 268). The two ring batches at the
+    // counts a release build prints: `ClientRing`'s once the batch's
+    // sampler tick moved out of line (1 307), the segment ring's once its
+    // peer-loss note went cold and left the submit path (1 005).
     let paths: [Path; 8] = [
         ("inline null", Some(0), Some(268), inline_null),
         ("inline outer -> inline null", Some(0), Some(533), inline_nested),
         ("inline call_with_payload, 64 B", Some(2), Some(607), inline_payload_64),
         ("inline call_bulk, copy_from 64 KiB", Some(2), Some(66_300), inline_bulk_64k),
         ("hand-off null (caller)", Some(4), None, handoff_null),
-        ("ClientRing 16 submits + doorbell", Some(2), Some(1_309), ring_d16),
+        ("ClientRing 16 submits + doorbell", Some(2), Some(1_307), ring_d16),
         ("XClient null (client)", Some(2), None, xproc_null),
-        ("XClient 16 submits + ring_doorbell (client)", Some(2), Some(1_030), xproc_ring_d16),
+        ("XClient 16 submits + ring_doorbell (client)", Some(2), Some(1_005), xproc_ring_d16),
     ];
     let release = !cfg!(debug_assertions);
     let mut wrong = Vec::new();

@@ -14,7 +14,7 @@ use ppc_rt::export::{self, Json};
 use ppc_rt::http::http_get;
 use ppc_rt::obs::KINDS;
 use ppc_rt::telemetry::{SloMetric, SloRule, DEFAULT_SERIES_DEPTH, WINDOWS};
-use ppc_rt::{EntryOptions, FlightKind, LatencyKind, Runtime, Snapshot};
+use ppc_rt::{EntryOptions, FlightKind, Kind, LatencyKind, Runtime, Snapshot};
 
 /// A runtime with a fast sampler tick (10 ms keeps the tests quick
 /// without making tick-boundary races likely).
@@ -278,7 +278,7 @@ fn slo_watchdog_fires_alert_and_flight_event() {
 
     let events = rt.flight().snapshot(0);
     assert!(
-        events.iter().any(|e| e.kind == FlightKind::Alert),
+        events.iter().any(|e| e.kind == Kind::Flight(FlightKind::Alert)),
         "Alert event in the flight ring: {events:?}"
     );
     let diag = rt.diagnostics();

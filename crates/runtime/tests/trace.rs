@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use ppc_rt::export::{load_chrome_trace, TraceSpan};
-use ppc_rt::{EntryOptions, FlightKind, Runtime, RuntimeOptions};
+use ppc_rt::export::load_chrome_trace;
+use ppc_rt::{EntryOptions, FlightKind, Kind, Record, Runtime, RuntimeOptions};
 
-fn spans_of(rt: &Arc<Runtime>) -> Vec<TraceSpan> {
+fn spans_of(rt: &Arc<Runtime>) -> Vec<Record> {
     let text = rt.export_trace();
     load_chrome_trace(&text).expect("export_trace emits a loadable Chrome trace")
 }
@@ -55,17 +55,17 @@ fn nested_chain_produces_one_correctly_parented_trace() {
     let spans = spans_of(&rt);
 
     // One trace, rooted once.
-    let trace = spans[0].trace_id;
-    assert!(spans.iter().all(|s| s.trace_id == trace), "one causal chain, one id: {spans:#?}");
+    let trace = spans[0].trace_id();
+    assert!(spans.iter().all(|s| s.trace_id() == trace), "one causal chain, one id: {spans:#?}");
     let roots: Vec<_> = spans.iter().filter(|s| s.is_root()).collect();
     assert_eq!(roots.len(), 1, "exactly one root: {spans:#?}");
     let root = roots[0];
-    assert_eq!((root.name.as_str(), root.depth, root.ep), ("call", 0, outer as u16));
+    assert_eq!((root.kind.label(), root.depth, root.ep), ("call", 0, outer as u16));
 
-    let find = |name: &str, depth: u8| -> &TraceSpan {
+    let find = |name: &str, depth: u8| -> &Record {
         spans
             .iter()
-            .find(|s| s.name == name && s.depth == depth)
+            .find(|s| s.kind.label() == name && s.depth == depth)
             .unwrap_or_else(|| panic!("no {name} span at depth {depth} in {spans:#?}"))
     };
     let outer_handler = find("handler", 1);
@@ -77,7 +77,7 @@ fn nested_chain_produces_one_correctly_parented_trace() {
     assert_eq!(inner_handler.parent_id, inner_call.span_id, "inner handler under its call");
     let rendezvous = find("rendezvous", 3);
     assert_eq!(rendezvous.parent_id, inner_call.span_id, "wait attributed to the nested call");
-    let franks: Vec<_> = spans.iter().filter(|s| s.name == "frank").collect();
+    let franks: Vec<_> = spans.iter().filter(|s| s.kind.label() == "frank").collect();
     assert!(!franks.is_empty(), "worker-pool grow recorded: {spans:#?}");
     assert!(
         franks.iter().any(|f| f.parent_id == inner_call.span_id),
@@ -93,7 +93,7 @@ fn nested_chain_produces_one_correctly_parented_trace() {
     // Containment: children start no earlier than their parent.
     for s in &spans {
         if let Some(p) = spans.iter().find(|p| p.span_id == s.parent_id) {
-            assert!(s.start_us >= p.start_us, "child {s:?} starts before parent {p:?}");
+            assert!(s.start_ns >= p.start_ns, "child {s:?} starts before parent {p:?}");
         }
     }
 }
@@ -127,9 +127,9 @@ fn unsampled_nested_inline_call_joins_the_live_trace() {
     let roots: Vec<_> = spans.iter().filter(|s| s.is_root()).collect();
     assert_eq!(roots.len(), 8, "one root per outer call: {spans:#?}");
     for root in roots {
-        let mut tree: Vec<_> = spans.iter().filter(|s| s.trace_id == root.trace_id).collect();
+        let mut tree: Vec<_> = spans.iter().filter(|s| s.trace_id() == root.trace_id()).collect();
         tree.sort_by_key(|s| s.depth);
-        let shape: Vec<_> = tree.iter().map(|s| (s.name.as_str(), s.depth, s.ep)).collect();
+        let shape: Vec<_> = tree.iter().map(|s| (s.kind.label(), s.depth, s.ep)).collect();
         let (o, i) = (outer as u16, inner as u16);
         assert_eq!(shape, [("call", 0, o), ("handler", 1, o), ("call", 2, i), ("handler", 3, i)]);
         for pair in tree.windows(2) {
@@ -175,18 +175,18 @@ fn call_async_is_fully_observable() {
     let spans = spans_of(&rt);
     let events = rt.flight().snapshot(0);
     assert!(
-        events.iter().any(|e| e.kind == FlightKind::Async && e.ep == ep as u16),
+        events.iter().any(|e| e.kind == Kind::Flight(FlightKind::Async) && e.ep == ep as u16),
         "async dispatch in the flight ring: {events:?}"
     );
     let root = spans
         .iter()
-        .find(|s| s.name == "async" && s.is_root())
+        .find(|s| s.kind.label() == "async" && s.is_root())
         .unwrap_or_else(|| panic!("async root span closed by wait(): {spans:#?}"));
     let handler = spans
         .iter()
-        .find(|s| s.name == "handler")
+        .find(|s| s.kind.label() == "handler")
         .unwrap_or_else(|| panic!("worker handler span: {spans:#?}"));
-    assert_eq!(handler.trace_id, root.trace_id, "context crossed the hand-off");
+    assert_eq!(handler.trace_id(), root.trace_id(), "context crossed the hand-off");
     assert_eq!(handler.parent_id, root.span_id, "handler parented under the async root");
     // Dropping an unwaited call still closes its span (no dangling B).
     let pending = client.call_async(ep, [1; 8]).unwrap();
@@ -211,7 +211,7 @@ fn ring_submissions_parent_their_handler_spans() {
     let client = rt.client(0, 1);
     let mut ring = client.ring();
     let mut out = Vec::new();
-    let rings = |spans: &[TraceSpan]| spans.iter().filter(|s| s.name == "ring").cloned().collect::<Vec<_>>();
+    let rings = |spans: &[Record]| spans.iter().filter(|s| s.kind.label() == "ring").cloned().collect::<Vec<_>>();
     let mut batch = |ring: &mut ppc_rt::ClientRing, drain: bool| {
         ring.submit(first, [1; 8], 1).unwrap();
         ring.submit(second, [2; 8], 2).unwrap();
@@ -228,16 +228,16 @@ fn ring_submissions_parent_their_handler_spans() {
     let [r] = &found[..] else { panic!("one ring span per batch: {spans:#?}") };
     assert!(r.is_root(), "a sampled batch is a trace root");
     assert_eq!(r.ep, first as u16, "the span is the first SQE's");
-    let handlers: Vec<_> = spans.iter().filter(|s| s.name == "handler").collect();
+    let handlers: Vec<_> = spans.iter().filter(|s| s.kind.label() == "handler").collect();
     let [h] = handlers[..] else { panic!("only the first SQE carries a context: {spans:#?}") };
-    assert_eq!((h.trace_id, h.parent_id, h.ep), (r.trace_id, r.span_id, first as u16), "handler under it");
-    assert!(h.start_us >= r.start_us && h.start_us + h.dur_us <= r.start_us + r.dur_us, "containment");
+    assert_eq!((h.trace_id(), h.parent_id, h.ep), (r.trace_id(), r.span_id, first as u16), "handler under it");
+    assert!(h.start_ns >= r.start_ns && h.start_ns + h.dur_ns <= r.start_ns + r.dur_ns, "containment");
 
     // A second batch is a second causal chain.
     batch(&mut ring, true);
     let spans = rings(&spans_of(&rt));
     assert_eq!(spans.len(), 2, "a second ring span: {spans:#?}");
-    assert_ne!(spans[0].trace_id, spans[1].trace_id);
+    assert_ne!(spans[0].trace_id(), spans[1].trace_id());
 
     // A batch rung while the traced SQE of the one before is unreaped
     // opens no span of its own.
@@ -246,11 +246,11 @@ fn ring_submissions_parent_their_handler_spans() {
     ring.drain(&mut out);
     assert_eq!(out.len(), 8);
     let spans = spans_of(&rt);
-    let handlers: Vec<_> = spans.iter().filter(|s| s.name == "handler").collect();
+    let handlers: Vec<_> = spans.iter().filter(|s| s.kind.label() == "handler").collect();
     assert_eq!((rings(&spans).len(), handlers.len()), (3, 3), "the unreaped batch's span only: {spans:#?}");
     for h in handlers {
-        let parent = spans.iter().find(|s| (s.trace_id, s.span_id) == (h.trace_id, h.parent_id));
-        assert_eq!(parent.map(|p| p.name.as_str()), Some("ring"), "every handler under its ring span");
+        let parent = spans.iter().find(|s| (s.trace_id(), s.span_id) == (h.trace_id(), h.parent_id));
+        assert_eq!(parent.map(|p| p.kind.label()), Some("ring"), "every handler under its ring span");
     }
     drop(ring);
 
@@ -274,13 +274,13 @@ fn ring_submissions_parent_their_handler_spans() {
         .unwrap();
     client.call(outer, [5; 8]).unwrap();
     let spans = spans_of(&rt);
-    let nested: Vec<_> = spans.iter().filter(|s| s.name == "ring" && !s.is_root()).collect();
+    let nested: Vec<_> = spans.iter().filter(|s| s.kind.label() == "ring" && !s.is_root()).collect();
     let [nested] = nested[..] else { panic!("one child ring span per batch: {spans:#?}") };
     let parent = spans
         .iter()
-        .find(|s| s.span_id == nested.parent_id && s.trace_id == nested.trace_id)
+        .find(|s| s.span_id == nested.parent_id && s.trace_id() == nested.trace_id())
         .expect("nested ring span's parent exists");
-    assert_eq!((parent.name.as_str(), parent.ep), ("handler", outer as u16), "under the submitting handler");
+    assert_eq!((parent.kind.label(), parent.ep), ("handler", outer as u16), "under the submitting handler");
 }
 
 /// A root call slower than `EXEMPLAR_FACTOR`× the entry's EWMA is
@@ -312,8 +312,8 @@ fn tail_call_promotes_an_exemplar() {
     let exemplars = rt.spans().exemplars(0);
     assert!(!exemplars.is_empty());
     let ex = exemplars.last().unwrap();
-    assert_eq!(ex.ep, ep as u16);
-    assert!(ex.total_ns >= 5_000_000, "captured the slow call: {}", ex.summary());
+    assert_eq!(ex.root.ep, ep as u16);
+    assert!(ex.root.dur_ns >= 5_000_000, "captured the slow call: {}", ex.summary());
     assert!(!ex.spans.is_empty(), "span tree attached");
     let dump = rt.diagnostics();
     assert!(dump.contains("slowest recent calls"), "exemplar section present:\n{dump}");

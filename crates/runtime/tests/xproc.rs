@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use ppc_rt::xproc::validate_segment;
 use ppc_rt::{
-    affinity, BulkDesc, CallCtx, Completion, EntryId, EntryOptions, FlightKind, RtError, Runtime,
+    affinity, BulkDesc, CallCtx, Completion, EntryId, EntryOptions, FlightKind, Kind, RtError, Runtime,
     Snapshot, SpinPolicy, XClient, XSegOptions,
 };
 
@@ -634,7 +634,7 @@ fn peer_death_mid_call_is_timely_error() {
     // The loss is on the record.
     let events = obs_rt.flight().snapshot(0);
     assert!(
-        events.iter().any(|e| e.kind == FlightKind::PeerLost),
+        events.iter().any(|e| e.kind == Kind::Flight(FlightKind::PeerLost)),
         "flight recorder holds the PeerLost event: {events:?}"
     );
 }

@@ -133,7 +133,7 @@ fn main() {
     // every span must parent into a tree within its own trace.
     for want in ["call", "handler", "rendezvous", "bulk_copy", "frank", "async"] {
         assert!(
-            spans.iter().any(|s| s.name == want),
+            spans.iter().any(|s| s.kind.label() == want),
             "no {want} span in the capture ({n_events} events)"
         );
     }
@@ -142,7 +142,7 @@ fn main() {
             s.is_root()
                 || spans
                     .iter()
-                    .any(|p| p.trace_id == s.trace_id && p.span_id == s.parent_id),
+                    .any(|p| p.trace_id() == s.trace_id() && p.span_id == s.parent_id),
             "orphaned span {s:?}"
         );
     }

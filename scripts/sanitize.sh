@@ -13,10 +13,13 @@
 # worker's post/shutdown race, the wait primitive), and the stats test
 # that shares a vCPU's counters between four callers and hands a cell's
 # ownership from thread to thread (owner and shared copies, every access
-# atomic), and the `flight::` unit tests (the record ring's seqlock, which
-# the flight recorder and the span plane both write: concurrent writers
-# beside a reader at both widths, and a writer stalled mid-record while
-# others lap it; about 5 s of the run, warm), and the `baseline::` unit
+# atomic), the `flight::` unit tests (the record ring's seqlock, which
+# the flight recorder, the span plane and the exemplar rings all write:
+# concurrent writers beside a reader, and a writer stalled mid-record
+# while others lap it; about 5 s of the run, warm), the `region::` and
+# `shm::` unit tests (the bulk registry's seqlock-stamped slots under
+# concurrent readers and writers, and a futex wake across threads),
+# and the `baseline::` unit
 # tests (the locked comparator: `LockedServer`'s queue sits behind std's
 # uninstrumented mutex, so `scripts/tsan.supp` suppresses its reports;
 # the step shows the slots it hands through that queue stay clean
@@ -26,7 +29,7 @@
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all nine, exit nonzero on any report
+#     scripts/sanitize.sh            run all ten, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -55,4 +58,5 @@ cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests:
 cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact stats::tests::counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands
 cargo +nightly test -p ppc-rt --target "$target" --lib -- flight::
+cargo +nightly test -p ppc-rt --target "$target" --lib -- region:: shm::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- baseline::
