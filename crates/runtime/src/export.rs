@@ -677,7 +677,7 @@ pub fn series_json(ticks: &[WindowStats]) -> Json {
     ])
 }
 
-/// One window's merged stats as JSON: width, per-counter rates
+/// One window's stats as JSON: width, per-counter rates
 /// (events/s), per-kind windowed quantiles, and the per-vCPU view
 /// (counter deltas + call-latency quantiles) — the shape `ppc-top`
 /// renders.
@@ -710,8 +710,8 @@ fn window_json(w: &WindowStats) -> Json {
     ])
 }
 
-/// Every [`WINDOWS`] entry merged, label first: what each export
-/// renders its windows from.
+/// Every [`WINDOWS`] entry, label first, each the difference of two
+/// retained reads: what each export renders its windows from.
 fn windows(tel: &Telemetry) -> Vec<(&'static str, WindowStats)> {
     WINDOWS.iter().map(|&(label, dur)| (label, tel.window(dur))).collect()
 }

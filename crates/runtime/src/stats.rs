@@ -112,8 +112,8 @@ macro_rules! counters {
             }
 
             /// Counter-wise sum (`self + other`, saturating): how two
-            /// disjoint deltas compose — what the telemetry window
-            /// merger uses to stitch tick deltas together.
+            /// disjoint deltas compose, such as a vCPU's client and
+            /// served cells.
             pub fn plus(&self, other: &Snapshot) -> Snapshot {
                 Snapshot {
                     calls: self.calls.saturating_add(other.calls),

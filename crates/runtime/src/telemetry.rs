@@ -6,12 +6,14 @@
 //! burning the SLO". This module closes that gap. A sampler thread
 //! wakes every tick (default [`DEFAULT_TICK`]), reads four planes — the
 //! counters ([`crate::stats::Snapshot`], totals and per-vCPU), every
-//! [`LatencyKind`] histogram and each vCPU's call histogram — computes
-//! their **deltas** against the previous tick's read, and stores them in
-//! an overwrite buffer of [`DEFAULT_SERIES_DEPTH`] preallocated
-//! [`WindowStats`] slots: after startup the sampler never allocates, it
-//! only overwrites slots in place. A tick and a window are the one type:
-//! a window is the newest ticks merged plane by plane.
+//! [`LatencyKind`] histogram and each vCPU's call histogram — and keeps
+//! the cumulative read in a ring of `DEFAULT_SERIES_DEPTH + 1`
+//! preallocated [`WindowStats`] slots: after startup the sampler never
+//! allocates, it only overwrites the oldest slot in place. The counters
+//! only grow, so the activity over any span is the newer read minus the
+//! older one: a tick is the **difference** of two neighbouring reads, a
+//! window that of the newest read and one a window's width older, and
+//! both are the one type.
 //!
 //! From the ring fall out the two products the cumulative plane cannot
 //! give:
@@ -19,8 +21,8 @@
 //! * **windowed rates** — calls/s, sheds/s, pool misses/s over any
 //!   window the ring covers ([`Telemetry::window`], exported as
 //!   `ppc_rate_*` series on `/metrics`);
-//! * **windowed quantiles** — per-window p50/p99/p999 recovered by
-//!   merging histogram-bucket deltas over the window
+//! * **windowed quantiles** — per-window p50/p99/p999 recovered from
+//!   the histogram-bucket deltas over the window
 //!   ([`WindowStats::quantile_ns`]). Bucket deltas of a cumulative
 //!   histogram are exactly the histogram of the window's samples, so a
 //!   windowed quantile is as accurate as a whole-run one (the
@@ -43,7 +45,7 @@
 //! `Relaxed` counters the fast path was already writing, from its own
 //! thread, ~10 times a second.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -54,9 +56,9 @@ use crate::stats::{RuntimeStats, Snapshot};
 /// Default sampler period.
 pub const DEFAULT_TICK: Duration = Duration::from_millis(100);
 
-/// Ticks the time series retains (a power of two). At the default tick
-/// this is ~102 s — enough to serve the 60 s window with room for
-/// scrape jitter.
+/// Ticks the time series retains (it keeps one read more than this).
+/// At the default tick this is ~102 s — enough to serve the 60 s window
+/// with room for scrape jitter.
 pub const DEFAULT_SERIES_DEPTH: usize = 1024;
 
 /// The windows every export reports, label first.
@@ -152,22 +154,22 @@ pub fn interference_probe(budget: Duration) -> InterferenceSample {
 /// the four planes the sampler reads: aggregate counters, per-vCPU
 /// counters, per-kind histograms and per-vCPU call histograms. One
 /// sampler tick of the series ([`Telemetry::series`]) is one of these,
-/// and so is the merge of the newest ticks covering a window
-/// ([`Telemetry::window`]): the raw material for rates and windowed
-/// quantiles.
+/// and so is a window ([`Telemetry::window`]): each is the difference
+/// of two of the sampler's retained cumulative reads, which are this
+/// type too. The raw material for rates and windowed quantiles.
 #[derive(Clone, Debug)]
 pub struct WindowStats {
-    /// Number of the newest tick merged (0-based, monotonic; survives
-    /// ring wrap).
+    /// Number of the newest tick covered (0-based, monotonic; survives
+    /// ring wrap). A read carries its own number (the baseline is 0).
     pub seq: u64,
-    /// End of the newest tick merged, nanoseconds since the sampler
-    /// started.
+    /// End of the newest tick covered, nanoseconds since the sampler
+    /// started (its baseline read is at 0).
     pub at_ns: u64,
-    /// Summed measured tick widths (the sleep is approximate, and a
-    /// young ring covers less than the request: rates divide by this,
-    /// not by the configured tick).
+    /// Measured width (the sleep is approximate, and a young ring
+    /// covers less than the request: rates divide by this, not by the
+    /// configured tick).
     pub dt_ns: u64,
-    /// Ticks merged (1 for a tick of the series).
+    /// Ticks covered (1 for a tick of the series).
     pub ticks: usize,
     /// Counter deltas, aggregated across vCPUs.
     pub counters: Snapshot,
@@ -196,7 +198,7 @@ impl WindowStats {
     }
 
     /// Overwrite the four planes, in place, with the cumulative ones as
-    /// they stand: what a tick is the delta of.
+    /// they stand: what the sampler retains.
     pub(crate) fn read(&mut self, stats: &RuntimeStats, obs: &ObsState) {
         self.counters = stats.snapshot();
         for (v, (s, h)) in self.per_vcpu.iter_mut().zip(self.vcpu_call.iter_mut()).enumerate() {
@@ -208,42 +210,23 @@ impl WindowStats {
         }
     }
 
-    /// Combine `other` into the four planes, counter by counter and
-    /// histogram by histogram.
-    fn zip(
-        &mut self,
-        other: &WindowStats,
-        snap: fn(&Snapshot, &Snapshot) -> Snapshot,
-        hist: fn(&mut Histogram, &Histogram),
-    ) {
-        self.counters = snap(&self.counters, &other.counters);
-        for (a, b) in self.per_vcpu.iter_mut().zip(other.per_vcpu.iter()) {
-            *a = snap(a, b);
+    /// The activity between two cumulative reads, `older` first: the
+    /// ticks after `older` up to and including `newer`'s, plane by
+    /// plane ([`Snapshot::since`], [`Histogram::delta_since`]).
+    pub(crate) fn between(older: &WindowStats, newer: &WindowStats) -> WindowStats {
+        fn each<T>(newer: &[T], older: &[T], since: fn(&T, &T) -> T) -> Box<[T]> {
+            newer.iter().zip(older).map(|(n, o)| since(n, o)).collect()
         }
-        let hists = self.hists.iter_mut().zip(other.hists.iter());
-        for (a, b) in hists.chain(self.vcpu_call.iter_mut().zip(other.vcpu_call.iter())) {
-            hist(a, b);
+        WindowStats {
+            seq: newer.seq.saturating_sub(1),
+            at_ns: newer.at_ns,
+            dt_ns: newer.at_ns.saturating_sub(older.at_ns),
+            ticks: newer.seq.saturating_sub(older.seq) as usize,
+            counters: newer.counters.since(&older.counters),
+            per_vcpu: each(&newer.per_vcpu, &older.per_vcpu, Snapshot::since),
+            hists: each(&newer.hists, &older.hists, Histogram::delta_since),
+            vcpu_call: each(&newer.vcpu_call, &older.vcpu_call, Histogram::delta_since),
         }
-    }
-
-    /// Overwrite the four planes, in place, with the activity between
-    /// two cumulative reads.
-    fn delta(&mut self, now: &WindowStats, prev: &WindowStats) {
-        self.counters = now.counters;
-        self.per_vcpu.copy_from_slice(&now.per_vcpu);
-        self.hists.clone_from_slice(&now.hists);
-        self.vcpu_call.clone_from_slice(&now.vcpu_call);
-        self.zip(prev, Snapshot::since, |h, p| *h = h.delta_since(p));
-    }
-
-    /// Merge tick `t` into the window, which then ends at the later of
-    /// its newest tick and `t`.
-    fn merge(&mut self, t: &WindowStats) {
-        self.seq = self.seq.max(t.seq);
-        self.at_ns = self.at_ns.max(t.at_ns);
-        self.dt_ns += t.dt_ns;
-        self.ticks += 1;
-        self.zip(t, Snapshot::plus, Histogram::merge);
     }
 
     /// The window's width in (fractional) seconds.
@@ -260,7 +243,7 @@ impl WindowStats {
         }
     }
 
-    /// The merged histogram delta for `kind`.
+    /// The histogram delta for `kind`.
     pub fn hist(&self, kind: LatencyKind) -> &Histogram {
         &self.hists[kind as usize]
     }
@@ -365,92 +348,21 @@ pub struct AlertState {
     pub interference_ratio: f64,
 }
 
-/// The overwrite buffer the tick series lives in: preallocated
-/// [`WindowStats`] slots behind a mutex, overwritten oldest-first in
-/// place and never grown. Its writer (a sampler tick) and its readers
-/// are all cold, so a mutex is the honest choice: the call path never
-/// comes near it.
-#[derive(Debug)]
-pub(crate) struct Overwrite {
-    /// The slots and the pushes ever made; a push lands in slot
-    /// `pushes & (depth - 1)`.
-    inner: parking_lot::Mutex<(Box<[WindowStats]>, u64)>,
-}
-
-impl Overwrite {
-    /// `depth` empty ticks over `n_vcpus` (a power of two of them).
-    pub(crate) fn new(depth: usize, n_vcpus: usize) -> Self {
-        assert!(depth.is_power_of_two(), "buffer depth must be a power of two");
-        let slots = (0..depth).map(|_| WindowStats::empty(n_vcpus)).collect();
-        Overwrite { inner: parking_lot::Mutex::new((slots, 0)) }
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.inner.lock().0.len()
-    }
-
-    /// Overwrite the oldest slot in place with `fill`. Nothing is
-    /// allocated as long as `fill` reuses the slot's storage
-    /// (`clone_from`).
-    pub(crate) fn push_with(&self, fill: impl FnOnce(&mut WindowStats)) {
-        let mut inner = self.inner.lock();
-        let (slots, pushes) = &mut *inner;
-        fill(&mut slots[*pushes as usize & (slots.len() - 1)]);
-        *pushes += 1;
-    }
-
-    /// Visit the retained slots newest first, until `f` returns false.
-    pub(crate) fn newest(&self, mut f: impl FnMut(&WindowStats) -> bool) {
-        let inner = self.inner.lock();
-        let (slots, pushes) = (&inner.0, inner.1);
-        for seq in (pushes - pushes.min(slots.len() as u64)..pushes).rev() {
-            if !f(&slots[seq as usize & (slots.len() - 1)]) {
-                break;
-            }
-        }
-    }
-
-    /// Clones of the newest `n` slots, oldest first.
-    pub(crate) fn last(&self, n: usize) -> Vec<WindowStats> {
-        let mut out = Vec::new();
-        self.newest(|t| {
-            if out.len() == n {
-                return false;
-            }
-            out.push(t.clone());
-            true
-        });
-        out.reverse();
-        out
-    }
-
-    /// Merge the newest ticks until `window` is covered (or the series
-    /// is exhausted).
-    fn window(&self, window: Duration, n_vcpus: usize) -> WindowStats {
-        let want_ns = window.as_nanos() as u64;
-        let mut out = WindowStats::empty(n_vcpus);
-        self.newest(|t| {
-            if out.dt_ns >= want_ns {
-                return false;
-            }
-            out.merge(t);
-            true
-        });
-        out
-    }
-}
-
-/// The telemetry plane: the sampler thread's handle, the tick ring,
-/// and the watchdog state. Obtain one via
+/// The telemetry plane: the sampler thread's handle, its retained
+/// reads, and the watchdog state. Obtain one via
 /// [`crate::Runtime::start_telemetry`] and read it via
 /// [`crate::Runtime::telemetry`].
 pub struct Telemetry {
-    ring: Overwrite,
+    /// The sampler's cumulative reads and the reads ever pushed: read
+    /// `k` lives in slot `k % slots`. `DEFAULT_SERIES_DEPTH + 1` slots,
+    /// preallocated and overwritten oldest-first in place, so the
+    /// newest `DEFAULT_SERIES_DEPTH` ticks fall between neighbours. Its
+    /// writer (a sampler tick) and its readers are all cold, so a mutex
+    /// is the honest choice: the call path never comes near it.
+    reads: parking_lot::Mutex<(Box<[WindowStats]>, u64)>,
     alerts: parking_lot::Mutex<Vec<AlertState>>,
     tick: Duration,
-    n_vcpus: usize,
     started: Instant,
-    ticks: AtomicU64,
     stop: AtomicBool,
     /// Sleep/wake pair so `stop()` interrupts the tick sleep promptly.
     park: (std::sync::Mutex<()>, std::sync::Condvar),
@@ -478,8 +390,9 @@ impl Telemetry {
         n_vcpus: usize,
     ) -> Arc<Telemetry> {
         let tick = tick.max(Duration::from_millis(1));
+        let slots = (0..=DEFAULT_SERIES_DEPTH).map(|_| WindowStats::empty(n_vcpus)).collect();
         let tel = Arc::new(Telemetry {
-            ring: Overwrite::new(DEFAULT_SERIES_DEPTH, n_vcpus),
+            reads: parking_lot::Mutex::new((slots, 0)),
             alerts: parking_lot::Mutex::new(
                 rules
                     .into_iter()
@@ -495,28 +408,37 @@ impl Telemetry {
                     .collect(),
             ),
             tick,
-            n_vcpus,
             started: Instant::now(),
-            ticks: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             park: (std::sync::Mutex::new(()), std::sync::Condvar::new()),
             thread: parking_lot::Mutex::new(None),
         });
-        // The delta baseline is captured HERE, on the caller's thread,
-        // not inside the sampler thread: on a loaded host the spawned
+        // The baseline read is taken HERE, on the caller's thread, not
+        // inside the sampler thread: on a loaded host the spawned
         // thread may not be scheduled until well after start() returns,
         // and any calls made in that gap would otherwise disappear into
-        // a late-taken baseline instead of showing up in the first
-        // tick's delta.
-        let mut baseline = WindowStats::empty(n_vcpus);
-        baseline.read(&stats, &obs);
+        // a late-taken baseline instead of showing up in the first tick.
+        // Its `at_ns` is 0: the clock starts here.
+        tel.push(|r| r.read(&stats, &obs));
         let worker = Arc::clone(&tel);
         let handle = std::thread::Builder::new()
             .name("ppc-telemetry".into())
-            .spawn(move || worker.run(stats, obs, flight, rt, baseline))
+            .spawn(move || worker.run(stats, obs, flight, rt))
             .expect("spawn telemetry sampler");
         *tel.thread.lock() = Some(handle);
         tel
+    }
+
+    /// Overwrite the oldest slot in place with `fill` and stamp it with
+    /// its number. Nothing is allocated as long as `fill` reuses the
+    /// slot's storage.
+    fn push(&self, fill: impl FnOnce(&mut WindowStats)) {
+        let mut reads = self.reads.lock();
+        let (slots, pushed) = &mut *reads;
+        let slot = &mut slots[(*pushed % slots.len() as u64) as usize];
+        fill(slot);
+        slot.seq = *pushed;
+        *pushed += 1;
     }
 
     /// The configured tick.
@@ -526,22 +448,40 @@ impl Telemetry {
 
     /// Ticks sampled so far.
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
+        self.reads.lock().1 - 1
     }
 
     /// Ring capacity in ticks.
     pub fn depth(&self) -> usize {
-        self.ring.depth()
+        DEFAULT_SERIES_DEPTH
     }
 
     /// The newest `n` ticks, oldest first (the `/series` export).
     pub fn series(&self, n: usize) -> Vec<WindowStats> {
-        self.ring.last(n)
+        let reads = self.reads.lock();
+        let (slots, pushed) = (&reads.0, reads.1);
+        let at = |k: u64| &slots[(k % slots.len() as u64) as usize];
+        let first = pushed.saturating_sub(slots.len() as u64) + 1;
+        let from = first.max(pushed.saturating_sub(n as u64));
+        (from..pushed).map(|k| WindowStats::between(at(k - 1), at(k))).collect()
     }
 
-    /// Merged stats over (up to) the newest `window` of ticks.
+    /// Stats over the newest `window` of ticks: from the newest read
+    /// back to the newest one at least `window` older, or to the oldest
+    /// retained on a ring too young to cover it.
     pub fn window(&self, window: Duration) -> WindowStats {
-        self.ring.window(window, self.n_vcpus)
+        let want_ns = window.as_nanos() as u64;
+        let reads = self.reads.lock();
+        let (slots, pushed) = (&reads.0, reads.1);
+        let at = |k: u64| &slots[(k % slots.len() as u64) as usize];
+        let newest = at(pushed - 1);
+        let oldest = pushed.saturating_sub(slots.len() as u64);
+        let older = (oldest..pushed)
+            .rev()
+            .map(at)
+            .find(|r| newest.at_ns.saturating_sub(r.at_ns) >= want_ns)
+            .unwrap_or(at(oldest));
+        WindowStats::between(older, newest)
     }
 
     /// Live watchdog state, one entry per installed rule.
@@ -587,13 +527,7 @@ impl Telemetry {
         obs: Arc<ObsState>,
         flight: Arc<FlightPlane>,
         rt: Weak<crate::Runtime>,
-        mut prev: WindowStats,
     ) {
-        // The previous tick's cumulative read (captured in start(), see
-        // there) and this tick's, allocated once: the loop body only
-        // overwrites them and the ring's slots in place.
-        let mut cur = prev.clone();
-        let mut last = Instant::now();
         loop {
             // Interruptible tick sleep. The stop flag is checked under
             // the lock `stop()` notifies under, so a stop that lands
@@ -614,7 +548,7 @@ impl Telemetry {
             // Interference probe: a fixed sliver of each tick (~0.2% at
             // the default tick) spent watching the clock for deschedule
             // gaps. The result lands in vCPU 0's counters, so it rides
-            // the ordinary delta/window plumbing below.
+            // the ordinary read/window plumbing below.
             let probe = interference_probe(
                 (self.tick / 512).clamp(Duration::from_micros(50), Duration::from_millis(1)),
             );
@@ -630,21 +564,12 @@ impl Telemetry {
                     probe.max_excursion_ns.min(u32::MAX as u64) as u32,
                 );
             }
-            let now = Instant::now();
-            let dt_ns = now.duration_since(last).as_nanos() as u64;
-            last = now;
-
-            // Read the cumulative planes, store the delta in place.
-            cur.read(&stats, &obs);
-            self.ring.push_with(|t| {
-                t.delta(&cur, &prev);
-                t.seq = self.ticks.load(Ordering::Relaxed);
-                t.at_ns = self.started.elapsed().as_nanos() as u64;
-                t.dt_ns = dt_ns.max(1);
-                t.ticks = 1;
+            // One clock read, then the four planes, into the oldest slot.
+            let at_ns = self.started.elapsed().as_nanos() as u64;
+            self.push(|r| {
+                r.at_ns = at_ns;
+                r.read(&stats, &obs);
             });
-            std::mem::swap(&mut prev, &mut cur);
-            self.ticks.fetch_add(1, Ordering::Release);
 
             // Watchdog: evaluate every rule on its fast/slow pair.
             self.evaluate_rules(&flight, &rt);
@@ -660,9 +585,8 @@ impl Telemetry {
         {
             let mut alerts = self.alerts.lock();
             for (idx, a) in alerts.iter_mut().enumerate() {
-                let slow_w = self.ring.window(a.rule.window, self.n_vcpus);
-                let fast_dur = (a.rule.window / 12).max(self.tick);
-                let fast_w = self.ring.window(fast_dur, self.n_vcpus);
+                let slow_w = self.window(a.rule.window);
+                let fast_w = self.window((a.rule.window / 12).max(self.tick));
                 a.measured_slow = a.rule.metric.measure(&slow_w);
                 a.measured_fast = a.rule.metric.measure(&fast_w);
                 // Annotate the alert with how much of its window the
@@ -712,63 +636,167 @@ impl Telemetry {
 mod tests {
     use super::*;
 
-    fn series(depth: usize, n_vcpus: usize) -> Overwrite {
-        Overwrite::new(depth, n_vcpus)
+    /// A plane whose sampler's first tick is an hour off, so every read
+    /// after the (all-zero) baseline is one a test pushes by hand.
+    fn idle(n_vcpus: usize) -> Arc<Telemetry> {
+        Telemetry::start(
+            Duration::from_secs(3600),
+            Vec::new(),
+            Arc::new(RuntimeStats::new(n_vcpus)),
+            Arc::new(ObsState::new(n_vcpus)),
+            Arc::new(FlightPlane::new(n_vcpus)),
+            Weak::new(),
+            n_vcpus,
+        )
     }
 
     #[test]
     fn ring_preallocates_and_wraps() {
-        let ring = series(4, 2);
-        let mut t = WindowStats::empty(2);
-        for i in 0..7u64 {
-            t.seq = i;
-            t.dt_ns = 10;
-            t.counters.calls = i;
-            ring.push_with(|slot| slot.clone_from(&t));
+        let tel = idle(2);
+        let depth = tel.depth() as u64;
+        assert_eq!(depth, DEFAULT_SERIES_DEPTH as u64);
+        // Tick `i` carries `i` calls and is 10 ns wide.
+        let mut r = WindowStats::empty(2);
+        for i in 0..depth + 3 {
+            r.at_ns += 10;
+            r.counters.calls += i;
+            tel.push(|slot| slot.clone_from(&r));
         }
-        assert!(ring.last(0).is_empty());
-        let last = ring.last(16);
-        assert_eq!(last.len(), 4, "ring retains depth ticks");
+        assert_eq!(tel.ticks(), depth + 3);
+        assert!(tel.series(0).is_empty());
+        let last = tel.series(usize::MAX);
+        assert_eq!(last.len() as u64, depth, "ring retains depth ticks");
         assert_eq!(last.first().unwrap().seq, 3);
-        assert_eq!(last.last().unwrap().seq, 6);
-        let w = ring.window(Duration::from_nanos(25), 2);
+        assert_eq!(last.last().unwrap().seq, depth + 2);
+        let w = tel.window(Duration::from_nanos(25));
         assert_eq!(w.ticks, 3, "window stops once covered");
-        assert_eq!(w.counters.calls, 6 + 5 + 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_pow2_depth_panics() {
-        let _ = series(100, 1);
+        assert_eq!(w.counters.calls, (depth + 2) + (depth + 1) + depth);
+        tel.stop();
     }
 
     #[test]
     fn window_rates_divide_by_measured_time() {
-        let ring = series(8, 1);
-        let mut t = WindowStats::empty(1);
-        t.dt_ns = 500_000_000; // half a second per tick
-        t.counters.calls = 100;
-        t.counters.inline_calls = 100;
-        ring.push_with(|slot| slot.clone_from(&t));
-        ring.push_with(|slot| slot.clone_from(&t));
-        let w = ring.window(Duration::from_secs(1), 1);
+        let tel = idle(1);
+        let mut r = WindowStats::empty(1);
+        for _ in 0..2 {
+            r.at_ns += 500_000_000; // half a second per tick
+            r.counters.calls += 100;
+            r.counters.inline_calls += 100;
+            tel.push(|slot| slot.clone_from(&r));
+        }
+        let w = tel.window(Duration::from_secs(1));
         assert_eq!(w.counters.calls, 200);
         assert!((w.rate("calls") - 200.0).abs() < 1e-9, "rate {}", w.rate("calls"));
         assert_eq!(w.rate("no_such_counter"), 0.0);
+        tel.stop();
     }
 
     #[test]
     fn window_merges_histogram_deltas() {
-        let ring = series(8, 1);
-        let mut t = WindowStats::empty(1);
-        t.dt_ns = 1_000;
-        t.hists[LatencyKind::Call as usize].record(100);
-        t.hists[LatencyKind::Call as usize].record(200);
-        ring.push_with(|slot| slot.clone_from(&t));
-        ring.push_with(|slot| slot.clone_from(&t));
-        let w = ring.window(Duration::from_secs(1), 1);
+        let tel = idle(1);
+        let mut r = WindowStats::empty(1);
+        for _ in 0..2 {
+            r.at_ns += 1_000;
+            r.hists[LatencyKind::Call as usize].record(100);
+            r.hists[LatencyKind::Call as usize].record(200);
+            tel.push(|slot| slot.clone_from(&r));
+        }
+        let w = tel.window(Duration::from_secs(1));
         assert_eq!(w.hist(LatencyKind::Call).count(), 4);
         assert!(w.quantile_ns(LatencyKind::Call, 0.5) <= 255);
+        tel.stop();
+    }
+
+    /// A window is the difference of two reads; it must equal the ticks
+    /// it covers folded with [`Snapshot::plus`] and [`Histogram::merge`]
+    /// — newest first until their widths cover the request — counter
+    /// for counter and bucket for bucket, with the same width, tick
+    /// count, sum and exact max.
+    #[test]
+    fn window_is_the_fold_of_its_ticks() {
+        fn fold(tel: &Telemetry, want: Duration, n_vcpus: usize) -> WindowStats {
+            let mut out = WindowStats::empty(n_vcpus);
+            for t in tel.series(usize::MAX).iter().rev() {
+                if out.dt_ns >= want.as_nanos() as u64 {
+                    break;
+                }
+                out.dt_ns += t.dt_ns;
+                out.ticks += t.ticks;
+                out.counters = out.counters.plus(&t.counters);
+                for (a, b) in out.per_vcpu.iter_mut().zip(t.per_vcpu.iter()) {
+                    *a = a.plus(b);
+                }
+                for (a, b) in out.hists.iter_mut().zip(t.hists.iter()) {
+                    a.merge(b);
+                }
+                for (a, b) in out.vcpu_call.iter_mut().zip(t.vcpu_call.iter()) {
+                    a.merge(b);
+                }
+            }
+            out
+        }
+        fn check(tel: &Telemetry, want: Duration, n_vcpus: usize) -> WindowStats {
+            let (w, f) = (tel.window(want), fold(tel, want, n_vcpus));
+            assert_eq!((w.dt_ns, w.ticks), (f.dt_ns, f.ticks), "width of {want:?}");
+            assert_eq!(w.counters, f.counters);
+            assert_eq!(w.per_vcpu, f.per_vcpu);
+            assert_eq!(w.hists, f.hists, "buckets, sum_ns and max_ns");
+            assert_eq!(w.vcpu_call, f.vcpu_call);
+            w
+        }
+        // Reads of a made-up run: each tick 90–110 ns wide, some calls
+        // and some samples on each vCPU, the call max moving now and then.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (seed >> 33) % n
+        };
+        let mut push_ticks = |tel: &Telemetry, r: &mut WindowStats, n: u64| {
+            for _ in 0..n {
+                r.at_ns += 90 + next(21);
+                for v in 0..r.per_vcpu.len() {
+                    let calls = next(5);
+                    r.per_vcpu[v].calls += calls;
+                    r.counters.calls += calls;
+                    let ns = 1 + next(10_000);
+                    r.vcpu_call[v].record(ns);
+                    r.hists[LatencyKind::Call as usize].record(ns);
+                    r.hists[LatencyKind::Handler as usize].record(ns / 2);
+                }
+                tel.push(|slot| slot.clone_from(r));
+            }
+        };
+
+        // A young ring: the 1 s request is not covered, so the window
+        // spans every retained read.
+        let tel = idle(2);
+        let mut r = WindowStats::empty(2);
+        push_ticks(&tel, &mut r, 5);
+        assert_eq!(check(&tel, Duration::from_secs(1), 2).ticks, 5);
+        check(&tel, Duration::from_nanos(250), 2);
+        tel.stop();
+
+        // A ring wrapped past its depth: the oldest reads are gone.
+        let tel = idle(2);
+        let mut r = WindowStats::empty(2);
+        push_ticks(&tel, &mut r, tel.depth() as u64 + 40);
+        assert_eq!(check(&tel, Duration::from_secs(1), 2).ticks, tel.depth());
+        for ns in [1, 100, 1_000, 33_333] {
+            check(&tel, Duration::from_nanos(ns), 2);
+        }
+
+        // Samples far below the cumulative max: the max does not move,
+        // so the window's is 0 ("unknown"), as is every tick's.
+        r.hists[LatencyKind::Call as usize].record(1 << 30);
+        r.vcpu_call[0].record(1 << 30);
+        r.vcpu_call[1].record(1 << 30);
+        tel.push(|slot| slot.clone_from(&r));
+        push_ticks(&tel, &mut r, 8);
+        let w = check(&tel, Duration::from_nanos(500), 2);
+        assert!(w.hist(LatencyKind::Call).count() > 0);
+        assert_eq!(w.hist(LatencyKind::Call).max_ns, 0);
+        assert!(w.vcpu_call.iter().all(|h| h.max_ns == 0));
+        tel.stop();
     }
 
     /// Every leaf's key path in `doc`, first occurrence order (`[]` for
@@ -798,8 +826,9 @@ mod tests {
     /// windowed rates, each exactly as `testdata/exports.golden` holds
     /// it, plus the key paths of a black-box capture. A reordered key, a
     /// renamed member or a dropped empty kind fails here. The sampler's
-    /// first tick is ten seconds off: the two ticks in the series are the
-    /// ones pushed by hand, the newer alone covering the 1 s window.
+    /// first tick is ten seconds off: the two ticks in the series lie
+    /// between the baseline and the two reads pushed by hand, the newer
+    /// alone covering the 1 s window.
     #[test]
     fn exports_render_the_golden_bytes() {
         use crate::export;
@@ -826,36 +855,32 @@ mod tests {
             Duration::from_secs(10),
             Vec::new(),
             Arc::new(RuntimeStats::new(2)),
-            Arc::clone(&obs),
+            Arc::new(ObsState::new(2)),
             Arc::new(FlightPlane::new(2)),
             Weak::new(),
             2,
         );
-        tel.ring.push_with(|t| {
-            t.seq = 0;
-            t.at_ns = 8_000_000_000;
-            t.dt_ns = 8_000_000_000;
-            t.counters.calls = 40;
-            t.counters.inline_calls = 40;
-            t.per_vcpu[0].calls = 40;
-            t.per_vcpu[0].inline_calls = 40;
-            t.hists[LatencyKind::Call as usize].record(300);
-            t.vcpu_call[0].record(300);
-        });
-        tel.ring.push_with(|t| {
-            t.seq = 1;
-            t.at_ns = 9_500_000_000;
-            t.dt_ns = 1_500_000_000;
-            t.counters.calls = 6;
-            t.counters.handoff_calls = 6;
-            t.counters.interference_ns = 20;
-            t.counters.interference_probe_ns = 800;
-            t.per_vcpu[1].calls = 6;
-            t.per_vcpu[1].handoff_calls = 6;
-            t.hists[LatencyKind::Handler as usize].record(2_000);
-            t.hists[LatencyKind::Call as usize].record(2_500);
-            t.vcpu_call[1].record(2_500);
-        });
+        // Two reads after the all-zero baseline, each cumulative.
+        let mut r = WindowStats::empty(2);
+        r.at_ns = 8_000_000_000;
+        r.counters.calls = 40;
+        r.counters.inline_calls = 40;
+        r.per_vcpu[0].calls = 40;
+        r.per_vcpu[0].inline_calls = 40;
+        r.hists[LatencyKind::Call as usize].record(300);
+        r.vcpu_call[0].record(300);
+        tel.push(|slot| slot.clone_from(&r));
+        r.at_ns = 9_500_000_000;
+        r.counters.calls += 6;
+        r.counters.handoff_calls = 6;
+        r.counters.interference_ns = 20;
+        r.counters.interference_probe_ns = 800;
+        r.per_vcpu[1].calls = 6;
+        r.per_vcpu[1].handoff_calls = 6;
+        r.hists[LatencyKind::Handler as usize].record(2_000);
+        r.hists[LatencyKind::Call as usize].record(2_500);
+        r.vcpu_call[1].record(2_500);
+        tel.push(|slot| slot.clone_from(&r));
         let got = format!(
             "== series_json\n{}\n== telemetry_json\n{}\n== json_snapshot\n{}\n\
              == prometheus + prometheus_rates\n{}{}",

@@ -2,7 +2,8 @@
 """The size counts simplification PRs quote, computed one way.
 
 Per file of crates/runtime/src: the non-test lines (everything up to and
-including the first `#[cfg(test)]`, the whole file if it has none) and the
+including the first `#[cfg(test)]` at column 0, the whole file if it has
+none; an indented one marks a test-only item, not the test module) and the
 occurrences of `unsafe` (whole file); the sums over two groups of files;
 then the field count of each options struct.
 
@@ -39,7 +40,7 @@ def counts(files):
     per_file, fields = {}, {}
     for name, text in files.items():
         lines = text.splitlines()
-        cut = next((i + 1 for i, l in enumerate(lines) if l.strip() == "#[cfg(test)]"), len(lines))
+        cut = next((i + 1 for i, l in enumerate(lines) if l.rstrip() == "#[cfg(test)]"), len(lines))
         per_file[name] = (cut, len(re.findall(r"\bunsafe\b", text)))
         for s in OPTIONS:
             m = re.search(r"pub struct %s \{(.*?)\n\}" % s, text, re.S)
