@@ -4,7 +4,7 @@
 //! Every record the facility retains is one [`Record`] of four words:
 //! `kind:8 | vcpu:8 | ep:16 | data:32`, `span_id:16 | parent_id:16 |
 //! depth:8 | 0:24`, `start_ns` and `dur_ns`. The kind byte is a
-//! [`FlightKind`] discriminant (1..=21) for a **flight event**, or `0x80 |`
+//! [`FlightKind`] discriminant (1..=20) for a **flight event**, or `0x80 |`
 //! a [`SpanPhase`] discriminant (0x81..=0x87) for a **span**
 //! ([`crate::span`]); 0 and every other value decode to nothing. `data`
 //! is an event's payload and a span's trace id; `start_ns` is an event's
@@ -65,63 +65,60 @@ pub enum FlightKind {
     Frank = 6,
     /// Bulk access denied (`data` = region id).
     BulkDenied = 7,
-    /// Bulk authorization lapsed mid-transfer — the revoke race
-    /// (`data` = region id).
-    BulkRevoked = 8,
     /// Entry soft-killed (`data` = killer program).
-    SoftKill = 9,
+    SoftKill = 8,
     /// Entry hard-killed (`data` = killer program).
-    HardKill = 10,
+    HardKill = 9,
     /// Handler panic contained as a server fault (`data` = caller
     /// program).
-    Fault = 11,
+    Fault = 10,
     /// Handler exchanged on a live entry (`data` = requester program).
-    Exchange = 12,
+    Exchange = 11,
     /// Entry published: bound and broadcast to every vCPU's table
     /// replica (`data` = owner program).
-    Publish = 13,
+    Publish = 12,
     /// Retired handler(s) freed once no claim could reach them (`data`
     /// = handlers freed).
-    Retire = 14,
+    Retire = 13,
     /// Dead entry reclaimed: unpublished, its claims drained, registry
     /// reference dropped (`data` = requester program).
-    Reclaim = 15,
+    Reclaim = 14,
     /// Ring doorbell that woke a sleeping ring worker, for a traced batch
     /// only (`data` = the producer's in-flight count at wake).
-    Doorbell = 16,
+    Doorbell = 15,
     /// Completion-queue reap batch (`data` = completions harvested).
-    RingReap = 17,
+    RingReap = 16,
     /// SLO watchdog rule began firing (`ep` = rule index, `data` = the
     /// measured value saturated to u32 — a rate in units/s or a
     /// quantile in ns, per the rule's metric).
-    Alert = 18,
+    Alert = 17,
     /// The interference probe observed a large involuntary-deschedule
     /// excursion: a single clock-gap far above the probe threshold
     /// (`data` = excursion ns, saturated to u32). Recorded by the
     /// telemetry sampler on vCPU 0.
-    Interference = 19,
+    Interference = 18,
     /// A cross-process peer died or detached with work outstanding:
     /// the server lost a client (slot/ring/region reclaimed; `ep` =
     /// client slot index, `data` = peer PID) or a client lost its
     /// server (`data` = server PID). See [`crate::xproc`].
-    PeerLost = 20,
+    PeerLost = 19,
     /// A root span promoted to a tail exemplar: the header closing its
     /// tree in the vCPU's exemplar ring, after the copied spans (`ep` =
     /// root entry, `data` = the trace's retained spans, `dur_ns` = the
     /// entry's EWMA latency when promoted). See [`crate::span`].
-    Exemplar = 21,
+    Exemplar = 20,
 }
 
 impl FlightKind {
     /// Every kind and its stable lower-case label, in discriminant order
     /// from 1.
-    const ALL: [(FlightKind, &'static str); 21] = {
+    const ALL: [(FlightKind, &'static str); 20] = {
         use FlightKind::*;
         [
             (Inline, "inline"), (Handoff, "handoff"), (SpinResolved, "spin"), (Parked, "park"),
             (Async, "async"), (Frank, "frank"), (BulkDenied, "bulk_denied"),
-            (BulkRevoked, "bulk_revoked"), (SoftKill, "soft_kill"), (HardKill, "hard_kill"),
-            (Fault, "fault"), (Exchange, "exchange"), (Publish, "publish"), (Retire, "retire"),
+            (SoftKill, "soft_kill"), (HardKill, "hard_kill"), (Fault, "fault"),
+            (Exchange, "exchange"), (Publish, "publish"), (Retire, "retire"),
             (Reclaim, "reclaim"), (Doorbell, "doorbell"), (RingReap, "ring_reap"),
             (Alert, "alert"), (Interference, "interference"), (PeerLost, "peer_lost"),
             (Exemplar, "exemplar"),
@@ -505,10 +502,10 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let words = Record::event(FlightKind::BulkRevoked, 3, 512, 0xDEAD_BEEF).words();
+        let words = Record::event(FlightKind::BulkDenied, 3, 512, 0xDEAD_BEEF).words();
         let ev = Record::decode(41, words).unwrap();
         assert_eq!(ev.seq, 41);
-        assert_eq!(ev.kind, Kind::Flight(FlightKind::BulkRevoked));
+        assert_eq!(ev.kind, Kind::Flight(FlightKind::BulkDenied));
         assert_eq!(ev.vcpu, 3);
         assert_eq!(ev.ep, 512);
         assert_eq!(ev.data, 0xDEAD_BEEF);
@@ -518,7 +515,7 @@ mod tests {
             let words = Record::event(kind, 0, 0, 0).words();
             assert_eq!(Record::decode(0, words).unwrap().kind, Kind::Flight(kind));
         }
-        assert!(Record::decode(0, [22 << 56, 0, 0, 0]).is_none(), "no kind past the last");
+        assert!(Record::decode(0, [21 << 56, 0, 0, 0]).is_none(), "no kind past the last");
         let span = Record { kind: Kind::Span(SpanPhase::Ring), span_id: 7, parent_id: 6, depth: 2, dur_ns: 9, ..ev };
         assert_eq!(Record::decode(41, span.words()), Some(span), "every span field survives");
     }

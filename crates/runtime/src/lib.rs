@@ -133,9 +133,6 @@ pub enum RtError {
     /// Bulk access denied: no matching grant, wrong owner, or the
     /// descriptor does not permit the requested direction.
     BulkDenied(RegionId),
-    /// The region's permissions changed (grant/revoke/unregister) while
-    /// the transfer was in flight; the transfer is not acknowledged.
-    BulkRevoked(RegionId),
     /// The calling thread already holds an in-flight access to the region
     /// that this operation would have to wait out — a self-deadlock,
     /// reported instead of spinning forever. E.g. beginning a write
@@ -176,9 +173,6 @@ impl std::fmt::Display for RtError {
             RtError::Aborted(ep) => write!(f, "call aborted by hard kill of {ep}"),
             RtError::BadBulk => write!(f, "bulk descriptor malformed or out of bounds"),
             RtError::BulkDenied(r) => write!(f, "bulk access to region {r} denied"),
-            RtError::BulkRevoked(r) => {
-                write!(f, "bulk region {r} permissions changed mid-transfer")
-            }
             RtError::BulkReentrant(r) => {
                 write!(f, "reentrant access to bulk region {r} would deadlock")
             }
@@ -352,7 +346,7 @@ impl<'a> CallCtx<'a> {
     // ---- bulk data: the handler side of the payload plane (§4.2) ----
     //
     // Every accessor below is warm-path legal: authorization is a
-    // lock-free epoch-stamped registry read on this vCPU, a transfer is
+    // lock-free registry read on this vCPU, a transfer is
     // one `memcpy`, and accounting is a Relaxed increment on this vCPU's
     // own stats cell. The server's identity for the grant check is
     // (entry, entry owner) — the same pair `ppc-core`'s Copy Server
@@ -362,8 +356,9 @@ impl<'a> CallCtx<'a> {
     // `exchange_bulk`, `with_bulk_mut`, and the owner-side
     // `BulkRegion::fill`/`with_bytes`) hold their region **exclusively**
     // for the duration of the transfer or closure — concurrent accesses
-    // to the same region wait, and grant/revoke/unregister block until
-    // the access finishes. Keep closures short: a long-running closure
+    // to the same region wait. Every access, read or write, completes
+    // under the authorization it began with: grant/revoke/unregister
+    // wait until it finishes. Keep closures short: a long-running closure
     // stalls every conflicting access and all registry writes for its
     // region. Beginning a conflicting access — or revoking/dropping the
     // region — from the thread that already holds one returns
@@ -380,11 +375,11 @@ impl<'a> CallCtx<'a> {
     /// `f` over `(ptr, n)`, settle. `cap` is `Some(limit)` for a copying
     /// operation — `n` is then the span length clamped to `limit`, the
     /// copy gets its span and latency sample, and the moved bytes are
-    /// counted on success — and `None` for in-place access over the whole
-    /// span, where no bytes move (`bulk_bytes += 0` would cost a locked
-    /// add on the warm path). Returns `f`'s result and `n`; if the
-    /// authorization lapsed mid-transfer the result is discarded and a
-    /// denial counted, so a revoked access is never acknowledged.
+    /// counted — and `None` for in-place access over the whole span,
+    /// where no bytes move (`bulk_bytes += 0` would cost a locked add on
+    /// the warm path). Returns `f`'s result and `n`. The access is held
+    /// until `f` returns, so a grant, revoke or unregister of the region
+    /// waits for it and `f` runs under the authorization it began with.
     fn bulk_op<R>(
         &self,
         desc: BulkDesc,
@@ -417,15 +412,6 @@ impl<'a> CallCtx<'a> {
             let ns = t0.elapsed().as_nanos() as u64;
             entry.obs.record(obs::LatencyKind::BulkCopy, self.vcpu, ns);
         }
-        acc.finish().inspect_err(|e| {
-            cell.add(who, |c| &c.bulk_denied, 1);
-            // The revoke race is exactly what a post-mortem needs to
-            // see: always in the flight ring.
-            if let RtError::BulkRevoked(r) = e {
-                let region = *r as u32;
-                entry.flight.record(self.vcpu, flight::FlightKind::BulkRevoked, self.ep, region);
-            }
-        })?;
         if cap.is_some() {
             cell.add(who, |c| &c.bulk_bytes, n as u64);
         }
@@ -470,9 +456,9 @@ impl<'a> CallCtx<'a> {
     }
 
     /// Zero-copy read: run `f` over the granted span **in place** — no
-    /// bytes move at all. If the authorization lapses while `f` runs the
-    /// result is discarded and [`RtError::BulkRevoked`] is returned, so a
-    /// revoked access is never acknowledged.
+    /// bytes move at all. `f` runs under the authorization the access
+    /// began with: a grant, revoke or unregister of the region waits for
+    /// `f` to return, and its result is acknowledged.
     ///
     /// A shared access: concurrent reads proceed in parallel, write
     /// accesses to the region wait for `f` to return. Keep `f` short —
@@ -487,10 +473,10 @@ impl<'a> CallCtx<'a> {
     }
 
     /// Zero-copy write: run `f` over the granted span in place with
-    /// mutable access. Requires a write grant. The revocation caveat of
-    /// [`CallCtx::with_bulk`] applies — plus, since `f` mutates client
-    /// memory directly, a revoked access may still have written bytes
-    /// (the client revoked mid-flight; the transfer is unacknowledged).
+    /// mutable access. Requires a write grant. As with
+    /// [`CallCtx::with_bulk`], a grant, revoke or unregister of the region
+    /// waits for `f` to return, so `f` writes only under a write grant
+    /// that is in force, and its result is acknowledged.
     ///
     /// The access is **exclusive**: while `f` runs, every other access
     /// to the region waits, and any bulk operation on the same region
@@ -1216,9 +1202,10 @@ impl BulkRegion {
         self.rt.grant_region(self.vcpu, self.id, self.program, ep, write)
     }
 
-    /// Revoke every grant to `ep`. Blocks until in-flight transfers
-    /// drain; once this returns, no transfer under the revoked grant can
-    /// report success. Returns the number of grants removed. Calling
+    /// Revoke every grant to `ep`. Waits for in-flight transfers to
+    /// finish (they complete, and are acknowledged, under the grant they
+    /// began with); once this returns, no transfer under the revoked
+    /// grant can succeed. Returns the number of grants removed. Calling
     /// this from a thread holding an in-flight access to the region
     /// (e.g. inside a `with_*` closure) returns
     /// [`RtError::BulkReentrant`] instead of deadlocking.
@@ -1241,9 +1228,7 @@ impl BulkRegion {
         let acc = self.rt.bulk().registry(self.vcpu).begin(
             desc, 0, self.program, self.program, write, true,
         )?;
-        let r = f(acc.ptr, acc.len);
-        acc.finish()?;
-        Ok(r)
+        Ok(f(acc.ptr, acc.len))
     }
 
     /// Owner write: copy `data` into the region at `offset` (the fill

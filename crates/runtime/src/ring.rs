@@ -88,7 +88,8 @@ pub struct Completion {
 // ---------------------------------------------------------------------
 
 /// Encode an [`RtError`] as the `(status, aux)` words of a completion
-/// (status 0 is reserved for success).
+/// (status 0 is reserved for success; 6, once a transfer revoked in
+/// flight, is retired and not reused).
 fn err_to_wire(e: &RtError) -> (u32, u32) {
     match e {
         RtError::UnknownEntry(ep) => (1, *ep as u32),
@@ -96,7 +97,6 @@ fn err_to_wire(e: &RtError) -> (u32, u32) {
         RtError::Aborted(ep) => (3, *ep as u32),
         RtError::BadBulk => (4, 0),
         RtError::BulkDenied(r) => (5, u32::from(*r)),
-        RtError::BulkRevoked(r) => (6, u32::from(*r)),
         RtError::BulkReentrant(r) => (7, u32::from(*r)),
         RtError::TableFull => (8, 0),
         RtError::NotOwner => (9, 0),
@@ -119,7 +119,6 @@ fn wire_to_err(code: u32, aux: u32) -> RtError {
         3 => RtError::Aborted(aux as EntryId),
         4 => RtError::BadBulk,
         5 => RtError::BulkDenied(aux as RegionId),
-        6 => RtError::BulkRevoked(aux as RegionId),
         7 => RtError::BulkReentrant(aux as RegionId),
         8 => RtError::TableFull,
         9 => RtError::NotOwner,
@@ -765,15 +764,15 @@ impl ClientRing {
     fn copy_in(&self, desc: BulkDesc, payload: &[u8]) -> Result<(), RtError> {
         let (vcpu, program) = (self.shared.vcpu, self.shared.program);
         let (cell, who) = (self.rt.stats.cell(vcpu), claims::token());
-        let denied = |_: &RtError| cell.add(who, |c| &c.bulk_denied, 1);
         let registry = self.rt.bulk().registry(vcpu);
-        let acc = registry.begin(desc, 0, program, program, true, true).inspect_err(denied)?;
+        let acc = registry
+            .begin(desc, 0, program, program, true, true)
+            .inspect_err(|_| cell.add(who, |c| &c.bulk_denied, 1))?;
         let n = acc.len.min(payload.len());
         // Safety: `acc` authorizes `[acc.ptr, acc.ptr + acc.len)` and
         // holds the slot exclusively (write access); `payload` cannot
         // alias region memory.
         unsafe { std::ptr::copy_nonoverlapping(payload.as_ptr(), acc.ptr, n) };
-        acc.finish().inspect_err(denied)?;
         cell.add(who, |c| &c.bulk_calls, 1);
         cell.add(who, |c| &c.bulk_bytes, n as u64);
         Ok(())

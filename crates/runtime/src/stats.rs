@@ -216,8 +216,7 @@ counters! {
     /// Bulk buffer requests that missed the pool and allocated (the
     /// payload plane's Frank slow-path entries).
     bulk_pool_misses,
-    /// Bulk accesses rejected: no grant, bad descriptor, or revoked
-    /// mid-transfer.
+    /// Bulk accesses rejected: no grant or a bad descriptor.
     bulk_denied,
     /// Handlers retired by Exchange into the limbo slot.
     handlers_retired,

@@ -1032,13 +1032,16 @@ impl XClient {
 
     /// Like [`XClient::connect`], retrying while the segment file does
     /// not exist yet — the "parent connects to a freshly forked child"
-    /// race, closed by polling.
+    /// race, closed by polling. The pause between attempts doubles from
+    /// 50 µs to 5 ms, so a child that is ready soon is not kept waiting
+    /// a whole long pause.
     pub fn connect_retry(
         path: &Path,
         program: ProgramId,
         timeout: Duration,
     ) -> Result<XClient, RtError> {
         let deadline = Instant::now() + timeout;
+        let mut pause = Duration::from_micros(50);
         loop {
             match XClient::connect(path, program) {
                 Ok(c) => return Ok(c),
@@ -1046,7 +1049,8 @@ impl XClient {
                     if Instant::now() >= deadline {
                         return Err(e);
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(Duration::from_millis(5));
                 }
             }
         }
@@ -1656,7 +1660,6 @@ mod tests {
             RtError::Aborted(9),
             RtError::BadBulk,
             RtError::BulkDenied(5),
-            RtError::BulkRevoked(6),
             RtError::BulkReentrant(2),
             RtError::TableFull,
             RtError::NotOwner,

@@ -425,7 +425,7 @@ fn call_bulk_works_across_dispatch_modes() {
 /// others stream bulk copies. Once the revoker observes its revoke
 /// complete, **no** copy may succeed — the registry drains in-flight
 /// transfers before the revoke returns, and later transfers fail the
-/// grant check or the epoch validation.
+/// grant check.
 #[test]
 fn revoke_vs_streaming_copies_race() {
     watchdog(120);

@@ -1,7 +1,7 @@
 //! Purity of the warm `call_bulk` path: the ISSUE-2 acceptance gate that
 //! a warmed bulk call performs **no allocations** and stays off every
 //! slow path (no lock acquisitions by construction — the fast path is
-//! lock-free pools + epoch-stamped registry reads + `Relaxed` sharded
+//! lock-free pools + lock-free registry reads + `Relaxed` sharded
 //! counters; the stats deltas below pin that no cold path was entered).
 //!
 //! The allocation half is proved directly: a counting `#[global_allocator]`

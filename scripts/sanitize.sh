@@ -17,8 +17,10 @@
 # the flight recorder, the span plane and the exemplar rings all write:
 # concurrent writers beside a reader, and a writer stalled mid-record
 # while others lap it; about 5 s of the run, warm), the `region::` and
-# `shm::` unit tests (the bulk registry's seqlock-stamped slots under
+# `shm::` unit tests (the bulk registry's access-word slots under
 # concurrent readers and writers, and a futex wake across threads),
+# the `tests/bulk.rs` suite (revoke and unregister racing streaming
+# copies, owner and server in-place writes excluding each other),
 # and the `baseline::` unit
 # tests (the locked comparator: `LockedServer`'s queue sits behind std's
 # uninstrumented mutex, so `scripts/tsan.supp` suppresses its reports;
@@ -29,7 +31,7 @@
 # (`Acquire`) are the edge that orders every use of an entry before its
 # free.
 #
-#     scripts/sanitize.sh            run all ten, exit nonzero on any report
+#     scripts/sanitize.sh            run all eleven, exit nonzero on any report
 #
 # std is not instrumented (no `rust-src`, so no `-Zbuild-std`): races
 # TSan sees inside std's own synchronisation are false reports, and
@@ -59,4 +61,5 @@ cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact stats::tests::counts_stay_exact_when_callers_share_a_vcpu_or_a_cell_changes_hands
 cargo +nightly test -p ppc-rt --target "$target" --lib -- flight::
 cargo +nightly test -p ppc-rt --target "$target" --lib -- region:: shm::
+cargo +nightly test -p ppc-rt --target "$target" --test bulk
 cargo +nightly test -p ppc-rt --target "$target" --lib -- baseline::
