@@ -23,8 +23,9 @@
 //! Everything here is built from two primitives, as the paper builds its
 //! async, interrupt and upcall variants from the one PPC mechanism:
 //! `EntryShared::run_handler` is the only place a handler runs (worker
-//! loop, inline path, ring workers) and `Runtime::post` the only place a
-//! call is handed to a worker (sync and async).
+//! loop, inline path, and `Runtime::execute` for serving threads) and
+//! `Runtime::post` the only place a call is handed to a worker (sync
+//! and async).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,18 +45,6 @@ use crate::{AsyncCall, EntryId, ProgramId, RtError, Runtime, ScratchRef, SpinPol
 pub(crate) type Payload<'p> = Option<(&'p [u8], &'p mut Vec<u8>)>;
 
 impl Runtime {
-    /// Synchronous null call: blocks and returns the result words.
-    #[inline]
-    pub(crate) fn call(
-        &self,
-        vcpu: usize,
-        ep: EntryId,
-        args: [u64; 8],
-        program: ProgramId,
-    ) -> Result<[u64; 8], RtError> {
-        self.dispatch(vcpu, ep, args, program, None)
-    }
-
     /// Synchronous dispatch: blocks and returns the result words. A
     /// `payload` travels in the scratch page (§4.2's bulk data; the words
     /// carry opcode/lengths), which the handler rewrites in place via
@@ -86,6 +75,20 @@ impl Runtime {
             }
             return self.inline_body(&claim, args, program, payload, 0, false);
         }
+        self.handoff(&claim, args, program, payload)
+    }
+
+    /// A synchronous call handed to a worker. Out of line, so that the
+    /// inline path keeps its registers to itself.
+    #[inline(never)]
+    fn handoff(
+        &self,
+        claim: &Claim<'_>,
+        args: [u64; 8],
+        program: ProgramId,
+        payload: Payload<'_>,
+    ) -> Result<[u64; 8], RtError> {
+        let (vcpu, ep) = (claim.vc().id, claim.id);
         let (request, response) = payload.unzip();
         // The tick decides every timed record of a hand-off — call,
         // rendezvous and, riding the slot, the worker's handler run: an
@@ -97,7 +100,7 @@ impl Runtime {
         // (and runs the root's tail-exemplar check) on every exit.
         let scope = self.spans().call_scope(sampled, vcpu, ep, Some(&*claim.trace_ewma_ns));
         let word = scope.ctx_word();
-        let (worker, woke) = self.post(&claim, args, program, request, true, word, sampled)?;
+        let (worker, woke) = self.post(claim, args, program, request, true, word, sampled)?;
         let vc = claim.vc();
         let done_at = self.rendezvous(vc, claim.token(), &worker, woke, ep, sampled);
         let slot = &worker.slot;
@@ -124,8 +127,8 @@ impl Runtime {
             self.obs().record(LatencyKind::Call, vcpu, ns);
             self.flight().record(vcpu, FlightKind::Handoff, ep, program);
         }
-        // `scope` drops first (it borrows `claim`), then the claim
-        // releases — the order the reclaim protocol requires.
+        // `scope` drops here, then the caller's claim releases — the
+        // order the reclaim protocol requires.
         Ok(rets)
     }
 
@@ -223,19 +226,19 @@ impl Runtime {
         Ok(run.rets)
     }
 
-    /// Ring-worker-side execution of one accepted SQE
-    /// ([`crate::ring::ClientRing`] and the cross-process ring): claim
-    /// the entry *at execution time* — never while the SQE sits queued,
-    /// so kill/exchange/reclaim drain with the queue instead of
-    /// deadlocking against claims parked inside it — and run the handler
-    /// on the ring worker's thread under the SQE's propagated trace
-    /// word. `scratch` is the page the handler sees: the ring worker's
-    /// persistent page, or the SQE's staged payload buffer. `sampled`:
-    /// the drain's one sampler tick for this SQE; a sampled run adds its
-    /// handler-time estimate to `handler_ns`, which the drain
-    /// carves out of its interval when it next reads the clock.
+    /// How a serving thread runs a call it found (an SQE, a segment
+    /// slot's `CALL` or `PAYLOAD`): claim the entry *at execution time* —
+    /// never while the call sits queued, so kill/exchange/reclaim drain
+    /// with the queue instead of deadlocking against claims parked in it
+    /// — and run the handler here under `trace_word`, whatever the
+    /// entry's [`crate::EntryOptions::inline_ok`]; no worker, so
+    /// [`crate::CallCtx::set_worker_handler`] is a no-op. `scratch`: the
+    /// thread's own page or the SQE's staged payload. `sampled`: the
+    /// caller's tick; a sampled run records a Handler sample (no Call
+    /// sample, no root span) and adds its estimate to `handler_ns`.
+    /// Counts only a fault: each caller counts what it served.
     #[allow(clippy::too_many_arguments)] // the call frame, field by field
-    pub(crate) fn ring_execute(
+    pub(crate) fn execute(
         &self,
         vcpu: usize,
         ep: EntryId,
@@ -252,10 +255,8 @@ impl Runtime {
         let run = claim.run_handler(vcpu, args, program, trace_word, scratch, None, None, sampled);
         *handler_ns += run.est_ns.unwrap_or(0);
         let killed = claim.entry_state() == EntryState::Dead;
-        // The ring worker serves this vCPU: off the submitter's lines.
-        let cell = self.stats.served_cell(vcpu);
-        Self::settle(cell, claim.token(), ep, killed, run.faulted)?;
-        cell.add(claim.token(), |c| &c.ring_calls, 1);
+        // A serving thread: off the callers' lines.
+        Self::settle(self.stats.served_cell(vcpu), claim.token(), ep, killed, run.faulted)?;
         Ok(run.rets)
     }
 

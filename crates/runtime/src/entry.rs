@@ -61,7 +61,8 @@ pub struct EntryOptions {
     /// ignored and [`crate::CallCtx::set_worker_handler`] is a no-op on
     /// inline calls), and a faulting handler unwinds on the caller's
     /// thread (still contained to [`crate::RtError::ServerFault`]).
-    /// Asynchronous calls and upcalls to the entry still hand off.
+    /// Asynchronous calls and upcalls to the entry still hand off. A ring
+    /// worker or segment serve thread runs every entry this way, flag or not.
     pub inline_ok: bool,
     /// Workers pre-spawned per vCPU at bind time.
     pub initial_workers: usize,
@@ -261,8 +262,8 @@ impl EntryShared {
         // (`swap_handler`), a claim taken later loads the new pointer,
         // and a claim outlives the run on every transport — the inline
         // caller's `Claim`, a sync hand-off's client until `DONE`, an
-        // async worker's own claim from pickup, `ring_execute`'s `Claim`
-        // for both rings.
+        // async worker's own claim from pickup, `Runtime::execute`'s
+        // `Claim` for both rings and the segment slot.
         let handler = over.unwrap_or_else(|| unsafe { &*self.handler_ptr.load(Ordering::SeqCst) });
         let t0 = sampled.then(Instant::now);
         let span = self.spans.handler_scope(trace_word, vcpu, self.id);

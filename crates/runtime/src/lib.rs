@@ -597,28 +597,36 @@ impl VcpuState {
     /// Take a slot from the pool, growing it if dry (the Frank slow
     /// path). `cell` is the calling vCPU's stats cell; `flight` records
     /// the Frank event (slow path by definition, so unconditionally) and
-    /// `spans` stamps it into a live trace, if one encloses the take.
+    /// `spans` stamps it into a live trace, if one encloses the take. The
+    /// slow path is out of line, so that a take inlines to the pop.
+    #[inline]
     pub(crate) fn take_slot(
         &self,
         cell: &StatsCell,
         flight: &FlightPlane,
         spans: &SpanPlane,
     ) -> Box<CallSlot> {
-        match self.cd_pool.pop() {
-            Some(s) => s,
-            None => {
-                let tf0 = std::time::Instant::now();
-                cell.add(claims::NOBODY, |c| &c.frank_redirects, 1);
-                cell.add(claims::NOBODY, |c| &c.cds_created, 1);
-                // data 1 = CD pool (the entry is unknown this deep).
-                flight.record(self.id, flight::FlightKind::Frank, 0, 1);
-                spans.record_instant(self.id, 0, SpanPhase::Frank);
-                let s = CallSlot::new();
-                // Cold path: the CD allocation is Frank time.
-                cell.add_time(stats::TimeState::Frank, tf0.elapsed().as_nanos() as u64);
-                s
-            }
-        }
+        self.cd_pool.pop().unwrap_or_else(|| self.grow_slot(cell, flight, spans))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow_slot(
+        &self,
+        cell: &StatsCell,
+        flight: &FlightPlane,
+        spans: &SpanPlane,
+    ) -> Box<CallSlot> {
+        let tf0 = std::time::Instant::now();
+        cell.add(claims::NOBODY, |c| &c.frank_redirects, 1);
+        cell.add(claims::NOBODY, |c| &c.cds_created, 1);
+        // data 1 = CD pool (the entry is unknown this deep).
+        flight.record(self.id, flight::FlightKind::Frank, 0, 1);
+        spans.record_instant(self.id, 0, SpanPhase::Frank);
+        let s = CallSlot::new();
+        // Cold path: the CD allocation is Frank time.
+        cell.add_time(stats::TimeState::Frank, tf0.elapsed().as_nanos() as u64);
+        s
     }
 }
 
@@ -1065,7 +1073,7 @@ impl Client {
     /// Synchronous PPC: 8 words in, 8 words out, hand-off to a worker on
     /// this client's vCPU. No locks, no shared queues.
     pub fn call(&self, ep: EntryId, args: [u64; 8]) -> Result<[u64; 8], RtError> {
-        self.rt.call(self.vcpu, ep, args, self.program)
+        self.rt.dispatch(self.vcpu, ep, args, self.program, None)
     }
 
     /// Asynchronous PPC (§4.4): the caller continues immediately; the

@@ -49,7 +49,8 @@ use crate::shm::Segment;
 use crate::slot::SCRATCH_BYTES;
 use crate::span::{SpanPhase, SpanToken};
 use crate::stats::{StateTimer, TimeState};
-use crate::wait::{notify, wait, Poll, Sleeper, Spin};
+use crate::wait::{notify, Poll, Sleeper};
+use crate::worker::idle_wait;
 use crate::{Client, EntryId, ProgramId, RegionId, RtError, Runtime};
 
 /// Hard cap on ring capacities (entries). Large enough for any open-loop
@@ -475,10 +476,12 @@ impl Consumer {
 /// one queue-full of SQEs has run — a producer that keeps submitting
 /// cannot hold the caller in here. SQEs execute, and their completions
 /// are posted, in submission order, whichever entries they target. The
-/// handler runs under an **execution-time claim** — a queued SQE holds
-/// no entry reference, so kill, Exchange and reclaim drain a queued ring
-/// with [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs. `scratch` is
-/// the page handlers of payload-less SQEs see; a sampled handler run
+/// handler runs through [`Runtime::execute`], under an **execution-time
+/// claim** — a queued SQE holds no entry reference, so kill, Exchange
+/// and reclaim drain a queued ring with
+/// [`RtError::EntryDead`]/[`RtError::Aborted`] CQEs. An SQE that
+/// completes counts in `ring_calls` before its CQE is posted. `scratch`
+/// is the page handlers of payload-less SQEs see; a sampled handler run
 /// adds its estimate to `handler_ns`. Returns how many SQEs were
 /// executed (each has its CQE posted), or `None` once the head SQE's
 /// sequence word is neither this lap's nor the last — a broken or
@@ -492,6 +495,8 @@ pub(crate) fn drain(
     handler_ns: &mut u64,
 ) -> Option<u64> {
     let mut done = 0;
+    // The drain counts what it served, as one thread: one token per drain.
+    let (cell, who) = (rt.stats.served_cell(vcpu), claims::token());
     while done < c.lane.depth() && c.published(c.head)? {
         // One sampler tick per SQE decides all its records: a second
         // site on this thread would fall into step and take every
@@ -519,8 +524,11 @@ pub(crate) fn drain(
         };
         let ep = sqe.ep as EntryId;
         let result = page.and_then(|page| {
-            rt.ring_execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
+            rt.execute(vcpu, ep, sqe.args, program, sqe.trace, page, sampled, handler_ns)
         });
+        if result.is_ok() {
+            cell.add(who, |c| &c.ring_calls, 1);
+        }
         let (status, aux, rets) = result_to_wire(result);
         let body = CqeBody { user: sqe.user, ep: sqe.ep, status, aux, _pad: 0, rets };
         // Safety: sole CQ producer; the producer admitted this SQE with
@@ -864,34 +872,10 @@ impl Client {
     }
 }
 
-/// Idle rendezvous, ring-worker side: `wait.rs`'s primitive with the
-/// learned `poll` and a yielding spin of `budget` passes on the head
-/// SQE's sequence word (the mirror of the entry workers' slot spin),
-/// then the announced park the doorbell pairs with; budget 0
-/// (`ParkOnly`) parks at once, no poll either. One park per call: the
-/// worker loop re-reads the word and the shutdown flag itself.
-fn idle_wait(
-    ring: &RingShared,
-    c: &Consumer,
-    budget: u32,
-    poll: &mut Poll,
-    timer: &mut StateTimer<'_>,
-) {
-    let spin = Spin { poll: Some(poll).filter(|_| budget > 0), budget, rounds: 0 };
-    let ready = || !c.idle() || ring.shutdown.load(Ordering::Acquire);
-    let park = || {
-        // The spin was Idle time; the sleep is Park time.
-        timer.transition(TimeState::Park);
-        std::thread::park();
-        timer.transition(TimeState::Idle);
-        false
-    };
-    wait(spin, Some(ring.sleeper()), ready, || (), park);
-}
-
-/// The ring worker: [`drain`] while there is work, [`idle_wait`] when
-/// there is none. One thread per ring; it exits when the client handle
-/// drops, after finishing the queue.
+/// The ring worker: [`drain`] while there is work, the serving threads'
+/// [`idle_wait`] on the head SQE's sequence word when there is none. One
+/// thread per ring; it exits when the client handle drops, after
+/// finishing the queue.
 fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut c: Consumer) {
     // The persistent scratch page handlers see on payload-less SQEs —
     // the ring worker's stand-in for a CD's scratch.
@@ -899,7 +883,7 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut c: Consumer) {
     // This thread's wall-time classifier: Idle on the SQE spin, Park
     // across the Dekker sleep, Ring while draining — one clock read where
     // a run of SQEs begins and one where it ends, none per SQE. The
-    // handlers' share is `handler_ns`, `ring_execute`'s sampled estimate,
+    // handlers' share is `handler_ns`, `execute`'s sampled estimate,
     // carved out of the Ring interval at the transition that closes it.
     let mut timer = StateTimer::new(rt.stats.served_cell(ring.vcpu), TimeState::Idle);
     let mut handler_ns = 0u64;
@@ -915,7 +899,8 @@ fn ring_worker(rt: Arc<Runtime>, ring: Arc<RingShared>, mut c: Consumer) {
             // next idle wait on: one `Relaxed` load on a path that is
             // about to spin or sleep.
             let budget = crate::worker_idle_budget(rt.spin_policy());
-            idle_wait(&ring, &c, budget, &mut poll, &mut timer);
+            let ready = || !c.idle() || ring.shutdown.load(Ordering::Acquire);
+            idle_wait(budget, Some(&mut poll), ring.sleeper(), ready, &mut timer, &mut handler_ns);
             continue;
         }
         timer.transition(TimeState::Ring);
@@ -1171,7 +1156,8 @@ pub(crate) mod tests {
                 let mut poll = Poll::from_bits(1024);
                 let budget = crate::worker_idle_budget(crate::SpinPolicy::ParkOnly);
                 while !ring.shutdown.load(Ordering::Acquire) {
-                    idle_wait(&ring, &c, budget, &mut poll, &mut timer);
+                    let ready = || !c.idle() || ring.shutdown.load(Ordering::Acquire);
+                    idle_wait(budget, Some(&mut poll), ring.sleeper(), ready, &mut timer, &mut 0);
                 }
                 poll.bits()
             });

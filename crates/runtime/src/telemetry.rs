@@ -363,9 +363,9 @@ pub struct Telemetry {
     alerts: parking_lot::Mutex<Vec<AlertState>>,
     tick: Duration,
     started: Instant,
+    /// Set by `stop()`, which then unparks the sampler out of its tick
+    /// sleep.
     stop: AtomicBool,
-    /// Sleep/wake pair so `stop()` interrupts the tick sleep promptly.
-    park: (std::sync::Mutex<()>, std::sync::Condvar),
     thread: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -410,7 +410,6 @@ impl Telemetry {
             tick,
             started: Instant::now(),
             stop: AtomicBool::new(false),
-            park: (std::sync::Mutex::new(()), std::sync::Condvar::new()),
             thread: parking_lot::Mutex::new(None),
         });
         // The baseline read is taken HERE, on the caller's thread, not
@@ -498,11 +497,9 @@ impl Telemetry {
     /// [`crate::Runtime`]'s drop).
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _guard = self.park.0.lock().unwrap_or_else(|e| e.into_inner());
-        self.park.1.notify_all();
-        drop(_guard);
         let handle = self.thread.lock().take();
         if let Some(h) = handle {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -529,19 +526,11 @@ impl Telemetry {
         rt: Weak<crate::Runtime>,
     ) {
         loop {
-            // Interruptible tick sleep. The stop flag is checked under
-            // the lock `stop()` notifies under, so a stop that lands
-            // before this thread first waits is not slept through.
-            {
-                let guard = self.park.0.lock().unwrap_or_else(|e| e.into_inner());
-                if !self.stop.load(Ordering::SeqCst) {
-                    let _ = self
-                        .park
-                        .1
-                        .wait_timeout(guard, self.tick)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
+            // Interruptible tick sleep: `stop()` stores the flag before
+            // it unparks, and an unpark that lands before the park leaves
+            // a token, so a stop is never slept through. (A tick cut short
+            // is stamped with its own length.)
+            std::thread::park_timeout(self.tick);
             if self.stop.load(Ordering::SeqCst) {
                 return;
             }

@@ -41,8 +41,8 @@
 //! |---|---|---|---|---|
 //! | sync caller, async late waiter (`CallSlot::wait_done`) | per vCPU, beside the EWMA | slot waiter word, `ASLEEP` / `LATE` | `SlotCore::wake_done`: futex wake of the state word | `DONE` changed the word the `FUTEX_WAIT` compares |
 //! | segment client (`XClient::wait_done`) | per client handle | slot waiter word, `ASLEEP` | the same | the same |
-//! | entry worker (`worker.rs::idle_wait`) | local in `worker_loop` | `WorkerHandle` sleeper word | `post`, an async `hand_back`: `unpark` iff announced; `request_shutdown` and the caller's donation rounds: `unpark` always | `unpark` leaves a token; a stray one costs a spin |
-//! | ring worker (`ring.rs::idle_wait`) | local in `ring_worker` | `RingShared::sleeping` | doorbell: `unpark` iff announced | token |
+//! | entry worker (`worker::idle_wait`) | local in `worker_loop` | `WorkerHandle` sleeper word | `post`, an async `hand_back`: `unpark` iff announced; `request_shutdown` and the caller's donation rounds: `unpark` always | `unpark` leaves a token; a stray one costs a spin |
+//! | ring worker (`worker::idle_wait`) | local in `ring_worker` | `RingShared::sleeping` | doorbell: `unpark` iff announced | token |
 //! | segment server (`serve_loop`) | local in the loop | header `server_sleeping` | doorbell bump + futex wake iff announced | the bump changed the word compared |
 //!
 //! A site passes its `Poll` only when its last exchange woke nobody (see

@@ -305,35 +305,33 @@ impl Default for WorkerPool {
     }
 }
 
-/// Idle rendezvous, worker side — the mirror of the client's
+/// Idle rendezvous of a serving thread — an entry worker waiting for
+/// mail, a ring worker for submissions; the mirror of the client's
 /// `CallSlot::wait_done`, on the same primitive (`wait.rs`): the learned
-/// `poll`, a yielding spin of `idle_spin` passes until the slot's state
-/// reads `want`, then the announced park that `post` pairs with. In a
-/// stream of back-to-back calls neither side ever reaches a futex. Budget
-/// 0 (`SpinPolicy::ParkOnly`) parks immediately — no poll either. One
-/// park per call — the worker loop re-runs its own checks, so the stray
-/// token of an unconditional `unpark` costs another spin, not a hang.
-fn idle_wait(
-    entry: &crate::entry::EntryShared,
-    me: &WorkerHandle,
-    want: u32,
+/// `poll`, a yielding spin of `budget` passes until `ready`, then the
+/// announced park on `sleeper` that the post or doorbell pairs with. In
+/// a stream of back-to-back calls neither side ever reaches a futex.
+/// Budget 0 (`SpinPolicy::ParkOnly`) parks immediately — no poll either.
+/// One park per call — the serving loop re-runs its own checks, so the
+/// stray token of an unconditional `unpark` costs another spin, not a
+/// hang. The spin is Idle time (less `handler_ns`, carved out as Handler
+/// where the park begins), the park Park.
+pub(crate) fn idle_wait(
+    budget: u32,
     poll: Option<&mut Poll>,
+    sleeper: Sleeper<'_>,
+    ready: impl FnMut() -> bool,
     timer: &mut StateTimer<'_>,
     handler_ns: &mut u64,
 ) {
-    let budget = entry.idle_spin.load(Ordering::Relaxed);
     let spin = Spin { poll: poll.filter(|_| budget > 0), budget, rounds: 0 };
-    let st = me.slot.core.state_word();
-    let ready =
-        || st.load(Ordering::Relaxed) == want || me.shutdown.load(Ordering::Relaxed);
     let park = || {
-        // The spin was Idle time (less `handler_ns`), the park is Park.
         timer.transition_carving(TimeState::Park, TimeState::Handler, handler_ns);
         std::thread::park();
         timer.transition(TimeState::Idle);
         false
     };
-    wait(spin, Some(me.sleeper()), ready, || (), park);
+    wait(spin, Some(sleeper), ready, || (), park);
 }
 
 /// The worker thread body: wait for `POSTED` → run handler → complete →
@@ -371,8 +369,11 @@ fn worker_loop(entry: Arc<crate::entry::EntryShared>, me: Arc<WorkerHandle>, vcp
         }
         let want = if owed { state::IDLE } else { state::POSTED };
         if slot.core.state_word().load(Ordering::Acquire) != want {
+            let (budget, st) = (entry.idle_spin.load(Ordering::Relaxed), slot.core.state_word());
+            let ready =
+                || st.load(Ordering::Relaxed) == want || me.shutdown.load(Ordering::Relaxed);
             let poll = (!woke).then_some(&mut poll);
-            idle_wait(&entry, &me, want, poll, &mut timer, &mut handler_ns);
+            idle_wait(budget, poll, me.sleeper(), ready, &mut timer, &mut handler_ns);
             continue;
         }
         if owed {

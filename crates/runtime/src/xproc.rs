@@ -541,8 +541,9 @@ impl Runtime {
     /// Serve this runtime's entry points to other processes through a
     /// shared segment at `path` (must not exist; unlinked when the
     /// server drops). Remote calls dispatch on `opts.vcpu` with the
-    /// caller's own program identity, exactly as if a local client had
-    /// made them.
+    /// caller's own program identity. The serve thread runs each itself
+    /// as it runs an SQE, whatever [`crate::EntryOptions::inline_ok`]
+    /// says, and a payload's first `rets[7]` bytes go back.
     pub fn serve_xproc(
         self: &Arc<Self>,
         path: &Path,
@@ -690,7 +691,8 @@ fn serve_loop(rt: Arc<Runtime>, map: Arc<SegMap>, vcpu: usize) {
                         progress = true;
                     }
                     if c.attached {
-                        progress |= service_slot(&rt, &map, vcpu, i, c, &mut woke);
+                        progress |=
+                            service_slot(&rt, &map, vcpu, i, c, &mut woke, &mut local_scratch);
                     }
                     // Checked again: a DETACH just served ends the
                     // client, whatever it left queued.
@@ -828,7 +830,8 @@ fn lose_client(rt: &Arc<Runtime>, map: &SegMap, vcpu: usize, i: usize, c: &mut C
 }
 
 /// Service a posted slot call. Returns whether work was done; sets
-/// `woke` when the completion had to futex-wake its client.
+/// `woke` when the completion had to futex-wake its client. A `CALL` or
+/// `PAYLOAD` runs here as an SQE does, on the serve loop's own `scratch`.
 fn service_slot(
     rt: &Arc<Runtime>,
     map: &SegMap,
@@ -836,6 +839,7 @@ fn service_slot(
     i: usize,
     c: &mut ClientCtx,
     woke: &mut bool,
+    scratch: &mut [u8],
 ) -> bool {
     let slot = map.slot(i);
     if slot.core.state_word().load(Ordering::Acquire) != state::POSTED {
@@ -846,19 +850,22 @@ fn service_slot(
     let args = slot.core.read_args();
     let (cell, who) = (rt.stats.cell(vcpu), claims::token());
     let result: Result<[u64; 8], RtError> = match xop {
-        op::CALL => rt.call(vcpu, ep, args, c.program),
-        op::PAYLOAD => {
-            let len = (slot.core.payload_len() as usize).min(SCRATCH_BYTES);
+        op::CALL | op::PAYLOAD => {
             // Safety: the client owns the payload page only while the
             // slot is IDLE/DONE; during POSTED the server has exclusive
             // use (the rendezvous protocol, same as in-process scratch).
-            let req = unsafe { std::slice::from_raw_parts(map.payload_ptr(i), len) };
-            let mut resp = Vec::new();
-            rt.dispatch(vcpu, ep, args, c.program, Some((req, &mut resp))).inspect(|_| {
-                let n = resp.len().min(SCRATCH_BYTES);
-                // Safety: as above; exclusive during POSTED.
-                unsafe { std::ptr::copy_nonoverlapping(resp.as_ptr(), map.payload_ptr(i), n) };
-                slot.core.set_payload_len(n as u32);
+            let page = unsafe { std::slice::from_raw_parts_mut(map.payload_ptr(i), SCRATCH_BYTES) };
+            let len = if xop == op::PAYLOAD { slot.core.payload_len() as usize } else { 0 };
+            let len = len.min(SCRATCH_BYTES);
+            scratch[..len].copy_from_slice(&page[..len]);
+            let sampled = rt.obs().try_sample(vcpu);
+            rt.execute(vcpu, ep, args, c.program, 0, scratch, sampled, &mut 0).inspect(|rets| {
+                if xop == op::PAYLOAD {
+                    let n = (rets[7] as usize).min(SCRATCH_BYTES);
+                    page[..n].copy_from_slice(&scratch[..n]);
+                    slot.core.set_payload_len(n as u32);
+                }
+                cell.add(who, |c| &c.inline_calls, 1);
             })
         }
         op::GRANT => c.region.ok_or(RtError::BadBulk).and_then(|region| {
@@ -1033,8 +1040,8 @@ impl XClient {
     /// Like [`XClient::connect`], retrying while the segment file does
     /// not exist yet — the "parent connects to a freshly forked child"
     /// race, closed by polling. The pause between attempts doubles from
-    /// 50 µs to 5 ms, so a child that is ready soon is not kept waiting
-    /// a whole long pause.
+    /// 50 µs to 1 ms, so a child that is ready soon or late is seen
+    /// within a millisecond.
     pub fn connect_retry(
         path: &Path,
         program: ProgramId,
@@ -1050,7 +1057,7 @@ impl XClient {
                         return Err(e);
                     }
                     std::thread::sleep(pause);
-                    pause = (pause * 2).min(Duration::from_millis(5));
+                    pause = (pause * 2).min(Duration::from_millis(1));
                 }
             }
         }
@@ -1882,8 +1889,9 @@ mod tests {
         xc.bulk_write(0, &[1; 4096]).unwrap();
         xc.bulk_grant(bump, false).unwrap();
         let share = xc.map.bulk_off(xc.idx) as u64;
-        let mut high = 0;
+        let (mut high, mut runs) = (0, 0);
         for i in 0..10_000u64 {
+            runs += u64::from(i % 6 != 3);
             match i % 6 {
                 0 => assert_eq!(xc.call(add, [i, 1, 0, 0, 0, 0, 0, 0]).unwrap()[0], i + 1),
                 1 => {
@@ -1909,6 +1917,10 @@ mod tests {
             }
         }
         assert_eq!(rt.xproc_stats().unwrap().high_water, high);
+        // Both entries hand off in-process; remote, each ran on the
+        // serve thread and counted as an inline call.
+        let s = rt.stats.snapshot();
+        assert_eq!((s.handoff_calls, s.inline_calls), (0, runs), "served on the serve thread");
         drop(xc);
         let mut next = XClient::connect_retry(&path, 67, Duration::from_secs(10)).unwrap();
         assert_eq!(next.idx, 0, "the one slot, detached and claimed again");

@@ -20,8 +20,8 @@ fn whereabouts() -> (String, String) {
     (field("Name:"), field("Cpus_allowed_list:"))
 }
 
-/// Run one call on a worker, the ring worker and the serve thread of
-/// each vCPU; return `(vcpu, thread name, Cpus_allowed_list)` as the
+/// Run one call on a worker and the ring worker and two on the serve
+/// thread of each vCPU; return `(vcpu, thread name, Cpus_allowed_list)` as the
 /// handler found them.
 fn thread_masks(pin: bool, tag: &str) -> Vec<(usize, String, String)> {
     const VCPUS: usize = 2;
@@ -37,7 +37,9 @@ fn thread_masks(pin: bool, tag: &str) -> Vec<(usize, String, String)> {
         })
     };
     // A hand-off entry runs on a worker; an inline one on whichever
-    // thread dispatches it — the ring worker, the serve thread.
+    // thread dispatches it. The ring worker and the serve thread run
+    // whatever they find themselves, so a remote hand-off call runs on
+    // the serve thread too.
     let handoff = rt.bind("handoff", EntryOptions::default(), Arc::clone(&report)).unwrap();
     let inline_opts = EntryOptions { inline_ok: true, ..Default::default() };
     let inline = rt.bind("inline", inline_opts, report).unwrap();
@@ -58,10 +60,11 @@ fn thread_masks(pin: bool, tag: &str) -> Vec<(usize, String, String)> {
         let _srv = rt.serve_xproc(&path, opts).unwrap();
         let mut xc = XClient::connect(&path, 1).unwrap();
         xc.call(inline, args).unwrap();
+        xc.call(handoff, args).unwrap();
     }
     let seen = seen.lock().unwrap().clone();
     let names: Vec<&str> = seen.iter().map(|(_, name, _)| &name[..8]).collect();
-    assert_eq!(names, ["ppc-work", "ppc-ring", "ppc-xpro"].repeat(VCPUS), "{seen:?}");
+    assert_eq!(names, ["ppc-work", "ppc-ring", "ppc-xpro", "ppc-xpro"].repeat(VCPUS), "{seen:?}");
     seen
 }
 

@@ -87,9 +87,10 @@ fn bind_test_entries(rt: &Arc<Runtime>) {
             }),
         )
         .unwrap();
-    // The regime tests' pair, both inline so that the serve thread is
-    // the only server thread on the path: an echo, and a probe of the
-    // serving runtime's own transport counters.
+    // The regime tests' pair: an echo, and a probe of the serving
+    // runtime's own transport counters. The serve thread is the only
+    // server thread on a remote call's path, whatever the entry's
+    // options; these two are bound inline all the same.
     let inline = EntryOptions { inline_ok: true, ..EntryOptions::default() };
     let echo = rt.bind("echo", inline, Arc::new(|ctx| ctx.args)).unwrap();
     let weak = Arc::downgrade(rt);

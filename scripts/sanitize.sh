@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # ThreadSanitizer over the ring, the claim cells, the hand-off and the
 # counters: `ppc-rt`'s `ring::` unit tests, the `tests/ring.rs` suite (the
-# in-process front-end and the conformance bodies), three `xproc::` ring
-# tests (the sequence-word protocol across the segment: a forged
-# future-lap word, scribbled CQE words, forged staging offsets; the
-# server runs on a thread of the test process), the ring trace test
+# in-process front-end and the conformance bodies), five `xproc::`
+# tests (three ring tests of the sequence-word protocol across the
+# segment: a forged future-lap word, scribbled CQE words, forged staging
+# offsets; and two over the slot path, where the serve thread runs each
+# call itself: a mix of slot ops without a reset between calls, and a
+# dropped client's detach; the server runs on a thread of the test
+# process), the ring trace test
 # (`tests/trace.rs`: a batch's ring span, written by the client, and its
 # handler span, written by the ring worker, land in one vCPU's span
 # ring from two threads), the claim-cell storm
@@ -54,7 +57,9 @@ cargo +nightly test -p ppc-rt --target "$target" --test ring
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact \
     xproc::tests::forged_future_lap_seq_detaches_client_not_server \
     xproc::tests::scribbled_cqe_seq_words_replay_and_rewrite_nothing \
-    xproc::tests::forged_offset_cannot_reach_a_neighbours_staging_page
+    xproc::tests::forged_offset_cannot_reach_a_neighbours_staging_page \
+    xproc::tests::slot_ops_mix_without_a_reset_between_calls \
+    xproc::tests::a_dropped_client_detaches_promptly
 cargo +nightly test -p ppc-rt --target "$target" --test trace -- --exact ring_submissions_parent_their_handler_spans
 cargo +nightly test -p ppc-rt --target "$target" --lib -- --exact claims::tests::storm_at_one_id_beside_inline_callers
 cargo +nightly test -p ppc-rt --target "$target" --lib -- slot:: worker:: wait::
